@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .core import (
     MODULAR,
-    SUBMODULAR,
     GmkInstance,
     MultistageSolution,
     SubInstanceView,
@@ -35,7 +34,6 @@ from .core import (
     sub_instance,
 )
 from .errors import ContractViolationError, InputError
-from .oracle import brute_force_gmk
 from .mkcp import solve_mkcp_exact, solve_mkcp_greedy
 from .reduction import DEFAULT_HORIZON_CAP, reduce_instance
 from .reduction import lift_solution
@@ -320,5 +318,4 @@ __all__ = [
     "solve_bounded_horizon",
     "solve_general",
     "solve_general_result",
-    "brute_force_gmk",
 ]

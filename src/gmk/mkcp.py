@@ -5,12 +5,16 @@ multiple knapsack constraint, by first-fit-decreasing and then exhaustive
 backtracking with symmetry breaking on equal remaining capacities.
 
 ``solve_mkcp_exact`` finds a maximum-value selection of one schedule per
-item. For modular values it prunes schedules dominated by a cheaper subset
-(safe: weights shrink coordinatewise with the schedule) and runs two
-branch-and-bound passes, one for the optimal value and one to reconstruct
-the lexicographically smallest optimum. Submodular objectives are searched
-in lexicographic order under a monotonicity upper bound. Both are exact and
-deterministic; an enumeration budget refuses oversized candidate spaces.
+item. For modular values it searches plain integers: per item, the mask and
+value of every schedule that survives a dominance prune (a subset schedule
+of at least equal value exists; safe, as weights shrink coordinatewise with
+the schedule) and a solo-pack filter, each with an int packer key and a
+touch list of (constraint, weight). Two branch-and-bound passes find the
+optimal value and then the lexicographically smallest optimum; only the
+chosen schedules become ``ReducedElement``s again. Submodular objectives
+are searched in lexicographic order under a monotonicity upper bound. Both
+are exact and deterministic; an enumeration budget refuses oversized
+candidate spaces.
 
 ``solve_mkcp_greedy`` fixes items one by one, always keeping every
 constraint packable within a node budget, and never fails: the empty
@@ -26,13 +30,7 @@ import numpy as np
 
 from .core import MODULAR, Mkc
 from .errors import BudgetExceededError, ContractViolationError
-from .reduction import (
-    PAD_BIN,
-    ReducedElement,
-    ReducedInstance,
-    ReducedSolution,
-    verify_reduced_solution,
-)
+from .reduction import ReducedElement, ReducedInstance, ReducedSolution, verify_reduced_solution
 
 PACKED = "packed"
 INFEASIBLE = "infeasible"
@@ -40,6 +38,7 @@ UNKNOWN = "unknown"
 
 DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_PACK_BUDGET = 10**5
+_FLOOR = -(1 << 62)  # "no candidate" in subset-max tables
 
 
 class _BudgetHit(Exception):
@@ -153,14 +152,16 @@ def pack_mkc(mkc: Mkc, chosen: Sequence[str] | frozenset[str], *, node_budget: i
 class _PartialPacking:
     """Incremental packability of a growing chosen set.
 
-    Tracks the weighted elements per constraint; pushing an element
-    re-checks only the constraints where it weighs anything. Single-bin
-    constraints are decided additively without a search; multi-bin ones go
-    through cheap necessary conditions before the exact packer runs.
+    An element is an int packer key plus its touch list [(constraint index,
+    weight)] where it weighs anything, both from ``element``. Keys sort like
+    the ``ReducedElement`` (item, mask) they stand for, so a budgeted packer
+    search visits its nodes in the same order. Single-bin constraints are
+    decided additively; multi-bin ones go through cheap necessary conditions
+    before the exact packer runs.
     """
 
     def __init__(self, reduced: ReducedInstance, node_budget: int | None = None):
-        self.reduced = reduced
+        self.constraints = reduced.constraints
         self.node_budget = node_budget
         self.single_cap: list[int | None] = []
         self.total_cap: list[int] = []
@@ -170,23 +171,26 @@ class _PartialPacking:
             self.single_cap.append(caps[0] if len(caps) == 1 else None)
             self.total_cap.append(sum(caps))
             self.max_cap.append(max(caps, default=0))
-        self.loads: list[dict[ReducedElement, int]] = [{} for _ in reduced.constraints]
-        self.load_sums: list[int] = [0] * len(reduced.constraints)
-        self._touch: dict[ReducedElement, list[tuple[int, int]]] = {}
-
-    def _touched(self, e: ReducedElement) -> list[tuple[int, int]]:
-        cached = self._touch.get(e)
-        if cached is None:
-            cached = []
-            for ci, rc in enumerate(self.reduced.constraints):
-                w = rc.weight_of(e)
+        # per item: (constraint index, stage bit, weight) wherever it weighs anything
+        self.weights: list[list[tuple[int, int, int]]] = []
+        for item in reduced.items:
+            row = []
+            for ci, rc in enumerate(reduced.constraints):
+                w = 0 if rc.padding else rc.item_weights.get(item, 0)
                 if w > 0:
-                    cached.append((ci, w))
-            self._touch[e] = cached
-        return cached
+                    row.append((ci, 1 << (rc.stage - 1), w))
+            self.weights.append(row)
+        rank = {item: r for r, item in enumerate(sorted(reduced.items))}
+        self.key_base = [rank[item] << reduced.horizon for item in reduced.items]
+        self.loads: list[dict[int, int]] = [{} for _ in reduced.constraints]
+        self.load_sums: list[int] = [0] * len(reduced.constraints)
 
-    def can_push(self, e: ReducedElement) -> bool:
-        for ci, w in self._touched(e):
+    def element(self, k: int, mask: int) -> tuple[int, list[tuple[int, int]]]:
+        """Packer key and touch list of schedule ``mask`` of the k-th item."""
+        return self.key_base[k] | mask, [(ci, w) for ci, bit, w in self.weights[k] if mask & bit]
+
+    def can_push(self, key: int, touch: list[tuple[int, int]]) -> bool:
+        for ci, w in touch:
             loaded = self.load_sums[ci] + w
             cap = self.single_cap[ci]
             if cap is not None:
@@ -195,34 +199,23 @@ class _PartialPacking:
                 continue
             if loaded > self.total_cap[ci] or w > self.max_cap[ci]:
                 return False
-            rc = self.reduced.constraints[ci]
+            rc = self.constraints[ci]
             weights = dict(self.loads[ci])
-            weights[e] = w
+            weights[key] = w
             result = pack_assignment(rc.bins, rc.capacities, weights, node_budget=self.node_budget)
             if not result.packed:
                 return False
         return True
 
-    def push(self, e: ReducedElement) -> None:
-        for ci, w in self._touched(e):
-            self.loads[ci][e] = w
+    def push(self, key: int, touch: list[tuple[int, int]]) -> None:
+        for ci, w in touch:
+            self.loads[ci][key] = w
             self.load_sums[ci] += w
 
-    def pop(self, e: ReducedElement) -> None:
-        for ci, w in self._touched(e):
-            del self.loads[ci][e]
+    def pop(self, key: int, touch: list[tuple[int, int]]) -> None:
+        for ci, w in touch:
+            del self.loads[ci][key]
             self.load_sums[ci] -= w
-
-    def single_bin_weights(self, item: str) -> tuple[tuple[int, int, int], ...]:
-        """(constraint index, stage, weight) for weighted single-bin constraints."""
-        out = []
-        for ci, rc in enumerate(self.reduced.constraints):
-            if rc.padding or self.single_cap[ci] is None:
-                continue
-            w = rc.item_weights.get(item, 0)
-            if w > 0:
-                out.append((ci, rc.stage, w))
-        return tuple(out)
 
 
 def _build_assignments(reduced: ReducedInstance, chosen: frozenset[ReducedElement]):
@@ -247,37 +240,50 @@ def _finish(reduced: ReducedInstance, chosen: Sequence[ReducedElement]) -> Reduc
     return rsol
 
 
-def _dominance_prune(reduced: ReducedInstance, group) -> list[ReducedElement]:
-    """Drop schedules valued no higher than one of their retained subsets.
+def _subset_max_table(horizon: int, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """best[c] = max value over candidates whose mask is a subset of c."""
+    best = np.full(1 << horizon, _FLOOR, dtype=np.int64)
+    np.maximum.at(best, masks, values)
+    for t in range(horizon):
+        # rows [:, 1] hold the masks with bit t set, rows [:, 0] the same masks without it
+        pairs = best.reshape(-1, 2, 1 << t)
+        np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    return best
+
+
+def _dominance_prune(horizon: int, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Keep-flags: schedules valued above every proper subset in their group.
 
     A subset schedule weighs less in every constraint, so any optimum using
-    the superset can swap down at equal or better value; the swap also
-    lowers the schedule mask, preserving the lexicographic tie-break.
+    the superset can swap down at no loss; the swap also lowers the mask,
+    keeping the lexicographic tie-break. Every schedule counts as a subset.
+    """
+    best = _subset_max_table(horizon, masks, values)
+    proper = np.full(len(masks), _FLOOR, dtype=np.int64)
+    for t in range(horizon):
+        has = (masks >> t & 1) == 1
+        proper[has] = np.maximum(proper[has], best[masks[has] ^ (1 << t)])
+    return (masks == 0) | (values > proper)
+
+
+def _kept_schedules(reduced: ReducedInstance, packing: _PartialPacking, k: int) -> tuple[np.ndarray, ...]:
+    """Masks and values of the k-th item's schedules that can be optimal.
+
+    Drops dominated schedules and those covering a stage where the item
+    outweighs every bin of a constraint. Sorted by value desc, then mask.
     """
     values = reduced.values
     assert values is not None
-    size = 1 << reduced.horizon
-    floor = -(1 << 62)
-    arr = np.full(size, floor, dtype=np.int64)
-    for e in group:
-        arr[e.mask] = values[e]
-    best = arr.copy()
-    masks = np.arange(size)
-    for t in range(reduced.horizon):
-        bit = 1 << t
-        idx = masks[(masks & bit) != 0]
-        best[idx] = np.maximum(best[idx], best[idx ^ bit])
-    keep = []
-    for e in group:
-        if e.mask == 0:
-            keep.append(e)
-            continue
-        proper = max(
-            int(best[e.mask ^ (1 << t)]) for t in range(reduced.horizon) if e.mask >> t & 1
-        )
-        if values[e] > proper:
-            keep.append(e)
-    return keep
+    group = reduced.groups[reduced.items[k]]
+    masks = np.array([e.mask for e in group], dtype=np.int64)
+    vals = np.array([values[e] for e in group], dtype=np.int64)
+    solo_bad = 0
+    for ci, bit, w in packing.weights[k]:
+        if w > packing.max_cap[ci]:
+            solo_bad |= bit
+    keep = _dominance_prune(reduced.horizon, masks, vals) & ((masks & solo_bad) == 0)
+    order = np.lexsort((masks[keep], -vals[keep]))
+    return masks[keep][order], vals[keep][order]
 
 
 def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None) -> ReducedSolution:
@@ -300,65 +306,48 @@ def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None
     return _exact_submodular(reduced)
 
 
-def _subset_max_table(horizon: int, elems, vals) -> list[int]:
-    """best[c] = max value over candidates whose mask is a subset of c."""
-    size = 1 << horizon
-    floor = -(1 << 62)
-    best = np.full(size, floor, dtype=np.int64)
-    for e, v in zip(elems, vals):
-        best[e.mask] = max(best[e.mask], v)
-    masks = np.arange(size)
-    for t in range(horizon):
-        bit = 1 << t
-        idx = masks[(masks & bit) != 0]
-        best[idx] = np.maximum(best[idx], best[idx ^ bit])
-    return best.tolist()
-
-
 def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
-    values = reduced.values
-    assert values is not None
     items = reduced.items
     n = len(items)
+    horizon = reduced.horizon
     packing = _PartialPacking(reduced)
-    cand: list[list[ReducedElement]] = []
-    for item in items:
-        kept = _dominance_prune(reduced, reduced.groups[item])
-        # solo-unpackable schedules can never join a solution
-        kept = [e for e in kept if e.mask == 0 or packing.can_push(e)]
-        kept.sort(key=lambda e: (-values[e], e.mask))
-        cand.append(kept)
-    vals = [[values[e] for e in group] for group in cand]
-    touch = [[packing._touched(e) for e in group] for group in cand]
+    # per item: candidates (value, mask, packer key, touch list) in
+    # _kept_schedules order, and the subset-max table of their values
+    cand: list[list[tuple[int, int, int, list[tuple[int, int]]]]] = []
+    fit: list[list[int]] = []
+    for k in range(n):
+        masks, vals = _kept_schedules(reduced, packing, k)
+        cand.append([(v, m, *packing.element(k, m)) for v, m in zip(vals.tolist(), masks.tolist())])
+        fit.append(_subset_max_table(horizon, masks, vals).tolist())
     suffix = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + (vals[k][0] if vals[k] else 0)
+        suffix[k] = suffix[k + 1] + (cand[k][0][0] if cand[k] else 0)
 
     # Load-aware completion bound. A joint completion packs each remaining
     # element together with the others, so per item the best schedule whose
     # stages all still accept the item's weight (in single-bin constraints;
     # multi-bin ones are relaxed here and enforced by can_push) bounds its
     # contribution. Subset-max tables make that a single lookup.
-    fit = [
-        _subset_max_table(reduced.horizon, group, group_vals)
-        for group, group_vals in zip(cand, vals)
-    ]
-    stage_weights = [packing.single_bin_weights(item) for item in items]
-    full_mask = (1 << reduced.horizon) - 1
-    load_sums = packing.load_sums
     single_cap = packing.single_cap
+    stage_weights = [
+        [(ci, ~bit, w) for ci, bit, w in row if single_cap[ci] is not None]
+        for row in packing.weights
+    ]
+    full_mask = (1 << horizon) - 1
+    load_sums = packing.load_sums
 
     def completion_bound(k: int) -> int:
         total = 0
         for j in range(k, n):
             avail = full_mask
-            for ci, t, w in stage_weights[j]:
+            for ci, clear, w in stage_weights[j]:
                 if load_sums[ci] + w > single_cap[ci]:
-                    avail &= ~(1 << (t - 1))
+                    avail &= clear
             total += fit[j][avail]
         return total
 
-    best = _greedy_value(reduced, cand, packing)
+    best = _greedy_value(reduced, cand)
+    can_push, push, pop = packing.can_push, packing.push, packing.pop
 
     def dfs_value(k: int, acc: int) -> None:
         nonlocal best
@@ -368,43 +357,36 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
             return
         if acc + completion_bound(k) <= best:
             return
-        group, group_vals, group_touch = cand[k], vals[k], touch[k]
         bound = suffix[k + 1]
-        for idx, e in enumerate(group):
-            if acc + group_vals[idx] + bound <= best:
+        for value, _, key, touch in cand[k]:
+            if acc + value + bound <= best:
                 break
-            if packing.can_push(e):
-                for ci, w in group_touch[idx]:
-                    load_sums[ci] += w
-                    packing.loads[ci][e] = w
-                dfs_value(k + 1, acc + group_vals[idx])
-                for ci, w in group_touch[idx]:
-                    load_sums[ci] -= w
-                    del packing.loads[ci][e]
+            if can_push(key, touch):
+                push(key, touch)
+                dfs_value(k + 1, acc + value)
+                pop(key, touch)
 
     dfs_value(0, 0)
 
     chosen: list[ReducedElement] = []
-    order = [sorted(range(len(group)), key=lambda idx: group[idx].mask) for group in cand]
+    by_mask = [sorted(group, key=lambda c: c[1]) for group in cand]
 
     def dfs_rebuild(k: int, acc: int) -> bool:
         if k == n:
             return acc == best
         if acc + completion_bound(k) < best:
             return False
-        group, group_vals, group_touch = cand[k], vals[k], touch[k]
         bound = suffix[k + 1]
-        for idx in order[k]:
-            if acc + group_vals[idx] + bound < best:
+        for value, mask, key, touch in by_mask[k]:
+            if acc + value + bound < best:
                 continue
-            e = group[idx]
-            if packing.can_push(e):
-                packing.push(e)
-                chosen.append(e)
-                if dfs_rebuild(k + 1, acc + group_vals[idx]):
+            if can_push(key, touch):
+                push(key, touch)
+                chosen.append(ReducedElement(items[k], mask))
+                if dfs_rebuild(k + 1, acc + value):
                     return True
                 chosen.pop()
-                packing.pop(e)
+                pop(key, touch)
         return False
 
     if not dfs_rebuild(0, 0):
@@ -412,21 +394,16 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
     return _finish(reduced, chosen)
 
 
-def _greedy_value(reduced: ReducedInstance, cand, packing: _PartialPacking) -> int:
+def _greedy_value(reduced: ReducedInstance, cand) -> int:
     """Feasible lower bound: greedy over the pruned candidate lists."""
-    values = reduced.values
-    assert values is not None
+    packing = _PartialPacking(reduced)
     total = 0
-    pushed: list[ReducedElement] = []
     for group in cand:
-        for e in group:
-            if packing.can_push(e):
-                packing.push(e)
-                pushed.append(e)
-                total += values[e]
+        for value, _, key, touch in group:
+            if packing.can_push(key, touch):
+                packing.push(key, touch)
+                total += value
                 break
-    for e in pushed:
-        packing.pop(e)
     return total
 
 
@@ -441,6 +418,7 @@ def _exact_submodular(reduced: ReducedInstance) -> ReducedSolution:
         rest[k] = rest[k + 1] | frozenset(groups[k])
 
     packing = _PartialPacking(reduced)
+    packed = [[packing.element(k, e.mask) for e in group] for k, group in enumerate(groups)]
     stack: list[ReducedElement] = []
     best_value: int | None = None
     best_chosen: tuple[ReducedElement, ...] = ()
@@ -453,18 +431,18 @@ def _exact_submodular(reduced: ReducedInstance) -> ReducedSolution:
                 best_value = value
                 best_chosen = tuple(stack)
             return
-        for e in groups[k]:
+        for e, (key, touch) in zip(groups[k], packed[k]):
             if best_value is not None:
                 # monotone bound: no completion beats the union of everything left
                 bound = objective.evaluate(frozenset(stack) | {e} | rest[k + 1])
                 if bound <= best_value:
                     continue
-            if packing.can_push(e):
-                packing.push(e)
+            if packing.can_push(key, touch):
+                packing.push(key, touch)
                 stack.append(e)
                 dfs(k + 1)
                 stack.pop()
-                packing.pop(e)
+                packing.pop(key, touch)
 
     dfs(0)
     return _finish(reduced, best_chosen)
@@ -481,7 +459,7 @@ def solve_mkcp_greedy(
     """
     packing = _PartialPacking(reduced, node_budget=pack_budget)
     chosen: list[ReducedElement] = []
-    for item in reduced.items:
+    for k, item in enumerate(reduced.items):
         group = reduced.groups[item]
         if reduced.variant == MODULAR:
             values = reduced.values
@@ -496,8 +474,9 @@ def solve_mkcp_greedy(
                 group, key=lambda e: (-(objective.evaluate(current | {e}) - base), e.mask)
             )
         for e in ranked:
-            if packing.can_push(e):
-                packing.push(e)
+            key, touch = packing.element(k, e.mask)
+            if packing.can_push(key, touch):
+                packing.push(key, touch)
                 chosen.append(e)
                 break
         else:

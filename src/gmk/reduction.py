@@ -21,7 +21,7 @@ projects schedules back onto stages.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping
 
@@ -36,7 +36,7 @@ from .core import (
     evaluate_objective,
 )
 from .errors import BudgetExceededError, ContractViolationError, InputError, UnsupportedVariantError
-from .submodular import ExtendedStageFunction, SetFunctionOracle, extend_function
+from .submodular import ExtendedStageFunction, extend_function
 
 log = logging.getLogger(__name__)
 
@@ -270,12 +270,12 @@ def reduce_modular(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP)
         arr = _schedule_value_array(inst, item, bits)
         assert arr[0] >= 0, "empty schedule value is a nonnegative gain sum"
         group = []
-        for mask in range(arr.shape[0]):
-            if arr[mask] < 0:
+        for mask, value in enumerate(arr.tolist()):
+            if value < 0:
                 continue
             e = ReducedElement(item, mask)
             group.append(e)
-            values[e] = int(arr[mask])
+            values[e] = value
         groups[item] = tuple(group)
         elements.extend(group)
     return ReducedInstance(
@@ -307,8 +307,7 @@ def reduce_submodular(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_C
     for item in inst.items:
         arr = _schedule_gain_array(inst, item, bits)
         group = tuple(ReducedElement(item, mask) for mask in range(arr.shape[0]))
-        for e in group:
-            gain_values[e] = int(arr[e.mask])
+        gain_values.update(zip(group, arr.tolist()))
         groups[item] = group
         elements.extend(group)
     all_elements = frozenset(elements)

@@ -244,13 +244,9 @@ def solution_from_dict(raw: Any) -> MultistageSolution:
     return MultistageSolution.from_raw(raw["sets"], raw["assignments"])
 
 
-def _element_id(e: ReducedElement) -> str:
-    return e.id
-
-
-def _element_from_id(eid: str) -> ReducedElement:
-    item, sep, mask = eid.rpartition("@")
-    if not sep or not mask.isdigit():
+def _element_from_id(eid: Any) -> ReducedElement:
+    item, sep, mask = eid.rpartition("@") if isinstance(eid, str) else ("", "", "")
+    if not sep or not (mask.isascii() and mask.isdigit()):
         raise InputError(f"bad reduced element id {eid!r}")
     return ReducedElement(item=item, mask=int(mask))
 
@@ -287,62 +283,91 @@ def reduced_to_dict(reduced: ReducedInstance) -> dict:
     return payload
 
 
+def _reduced_constraint(rc: Any, where: str) -> ReducedConstraint:
+    bins = tuple(str(b) for b in rc["bins"])
+    caps = {
+        str(b): _scaled_int(c, 1, f"{where} capacity of {b}") for b, c in rc["capacities"].items()
+    }
+    if len(set(bins)) != len(bins) or set(caps) != set(bins):
+        raise InputError(f"{where}: needs distinct bins with one capacity each")
+    weights = {
+        str(i): _scaled_int(w, 1, f"{where} weight of {i}") for i, w in rc["item_weights"].items()
+    }
+    stage, index = _scaled_int(rc["stage"], 1, where), _scaled_int(rc["index"], 1, where)
+    return ReducedConstraint(stage, index, bool(rc["padding"]), bins, caps, weights)
+
+
 def reduced_from_dict(raw: Any) -> ReducedInstance:
+    """Parse a reduced instance, rejecting anything the solvers cannot index.
+
+    Masks lie within the horizon, the partition splits the elements into one
+    group per item, each with the empty schedule, there is one constraint per
+    stage and index with nonnegative data, and the variant's ``values`` or
+    ``objective`` covers every element.
+    """
     if not isinstance(raw, Mapping):
         raise InputError("reduced instance file must hold a JSON object")
+    variant = raw.get("variant")
+    if variant not in (MODULAR, SUBMODULAR):
+        raise InputError(f"unknown variant {variant!r}")
+    payload, other = ("values", "objective") if variant == MODULAR else ("objective", "values")
+    if payload not in raw or other in raw:
+        raise InputError(f"the {variant} variant needs {payload!r} and no {other!r}")
     try:
-        variant = raw["variant"]
         items = tuple(str(i) for i in raw["items"])
-        horizon = int(raw["horizon"])
-        dimension = int(raw["dimension"])
-        element_ids = [e["id"] for e in raw["elements"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"reduced instance file malformed: {exc}")
-    elements = tuple(_element_from_id(eid) for eid in element_ids)
-    groups = {
-        item: tuple(_element_from_id(eid) for eid in group)
-        for item, group in raw.get("partition", {}).items()
-    }
-    constraints = tuple(
-        ReducedConstraint(
-            stage=rc["stage"],
-            index=rc["index"],
-            padding=rc["padding"],
-            bins=tuple(rc["bins"]),
-            capacities={str(b): int(c) for b, c in rc["capacities"].items()},
-            item_weights={str(i): int(w) for i, w in rc["item_weights"].items()},
-        )
-        for rc in raw.get("constraints", [])
-    )
-    values = None
-    objective = None
-    if "values" in raw:
-        values = {_element_from_id(eid): int(v) for eid, v in raw["values"].items()}
-    if "objective" in raw:
-        obj_raw = raw["objective"]
-        all_elements = frozenset(elements)
-        stage_functions = tuple(
-            extend_function(
-                oracle_from_dict(p, 1, f"objective stage {t}"), t, all_elements
-            )
-            for t, p in enumerate(obj_raw.get("stage_profits", []), start=1)
-        )
-        gain_values = {
-            _element_from_id(eid): int(v) for eid, v in obj_raw.get("gain_values", {}).items()
+        horizon = _scaled_int(raw["horizon"], 1, "horizon")
+        dimension = _scaled_int(raw["dimension"], 1, "dimension")
+        elements = tuple(_element_from_id(e["id"]) for e in raw["elements"])
+        groups = {
+            str(i): tuple(_element_from_id(eid) for eid in g) for i, g in raw["partition"].items()
         }
-        objective = ReducedObjective(stage_functions=stage_functions, gain_values=gain_values)
-    if values is None and objective is None:
-        raise InputError("reduced instance file needs either 'values' or 'objective'")
+        constraints = tuple(
+            _reduced_constraint(rc, f"constraint {k}") for k, rc in enumerate(raw["constraints"])
+        )
+        element_set = frozenset(elements)
+        if variant == MODULAR:
+            covered = values = {
+                _element_from_id(eid): _scaled_int(v, 1, f"value of {eid}")
+                for eid, v in raw["values"].items()
+            }
+            objective = None
+        else:
+            stage_profits = list(raw["objective"]["stage_profits"])
+            if len(stage_profits) != horizon:
+                raise InputError("objective needs one stage profit per stage")
+            covered = gain_values = {
+                _element_from_id(eid): _scaled_int(v, 1, f"gain value of {eid}")
+                for eid, v in raw["objective"]["gain_values"].items()
+            }
+            stage_functions = tuple(
+                extend_function(oracle_from_dict(p, 1, f"objective stage {t}"), t, element_set)
+                for t, p in enumerate(stage_profits, start=1)
+            )
+            values, objective = None, ReducedObjective(stage_functions, gain_values)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise InputError(f"reduced instance file malformed: {exc!r}")
+    if horizon < 1 or len(set(items)) != len(items):
+        raise InputError("a reduced instance needs a positive horizon and distinct items")
+    if any(e.mask >> horizon for e in elements):
+        raise InputError(f"a schedule mask names a stage beyond horizon {horizon}")
+    grouped = {e for item, group in groups.items() for e in group if e.item == item}
+    if (
+        set(groups) != set(items)
+        or grouped != element_set
+        or not len(elements) == len(element_set) == sum(map(len, groups.values()))
+    ):
+        raise InputError("partition must split the elements into one group per item")
+    if any(ReducedElement(item, 0) not in element_set for item in items):
+        raise InputError("every item needs its empty schedule")
+    keys = [(t, j) for t in range(1, horizon + 1) for j in range(1, dimension + 1)]
+    if sorted((rc.stage, rc.index) for rc in constraints) != keys:
+        raise InputError("constraints must be one per stage and index within horizon and dimension")
+    if any(not rc.padding and not set(items) <= set(rc.item_weights) for rc in constraints):
+        raise InputError("every unpadded constraint needs the weight of every item")
+    if set(covered) != element_set:
+        raise InputError(f"{payload} must cover exactly the elements")
     return ReducedInstance(
-        variant=variant,
-        items=items,
-        horizon=horizon,
-        dimension=dimension,
-        elements=elements,
-        groups=groups,
-        constraints=constraints,
-        values=values,
-        objective=objective,
+        variant, items, horizon, dimension, elements, groups, constraints, values, objective
     )
 
 

@@ -87,6 +87,52 @@ def test_reduce_solve_mkcp_pipeline(tmp_path, capsys):
     assert greedy_payload["value"] <= exact_payload["value"]
 
 
+def _negative_capacity(raw):
+    caps = raw["constraints"][0]["capacities"]
+    caps[next(iter(caps))] = -1
+
+
+def _mask_beyond_horizon(raw):
+    raw["elements"].append({"id": "cam@999", "item": "cam", "stages": [1, 2, 3]})
+    raw["partition"]["cam"].append("cam@999")
+    raw["values"]["cam@999"] = 1
+
+
+def _element_without_value(raw):
+    del raw["values"][raw["partition"]["cam"][-1]]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _negative_capacity,
+        _mask_beyond_horizon,
+        lambda raw: raw["constraints"][0].pop("stage"),
+        _element_without_value,
+        lambda raw: raw.update(variant="bogus"),
+        lambda raw: raw.pop("values"),
+    ],
+    ids=[
+        "negative_capacity",
+        "mask_beyond_horizon",
+        "constraint_without_stage",
+        "element_without_value",
+        "unknown_variant",
+        "modular_without_values",
+    ],
+)
+@pytest.mark.parametrize("mode", ["--exact", "--greedy"])
+def test_solve_mkcp_bad_reduced_file_exits_2(tmp_path, capsys, corrupt, mode):
+    reduced = tmp_path / "reduced.json"
+    assert run("reduce", "--in", DOCS / "modular_micro.json", "--out", reduced) == 0
+    raw = load_json(reduced)
+    corrupt(raw)
+    reduced.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert run("solve-mkcp", "--in", reduced, mode, "--out", tmp_path / "rsol.json") == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
+
+
 def test_reduce_horizon_cap_exit_3(tmp_path):
     inst = tmp_path / "inst.json"
     assert run("gen", "--random", "--seed", 0, "--items", 1, "--horizon", 5, "--out", inst) == 0

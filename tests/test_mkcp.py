@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
-from gmk.core import Mkc
+from gmk.core import Mkc, evaluate_objective
 from gmk.errors import BudgetExceededError
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import (
     INFEASIBLE,
     PACKED,
     UNKNOWN,
+    _kept_schedules,
+    _PartialPacking,
     pack_assignment,
     pack_mkc,
     solve_mkcp_exact,
@@ -24,6 +28,8 @@ from gmk.reduction import (
     reduce_submodular,
     verify_reduced_solution,
 )
+from gmk.oracle import brute_force_gmk
+from gmk.serialize import canonical_dumps, reduced_from_dict, reduced_solution_to_dict, reduced_to_dict
 
 from util import naive_reduced_optimum
 
@@ -193,3 +199,134 @@ def test_solver_determinism():
         g1 = solve_mkcp_greedy(reduced)
         g2 = solve_mkcp_greedy(reduced)
         assert g1.chosen == g2.chosen and g1.assignments == g2.assignments
+
+
+# sha256 of the canonical reduced-solution JSON of seeds 0..11, recorded
+# before the exact search moved from ReducedElement dicts to integer masks
+GOLDEN_EXACT = {
+    "single_bin_t8": (
+        GenParams(
+            items=3, horizon=8, dimension=1, bins_per_mkc=1, weight_range=(1, 4),
+            capacity_range=(3, 7), profit_range=(1, 5), gain_range=(0, 2),
+            cost_range=(1, 1), target_phi=1,
+        ),
+        [
+            "0e6aae6552c278558f920b0f8d3c01208853b89d2131294b3d48190c990b6887",
+            "74fce0e551a3cee5626d0eb6b5ed83e380b92a7f4b507f51479e054ecbcc6781",
+            "375e43ff4a599512e195f83d785229a04095fd392166ab45db0172ebd9fce26c",
+            "ce97236164bb55823de6a2bf03b7c74208b2db70c22ad8a6551abd35d1564735",
+            "50664c0c84fb4bbcfa285d8fa5a837e6205c63314d349b52cde81455a6fb1c4b",
+            "317fc77fb8404a75e9a189ad63b729bbbab42ae521908b9630c323e99c7cca4f",
+            "d69192aa3da9c20d3a83011445546afac40c7dda7c82434fa8530ee4f247783c",
+            "7c1836e4c3be5658352f71c2c78149cd56d09af7037f32b1599ab618c3c8993a",
+            "93d8aeeece40138044fb5b08deeb042843c3bd11cd1193824625a668f92845b3",
+            "36d55d2f2f37648e90b6747c394636293bb519013a585bdc0b9ec8172fcd2f1c",
+            "b7647b7f84dd3657cc10e13e1be9ed031898a51e325d8b2e215a3fdd90811919",
+            "8e97dd1ce96239482308a9b55085e225c6dcc651706c51853ebfe46e70e5d161",
+        ],
+    ),
+    "two_bin_d2_t6": (
+        GenParams(items=3, horizon=6, dimension=2, bins_per_mkc=2),
+        [
+            "0c297f35a244aec32ab01cf3d906a9ffc757a42e7756062314c9dfb3b3a7d10e",
+            "d9410f5e7a324c3f4b8549f5c1774ecfc6b4ab44ac8c43ec17a84bbc39e65c17",
+            "3290a32328a38344d52602a9a6c8a430f256da64457fddb0840fc0ce51f0c7dc",
+            "f26e01cd6f4f632a5b5e1521f1c684b49d6f76d2a7e84c56037dd360ffe7d824",
+            "1f9f0eb8addff255dee371bd90c0e2ef531801ff81f413d76d9a0f9b28021fbb",
+            "5a69d66bfdc512622760de19276e2d4d0eab4efd53f8a7af00b137bb0d7086f2",
+            "d07bd423fba6dd8fc7547b80941c4789abd6c4e28e0dc3615cc68d0ee3b07ab1",
+            "e5af61e942efb2b6ed37048340657bc18f59bf9189f8e02e06d33c793394a250",
+            "aeec9885af0f870222ab4bb2cb1f6b4e8bb5d7d8a8d4092f7c4833a65527426f",
+            "ec909166675882437f22704e58ccc547fe5cd555c8cc7e16a756db7c8444bcfb",
+            "8730d55bfc91f565aa685bd57d4dc83fa5866565da87de52606425307abb2da8",
+            "8a1d15d80e32c8e73314995beb801319010a5b14448146be75863e373eb5b62e",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_EXACT))
+def test_exact_golden_digests_and_oracle_value(shape):
+    params, digests = GOLDEN_EXACT[shape]
+    for seed, digest in enumerate(digests):
+        inst = gen_random(params, seed)
+        reduced = reduce_modular(inst)
+        rsol = solve_mkcp_exact(reduced, enum_budget=10**15)
+        payload = canonical_dumps(reduced_solution_to_dict(rsol))
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, seed
+        assert reduced.value_of(rsol.chosen) == evaluate_objective(inst, brute_force_gmk(inst).sets)
+
+
+def _loop_dominance_prune(reduced, group):
+    """Reference: the per-element prune over a subset-max table."""
+    values = reduced.values
+    size = 1 << reduced.horizon
+    arr = np.full(size, -(1 << 62), dtype=np.int64)
+    for e in group:
+        arr[e.mask] = values[e]
+    best = arr.copy()
+    masks = np.arange(size)
+    for t in range(reduced.horizon):
+        bit = 1 << t
+        idx = masks[(masks & bit) != 0]
+        best[idx] = np.maximum(best[idx], best[idx ^ bit])
+    keep = []
+    for e in group:
+        if e.mask == 0:
+            keep.append(e)
+            continue
+        proper = max(
+            int(best[e.mask ^ (1 << t)]) for t in range(reduced.horizon) if e.mask >> t & 1
+        )
+        if values[e] > proper:
+            keep.append(e)
+    return keep
+
+
+def _reference_kept(reduced, dropped):
+    """Reference: loop prune, then a can_push on an empty packing per schedule."""
+    values = reduced.values
+    packing = _PartialPacking(reduced)
+    out = []
+    for k, item in enumerate(reduced.items):
+        group = reduced.groups[item]
+        pruned = _loop_dominance_prune(reduced, group)
+        kept = [e for e in pruned if e.mask == 0 or packing.can_push(*packing.element(k, e.mask))]
+        dropped["dominated"] += len(group) - len(pruned)
+        dropped["unpackable"] += len(pruned) - len(kept)
+        kept.sort(key=lambda e: (-values[e], e.mask))
+        out.append([(e.mask, values[e]) for e in kept])
+    return out
+
+
+def _with_masks_missing(reduced):
+    """Read back through the file format without every third nonempty schedule."""
+    raw = reduced_to_dict(reduced)
+    gone = {e.id for e in reduced.elements if e.mask % 3 == 1}
+    raw["elements"] = [e for e in raw["elements"] if e["id"] not in gone]
+    raw["partition"] = {i: [eid for eid in g if eid not in gone] for i, g in raw["partition"].items()}
+    raw["values"] = {eid: v for eid, v in raw["values"].items() if eid not in gone}
+    return reduced_from_dict(raw)
+
+
+def test_kept_schedules_match_loop_prune_and_solo_filter():
+    shapes = [
+        GenParams(items=3, horizon=6, weight_range=(1, 6), capacity_range=(2, 5)),
+        GenParams(
+            items=3, horizon=5, dimension=2, bins_per_mkc=2, weight_range=(1, 6),
+            capacity_range=(1, 4),
+        ),
+    ]
+    dropped = {"dominated": 0, "unpackable": 0}
+    for params in shapes:
+        for seed in range(6):
+            reduced = reduce_modular(gen_random(params, seed))
+            for candidate in (reduced, _with_masks_missing(reduced)):
+                packing = _PartialPacking(candidate)
+                kept = [
+                    list(zip(*(a.tolist() for a in _kept_schedules(candidate, packing, k))))
+                    for k in range(len(candidate.items))
+                ]
+                assert kept == _reference_kept(candidate, dropped)
+    # both rules fire on this corpus
+    assert dropped["dominated"] > 0 and dropped["unpackable"] > 0
