@@ -34,7 +34,6 @@ from .cutting import (
     cut_instances,
     cut_points,
     solve_bounded_horizon,
-    solve_general,
     solve_general_result,
 )
 from .errors import (

@@ -287,26 +287,6 @@ def solve_general_result(
     )
 
 
-def solve_general(
-    inst: GmkInstance,
-    params: SchemeParams,
-    solver: str = "exact",
-    *,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
-    enum_budget: int | None = None,
-    pack_budget: int | None = None,
-) -> MultistageSolution:
-    """Best-of-all-shifts solution (or the direct solve at short horizons)."""
-    return solve_general_result(
-        inst,
-        params,
-        solver,
-        horizon_cap=horizon_cap,
-        enum_budget=enum_budget,
-        pack_budget=pack_budget,
-    ).solution
-
-
 __all__ = [
     "CutPointSet",
     "SchemeParams",
@@ -316,6 +296,5 @@ __all__ = [
     "cut_instances",
     "combine_cut_solutions",
     "solve_bounded_horizon",
-    "solve_general",
     "solve_general_result",
 ]

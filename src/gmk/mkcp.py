@@ -9,12 +9,13 @@ item. For modular values it searches plain integers: per item, the mask and
 value of every schedule that survives a dominance prune (a subset schedule
 of at least equal value exists; safe, as weights shrink coordinatewise with
 the schedule) and a solo-pack filter, each with an int packer key and a
-touch list of (constraint, weight). Two branch-and-bound passes find the
-optimal value and then the lexicographically smallest optimum; only the
-chosen schedules become ``ReducedElement``s again. Submodular objectives
-are searched in lexicographic order under a monotonicity upper bound. Both
-are exact and deterministic; an enumeration budget refuses oversized
-candidate spaces.
+touch list of (constraint, weight). One branch-and-bound pass walks each
+item's schedules in ascending mask order and records only strict
+improvements, so it returns the first optimum it reaches, the
+lexicographically smallest; only the chosen schedules become
+``ReducedElement``s again. Submodular objectives are searched in
+lexicographic order under a monotonicity upper bound. Both are exact and
+deterministic; an enumeration budget refuses oversized candidate spaces.
 
 ``solve_mkcp_greedy`` fixes items one by one, always keeping every
 constraint packable within a node budget, and never fails: the empty
@@ -182,6 +183,7 @@ class _PartialPacking:
             self.weights.append(row)
         rank = {item: r for r, item in enumerate(sorted(reduced.items))}
         self.key_base = [rank[item] << reduced.horizon for item in reduced.items]
+        # pushed keys' weights, kept for multi-bin constraints only
         self.loads: list[dict[int, int]] = [{} for _ in reduced.constraints]
         self.load_sums: list[int] = [0] * len(reduced.constraints)
 
@@ -209,13 +211,15 @@ class _PartialPacking:
 
     def push(self, key: int, touch: list[tuple[int, int]]) -> None:
         for ci, w in touch:
-            self.loads[ci][key] = w
             self.load_sums[ci] += w
+            if self.single_cap[ci] is None:
+                self.loads[ci][key] = w
 
     def pop(self, key: int, touch: list[tuple[int, int]]) -> None:
         for ci, w in touch:
-            del self.loads[ci][key]
             self.load_sums[ci] -= w
+            if self.single_cap[ci] is None:
+                del self.loads[ci][key]
 
 
 def _build_assignments(reduced: ReducedInstance, chosen: frozenset[ReducedElement]):
@@ -346,51 +350,41 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
             total += fit[j][avail]
         return total
 
-    best = _greedy_value(reduced, cand)
+    # Masks ascend within each item, so leaves arrive in lexicographic order
+    # of their mask tuples. The bounds cut only paths that cannot beat
+    # ``best``, and at the last item every schedule that does not beat it, so
+    # the first leaf to reach the optimum, the lexicographically smallest
+    # one, is recorded and no later tie replaces it. Starting one below the
+    # greedy value keeps a tie with it recordable.
+    by_mask = [sorted(group, key=lambda c: c[1]) for group in cand]
+    best = _greedy_value(reduced, cand) - 1
     can_push, push, pop = packing.can_push, packing.push, packing.pop
+    stack: list[int] = []
+    chosen: list[ReducedElement] | None = None
 
-    def dfs_value(k: int, acc: int) -> None:
-        nonlocal best
+    def dfs(k: int, acc: int) -> None:
+        nonlocal best, chosen
         if k == n:
-            if acc > best:
-                best = acc
+            # only strict improvements get past the prunes below
+            best = acc
+            chosen = [ReducedElement(item, mask) for item, mask in zip(items, stack)]
             return
         if acc + completion_bound(k) <= best:
             return
         bound = suffix[k + 1]
-        for value, _, key, touch in cand[k]:
-            if acc + value + bound <= best:
-                break
-            if can_push(key, touch):
-                push(key, touch)
-                dfs_value(k + 1, acc + value)
-                pop(key, touch)
-
-    dfs_value(0, 0)
-
-    chosen: list[ReducedElement] = []
-    by_mask = [sorted(group, key=lambda c: c[1]) for group in cand]
-
-    def dfs_rebuild(k: int, acc: int) -> bool:
-        if k == n:
-            return acc == best
-        if acc + completion_bound(k) < best:
-            return False
-        bound = suffix[k + 1]
         for value, mask, key, touch in by_mask[k]:
-            if acc + value + bound < best:
+            if acc + value + bound <= best:
                 continue
             if can_push(key, touch):
                 push(key, touch)
-                chosen.append(ReducedElement(items[k], mask))
-                if dfs_rebuild(k + 1, acc + value):
-                    return True
-                chosen.pop()
+                stack.append(mask)
+                dfs(k + 1, acc + value)
+                stack.pop()
                 pop(key, touch)
-        return False
 
-    if not dfs_rebuild(0, 0):
-        raise ContractViolationError("optimal value unreachable during reconstruction")
+    dfs(0, 0)
+    if chosen is None:
+        raise ContractViolationError("exact search recorded no solution")
     return _finish(reduced, chosen)
 
 

@@ -152,65 +152,41 @@ class ReducedSolution:
 
 
 def element_fixed_value(inst: GmkInstance, item: str, schedule: Iterable[int] | int) -> int:
-    """Fixed value of element (item, schedule) in the reduced objective.
-
-    Profits and interior gains accrue on scheduled stages, leftover g- on
-    unscheduled transitions, and a change cost pair is charged per run;
-    stage 1 always pays the entry cost and stage T the exit cost when
-    scheduled.
-    """
+    """Fixed value of element (item, schedule) in the reduced objective."""
     if inst.variant != MODULAR:
         raise UnsupportedVariantError("fixed element values require the modular variant")
     mask = mask_of(schedule, inst.horizon)
-    value = 0
-    for t in range(1, inst.horizon + 1):
-        in_t = bool((mask >> (t - 1)) & 1)
-        in_prev = t > 1 and bool((mask >> (t - 2)) & 1)
-        in_next = t < inst.horizon and bool((mask >> t) & 1)
-        if in_t:
-            value += inst.item_profit(t, item)
-            if in_prev:
-                value += inst.gain_plus[item, t]
-            else:
-                value -= inst.cost_plus[item, t]
-            if not in_next:
-                value -= inst.cost_minus[item, t]
-        elif t > 1 and not in_prev:
-            value += inst.gain_minus[item, t]
-    return value
+    bits = _bit_columns(inst.horizon, np.array([mask], dtype=np.int64))
+    return int(_schedule_values(inst, item, bits)[0])
 
 
-def _bit_columns(horizon: int) -> np.ndarray:
-    """bits[t-1, m] = 1 iff mask m contains stage t; shape (T, 2**T)."""
-    masks = np.arange(1 << horizon, dtype=np.int64)
-    return np.stack([(masks >> t) & 1 for t in range(horizon)])
+def _bit_columns(horizon: int, masks: np.ndarray) -> np.ndarray:
+    """bits[t-1, k] = 1 iff masks[k] contains stage t; shape (T, len(masks))."""
+    return (masks >> np.arange(horizon, dtype=np.int64)[:, None]) & 1
 
 
-def _schedule_value_array(inst: GmkInstance, item: str, bits: np.ndarray) -> np.ndarray:
-    """Fixed values of all 2**T schedules of one item."""
+def _schedule_values(inst: GmkInstance, item: str, bits: np.ndarray) -> np.ndarray:
+    """Fixed values of one item's schedules, one per column of ``bits``.
+
+    Interior gains accrue in both variants: g+ where the item stays packed,
+    g- where it stays out. The modular variant adds the profits of
+    scheduled stages and charges a change cost pair per run; stage 1 always
+    pays the entry cost and stage T the exit cost when scheduled.
+    """
     horizon = inst.horizon
-    values = np.zeros(1 << horizon, dtype=np.int64)
+    modular = inst.variant == MODULAR
+    values = np.zeros(bits.shape[1], dtype=np.int64)
     for t in range(1, horizon + 1):
         in_t = bits[t - 1]
         in_prev = bits[t - 2] if t > 1 else 0
-        in_next = bits[t] if t < horizon else 0
-        values += inst.item_profit(t, item) * in_t
         if t > 1:
             values += inst.gain_plus[item, t] * (in_t & in_prev)
             values += inst.gain_minus[item, t] * ((1 - in_t) & (1 - in_prev))
-        values -= inst.cost_plus[item, t] * (in_t & (1 - in_prev))
-        values -= inst.cost_minus[item, t] * (in_t & (1 - in_next))
-    return values
-
-
-def _schedule_gain_array(inst: GmkInstance, item: str, bits: np.ndarray) -> np.ndarray:
-    """Gain-only part of the schedule values (submodular reduction)."""
-    horizon = inst.horizon
-    values = np.zeros(1 << horizon, dtype=np.int64)
-    for t in range(2, horizon + 1):
-        in_t, in_prev = bits[t - 1], bits[t - 2]
-        values += inst.gain_plus[item, t] * (in_t & in_prev)
-        values += inst.gain_minus[item, t] * ((1 - in_t) & (1 - in_prev))
+        if modular:
+            in_next = bits[t] if t < horizon else 0
+            values += inst.item_profit(t, item) * in_t
+            values -= inst.cost_plus[item, t] * (in_t & (1 - in_prev))
+            values -= inst.cost_minus[item, t] * (in_t & (1 - in_next))
     return values
 
 
@@ -253,21 +229,24 @@ def _check_horizon(inst: GmkInstance, horizon_cap: int) -> None:
         )
 
 
-def reduce_modular(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:
-    """Materialize the reduced packing instance of a modular instance.
+def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:
+    """Materialize the reduced packing instance.
 
-    Candidate elements with negative fixed value are dropped; the empty
-    schedule has value equal to the item's g- mass and is always retained.
+    Both variants share elements, groups and constraints, and value each
+    schedule with ``_schedule_values``. Schedules of negative value are
+    dropped; the empty schedule is worth the item's g- mass and always
+    stays. In the modular variant those values are the whole objective. In
+    the submodular variant they are its gain terms, sums of nonnegative
+    gains, so nothing is dropped; the objective stays an oracle that adds
+    per-stage lifted profit functions to them.
     """
-    if inst.variant != MODULAR:
-        raise UnsupportedVariantError("reduce_modular requires the modular variant")
     _check_horizon(inst, horizon_cap)
-    bits = _bit_columns(inst.horizon)
+    bits = _bit_columns(inst.horizon, np.arange(1 << inst.horizon, dtype=np.int64))
     elements: list[ReducedElement] = []
     groups: dict[str, tuple[ReducedElement, ...]] = {}
     values: dict[ReducedElement, int] = {}
     for item in inst.items:
-        arr = _schedule_value_array(inst, item, bits)
+        arr = _schedule_values(inst, item, bits)
         assert arr[0] >= 0, "empty schedule value is a nonnegative gain sum"
         group = []
         for mask, value in enumerate(arr.tolist()):
@@ -278,58 +257,38 @@ def reduce_modular(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP)
             values[e] = value
         groups[item] = tuple(group)
         elements.extend(group)
+    objective = None
+    if inst.variant != MODULAR:
+        all_elements = frozenset(elements)
+        stage_functions = tuple(
+            extend_function(inst.stage(t).profit, t, all_elements) for t in range(1, inst.horizon + 1)
+        )
+        objective = ReducedObjective(stage_functions=stage_functions, gain_values=values)
     return ReducedInstance(
-        variant=MODULAR,
+        variant=inst.variant,
         items=inst.items,
         horizon=inst.horizon,
         dimension=inst.dimension,
         elements=tuple(elements),
         groups=groups,
         constraints=_reduced_constraints(inst),
-        values=values,
+        values=values if objective is None else None,
+        objective=objective,
     )
+
+
+def reduce_modular(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:
+    """``reduce_instance`` for an instance known to be modular."""
+    if inst.variant != MODULAR:
+        raise UnsupportedVariantError("reduce_modular requires the modular variant")
+    return reduce_instance(inst, horizon_cap=horizon_cap)
 
 
 def reduce_submodular(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:
-    """Materialize the reduced instance of a submodular instance.
-
-    Same combinatorial skeleton as the modular reduction, but the objective
-    stays an oracle: per-stage lifted profit functions plus modular gain
-    terms. No elements are dropped.
-    """
+    """``reduce_instance`` for an instance known to be submodular."""
     if inst.variant != SUBMODULAR:
         raise UnsupportedVariantError("reduce_submodular requires the submodular variant")
-    _check_horizon(inst, horizon_cap)
-    bits = _bit_columns(inst.horizon)
-    elements: list[ReducedElement] = []
-    groups: dict[str, tuple[ReducedElement, ...]] = {}
-    gain_values: dict[ReducedElement, int] = {}
-    for item in inst.items:
-        arr = _schedule_gain_array(inst, item, bits)
-        group = tuple(ReducedElement(item, mask) for mask in range(arr.shape[0]))
-        gain_values.update(zip(group, arr.tolist()))
-        groups[item] = group
-        elements.extend(group)
-    all_elements = frozenset(elements)
-    stage_functions = tuple(
-        extend_function(inst.stage(t).profit, t, all_elements) for t in range(1, inst.horizon + 1)
-    )
-    return ReducedInstance(
-        variant=SUBMODULAR,
-        items=inst.items,
-        horizon=inst.horizon,
-        dimension=inst.dimension,
-        elements=tuple(elements),
-        groups=groups,
-        constraints=_reduced_constraints(inst),
-        objective=ReducedObjective(stage_functions=stage_functions, gain_values=gain_values),
-    )
-
-
-def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:
-    if inst.variant == MODULAR:
-        return reduce_modular(inst, horizon_cap=horizon_cap)
-    return reduce_submodular(inst, horizon_cap=horizon_cap)
+    return reduce_instance(inst, horizon_cap=horizon_cap)
 
 
 def verify_reduced_solution(reduced: ReducedInstance, rsol: ReducedSolution) -> tuple[str, ...]:

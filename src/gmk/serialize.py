@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -54,6 +55,8 @@ def dumps(payload: Any) -> str:
 def _scaled_int(raw: Any, denominator: int, where: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise InputError(f"{where}: expected a number, got {raw!r}")
+    if not math.isfinite(raw):
+        raise InputError(f"{where}: expected a finite number, got {raw!r}")
     value = Fraction(raw if isinstance(raw, int) else str(raw)) * denominator
     if value.denominator != 1:
         raise InputError(f"{where}: {raw} is not integral under denominator {denominator}")
@@ -175,57 +178,60 @@ def instance_from_dict(raw: Any) -> GmkInstance:
     for key in ("variant", "items", "horizon", "stages", "gain_plus", "gain_minus", "cost_plus", "cost_minus"):
         if key not in raw:
             raise InputError(f"instance file missing required key {key!r}")
-    denominator = raw.get("denominator", 1)
-    if not isinstance(denominator, int) or denominator < 1:
-        raise InputError(f"denominator must be a positive integer, got {denominator!r}")
-    variant = raw["variant"]
-    if variant not in (MODULAR, SUBMODULAR):
-        raise InputError(f"unknown variant {variant!r}")
-    items = tuple(str(i) for i in raw["items"])
-    horizon = raw["horizon"]
-    if not isinstance(horizon, int) or horizon < 1:
-        raise InputError(f"horizon must be a positive integer, got {horizon!r}")
+    try:
+        denominator = raw.get("denominator", 1)
+        if not isinstance(denominator, int) or denominator < 1:
+            raise InputError(f"denominator must be a positive integer, got {denominator!r}")
+        variant = raw["variant"]
+        if variant not in (MODULAR, SUBMODULAR):
+            raise InputError(f"unknown variant {variant!r}")
+        items = tuple(str(i) for i in raw["items"])
+        horizon = raw["horizon"]
+        if not isinstance(horizon, int) or horizon < 1:
+            raise InputError(f"horizon must be a positive integer, got {horizon!r}")
 
-    stages = []
-    if not isinstance(raw["stages"], list):
-        raise InputError("stages must be a list")
-    for t, stage_raw in enumerate(raw["stages"], start=1):
-        mkcs = []
-        for j, mkc_raw in enumerate(stage_raw.get("mkcs", []), start=1):
-            where = f"stage {t} constraint {j}"
-            weights = {
-                str(i): _scaled_int(w, denominator, f"{where} weight of {i}")
-                for i, w in mkc_raw.get("weights", {}).items()
-            }
-            bins = tuple(str(b) for b in mkc_raw.get("bins", []))
-            capacities = {
-                str(b): _scaled_int(c, denominator, f"{where} capacity of {b}")
-                for b, c in mkc_raw.get("capacities", {}).items()
-            }
-            mkcs.append(Mkc(weights=weights, bins=bins, capacities=capacities))
-        profit_raw = stage_raw.get("profit", {})
-        if variant == SUBMODULAR:
-            profit: Any = oracle_from_dict(profit_raw, denominator, f"stage {t} profit")
-        else:
-            if not isinstance(profit_raw, Mapping) or "kind" in profit_raw:
-                raise InputError(f"stage {t} profit must be a per-item table in the modular variant")
-            profit = {
-                str(i): _scaled_int(p, denominator, f"stage {t} profit of {i}")
-                for i, p in profit_raw.items()
-            }
-        stages.append(McpStage(mkcs=tuple(mkcs), profit=profit))
+        stages = []
+        if not isinstance(raw["stages"], list):
+            raise InputError("stages must be a list")
+        for t, stage_raw in enumerate(raw["stages"], start=1):
+            mkcs = []
+            for j, mkc_raw in enumerate(stage_raw.get("mkcs", []), start=1):
+                where = f"stage {t} constraint {j}"
+                weights = {
+                    str(i): _scaled_int(w, denominator, f"{where} weight of {i}")
+                    for i, w in mkc_raw.get("weights", {}).items()
+                }
+                bins = tuple(str(b) for b in mkc_raw.get("bins", []))
+                capacities = {
+                    str(b): _scaled_int(c, denominator, f"{where} capacity of {b}")
+                    for b, c in mkc_raw.get("capacities", {}).items()
+                }
+                mkcs.append(Mkc(weights=weights, bins=bins, capacities=capacities))
+            profit_raw = stage_raw.get("profit", {})
+            if variant == SUBMODULAR:
+                profit: Any = oracle_from_dict(profit_raw, denominator, f"stage {t} profit")
+            else:
+                if not isinstance(profit_raw, Mapping) or "kind" in profit_raw:
+                    raise InputError(f"stage {t} profit must be a per-item table in the modular variant")
+                profit = {
+                    str(i): _scaled_int(p, denominator, f"stage {t} profit of {i}")
+                    for i, p in profit_raw.items()
+                }
+            stages.append(McpStage(mkcs=tuple(mkcs), profit=profit))
 
-    return GmkInstance(
-        items=items,
-        horizon=horizon,
-        stages=tuple(stages),
-        gain_plus=_table_from_json(raw["gain_plus"], denominator, "gain_plus"),
-        gain_minus=_table_from_json(raw["gain_minus"], denominator, "gain_minus"),
-        cost_plus=_table_from_json(raw["cost_plus"], denominator, "cost_plus"),
-        cost_minus=_table_from_json(raw["cost_minus"], denominator, "cost_minus"),
-        variant=variant,
-        metadata=dict(raw.get("metadata", {})),
-    )
+        return GmkInstance(
+            items=items,
+            horizon=horizon,
+            stages=tuple(stages),
+            gain_plus=_table_from_json(raw["gain_plus"], denominator, "gain_plus"),
+            gain_minus=_table_from_json(raw["gain_minus"], denominator, "gain_minus"),
+            cost_plus=_table_from_json(raw["cost_plus"], denominator, "cost_plus"),
+            cost_minus=_table_from_json(raw["cost_minus"], denominator, "cost_minus"),
+            variant=variant,
+            metadata=dict(raw.get("metadata", {})),
+        )
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise InputError(f"instance file malformed: {exc!r}")
 
 
 def solution_to_dict(sol: MultistageSolution) -> dict:
@@ -241,7 +247,10 @@ def solution_to_dict(sol: MultistageSolution) -> dict:
 def solution_from_dict(raw: Any) -> MultistageSolution:
     if not isinstance(raw, Mapping) or "sets" not in raw or "assignments" not in raw:
         raise InputError("solution file must hold an object with 'sets' and 'assignments'")
-    return MultistageSolution.from_raw(raw["sets"], raw["assignments"])
+    try:
+        return MultistageSolution.from_raw(raw["sets"], raw["assignments"])
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise InputError(f"solution file malformed: {exc!r}")
 
 
 def _element_from_id(eid: Any) -> ReducedElement:

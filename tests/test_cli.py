@@ -33,6 +33,30 @@ def test_validate_broken_instance_exits_2(tmp_path, capsys):
     assert "gain_plus incomplete" in out.out
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda inst, sol: inst.update(items=5),
+        lambda inst, sol: inst["stages"].__setitem__(0, 3),
+        lambda inst, sol: inst["stages"][0].update(mkcs=3),
+        lambda inst, sol: inst["stages"][0]["mkcs"][0]["capacities"].update(srv1=float("inf")),
+        lambda inst, sol: sol.update(sets=5),
+    ],
+    ids=["items_number", "stage_number", "mkcs_number", "capacity_1e400", "solution_sets_number"],
+)
+def test_validate_malformed_file_exits_2(tmp_path, capsys, corrupt):
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    assert run("oracle", "--in", DOCS / "modular_micro.json", "--out", sol_path) == 0
+    inst, sol = load_json(DOCS / "modular_micro.json"), load_json(sol_path)
+    corrupt(inst, sol)
+    # json.dumps writes an infinite capacity as Infinity; the file should say 1e400
+    inst_path.write_text(json.dumps(inst).replace("Infinity", "1e400"))
+    sol_path.write_text(json.dumps(sol))
+    capsys.readouterr()
+    assert run("validate", inst_path, "--solution", sol_path) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
+
+
 def test_validate_solution_value(tmp_path, capsys):
     inst = DOCS / "modular_micro.json"
     sol = tmp_path / "sol.json"

@@ -20,7 +20,6 @@ from gmk.cutting import (
     cut_instances,
     cut_points,
     solve_bounded_horizon,
-    solve_general,
     solve_general_result,
 )
 from gmk.errors import InputError
@@ -210,7 +209,7 @@ def test_general_phi_precondition_names_item():
         GenParams(items=2, horizon=2, profit_range=(1, 1), cost_range=(3, 3)), 0
     )
     with pytest.raises(InputError, match="i01"):
-        solve_general(inst, SchemeParams(Fraction(1, 5), 1))
+        solve_general_result(inst, SchemeParams(Fraction(1, 5), 1))
 
 
 def test_general_cutting_loop_with_override():
@@ -243,8 +242,8 @@ def test_general_deterministic():
     inst = gen_random(
         GenParams(items=2, horizon=8, cost_range=(1, 1), profit_range=(1, 4), target_phi=1), 3
     )
-    first = solve_general(inst, params, "exact")
-    second = solve_general(inst, params, "exact")
+    first = solve_general_result(inst, params, "exact").solution
+    second = solve_general_result(inst, params, "exact").solution
     assert canonical_dumps(solution_to_dict(first)) == canonical_dumps(solution_to_dict(second))
 
 
@@ -266,7 +265,7 @@ def test_general_submodular_rejects_nonzero_costs():
 
     broken = dataclasses.replace(inst, cost_plus={("i01", 1): 2, **{k: 0 for k in inst.cost_plus if k != ("i01", 1)}})
     with pytest.raises(InputError):
-        solve_general(broken, SchemeParams(Fraction(1, 5), 1))
+        solve_general_result(broken, SchemeParams(Fraction(1, 5), 1))
 
 
 def test_general_greedy_subsolver_feasible():

@@ -112,12 +112,26 @@ def test_exact_single_item_argmax_and_feasibility_filter():
     assert chosen2.mask == 0b10  # stage 2 only; stage 1 never fits
 
 
+def _reversed_partition(reduced):
+    """Read back through the file format with every group in descending mask order."""
+    raw = reduced_to_dict(reduced)
+    raw["partition"] = {i: g[::-1] for i, g in raw["partition"].items()}
+    return reduced_from_dict(raw)
+
+
 def test_exact_matches_naive_enumeration():
-    for seed in range(40):
-        inst = gen_random(
-            GenParams(items=3, horizon=2, dimension=2, bins_per_mkc=2, cost_range=(0, 3)), seed
-        )
-        reduced = reduce_modular(inst)
+    small = GenParams(items=3, horizon=2, dimension=2, bins_per_mkc=2, cost_range=(0, 3))
+    # profits, gains and costs in 0:1 leave several optimal schedule tuples
+    ties = GenParams(
+        items=3, horizon=4, dimension=2, bins_per_mkc=2, profit_range=(0, 1), gain_range=(0, 1),
+        cost_range=(0, 1),
+    )
+    corpus = [reduce_modular(gen_random(small, seed)) for seed in range(40)]
+    corpus += [reduce_modular(gen_random(ties, seed)) for seed in range(12)]
+    corpus.append(_reversed_partition(corpus[-1]))
+    masks = [e.mask for e in corpus[-1].groups[corpus[-1].items[0]]]
+    assert masks == sorted(masks, reverse=True) and len(masks) > 1
+    for reduced in corpus:
         rsol = solve_mkcp_exact(reduced)
         naive_value, naive_combo = naive_reduced_optimum(reduced)
         assert reduced.value_of(rsol.chosen) == naive_value

@@ -23,7 +23,7 @@ from gmk.reduction import (
     reduce_submodular,
     verify_reduced_solution,
     _bit_columns,
-    _schedule_value_array,
+    _schedule_values,
 )
 
 from gmk.core import McpStage
@@ -70,13 +70,21 @@ def test_fixed_value_formula_walk():
 
 
 def test_vectorized_schedule_values_match_scalar():
-    for seed in range(10):
-        inst = gen_random(GenParams(items=2, horizon=5, cost_range=(0, 4)), seed)
-        bits = _bit_columns(inst.horizon)
-        for item in inst.items:
-            arr = _schedule_value_array(inst, item, bits)
+    # one item: a schedule's value is the whole objective of its set sequence,
+    # less the stage profits in the submodular variant (they stay an oracle)
+    for variant in ("modular", "submodular"):
+        for seed in range(10):
+            params = GenParams(items=1, horizon=5, cost_range=(0, 4), variant=variant)
+            inst = gen_random(params, seed)
+            item = inst.items[0]
+            masks = np.arange(1 << inst.horizon, dtype=np.int64)
+            values = _schedule_values(inst, item, _bit_columns(inst.horizon, masks))
             for mask in range(1 << inst.horizon):
-                assert arr[mask] == element_fixed_value(inst, item, mask)
+                sets = [frozenset({item} if mask >> t & 1 else ()) for t in range(inst.horizon)]
+                expected = evaluate_objective(inst, sets)
+                if variant == "submodular":
+                    expected -= sum(inst.stage_profit(t, s) for t, s in enumerate(sets, start=1))
+                assert values[mask] == expected
 
 
 def test_reduce_counts_and_partition():
