@@ -408,6 +408,18 @@ def evaluate_sub_objective(view: SubInstanceView, sets: Sequence[AbstractSet[str
     return _evaluate_range(view.instance, view.start, view.end, sets)
 
 
+def _ratio_terms(inst: GmkInstance, item: str) -> tuple[int, int, int, int]:
+    """(cost stage, largest change cost, profit stage, smallest stage profit).
+
+    Ties go to the earliest stage on both sides.
+    """
+    stages = range(1, inst.horizon + 1)
+    costs = [max(inst.cost_plus[item, t], inst.cost_minus[item, t]) for t in stages]
+    profits = [inst.item_profit(t, item) for t in stages]
+    max_cost, min_profit = max(costs), min(profits)
+    return costs.index(max_cost) + 1, max_cost, profits.index(min_profit) + 1, min_profit
+
+
 def profit_cost_ratio(inst: GmkInstance) -> ExtendedRatio:
     """Least r with every change cost at most r times every stage profit.
 
@@ -419,12 +431,9 @@ def profit_cost_ratio(inst: GmkInstance) -> ExtendedRatio:
         raise UnsupportedVariantError("profit_cost_ratio requires the modular variant")
     worst = Fraction(0)
     for i in inst.items:
-        max_cost = max(
-            max(inst.cost_plus[i, t], inst.cost_minus[i, t]) for t in range(1, inst.horizon + 1)
-        )
+        _, max_cost, _, min_profit = _ratio_terms(inst, i)
         if max_cost == 0:
             continue
-        min_profit = min(inst.item_profit(t, i) for t in range(1, inst.horizon + 1))
         if min_profit == 0:
             return ExtendedRatio.infinite()
         worst = max(worst, Fraction(max_cost, min_profit))
@@ -438,15 +447,8 @@ def ratio_violation(inst: GmkInstance, bound: int | Fraction):
     cost > bound * profit.
     """
     for i in inst.items:
-        cost_stage = max(
-            range(1, inst.horizon + 1),
-            key=lambda t: max(inst.cost_plus[i, t], inst.cost_minus[i, t]),
-        )
-        max_cost = max(inst.cost_plus[i, cost_stage], inst.cost_minus[i, cost_stage])
-        if max_cost == 0:
-            continue
-        profit_stage = min(range(1, inst.horizon + 1), key=lambda t: inst.item_profit(t, i))
-        min_profit = inst.item_profit(profit_stage, i)
-        if max_cost > bound * min_profit:
-            return (i, cost_stage, max_cost, profit_stage, min_profit)
+        terms = _ratio_terms(inst, i)
+        _, max_cost, _, min_profit = terms
+        if max_cost > 0 and max_cost > bound * min_profit:
+            return (i, *terms)
     return None

@@ -31,7 +31,13 @@ import numpy as np
 
 from .core import MODULAR, Mkc
 from .errors import BudgetExceededError, ContractViolationError
-from .reduction import ReducedElement, ReducedInstance, ReducedSolution, verify_reduced_solution
+from .reduction import (
+    VALUE_LIMIT,
+    ReducedElement,
+    ReducedInstance,
+    ReducedSolution,
+    verify_reduced_solution,
+)
 
 PACKED = "packed"
 INFEASIBLE = "infeasible"
@@ -39,7 +45,7 @@ UNKNOWN = "unknown"
 
 DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_PACK_BUDGET = 10**5
-_FLOOR = -(1 << 62)  # "no candidate" in subset-max tables
+_FLOOR = -VALUE_LIMIT  # "no candidate" in subset-max tables
 
 
 class _BudgetHit(Exception):

@@ -42,6 +42,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_HORIZON_CAP = 12
 PAD_BIN = "pad"
+# Schedule values are summed in int64, and the solvers' tables use -2**62
+# as "no candidate": every value must lie strictly between the two limits.
+VALUE_LIMIT = 1 << 62
 
 
 def mask_of(stages: Iterable[int] | int, horizon: int) -> int:
@@ -165,14 +168,36 @@ def _bit_columns(horizon: int, masks: np.ndarray) -> np.ndarray:
     return (masks >> np.arange(horizon, dtype=np.int64)[:, None]) & 1
 
 
+def _check_magnitude(inst: GmkInstance, item: str) -> None:
+    """Refuse an item whose schedule values could leave ``VALUE_LIMIT``.
+
+    A value adds some of the item's profits and gains and subtracts some of
+    its change costs, so both totals below the limit keep every value, and
+    every partial sum, strictly inside it.
+    """
+    stages = range(1, inst.horizon + 1)
+    gains = sum(inst.gain_plus[item, t] + inst.gain_minus[item, t] for t in stages[1:])
+    profits = costs = 0
+    if inst.variant == MODULAR:
+        profits = sum(inst.item_profit(t, item) for t in stages)
+        costs = sum(inst.cost_plus[item, t] + inst.cost_minus[item, t] for t in stages)
+    if profits + gains >= VALUE_LIMIT or costs >= VALUE_LIMIT:
+        raise InputError(
+            f"item {item}: its profits and gains, or its change costs, sum to 2**62 or "
+            f"more, beyond the exact integer range of the reduction"
+        )
+
+
 def _schedule_values(inst: GmkInstance, item: str, bits: np.ndarray) -> np.ndarray:
     """Fixed values of one item's schedules, one per column of ``bits``.
 
     Interior gains accrue in both variants: g+ where the item stays packed,
     g- where it stays out. The modular variant adds the profits of
     scheduled stages and charges a change cost pair per run; stage 1 always
-    pays the entry cost and stage T the exit cost when scheduled.
+    pays the entry cost and stage T the exit cost when scheduled. Raises
+    ``InputError`` for an item beyond the int64 range (``_check_magnitude``).
     """
+    _check_magnitude(inst, item)
     horizon = inst.horizon
     modular = inst.variant == MODULAR
     values = np.zeros(bits.shape[1], dtype=np.int64)
@@ -238,7 +263,8 @@ def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP
     stays. In the modular variant those values are the whole objective. In
     the submodular variant they are its gain terms, sums of nonnegative
     gains, so nothing is dropped; the objective stays an oracle that adds
-    per-stage lifted profit functions to them.
+    per-stage lifted profit functions to them. An item whose values could
+    reach ``VALUE_LIMIT`` is refused with ``InputError``.
     """
     _check_horizon(inst, horizon_cap)
     bits = _bit_columns(inst.horizon, np.arange(1 << inst.horizon, dtype=np.int64))

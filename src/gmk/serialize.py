@@ -28,6 +28,7 @@ from .core import (
 )
 from .errors import InputError
 from .reduction import (
+    VALUE_LIMIT,
     ReducedConstraint,
     ReducedElement,
     ReducedInstance,
@@ -55,7 +56,7 @@ def dumps(payload: Any) -> str:
 def _scaled_int(raw: Any, denominator: int, where: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise InputError(f"{where}: expected a number, got {raw!r}")
-    if not math.isfinite(raw):
+    if isinstance(raw, float) and not math.isfinite(raw):
         raise InputError(f"{where}: expected a finite number, got {raw!r}")
     value = Fraction(raw if isinstance(raw, int) else str(raw)) * denominator
     if value.denominator != 1:
@@ -312,7 +313,8 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
     Masks lie within the horizon, the partition splits the elements into one
     group per item, each with the empty schedule, there is one constraint per
     stage and index with nonnegative data, and the variant's ``values`` or
-    ``objective`` covers every element.
+    ``objective`` covers every element, each value or gain value below
+    ``VALUE_LIMIT``.
     """
     if not isinstance(raw, Mapping):
         raise InputError("reduced instance file must hold a JSON object")
@@ -375,6 +377,8 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
         raise InputError("every unpadded constraint needs the weight of every item")
     if set(covered) != element_set:
         raise InputError(f"{payload} must cover exactly the elements")
+    if any(v >= VALUE_LIMIT for v in covered.values()):
+        raise InputError(f"{payload} must stay below 2**62")
     return ReducedInstance(
         variant, items, horizon, dimension, elements, groups, constraints, values, objective
     )
@@ -400,19 +404,22 @@ def reduced_solution_to_dict(rsol: ReducedSolution) -> dict:
 def reduced_solution_from_dict(raw: Any) -> ReducedSolution:
     if not isinstance(raw, Mapping) or "chosen" not in raw or "assignments" not in raw:
         raise InputError("reduced solution file must hold 'chosen' and 'assignments'")
-    chosen = frozenset(_element_from_id(eid) for eid in raw["chosen"])
-    assignments = {}
-    for entry in raw["assignments"]:
-        key = (int(entry["stage"]), int(entry["index"]))
-        assignments[key] = {
-            str(b): frozenset(_element_from_id(eid) for eid in assigned)
-            for b, assigned in entry["bins"].items()
-        }
-    return ReducedSolution(
-        chosen=chosen,
-        assignments=assignments,
-        substituted_items=tuple(raw.get("substituted_items", ())),
-    )
+    try:
+        chosen = frozenset(_element_from_id(eid) for eid in raw["chosen"])
+        assignments = {}
+        for entry in raw["assignments"]:
+            key = (int(entry["stage"]), int(entry["index"]))
+            assignments[key] = {
+                str(b): frozenset(_element_from_id(eid) for eid in assigned)
+                for b, assigned in entry["bins"].items()
+            }
+        return ReducedSolution(
+            chosen=chosen,
+            assignments=assignments,
+            substituted_items=tuple(raw.get("substituted_items", ())),
+        )
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise InputError(f"reduced solution file malformed: {exc!r}")
 
 
 def interval_set_to_list(iv) -> list[list]:
@@ -430,7 +437,7 @@ def load_json(path) -> Any:
             return json.load(handle)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 

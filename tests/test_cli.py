@@ -57,6 +57,14 @@ def test_validate_malformed_file_exits_2(tmp_path, capsys, corrupt):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
 
 
+def test_integer_too_long_to_parse_exits_2(tmp_path, capsys):
+    text = (DOCS / "modular_micro.json").read_text().replace('"srv1": 4', '"srv1": ' + "9" * 5000)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert run("validate", path) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
+
+
 def test_validate_solution_value(tmp_path, capsys):
     inst = DOCS / "modular_micro.json"
     sol = tmp_path / "sol.json"
@@ -135,6 +143,7 @@ def _element_without_value(raw):
         _element_without_value,
         lambda raw: raw.update(variant="bogus"),
         lambda raw: raw.pop("values"),
+        lambda raw: raw["values"].update({raw["partition"]["cam"][-1]: 2**62}),
     ],
     ids=[
         "negative_capacity",
@@ -143,6 +152,7 @@ def _element_without_value(raw):
         "element_without_value",
         "unknown_variant",
         "modular_without_values",
+        "value_at_2_62",
     ],
 )
 @pytest.mark.parametrize("mode", ["--exact", "--greedy"])
@@ -155,6 +165,39 @@ def test_solve_mkcp_bad_reduced_file_exits_2(tmp_path, capsys, corrupt, mode):
     capsys.readouterr()
     assert run("solve-mkcp", "--in", reduced, mode, "--out", tmp_path / "rsol.json") == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
+
+
+SCHEME = ("--eps", "0.2", "--phi", 10**30)
+
+
+def _micro_with_cam_profit(tmp_path, profit):
+    raw = load_json(DOCS / "modular_micro.json")
+    for stage in raw["stages"]:
+        stage["profit"]["cam"] = profit
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("profit", [2**62, 2**63, 10**400], ids=["2_62", "2_63", "10_400"])
+def test_values_beyond_int64_exit_2_and_oracle_still_answers(tmp_path, capsys, profit):
+    path = _micro_with_cam_profit(tmp_path, profit)
+    for command in ("solve", "compare"):
+        capsys.readouterr()
+        assert run(command, "--in", path, *SCHEME) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
+    capsys.readouterr()
+    assert run("oracle", "--in", path) == 0
+    # the micro optimum packs both items at both stages: 15 - (5 + 4) + 2 * profit
+    assert json.loads(capsys.readouterr().out)["value"] == 2 * profit + 6
+
+
+def test_values_just_below_the_limit_solve_exactly(tmp_path, capsys):
+    # cam's profits and gains sum to 2**62 - 2, just inside the limit
+    path = _micro_with_cam_profit(tmp_path, 2**61 - 2)
+    assert run("compare", "--in", path, *SCHEME, "--report", tmp_path / "r.json") == 0
+    report = load_json(tmp_path / "r.json")
+    assert report["final_value"] == report["oracle_value"] == 2 * (2**61 - 2) + 6
 
 
 def test_reduce_horizon_cap_exit_3(tmp_path):

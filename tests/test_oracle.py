@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from gmk.core import check_feasible, evaluate_objective
 from gmk.errors import BudgetExceededError
 from gmk.generators import GenParams, gen_random
-from gmk.oracle import brute_force_gmk
+from gmk.oracle import _packable_rows, brute_force_gmk
+from gmk.serialize import dumps, solution_to_dict
 
-from util import build_instance, enumerate_optimum, knapsack_dp, single_bin_stage
+from util import build_instance, enumerate_optimum, knapsack_dp, packable_sets, single_bin_stage
+
+TIE_HEAVY = dict(
+    dimension=2, bins_per_mkc=2, weight_range=(0, 2), capacity_range=(0, 3),
+    profit_range=(0, 1), gain_range=(0, 1), cost_range=(0, 1),
+)
 
 
 def test_empty_instance_value_zero():
@@ -78,8 +86,131 @@ def test_respects_stage_packability():
     assert evaluate_objective(inst, sol.sets) == 9
 
 
+def test_exact_beyond_float_range():
+    items = ["i"]
+    huge = 10**400
+    # stage 1 cannot hold the item, so the DP meets an unreachable predecessor
+    # next to a transition term far beyond any float
+    stages = [
+        single_bin_stage(items, {"i": 5}, 1, {"i": 0}),
+        single_bin_stage(items, {"i": 1}, 1, {"i": huge}),
+    ]
+    gain_plus = {("i", 2): huge}
+    inst = build_instance(items, stages, gain_plus=gain_plus, gain_minus={("i", 2): 0})
+    sol = brute_force_gmk(inst)
+    assert sol.sets == (frozenset(), frozenset({"i"}))
+    assert evaluate_objective(inst, sol.sets) == huge
+
+
 def test_witness_deterministic():
     inst = gen_random(GenParams(items=3, horizon=3, dimension=2), 9)
     a = brute_force_gmk(inst)
     b = brute_force_gmk(inst)
     assert a == b
+
+
+# sha256 of the oracle's solution JSON for seeds 0..9, recorded while the
+# DP still called a per-pair transition function and packed every subset
+GOLDEN_ORACLE = {
+    "greedy_oracle": (
+        GenParams(items=6, horizon=10, dimension=2, bins_per_mkc=2, capacity_range=(4, 12), target_phi=1),
+        [
+            "3cee6c223b7f0eb206155d6cd13c65dc188932c6b28c57f116415d31d91bf0e0",
+            "f23771e3e1f316b5ed65b0a9b7e0d4ce5f45c2d5c0819b3b3fa3659ac2d1a99c",
+            "42b62d1692de1eaa5566115975536112bdd8fc8baf4fc43db838380f90b7dc62",
+            "71045280a0f56daebb8a4b711617bf926b048c5b6676f1bff01282d322e441f2",
+            "121c0e18778fa11417bfab9db5e05485278e5dd3a40433c77e57c0e0c5da8445",
+            "94daaf3635c3da525bc766de6b8232af17b4772e14807672e74a8deb49274771",
+            "d6da7272043e3099bc20a0a97ceb42bd1377e9e8e079d95e1627315a36659cb2",
+            "f15b0a2863d76d48ea99256949dbba64c6a602db22690d6856d67f014a931944",
+            "c5080cd073181c8510b166a4cfe2cbef3246ec6d2bc3abe15db4c28064a0af32",
+            "9cdda6d17125e14a04a017c306e3cfd7760e0a2feed0aff8b68bf5c2fc1a4adb",
+        ],
+    ),
+    "tie_heavy": (
+        GenParams(items=4, horizon=5, **TIE_HEAVY),
+        [
+            "e6161e0c33f304d3022174e34af0ace93d81b0deed07c34fd95c2eb636fcb3e7",
+            "a8640e8c4e5a6e78522f780b7c4e27e7e2607ca4af70ed977a07db47bfd00c0b",
+            "97295dfe293472867c42870d4e8b3c613b4200d300fae672027a68fdcb34ec27",
+            "1f96cbcf64e63eb32c927dfeec97f3078dd8d819f28b571fd2d711ed8052bf85",
+            "3929bfd56660b3f5b243f08a1f91ab2079e5ff6cd8ca80bf0a2a7ca38828d2dd",
+            "328353b0d36c291ea5880d39f1e8dc6dca863d0913188a669450df7dbd594a59",
+            "b11106ae9522a763d6de7fa1dd70a94eb4526625702d1bd03d7c74cbfcbd942f",
+            "482eca6cd1ba2ddded7e16249087bd87ea0afea05d0fbfd2eb07f3bf27f445ca",
+            "26968bc8bbf4630d67cdd211b7e8631e556e4a7533d8e1eaf1ab20de30458791",
+            "49491779c160d4a36135726cfdde9da9ad67c3aaf2079d96ba7feb24b7331910",
+        ],
+    ),
+    "tight_three_bin": (
+        GenParams(items=5, horizon=4, dimension=2, bins_per_mkc=3, capacity_range=(1, 5)),
+        [
+            "8163e00f6f3085a018e00d65b6f91b54b78a2b3d68751989d457401b8656b2b9",
+            "0db451fc53e6de6dd78e7c05eb784a0d1ab8c9bf5e0f6b06180ca0102a5fbb5e",
+            "51ba994ce971bd77afb2f0f13538ac1c2753e6598dd8f9a91ea611897768167d",
+            "836e20488b4b91d3080f50d93a02a2c8a737d86ab39f8df6bc6f4f8054f68223",
+            "a48247179ea445cc6cfbf96e0416cf0d67d81bd60cd9e12eeef972ab93fc4b44",
+            "96e0ec6c95ea78f1ececa7f9a333cde3a4ce33b07cca1b822c54d2b8604103ea",
+            "b488a526c7e0abc410b3d4428372a379654cb8c8330b62b2a7a1c2a9a1cc74f9",
+            "4fc4c52c93bf8af02c17d2b79353b191c76d09250b07ad76ec8445ce7a39e8e2",
+            "b62c484193377ac4294079d5e67f386a733b0b84753fcc1c28179b6bdce1a9d5",
+            "2f7762ef903ade78d23d918cb421ea537492e133afa06141b8bb0a06853ca5a5",
+        ],
+    ),
+    "submodular": (
+        GenParams(items=5, horizon=4, bins_per_mkc=2, variant="submodular"),
+        [
+            "bb307553890a139de5c62e21285ed21d9f1e1e84de90b4ff1f7a28c57fa7ced8",
+            "bfc8b669d5b7bcbfd124c26576ac9a751070e40e433dbd6086ff87b57758642e",
+            "49f99b1ac783e1017449ca349e73fab254b82299c090b7f563c0a155b8a26bc1",
+            "30f2ccc69d522ebca4ebefdfdafac854ad6187b8847464e465a2d2bdc6e17eff",
+            "9a489b8f43774067467361acabfd85ef3bfbc4710caf758a98db4df5080ed507",
+            "1ba93f12ba92aa99817b8c2961b5bff40f98fa57489a5372212a75031ab379c3",
+            "0a62a540a426a5515c82d3f8f42878ed3fb3acea824864667a4552b47dd40d4d",
+            "c90a36d8ee4043348e6dfcc8b35049b1bf55efdbb7dde5e456a8f7fc51784808",
+            "f8726cee6fdbdb3f407519736fc501c24f1721062c2db6a3827a1aedff533502",
+            "2bfff98fba9617d5d8822e6ad9b3cf36172335ad96ac834e5429bc2b1e12d677",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_ORACLE))
+def test_golden_digests_pin_tie_break_and_witness(shape):
+    params, digests = GOLDEN_ORACLE[shape]
+    for seed, digest in enumerate(digests):
+        payload = dumps(solution_to_dict(brute_force_gmk(gen_random(params, seed))))
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, seed
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GenParams(items=5, horizon=3, dimension=2, bins_per_mkc=3, capacity_range=(1, 5)),
+        GenParams(items=4, horizon=4, dimension=2, bins_per_mkc=1, capacity_range=(1, 5)),
+    ],
+)
+def test_packable_rows_match_packing_every_subset(params):
+    unpackable = 0
+    for seed in range(6):
+        inst = gen_random(params, seed)
+        rows = _packable_rows(inst)
+        for t, row in enumerate(rows, start=1):
+            got = {
+                frozenset(i for k, i in enumerate(inst.items) if (m >> k) & 1)
+                for m, ok in enumerate(row)
+                if ok
+            }
+            assert got == set(packable_sets(inst, t)), (seed, t)
+            unpackable += row.count(False)
+    # tight capacities leave many subsets unpackable, so the closure is exercised
+    assert unpackable > 100
+
+
+def test_matches_enumeration_on_tie_heavy_instances():
+    for seed in range(10):
+        inst = gen_random(GenParams(items=3, horizon=4, **TIE_HEAVY), seed)
+        sol = brute_force_gmk(inst)
+        best_value, _ = enumerate_optimum(inst)
+        assert evaluate_objective(inst, sol.sets) == best_value
+        assert check_feasible(inst, sol).ok

@@ -129,6 +129,22 @@ def test_reduced_solution_round_trip():
     assert again.assignments == dict(rsol.assignments)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"chosen": ["x@1"], "assignments": 3},
+        {"chosen": 5, "assignments": []},
+        {"chosen": [], "assignments": [{"stage": 1}]},
+        {"chosen": [], "assignments": [{"stage": "one", "index": 1, "bins": {}}]},
+        {"chosen": [], "assignments": [{"stage": 1, "index": 1, "bins": []}]},
+    ],
+    ids=["assignments_number", "chosen_number", "entry_without_index", "stage_text", "bins_list"],
+)
+def test_reduced_solution_malformed_raises_input_error(raw):
+    with pytest.raises(InputError):
+        reduced_solution_from_dict(raw)
+
+
 def test_canonical_dumps_stable():
     payload = {"b": [3, 1], "a": {"y": 1, "x": 2}}
     assert canonical_dumps(payload) == canonical_dumps(json.loads(canonical_dumps(payload)))
