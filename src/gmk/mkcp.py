@@ -5,17 +5,19 @@ multiple knapsack constraint, by first-fit-decreasing and then exhaustive
 backtracking with symmetry breaking on equal remaining capacities.
 
 ``solve_mkcp_exact`` finds a maximum-value selection of one schedule per
-item. For modular values it searches plain integers: per item, the mask and
-value of every schedule that survives a dominance prune (a subset schedule
-of at least equal value exists; safe, as weights shrink coordinatewise with
-the schedule) and a solo-pack filter, each with an int packer key and a
-touch list of (constraint, weight). One branch-and-bound pass walks each
-item's schedules in ascending mask order and records only strict
-improvements, so it returns the first optimum it reaches, the
-lexicographically smallest; only the chosen schedules become
-``ReducedElement``s again. Submodular objectives are searched in
-lexicographic order under a monotonicity upper bound. Both are exact and
-deterministic; an enumeration budget refuses oversized candidate spaces.
+item. Every solver reads the reduced instance's per-item mask-to-value
+tables and builds ``ReducedElement``s only for the schedules it chooses or
+hands to a submodular objective. For modular values the search runs on
+plain integers: per item, the mask and value of every schedule that
+survives a dominance prune (a subset schedule of at least equal value
+exists; safe, as weights shrink coordinatewise with the schedule) and a
+solo-pack filter, each with an int packer key and a touch list of
+(constraint, weight). One branch-and-bound pass walks each item's
+schedules in ascending mask order and records only strict improvements, so
+it returns the first optimum it reaches, the lexicographically smallest.
+Submodular objectives are searched in lexicographic order under a
+monotonicity upper bound. Both are exact and deterministic; an enumeration
+budget refuses oversized candidate spaces.
 
 ``solve_mkcp_greedy`` fixes items one by one, always keeping every
 constraint packable within a node budget, and never fails: the empty
@@ -282,11 +284,9 @@ def _kept_schedules(reduced: ReducedInstance, packing: _PartialPacking, k: int) 
     Drops dominated schedules and those covering a stage where the item
     outweighs every bin of a constraint. Sorted by value desc, then mask.
     """
-    values = reduced.values
-    assert values is not None
-    group = reduced.groups[reduced.items[k]]
-    masks = np.array([e.mask for e in group], dtype=np.int64)
-    vals = np.array([values[e] for e in group], dtype=np.int64)
+    table = reduced.schedules[reduced.items[k]]
+    masks = np.fromiter(table, dtype=np.int64, count=len(table))
+    vals = np.fromiter(table.values(), dtype=np.int64, count=len(table))
     solo_bad = 0
     for ci, bit, w in packing.weights[k]:
         if w > packing.max_cap[ci]:
@@ -305,7 +305,7 @@ def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None
     budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
     space = 1
     for item in reduced.items:
-        space *= len(reduced.groups[item]) + 1
+        space *= len(reduced.schedules[item]) + 1
         if space > budget:
             raise BudgetExceededError(
                 f"exact solve refused: candidate space exceeds budget {budget}; "
@@ -411,7 +411,7 @@ def _exact_submodular(reduced: ReducedInstance) -> ReducedSolution:
     objective = reduced.objective
     assert objective is not None
     items = reduced.items
-    groups = [sorted(reduced.groups[item], key=lambda e: e.mask) for item in items]
+    groups = [[ReducedElement(item, mask) for mask in reduced.schedules[item]] for item in items]
     n = len(items)
     rest: list[frozenset[ReducedElement]] = [frozenset()] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -459,25 +459,23 @@ def solve_mkcp_greedy(
     """
     packing = _PartialPacking(reduced, node_budget=pack_budget)
     chosen: list[ReducedElement] = []
+    objective = reduced.objective
     for k, item in enumerate(reduced.items):
-        group = reduced.groups[item]
-        if reduced.variant == MODULAR:
-            values = reduced.values
-            assert values is not None
-            ranked = sorted(group, key=lambda e: (-values[e], e.mask))
+        table = reduced.schedules[item]
+        if objective is None:
+            ranked = sorted(table, key=lambda m: (-table[m], m))
         else:
-            objective = reduced.objective
-            assert objective is not None
             current = frozenset(chosen)
             base = objective.evaluate(current)
             ranked = sorted(
-                group, key=lambda e: (-(objective.evaluate(current | {e}) - base), e.mask)
+                table,
+                key=lambda m: (base - objective.evaluate(current | {ReducedElement(item, m)}), m),
             )
-        for e in ranked:
-            key, touch = packing.element(k, e.mask)
+        for mask in ranked:
+            key, touch = packing.element(k, mask)
             if packing.can_push(key, touch):
                 packing.push(key, touch)
-                chosen.append(e)
+                chosen.append(ReducedElement(item, mask))
                 break
         else:
             raise ContractViolationError("the empty schedule must always pack")

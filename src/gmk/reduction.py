@@ -2,12 +2,14 @@
 
 Every reduced element pairs an item with a schedule, the exact set of
 stages in which the item is packed, stored as a bitmask with bit ``t-1``
-for stage ``t``. Choosing at most one schedule per item is a partition
-matroid constraint, kept implicit as per-item element groups. Each original
-constraint (t, j) carries over with the weight rule "full weight if the
-schedule contains t, zero otherwise", and stages with fewer than d
-constraints are padded with a trivial zero-capacity, zero-weight constraint
-so the reduced instance always has d*T of them.
+for stage ``t``. Per item, one table maps each kept schedule mask, in
+ascending order, to its fixed value; elements are derived from it, and no
+``ReducedElement`` is built until a caller asks. Choosing at most one
+schedule per item is a partition matroid constraint, kept implicit by those
+tables. Each original constraint (t, j) carries over with the weight rule
+"full weight if the schedule contains t, zero otherwise", and stages with
+fewer than d constraints are padded with a trivial zero-capacity,
+zero-weight constraint so the reduced instance always has d*T of them.
 
 The reduction blows up as ``|I| * 2**T`` by design, so a configurable
 horizon cap refuses long instances.
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping
 
 import numpy as np
@@ -47,13 +48,8 @@ PAD_BIN = "pad"
 VALUE_LIMIT = 1 << 62
 
 
-def mask_of(stages: Iterable[int] | int, horizon: int) -> int:
-    """Normalize a stage collection (or a ready-made bitmask) to a bitmask."""
-    if isinstance(stages, int):
-        mask = stages
-        if mask < 0 or mask >> horizon:
-            raise InputError(f"schedule mask {mask} out of range for horizon {horizon}")
-        return mask
+def mask_of(stages: Iterable[int], horizon: int) -> int:
+    """Bitmask of a stage collection."""
     mask = 0
     for t in stages:
         if not 1 <= t <= horizon:
@@ -110,38 +106,41 @@ class ReducedConstraint:
 
 @dataclass(frozen=True)
 class ReducedObjective:
-    """Submodular reduced objective: per-stage lifted oracles plus gains."""
+    """Submodular reduced objective: per-stage lifted oracles plus the gains in ``schedules``."""
 
     stage_functions: tuple[ExtendedStageFunction, ...]
-    gain_values: Mapping[ReducedElement, int]
+    schedules: Mapping[str, Mapping[int, int]]
 
     def evaluate(self, chosen: AbstractSet[ReducedElement]) -> int:
         subset = frozenset(chosen)
         total = sum(f.evaluate(subset) for f in self.stage_functions)
-        return total + sum(self.gain_values[e] for e in subset)
+        return total + sum(self.schedules[e.item][e.mask] for e in subset)
 
 
 @dataclass(frozen=True)
 class ReducedInstance:
+    """Per item, ``schedules`` maps each kept mask, ascending, to its value.
+
+    The value is the whole objective in the modular variant and the gain
+    part of ``objective`` in the submodular one.
+    """
+
     variant: str
     items: tuple[str, ...]
     horizon: int
     dimension: int
-    elements: tuple[ReducedElement, ...]
-    groups: Mapping[str, tuple[ReducedElement, ...]]
+    schedules: Mapping[str, Mapping[int, int]]
     constraints: tuple[ReducedConstraint, ...]
-    values: Mapping[ReducedElement, int] | None = None
     objective: ReducedObjective | None = None
 
-    @cached_property
-    def element_set(self) -> frozenset[ReducedElement]:
-        return frozenset(self.elements)
+    @property
+    def elements(self) -> tuple[ReducedElement, ...]:
+        """Every (item, schedule) pair, in item order and ascending mask order."""
+        return tuple(ReducedElement(i, mask) for i in self.items for mask in self.schedules[i])
 
     def value_of(self, chosen: AbstractSet[ReducedElement]) -> int:
-        if self.variant == MODULAR:
-            assert self.values is not None
-            return sum(self.values[e] for e in chosen)
-        assert self.objective is not None
+        if self.objective is None:
+            return sum(self.schedules[e.item][e.mask] for e in chosen)
         return self.objective.evaluate(chosen)
 
 
@@ -154,7 +153,7 @@ class ReducedSolution:
     substituted_items: tuple[str, ...] = ()
 
 
-def element_fixed_value(inst: GmkInstance, item: str, schedule: Iterable[int] | int) -> int:
+def element_fixed_value(inst: GmkInstance, item: str, schedule: Iterable[int]) -> int:
     """Fixed value of element (item, schedule) in the reduced objective."""
     if inst.variant != MODULAR:
         raise UnsupportedVariantError("fixed element values require the modular variant")
@@ -255,51 +254,31 @@ def _check_horizon(inst: GmkInstance, horizon_cap: int) -> None:
 
 
 def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:
-    """Materialize the reduced packing instance.
+    """Build the reduced packing instance's schedule tables and constraints.
 
-    Both variants share elements, groups and constraints, and value each
-    schedule with ``_schedule_values``. Schedules of negative value are
-    dropped; the empty schedule is worth the item's g- mass and always
-    stays. In the modular variant those values are the whole objective. In
-    the submodular variant they are its gain terms, sums of nonnegative
-    gains, so nothing is dropped; the objective stays an oracle that adds
-    per-stage lifted profit functions to them. An item whose values could
-    reach ``VALUE_LIMIT`` is refused with ``InputError``.
+    Both variants value each schedule with ``_schedule_values``. Schedules
+    of negative value are dropped; the empty schedule is worth the item's g-
+    mass and always stays. In the modular variant those values are the
+    whole objective. In the submodular variant they are its gain terms,
+    sums of nonnegative gains, so nothing is dropped; the objective stays an
+    oracle that adds per-stage lifted profit functions to them. An item
+    whose values could reach ``VALUE_LIMIT`` is refused with ``InputError``.
     """
     _check_horizon(inst, horizon_cap)
     bits = _bit_columns(inst.horizon, np.arange(1 << inst.horizon, dtype=np.int64))
-    elements: list[ReducedElement] = []
-    groups: dict[str, tuple[ReducedElement, ...]] = {}
-    values: dict[ReducedElement, int] = {}
+    schedules: dict[str, dict[int, int]] = {}
     for item in inst.items:
         arr = _schedule_values(inst, item, bits)
         assert arr[0] >= 0, "empty schedule value is a nonnegative gain sum"
-        group = []
-        for mask, value in enumerate(arr.tolist()):
-            if value < 0:
-                continue
-            e = ReducedElement(item, mask)
-            group.append(e)
-            values[e] = value
-        groups[item] = tuple(group)
-        elements.extend(group)
+        kept = np.flatnonzero(arr >= 0)
+        schedules[item] = dict(zip(kept.tolist(), arr[kept].tolist()))
     objective = None
     if inst.variant != MODULAR:
-        all_elements = frozenset(elements)
-        stage_functions = tuple(
-            extend_function(inst.stage(t).profit, t, all_elements) for t in range(1, inst.horizon + 1)
-        )
-        objective = ReducedObjective(stage_functions=stage_functions, gain_values=values)
+        lifted = tuple(extend_function(inst.stage(t).profit, t) for t in range(1, inst.horizon + 1))
+        objective = ReducedObjective(lifted, schedules)
     return ReducedInstance(
-        variant=inst.variant,
-        items=inst.items,
-        horizon=inst.horizon,
-        dimension=inst.dimension,
-        elements=tuple(elements),
-        groups=groups,
-        constraints=_reduced_constraints(inst),
-        values=values if objective is None else None,
-        objective=objective,
+        inst.variant, inst.items, inst.horizon, inst.dimension, schedules,
+        _reduced_constraints(inst), objective,
     )
 
 
@@ -326,7 +305,7 @@ def verify_reduced_solution(reduced: ReducedInstance, rsol: ReducedSolution) -> 
     violations: list[str] = []
     per_item: dict[str, int] = {}
     for e in rsol.chosen:
-        if e not in reduced.element_set:
+        if e.mask not in reduced.schedules.get(e.item, ()):
             violations.append(f"element {e.id} is not part of the reduced instance")
         per_item[e.item] = per_item.get(e.item, 0) + 1
     for item, count in per_item.items():
@@ -390,11 +369,10 @@ def lower_solution(
         for t in range(1, inst.horizon + 1):
             if item in sol.sets[t - 1]:
                 mask |= 1 << (t - 1)
-        e = ReducedElement(item, mask)
-        if e not in reduced.element_set:
+        if mask not in reduced.schedules[item]:
             substituted.append(item)
-            e = ReducedElement(item, 0)
-        chosen[item] = e
+            mask = 0
+        chosen[item] = ReducedElement(item, mask)
     chosen_set = frozenset(chosen.values())
 
     assignments: dict[tuple[int, int], dict[str, frozenset[ReducedElement]]] = {}

@@ -44,13 +44,20 @@ from .submodular import (
 )
 
 
+def _encode(payload: Any, **layout: Any) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, **layout)
+    except ValueError as exc:  # an integer beyond Python's int-to-string digit limit
+        raise InputError(f"result cannot be written as JSON: {exc}")
+
+
 def canonical_dumps(payload: Any) -> str:
     """Stable compact encoding used for hashing and byte-equality tests."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _encode(payload, separators=(",", ":"))
 
 
 def dumps(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _encode(payload, indent=2) + "\n"
 
 
 def _scaled_int(raw: Any, denominator: int, where: str) -> int:
@@ -262,15 +269,19 @@ def _element_from_id(eid: Any) -> ReducedElement:
 
 
 def reduced_to_dict(reduced: ReducedInstance) -> dict:
+    elements = reduced.elements
+    partition: dict[str, list[str]] = {item: [] for item in reduced.items}
+    values = {}
+    for e in elements:
+        partition[e.item].append(e.id)
+        values[e.id] = reduced.schedules[e.item][e.mask]
     payload: dict[str, Any] = {
         "variant": reduced.variant,
         "items": list(reduced.items),
         "horizon": reduced.horizon,
         "dimension": reduced.dimension,
-        "elements": [
-            {"id": e.id, "item": e.item, "stages": list(e.stages())} for e in reduced.elements
-        ],
-        "partition": {item: [e.id for e in group] for item, group in reduced.groups.items()},
+        "elements": [{"id": e.id, "item": e.item, "stages": list(e.stages())} for e in elements],
+        "partition": partition,
         "constraints": [
             {
                 "stage": rc.stage,
@@ -283,12 +294,12 @@ def reduced_to_dict(reduced: ReducedInstance) -> dict:
             for rc in reduced.constraints
         ],
     }
-    if reduced.values is not None:
-        payload["values"] = {e.id: v for e, v in reduced.values.items()}
-    if reduced.objective is not None:
+    if reduced.objective is None:
+        payload["values"] = values
+    else:
         payload["objective"] = {
             "stage_profits": [oracle_to_dict(f.base) for f in reduced.objective.stage_functions],
-            "gain_values": {e.id: v for e, v in reduced.objective.gain_values.items()},
+            "gain_values": values,
         }
     return payload
 
@@ -324,6 +335,7 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
     payload, other = ("values", "objective") if variant == MODULAR else ("objective", "values")
     if payload not in raw or other in raw:
         raise InputError(f"the {variant} variant needs {payload!r} and no {other!r}")
+    label = "value" if variant == MODULAR else "gain value"
     try:
         items = tuple(str(i) for i in raw["items"])
         horizon = _scaled_int(raw["horizon"], 1, "horizon")
@@ -335,28 +347,23 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
         constraints = tuple(
             _reduced_constraint(rc, f"constraint {k}") for k, rc in enumerate(raw["constraints"])
         )
-        element_set = frozenset(elements)
-        if variant == MODULAR:
-            covered = values = {
-                _element_from_id(eid): _scaled_int(v, 1, f"value of {eid}")
-                for eid, v in raw["values"].items()
-            }
-            objective = None
-        else:
+        stage_functions = None
+        if variant == SUBMODULAR:
             stage_profits = list(raw["objective"]["stage_profits"])
             if len(stage_profits) != horizon:
                 raise InputError("objective needs one stage profit per stage")
-            covered = gain_values = {
-                _element_from_id(eid): _scaled_int(v, 1, f"gain value of {eid}")
-                for eid, v in raw["objective"]["gain_values"].items()
-            }
             stage_functions = tuple(
-                extend_function(oracle_from_dict(p, 1, f"objective stage {t}"), t, element_set)
+                extend_function(oracle_from_dict(p, 1, f"objective stage {t}"), t)
                 for t, p in enumerate(stage_profits, start=1)
             )
-            values, objective = None, ReducedObjective(stage_functions, gain_values)
+        table = raw["values"] if stage_functions is None else raw["objective"]["gain_values"]
+        values = {
+            _element_from_id(eid): _scaled_int(v, 1, f"{label} of {eid}")
+            for eid, v in table.items()
+        }
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise InputError(f"reduced instance file malformed: {exc!r}")
+    element_set = frozenset(elements)
     if horizon < 1 or len(set(items)) != len(items):
         raise InputError("a reduced instance needs a positive horizon and distinct items")
     if any(e.mask >> horizon for e in elements):
@@ -375,13 +382,13 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
         raise InputError("constraints must be one per stage and index within horizon and dimension")
     if any(not rc.padding and not set(items) <= set(rc.item_weights) for rc in constraints):
         raise InputError("every unpadded constraint needs the weight of every item")
-    if set(covered) != element_set:
+    if set(values) != element_set:
         raise InputError(f"{payload} must cover exactly the elements")
-    if any(v >= VALUE_LIMIT for v in covered.values()):
+    if any(v >= VALUE_LIMIT for v in values.values()):
         raise InputError(f"{payload} must stay below 2**62")
-    return ReducedInstance(
-        variant, items, horizon, dimension, elements, groups, constraints, values, objective
-    )
+    schedules = {item: {e.mask: values[e] for e in sorted(groups[item])} for item in items}
+    objective = None if stage_functions is None else ReducedObjective(stage_functions, schedules)
+    return ReducedInstance(variant, items, horizon, dimension, schedules, constraints, objective)
 
 
 def reduced_solution_to_dict(rsol: ReducedSolution) -> dict:
@@ -442,5 +449,6 @@ def load_json(path) -> Any:
 
 
 def write_json(path, payload: Any) -> None:
+    text = dumps(payload)  # first, so a refused payload leaves no file behind
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(payload))
+        handle.write(text)

@@ -188,7 +188,7 @@ def _fmt(members, mask: int) -> str:
 def _exhaustive_check(oracle, members) -> PropertyReport:
     n = len(members)
     size = 1 << n
-    table = np.empty(size, dtype=np.int64)
+    table = np.empty(size, dtype=object)  # Python ints: exact at any magnitude
     for mask in range(size):
         table[mask] = oracle.evaluate(_subset(members, mask))
 

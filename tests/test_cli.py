@@ -192,6 +192,16 @@ def test_values_beyond_int64_exit_2_and_oracle_still_answers(tmp_path, capsys, p
     assert json.loads(capsys.readouterr().out)["value"] == 2 * profit + 6
 
 
+def test_oracle_value_too_long_to_write_exits_2(tmp_path, capsys):
+    # the optimum, 2 * profit + 6, has 4,301 digits: one past the int-to-string limit
+    path = _micro_with_cam_profit(tmp_path, int("9" * 4300))
+    assert run("oracle", "--in", path) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
+    out = tmp_path / "sol.json"
+    assert run("oracle", "--in", path, "--out", out) == 2
+    assert not out.exists()
+
+
 def test_values_just_below_the_limit_solve_exactly(tmp_path, capsys):
     # cam's profits and gains sum to 2**62 - 2, just inside the limit
     path = _micro_with_cam_profit(tmp_path, 2**61 - 2)

@@ -24,6 +24,7 @@ from gmk.mkcp import (
 )
 from gmk.reduction import (
     ReducedElement,
+    reduce_instance,
     reduce_modular,
     reduce_submodular,
     verify_reduced_solution,
@@ -94,11 +95,11 @@ def test_exact_single_item_argmax_and_feasibility_filter():
     inst = gen_random(GenParams(items=1, horizon=2, cost_range=(0, 1)), 2)
     reduced = reduce_modular(inst)
     rsol = solve_mkcp_exact(reduced)
-    values = reduced.values
-    best = max(values[e] for e in reduced.elements)
+    table = reduced.schedules[reduced.items[0]]
+    best = max(table.values())
     # single item, everything packable alone: the argmax schedule wins
     chosen = next(iter(rsol.chosen))
-    assert values[chosen] == best
+    assert table[chosen.mask] == best
 
     # force the top-valued schedule to be unpackable: weight above capacity
     from util import build_instance, dense_table, single_bin_stage
@@ -129,8 +130,9 @@ def test_exact_matches_naive_enumeration():
     corpus = [reduce_modular(gen_random(small, seed)) for seed in range(40)]
     corpus += [reduce_modular(gen_random(ties, seed)) for seed in range(12)]
     corpus.append(_reversed_partition(corpus[-1]))
-    masks = [e.mask for e in corpus[-1].groups[corpus[-1].items[0]]]
-    assert masks == sorted(masks, reverse=True) and len(masks) > 1
+    # the file lists each group in descending mask order; the table holds it ascending
+    masks = list(corpus[-1].schedules[corpus[-1].items[0]])
+    assert masks == sorted(masks) and len(masks) > 1
     for reduced in corpus:
         rsol = solve_mkcp_exact(reduced)
         naive_value, naive_combo = naive_reduced_optimum(reduced)
@@ -271,13 +273,56 @@ def test_exact_golden_digests_and_oracle_value(shape):
         assert reduced.value_of(rsol.chosen) == evaluate_objective(inst, brute_force_gmk(inst).sets)
 
 
-def _loop_dominance_prune(reduced, group):
-    """Reference: the per-element prune over a subset-max table."""
-    values = reduced.values
+# sha256 over the canonical greedy reduced-solution JSON of seeds 0..7, each
+# solved as reduced and as read back from JSON, per pack budget; recorded
+# before the reduction kept one mask-to-value table per item
+GOLDEN_GREEDY = {
+    "three_bin_d2_t4": (
+        GenParams(
+            items=5, horizon=4, dimension=2, bins_per_mkc=3, weight_range=(1, 6),
+            capacity_range=(2, 8),
+        ),
+        {
+            1: "f86d2b304917b7be8da5a1eb15c6101ddf47dc525f9a72dd0bf63ac9a4d2595d",
+            2: "f86d2b304917b7be8da5a1eb15c6101ddf47dc525f9a72dd0bf63ac9a4d2595d",
+            5: "c75921603e1deb4131def0503984b81bb06d18e51950ce638b374c4d63505b21",
+            None: "cc245eac83e510af30f98c9522fa83e25d5f24f85d15e559c2017ada5d13a4a1",
+        },
+    ),
+    "four_bin_submodular_t3": (
+        GenParams(
+            items=5, horizon=3, dimension=2, bins_per_mkc=4, weight_range=(2, 7),
+            capacity_range=(3, 9), variant="submodular",
+        ),
+        {
+            1: "52bf3aa5fdc83d492f45ed2357d943113d2a3e49abeb07997150eb7487beb0c9",
+            2: "52bf3aa5fdc83d492f45ed2357d943113d2a3e49abeb07997150eb7487beb0c9",
+            5: "36935d381ab468ad79f2dbb8c39b4e9206c062b7527fc8e8aea0022ce56be80e",
+            None: "36935d381ab468ad79f2dbb8c39b4e9206c062b7527fc8e8aea0022ce56be80e",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_GREEDY))
+@pytest.mark.parametrize("budget", [1, 2, 5, None])
+def test_greedy_golden_digests(shape, budget):
+    params, digests = GOLDEN_GREEDY[shape]
+    digest = hashlib.sha256()
+    for seed in range(8):
+        reduced = reduce_instance(gen_random(params, seed))
+        for candidate in (reduced, reduced_from_dict(reduced_to_dict(reduced))):
+            rsol = solve_mkcp_greedy(candidate, pack_budget=budget)
+            digest.update(canonical_dumps(reduced_solution_to_dict(rsol)).encode())
+    assert digest.hexdigest() == digests[budget]
+
+
+def _loop_dominance_prune(reduced, table):
+    """Reference: the per-schedule prune over a subset-max table."""
     size = 1 << reduced.horizon
     arr = np.full(size, -(1 << 62), dtype=np.int64)
-    for e in group:
-        arr[e.mask] = values[e]
+    for mask, value in table.items():
+        arr[mask] = value
     best = arr.copy()
     masks = np.arange(size)
     for t in range(reduced.horizon):
@@ -285,31 +330,28 @@ def _loop_dominance_prune(reduced, group):
         idx = masks[(masks & bit) != 0]
         best[idx] = np.maximum(best[idx], best[idx ^ bit])
     keep = []
-    for e in group:
-        if e.mask == 0:
-            keep.append(e)
+    for mask, value in table.items():
+        if mask == 0:
+            keep.append(mask)
             continue
-        proper = max(
-            int(best[e.mask ^ (1 << t)]) for t in range(reduced.horizon) if e.mask >> t & 1
-        )
-        if values[e] > proper:
-            keep.append(e)
+        proper = max(int(best[mask ^ (1 << t)]) for t in range(reduced.horizon) if mask >> t & 1)
+        if value > proper:
+            keep.append(mask)
     return keep
 
 
 def _reference_kept(reduced, dropped):
     """Reference: loop prune, then a can_push on an empty packing per schedule."""
-    values = reduced.values
     packing = _PartialPacking(reduced)
     out = []
     for k, item in enumerate(reduced.items):
-        group = reduced.groups[item]
-        pruned = _loop_dominance_prune(reduced, group)
-        kept = [e for e in pruned if e.mask == 0 or packing.can_push(*packing.element(k, e.mask))]
-        dropped["dominated"] += len(group) - len(pruned)
+        table = reduced.schedules[item]
+        pruned = _loop_dominance_prune(reduced, table)
+        kept = [m for m in pruned if m == 0 or packing.can_push(*packing.element(k, m))]
+        dropped["dominated"] += len(table) - len(pruned)
         dropped["unpackable"] += len(pruned) - len(kept)
-        kept.sort(key=lambda e: (-values[e], e.mask))
-        out.append([(e.mask, values[e]) for e in kept])
+        kept.sort(key=lambda m: (-table[m], m))
+        out.append([(m, table[m]) for m in kept])
     return out
 
 

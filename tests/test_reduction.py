@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -24,7 +25,9 @@ from gmk.reduction import (
     verify_reduced_solution,
     _bit_columns,
     _schedule_values,
+    reduce_instance,
 )
+from gmk.serialize import canonical_dumps, reduced_from_dict, reduced_to_dict
 
 from gmk.core import McpStage
 from util import (
@@ -94,8 +97,8 @@ def test_reduce_counts_and_partition():
     reduced = reduce_modular(inst)
     assert len(reduced.elements) == 8  # zero costs, nothing dropped
     assert len(reduced.constraints) == 2
-    assert set(reduced.groups) == {"a", "b"}
-    assert all(len(g) == 4 for g in reduced.groups.values())
+    assert set(reduced.schedules) == {"a", "b"}
+    assert all(len(table) == 4 for table in reduced.schedules.values())
 
 
 def test_reduce_drops_negative_values_but_keeps_empty():
@@ -111,7 +114,7 @@ def test_reduce_drops_negative_values_but_keeps_empty():
     masks = {e.mask for e in reduced.elements}
     assert 0 in masks
     assert 0b01 not in masks  # 1 - 10 < 0
-    assert reduced.values[ReducedElement("a", 0)] == 0
+    assert reduced.schedules["a"][0] == 0
 
 
 def test_weight_rule_audit():
@@ -311,4 +314,63 @@ def test_submodular_reduction_keeps_everything():
     inst = gen_random(GenParams(items=2, horizon=3, variant="submodular"), 5)
     reduced = reduce_submodular(inst)
     assert len(reduced.elements) == 2 * 8
-    assert reduced.values is None and reduced.objective is not None
+    # one table holds the gains; the objective reads the same one
+    assert reduced.objective is not None and reduced.objective.schedules is reduced.schedules
+
+
+# sha256 of the canonical reduced-instance JSON of seeds 0..5, recorded
+# before the reduction kept one mask-to-value table per item
+GOLDEN_REDUCE = {
+    "two_bin_d2_t4": (
+        GenParams(items=3, horizon=4, dimension=2, bins_per_mkc=2),
+        [
+            "2cc733189eded3ce658e549b89856cb918b7352512c576157681a0bb0c28ad9b",
+            "a3d9e85921877384f2e0af309f8604f5c817773ddbf4d295bc9eb63da336ec10",
+            "d44a0f0feb8b218ec13e2ce3ef03cba94e2859a2e5af597eee76cefe636559cb",
+            "60c036ced6301a6814e66ce886571e06b380ce459521e2539db60208bdb492bc",
+            "60765d9b4ca7ea897b6d6756fb5a7300e8d8c05c14e72bc2da46c383c0e6d542",
+            "a6a297163916c3624e4f066cb216ba9f694c0f07a5769c76d0a13be299dc31b5",
+        ],
+    ),
+    # profits, gains and costs in 0:1: many ties and many negative schedules dropped
+    "tie_heavy_t4": (
+        GenParams(
+            items=3, horizon=4, dimension=2, bins_per_mkc=2, weight_range=(0, 2),
+            capacity_range=(0, 3), profit_range=(0, 1), gain_range=(0, 1), cost_range=(0, 1),
+        ),
+        [
+            "cc2a3ebf1754e9b0eecb028dad1b5bbc0a1b206d5d298cd75ac28589e0eb957b",
+            "fc03e2a48781cc03739bbffe662d2af6aeceb15f36f666f0f28dc8d32161326f",
+            "474743e734f170dfeb2f30bab0c8be627be8e0233c898cb3e3c5ae6b43c421fc",
+            "d26d5e03115f202cd11289eb265445063d292e3258e1edc8bf34c3f1823c5720",
+            "38cc09e90887d2cea883139366123353ec24fe118142567fce1b24aa7f4317e1",
+            "044b9d1dd0f401817dadf342e2827315d4b6b7149bbbeff45480f5f41431802f",
+        ],
+    ),
+    "submodular_t3": (
+        GenParams(items=3, horizon=3, variant="submodular"),
+        [
+            "8261ca1dac44f22feaf3cc8bea45ff1fa35ee264d8319be392cb961a0e92814f",
+            "d1ab21a6f1b126071118314118af0fe8f3fcb677b80c585c7751064caa9851b4",
+            "67918e41239ce6cd9d96e15ecb6588b5ceb835410d38bd9c52a68da3b6285363",
+            "67dcc1d3d3473648a05e6e864a3dcc6ade4012f44e19b2f191fe4ac5d28ebd58",
+            "8419581b3bf2608eec91cb3b09f6ac41fa6aa26905b338993bdc8a3fdc4764d6",
+            "e4def8900823c99ecdf9f10caba7d94e12333363d0788b58ee82ba1e6ebb0f70",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_REDUCE))
+def test_reduce_golden_digests_and_read_back(shape):
+    params, digests = GOLDEN_REDUCE[shape]
+    dropped = 0
+    for seed, digest in enumerate(digests):
+        reduced = reduce_instance(gen_random(params, seed))
+        dropped += len(reduced.items) * 2**reduced.horizon - len(reduced.elements)
+        payload = canonical_dumps(reduced_to_dict(reduced))
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, seed
+        again = reduced_from_dict(reduced_to_dict(reduced))
+        assert canonical_dumps(reduced_to_dict(again)) == payload, seed
+    # modular shapes drop negative schedules; the submodular reduction keeps every one
+    assert (dropped == 0) == (params.variant == "submodular")

@@ -12,7 +12,7 @@ from gmk.errors import InputError
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import solve_mkcp_exact, solve_mkcp_greedy
 from gmk.oracle import brute_force_gmk
-from gmk.reduction import reduce_instance
+from gmk.reduction import ReducedElement, reduce_instance
 from gmk.serialize import (
     canonical_dumps,
     instance_from_dict,
@@ -103,7 +103,7 @@ def test_reduced_round_trip_modular():
     reduced = reduce_instance(inst)
     again = reduced_from_dict(reduced_to_dict(reduced))
     assert again.elements == reduced.elements
-    assert again.values == reduced.values
+    assert again.schedules == reduced.schedules
     assert again.constraints == reduced.constraints
     rsol = solve_mkcp_exact(again)
     assert reduced.value_of(rsol.chosen) == again.value_of(rsol.chosen)
@@ -116,7 +116,7 @@ def test_reduced_round_trip_submodular():
     assert again.elements == reduced.elements
     chosen = frozenset(list(reduced.elements)[:2])
     # one element per item: take each item's full schedule
-    chosen = frozenset(reduced.groups[i][-1] for i in reduced.items)
+    chosen = frozenset(ReducedElement(i, max(reduced.schedules[i])) for i in reduced.items)
     assert again.value_of(chosen) == reduced.value_of(chosen)
 
 

@@ -97,6 +97,26 @@ def test_nonmonotone_table_flagged():
     assert any("not monotone" in v for v in report.violations)
 
 
+@pytest.mark.parametrize(
+    "values", [{"a": 2**63, "b": 1}, {"a": 2**62, "b": 2**62}], ids=["2_63", "two_2_62"]
+)
+def test_checker_exact_beyond_int64(values):
+    report = check_monotone_submodular(ModularFunction(values=values))
+    assert report.clean and not report.sampled
+
+
+def test_nonmonotone_table_beyond_int64_reports_witness():
+    big = 2**64
+    table = {
+        frozenset(): 0,
+        frozenset({"a"}): big,
+        frozenset({"b"}): big,
+        frozenset({"a", "b"}): big - 1,
+    }
+    report = check_monotone_submodular(TableFunction(table=table, members=frozenset({"a", "b"})))
+    assert report.violations == ("not monotone: f({a, b}) - f({b}) = -1",)
+
+
 def test_negative_table_flagged():
     f = TableFunction(table={frozenset(): -1, frozenset({"a"}): 0}, members=frozenset({"a"}))
     report = check_monotone_submodular(f)

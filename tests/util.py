@@ -13,7 +13,7 @@ import random
 
 from gmk.core import GmkInstance, Mkc, McpStage, MultistageSolution, evaluate_objective
 from gmk.mkcp import pack_mkc
-from gmk.reduction import ReducedInstance
+from gmk.reduction import ReducedElement, ReducedInstance
 
 
 def dense_table(items, lo, hi, default=0, **overrides):
@@ -112,7 +112,10 @@ def naive_reduced_optimum(reduced: ReducedInstance):
     Returns (value, chosen tuple); ties resolved toward the lexicographically
     smallest schedule-mask tuple in item order by scanning in that order.
     """
-    groups = [sorted(reduced.groups[item], key=lambda e: e.mask) for item in reduced.items]
+    groups = [
+        [ReducedElement(item, mask) for mask in sorted(reduced.schedules[item])]
+        for item in reduced.items
+    ]
     best_value = None
     best_combo = None
     for combo in itertools.product(*groups):
