@@ -26,7 +26,7 @@ from .cutting import SchemeParams, solve_general_result
 from .errors import ContractViolationError, GmkError, InputError
 from .generators import GenParams, gen_from_2kp, gen_from_multidim_knapsack, gen_random, kp_from_dict
 from .intervals import to_intervals
-from .mkcp import solve_mkcp_exact, solve_mkcp_greedy
+from .mkcp import DEFAULT_PACK_BUDGET, solve_mkcp_exact, solve_mkcp_greedy
 from .oracle import brute_force_gmk
 from .reduction import DEFAULT_HORIZON_CAP, reduce_instance
 
@@ -141,30 +141,22 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _scheme_params(args) -> SchemeParams:
-    return SchemeParams(
-        epsilon=_parse_fraction(args.eps, "epsilon"),
-        phi=args.phi,
-        mu_inv=args.mu_inv,
-    )
-
-
 def _run_scheme(args, inst):
+    params = SchemeParams(epsilon=_parse_fraction(args.eps, "epsilon"), phi=args.phi, mu_inv=args.mu_inv)
     started = time.perf_counter()
     result = solve_general_result(
         inst,
-        _scheme_params(args),
+        params,
         args.sub_solver,
         horizon_cap=args.horizon_cap,
         enum_budget=args.budget,
         pack_budget=args.pack_budget,
     )
     elapsed = time.perf_counter() - started
-    return result, elapsed
+    return params, result, elapsed
 
 
-def _report_payload(args, inst, result, timings) -> dict:
-    params = _scheme_params(args)
+def _report_payload(args, params, inst, result, timings) -> dict:
     # the reported value is recomputed from the emitted solution, not copied
     value = evaluate_objective(inst, result.solution.sets)
     if value != result.value:
@@ -196,24 +188,24 @@ def _report_payload(args, inst, result, timings) -> dict:
 
 def cmd_solve(args) -> int:
     inst = ensure_valid(serialize.instance_from_dict(serialize.load_json(args.instance)))
-    result, elapsed = _run_scheme(args, inst)
+    params, result, elapsed = _run_scheme(args, inst)
     _emit(serialize.solution_to_dict(result.solution), args.out)
     if args.report:
-        _emit(_report_payload(args, inst, result, {"solve": elapsed}), args.report)
+        _emit(_report_payload(args, params, inst, result, {"solve": elapsed}), args.report)
     sys.stdout.write(f"value {result.value}\n")
     return 0
 
 
 def cmd_compare(args) -> int:
     inst = ensure_valid(serialize.instance_from_dict(serialize.load_json(args.instance)))
-    result, solve_elapsed = _run_scheme(args, inst)
+    params, result, solve_elapsed = _run_scheme(args, inst)
     started = time.perf_counter()
     oracle_sol = brute_force_gmk(inst, work_budget=args.budget)
     oracle_elapsed = time.perf_counter() - started
     oracle_value = evaluate_objective(inst, oracle_sol.sets)
 
     payload = _report_payload(
-        args, inst, result, {"solve": solve_elapsed, "oracle": oracle_elapsed}
+        args, params, inst, result, {"solve": solve_elapsed, "oracle": oracle_elapsed}
     )
     payload["oracle_value"] = oracle_value
     payload["ratio"] = (result.value / oracle_value) if oracle_value else None
@@ -222,12 +214,10 @@ def cmd_compare(args) -> int:
         raise ContractViolationError(
             f"scheme value {result.value} exceeds the oracle optimum {oracle_value}"
         )
-    if args.sub_solver == "exact":
-        eps = _parse_fraction(args.eps, "epsilon")
-        if Fraction(result.value) < (1 - eps) * oracle_value:
-            raise ContractViolationError(
-                f"scheme value {result.value} below (1 - {eps}) * {oracle_value}"
-            )
+    if args.sub_solver == "exact" and Fraction(result.value) < (1 - params.epsilon) * oracle_value:
+        raise ContractViolationError(
+            f"scheme value {result.value} below (1 - {params.epsilon}) * {oracle_value}"
+        )
     return 0
 
 
@@ -310,7 +300,8 @@ def _apply_env_defaults(args) -> None:
     if getattr(args, "budget", "absent") is None:
         args.budget = _env_int("BUDGET")
     if getattr(args, "pack_budget", "absent") is None:
-        args.pack_budget = _env_int("PACK_BUDGET")
+        env_pack = _env_int("PACK_BUDGET")
+        args.pack_budget = DEFAULT_PACK_BUDGET if env_pack is None else env_pack
     if getattr(args, "horizon_cap", "absent") is None:
         env_cap = _env_int("HORIZON_CAP")
         args.horizon_cap = DEFAULT_HORIZON_CAP if env_cap is None else env_cap

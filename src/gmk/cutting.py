@@ -1,11 +1,14 @@
 """Horizon cutting: shifted cut grids, windowed solves, recombination.
 
 For mu_inv shifted grids the horizon splits into windows of length at most
-``2 * mu_inv``. Each window is solved at bounded horizon through the
-reduction pipeline, window solutions concatenate into a full solution that
-is worth at least the sum of its parts (seam costs can only be saved, seam
-gains only added), and the best recombination over all shifts wins. Short
-horizons bypass the loop and solve directly at bounded horizon.
+``2 * mu_inv``, with one exception: interior cut points are capped at
+``T - mu_inv``, so for ``2 * mu_inv < T <= 3 * mu_inv - 2`` some shifts get
+no interior cut and their one window is the whole horizon (at mu_inv = 25,
+T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). Each window is
+solved at bounded horizon through the reduction pipeline, and the window
+solutions concatenate into a full solution worth at least the sum of its
+parts (seam costs can only be saved, seam gains only added). The best
+recombination over all shifts wins. Short horizons bypass the loop.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -34,7 +37,7 @@ from .core import (
     sub_instance,
 )
 from .errors import ContractViolationError, InputError
-from .mkcp import solve_mkcp_exact, solve_mkcp_greedy
+from .mkcp import DEFAULT_PACK_BUDGET, solve_mkcp_exact, solve_mkcp_greedy
 from .reduction import DEFAULT_HORIZON_CAP, reduce_instance
 from .reduction import lift_solution
 
@@ -167,12 +170,12 @@ def solve_bounded_horizon(
     *,
     horizon_cap: int = DEFAULT_HORIZON_CAP,
     enum_budget: int | None = None,
-    pack_budget: int | None = None,
+    pack_budget: int | None = DEFAULT_PACK_BUDGET,
 ) -> MultistageSolution:
     """Solve an instance or window through reduce, pack-solve, lift.
 
     With the exact sub-solver the result is an optimum of the (sub-)
-    instance; the greedy sub-solver trades that for scale.
+    instance; the greedy sub-solver trades that for scale under ``pack_budget``.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
@@ -182,8 +185,7 @@ def solve_bounded_horizon(
     if solver == "exact":
         rsol = solve_mkcp_exact(reduced, enum_budget=enum_budget)
     else:
-        kwargs = {} if pack_budget is None else {"pack_budget": pack_budget}
-        rsol = solve_mkcp_greedy(reduced, **kwargs)
+        rsol = solve_mkcp_greedy(reduced, pack_budget=pack_budget)
     return lift_solution(inst, rsol, reduced)
 
 
@@ -213,7 +215,7 @@ def solve_general_result(
     *,
     horizon_cap: int = DEFAULT_HORIZON_CAP,
     enum_budget: int | None = None,
-    pack_budget: int | None = None,
+    pack_budget: int | None = DEFAULT_PACK_BUDGET,
 ) -> SchemeResult:
     """Run the full scheme and keep per-shift details for reporting."""
     ensure_valid(inst)

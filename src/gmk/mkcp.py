@@ -2,7 +2,10 @@
 
 ``pack_assignment`` decides exactly whether a fixed element set fits a
 multiple knapsack constraint, by first-fit-decreasing and then exhaustive
-backtracking with symmetry breaking on equal remaining capacities.
+backtracking with symmetry breaking on equal remaining capacities. Every
+solver asks ``_PartialPacking.avail(k)`` for the stages where the k-th item
+still packs on top of its choices so far; a schedule packs exactly when
+its mask lies inside that mask.
 
 ``solve_mkcp_exact`` finds a maximum-value selection of one schedule per
 item. Every solver reads the reduced instance's per-item mask-to-value
@@ -11,16 +14,15 @@ hands to a submodular objective. For modular values the search runs on
 plain integers: per item, the mask and value of every schedule that
 survives a dominance prune (a subset schedule of at least equal value
 exists; safe, as weights shrink coordinatewise with the schedule) and a
-solo-pack filter, each with an int packer key and a touch list of
-(constraint, weight). One branch-and-bound pass walks each item's
-schedules in ascending mask order and records only strict improvements, so
-it returns the first optimum it reaches, the lexicographically smallest.
-Submodular objectives are searched in lexicographic order under a
-monotonicity upper bound. Both are exact and deterministic; an enumeration
-budget refuses oversized candidate spaces.
+solo-pack filter. One branch-and-bound pass walks each item's schedules
+inside ``avail`` in ascending mask order and records only strict
+improvements, so it returns the first optimum it reaches, the
+lexicographically smallest. Submodular objectives are searched in
+lexicographic order under a monotonicity upper bound. Both are exact and
+deterministic; an enumeration budget refuses oversized candidate spaces.
 
-``solve_mkcp_greedy`` fixes items one by one, always keeping every
-constraint packable within a node budget, and never fails: the empty
+``solve_mkcp_greedy`` gives each item in turn its best schedule inside
+``avail``, packing under a node budget, and never fails: the empty
 schedule weighs nothing everywhere.
 """
 
@@ -159,19 +161,20 @@ def pack_mkc(mkc: Mkc, chosen: Sequence[str] | frozenset[str], *, node_budget: i
 
 
 class _PartialPacking:
-    """Incremental packability of a growing chosen set.
+    """Incremental packability of a growing chosen set, stage by stage.
 
-    An element is an int packer key plus its touch list [(constraint index,
-    weight)] where it weighs anything, both from ``element``. Keys sort like
-    the ``ReducedElement`` (item, mask) they stand for, so a budgeted packer
-    search visits its nodes in the same order. Single-bin constraints are
-    decided additively; multi-bin ones go through cheap necessary conditions
-    before the exact packer runs.
+    Every reduced constraint belongs to one stage, so a schedule packs on
+    top of the pushed ones exactly when each of its stages accepts the item.
+    Packer keys are item ranks, which order the new entry against the pushed
+    ones as ``ReducedElement`` keys do, so a budgeted packer search visits
+    the same nodes. Single-bin constraints are decided additively; multi-bin
+    ones go through cheap necessary conditions before the exact packer.
     """
 
     def __init__(self, reduced: ReducedInstance, node_budget: int | None = None):
         self.constraints = reduced.constraints
         self.node_budget = node_budget
+        self.full = (1 << reduced.horizon) - 1
         self.single_cap: list[int | None] = []
         self.total_cap: list[int] = []
         self.max_cap: list[int] = []
@@ -190,44 +193,48 @@ class _PartialPacking:
                     row.append((ci, 1 << (rc.stage - 1), w))
             self.weights.append(row)
         rank = {item: r for r, item in enumerate(sorted(reduced.items))}
-        self.key_base = [rank[item] << reduced.horizon for item in reduced.items]
-        # pushed keys' weights, kept for multi-bin constraints only
+        self.rank = [rank[item] for item in reduced.items]
+        # pushed items' weights by rank, kept for multi-bin constraints only
         self.loads: list[dict[int, int]] = [{} for _ in reduced.constraints]
         self.load_sums: list[int] = [0] * len(reduced.constraints)
 
-    def element(self, k: int, mask: int) -> tuple[int, list[tuple[int, int]]]:
-        """Packer key and touch list of schedule ``mask`` of the k-th item."""
-        return self.key_base[k] | mask, [(ci, w) for ci, bit, w in self.weights[k] if mask & bit]
-
-    def can_push(self, key: int, touch: list[tuple[int, int]]) -> bool:
-        for ci, w in touch:
+    def avail(self, k: int) -> int:
+        """Mask of the stages where the k-th item still packs."""
+        avail = self.full
+        key = self.rank[k]
+        for ci, bit, w in self.weights[k]:
+            if not avail & bit:
+                continue
             loaded = self.load_sums[ci] + w
             cap = self.single_cap[ci]
             if cap is not None:
                 if loaded > cap:
-                    return False
+                    avail ^= bit
                 continue
             if loaded > self.total_cap[ci] or w > self.max_cap[ci]:
-                return False
+                avail ^= bit
+                continue
             rc = self.constraints[ci]
-            weights = dict(self.loads[ci])
-            weights[key] = w
-            result = pack_assignment(rc.bins, rc.capacities, weights, node_budget=self.node_budget)
-            if not result.packed:
-                return False
-        return True
+            weights = {**self.loads[ci], key: w}
+            if not pack_assignment(rc.bins, rc.capacities, weights, node_budget=self.node_budget).packed:
+                avail ^= bit
+        return avail
 
-    def push(self, key: int, touch: list[tuple[int, int]]) -> None:
-        for ci, w in touch:
-            self.load_sums[ci] += w
-            if self.single_cap[ci] is None:
-                self.loads[ci][key] = w
+    def push(self, k: int, mask: int) -> None:
+        key = self.rank[k]
+        for ci, bit, w in self.weights[k]:
+            if mask & bit:
+                self.load_sums[ci] += w
+                if self.single_cap[ci] is None:
+                    self.loads[ci][key] = w
 
-    def pop(self, key: int, touch: list[tuple[int, int]]) -> None:
-        for ci, w in touch:
-            self.load_sums[ci] -= w
-            if self.single_cap[ci] is None:
-                del self.loads[ci][key]
+    def pop(self, k: int, mask: int) -> None:
+        key = self.rank[k]
+        for ci, bit, w in self.weights[k]:
+            if mask & bit:
+                self.load_sums[ci] -= w
+                if self.single_cap[ci] is None:
+                    del self.loads[ci][key]
 
 
 def _build_assignments(reduced: ReducedInstance, chosen: frozenset[ReducedElement]):
@@ -321,13 +328,13 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
     n = len(items)
     horizon = reduced.horizon
     packing = _PartialPacking(reduced)
-    # per item: candidates (value, mask, packer key, touch list) in
-    # _kept_schedules order, and the subset-max table of their values
-    cand: list[list[tuple[int, int, int, list[tuple[int, int]]]]] = []
+    # per item: candidates (value, mask) in _kept_schedules order, and the
+    # subset-max table of their values
+    cand: list[list[tuple[int, int]]] = []
     fit: list[list[int]] = []
     for k in range(n):
         masks, vals = _kept_schedules(reduced, packing, k)
-        cand.append([(v, m, *packing.element(k, m)) for v, m in zip(vals.tolist(), masks.tolist())])
+        cand.append(list(zip(vals.tolist(), masks.tolist())))
         fit.append(_subset_max_table(horizon, masks, vals).tolist())
     suffix = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -336,14 +343,14 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
     # Load-aware completion bound. A joint completion packs each remaining
     # element together with the others, so per item the best schedule whose
     # stages all still accept the item's weight (in single-bin constraints;
-    # multi-bin ones are relaxed here and enforced by can_push) bounds its
+    # multi-bin ones are relaxed here and enforced by avail) bounds its
     # contribution. Subset-max tables make that a single lookup.
     single_cap = packing.single_cap
     stage_weights = [
         [(ci, ~bit, w) for ci, bit, w in row if single_cap[ci] is not None]
         for row in packing.weights
     ]
-    full_mask = (1 << horizon) - 1
+    full_mask = packing.full
     load_sums = packing.load_sums
 
     def completion_bound(k: int) -> int:
@@ -364,7 +371,7 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
     # greedy value keeps a tie with it recordable.
     by_mask = [sorted(group, key=lambda c: c[1]) for group in cand]
     best = _greedy_value(reduced, cand) - 1
-    can_push, push, pop = packing.can_push, packing.push, packing.pop
+    avail, push, pop = packing.avail, packing.push, packing.pop
     stack: list[int] = []
     chosen: list[ReducedElement] | None = None
 
@@ -378,15 +385,15 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
         if acc + completion_bound(k) <= best:
             return
         bound = suffix[k + 1]
-        for value, mask, key, touch in by_mask[k]:
-            if acc + value + bound <= best:
+        blocked = ~avail(k)
+        for value, mask in by_mask[k]:
+            if acc + value + bound <= best or mask & blocked:
                 continue
-            if can_push(key, touch):
-                push(key, touch)
-                stack.append(mask)
-                dfs(k + 1, acc + value)
-                stack.pop()
-                pop(key, touch)
+            push(k, mask)
+            stack.append(mask)
+            dfs(k + 1, acc + value)
+            stack.pop()
+            pop(k, mask)
 
     dfs(0, 0)
     if chosen is None:
@@ -398,10 +405,11 @@ def _greedy_value(reduced: ReducedInstance, cand) -> int:
     """Feasible lower bound: greedy over the pruned candidate lists."""
     packing = _PartialPacking(reduced)
     total = 0
-    for group in cand:
-        for value, _, key, touch in group:
-            if packing.can_push(key, touch):
-                packing.push(key, touch)
+    for k, group in enumerate(cand):
+        blocked = ~packing.avail(k)
+        for value, mask in group:
+            if not mask & blocked:
+                packing.push(k, mask)
                 total += value
                 break
     return total
@@ -418,7 +426,6 @@ def _exact_submodular(reduced: ReducedInstance) -> ReducedSolution:
         rest[k] = rest[k + 1] | frozenset(groups[k])
 
     packing = _PartialPacking(reduced)
-    packed = [[packing.element(k, e.mask) for e in group] for k, group in enumerate(groups)]
     stack: list[ReducedElement] = []
     best_value: int | None = None
     best_chosen: tuple[ReducedElement, ...] = ()
@@ -431,18 +438,20 @@ def _exact_submodular(reduced: ReducedInstance) -> ReducedSolution:
                 best_value = value
                 best_chosen = tuple(stack)
             return
-        for e, (key, touch) in zip(groups[k], packed[k]):
+        blocked = ~packing.avail(k)
+        for e in groups[k]:
+            if e.mask & blocked:
+                continue
             if best_value is not None:
                 # monotone bound: no completion beats the union of everything left
                 bound = objective.evaluate(frozenset(stack) | {e} | rest[k + 1])
                 if bound <= best_value:
                     continue
-            if packing.can_push(key, touch):
-                packing.push(key, touch)
-                stack.append(e)
-                dfs(k + 1)
-                stack.pop()
-                packing.pop(key, touch)
+            packing.push(k, e.mask)
+            stack.append(e)
+            dfs(k + 1)
+            stack.pop()
+            packing.pop(k, e.mask)
 
     dfs(0)
     return _finish(reduced, best_chosen)
@@ -453,30 +462,21 @@ def solve_mkcp_greedy(
 ) -> ReducedSolution:
     """Per item, the best marginal schedule that keeps everything packable.
 
-    Packing checks run under ``pack_budget`` nodes; an undecided check
-    counts as unpackable. Always returns a feasible solution worth at least
-    the all-empty-schedule one.
+    Packing checks run under ``pack_budget`` nodes (``None``: unbounded);
+    an undecided check counts as unpackable. Ties go to the smaller mask.
     """
     packing = _PartialPacking(reduced, node_budget=pack_budget)
     chosen: list[ReducedElement] = []
     objective = reduced.objective
     for k, item in enumerate(reduced.items):
         table = reduced.schedules[item]
+        blocked = ~packing.avail(k)
+        fits = [m for m in table if not m & blocked]
         if objective is None:
-            ranked = sorted(table, key=lambda m: (-table[m], m))
+            mask = min(fits, key=lambda m: (-table[m], m))
         else:
             current = frozenset(chosen)
-            base = objective.evaluate(current)
-            ranked = sorted(
-                table,
-                key=lambda m: (base - objective.evaluate(current | {ReducedElement(item, m)}), m),
-            )
-        for mask in ranked:
-            key, touch = packing.element(k, mask)
-            if packing.can_push(key, touch):
-                packing.push(key, touch)
-                chosen.append(ReducedElement(item, mask))
-                break
-        else:
-            raise ContractViolationError("the empty schedule must always pack")
+            mask = min(fits, key=lambda m: (-objective.evaluate(current | {ReducedElement(item, m)}), m))
+        packing.push(k, mask)
+        chosen.append(ReducedElement(item, mask))
     return _finish(reduced, chosen)

@@ -323,9 +323,9 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
 
     Masks lie within the horizon, the partition splits the elements into one
     group per item, each with the empty schedule, there is one constraint per
-    stage and index with nonnegative data, and the variant's ``values`` or
-    ``objective`` covers every element, each value or gain value below
-    ``VALUE_LIMIT``.
+    stage and index with nonnegative data, every stage profit is defined on
+    every item, and the variant's ``values`` or ``objective`` covers every
+    element, each value or gain value below ``VALUE_LIMIT``.
     """
     if not isinstance(raw, Mapping):
         raise InputError("reduced instance file must hold a JSON object")
@@ -382,6 +382,8 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
         raise InputError("constraints must be one per stage and index within horizon and dimension")
     if any(not rc.padding and not set(items) <= set(rc.item_weights) for rc in constraints):
         raise InputError("every unpadded constraint needs the weight of every item")
+    if stage_functions is not None and any(not set(items) <= f.base.ground for f in stage_functions):
+        raise InputError("every stage profit needs every item")
     if set(values) != element_set:
         raise InputError(f"{payload} must cover exactly the elements")
     if any(v >= VALUE_LIMIT for v in values.values()):

@@ -7,7 +7,9 @@ import pathlib
 
 import pytest
 
+from gmk import mkcp
 from gmk.cli import main
+from gmk.mkcp import DEFAULT_PACK_BUDGET
 from gmk.serialize import load_json
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -336,6 +338,31 @@ def test_env_var_horizon_cap(tmp_path, monkeypatch):
     assert run("reduce", "--in", inst, "--out", tmp_path / "r.json") == 3
     # an explicit flag wins over the environment
     assert run("reduce", "--in", inst, "--horizon-cap", 5, "--out", tmp_path / "r.json") == 0
+
+
+def test_greedy_commands_default_to_one_pack_budget(tmp_path, monkeypatch):
+    budgets = []
+
+    class Recording(mkcp._PartialPacking):
+        def __init__(self, reduced, node_budget=None):
+            budgets.append(node_budget)
+            super().__init__(reduced, node_budget)
+
+    monkeypatch.setattr(mkcp, "_PartialPacking", Recording)
+    monkeypatch.delenv("GMK_PACK_BUDGET", raising=False)
+    inst, reduced = tmp_path / "inst.json", tmp_path / "reduced.json"
+    assert run("gen", "--random", "--seed", 4, "--items", 2, "--horizon", 2, "--out", inst) == 0
+    assert run("reduce", "--in", inst, "--out", reduced) == 0
+    assert run("solve-mkcp", "--in", reduced, "--greedy", "--out", tmp_path / "r.json") == 0
+    assert run("solve", "--in", inst, "--eps", "0.2", "--phi", 9, "--sub-solver", "greedy",
+               "--out", tmp_path / "s.json") == 0
+    assert budgets == [DEFAULT_PACK_BUDGET, DEFAULT_PACK_BUDGET]
+    # the environment and the flag still override the default
+    monkeypatch.setenv("GMK_PACK_BUDGET", "3")
+    assert run("solve-mkcp", "--in", reduced, "--greedy", "--out", tmp_path / "r.json") == 0
+    assert run("solve-mkcp", "--in", reduced, "--greedy", "--pack-budget", 7,
+               "--out", tmp_path / "r.json") == 0
+    assert budgets[2:] == [3, 7]
 
 
 def test_report_records_combine_bonus(tmp_path):

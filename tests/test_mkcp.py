@@ -340,14 +340,21 @@ def _loop_dominance_prune(reduced, table):
     return keep
 
 
+def _packs_alone(reduced, element):
+    """Reference: the element packs by itself in every reduced constraint."""
+    return all(
+        pack_assignment(rc.bins, rc.capacities, {element: rc.weight_of(element)}).packed
+        for rc in reduced.constraints
+    )
+
+
 def _reference_kept(reduced, dropped):
-    """Reference: loop prune, then a can_push on an empty packing per schedule."""
-    packing = _PartialPacking(reduced)
+    """Reference: loop prune, then a from-scratch packing of each schedule alone."""
     out = []
-    for k, item in enumerate(reduced.items):
+    for item in reduced.items:
         table = reduced.schedules[item]
         pruned = _loop_dominance_prune(reduced, table)
-        kept = [m for m in pruned if m == 0 or packing.can_push(*packing.element(k, m))]
+        kept = [m for m in pruned if m == 0 or _packs_alone(reduced, ReducedElement(item, m))]
         dropped["dominated"] += len(table) - len(pruned)
         dropped["unpackable"] += len(pruned) - len(kept)
         kept.sort(key=lambda m: (-table[m], m))
@@ -386,3 +393,50 @@ def test_kept_schedules_match_loop_prune_and_solo_filter():
                 assert kept == _reference_kept(candidate, dropped)
     # both rules fire on this corpus
     assert dropped["dominated"] > 0 and dropped["unpackable"] > 0
+
+
+def _packs_with(reduced, loaded, new, budget):
+    """Reference: ``new`` on top of ``loaded`` packs every constraint it weighs in."""
+    return all(
+        pack_assignment(
+            rc.bins, rc.capacities, {e: rc.weight_of(e) for e in loaded + [new]}, node_budget=budget
+        ).packed
+        for rc in reduced.constraints
+        if rc.weight_of(new) > 0
+    )
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, None])
+def test_avail_matches_packing_every_touched_constraint(budget):
+    """mask inside avail(k) exactly when each touched constraint packs from scratch."""
+    params = GenParams(
+        items=6, horizon=3, dimension=2, bins_per_mkc=3, weight_range=(2, 7), capacity_range=(4, 10),
+    )
+    rng = random.Random(0)
+    fits = [0, 0]
+    undecided = 0
+    for seed in range(6):
+        reduced = reduce_modular(gen_random(params, seed))
+        items, horizon = reduced.items, reduced.horizon
+        for _ in range(8):
+            # a random partial packing: items in random order, each with a
+            # random schedule that packs on top of the earlier ones
+            order = rng.sample(range(len(items)), len(items))
+            k = order.pop()
+            packing = _PartialPacking(reduced, node_budget=budget)
+            loaded = []
+            for j in order:
+                e = ReducedElement(items[j], rng.randrange(1 << horizon))
+                if _packs_with(reduced, loaded, e, None):
+                    packing.push(j, e.mask)
+                    loaded.append(e)
+            avail = packing.avail(k)
+            for mask in range(1 << horizon):
+                new = ReducedElement(items[k], mask)
+                packs = _packs_with(reduced, loaded, new, budget)
+                assert (mask & ~avail == 0) == packs, (seed, k, loaded, mask)
+                fits[packs] += 1
+                undecided += packs != _packs_with(reduced, loaded, new, None)
+    # the corpus reaches both answers, and every finite budget leaves some packing undecided
+    assert fits[0] > 0 and fits[1] > 0
+    assert (undecided > 0) == (budget is not None)

@@ -120,6 +120,16 @@ def test_reduced_round_trip_submodular():
     assert again.value_of(chosen) == reduced.value_of(chosen)
 
 
+@pytest.mark.parametrize("profit", [{"kind": "coverage", "universe": {"u1": 3}}, {"kind": "modular"}])
+def test_reduced_stage_profit_missing_an_item_rejected(profit):
+    inst = instance_from_dict(json.loads((DOCS / "submodular_micro.json").read_text()))
+    raw = reduced_to_dict(reduce_instance(inst))
+    raw["objective"]["stage_profits"][0] = profit
+    # the solvers would evaluate the profit on every item and fail with a KeyError
+    with pytest.raises(InputError, match="every item"):
+        reduced_from_dict(raw)
+
+
 def test_reduced_solution_round_trip():
     inst = gen_random(GenParams(items=3, horizon=2, dimension=2), 6)
     reduced = reduce_instance(inst)
