@@ -296,15 +296,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# per limit: argument name, environment variable without the prefix, default
+_LIMITS = (
+    ("budget", "BUDGET", None),
+    ("pack_budget", "PACK_BUDGET", DEFAULT_PACK_BUDGET),
+    ("horizon_cap", "HORIZON_CAP", DEFAULT_HORIZON_CAP),
+)
+
+
 def _apply_env_defaults(args) -> None:
-    if getattr(args, "budget", "absent") is None:
-        args.budget = _env_int("BUDGET")
-    if getattr(args, "pack_budget", "absent") is None:
-        env_pack = _env_int("PACK_BUDGET")
-        args.pack_budget = DEFAULT_PACK_BUDGET if env_pack is None else env_pack
-    if getattr(args, "horizon_cap", "absent") is None:
-        env_cap = _env_int("HORIZON_CAP")
-        args.horizon_cap = DEFAULT_HORIZON_CAP if env_cap is None else env_cap
+    """Fill each absent limit from the environment, then its default.
+
+    A negative limit, from a flag or the environment, is an input error.
+    """
+    for name, env, default in _LIMITS:
+        if not hasattr(args, name):
+            continue
+        value, source = getattr(args, name), "--" + name.replace("_", "-")
+        if value is None:
+            value, source = _env_int(env), ENV_PREFIX + env
+        if value is None:
+            value = default
+        elif value < 0:
+            raise InputError(f"{source} must be nonnegative, got {value}")
+        setattr(args, name, value)
 
 
 def main(argv=None) -> int:

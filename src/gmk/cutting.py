@@ -5,10 +5,13 @@ For mu_inv shifted grids the horizon splits into windows of length at most
 ``T - mu_inv``, so for ``2 * mu_inv < T <= 3 * mu_inv - 2`` some shifts get
 no interior cut and their one window is the whole horizon (at mu_inv = 25,
 T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). Each window is
-solved at bounded horizon through the reduction pipeline, and the window
-solutions concatenate into a full solution worth at least the sum of its
-parts (seam costs can only be saved, seam gains only added). The best
-recombination over all shifts wins. Short horizons bypass the loop.
+solved at bounded horizon: reduced, solved exactly or greedily, and lifted
+back. An exact window is solved by a stage DP over packable item sets
+whenever its worst case is the smaller one, and by the reduced branch and
+bound otherwise. The window solutions concatenate into a full solution
+worth at least the sum of its parts (seam costs can only be saved, seam
+gains only added). The best recombination over all shifts wins. Short
+horizons bypass the loop.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .core import (
@@ -37,8 +41,15 @@ from .core import (
     sub_instance,
 )
 from .errors import ContractViolationError, InputError
-from .mkcp import DEFAULT_PACK_BUDGET, solve_mkcp_exact, solve_mkcp_greedy
-from .reduction import DEFAULT_HORIZON_CAP, reduce_instance
+from .mkcp import (
+    DEFAULT_PACK_BUDGET,
+    _finish,
+    candidate_space,
+    solve_mkcp_exact,
+    solve_mkcp_greedy,
+)
+from .oracle import _packable_rows, _transition_columns
+from .reduction import DEFAULT_HORIZON_CAP, ReducedElement, reduce_instance
 from .reduction import lift_solution
 
 SOLVER_CHOICES = ("exact", "greedy")
@@ -164,6 +175,67 @@ def combine_cut_solutions(
     return combined
 
 
+def stage_dp_masks(inst: GmkInstance) -> tuple[int, ...]:
+    """Per item, the schedule mask of the exact search's answer, in one DP pass.
+
+    The exact search returns a maximum value and, among maxima, the
+    lexicographically smallest tuple of schedule masks in item order: the
+    smallest ``M = sum_k mask_k * 2**(T*(n-1-k))``. ``M`` adds one term per
+    (item, stage) bit, so the oracle's stage DP over packable item sets
+    finds that answer when it maximizes ``value * 2**(n*T) - M``: item k
+    packed at stage t subtracts ``2**(T*(n-1-k) + t-1)``. Distinct set
+    sequences have distinct ``M``, so no two of them tie.
+    """
+    items, horizon = inst.items, inst.horizon
+    n = len(items)
+    size = 1 << n
+    scale = 1 << n * horizon
+    members = [frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(size)]
+    # lex[m]: the M of set m packed at stage 1 alone; stage t shifts it left by t - 1
+    lex = [sum(1 << horizon * (n - 1 - k) for k in range(n) if m >> k & 1) for m in range(size)]
+    profits = [[inst.stage_profit(t, s) for s in members] for t in range(1, horizon + 1)]
+    if inst.variant == MODULAR:
+        # stage 1 pays the entry cost of every packed item, stage T its exit cost
+        for m, s in enumerate(members):
+            profits[0][m] -= sum(inst.cost_plus[i, 1] for i in s)
+            profits[-1][m] -= sum(inst.cost_minus[i, horizon] for i in s)
+    terms = [
+        [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in enumerate(profits)
+    ]
+
+    # No partial value nor transition term exceeds ``span`` in absolute
+    # value and ``M < scale``, so an unreachable predecessor (``floor`` plus
+    # a term) loses to every reachable one.
+    span = sum(abs(p) for row in profits for p in row) + sum(
+        abs(v)
+        for table in (inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus)
+        for v in table.values()
+    )
+    floor = -(3 * span + 2) * scale
+    packable = _packable_rows(inst)
+    best = [term if ok else floor for term, ok in zip(terms[0], packable[0])]
+    parents: list[list[int]] = []
+    for t in range(2, horizon + 1):
+        cols = [[v * scale for v in col] for col in _transition_columns(inst, t)]
+        nxt = [floor] * size
+        parent = [0] * size
+        for cur in range(size):
+            if not packable[t - 1][cur]:
+                continue
+            cand = list(map(add, best, cols[cur]))
+            top = max(cand)
+            nxt[cur] = top + terms[t - 1][cur]
+            parent[cur] = cand.index(top)
+        parents.append(parent)
+        best = nxt
+
+    sets = [best.index(max(best))]
+    for parent in reversed(parents):
+        sets.append(parent[sets[-1]])
+    sets.reverse()
+    return tuple(sum((m >> k & 1) << t for t, m in enumerate(sets)) for k in range(n))
+
+
 def solve_bounded_horizon(
     target: GmkInstance | SubInstanceView,
     solver: str = "exact",
@@ -175,17 +247,25 @@ def solve_bounded_horizon(
     """Solve an instance or window through reduce, pack-solve, lift.
 
     With the exact sub-solver the result is an optimum of the (sub-)
-    instance; the greedy sub-solver trades that for scale under ``pack_budget``.
+    instance, the one ``solve_mkcp_exact`` picks on the reduction. After the
+    horizon cap and the candidate-space budget, the stage DP of
+    ``stage_dp_masks`` finds it whenever its worst case, ``T * 4**|I|``
+    transitions, is at most the candidate space, the search's own worst
+    case; otherwise branch and bound does. The greedy sub-solver trades
+    optimality for scale under ``pack_budget``. Every route packs, verifies
+    and lifts its choice through the same checks.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
     inst = target.materialize() if isinstance(target, SubInstanceView) else target
     ensure_valid(inst)
     reduced = reduce_instance(inst, horizon_cap=horizon_cap)
-    if solver == "exact":
-        rsol = solve_mkcp_exact(reduced, enum_budget=enum_budget)
-    else:
+    if solver == "greedy":
         rsol = solve_mkcp_greedy(reduced, pack_budget=pack_budget)
+    elif inst.horizon * 4 ** len(inst.items) <= candidate_space(reduced, enum_budget):
+        rsol = _finish(reduced, list(map(ReducedElement, inst.items, stage_dp_masks(inst))))
+    else:
+        rsol = solve_mkcp_exact(reduced, enum_budget=enum_budget)
     return lift_solution(inst, rsol, reduced)
 
 
@@ -299,4 +379,5 @@ __all__ = [
     "combine_cut_solutions",
     "solve_bounded_horizon",
     "solve_general_result",
+    "stage_dp_masks",
 ]

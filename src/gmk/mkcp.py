@@ -20,6 +20,10 @@ improvements, so it returns the first optimum it reaches, the
 lexicographically smallest. Submodular objectives are searched in
 lexicographic order under a monotonicity upper bound. Both are exact and
 deterministic; an enumeration budget refuses oversized candidate spaces.
+The branch and bound serves ``gmk solve-mkcp``, whose reduced file may
+carry arbitrary per-mask values, and the exact windows whose candidate
+space is smaller than the stage DP's worst case; ``cutting`` solves the
+other exact windows by that DP, with the same answer.
 
 ``solve_mkcp_greedy`` gives each item in turn its best schedule inside
 ``avail``, packing under a node budget, and never fails: the empty
@@ -303,11 +307,11 @@ def _kept_schedules(reduced: ReducedInstance, packing: _PartialPacking, k: int) 
     return masks[keep][order], vals[keep][order]
 
 
-def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None) -> ReducedSolution:
-    """Maximum-value feasible selection, ties broken lexicographically.
+def candidate_space(reduced: ReducedInstance, enum_budget: int | None = None) -> int:
+    """Product over items of one plus the kept schedule count.
 
-    The tie-break is over the tuple of chosen schedule masks in item order.
-    Refuses candidate spaces larger than the enumeration budget.
+    Raises ``BudgetExceededError`` once the product passes the enumeration
+    budget, so no exact route starts on an oversized candidate space.
     """
     budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
     space = 1
@@ -318,6 +322,16 @@ def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None
                 f"exact solve refused: candidate space exceeds budget {budget}; "
                 f"use solve_mkcp_greedy or raise the budget"
             )
+    return space
+
+
+def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None) -> ReducedSolution:
+    """Maximum-value feasible selection, ties broken lexicographically.
+
+    The tie-break is over the tuple of chosen schedule masks in item order.
+    Refuses candidate spaces larger than the enumeration budget.
+    """
+    candidate_space(reduced, enum_budget)
     if reduced.variant == MODULAR:
         return _exact_modular(reduced)
     return _exact_submodular(reduced)

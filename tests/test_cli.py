@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -9,8 +10,9 @@ import pytest
 
 from gmk import mkcp
 from gmk.cli import main
+from gmk.generators import GenParams, gen_random
 from gmk.mkcp import DEFAULT_PACK_BUDGET
-from gmk.serialize import load_json
+from gmk.serialize import canonical_dumps, instance_to_dict, load_json, write_json
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -340,6 +342,30 @@ def test_env_var_horizon_cap(tmp_path, monkeypatch):
     assert run("reduce", "--in", inst, "--horizon-cap", 5, "--out", tmp_path / "r.json") == 0
 
 
+@pytest.mark.parametrize("flag", ["budget", "pack-budget", "horizon-cap"])
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_negative_limit_exits_2(tmp_path, capsys, monkeypatch, flag, via_env):
+    env = "GMK_" + flag.upper().replace("-", "_")
+    for name in ("GMK_BUDGET", "GMK_PACK_BUDGET", "GMK_HORIZON_CAP"):
+        monkeypatch.delenv(name, raising=False)
+    args = ("solve", "--in", DOCS / "modular_micro.json", *SCHEME, "--out", tmp_path / "s.json")
+
+    def attempt(value):
+        if via_env:
+            monkeypatch.setenv(env, str(value))
+            return run(*args)
+        return run(*args, "--" + flag, value)
+
+    capsys.readouterr()
+    assert attempt(-1) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "InputError"
+    assert (env if via_env else "--" + flag) in error["message"]
+    # zero is a limit like any other: it may refuse work, never the input
+    attempt(0)
+    assert "InputError" not in capsys.readouterr().err
+
+
 def test_greedy_commands_default_to_one_pack_budget(tmp_path, monkeypatch):
     budgets = []
 
@@ -392,3 +418,61 @@ def test_validate_solution_reports_intervals(tmp_path, capsys):
     assert run("validate", inst, "--solution", sol) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["intervals"] == [["cam", 1, 2], ["log", 1, 2]]
+
+
+# sha256 of each seed's `solve --sub-solver exact` solution bytes followed by
+# its `compare --mu-inv 2` report without `timings_sec`, recorded while every
+# exact window was still solved by branch and bound over the reduction
+GOLDEN_SCHEME = {
+    "two_bin_d2_t6": (
+        GenParams(items=3, horizon=6, dimension=2, bins_per_mkc=2, capacity_range=(3, 8),
+                  target_phi=1),
+        [
+            "88c19870a1557f528f76764cfe1c9a4e56d6b30146e42ad6704a257058874dcc",
+            "acae392e3d29fa724b605154deb7542ec02b8b33f97f18b7aba6173a3e7999f8",
+            "c5402bf20bb7430fe5564a34e772e6169f33393b44dee790600e92ae75941fec",
+            "19e659970fce61ed5b03023e4852176d58ae5b8068f1c02f7036680f591de691",
+            "0ebac1de58f03e1a9fa3fdcb246c533e96c540d876ff6b5e096bc06a10bae1b3",
+            "a577fa4c1deebaf43317a505c7e80604494699a5a7c5709f5f5969ea431d1050",
+        ],
+    ),
+    "tie_heavy_t5": (
+        GenParams(items=4, horizon=5, weight_range=(0, 2), capacity_range=(1, 3),
+                  profit_range=(0, 1), gain_range=(0, 1), cost_range=(0, 1), target_phi=1),
+        [
+            "7d9aab7c7cbe45bf8df7d9e942438734882aafa9e70c0b00660ebb3390188de4",
+            "90a18550cb4ddae8c4d24731b42262cdf2ec452890bfa42172d30f24c6d47939",
+            "478d0ddeca4edaa635a19677a8bedc264a83388344b71861647eb5a65f340288",
+            "bb4c8a84950d5a8ca897b44f1f39fe6a3479e6b860ebd52d4759333d73308d7b",
+            "2a17bdaa6ffa5683529f3c64b4e3ea887b50ea4bddbc31c607dd7e8aa41ecce2",
+            "326a006471e71ae6fdae5290146d80e7b3b06b4f056b28e1ef06ed99e1978d94",
+        ],
+    ),
+    "submodular_d2_t5": (
+        GenParams(items=3, horizon=5, dimension=2, bins_per_mkc=2, variant="submodular"),
+        [
+            "1de1b363f0b35c92248695a6b05f7a5225743b01fc2e9ecec5168fb0bdfc1901",
+            "1296647b8dc7af76446d43905b65cd6b019c8fa6c03fc4d23c2a2c6d1df19ef5",
+            "8d779f1e1c5f3b5cc10cbe0d25f4a782fa7de9319070654f2cf5746bd7681d01",
+            "d80f65c005e546a116d133a7797c86f5bd0d7f7b4b0cc01c1f10e24c41f03783",
+            "4c9a964682c604a84de00c9f2e75b4d05b6c13a17562a50bf137c2d45af81ad0",
+            "d75a9c855ad2e8e64131634511066fed684f882a1ded8fa3a10d38cbfb5a3d1a",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SCHEME))
+def test_exact_scheme_golden_digests(tmp_path, shape):
+    params, digests = GOLDEN_SCHEME[shape]
+    inst, sol, report = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "report.json"
+    common = ("--in", inst, "--eps", "0.2", "--phi", 1, "--budget", 10**15)
+    got = []
+    for seed in range(6):
+        write_json(inst, instance_to_dict(gen_random(params, seed)))
+        assert run("solve", *common, "--sub-solver", "exact", "--out", sol) == 0
+        assert run("compare", *common, "--mu-inv", 2, "--report", report) == 0
+        payload = load_json(report)
+        del payload["timings_sec"]
+        got.append(hashlib.sha256(sol.read_bytes() + canonical_dumps(payload).encode()).hexdigest())
+    assert got == digests

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from gmk import cutting
 from gmk.core import (
     MultistageSolution,
     evaluate_objective,
@@ -21,10 +23,13 @@ from gmk.cutting import (
     cut_points,
     solve_bounded_horizon,
     solve_general_result,
+    stage_dp_masks,
 )
-from gmk.errors import InputError
+from gmk.errors import BudgetExceededError, InputError
 from gmk.generators import GenParams, gen_random
+from gmk.mkcp import candidate_space, solve_mkcp_exact
 from gmk.oracle import brute_force_gmk
+from gmk.reduction import reduce_instance
 from gmk.serialize import canonical_dumps, solution_to_dict
 
 from util import (
@@ -278,3 +283,110 @@ def test_general_greedy_subsolver_feasible():
         result = solve_general_result(inst, params, "greedy")
         opt = evaluate_objective(inst, brute_force_gmk(inst).sets)
         assert result.value <= opt
+
+
+# shapes on which the stage DP must pick the exact search's masks
+DP_SHAPES = {
+    "criterion5_t8": GenParams(
+        items=3, horizon=8, weight_range=(1, 4), capacity_range=(3, 7),
+        profit_range=(1, 5), gain_range=(0, 2), cost_range=(1, 1), target_phi=1,
+    ),
+    "two_bin_d2": GenParams(items=3, horizon=6, dimension=2, bins_per_mkc=2),
+    "three_bin_d2": GenParams(
+        items=4, horizon=5, dimension=2, bins_per_mkc=3, weight_range=(1, 6),
+        capacity_range=(2, 8),
+    ),
+    "tie_heavy": GenParams(
+        items=4, horizon=5, weight_range=(0, 2), capacity_range=(1, 3),
+        profit_range=(0, 1), gain_range=(0, 1), cost_range=(0, 1),
+    ),
+    "submodular": GenParams(items=3, horizon=4, variant="submodular"),
+    "submodular_two_bin_d2": GenParams(
+        items=3, horizon=4, dimension=2, bins_per_mkc=2, gain_range=(0, 1),
+        variant="submodular",
+    ),
+}
+
+
+def _search_masks(inst):
+    rsol = solve_mkcp_exact(reduce_instance(inst), enum_budget=10**15)
+    mask = {e.item: e.mask for e in rsol.chosen}
+    return tuple(mask[i] for i in inst.items)
+
+
+@pytest.mark.parametrize("shape", sorted(DP_SHAPES))
+def test_stage_dp_masks_equal_exact_search_masks(shape):
+    for seed in range(12):
+        inst = gen_random(DP_SHAPES[shape], seed)
+        window = sub_instance(inst, 2, inst.horizon - 1).materialize()
+        for target in (inst, window):
+            assert stage_dp_masks(target) == _search_masks(target), seed
+
+
+def _all_schedules_negative():
+    """Six items whose every non-empty schedule costs more than it earns."""
+    params = GenParams(items=6, horizon=3, profit_range=(0, 0), gain_range=(0, 0), cost_range=(1, 1))
+    return gen_random(params, 0)
+
+
+def _recording(calls, name):
+    real = getattr(cutting, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    return recorded
+
+
+def test_exact_route_follows_the_worst_case_rule(monkeypatch):
+    # each item keeps only its empty schedule: a candidate space of 2**6
+    # against 3 * 4**6 DP transitions sends the solve to branch and bound
+    negative = _all_schedules_negative()
+    plain = gen_random(DP_SHAPES["two_bin_d2"], 0)
+    assert candidate_space(reduce_instance(negative)) == 2**6
+    assert candidate_space(reduce_instance(plain)) > plain.horizon * 4**3
+    calls = []
+    for name in ("solve_mkcp_exact", "stage_dp_masks"):
+        monkeypatch.setattr(cutting, name, _recording(calls, name))
+    for inst, route in ((negative, "solve_mkcp_exact"), (plain, "stage_dp_masks")):
+        calls.clear()
+        sol = solve_bounded_horizon(inst, "exact")
+        assert calls == [route]
+        assert evaluate_objective(inst, sol.sets) == evaluate_objective(
+            inst, brute_force_gmk(inst).sets
+        )
+
+
+def test_exact_routes_refuse_by_the_candidate_space():
+    for inst in (_all_schedules_negative(), gen_random(DP_SHAPES["two_bin_d2"], 0)):
+        space = candidate_space(reduce_instance(inst))
+        with pytest.raises(BudgetExceededError, match="candidate space exceeds budget"):
+            solve_bounded_horizon(inst, "exact", enum_budget=space - 1)
+        solve_bounded_horizon(inst, "exact", enum_budget=space)
+        with pytest.raises(BudgetExceededError, match="horizon"):
+            solve_bounded_horizon(inst, "exact", horizon_cap=inst.horizon - 1)
+
+
+@pytest.mark.parametrize("shape", ["two_bin_d2", "three_bin_d2", "submodular_two_bin_d2"])
+def test_exact_scheme_matches_oracle_beyond_one_bin(shape):
+    params = DP_SHAPES[shape]
+    if params.variant == "modular":
+        params = dataclasses.replace(params, target_phi=1)
+    bypass = SchemeParams(Fraction(1, 5), 1)
+    # the largest grid count whose loop still cuts the horizon
+    cutting_loop = SchemeParams(Fraction(1, 5), 1, mu_inv=(params.horizon - 1) // 2)
+    budget = dict(enum_budget=10**15)
+    for seed in range(8):
+        inst = gen_random(params, seed)
+        opt = evaluate_objective(inst, brute_force_gmk(inst).sets)
+        assert evaluate_objective(inst, solve_bounded_horizon(inst, "exact", **budget).sets) == opt
+        result = solve_general_result(inst, bypass, "exact", **budget)
+        assert result.bypassed and result.value == opt
+        result = solve_general_result(inst, cutting_loop, "exact", **budget)
+        assert not result.bypassed and result.value <= opt
+        for it in result.iterations:
+            windows = CutPointSet(it.cut_points).windows()
+            for (lo, hi), value in zip(windows, it.window_values):
+                local = sub_instance(inst, lo, hi).materialize()
+                assert value == evaluate_objective(local, brute_force_gmk(local).sets)
