@@ -7,11 +7,11 @@ no interior cut and their one window is the whole horizon (at mu_inv = 25,
 T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). Each window is
 solved at bounded horizon: reduced, solved exactly or greedily, and lifted
 back. An exact window is solved by a stage DP over packable item sets
-whenever its worst case is the smaller one, and by the reduced branch and
-bound otherwise. The window solutions concatenate into a full solution
-worth at least the sum of its parts (seam costs can only be saved, seam
-gains only added). The best recombination over all shifts wins. Short
-horizons bypass the loop.
+whenever its worst case is the smaller one and within the oracle's work
+bound, and by the reduced branch and bound otherwise. The window
+solutions concatenate into a full solution worth at least the sum of its
+parts (seam costs can only be saved, seam gains only added). The best
+recombination over all shifts wins. Short horizons bypass the loop.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -43,12 +43,12 @@ from .core import (
 from .errors import ContractViolationError, InputError
 from .mkcp import (
     DEFAULT_PACK_BUDGET,
-    _finish,
+    finish_selection,
     candidate_space,
     solve_mkcp_exact,
     solve_mkcp_greedy,
 )
-from .oracle import _packable_rows, _transition_columns
+from .oracle import DEFAULT_ORACLE_BUDGET, packable_rows, transition_columns
 from .reduction import DEFAULT_HORIZON_CAP, ReducedElement, reduce_instance
 from .reduction import lift_solution
 
@@ -212,11 +212,11 @@ def stage_dp_masks(inst: GmkInstance) -> tuple[int, ...]:
         for v in table.values()
     )
     floor = -(3 * span + 2) * scale
-    packable = _packable_rows(inst)
+    packable = packable_rows(inst)
     best = [term if ok else floor for term, ok in zip(terms[0], packable[0])]
     parents: list[list[int]] = []
     for t in range(2, horizon + 1):
-        cols = [[v * scale for v in col] for col in _transition_columns(inst, t)]
+        cols = [[v * scale for v in col] for col in transition_columns(inst, t)]
         nxt = [floor] * size
         parent = [0] * size
         for cur in range(size):
@@ -250,10 +250,12 @@ def solve_bounded_horizon(
     instance, the one ``solve_mkcp_exact`` picks on the reduction. After the
     horizon cap and the candidate-space budget, the stage DP of
     ``stage_dp_masks`` finds it whenever its worst case, ``T * 4**|I|``
-    transitions, is at most the candidate space, the search's own worst
-    case; otherwise branch and bound does. The greedy sub-solver trades
-    optimality for scale under ``pack_budget``. Every route packs, verifies
-    and lifts its choice through the same checks.
+    transitions, is at most both the candidate space, the search's own worst
+    case, and ``DEFAULT_ORACLE_BUDGET``, which bounds the DP's tables
+    whatever the enumeration budget; otherwise branch and bound does. The
+    greedy sub-solver trades optimality for scale under ``pack_budget``.
+    Every route packs, verifies and lifts its choice through the same
+    checks.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
@@ -262,8 +264,11 @@ def solve_bounded_horizon(
     reduced = reduce_instance(inst, horizon_cap=horizon_cap)
     if solver == "greedy":
         rsol = solve_mkcp_greedy(reduced, pack_budget=pack_budget)
-    elif inst.horizon * 4 ** len(inst.items) <= candidate_space(reduced, enum_budget):
-        rsol = _finish(reduced, list(map(ReducedElement, inst.items, stage_dp_masks(inst))))
+    elif inst.horizon * 4 ** len(inst.items) <= min(
+        candidate_space(reduced, enum_budget), DEFAULT_ORACLE_BUDGET
+    ):
+        chosen = list(map(ReducedElement, inst.items, stage_dp_masks(inst)))
+        rsol = finish_selection(reduced, chosen)
     else:
         rsol = solve_mkcp_exact(reduced, enum_budget=enum_budget)
     return lift_solution(inst, rsol, reduced)

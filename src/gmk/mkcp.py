@@ -22,8 +22,9 @@ lexicographic order under a monotonicity upper bound. Both are exact and
 deterministic; an enumeration budget refuses oversized candidate spaces.
 The branch and bound serves ``gmk solve-mkcp``, whose reduced file may
 carry arbitrary per-mask values, and the exact windows whose candidate
-space is smaller than the stage DP's worst case; ``cutting`` solves the
-other exact windows by that DP, with the same answer.
+space is smaller than the stage DP's worst case or whose DP would pass the
+oracle's work bound; ``cutting`` solves the other exact windows by that
+DP, with the same answer.
 
 ``solve_mkcp_greedy`` gives each item in turn its best schedule inside
 ``avail``, packing under a node budget, and never fails: the empty
@@ -254,7 +255,8 @@ def _build_assignments(reduced: ReducedInstance, chosen: frozenset[ReducedElemen
     return assignments
 
 
-def _finish(reduced: ReducedInstance, chosen: Sequence[ReducedElement]) -> ReducedSolution:
+def finish_selection(reduced: ReducedInstance, chosen: Sequence[ReducedElement]) -> ReducedSolution:
+    """Pack and verify one schedule per item; every exact and greedy route ends here."""
     chosen_set = frozenset(chosen)
     rsol = ReducedSolution(chosen=chosen_set, assignments=_build_assignments(reduced, chosen_set))
     violations = verify_reduced_solution(reduced, rsol)
@@ -412,7 +414,7 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
     dfs(0, 0)
     if chosen is None:
         raise ContractViolationError("exact search recorded no solution")
-    return _finish(reduced, chosen)
+    return finish_selection(reduced, chosen)
 
 
 def _greedy_value(reduced: ReducedInstance, cand) -> int:
@@ -468,7 +470,7 @@ def _exact_submodular(reduced: ReducedInstance) -> ReducedSolution:
             packing.pop(k, e.mask)
 
     dfs(0)
-    return _finish(reduced, best_chosen)
+    return finish_selection(reduced, best_chosen)
 
 
 def solve_mkcp_greedy(
@@ -493,4 +495,4 @@ def solve_mkcp_greedy(
             mask = min(fits, key=lambda m: (-objective.evaluate(current | {ReducedElement(item, m)}), m))
         packing.push(k, mask)
         chosen.append(ReducedElement(item, mask))
-    return _finish(reduced, chosen)
+    return finish_selection(reduced, chosen)

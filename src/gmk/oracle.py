@@ -16,7 +16,11 @@ is, and the exact packer decides only the subsets with no such superset.
 The DP runs on plain Python ints, so it is exact at any magnitude, and it
 keeps its own encoding of the objective's terms, independent of the
 reduction's, because it is the reference the exact solvers are tested
-against.
+against. ``packable_rows`` and ``transition_columns`` are shared with
+``cutting.stage_dp_masks``, so an error in them would show in that DP and
+in this reference alike; the test that the DP picks the masks of the
+reduced branch and bound, which encodes the objective independently,
+catches it there.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .mkcp import pack_mkc
 DEFAULT_ORACLE_BUDGET = 10**6
 
 
-def _packable_rows(inst: GmkInstance) -> list[list[bool]]:
+def packable_rows(inst: GmkInstance) -> list[list[bool]]:
     """rows[t-1][m]: the subset with bit k set for items[k] packs at stage t.
 
     Masks are scanned in descending order, so every one-item superset of a
@@ -55,7 +59,7 @@ def _packable_rows(inst: GmkInstance) -> list[list[bool]]:
     return rows
 
 
-def _transition_columns(inst: GmkInstance, t: int) -> list[list[int]]:
+def transition_columns(inst: GmkInstance, t: int) -> list[list[int]]:
     """cols[cur][prev]: coupling terms at the boundary between stages t-1 and t.
 
     Item k adds bit k to both masks with the terms of its four cases: g- when
@@ -98,7 +102,7 @@ def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> Mul
     members = [tuple(i for k, i in enumerate(items) if (m >> k) & 1) for m in range(size)]
     subsets = [frozenset(t) for t in members]
 
-    packable = _packable_rows(inst)
+    packable = packable_rows(inst)
     profits = [
         [inst.stage_profit(t, subsets[m]) for m in range(size)] for t in range(1, horizon + 1)
     ]
@@ -126,7 +130,7 @@ def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> Mul
     best = [profits[0][m] - entry_cost(m) if packable[0][m] else floor for m in range(size)]
     parents: list[list[int]] = []
     for t in range(2, horizon + 1):
-        cols = _transition_columns(inst, t)
+        cols = transition_columns(inst, t)
         nxt = [floor] * size
         parent = [0] * size
         for cur in range(size):

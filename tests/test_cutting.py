@@ -28,7 +28,7 @@ from gmk.cutting import (
 from gmk.errors import BudgetExceededError, InputError
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import candidate_space, solve_mkcp_exact
-from gmk.oracle import brute_force_gmk
+from gmk.oracle import DEFAULT_ORACLE_BUDGET, brute_force_gmk
 from gmk.reduction import reduce_instance
 from gmk.serialize import canonical_dumps, solution_to_dict
 
@@ -339,23 +339,39 @@ def _recording(calls, name):
     return recorded
 
 
-def test_exact_route_follows_the_worst_case_rule(monkeypatch):
+@pytest.fixture
+def exact_routes(monkeypatch):
+    """The exact routes the solves take, in call order."""
+    calls = []
+    for name in ("solve_mkcp_exact", "stage_dp_masks"):
+        monkeypatch.setattr(cutting, name, _recording(calls, name))
+    return calls
+
+
+def test_exact_route_follows_the_worst_case_rule(exact_routes):
     # each item keeps only its empty schedule: a candidate space of 2**6
     # against 3 * 4**6 DP transitions sends the solve to branch and bound
     negative = _all_schedules_negative()
     plain = gen_random(DP_SHAPES["two_bin_d2"], 0)
     assert candidate_space(reduce_instance(negative)) == 2**6
     assert candidate_space(reduce_instance(plain)) > plain.horizon * 4**3
-    calls = []
-    for name in ("solve_mkcp_exact", "stage_dp_masks"):
-        monkeypatch.setattr(cutting, name, _recording(calls, name))
     for inst, route in ((negative, "solve_mkcp_exact"), (plain, "stage_dp_masks")):
-        calls.clear()
+        exact_routes.clear()
         sol = solve_bounded_horizon(inst, "exact")
-        assert calls == [route]
+        assert exact_routes == [route]
         assert evaluate_objective(inst, sol.sets) == evaluate_objective(
             inst, brute_force_gmk(inst).sets
         )
+
+
+def test_exact_route_keeps_the_dp_within_the_oracle_work_bound(exact_routes):
+    # a raised budget admits this candidate space, but 4 * 4**9 DP
+    # transitions pass the oracle's work bound: branch and bound solves it
+    inst = gen_random(GenParams(items=9, horizon=4), 0)
+    work, budget = inst.horizon * 4**9, 10**12
+    assert DEFAULT_ORACLE_BUDGET < work < candidate_space(reduce_instance(inst), budget)
+    solve_bounded_horizon(inst, "exact", enum_budget=budget)
+    assert exact_routes == ["solve_mkcp_exact"]
 
 
 def test_exact_routes_refuse_by_the_candidate_space():
