@@ -5,13 +5,15 @@ For mu_inv shifted grids the horizon splits into windows of length at most
 ``T - mu_inv``, so for ``2 * mu_inv < T <= 3 * mu_inv - 2`` some shifts get
 no interior cut and their one window is the whole horizon (at mu_inv = 25,
 T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). Each window is
-solved at bounded horizon: reduced, solved exactly or greedily, and lifted
-back. An exact window is solved by a stage DP over packable item sets
-whenever its worst case is the smaller one and within the oracle's work
-bound, and by the reduced branch and bound otherwise. The window
-solutions concatenate into a full solution worth at least the sum of its
-parts (seam costs can only be saved, seam gains only added). The best
-recombination over all shifts wins. Short horizons bypass the loop.
+solved at bounded horizon. An exact window is solved by a stage DP over
+packable item sets whenever its worst case is the smaller one and within
+the oracle's work bound; that route builds no reduction, and reads the
+per-stage packability and profit rows that ``solve_general_result`` builds
+once per instance for every window of every shift. Otherwise the window is
+reduced, solved by branch and bound or greedily, and lifted back. The
+window solutions concatenate into a full solution worth at least the sum
+of its parts (seam costs can only be saved, seam gains only added). The
+best recombination over all shifts wins. Short horizons bypass the loop.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 from typing import Sequence
 
@@ -43,14 +46,17 @@ from .core import (
 from .errors import ContractViolationError, InputError
 from .mkcp import (
     DEFAULT_PACK_BUDGET,
-    finish_selection,
     candidate_space,
     solve_mkcp_exact,
     solve_mkcp_greedy,
 )
-from .oracle import DEFAULT_ORACLE_BUDGET, packable_rows, transition_columns
-from .reduction import DEFAULT_HORIZON_CAP, ReducedElement, reduce_instance
-from .reduction import lift_solution
+from .oracle import DEFAULT_ORACLE_BUDGET, pack_stage_sets, packable_row, transition_columns
+from .reduction import (
+    DEFAULT_HORIZON_CAP,
+    kept_schedule_counts,
+    lift_solution,
+    reduce_instance,
+)
 
 SOLVER_CHOICES = ("exact", "greedy")
 
@@ -175,7 +181,36 @@ def combine_cut_solutions(
     return combined
 
 
-def stage_dp_masks(inst: GmkInstance) -> tuple[int, ...]:
+class StageRows(dict):
+    """Stage t -> the stage DP's row pair over one instance, built on first use.
+
+    The pair is the packability of every item subset at stage t
+    (``oracle.packable_row``) and that subset's stage profit. Neither
+    depends on the window, so every window of every shift reads the same
+    rows.
+    """
+
+    def __init__(self, inst: GmkInstance):
+        super().__init__()
+        self.instance = inst
+
+    @cached_property
+    def members(self) -> list[frozenset[str]]:
+        """The item subset of every mask; built only once a DP reads a row."""
+        items = self.instance.items
+        return [
+            frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(1 << len(items))
+        ]
+
+    def __missing__(self, t: int) -> tuple[list[bool], list[int]]:
+        profit = [self.instance.stage_profit(t, s) for s in self.members]
+        row = self[t] = (packable_row(self.instance, t), profit)
+        return row
+
+
+def stage_dp_masks(
+    target: GmkInstance | SubInstanceView, rows: StageRows | None = None
+) -> tuple[int, ...]:
     """Per item, the schedule mask of the exact search's answer, in one DP pass.
 
     The exact search returns a maximum value and, among maxima, the
@@ -184,21 +219,36 @@ def stage_dp_masks(inst: GmkInstance) -> tuple[int, ...]:
     (item, stage) bit, so the oracle's stage DP over packable item sets
     finds that answer when it maximizes ``value * 2**(n*T) - M``: item k
     packed at stage t subtracts ``2**(T*(n-1-k) + t-1)``. Distinct set
-    sequences have distinct ``M``, so no two of them tie.
+    sequences have distinct ``M``, so no two of them tie. The value the
+    maximum decodes to must equal the objective of the chosen sets.
+
+    A window is read in place from its parent's tables: its first stage
+    pays the parent's entry costs, its last stage the exit costs, and
+    ``rows``, the parent's shared rows, are built here when not given.
     """
-    items, horizon = inst.items, inst.horizon
-    n = len(items)
+    if not isinstance(target, SubInstanceView):
+        target = sub_instance(target, 1, target.horizon)
+    inst, lo, hi = target.instance, target.start, target.end
+    if rows is None:
+        rows = StageRows(inst)
+    assert rows.instance is inst, "stage rows belong to another instance"
+    items = inst.items
+    n, horizon = len(items), target.horizon
     size = 1 << n
     scale = 1 << n * horizon
-    members = [frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(size)]
+    members = rows.members
     # lex[m]: the M of set m packed at stage 1 alone; stage t shifts it left by t - 1
     lex = [sum(1 << horizon * (n - 1 - k) for k in range(n) if m >> k & 1) for m in range(size)]
-    profits = [[inst.stage_profit(t, s) for s in members] for t in range(1, horizon + 1)]
+    packable = [rows[t][0] for t in range(lo, hi + 1)]
+    profits = [rows[t][1] for t in range(lo, hi + 1)]
     if inst.variant == MODULAR:
-        # stage 1 pays the entry cost of every packed item, stage T its exit cost
-        for m, s in enumerate(members):
-            profits[0][m] -= sum(inst.cost_plus[i, 1] for i in s)
-            profits[-1][m] -= sum(inst.cost_minus[i, horizon] for i in s)
+        # the first stage pays the entry cost of every packed item, the last its exit cost
+        profits[0] = [
+            p - sum(inst.cost_plus[i, lo] for i in s) for p, s in zip(profits[0], members)
+        ]
+        profits[-1] = [
+            p - sum(inst.cost_minus[i, hi] for i in s) for p, s in zip(profits[-1], members)
+        ]
     terms = [
         [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in enumerate(profits)
     ]
@@ -207,16 +257,19 @@ def stage_dp_masks(inst: GmkInstance) -> tuple[int, ...]:
     # value and ``M < scale``, so an unreachable predecessor (``floor`` plus
     # a term) loses to every reachable one.
     span = sum(abs(p) for row in profits for p in row) + sum(
-        abs(v)
-        for table in (inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus)
-        for v in table.values()
+        abs(table[i, t])
+        for table, first in (
+            (inst.gain_plus, lo + 1), (inst.gain_minus, lo + 1),
+            (inst.cost_plus, lo), (inst.cost_minus, lo),
+        )
+        for i in items
+        for t in range(first, hi + 1)
     )
     floor = -(3 * span + 2) * scale
-    packable = packable_rows(inst)
     best = [term if ok else floor for term, ok in zip(terms[0], packable[0])]
     parents: list[list[int]] = []
     for t in range(2, horizon + 1):
-        cols = [[v * scale for v in col] for col in transition_columns(inst, t)]
+        cols = [[v * scale for v in col] for col in transition_columns(inst, lo + t - 1)]
         nxt = [floor] * size
         parent = [0] * size
         for cur in range(size):
@@ -229,10 +282,15 @@ def stage_dp_masks(inst: GmkInstance) -> tuple[int, ...]:
         parents.append(parent)
         best = nxt
 
-    sets = [best.index(max(best))]
+    top = max(best)
+    sets = [best.index(top)]
     for parent in reversed(parents):
         sets.append(parent[sets[-1]])
     sets.reverse()
+    decoded = -(-top // scale)  # top = value * scale - M with 0 <= M < scale
+    value = evaluate_sub_objective(target, [members[m] for m in sets])
+    if value != decoded:
+        raise ContractViolationError(f"stage DP value {decoded} differs from the objective {value}")
     return tuple(sum((m >> k & 1) << t for t, m in enumerate(sets)) for k in range(n))
 
 
@@ -243,32 +301,42 @@ def solve_bounded_horizon(
     horizon_cap: int = DEFAULT_HORIZON_CAP,
     enum_budget: int | None = None,
     pack_budget: int | None = DEFAULT_PACK_BUDGET,
+    rows: StageRows | None = None,
 ) -> MultistageSolution:
-    """Solve an instance or window through reduce, pack-solve, lift.
+    """Solve an instance or window at bounded horizon.
 
     With the exact sub-solver the result is an optimum of the (sub-)
-    instance, the one ``solve_mkcp_exact`` picks on the reduction. After the
-    horizon cap and the candidate-space budget, the stage DP of
-    ``stage_dp_masks`` finds it whenever its worst case, ``T * 4**|I|``
-    transitions, is at most both the candidate space, the search's own worst
-    case, and ``DEFAULT_ORACLE_BUDGET``, which bounds the DP's tables
-    whatever the enumeration budget; otherwise branch and bound does. The
-    greedy sub-solver trades optimality for scale under ``pack_budget``.
-    Every route packs, verifies and lifts its choice through the same
-    checks.
+    instance, the one ``solve_mkcp_exact`` picks on the reduction. Both
+    exact routes refuse by the horizon cap and the candidate-space budget,
+    counted without building the reduction. The stage DP of
+    ``stage_dp_masks`` finds the optimum whenever its worst case,
+    ``T * 4**|I|`` transitions, is at most both the candidate space, the
+    search's own worst case, and ``DEFAULT_ORACLE_BUDGET``, which bounds the
+    DP's tables whatever the enumeration budget; ``pack_stage_sets`` packs
+    and checks its sets, and no reduction is built. Otherwise branch and
+    bound solves the reduction, as the greedy sub-solver does under
+    ``pack_budget``, and the choice is verified and lifted back. ``rows``
+    shares the stage rows of the target's instance (of its parent for a
+    window) across calls; they are built here when omitted.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
     inst = target.materialize() if isinstance(target, SubInstanceView) else target
     ensure_valid(inst)
+    if solver == "exact":
+        counts = kept_schedule_counts(inst, horizon_cap=horizon_cap)
+        if inst.horizon * 4 ** len(inst.items) <= min(
+            candidate_space(counts, enum_budget), DEFAULT_ORACLE_BUDGET
+        ):
+            masks = stage_dp_masks(target, rows)
+            sets = tuple(
+                frozenset(i for i, mask in zip(inst.items, masks) if mask >> t & 1)
+                for t in range(inst.horizon)
+            )
+            return pack_stage_sets(inst, sets)
     reduced = reduce_instance(inst, horizon_cap=horizon_cap)
     if solver == "greedy":
         rsol = solve_mkcp_greedy(reduced, pack_budget=pack_budget)
-    elif inst.horizon * 4 ** len(inst.items) <= min(
-        candidate_space(reduced, enum_budget), DEFAULT_ORACLE_BUDGET
-    ):
-        chosen = list(map(ReducedElement, inst.items, stage_dp_masks(inst)))
-        rsol = finish_selection(reduced, chosen)
     else:
         rsol = solve_mkcp_exact(reduced, enum_budget=enum_budget)
     return lift_solution(inst, rsol, reduced)
@@ -321,7 +389,8 @@ def solve_general_result(
                 )
 
     solve_kwargs = dict(
-        horizon_cap=horizon_cap, enum_budget=enum_budget, pack_budget=pack_budget
+        horizon_cap=horizon_cap, enum_budget=enum_budget, pack_budget=pack_budget,
+        rows=StageRows(inst),
     )
     mu_inv = params.mu_inv
     assert mu_inv is not None
@@ -379,6 +448,7 @@ __all__ = [
     "SchemeParams",
     "SchemeIteration",
     "SchemeResult",
+    "StageRows",
     "cut_points",
     "cut_instances",
     "combine_cut_solutions",

@@ -34,7 +34,7 @@ schedule weighs nothing everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -256,7 +256,7 @@ def _build_assignments(reduced: ReducedInstance, chosen: frozenset[ReducedElemen
 
 
 def finish_selection(reduced: ReducedInstance, chosen: Sequence[ReducedElement]) -> ReducedSolution:
-    """Pack and verify one schedule per item; every exact and greedy route ends here."""
+    """Pack and verify one schedule per item; every route that solves the reduction ends here."""
     chosen_set = frozenset(chosen)
     rsol = ReducedSolution(chosen=chosen_set, assignments=_build_assignments(reduced, chosen_set))
     violations = verify_reduced_solution(reduced, rsol)
@@ -309,16 +309,22 @@ def _kept_schedules(reduced: ReducedInstance, packing: _PartialPacking, k: int) 
     return masks[keep][order], vals[keep][order]
 
 
-def candidate_space(reduced: ReducedInstance, enum_budget: int | None = None) -> int:
+def candidate_space(
+    counts: ReducedInstance | Iterable[int], enum_budget: int | None = None
+) -> int:
     """Product over items of one plus the kept schedule count.
 
-    Raises ``BudgetExceededError`` once the product passes the enumeration
-    budget, so no exact route starts on an oversized candidate space.
+    ``counts`` holds the per-item counts, or is the reduced instance whose
+    tables give them. Raises ``BudgetExceededError`` once the product passes
+    the enumeration budget, so no exact route starts on an oversized
+    candidate space.
     """
+    if isinstance(counts, ReducedInstance):
+        counts = [len(counts.schedules[item]) for item in counts.items]
     budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
     space = 1
-    for item in reduced.items:
-        space *= len(reduced.schedules[item]) + 1
+    for count in counts:
+        space *= count + 1
         if space > budget:
             raise BudgetExceededError(
                 f"exact solve refused: candidate space exceeds budget {budget}; "

@@ -16,7 +16,8 @@ is, and the exact packer decides only the subsets with no such superset.
 The DP runs on plain Python ints, so it is exact at any magnitude, and it
 keeps its own encoding of the objective's terms, independent of the
 reduction's, because it is the reference the exact solvers are tested
-against. ``packable_rows`` and ``transition_columns`` are shared with
+against. ``packable_row``, the one packability kernel of the package's
+stage DPs, and ``transition_columns`` are shared with
 ``cutting.stage_dp_masks``, so an error in them would show in that DP and
 in this reference alike; the test that the DP picks the masks of the
 reduced branch and bound, which encodes the objective independently,
@@ -26,6 +27,7 @@ catches it there.
 from __future__ import annotations
 
 from operator import add
+from typing import Sequence
 
 from .core import (
     MODULAR,
@@ -39,8 +41,8 @@ from .mkcp import pack_mkc
 DEFAULT_ORACLE_BUDGET = 10**6
 
 
-def packable_rows(inst: GmkInstance) -> list[list[bool]]:
-    """rows[t-1][m]: the subset with bit k set for items[k] packs at stage t.
+def packable_row(inst: GmkInstance, t: int) -> list[bool]:
+    """row[m]: the subset with bit k set for items[k] packs at stage t.
 
     Masks are scanned in descending order, so every one-item superset of a
     mask is decided before the mask itself.
@@ -48,15 +50,13 @@ def packable_rows(inst: GmkInstance) -> list[list[bool]]:
     n = len(inst.items)
     size = 1 << n
     members = [tuple(i for k, i in enumerate(inst.items) if (m >> k) & 1) for m in range(size)]
-    rows = []
-    for stage in inst.stages:
-        row = [False] * size
-        for m in range(size - 1, -1, -1):
-            row[m] = any(row[m | 1 << k] for k in range(n) if not (m >> k) & 1) or all(
-                pack_mkc(mkc, members[m]).packed for mkc in stage.mkcs
-            )
-        rows.append(row)
-    return rows
+    mkcs = inst.stage(t).mkcs
+    row = [False] * size
+    for m in range(size - 1, -1, -1):
+        row[m] = any(row[m | 1 << k] for k in range(n) if not (m >> k) & 1) or all(
+            pack_mkc(mkc, members[m]).packed for mkc in mkcs
+        )
+    return row
 
 
 def transition_columns(inst: GmkInstance, t: int) -> list[list[int]]:
@@ -102,7 +102,7 @@ def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> Mul
     members = [tuple(i for k, i in enumerate(items) if (m >> k) & 1) for m in range(size)]
     subsets = [frozenset(t) for t in members]
 
-    packable = packable_rows(inst)
+    packable = [packable_row(inst, t) for t in range(1, horizon + 1)]
     profits = [
         [inst.stage_profit(t, subsets[m]) for m in range(size)] for t in range(1, horizon + 1)
     ]
@@ -160,17 +160,28 @@ def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> Mul
         masks.append(parent[masks[-1]])
     masks.reverse()
 
-    sets = tuple(subsets[m] for m in masks)
+    return pack_stage_sets(inst, tuple(subsets[m] for m in masks))
+
+
+def pack_stage_sets(inst: GmkInstance, sets: Sequence[frozenset[str]]) -> MultistageSolution:
+    """Pack each stage set under every constraint of its stage, then check the whole.
+
+    Raises ``ContractViolationError`` when a set does not pack or the packed
+    solution is infeasible.
+    """
     assignments = []
-    for t, stage in enumerate(inst.stages, start=1):
+    for t, (stage, chosen) in enumerate(zip(inst.stages, sets), start=1):
         per_stage = []
-        for mkc in stage.mkcs:
-            result = pack_mkc(mkc, sets[t - 1])
-            assert result.packed
-            per_stage.append(dict(result.assignment))
+        for j, mkc in enumerate(stage.mkcs, start=1):
+            result = pack_mkc(mkc, chosen)
+            if not result.packed:
+                raise ContractViolationError(f"stage set does not pack constraint (t={t}, j={j})")
+            per_stage.append(result.assignment)
         assignments.append(tuple(per_stage))
-    solution = MultistageSolution.from_raw(sets, assignments)
+    solution = MultistageSolution(sets=tuple(sets), assignments=tuple(assignments))
     feasibility = check_feasible(inst, solution)
     if not feasibility.ok:
-        raise ContractViolationError("oracle witness infeasible: " + "; ".join(feasibility.violations))
+        raise ContractViolationError(
+            "packed stage sets infeasible: " + "; ".join(feasibility.violations)
+        )
     return solution

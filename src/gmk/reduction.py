@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -158,8 +158,7 @@ def element_fixed_value(inst: GmkInstance, item: str, schedule: Iterable[int]) -
     if inst.variant != MODULAR:
         raise UnsupportedVariantError("fixed element values require the modular variant")
     mask = mask_of(schedule, inst.horizon)
-    bits = _bit_columns(inst.horizon, np.array([mask], dtype=np.int64))
-    return int(_schedule_values(inst, item, bits)[0])
+    return int(_schedule_values(inst, np.array([mask], dtype=np.int64), (item,))[0, 0])
 
 
 def _bit_columns(horizon: int, masks: np.ndarray) -> np.ndarray:
@@ -187,31 +186,57 @@ def _check_magnitude(inst: GmkInstance, item: str) -> None:
         )
 
 
-def _schedule_values(inst: GmkInstance, item: str, bits: np.ndarray) -> np.ndarray:
-    """Fixed values of one item's schedules, one per column of ``bits``.
+def _schedule_values(
+    inst: GmkInstance, masks: np.ndarray, items: Sequence[str] | None = None
+) -> np.ndarray:
+    """values[k, s]: the fixed value of schedule ``masks[s]`` of ``items[k]``.
 
     Interior gains accrue in both variants: g+ where the item stays packed,
     g- where it stays out. The modular variant adds the profits of
     scheduled stages and charges a change cost pair per run; stage 1 always
-    pays the entry cost and stage T the exit cost when scheduled. Raises
-    ``InputError`` for an item beyond the int64 range (``_check_magnitude``).
+    pays the entry cost and stage T the exit cost when scheduled. The
+    stage indicators do not depend on the item, so every item is valued by
+    one product with its row of terms; costs are summed apart from profits
+    and gains, so no partial sum leaves int64. Raises ``InputError`` for an
+    item beyond that range (``_check_magnitude``) before any product.
     """
-    _check_magnitude(inst, item)
+    items = inst.items if items is None else items
+    for item in items:
+        _check_magnitude(inst, item)
     horizon = inst.horizon
     modular = inst.variant == MODULAR
-    values = np.zeros(bits.shape[1], dtype=np.int64)
-    for t in range(1, horizon + 1):
-        in_t = bits[t - 1]
-        in_prev = bits[t - 2] if t > 1 else 0
-        if t > 1:
-            values += inst.gain_plus[item, t] * (in_t & in_prev)
-            values += inst.gain_minus[item, t] * ((1 - in_t) & (1 - in_prev))
-        if modular:
-            in_next = bits[t] if t < horizon else 0
-            values += inst.item_profit(t, item) * in_t
-            values -= inst.cost_plus[item, t] * (in_t & (1 - in_prev))
-            values -= inst.cost_minus[item, t] * (in_t & (1 - in_next))
+    stages, later = range(1, horizon + 1), range(2, horizon + 1)
+    bits = _bit_columns(horizon, masks)
+    empty = np.zeros((1, len(masks)), dtype=np.int64)
+    # stage t's neighbours; nothing is packed before stage 1 or after stage T
+    prev = np.vstack((empty, bits[:-1]))
+    nxt = np.vstack((bits[1:], empty))
+
+    # per item, its terms side by side, aligned with the stacked indicators;
+    # gains start at stage 2, so stage 1 gets a zero term
+    gains = [
+        [0, *(inst.gain_plus[i, t] for t in later), 0, *(inst.gain_minus[i, t] for t in later)]
+        for i in items
+    ]
+    indicators = [bits & prev, (1 - bits) & (1 - prev)]
+    if modular:
+        for row, i in zip(gains, items):
+            row.extend(inst.item_profit(t, i) for t in stages)
+        indicators.append(bits)
+    values = _product(gains, np.vstack(indicators))
+    if modular:
+        costs = [
+            [*(inst.cost_plus[i, t] for t in stages), *(inst.cost_minus[i, t] for t in stages)]
+            for i in items
+        ]
+        values -= _product(costs, np.vstack((bits & (1 - prev), bits & (1 - nxt))))
     return values
+
+
+def _product(rows: list[list[int]], indicators: np.ndarray) -> np.ndarray:
+    """Per row of terms, its sums over the indicator columns, in int64."""
+    terms = np.array(rows, dtype=np.int64).reshape(len(rows), indicators.shape[0])
+    return terms @ indicators
 
 
 def _reduced_constraints(inst: GmkInstance) -> tuple[ReducedConstraint, ...]:
@@ -265,10 +290,9 @@ def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP
     whose values could reach ``VALUE_LIMIT`` is refused with ``InputError``.
     """
     _check_horizon(inst, horizon_cap)
-    bits = _bit_columns(inst.horizon, np.arange(1 << inst.horizon, dtype=np.int64))
+    values = _schedule_values(inst, np.arange(1 << inst.horizon, dtype=np.int64))
     schedules: dict[str, dict[int, int]] = {}
-    for item in inst.items:
-        arr = _schedule_values(inst, item, bits)
+    for item, arr in zip(inst.items, values):
         assert arr[0] >= 0, "empty schedule value is a nonnegative gain sum"
         kept = np.flatnonzero(arr >= 0)
         schedules[item] = dict(zip(kept.tolist(), arr[kept].tolist()))
@@ -280,6 +304,18 @@ def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP
         inst.variant, inst.items, inst.horizon, inst.dimension, schedules,
         _reduced_constraints(inst), objective,
     )
+
+
+def kept_schedule_counts(
+    inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP
+) -> tuple[int, ...]:
+    """Per item, how many schedules ``reduce_instance`` keeps, without building it.
+
+    Refuses as the reduction does: by the horizon cap, then by magnitude.
+    """
+    _check_horizon(inst, horizon_cap)
+    values = _schedule_values(inst, np.arange(1 << inst.horizon, dtype=np.int64))
+    return tuple(np.count_nonzero(values >= 0, axis=1).tolist())
 
 
 def reduce_modular(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:

@@ -61,6 +61,11 @@ def dumps(payload: Any) -> str:
 
 
 def _scaled_int(raw: Any, denominator: int, where: str) -> int:
+    if type(raw) is int:
+        # an integer stays integral under any denominator
+        if raw < 0:
+            raise InputError(f"{where}: negative values are rejected at parse time, got {raw}")
+        return raw * denominator
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise InputError(f"{where}: expected a number, got {raw!r}")
     if isinstance(raw, float) and not math.isfinite(raw):

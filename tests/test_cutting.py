@@ -10,7 +10,10 @@ import pytest
 
 from gmk import cutting
 from gmk.core import (
+    Mkc,
+    McpStage,
     MultistageSolution,
+    SubInstanceView,
     evaluate_objective,
     evaluate_sub_objective,
     sub_instance,
@@ -18,6 +21,7 @@ from gmk.core import (
 from gmk.cutting import (
     CutPointSet,
     SchemeParams,
+    StageRows,
     combine_cut_solutions,
     cut_instances,
     cut_points,
@@ -27,9 +31,9 @@ from gmk.cutting import (
 )
 from gmk.errors import BudgetExceededError, InputError
 from gmk.generators import GenParams, gen_random
-from gmk.mkcp import candidate_space, solve_mkcp_exact
+from gmk.mkcp import candidate_space, finish_selection, solve_mkcp_exact
 from gmk.oracle import DEFAULT_ORACLE_BUDGET, brute_force_gmk
-from gmk.reduction import reduce_instance
+from gmk.reduction import ReducedElement, lift_solution, reduce_instance
 from gmk.serialize import canonical_dumps, solution_to_dict
 
 from util import (
@@ -406,3 +410,94 @@ def test_exact_scheme_matches_oracle_beyond_one_bin(shape):
             for (lo, hi), value in zip(windows, it.window_values):
                 local = sub_instance(inst, lo, hi).materialize()
                 assert value == evaluate_objective(local, brute_force_gmk(local).sets)
+
+
+def _reduce_pack_lift(target):
+    """The DP's masks packed, verified and lifted through the reduction."""
+    inst = target.materialize() if isinstance(target, SubInstanceView) else target
+    reduced = reduce_instance(inst)
+    chosen = list(map(ReducedElement, inst.items, stage_dp_masks(inst)))
+    return lift_solution(inst, finish_selection(reduced, chosen), reduced)
+
+
+def _solution_bytes(sol):
+    return canonical_dumps(solution_to_dict(sol))
+
+
+def _padded_instance():
+    """Stages with one, two and again one constraint: d = 2 pads stages 1 and 3."""
+    items = ["a", "b", "c"]
+    weights = {"a": 2, "b": 3, "c": 1}
+    one = Mkc(weights=weights, bins=("x", "y"), capacities={"x": 3, "y": 2})
+    tight = Mkc(weights={"a": 1, "b": 2, "c": 2}, bins=("z",), capacities={"z": 3})
+    profit = {"a": 3, "b": 4, "c": 2}
+    stages = [
+        McpStage(mkcs=(one,), profit=profit),
+        McpStage(mkcs=(one, tight), profit=profit),
+        McpStage(mkcs=(one,), profit=profit),
+    ]
+    return build_instance(
+        items,
+        stages,
+        gain_plus=dense_table(items, 2, 3, default=1),
+        cost_plus=dense_table(items, 1, 3, default=1),
+        cost_minus=dense_table(items, 1, 3, default=1),
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(DP_SHAPES))
+def test_dp_route_emits_the_bytes_of_reduce_pack_lift(shape, exact_routes, monkeypatch):
+    # short windows keep few schedules, so the route rule would send them to
+    # branch and bound; an unbounded candidate space sends every solve to the DP
+    monkeypatch.setattr(cutting, "candidate_space", lambda counts, budget: budget)
+    params = DP_SHAPES[shape]
+    mu_inv = (params.horizon - 1) // 2
+    budget = 10**15
+    for seed in range(8):
+        inst = gen_random(params, seed)
+        rows = StageRows(inst)
+        targets = [inst] + [
+            view
+            for j in range(1, mu_inv + 1)
+            for view in cut_instances(inst, cut_points(inst.horizon, mu_inv, j))
+        ]
+        for target in targets:
+            got = solve_bounded_horizon(target, "exact", enum_budget=budget, rows=rows)
+            assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(target)), seed
+    assert set(exact_routes) == {"stage_dp_masks"}
+
+
+def test_dp_route_packs_stages_with_fewer_constraints_than_d(exact_routes):
+    inst = _padded_instance()
+    assert [rc.padding for rc in reduce_instance(inst).constraints] == [
+        False, True, False, False, False, True,
+    ]
+    got = solve_bounded_horizon(inst, "exact")
+    assert exact_routes == ["stage_dp_masks"]
+    assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(inst))
+    assert evaluate_objective(inst, got.sets) == evaluate_objective(
+        inst, brute_force_gmk(inst).sets
+    )
+
+
+def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
+    # the shape of the cut_multibin benchmark: every window takes the stage DP
+    params = GenParams(items=3, horizon=40, dimension=2, bins_per_mkc=2,
+                       capacity_range=(3, 8), target_phi=1)
+    inst = gen_random(params, 1_000_003)
+    stages = []
+    real_row = cutting.packable_row
+
+    def counted_row(row_inst, t):
+        stages.append(t)
+        return real_row(row_inst, t)
+
+    calls = []
+    monkeypatch.setattr(cutting, "packable_row", counted_row)
+    for name in ("reduce_instance", "lift_solution", "solve_mkcp_exact"):
+        monkeypatch.setattr(cutting, name, _recording(calls, name))
+    scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=4)
+    result = solve_general_result(inst, scheme, "exact", horizon_cap=8, enum_budget=10**15)
+    assert not result.bypassed and len(result.iterations) == 4
+    assert sorted(stages) == list(range(1, inst.horizon + 1))
+    assert calls == []

@@ -9,7 +9,7 @@ import pytest
 from gmk.core import check_feasible, evaluate_objective
 from gmk.errors import BudgetExceededError
 from gmk.generators import GenParams, gen_random
-from gmk.oracle import brute_force_gmk, packable_rows
+from gmk.oracle import brute_force_gmk, packable_row
 from gmk.serialize import dumps, solution_to_dict
 
 from util import build_instance, enumerate_optimum, knapsack_dp, packable_sets, single_bin_stage
@@ -194,8 +194,8 @@ def test_packable_rows_match_packing_every_subset(params):
     unpackable = 0
     for seed in range(6):
         inst = gen_random(params, seed)
-        rows = packable_rows(inst)
-        for t, row in enumerate(rows, start=1):
+        for t in range(1, inst.horizon + 1):
+            row = packable_row(inst, t)
             got = {
                 frozenset(i for k, i in enumerate(inst.items) if (m >> k) & 1)
                 for m, ok in enumerate(row)

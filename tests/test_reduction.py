@@ -23,7 +23,6 @@ from gmk.reduction import (
     reduce_modular,
     reduce_submodular,
     verify_reduced_solution,
-    _bit_columns,
     _schedule_values,
     reduce_instance,
 )
@@ -73,21 +72,29 @@ def test_fixed_value_formula_walk():
 
 
 def test_vectorized_schedule_values_match_scalar():
-    # one item: a schedule's value is the whole objective of its set sequence,
-    # less the stage profits in the submodular variant (they stay an oracle)
+    # a schedule's value is the objective of the set sequence that packs its
+    # item alone, less the other items' empty-schedule values, and less the
+    # stage profits in the submodular variant (they stay an oracle)
     for variant in ("modular", "submodular"):
         for seed in range(10):
-            params = GenParams(items=1, horizon=5, cost_range=(0, 4), variant=variant)
+            params = GenParams(items=3, horizon=5, cost_range=(0, 4), variant=variant)
             inst = gen_random(params, seed)
-            item = inst.items[0]
             masks = np.arange(1 << inst.horizon, dtype=np.int64)
-            values = _schedule_values(inst, item, _bit_columns(inst.horizon, masks))
-            for mask in range(1 << inst.horizon):
-                sets = [frozenset({item} if mask >> t & 1 else ()) for t in range(inst.horizon)]
-                expected = evaluate_objective(inst, sets)
+            values = _schedule_values(inst, masks)
+            assert values.shape == (3, 1 << inst.horizon)
+
+            def gain_value(sets):
+                value = evaluate_objective(inst, sets)
                 if variant == "submodular":
-                    expected -= sum(inst.stage_profit(t, s) for t, s in enumerate(sets, start=1))
-                assert values[mask] == expected
+                    value -= sum(inst.stage_profit(t, s) for t, s in enumerate(sets, start=1))
+                return value
+
+            empty = gain_value([frozenset()] * inst.horizon)
+            for k, item in enumerate(inst.items):
+                alone = sum(inst.gain_minus[item, t] for t in range(2, inst.horizon + 1))
+                for mask in range(1 << inst.horizon):
+                    sets = [frozenset({item} if mask >> t & 1 else ()) for t in range(inst.horizon)]
+                    assert values[k, mask] == gain_value(sets) - empty + alone
 
 
 def test_reduce_counts_and_partition():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from gmk.mkcp import solve_mkcp_exact, solve_mkcp_greedy
 from gmk.oracle import brute_force_gmk
 from gmk.reduction import ReducedElement, reduce_instance
 from gmk.serialize import (
+    _scaled_int,
     canonical_dumps,
     instance_from_dict,
     instance_hash,
@@ -158,3 +160,26 @@ def test_reduced_solution_malformed_raises_input_error(raw):
 def test_canonical_dumps_stable():
     payload = {"b": [3, 1], "a": {"y": 1, "x": 2}}
     assert canonical_dumps(payload) == canonical_dumps(json.loads(canonical_dumps(payload)))
+
+
+def test_scaled_int_parse_results_and_messages():
+    assert _scaled_int(7, 3, "w") == 21
+    assert type(_scaled_int(7, 3, "w")) is int
+    assert _scaled_int(0, 4, "w") == 0
+    assert _scaled_int(2**70, 2, "w") == 2**71
+    assert _scaled_int(2.5, 2, "w") == 5
+    assert _scaled_int(0.3, 10, "w") == 3
+    assert _scaled_int(4.0, 1, "w") == 4
+    rejected = [
+        (True, 1, "w: expected a number, got True"),
+        (False, 1, "w: expected a number, got False"),
+        ("5", 1, "w: expected a number, got '5'"),
+        (float("nan"), 1, "w: expected a finite number, got nan"),
+        (-3, 2, "w: negative values are rejected at parse time, got -3"),
+        (-1.5, 2, "w: negative values are rejected at parse time, got -1.5"),
+        (0.3, 1, "w: 0.3 is not integral under denominator 1"),
+        (1.25, 2, "w: 1.25 is not integral under denominator 2"),
+    ]
+    for raw, denominator, message in rejected:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            _scaled_int(raw, denominator, "w")
