@@ -85,6 +85,10 @@ class CutPointSet:
         return tuple((lo, hi - 1) for lo, hi in zip(self.points, self.points[1:]))
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Scheme parameters; mu_inv derives from epsilon and phi unless given.
@@ -104,11 +108,11 @@ class SchemeParams:
         object.__setattr__(self, "epsilon", eps)
         if not 0 < eps < Fraction(1, 4):
             raise InputError(f"epsilon must lie strictly inside (0, 1/4), got {eps}")
-        if not (isinstance(self.phi, int) and self.phi >= 1):
+        if not _is_count(self.phi):
             raise InputError(f"phi must be an integer >= 1, got {self.phi!r}")
         if self.mu_inv is None:
             object.__setattr__(self, "mu_inv", math.ceil(Fraction(self.phi) / (eps * eps)))
-        elif not (isinstance(self.mu_inv, int) and self.mu_inv >= 1):
+        elif not _is_count(self.mu_inv):
             raise InputError(f"mu_inv must be an integer >= 1, got {self.mu_inv!r}")
 
 
@@ -145,39 +149,27 @@ def combine_cut_solutions(
 ) -> MultistageSolution:
     """Concatenate window solutions into a full solution.
 
-    Each part must be feasible for its window; the combined value is at
-    least the sum of the window values, which is asserted at runtime.
+    The part horizons must sum to T and each part must hold one assignment
+    per stage set. One ``check_feasible`` on the concatenation then checks
+    every part, stage by stage on the stage objects the windows share; an
+    infeasible part raises ``InputError``.
     """
     total = sum(p.horizon for p in parts)
     if total != inst.horizon:
         raise InputError(f"window horizons sum to {total}, expected {inst.horizon}")
-    start = 1
-    views: list[SubInstanceView] = []
-    for part in parts:
-        view = sub_instance(inst, start, start + part.horizon - 1)
-        report = check_feasible(view.materialize(), part)
-        if not report.ok:
+    for k, part in enumerate(parts, start=1):
+        if len(part.assignments) != part.horizon:
             raise InputError(
-                f"window [{view.start}, {view.end}] solution infeasible: "
-                + "; ".join(report.violations)
+                f"window {k} has {part.horizon} stage sets and "
+                f"{len(part.assignments)} assignments"
             )
-        views.append(view)
-        start += part.horizon
-
     combined = MultistageSolution(
         sets=tuple(s for part in parts for s in part.sets),
         assignments=tuple(a for part in parts for a in part.assignments),
     )
     report = check_feasible(inst, combined)
     if not report.ok:
-        raise ContractViolationError(
-            "combined solution infeasible: " + "; ".join(report.violations)
-        )
-    window_sum = sum(
-        evaluate_sub_objective(view, part.sets) for view, part in zip(views, parts)
-    )
-    if evaluate_objective(inst, combined.sets) < window_sum:
-        raise ContractViolationError("combined value fell below the sum of window values")
+        raise InputError("window solutions infeasible: " + "; ".join(report.violations))
     return combined
 
 
@@ -318,11 +310,14 @@ def solve_bounded_horizon(
     ``pack_budget``, and the choice is verified and lifted back. ``rows``
     shares the stage rows of the target's instance (of its parent for a
     window) across calls; they are built here when omitted.
+
+    The target must be valid; it is not validated again here.
+    ``solve_general_result`` validates once, and every window of a valid
+    instance is valid.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
     inst = target.materialize() if isinstance(target, SubInstanceView) else target
-    ensure_valid(inst)
     if solver == "exact":
         counts = kept_schedule_counts(inst, horizon_cap=horizon_cap)
         if inst.horizon * 4 ** len(inst.items) <= min(
@@ -419,18 +414,13 @@ def solve_general_result(
         views = cut_instances(inst, cuts)
         parts = [solve_bounded_horizon(view, solver, **solve_kwargs) for view in views]
         combined = combine_cut_solutions(inst, parts)
-        value = evaluate_objective(inst, combined.sets)
-        iterations.append(
-            SchemeIteration(
-                j=j,
-                cut_points=cuts.points,
-                window_values=tuple(
-                    evaluate_sub_objective(view, part.sets)
-                    for view, part in zip(views, parts)
-                ),
-                combined_value=value,
-            )
+        window_values = tuple(
+            evaluate_sub_objective(view, part.sets) for view, part in zip(views, parts)
         )
+        value = evaluate_objective(inst, combined.sets)
+        if value < sum(window_values):
+            raise ContractViolationError("combined value fell below the sum of window values")
+        iterations.append(SchemeIteration(j, cuts.points, window_values, value))
         if best is None or value > best_value:
             best, best_value, best_j = combined, value, j
     assert best is not None

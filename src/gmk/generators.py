@@ -182,7 +182,7 @@ def gen_random(params: GenParams, seed: int) -> GmkInstance:
     re-verified through the ratio operation before returning.
     """
     if params.items < 0 or params.horizon < 1 or params.dimension < 1 or params.bins_per_mkc < 1:
-        raise InputError("items, horizon, dimension and bins_per_mkc must be positive")
+        raise InputError("items must be >= 0; horizon, dimension and bins_per_mkc must be >= 1")
     if params.variant not in (MODULAR, SUBMODULAR):
         raise InputError(f"unknown variant {params.variant!r}")
     if params.target_phi is not None and Fraction(params.target_phi) < 0:

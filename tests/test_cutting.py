@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from gmk import cutting
+from gmk import core, cutting, oracle, reduction
 from gmk.core import (
     Mkc,
     McpStage,
     MultistageSolution,
     SubInstanceView,
+    check_feasible,
     evaluate_objective,
     evaluate_sub_objective,
     sub_instance,
@@ -87,6 +88,10 @@ def test_scheme_params_derivation_and_validation():
         SchemeParams(Fraction(1, 4), 1)
     with pytest.raises(InputError):
         SchemeParams(Fraction(1, 5), 0)
+    with pytest.raises(InputError):
+        SchemeParams(Fraction(1, 5), True)
+    with pytest.raises(InputError):
+        SchemeParams(Fraction(1, 5), 1, mu_inv=True)
     override = SchemeParams(Fraction(1, 5), 1, mu_inv=3)
     assert override.mu_inv == 3
 
@@ -168,6 +173,16 @@ def test_combine_rejects_bad_shapes_and_infeasible_parts():
     )
     with pytest.raises(InputError):
         combine_cut_solutions(inst, [bad, part])
+
+    # two parts that swap assignment counts concatenate into a feasible whole
+    stages = [single_bin_stage(["i"], {"i": 1}, 1, {"i": 1})] * 4
+    inst = build_instance(["i"], stages)
+    empty = [{"b": set()}]
+    short = MultistageSolution.from_raw([set()] * 2, [empty])
+    long = MultistageSolution.from_raw([set()] * 2, [empty] * 3)
+    assert check_feasible(inst, MultistageSolution.from_raw([set()] * 4, [empty] * 4)).ok
+    with pytest.raises(InputError):
+        combine_cut_solutions(inst, [short, long])
 
 
 def test_bounded_horizon_spec_example():
@@ -333,14 +348,16 @@ def _all_schedules_negative():
     return gen_random(params, 0)
 
 
-def _recording(calls, name):
-    real = getattr(cutting, name)
-
+def _counting(calls, name, real):
     def recorded(*args, **kwargs):
         calls.append(name)
         return real(*args, **kwargs)
 
     return recorded
+
+
+def _recording(calls, name):
+    return _counting(calls, name, getattr(cutting, name))
 
 
 @pytest.fixture
@@ -496,8 +513,23 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
     monkeypatch.setattr(cutting, "packable_row", counted_row)
     for name in ("reduce_instance", "lift_solution", "solve_mkcp_exact"):
         monkeypatch.setattr(cutting, name, _recording(calls, name))
+    # each window is validated, materialized and checked once
+    checks = []
+    for module, name in (
+        (core, "validate_instance"), (SubInstanceView, "materialize"),
+        (cutting, "check_feasible"), (oracle, "check_feasible"), (reduction, "check_feasible"),
+        (cutting, "evaluate_sub_objective"),
+    ):
+        monkeypatch.setattr(module, name, _counting(checks, name, getattr(module, name)))
     scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=4)
     result = solve_general_result(inst, scheme, "exact", horizon_cap=8, enum_budget=10**15)
     assert not result.bypassed and len(result.iterations) == 4
     assert sorted(stages) == list(range(1, inst.horizon + 1))
     assert calls == []
+    windows = sum(len(it.window_values) for it in result.iterations)
+    assert {name: checks.count(name) for name in set(checks)} == {
+        "validate_instance": 1,
+        "materialize": windows,
+        "check_feasible": windows + 4,
+        "evaluate_sub_objective": 2 * windows,
+    }

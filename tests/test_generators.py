@@ -161,6 +161,9 @@ def test_random_rejects_bad_ranges():
         gen_random(GenParams(weight_range=(4, 1)), 0)
     with pytest.raises(InputError):
         gen_random(GenParams(horizon=0), 0)
+    with pytest.raises(InputError, match="items must be >= 0"):
+        gen_random(GenParams(items=-1), 0)
+    assert gen_random(GenParams(items=0), 0).items == ()
     with pytest.raises(InputError):
         gen_random(GenParams(target_phi=Fraction(-1)), 0)
 
