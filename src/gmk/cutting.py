@@ -6,20 +6,19 @@ For mu_inv shifted grids the horizon splits into windows of length at most
 no interior cut and their one window is the whole horizon (at mu_inv = 25,
 T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). Each window is
 solved at bounded horizon. An exact window is solved by a stage DP over
-packable item sets whenever its worst case is the smaller one and within
-the oracle's work bound; that route builds no reduction, and reads the
-per-stage packability and profit rows that ``solve_general_result`` builds
-once per instance for every window of every shift. Otherwise the window is
-reduced, solved by branch and bound or greedily, and lifted back. The
-window solutions concatenate into a full solution worth at least the sum
-of its parts (seam costs can only be saved, seam gains only added). The
-best recombination over all shifts wins. Short horizons bypass the loop.
+packable item sets whenever its work, ``T * 4**|I|`` transitions, is within
+the enumeration budget and the oracle's work bound; that route builds no
+reduction, and reads the per-stage packability and profit rows that
+``solve_general_result`` builds once per instance for every window of every
+shift. Otherwise the window is reduced, solved by branch and bound or
+greedily, and lifted back. The window solutions concatenate into a full
+solution worth at least the sum of its parts (seam costs can only be
+saved, seam gains only added). The best recombination over all shifts
+wins. Short horizons bypass the loop.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
-mu_inv at least 17, far beyond the default reduction cap, so the loop is
-reachable at desk scale only through an explicit ``mu_inv`` override
-(intended for experiments and tests).
+mu_inv at least 17.
 """
 
 from __future__ import annotations
@@ -45,15 +44,15 @@ from .core import (
 )
 from .errors import ContractViolationError, InputError
 from .mkcp import (
+    DEFAULT_ENUM_BUDGET,
     DEFAULT_PACK_BUDGET,
-    candidate_space,
     solve_mkcp_exact,
     solve_mkcp_greedy,
 )
 from .oracle import DEFAULT_ORACLE_BUDGET, pack_stage_sets, packable_row, transition_columns
 from .reduction import (
     DEFAULT_HORIZON_CAP,
-    kept_schedule_counts,
+    check_value_range,
     lift_solution,
     reduce_instance,
 )
@@ -298,18 +297,19 @@ def solve_bounded_horizon(
     """Solve an instance or window at bounded horizon.
 
     With the exact sub-solver the result is an optimum of the (sub-)
-    instance, the one ``solve_mkcp_exact`` picks on the reduction. Both
-    exact routes refuse by the horizon cap and the candidate-space budget,
-    counted without building the reduction. The stage DP of
-    ``stage_dp_masks`` finds the optimum whenever its worst case,
-    ``T * 4**|I|`` transitions, is at most both the candidate space, the
-    search's own worst case, and ``DEFAULT_ORACLE_BUDGET``, which bounds the
-    DP's tables whatever the enumeration budget; ``pack_stage_sets`` packs
-    and checks its sets, and no reduction is built. Otherwise branch and
-    bound solves the reduction, as the greedy sub-solver does under
-    ``pack_budget``, and the choice is verified and lifted back. ``rows``
-    shares the stage rows of the target's instance (of its parent for a
-    window) across calls; they are built here when omitted.
+    instance, the one ``solve_mkcp_exact`` picks on the reduction. The
+    stage DP of ``stage_dp_masks`` finds it whenever its work, ``T *
+    4**|I|`` transitions, is at most both the enumeration budget and
+    ``DEFAULT_ORACLE_BUDGET``, which bounds the DP's tables whatever the
+    budget. That route neither builds the reduction nor reads the horizon
+    cap: it refuses values beyond the reduction's integer range as the
+    reduction does, and ``pack_stage_sets`` packs and checks its sets.
+    Otherwise branch and bound solves the reduction, as the greedy
+    sub-solver does under ``pack_budget``, and the choice is verified and
+    lifted back; the reduction refuses by the horizon cap and branch and
+    bound by the candidate space. ``rows`` shares the stage rows of the
+    target's instance (of its parent for a window) across calls; they are
+    built here when omitted.
 
     The target must be valid; it is not validated again here.
     ``solve_general_result`` validates once, and every window of a valid
@@ -318,17 +318,16 @@ def solve_bounded_horizon(
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
     inst = target.materialize() if isinstance(target, SubInstanceView) else target
-    if solver == "exact":
-        counts = kept_schedule_counts(inst, horizon_cap=horizon_cap)
-        if inst.horizon * 4 ** len(inst.items) <= min(
-            candidate_space(counts, enum_budget), DEFAULT_ORACLE_BUDGET
-        ):
-            masks = stage_dp_masks(target, rows)
-            sets = tuple(
-                frozenset(i for i, mask in zip(inst.items, masks) if mask >> t & 1)
-                for t in range(inst.horizon)
-            )
-            return pack_stage_sets(inst, sets)
+    budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
+    work = inst.horizon * 4 ** len(inst.items)
+    if solver == "exact" and work <= min(budget, DEFAULT_ORACLE_BUDGET):
+        check_value_range(inst)
+        masks = stage_dp_masks(target, rows)
+        sets = tuple(
+            frozenset(i for i, mask in zip(inst.items, masks) if mask >> t & 1)
+            for t in range(inst.horizon)
+        )
+        return pack_stage_sets(inst, sets)
     reduced = reduce_instance(inst, horizon_cap=horizon_cap)
     if solver == "greedy":
         rsol = solve_mkcp_greedy(reduced, pack_budget=pack_budget)

@@ -21,10 +21,9 @@ lexicographically smallest. Submodular objectives are searched in
 lexicographic order under a monotonicity upper bound. Both are exact and
 deterministic; an enumeration budget refuses oversized candidate spaces.
 The branch and bound serves ``gmk solve-mkcp``, whose reduced file may
-carry arbitrary per-mask values, and the exact windows whose candidate
-space is smaller than the stage DP's worst case or whose DP would pass the
-oracle's work bound; ``cutting`` solves the other exact windows by that
-DP, with the same answer.
+carry arbitrary per-mask values, and the exact windows whose stage DP in
+``cutting`` would pass its work bound; that DP solves the others with the
+same answer.
 
 ``solve_mkcp_greedy`` gives each item in turn its best schedule inside
 ``avail``, packing under a node budget, and never fails: the empty
@@ -34,7 +33,7 @@ schedule weighs nothing everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -309,22 +308,16 @@ def _kept_schedules(reduced: ReducedInstance, packing: _PartialPacking, k: int) 
     return masks[keep][order], vals[keep][order]
 
 
-def candidate_space(
-    counts: ReducedInstance | Iterable[int], enum_budget: int | None = None
-) -> int:
+def candidate_space(reduced: ReducedInstance, enum_budget: int | None = None) -> int:
     """Product over items of one plus the kept schedule count.
 
-    ``counts`` holds the per-item counts, or is the reduced instance whose
-    tables give them. Raises ``BudgetExceededError`` once the product passes
-    the enumeration budget, so no exact route starts on an oversized
-    candidate space.
+    Raises ``BudgetExceededError`` once the product passes the enumeration
+    budget, so the search never starts on an oversized candidate space.
     """
-    if isinstance(counts, ReducedInstance):
-        counts = [len(counts.schedules[item]) for item in counts.items]
     budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
     space = 1
-    for count in counts:
-        space *= count + 1
+    for item in reduced.items:
+        space *= len(reduced.schedules[item]) + 1
         if space > budget:
             raise BudgetExceededError(
                 f"exact solve refused: candidate space exceeds budget {budget}; "

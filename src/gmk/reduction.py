@@ -166,24 +166,26 @@ def _bit_columns(horizon: int, masks: np.ndarray) -> np.ndarray:
     return (masks >> np.arange(horizon, dtype=np.int64)[:, None]) & 1
 
 
-def _check_magnitude(inst: GmkInstance, item: str) -> None:
+def check_value_range(inst: GmkInstance, items: Sequence[str] | None = None) -> None:
     """Refuse an item whose schedule values could leave ``VALUE_LIMIT``.
 
     A value adds some of the item's profits and gains and subtracts some of
     its change costs, so both totals below the limit keep every value, and
-    every partial sum, strictly inside it.
+    every partial sum, strictly inside it. Checks ``items``, by default
+    every item of ``inst``, in O(|I| * T).
     """
     stages = range(1, inst.horizon + 1)
-    gains = sum(inst.gain_plus[item, t] + inst.gain_minus[item, t] for t in stages[1:])
-    profits = costs = 0
-    if inst.variant == MODULAR:
-        profits = sum(inst.item_profit(t, item) for t in stages)
-        costs = sum(inst.cost_plus[item, t] + inst.cost_minus[item, t] for t in stages)
-    if profits + gains >= VALUE_LIMIT or costs >= VALUE_LIMIT:
-        raise InputError(
-            f"item {item}: its profits and gains, or its change costs, sum to 2**62 or "
-            f"more, beyond the exact integer range of the reduction"
-        )
+    for item in inst.items if items is None else items:
+        gains = sum(inst.gain_plus[item, t] + inst.gain_minus[item, t] for t in stages[1:])
+        profits = costs = 0
+        if inst.variant == MODULAR:
+            profits = sum(inst.item_profit(t, item) for t in stages)
+            costs = sum(inst.cost_plus[item, t] + inst.cost_minus[item, t] for t in stages)
+        if profits + gains >= VALUE_LIMIT or costs >= VALUE_LIMIT:
+            raise InputError(
+                f"item {item}: its profits and gains, or its change costs, sum to 2**62 or "
+                f"more, beyond the exact integer range of the reduction"
+            )
 
 
 def _schedule_values(
@@ -198,11 +200,10 @@ def _schedule_values(
     stage indicators do not depend on the item, so every item is valued by
     one product with its row of terms; costs are summed apart from profits
     and gains, so no partial sum leaves int64. Raises ``InputError`` for an
-    item beyond that range (``_check_magnitude``) before any product.
+    item beyond that range (``check_value_range``) before any product.
     """
     items = inst.items if items is None else items
-    for item in items:
-        _check_magnitude(inst, item)
+    check_value_range(inst, items)
     horizon = inst.horizon
     modular = inst.variant == MODULAR
     stages, later = range(1, horizon + 1), range(2, horizon + 1)
@@ -270,14 +271,6 @@ def _reduced_constraints(inst: GmkInstance) -> tuple[ReducedConstraint, ...]:
     return tuple(out)
 
 
-def _check_horizon(inst: GmkInstance, horizon_cap: int) -> None:
-    if inst.horizon > horizon_cap:
-        raise BudgetExceededError(
-            f"reduction refused: horizon {inst.horizon} exceeds the cap {horizon_cap} "
-            f"(the element set grows as |I| * 2**T; raise the cap explicitly if intended)"
-        )
-
-
 def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:
     """Build the reduced packing instance's schedule tables and constraints.
 
@@ -289,7 +282,11 @@ def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP
     oracle that adds per-stage lifted profit functions to them. An item
     whose values could reach ``VALUE_LIMIT`` is refused with ``InputError``.
     """
-    _check_horizon(inst, horizon_cap)
+    if inst.horizon > horizon_cap:
+        raise BudgetExceededError(
+            f"reduction refused: horizon {inst.horizon} exceeds the cap {horizon_cap} "
+            f"(the element set grows as |I| * 2**T; raise the cap explicitly if intended)"
+        )
     values = _schedule_values(inst, np.arange(1 << inst.horizon, dtype=np.int64))
     schedules: dict[str, dict[int, int]] = {}
     for item, arr in zip(inst.items, values):
@@ -304,18 +301,6 @@ def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP
         inst.variant, inst.items, inst.horizon, inst.dimension, schedules,
         _reduced_constraints(inst), objective,
     )
-
-
-def kept_schedule_counts(
-    inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP
-) -> tuple[int, ...]:
-    """Per item, how many schedules ``reduce_instance`` keeps, without building it.
-
-    Refuses as the reduction does: by the horizon cap, then by magnitude.
-    """
-    _check_horizon(inst, horizon_cap)
-    values = _schedule_values(inst, np.arange(1 << inst.horizon, dtype=np.int64))
-    return tuple(np.count_nonzero(values >= 0, axis=1).tolist())
 
 
 def reduce_modular(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:

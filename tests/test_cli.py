@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from gmk import mkcp
+from gmk import core, mkcp
 from gmk.cli import main
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import DEFAULT_PACK_BUDGET
@@ -212,6 +212,25 @@ def test_values_just_below_the_limit_solve_exactly(tmp_path, capsys):
     assert run("compare", "--in", path, *SCHEME, "--report", tmp_path / "r.json") == 0
     report = load_json(tmp_path / "r.json")
     assert report["final_value"] == report["oracle_value"] == 2 * (2**61 - 2) + 6
+
+
+def test_solve_validates_the_instance_once(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "inst.json"
+    params = GenParams(items=3, horizon=14, dimension=2, target_phi=1)
+    write_json(inst, instance_to_dict(gen_random(params, 0)))
+    broken = load_json(DOCS / "modular_micro.json")
+    del broken["gain_plus"]["cam"]
+    broken_path = tmp_path / "broken.json"
+    broken_path.write_text(json.dumps(broken))
+    calls = []
+    real = core.validate_instance
+    monkeypatch.setattr(core, "validate_instance", lambda i: calls.append(i) or real(i))
+    for path, code in ((inst, 0), (broken_path, 2)):
+        calls.clear()
+        capsys.readouterr()
+        assert run("solve", "--in", path, *SCHEME, "--out", tmp_path / "s.json") == code
+        assert len(calls) == 1
+    assert "invalid instance" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 def test_reduce_horizon_cap_exit_3(tmp_path):

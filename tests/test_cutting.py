@@ -369,20 +369,24 @@ def exact_routes(monkeypatch):
     return calls
 
 
+def _optimum(inst):
+    return evaluate_objective(inst, brute_force_gmk(inst).sets)
+
+
 def test_exact_route_follows_the_worst_case_rule(exact_routes):
-    # each item keeps only its empty schedule: a candidate space of 2**6
-    # against 3 * 4**6 DP transitions sends the solve to branch and bound
-    negative = _all_schedules_negative()
-    plain = gen_random(DP_SHAPES["two_bin_d2"], 0)
-    assert candidate_space(reduce_instance(negative)) == 2**6
-    assert candidate_space(reduce_instance(plain)) > plain.horizon * 4**3
-    for inst, route in ((negative, "solve_mkcp_exact"), (plain, "stage_dp_masks")):
+    # the stage DP's work, T * 4**|I| transitions, picks the route: each item
+    # keeps only its empty schedule, a candidate space of 2**6, yet the DP
+    # solves it unless the budget is below its 3 * 4**6 transitions
+    inst = _all_schedules_negative()
+    work = inst.horizon * 4**6
+    assert candidate_space(reduce_instance(inst)) == 2**6
+    for budget, route in (
+        (None, "stage_dp_masks"), (work, "stage_dp_masks"), (work - 1, "solve_mkcp_exact"),
+    ):
         exact_routes.clear()
-        sol = solve_bounded_horizon(inst, "exact")
-        assert exact_routes == [route]
-        assert evaluate_objective(inst, sol.sets) == evaluate_objective(
-            inst, brute_force_gmk(inst).sets
-        )
+        sol = solve_bounded_horizon(inst, "exact", enum_budget=budget)
+        assert exact_routes == [route], budget
+        assert evaluate_objective(inst, sol.sets) == _optimum(inst)
 
 
 def test_exact_route_keeps_the_dp_within_the_oracle_work_bound(exact_routes):
@@ -395,14 +399,21 @@ def test_exact_route_keeps_the_dp_within_the_oracle_work_bound(exact_routes):
     assert exact_routes == ["solve_mkcp_exact"]
 
 
-def test_exact_routes_refuse_by_the_candidate_space():
+def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
     for inst in (_all_schedules_negative(), gen_random(DP_SHAPES["two_bin_d2"], 0)):
+        work = inst.horizon * 4 ** len(inst.items)
         space = candidate_space(reduce_instance(inst))
+        # below the DP's work, branch and bound refuses by the candidate
+        # space, and the reduction by the horizon cap
         with pytest.raises(BudgetExceededError, match="candidate space exceeds budget"):
-            solve_bounded_horizon(inst, "exact", enum_budget=space - 1)
-        solve_bounded_horizon(inst, "exact", enum_budget=space)
+            solve_bounded_horizon(inst, "exact", enum_budget=min(space, work) - 1)
         with pytest.raises(BudgetExceededError, match="horizon"):
-            solve_bounded_horizon(inst, "exact", horizon_cap=inst.horizon - 1)
+            solve_bounded_horizon(inst, "exact", enum_budget=work - 1, horizon_cap=inst.horizon - 1)
+        # the cap binds only the reduction: the stage DP solves past it
+        exact_routes.clear()
+        sol = solve_bounded_horizon(inst, "exact", horizon_cap=inst.horizon - 1)
+        assert exact_routes == ["stage_dp_masks"]
+        assert evaluate_objective(inst, sol.sets) == _optimum(inst)
 
 
 @pytest.mark.parametrize("shape", ["two_bin_d2", "three_bin_d2", "submodular_two_bin_d2"])
@@ -427,6 +438,32 @@ def test_exact_scheme_matches_oracle_beyond_one_bin(shape):
             for (lo, hi), value in zip(windows, it.window_values):
                 local = sub_instance(inst, lo, hi).materialize()
                 assert value == evaluate_objective(local, brute_force_gmk(local).sets)
+
+
+# (eps, |I|, T, d, bins per constraint): every T lies in (2 * mu_inv, 150]
+PAPER_PARAMETER_CASES = [
+    (Fraction(1, 5), 3, 51, 1, 1), (Fraction(1, 5), 3, 60, 2, 2), (Fraction(1, 5), 4, 75, 2, 2),
+    (Fraction(1, 5), 5, 60, 2, 1), (Fraction(1, 5), 4, 150, 1, 1), (Fraction(1, 5), 3, 130, 2, 2),
+    (Fraction(3, 20), 3, 91, 2, 2), (Fraction(3, 20), 4, 100, 1, 1),
+    (Fraction(3, 20), 5, 95, 2, 2), (Fraction(3, 20), 3, 150, 2, 1),
+]
+
+
+def test_exact_scheme_at_the_paper_parameters_keeps_the_ptas_bound():
+    # mu_inv derives from eps and phi (25 at eps 1/5, 45 at 3/20), with no
+    # override, so windows run up to 90 stages past the default horizon cap
+    for seed, (eps, items, horizon, d, bins) in enumerate(PAPER_PARAMETER_CASES):
+        params = GenParams(items=items, horizon=horizon, dimension=d, bins_per_mkc=bins,
+                           target_phi=1)
+        inst = gen_random(params, seed)
+        scheme = SchemeParams(eps, 1)
+        assert 2 * scheme.mu_inv < horizon <= 150
+        result = solve_general_result(inst, scheme, "exact")
+        opt = _optimum(inst)
+        assert not result.bypassed, seed
+        assert result.value >= (1 - eps) * opt, seed
+        assert len(result.iterations) == scheme.mu_inv
+        assert all(it.combined_value <= opt for it in result.iterations), seed
 
 
 def _reduce_pack_lift(target):
@@ -463,10 +500,7 @@ def _padded_instance():
 
 
 @pytest.mark.parametrize("shape", sorted(DP_SHAPES))
-def test_dp_route_emits_the_bytes_of_reduce_pack_lift(shape, exact_routes, monkeypatch):
-    # short windows keep few schedules, so the route rule would send them to
-    # branch and bound; an unbounded candidate space sends every solve to the DP
-    monkeypatch.setattr(cutting, "candidate_space", lambda counts, budget: budget)
+def test_dp_route_emits_the_bytes_of_reduce_pack_lift(shape, exact_routes):
     params = DP_SHAPES[shape]
     mu_inv = (params.horizon - 1) // 2
     budget = 10**15
