@@ -6,15 +6,13 @@ For mu_inv shifted grids the horizon splits into windows of length at most
 no interior cut and their one window is the whole horizon (at mu_inv = 25,
 T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). Each window is
 solved at bounded horizon. An exact window is solved by a stage DP over
-packable item sets whenever its work, ``T * 4**|I|`` transitions, is within
-the enumeration budget and the oracle's work bound; that route builds no
-reduction, and reads the per-stage packability and profit rows that
+packable item sets, within the enumeration budget; it builds no reduction,
+and reads the per-stage packability and profit rows that
 ``solve_general_result`` builds once per instance for every window of every
-shift. Otherwise the window is reduced, solved by branch and bound or
-greedily, and lifted back. The window solutions concatenate into a full
-solution worth at least the sum of its parts (seam costs can only be
-saved, seam gains only added). The best recombination over all shifts
-wins. Short horizons bypass the loop.
+shift. A greedy window is reduced, solved greedily and lifted back. The
+window solutions concatenate into a full solution worth at least the sum of
+its parts (seam costs can only be saved, seam gains only added). The best
+recombination over all shifts wins. Short horizons bypass the loop.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -42,14 +40,9 @@ from .core import (
     ratio_violation,
     sub_instance,
 )
-from .errors import ContractViolationError, InputError
-from .mkcp import (
-    DEFAULT_ENUM_BUDGET,
-    DEFAULT_PACK_BUDGET,
-    solve_mkcp_exact,
-    solve_mkcp_greedy,
-)
-from .oracle import DEFAULT_ORACLE_BUDGET, pack_stage_sets, packable_row, transition_columns
+from .errors import BudgetExceededError, ContractViolationError, InputError
+from .mkcp import DEFAULT_ENUM_BUDGET, DEFAULT_PACK_BUDGET, solve_mkcp_greedy
+from .oracle import pack_stage_sets, packable_row
 from .reduction import (
     DEFAULT_HORIZON_CAP,
     check_value_range,
@@ -244,6 +237,18 @@ def stage_dp_masks(
         [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in enumerate(profits)
     ]
 
+    # links[t][k][in_cur][in_prev]: item k's scaled term from stage t + 1 to
+    # t + 2 of the target: g- out of both sets, g+ in both, minus c+ on entry
+    # and c- on exit (costs are zero in the submodular variant)
+    links = [
+        [
+            ((inst.gain_minus[i, t] * scale, -inst.cost_minus[i, t - 1] * scale),
+             (-inst.cost_plus[i, t] * scale, inst.gain_plus[i, t] * scale))
+            for i in items
+        ]
+        for t in range(lo + 1, hi + 1)
+    ]
+
     # No partial value nor transition term exceeds ``span`` in absolute
     # value and ``M < scale``, so an unreachable predecessor (``floor`` plus
     # a term) loses to every reachable one.
@@ -258,25 +263,32 @@ def stage_dp_masks(
     )
     floor = -(3 * span + 2) * scale
     best = [term if ok else floor for term, ok in zip(terms[0], packable[0])]
-    parents: list[list[int]] = []
-    for t in range(2, horizon + 1):
-        cols = [[v * scale for v in col] for col in transition_columns(inst, lo + t - 1)]
-        nxt = [floor] * size
-        parent = [0] * size
-        for cur in range(size):
-            if not packable[t - 1][cur]:
-                continue
-            cand = list(map(add, best, cols[cur]))
-            top = max(cand)
-            nxt[cur] = top + terms[t - 1][cur]
-            parent[cur] = cand.index(top)
-        parents.append(parent)
-        best = nxt
+    history = [best]
+    half = size >> 1
+    for link, term, ok in zip(links, terms[1:], packable[1:]):
+        # The max over prev of best[prev] plus the per-item terms takes one
+        # pass per item: a pass swaps the top bit's prev value for its cur
+        # value and rotates the mask left, bringing the next item's bit on
+        # top; n passes restore the item order.
+        acc = best[:]
+        for (out0, out1), (in0, in1) in reversed(link):
+            left, right = acc[:half], acc[half:]
+            acc[0::2] = map(max, [v + out0 for v in left], [v + out1 for v in right])
+            acc[1::2] = map(max, [v + in0 for v in left], [v + in1 for v in right])
+        best = [v + x if y else floor for v, x, y in zip(acc, term, ok)]
+        history.append(best)
 
+    # Walking back, each set's one best predecessor (distinct set sequences
+    # have distinct keys) is recomputed from the previous stage's row.
     top = max(best)
     sets = [best.index(top)]
-    for parent in reversed(parents):
-        sets.append(parent[sets[-1]])
+    for link, prev in zip(reversed(links), reversed(history[:-1])):
+        col = [0]
+        for k, term in enumerate(link):
+            out_prev, in_prev = term[sets[-1] >> k & 1]
+            col = [v + out_prev for v in col] + [v + in_prev for v in col]
+        cand = list(map(add, prev, col))
+        sets.append(cand.index(max(cand)))
     sets.reverse()
     decoded = -(-top // scale)  # top = value * scale - M with 0 <= M < scale
     value = evaluate_sub_objective(target, [members[m] for m in sets])
@@ -296,20 +308,16 @@ def solve_bounded_horizon(
 ) -> MultistageSolution:
     """Solve an instance or window at bounded horizon.
 
-    With the exact sub-solver the result is an optimum of the (sub-)
-    instance, the one ``solve_mkcp_exact`` picks on the reduction. The
-    stage DP of ``stage_dp_masks`` finds it whenever its work, ``T *
-    4**|I|`` transitions, is at most both the enumeration budget and
-    ``DEFAULT_ORACLE_BUDGET``, which bounds the DP's tables whatever the
-    budget. That route neither builds the reduction nor reads the horizon
-    cap: it refuses values beyond the reduction's integer range as the
-    reduction does, and ``pack_stage_sets`` packs and checks its sets.
-    Otherwise branch and bound solves the reduction, as the greedy
-    sub-solver does under ``pack_budget``, and the choice is verified and
-    lifted back; the reduction refuses by the horizon cap and branch and
-    bound by the candidate space. ``rows`` shares the stage rows of the
-    target's instance (of its parent for a window) across calls; they are
-    built here when omitted.
+    With the exact sub-solver the result is the optimum branch and bound
+    picks on the reduction, found by ``stage_dp_masks`` without building
+    the reduction. The enumeration budget bounds its work, ``T * |I| *
+    2**|I|`` additions, and so its tables of ``T * 2**|I|`` entries. Values
+    beyond the reduction's integer range are refused as the reduction
+    refuses them, and ``pack_stage_sets`` packs and checks the sets. The
+    greedy sub-solver reduces the target under the horizon cap, solves the
+    reduction under ``pack_budget`` and lifts the choice back. ``rows``
+    shares the stage rows of the target's instance (of its parent for a
+    window) across calls, built here when omitted.
 
     The target must be valid; it is not validated again here.
     ``solve_general_result`` validates once, and every window of a valid
@@ -318,22 +326,22 @@ def solve_bounded_horizon(
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
     inst = target.materialize() if isinstance(target, SubInstanceView) else target
-    budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
-    work = inst.horizon * 4 ** len(inst.items)
-    if solver == "exact" and work <= min(budget, DEFAULT_ORACLE_BUDGET):
-        check_value_range(inst)
-        masks = stage_dp_masks(target, rows)
-        sets = tuple(
-            frozenset(i for i, mask in zip(inst.items, masks) if mask >> t & 1)
-            for t in range(inst.horizon)
-        )
-        return pack_stage_sets(inst, sets)
-    reduced = reduce_instance(inst, horizon_cap=horizon_cap)
     if solver == "greedy":
-        rsol = solve_mkcp_greedy(reduced, pack_budget=pack_budget)
-    else:
-        rsol = solve_mkcp_exact(reduced, enum_budget=enum_budget)
-    return lift_solution(inst, rsol, reduced)
+        reduced = reduce_instance(inst, horizon_cap=horizon_cap)
+        return lift_solution(inst, solve_mkcp_greedy(reduced, pack_budget=pack_budget), reduced)
+    budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
+    work = inst.horizon * len(inst.items) * 2 ** len(inst.items)
+    if work > budget:
+        raise BudgetExceededError(
+            f"exact solve refused: stage DP work {work} (T * |I| * 2**|I|) exceeds budget {budget}"
+        )
+    check_value_range(inst)
+    masks = stage_dp_masks(target, rows)
+    sets = tuple(
+        frozenset(i for i, mask in zip(inst.items, masks) if mask >> t & 1)
+        for t in range(inst.horizon)
+    )
+    return pack_stage_sets(inst, sets)
 
 
 @dataclass(frozen=True)

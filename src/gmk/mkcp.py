@@ -20,10 +20,9 @@ improvements, so it returns the first optimum it reaches, the
 lexicographically smallest. Submodular objectives are searched in
 lexicographic order under a monotonicity upper bound. Both are exact and
 deterministic; an enumeration budget refuses oversized candidate spaces.
-The branch and bound serves ``gmk solve-mkcp``, whose reduced file may
-carry arbitrary per-mask values, and the exact windows whose stage DP in
-``cutting`` would pass its work bound; that DP solves the others with the
-same answer.
+The branch and bound serves only ``gmk solve-mkcp``, whose reduced file may
+carry arbitrary per-mask values; the scheme's exact windows are solved by
+the stage DP in ``cutting``, which returns the same answer.
 
 ``solve_mkcp_greedy`` gives each item in turn its best schedule inside
 ``avail``, packing under a node budget, and never fails: the empty
@@ -308,11 +307,13 @@ def _kept_schedules(reduced: ReducedInstance, packing: _PartialPacking, k: int) 
     return masks[keep][order], vals[keep][order]
 
 
-def candidate_space(reduced: ReducedInstance, enum_budget: int | None = None) -> int:
-    """Product over items of one plus the kept schedule count.
+def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None) -> ReducedSolution:
+    """Maximum-value feasible selection, ties broken lexicographically.
 
-    Raises ``BudgetExceededError`` once the product passes the enumeration
-    budget, so the search never starts on an oversized candidate space.
+    The tie-break is over the tuple of chosen schedule masks in item order.
+    Refuses, before the search starts, a candidate space (the product over
+    items of one plus the kept schedule count) larger than the enumeration
+    budget.
     """
     budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
     space = 1
@@ -323,16 +324,6 @@ def candidate_space(reduced: ReducedInstance, enum_budget: int | None = None) ->
                 f"exact solve refused: candidate space exceeds budget {budget}; "
                 f"use solve_mkcp_greedy or raise the budget"
             )
-    return space
-
-
-def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None) -> ReducedSolution:
-    """Maximum-value feasible selection, ties broken lexicographically.
-
-    The tie-break is over the tuple of chosen schedule masks in item order.
-    Refuses candidate spaces larger than the enumeration budget.
-    """
-    candidate_space(reduced, enum_budget)
     if reduced.variant == MODULAR:
         return _exact_modular(reduced)
     return _exact_submodular(reduced)

@@ -17,11 +17,11 @@ The DP runs on plain Python ints, so it is exact at any magnitude, and it
 keeps its own encoding of the objective's terms, independent of the
 reduction's, because it is the reference the exact solvers are tested
 against. ``packable_row``, the one packability kernel of the package's
-stage DPs, and ``transition_columns`` are shared with
-``cutting.stage_dp_masks``, so an error in them would show in that DP and
-in this reference alike; the test that the DP picks the masks of the
-reduced branch and bound, which encodes the objective independently,
-catches it there.
+stage DPs, and ``pack_stage_sets`` are shared with ``cutting``, so an
+error in them would show in its stage DP and in this reference alike; the
+test that the DP picks the masks of the reduced branch and bound, which
+encodes the objective independently, catches it there.
+``transition_columns`` belongs to this reference alone.
 """
 
 from __future__ import annotations

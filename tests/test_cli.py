@@ -309,6 +309,44 @@ def test_compare_ok_and_ratio(tmp_path):
     assert payload["ratio"] is None or payload["ratio"] >= 0.8
 
 
+def test_compare_readme_long_horizon_example(tmp_path):
+    inst, report = tmp_path / "long.json", tmp_path / "cmp.json"
+    assert run(
+        "gen", "--random", "--seed", 7, "--items", 3, "--horizon", 60, "--d", 2, "--bins", 2,
+        "--target-phi", 1, "--out", inst,
+    ) == 0
+    assert run("compare", "--in", inst, "--eps", "0.2", "--phi", 1, "--report", report) == 0
+    payload = load_json(report)
+    assert payload["bypassed"] is False
+    values = [it["combined_value"] for it in payload["iterations"]]
+    assert len(values) == 25 and (min(values), max(values)) == (607, 610)
+    assert payload["selected_j"] == 2
+    assert payload["final_value"] == payload["oracle_value"] == 610
+
+
+def test_exact_commands_run_past_the_transition_bound(tmp_path):
+    # the stage DP's T * |I| * 2**|I| additions fit where T * 4**|I| transitions did not
+    inst, report = tmp_path / "inst.json", tmp_path / "cmp.json"
+    assert run(
+        "gen", "--random", "--seed", 2, "--items", 8, "--horizon", 60, "--d", 2, "--bins", 2,
+        "--target-phi", 1, "--out", inst,
+    ) == 0
+    assert run(
+        "compare", "--in", inst, "--eps", "0.2", "--phi", 1, "--budget", 4_000_000,
+        "--report", report,
+    ) == 0
+    payload = load_json(report)
+    assert payload["ratio"] == 1.0 and payload["final_value"] == 1413
+    assert run(
+        "gen", "--random", "--seed", 3, "--items", 10, "--horizon", 4, "--target-phi", 1,
+        "--out", inst,
+    ) == 0
+    assert run(
+        "solve", "--in", inst, "--eps", "0.2", "--phi", 1, "--sub-solver", "exact",
+        "--out", tmp_path / "sol.json",
+    ) == 0
+
+
 def test_compare_phi_violation_exit_2_names_item(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert (

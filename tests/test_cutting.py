@@ -32,8 +32,8 @@ from gmk.cutting import (
 )
 from gmk.errors import BudgetExceededError, InputError
 from gmk.generators import GenParams, gen_random
-from gmk.mkcp import candidate_space, finish_selection, solve_mkcp_exact
-from gmk.oracle import DEFAULT_ORACLE_BUDGET, brute_force_gmk
+from gmk.mkcp import finish_selection, solve_mkcp_exact
+from gmk.oracle import brute_force_gmk
 from gmk.reduction import ReducedElement, lift_solution, reduce_instance
 from gmk.serialize import canonical_dumps, solution_to_dict
 
@@ -324,6 +324,11 @@ DP_SHAPES = {
         items=3, horizon=4, dimension=2, bins_per_mkc=2, gain_range=(0, 1),
         variant="submodular",
     ),
+    # many subsets are unpackable, so the DP compares floor-valued predecessors
+    "tight_i8": GenParams(
+        items=8, horizon=4, weight_range=(1, 4), capacity_range=(2, 5), profit_range=(0, 2),
+        gain_range=(0, 1), cost_range=(0, 1),
+    ),
 }
 
 
@@ -362,10 +367,9 @@ def _recording(calls, name):
 
 @pytest.fixture
 def exact_routes(monkeypatch):
-    """The exact routes the solves take, in call order."""
+    """The stage DP calls the exact solves make, in call order."""
     calls = []
-    for name in ("solve_mkcp_exact", "stage_dp_masks"):
-        monkeypatch.setattr(cutting, name, _recording(calls, name))
+    monkeypatch.setattr(cutting, "stage_dp_masks", _recording(calls, "stage_dp_masks"))
     return calls
 
 
@@ -373,47 +377,56 @@ def _optimum(inst):
     return evaluate_objective(inst, brute_force_gmk(inst).sets)
 
 
+def _dp_work(inst):
+    return inst.horizon * len(inst.items) * 2 ** len(inst.items)
+
+
 def test_exact_route_follows_the_worst_case_rule(exact_routes):
-    # the stage DP's work, T * 4**|I| transitions, picks the route: each item
-    # keeps only its empty schedule, a candidate space of 2**6, yet the DP
-    # solves it unless the budget is below its 3 * 4**6 transitions
+    # the stage DP's work, T * |I| * 2**|I| additions, is the one bound of
+    # the exact route: the DP runs at that budget and is refused below it
     inst = _all_schedules_negative()
-    work = inst.horizon * 4**6
-    assert candidate_space(reduce_instance(inst)) == 2**6
-    for budget, route in (
-        (None, "stage_dp_masks"), (work, "stage_dp_masks"), (work - 1, "solve_mkcp_exact"),
-    ):
+    work = _dp_work(inst)
+    assert work == 3 * 6 * 2**6
+    for budget in (None, work):
         exact_routes.clear()
         sol = solve_bounded_horizon(inst, "exact", enum_budget=budget)
-        assert exact_routes == [route], budget
+        assert exact_routes == ["stage_dp_masks"], budget
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
+    exact_routes.clear()
+    with pytest.raises(BudgetExceededError, match="stage DP work"):
+        solve_bounded_horizon(inst, "exact", enum_budget=work - 1)
+    assert exact_routes == []
 
 
-def test_exact_route_keeps_the_dp_within_the_oracle_work_bound(exact_routes):
-    # a raised budget admits this candidate space, but 4 * 4**9 DP
-    # transitions pass the oracle's work bound: branch and bound solves it
+def test_exact_route_solves_nine_items_by_the_dp_alone(exact_routes):
+    # 4 * 4**9 transitions pass the oracle's default work bound, but the
+    # factored DP's 4 * 9 * 2**9 additions fit the default budget
     inst = gen_random(GenParams(items=9, horizon=4), 0)
-    work, budget = inst.horizon * 4**9, 10**12
-    assert DEFAULT_ORACLE_BUDGET < work < candidate_space(reduce_instance(inst), budget)
-    solve_bounded_horizon(inst, "exact", enum_budget=budget)
-    assert exact_routes == ["solve_mkcp_exact"]
+    sol = solve_bounded_horizon(inst, "exact")
+    assert exact_routes == ["stage_dp_masks"]
+    assert _solution_bytes(sol) == _solution_bytes(_reduce_pack_lift(inst))
+    assert stage_dp_masks(inst) == _search_masks(inst)
 
 
 def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
-    for inst in (_all_schedules_negative(), gen_random(DP_SHAPES["two_bin_d2"], 0)):
-        work = inst.horizon * 4 ** len(inst.items)
-        space = candidate_space(reduce_instance(inst))
-        # below the DP's work, branch and bound refuses by the candidate
-        # space, and the reduction by the horizon cap
+    # neither branch and bound's candidate space nor the horizon cap binds
+    # the exact scheme; the cap still binds the greedy sub-solver
+    params = dataclasses.replace(DP_SHAPES["two_bin_d2"], target_phi=1)
+    for seed in range(3):
+        inst = gen_random(params, seed)
+        work, cap = _dp_work(inst), inst.horizon - 1
+        reduced = reduce_instance(inst)
         with pytest.raises(BudgetExceededError, match="candidate space exceeds budget"):
-            solve_bounded_horizon(inst, "exact", enum_budget=min(space, work) - 1)
-        with pytest.raises(BudgetExceededError, match="horizon"):
-            solve_bounded_horizon(inst, "exact", enum_budget=work - 1, horizon_cap=inst.horizon - 1)
-        # the cap binds only the reduction: the stage DP solves past it
+            solve_mkcp_exact(reduced, enum_budget=work)
         exact_routes.clear()
-        sol = solve_bounded_horizon(inst, "exact", horizon_cap=inst.horizon - 1)
+        sol = solve_bounded_horizon(inst, "exact", enum_budget=work, horizon_cap=cap)
         assert exact_routes == ["stage_dp_masks"]
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
+        scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=2)
+        result = solve_general_result(inst, scheme, "exact", enum_budget=work, horizon_cap=cap)
+        assert not result.bypassed
+        with pytest.raises(BudgetExceededError, match="horizon"):
+            solve_bounded_horizon(inst, "greedy", horizon_cap=cap)
 
 
 @pytest.mark.parametrize("shape", ["two_bin_d2", "three_bin_d2", "submodular_two_bin_d2"])
@@ -545,7 +558,7 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
 
     calls = []
     monkeypatch.setattr(cutting, "packable_row", counted_row)
-    for name in ("reduce_instance", "lift_solution", "solve_mkcp_exact"):
+    for name in ("reduce_instance", "lift_solution"):
         monkeypatch.setattr(cutting, name, _recording(calls, name))
     # each window is validated, materialized and checked once
     checks = []
