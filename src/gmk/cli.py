@@ -148,7 +148,6 @@ def _run_scheme(args, inst):
         inst,
         params,
         args.sub_solver,
-        horizon_cap=args.horizon_cap,
         enum_budget=args.budget,
         pack_budget=args.pack_budget,
     )
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phi", type=int, required=True)
         p.add_argument("--mu-inv", type=int, default=None, help="experimental grid override")
         p.add_argument("--sub-solver", choices=["exact", "greedy"], default="exact")
-        p.add_argument("--horizon-cap", type=int, default=None)
+        p.add_argument("--horizon-cap", type=int, default=None, help="ignored; binds only reduce")
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--pack-budget", type=int, default=None)
         if name == "solve":

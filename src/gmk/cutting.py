@@ -5,14 +5,14 @@ For mu_inv shifted grids the horizon splits into windows of length at most
 ``T - mu_inv``, so for ``2 * mu_inv < T <= 3 * mu_inv - 2`` some shifts get
 no interior cut and their one window is the whole horizon (at mu_inv = 25,
 T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). Each window is
-solved at bounded horizon. An exact window is solved by a stage DP over
-packable item sets, within the enumeration budget; it builds no reduction,
-and reads the per-stage packability and profit rows that
-``solve_general_result`` builds once per instance for every window of every
-shift. A greedy window is reduced, solved greedily and lifted back. The
-window solutions concatenate into a full solution worth at least the sum of
-its parts (seam costs can only be saved, seam gains only added). The best
-recombination over all shifts wins. Short horizons bypass the loop.
+solved at bounded horizon by a stage DP, with no reduction built. An exact
+window runs it over packable item sets, within the enumeration budget, on
+the per-stage packability and profit rows that ``solve_general_result``
+builds once per instance for every window of every shift; a greedy window
+runs it on one item at a time. The window solutions concatenate into a
+full solution worth at least the sum of its parts (seam costs can only be
+saved, seam gains only added). The best recombination over all shifts
+wins. Short horizons bypass the loop.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, sub
 from typing import Sequence
 
 from .core import (
@@ -41,14 +41,9 @@ from .core import (
     sub_instance,
 )
 from .errors import BudgetExceededError, ContractViolationError, InputError
-from .mkcp import DEFAULT_ENUM_BUDGET, DEFAULT_PACK_BUDGET, solve_mkcp_greedy
+from .mkcp import DEFAULT_ENUM_BUDGET, DEFAULT_PACK_BUDGET, _PartialPacking
 from .oracle import pack_stage_sets, packable_row
-from .reduction import (
-    DEFAULT_HORIZON_CAP,
-    check_value_range,
-    lift_solution,
-    reduce_instance,
-)
+from .reduction import _reduced_constraints, check_value_range
 
 SOLVER_CHOICES = ("exact", "greedy")
 
@@ -192,50 +187,32 @@ class StageRows(dict):
         return row
 
 
-def stage_dp_masks(
-    target: GmkInstance | SubInstanceView, rows: StageRows | None = None
-) -> tuple[int, ...]:
-    """Per item, the schedule mask of the exact search's answer, in one DP pass.
+def _stage_dp(
+    inst: GmkInstance, items: Sequence[str], lo: int, hi: int, packable: list, profits: list
+) -> tuple[int, list[int]]:
+    """Maximum value and its set masks, stage by stage, over ``items`` at stages lo..hi.
 
-    The exact search returns a maximum value and, among maxima, the
-    lexicographically smallest tuple of schedule masks in item order: the
-    smallest ``M = sum_k mask_k * 2**(T*(n-1-k))``. ``M`` adds one term per
-    (item, stage) bit, so the oracle's stage DP over packable item sets
-    finds that answer when it maximizes ``value * 2**(n*T) - M``: item k
-    packed at stage t subtracts ``2**(T*(n-1-k) + t-1)``. Distinct set
-    sequences have distinct ``M``, so no two of them tie. The value the
-    maximum decodes to must equal the objective of the chosen sets.
-
-    A window is read in place from its parent's tables: its first stage
-    pays the parent's entry costs, its last stage the exit costs, and
-    ``rows``, the parent's shared rows, are built here when not given.
+    Set m has bit k for ``items[k]``; ``packable[t - lo][m]`` and
+    ``profits[t - lo][m]`` are its packability and profit at stage t;
+    ``inst`` gives the coupling terms, the entry costs at lo and the exit
+    costs at hi. Among maxima the DP keeps the smallest ``M = sum_k mask_k
+    * 2**(T*(n-1-k))`` over item schedules ``mask_k``, as it maximizes
+    ``value * 2**(n*T) - M``; distinct set sequences have distinct ``M``.
     """
-    if not isinstance(target, SubInstanceView):
-        target = sub_instance(target, 1, target.horizon)
-    inst, lo, hi = target.instance, target.start, target.end
-    if rows is None:
-        rows = StageRows(inst)
-    assert rows.instance is inst, "stage rows belong to another instance"
-    items = inst.items
-    n, horizon = len(items), target.horizon
+    n, horizon = len(items), hi - lo + 1
     size = 1 << n
     scale = 1 << n * horizon
-    members = rows.members
-    # lex[m]: the M of set m packed at stage 1 alone; stage t shifts it left by t - 1
+    # lex[m]: the M of set m packed at stage lo alone; stage t shifts it left by t - lo
     lex = [sum(1 << horizon * (n - 1 - k) for k in range(n) if m >> k & 1) for m in range(size)]
-    packable = [rows[t][0] for t in range(lo, hi + 1)]
-    profits = [rows[t][1] for t in range(lo, hi + 1)]
-    if inst.variant == MODULAR:
-        # the first stage pays the entry cost of every packed item, the last its exit cost
-        profits[0] = [
-            p - sum(inst.cost_plus[i, lo] for i in s) for p, s in zip(profits[0], members)
-        ]
-        profits[-1] = [
-            p - sum(inst.cost_minus[i, hi] for i in s) for p, s in zip(profits[-1], members)
-        ]
     terms = [
         [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in enumerate(profits)
     ]
+    # the first stage pays every packed item's entry cost, the last its exit cost
+    for row, table, t in ((terms[0], inst.cost_plus, lo), (terms[-1], inst.cost_minus, hi)):
+        cost = [0]
+        for i in items:
+            cost += [c + table[i, t] * scale for c in cost]
+        row[:] = map(sub, row, cost)
 
     # links[t][k][in_cur][in_prev]: item k's scaled term from stage t + 1 to
     # t + 2 of the target: g- out of both sets, g+ in both, minus c+ on entry
@@ -249,19 +226,12 @@ def stage_dp_masks(
         for t in range(lo + 1, hi + 1)
     ]
 
-    # No partial value nor transition term exceeds ``span`` in absolute
-    # value and ``M < scale``, so an unreachable predecessor (``floor`` plus
-    # a term) loses to every reachable one.
-    span = sum(abs(p) for row in profits for p in row) + sum(
-        abs(table[i, t])
-        for table, first in (
-            (inst.gain_plus, lo + 1), (inst.gain_minus, lo + 1),
-            (inst.cost_plus, lo), (inst.cost_minus, lo),
-        )
-        for i in items
-        for t in range(first, hi + 1)
-    )
-    floor = -(3 * span + 2) * scale
+    # No reachable key nor link term exceeds ``span`` in absolute value, so
+    # an unreachable predecessor (``floor`` plus a term) loses to every
+    # reachable one; the empty set packs at every stage, so one exists.
+    span = sum(abs(v) for row in terms for v in row)
+    span += sum(abs(v) for link in links for term in link for pair in term for v in pair)
+    floor = -(3 * span + 1)
     best = [term if ok else floor for term, ok in zip(terms[0], packable[0])]
     history = [best]
     half = size >> 1
@@ -290,45 +260,84 @@ def stage_dp_masks(
         cand = list(map(add, prev, col))
         sets.append(cand.index(max(cand)))
     sets.reverse()
-    decoded = -(-top // scale)  # top = value * scale - M with 0 <= M < scale
-    value = evaluate_sub_objective(target, [members[m] for m in sets])
+    return -(-top // scale), sets  # top = value * scale - M with 0 <= M < scale
+
+
+def stage_dp_masks(
+    target: GmkInstance | SubInstanceView, rows: StageRows | None = None
+) -> tuple[int, ...]:
+    """Per item, the schedule mask of the exact search's answer, in one DP pass.
+
+    The exact search's answer, a maximum value with the lexicographically
+    smallest mask tuple, is ``_stage_dp``'s over all items, and its value
+    must equal the objective of the chosen sets. A window is read in place
+    from its parent's tables and ``rows``, built here when not given.
+    """
+    if not isinstance(target, SubInstanceView):
+        target = sub_instance(target, 1, target.horizon)
+    inst, lo, hi = target.instance, target.start, target.end
+    if rows is None:
+        rows = StageRows(inst)
+    assert rows.instance is inst, "stage rows belong to another instance"
+    packable, profits = zip(*(rows[t] for t in range(lo, hi + 1)))
+    decoded, sets = _stage_dp(inst, inst.items, lo, hi, packable, profits)
+    value = evaluate_sub_objective(target, [rows.members[m] for m in sets])
     if value != decoded:
         raise ContractViolationError(f"stage DP value {decoded} differs from the objective {value}")
-    return tuple(sum((m >> k & 1) << t for t, m in enumerate(sets)) for k in range(n))
+    return tuple(sum((m >> k & 1) << t for t, m in enumerate(sets)) for k in range(len(inst.items)))
+
+
+def _greedy_sets(inst: GmkInstance, pack_budget: int | None) -> list[frozenset[str]]:
+    """Stage sets built item by item, each schedule by ``_stage_dp`` over its item alone.
+
+    The item packs at the stages of ``_PartialPacking.avail(k)`` under
+    ``pack_budget`` packer nodes and earns its marginal profit over the
+    items chosen before it. The DP's value is not checked: one item's sets
+    miss the other items' g- terms.
+    """
+    horizon = inst.horizon
+    packing = _PartialPacking(inst.items, horizon, _reduced_constraints(inst), pack_budget)
+    chosen: list[frozenset[str]] = [frozenset()] * horizon
+    for k, item in enumerate(inst.items):
+        avail = packing.avail(k)
+        packable = [(True, bool(avail >> t & 1)) for t in range(horizon)]
+        profits = [
+            (0, inst.stage_profit(t, s | {item}) - inst.stage_profit(t, s))
+            for t, s in enumerate(chosen, start=1)
+        ]
+        _, sets = _stage_dp(inst, (item,), 1, horizon, packable, profits)
+        packing.push(k, sum(m << t for t, m in enumerate(sets)))
+        chosen = [s | {item} if m else s for s, m in zip(chosen, sets)]
+    return chosen
 
 
 def solve_bounded_horizon(
     target: GmkInstance | SubInstanceView,
     solver: str = "exact",
     *,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
     enum_budget: int | None = None,
     pack_budget: int | None = DEFAULT_PACK_BUDGET,
     rows: StageRows | None = None,
 ) -> MultistageSolution:
-    """Solve an instance or window at bounded horizon.
+    """Solve an instance or window at bounded horizon, without the reduction.
 
-    With the exact sub-solver the result is the optimum branch and bound
-    picks on the reduction, found by ``stage_dp_masks`` without building
-    the reduction. The enumeration budget bounds its work, ``T * |I| *
-    2**|I|`` additions, and so its tables of ``T * 2**|I|`` entries. Values
-    beyond the reduction's integer range are refused as the reduction
-    refuses them, and ``pack_stage_sets`` packs and checks the sets. The
-    greedy sub-solver reduces the target under the horizon cap, solves the
-    reduction under ``pack_budget`` and lifts the choice back. ``rows``
-    shares the stage rows of the target's instance (of its parent for a
-    window) across calls, built here when omitted.
+    Each sub-solver picks the schedules its reduced solver would: exact by
+    ``stage_dp_masks``, whose work of ``T * |I| * 2**|I|`` additions the
+    enumeration budget bounds, and greedy by ``_greedy_sets`` under
+    ``pack_budget``. Values beyond the reduction's integer range are
+    refused as the reduction refuses them, and ``pack_stage_sets`` packs
+    and checks the sets. ``rows`` shares the stage rows of the target's
+    instance (of its parent for a window) across exact calls.
 
-    The target must be valid; it is not validated again here.
-    ``solve_general_result`` validates once, and every window of a valid
-    instance is valid.
+    The target must be valid; ``solve_general_result`` validates once, and
+    every window of a valid instance is valid.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
     inst = target.materialize() if isinstance(target, SubInstanceView) else target
     if solver == "greedy":
-        reduced = reduce_instance(inst, horizon_cap=horizon_cap)
-        return lift_solution(inst, solve_mkcp_greedy(reduced, pack_budget=pack_budget), reduced)
+        check_value_range(inst)
+        return pack_stage_sets(inst, _greedy_sets(inst, pack_budget))
     budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
     work = inst.horizon * len(inst.items) * 2 ** len(inst.items)
     if work > budget:
@@ -368,7 +377,6 @@ def solve_general_result(
     params: SchemeParams,
     solver: str = "exact",
     *,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
     enum_budget: int | None = None,
     pack_budget: int | None = DEFAULT_PACK_BUDGET,
 ) -> SchemeResult:
@@ -390,10 +398,7 @@ def solve_general_result(
                     f"submodular scheme requires zero change costs, found {nonzero[0]}"
                 )
 
-    solve_kwargs = dict(
-        horizon_cap=horizon_cap, enum_budget=enum_budget, pack_budget=pack_budget,
-        rows=StageRows(inst),
-    )
+    solve_kwargs = dict(enum_budget=enum_budget, pack_budget=pack_budget, rows=StageRows(inst))
     mu_inv = params.mu_inv
     assert mu_inv is not None
     if inst.horizon <= 2 * mu_inv:

@@ -20,13 +20,14 @@ improvements, so it returns the first optimum it reaches, the
 lexicographically smallest. Submodular objectives are searched in
 lexicographic order under a monotonicity upper bound. Both are exact and
 deterministic; an enumeration budget refuses oversized candidate spaces.
-The branch and bound serves only ``gmk solve-mkcp``, whose reduced file may
-carry arbitrary per-mask values; the scheme's exact windows are solved by
-the stage DP in ``cutting``, which returns the same answer.
 
 ``solve_mkcp_greedy`` gives each item in turn its best schedule inside
 ``avail``, packing under a node budget, and never fails: the empty
 schedule weighs nothing everywhere.
+
+Both solvers serve only ``gmk solve-mkcp``, whose reduced file may carry
+arbitrary per-mask values. The scheme builds no reduction: the stage DPs
+in ``cutting`` pick the same schedules for its windows.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .core import MODULAR, Mkc
 from .errors import BudgetExceededError, ContractViolationError
 from .reduction import (
     VALUE_LIMIT,
+    ReducedConstraint,
     ReducedElement,
     ReducedInstance,
     ReducedSolution,
@@ -174,32 +176,38 @@ class _PartialPacking:
     ones go through cheap necessary conditions before the exact packer.
     """
 
-    def __init__(self, reduced: ReducedInstance, node_budget: int | None = None):
-        self.constraints = reduced.constraints
+    def __init__(
+        self,
+        items: Sequence[str],
+        horizon: int,
+        constraints: Sequence[ReducedConstraint],
+        node_budget: int | None = None,
+    ):
+        self.constraints = constraints
         self.node_budget = node_budget
-        self.full = (1 << reduced.horizon) - 1
+        self.full = (1 << horizon) - 1
         self.single_cap: list[int | None] = []
         self.total_cap: list[int] = []
         self.max_cap: list[int] = []
-        for rc in reduced.constraints:
+        for rc in constraints:
             caps = list(rc.capacities.values())
             self.single_cap.append(caps[0] if len(caps) == 1 else None)
             self.total_cap.append(sum(caps))
             self.max_cap.append(max(caps, default=0))
         # per item: (constraint index, stage bit, weight) wherever it weighs anything
         self.weights: list[list[tuple[int, int, int]]] = []
-        for item in reduced.items:
+        for item in items:
             row = []
-            for ci, rc in enumerate(reduced.constraints):
+            for ci, rc in enumerate(constraints):
                 w = 0 if rc.padding else rc.item_weights.get(item, 0)
                 if w > 0:
                     row.append((ci, 1 << (rc.stage - 1), w))
             self.weights.append(row)
-        rank = {item: r for r, item in enumerate(sorted(reduced.items))}
-        self.rank = [rank[item] for item in reduced.items]
+        rank = {item: r for r, item in enumerate(sorted(items))}
+        self.rank = [rank[item] for item in items]
         # pushed items' weights by rank, kept for multi-bin constraints only
-        self.loads: list[dict[int, int]] = [{} for _ in reduced.constraints]
-        self.load_sums: list[int] = [0] * len(reduced.constraints)
+        self.loads: list[dict[int, int]] = [{} for _ in constraints]
+        self.load_sums: list[int] = [0] * len(constraints)
 
     def avail(self, k: int) -> int:
         """Mask of the stages where the k-th item still packs."""
@@ -333,7 +341,7 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
     items = reduced.items
     n = len(items)
     horizon = reduced.horizon
-    packing = _PartialPacking(reduced)
+    packing = _PartialPacking(reduced.items, reduced.horizon, reduced.constraints)
     # per item: candidates (value, mask) in _kept_schedules order, and the
     # subset-max table of their values
     cand: list[list[tuple[int, int]]] = []
@@ -409,7 +417,7 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
 
 def _greedy_value(reduced: ReducedInstance, cand) -> int:
     """Feasible lower bound: greedy over the pruned candidate lists."""
-    packing = _PartialPacking(reduced)
+    packing = _PartialPacking(reduced.items, reduced.horizon, reduced.constraints)
     total = 0
     for k, group in enumerate(cand):
         blocked = ~packing.avail(k)
@@ -431,7 +439,7 @@ def _exact_submodular(reduced: ReducedInstance) -> ReducedSolution:
     for k in range(n - 1, -1, -1):
         rest[k] = rest[k + 1] | frozenset(groups[k])
 
-    packing = _PartialPacking(reduced)
+    packing = _PartialPacking(reduced.items, reduced.horizon, reduced.constraints)
     stack: list[ReducedElement] = []
     best_value: int | None = None
     best_chosen: tuple[ReducedElement, ...] = ()
@@ -471,7 +479,7 @@ def solve_mkcp_greedy(
     Packing checks run under ``pack_budget`` nodes (``None``: unbounded);
     an undecided check counts as unpackable. Ties go to the smaller mask.
     """
-    packing = _PartialPacking(reduced, node_budget=pack_budget)
+    packing = _PartialPacking(reduced.items, reduced.horizon, reduced.constraints, pack_budget)
     chosen: list[ReducedElement] = []
     objective = reduced.objective
     for k, item in enumerate(reduced.items):

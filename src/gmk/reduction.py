@@ -359,11 +359,7 @@ def verify_reduced_solution(reduced: ReducedInstance, rsol: ReducedSolution) -> 
 
 
 def lower_solution(
-    inst: GmkInstance,
-    sol: MultistageSolution,
-    reduced: ReducedInstance | None = None,
-    *,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
+    inst: GmkInstance, sol: MultistageSolution, reduced: ReducedInstance
 ) -> ReducedSolution:
     """Map a feasible multistage solution onto the reduced instance.
 
@@ -380,8 +376,6 @@ def lower_solution(
     report = check_feasible(inst, sol)
     if not report.ok:
         raise InputError("solution is infeasible: " + "; ".join(report.violations))
-    if reduced is None:
-        reduced = reduce_instance(inst, horizon_cap=horizon_cap)
 
     chosen: dict[str, ReducedElement] = {}
     substituted: list[str] = []
@@ -436,11 +430,7 @@ def lower_solution(
 
 
 def lift_solution(
-    inst: GmkInstance,
-    rsol: ReducedSolution,
-    reduced: ReducedInstance | None = None,
-    *,
-    horizon_cap: int = DEFAULT_HORIZON_CAP,
+    inst: GmkInstance, rsol: ReducedSolution, reduced: ReducedInstance
 ) -> MultistageSolution:
     """Project a feasible reduced solution back onto the stages.
 
@@ -449,8 +439,6 @@ def lift_solution(
     the same value; if some item has no chosen element at all, the lifted
     value may exceed the reduced one by that item's g- mass.
     """
-    if reduced is None:
-        reduced = reduce_instance(inst, horizon_cap=horizon_cap)
     violations = verify_reduced_solution(reduced, rsol)
     if violations:
         raise InputError("reduced solution is infeasible: " + "; ".join(violations))

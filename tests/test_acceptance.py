@@ -156,7 +156,7 @@ def test_criterion_5_general_scheme_guarantee():
     params = _criterion5_params()
     scheme_02 = SchemeParams(Fraction("0.2"), 1)
     scheme_01 = SchemeParams(Fraction("0.1"), 1)
-    kwargs = dict(horizon_cap=13, enum_budget=10**15)
+    kwargs = dict(enum_budget=10**15)
     checked_02 = 0
     checked_01 = 0
     for seed in range(200):

@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from gmk import core, mkcp
+from gmk import core, cutting, mkcp
 from gmk.cli import main
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import DEFAULT_PACK_BUDGET
@@ -271,6 +271,30 @@ def test_solve_report_invariants(tmp_path, capsys):
     assert shown["value"] == payload["final_value"]
 
 
+def test_greedy_solve_runs_at_the_paper_parameters(tmp_path, capsys):
+    # eps 0.2 and phi 1 give mu_inv = 25, so greedy windows reach 50 stages,
+    # far past the reduction's horizon cap
+    inst, sol, report = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "report.json"
+    assert run("gen", "--random", "--seed", 3, "--items", 20, "--horizon", 60, "--d", 2,
+               "--bins", 2, "--target-phi", 1, "--out", inst) == 0
+    assert run("solve", "--in", inst, "--eps", "0.2", "--phi", 1, "--sub-solver", "greedy",
+               "--out", sol, "--report", report) == 0
+    payload = load_json(report)
+    assert payload["parameters"]["mu_inv"] == 25 and not payload["bypassed"]
+    capsys.readouterr()
+    assert run("validate", inst, "--solution", sol) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == payload["final_value"]
+    # compare checks the greedy value against the oracle's optimum
+    small = tmp_path / "small.json"
+    assert run("gen", "--random", "--seed", 3, "--items", 4, "--horizon", 60, "--d", 2,
+               "--bins", 2, "--target-phi", 1, "--out", small) == 0
+    assert run("compare", "--in", small, "--eps", "0.2", "--phi", 1, "--sub-solver", "greedy",
+               "--report", report) == 0
+    payload = load_json(report)
+    assert not payload["bypassed"]
+    assert 0 <= payload["final_value"] <= payload["oracle_value"]
+
+
 def test_solve_cut_loop_report(tmp_path):
     inst = tmp_path / "inst.json"
     assert (
@@ -427,11 +451,12 @@ def test_greedy_commands_default_to_one_pack_budget(tmp_path, monkeypatch):
     budgets = []
 
     class Recording(mkcp._PartialPacking):
-        def __init__(self, reduced, node_budget=None):
+        def __init__(self, items, horizon, constraints, node_budget=None):
             budgets.append(node_budget)
-            super().__init__(reduced, node_budget)
+            super().__init__(items, horizon, constraints, node_budget)
 
     monkeypatch.setattr(mkcp, "_PartialPacking", Recording)
+    monkeypatch.setattr(cutting, "_PartialPacking", Recording)
     monkeypatch.delenv("GMK_PACK_BUDGET", raising=False)
     inst, reduced = tmp_path / "inst.json", tmp_path / "reduced.json"
     assert run("gen", "--random", "--seed", 4, "--items", 2, "--horizon", 2, "--out", inst) == 0

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmk import core, cutting, oracle, reduction
+from gmk import core, cutting, mkcp, oracle, reduction
 from gmk.core import (
     Mkc,
     McpStage,
@@ -32,9 +32,9 @@ from gmk.cutting import (
 )
 from gmk.errors import BudgetExceededError, InputError
 from gmk.generators import GenParams, gen_random
-from gmk.mkcp import finish_selection, solve_mkcp_exact
+from gmk.mkcp import finish_selection, solve_mkcp_exact, solve_mkcp_greedy
 from gmk.oracle import brute_force_gmk
-from gmk.reduction import ReducedElement, lift_solution, reduce_instance
+from gmk.reduction import DEFAULT_HORIZON_CAP, ReducedElement, lift_solution, reduce_instance
 from gmk.serialize import canonical_dumps, solution_to_dict
 
 from util import (
@@ -410,23 +410,27 @@ def test_exact_route_solves_nine_items_by_the_dp_alone(exact_routes):
 
 def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
     # neither branch and bound's candidate space nor the horizon cap binds
-    # the exact scheme; the cap still binds the greedy sub-solver
+    # the scheme; the cap binds only the reduction, which greedy no longer builds
     params = dataclasses.replace(DP_SHAPES["two_bin_d2"], target_phi=1)
     for seed in range(3):
         inst = gen_random(params, seed)
-        work, cap = _dp_work(inst), inst.horizon - 1
+        work = _dp_work(inst)
         reduced = reduce_instance(inst)
         with pytest.raises(BudgetExceededError, match="candidate space exceeds budget"):
             solve_mkcp_exact(reduced, enum_budget=work)
         exact_routes.clear()
-        sol = solve_bounded_horizon(inst, "exact", enum_budget=work, horizon_cap=cap)
+        sol = solve_bounded_horizon(inst, "exact", enum_budget=work)
         assert exact_routes == ["stage_dp_masks"]
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
         scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=2)
-        result = solve_general_result(inst, scheme, "exact", enum_budget=work, horizon_cap=cap)
+        result = solve_general_result(inst, scheme, "exact", enum_budget=work)
         assert not result.bypassed
+        long = gen_random(dataclasses.replace(params, horizon=DEFAULT_HORIZON_CAP + 1), seed)
         with pytest.raises(BudgetExceededError, match="horizon"):
-            solve_bounded_horizon(inst, "greedy", horizon_cap=cap)
+            reduce_instance(long)
+        sol = solve_bounded_horizon(long, "greedy")
+        assert check_feasible(long, sol).ok
+        assert 0 <= evaluate_objective(long, sol.sets) <= _optimum(long)
 
 
 @pytest.mark.parametrize("shape", ["two_bin_d2", "three_bin_d2", "submodular_two_bin_d2"])
@@ -531,6 +535,33 @@ def test_dp_route_emits_the_bytes_of_reduce_pack_lift(shape, exact_routes):
     assert set(exact_routes) == {"stage_dp_masks"}
 
 
+def _reduce_greedy_lift(target, budget):
+    """Reference for the greedy route: reduce, ``solve_mkcp_greedy``, lift."""
+    inst = target.materialize() if isinstance(target, SubInstanceView) else target
+    reduced = reduce_instance(inst)
+    return lift_solution(inst, solve_mkcp_greedy(reduced, pack_budget=budget), reduced)
+
+
+@pytest.mark.parametrize("shape", sorted(DP_SHAPES))
+def test_greedy_route_emits_the_bytes_of_reduce_greedy_lift(shape):
+    params = DP_SHAPES[shape]
+    mu_inv = (params.horizon - 1) // 2
+    for seed in range(6):
+        inst = gen_random(params, seed)
+        rows = StageRows(inst)
+        targets = [inst] + [
+            view
+            for j in range(1, mu_inv + 1)
+            for view in cut_instances(inst, cut_points(inst.horizon, mu_inv, j))
+        ]
+        for budget in (1, 2, 5, None):
+            for target in targets:
+                got = solve_bounded_horizon(target, "greedy", pack_budget=budget, rows=rows)
+                want = _reduce_greedy_lift(target, budget)
+                assert _solution_bytes(got) == _solution_bytes(want), (seed, budget)
+        assert not rows, "the greedy route reads no stage rows"
+
+
 def test_dp_route_packs_stages_with_fewer_constraints_than_d(exact_routes):
     inst = _padded_instance()
     assert [rc.padding for rc in reduce_instance(inst).constraints] == [
@@ -545,7 +576,8 @@ def test_dp_route_packs_stages_with_fewer_constraints_than_d(exact_routes):
 
 
 def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
-    # the shape of the cut_multibin benchmark: every window takes the stage DP
+    # the shape of the cut_multibin benchmark: every exact window takes the
+    # stage DP, every greedy window the one-item DP
     params = GenParams(items=3, horizon=40, dimension=2, bins_per_mkc=2,
                        capacity_range=(3, 8), target_phi=1)
     inst = gen_random(params, 1_000_003)
@@ -558,8 +590,10 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
 
     calls = []
     monkeypatch.setattr(cutting, "packable_row", counted_row)
-    for name in ("reduce_instance", "lift_solution"):
-        monkeypatch.setattr(cutting, name, _recording(calls, name))
+    for module, name in (
+        (reduction, "reduce_instance"), (reduction, "lift_solution"), (mkcp, "solve_mkcp_greedy"),
+    ):
+        monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     # each window is validated, materialized and checked once
     checks = []
     for module, name in (
@@ -569,14 +603,17 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
     ):
         monkeypatch.setattr(module, name, _counting(checks, name, getattr(module, name)))
     scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=4)
-    result = solve_general_result(inst, scheme, "exact", horizon_cap=8, enum_budget=10**15)
-    assert not result.bypassed and len(result.iterations) == 4
-    assert sorted(stages) == list(range(1, inst.horizon + 1))
-    assert calls == []
-    windows = sum(len(it.window_values) for it in result.iterations)
-    assert {name: checks.count(name) for name in set(checks)} == {
-        "validate_instance": 1,
-        "materialize": windows,
-        "check_feasible": windows + 4,
-        "evaluate_sub_objective": 2 * windows,
-    }
+    for solver, rows, dp_checks in (("exact", 1, 1), ("greedy", 0, 0)):
+        stages.clear()
+        checks.clear()
+        result = solve_general_result(inst, scheme, solver, enum_budget=10**15)
+        assert not result.bypassed and len(result.iterations) == 4
+        assert sorted(stages) == rows * list(range(1, inst.horizon + 1))
+        assert calls == []
+        windows = sum(len(it.window_values) for it in result.iterations)
+        assert {name: checks.count(name) for name in set(checks)} == {
+            "validate_instance": 1,
+            "materialize": windows,
+            "check_feasible": windows + 4,
+            "evaluate_sub_objective": (1 + dp_checks) * windows,
+        }

@@ -220,7 +220,7 @@ def test_lower_rejects_infeasible_solution():
     inst = two_stage_single_item()
     bad = MultistageSolution.from_raw([{"i"}, set()], [[{"b": set()}], [{"b": set()}]])
     with pytest.raises(InputError):
-        lower_solution(inst, bad)
+        lower_solution(inst, bad, reduce_modular(inst))
 
 
 def test_lift_empty_schedule_only():
