@@ -6,13 +6,16 @@ For mu_inv shifted grids the horizon splits into windows of length at most
 no interior cut and their one window is the whole horizon (at mu_inv = 25,
 T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). Each window is
 solved at bounded horizon by a stage DP, with no reduction built. An exact
-window runs it over packable item sets, within the enumeration budget, on
-the per-stage packability and profit rows that ``solve_general_result``
-builds once per instance for every window of every shift; a greedy window
-runs it on one item at a time. The window solutions concatenate into a
-full solution worth at least the sum of its parts (seam costs can only be
-saved, seam gains only added). The best recombination over all shifts
-wins. Short horizons bypass the loop.
+window runs it over packable item sets, within the enumeration budget.
+Every window of every shift reads one per-instance stage table
+(``StageRows``), which ``solve_general_result`` builds: each stage's
+packability and profit rows, built once; each chosen (stage, set) pair's
+assignments, packed once; per-item sums that check a window's value range
+in O(|I|); and each exact window's checked objective, which the loop
+reports. A greedy window runs the DP on one item at a time. The window
+solutions concatenate into a full solution worth at least the sum of its
+parts (seam costs can only be saved, seam gains only added). The best
+recombination over all shifts wins. Short horizons bypass the loop.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, sub
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     MODULAR,
@@ -42,8 +45,8 @@ from .core import (
 )
 from .errors import BudgetExceededError, ContractViolationError, InputError
 from .mkcp import DEFAULT_ENUM_BUDGET, DEFAULT_PACK_BUDGET, _PartialPacking
-from .oracle import pack_stage_sets, packable_row
-from .reduction import _reduced_constraints, check_value_range
+from .oracle import checked_solution, pack_stage, pack_stage_sets, packable_row
+from .reduction import ValueRange, _reduced_constraints
 
 SOLVER_CHOICES = ("exact", "greedy")
 
@@ -161,30 +164,52 @@ def combine_cut_solutions(
 
 
 class StageRows(dict):
-    """Stage t -> the stage DP's row pair over one instance, built on first use.
+    """The per-instance stage table that every window of every shift reads.
 
-    The pair is the packability of every item subset at stage t
-    (``oracle.packable_row``) and that subset's stage profit. Neither
-    depends on the window, so every window of every shift reads the same
-    rows.
+    Stage t maps, on first use, to the stage DP's row pair: the packability
+    of every item subset at stage t (``oracle.packable_row``) and that
+    subset's stage profit. ``assignments`` packs each (stage, subset) pair
+    once, for every window that chooses it; ``value_range`` holds the
+    per-item sums that check any window's value range in O(|I|); and
+    ``values`` keeps, per window (start, end), the objective that the exact
+    route checked, which the cutting loop reports.
     """
 
     def __init__(self, inst: GmkInstance):
         super().__init__()
         self.instance = inst
+        self.packed: dict[tuple[int, int], tuple[Mapping[str, frozenset[str]], ...]] = {}
+        self.values: dict[tuple[int, int], int] = {}
 
     @cached_property
     def members(self) -> list[frozenset[str]]:
-        """The item subset of every mask; built only once a DP reads a row."""
+        """The item subset of every mask, built on first use."""
         items = self.instance.items
         return [
             frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(1 << len(items))
         ]
 
+    @cached_property
+    def value_range(self) -> ValueRange:
+        return ValueRange(self.instance)
+
     def __missing__(self, t: int) -> tuple[list[bool], list[int]]:
-        profit = [self.instance.stage_profit(t, s) for s in self.members]
-        row = self[t] = (packable_row(self.instance, t), profit)
-        return row
+        profit = self.instance.stage(t).profit
+        if self.instance.variant == MODULAR:
+            row = [0]
+            for i in self.instance.items:
+                row += [v + profit[i] for v in row]
+        else:
+            row = [profit.evaluate(s) for s in self.members]
+        rows = self[t] = (packable_row(self.instance, t), row)
+        return rows
+
+    def assignments(self, t: int, m: int) -> tuple[Mapping[str, frozenset[str]], ...]:
+        """The assignments of subset m under every constraint of stage t, packed once."""
+        key = (t, m)
+        if key not in self.packed:
+            self.packed[key] = pack_stage(self.instance.stage(t), self.members[m], t)
+        return self.packed[key]
 
 
 def _stage_dp(
@@ -263,28 +288,53 @@ def _stage_dp(
     return -(-top // scale), sets  # top = value * scale - M with 0 <= M < scale
 
 
-def stage_dp_masks(
+def _table(
+    target: GmkInstance | SubInstanceView, rows: StageRows | None
+) -> tuple[SubInstanceView, StageRows]:
+    """The target as a view, and the stage table of its instance: ``rows``, or a new one.
+
+    Raises ``ContractViolationError`` when ``rows`` belongs to another instance.
+    """
+    view = target if isinstance(target, SubInstanceView) else sub_instance(target, 1, target.horizon)
+    if rows is None:
+        rows = StageRows(view.instance)
+    elif rows.instance is not view.instance:
+        raise ContractViolationError("stage rows belong to another instance")
+    return view, rows
+
+
+def stage_dp_sets(
     target: GmkInstance | SubInstanceView, rows: StageRows | None = None
-) -> tuple[int, ...]:
-    """Per item, the schedule mask of the exact search's answer, in one DP pass.
+) -> list[int]:
+    """The exact search's answer in one DP pass, as the set mask of each stage.
 
     The exact search's answer, a maximum value with the lexicographically
     smallest mask tuple, is ``_stage_dp``'s over all items, and its value
-    must equal the objective of the chosen sets. A window is read in place
-    from its parent's tables and ``rows``, built here when not given.
+    must equal the objective of the chosen sets; ``rows.values`` keeps it
+    under the target's (start, end). A window is read in place from its
+    parent's tables and ``rows``, built here when not given; the rows of
+    another instance raise ``ContractViolationError``.
     """
-    if not isinstance(target, SubInstanceView):
-        target = sub_instance(target, 1, target.horizon)
-    inst, lo, hi = target.instance, target.start, target.end
-    if rows is None:
-        rows = StageRows(inst)
-    assert rows.instance is inst, "stage rows belong to another instance"
+    view, rows = _table(target, rows)
+    inst, lo, hi = view.instance, view.start, view.end
     packable, profits = zip(*(rows[t] for t in range(lo, hi + 1)))
     decoded, sets = _stage_dp(inst, inst.items, lo, hi, packable, profits)
-    value = evaluate_sub_objective(target, [rows.members[m] for m in sets])
+    value = evaluate_sub_objective(view, [rows.members[m] for m in sets])
     if value != decoded:
         raise ContractViolationError(f"stage DP value {decoded} differs from the objective {value}")
-    return tuple(sum((m >> k & 1) << t for t, m in enumerate(sets)) for k in range(len(inst.items)))
+    rows.values[lo, hi] = value
+    return sets
+
+
+def stage_dp_masks(
+    target: GmkInstance | SubInstanceView, rows: StageRows | None = None
+) -> tuple[int, ...]:
+    """Per item, the schedule mask of ``stage_dp_sets``'s answer."""
+    view, rows = _table(target, rows)
+    sets = stage_dp_sets(view, rows)
+    return tuple(
+        sum((m >> k & 1) << t for t, m in enumerate(sets)) for k in range(len(view.instance.items))
+    )
 
 
 def _greedy_sets(inst: GmkInstance, pack_budget: int | None) -> list[frozenset[str]]:
@@ -322,21 +372,23 @@ def solve_bounded_horizon(
     """Solve an instance or window at bounded horizon, without the reduction.
 
     Each sub-solver picks the schedules its reduced solver would: exact by
-    ``stage_dp_masks``, whose work of ``T * |I| * 2**|I|`` additions the
+    ``stage_dp_sets``, whose work of ``T * |I| * 2**|I|`` additions the
     enumeration budget bounds, and greedy by ``_greedy_sets`` under
     ``pack_budget``. Values beyond the reduction's integer range are
-    refused as the reduction refuses them, and ``pack_stage_sets`` packs
-    and checks the sets. ``rows`` shares the stage rows of the target's
-    instance (of its parent for a window) across exact calls.
+    refused as the reduction refuses them, and the sets are packed and
+    checked. ``rows`` shares the stage table of the target's instance (of
+    its parent for a window) across calls; another instance's table raises
+    ``ContractViolationError``.
 
     The target must be valid; ``solve_general_result`` validates once, and
     every window of a valid instance is valid.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
+    view, rows = _table(target, rows)
     inst = target.materialize() if isinstance(target, SubInstanceView) else target
     if solver == "greedy":
-        check_value_range(inst)
+        rows.value_range.check(view.start, view.end)
         return pack_stage_sets(inst, _greedy_sets(inst, pack_budget))
     budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
     work = inst.horizon * len(inst.items) * 2 ** len(inst.items)
@@ -344,13 +396,10 @@ def solve_bounded_horizon(
         raise BudgetExceededError(
             f"exact solve refused: stage DP work {work} (T * |I| * 2**|I|) exceeds budget {budget}"
         )
-    check_value_range(inst)
-    masks = stage_dp_masks(target, rows)
-    sets = tuple(
-        frozenset(i for i, mask in zip(inst.items, masks) if mask >> t & 1)
-        for t in range(inst.horizon)
-    )
-    return pack_stage_sets(inst, sets)
+    rows.value_range.check(view.start, view.end)
+    sets = stage_dp_sets(view, rows)
+    packed = [rows.assignments(t, m) for t, m in enumerate(sets, start=view.start)]
+    return checked_solution(inst, [rows.members[m] for m in sets], packed)
 
 
 @dataclass(frozen=True)
@@ -398,14 +447,19 @@ def solve_general_result(
                     f"submodular scheme requires zero change costs, found {nonzero[0]}"
                 )
 
-    solve_kwargs = dict(enum_budget=enum_budget, pack_budget=pack_budget, rows=StageRows(inst))
+    rows = StageRows(inst)
+    solve_kwargs = dict(enum_budget=enum_budget, pack_budget=pack_budget, rows=rows)
     mu_inv = params.mu_inv
     assert mu_inv is not None
     if inst.horizon <= 2 * mu_inv:
         solution = solve_bounded_horizon(inst, solver, **solve_kwargs)
+        if solver == "exact":
+            value = rows.values[1, inst.horizon]
+        else:
+            value = evaluate_objective(inst, solution.sets)
         return SchemeResult(
             solution=solution,
-            value=evaluate_objective(inst, solution.sets),
+            value=value,
             bypassed=True,
             selected_j=None,
             iterations=(),
@@ -426,8 +480,12 @@ def solve_general_result(
         views = cut_instances(inst, cuts)
         parts = [solve_bounded_horizon(view, solver, **solve_kwargs) for view in views]
         combined = combine_cut_solutions(inst, parts)
+        # an exact window's value is the one its stage DP checked
         window_values = tuple(
-            evaluate_sub_objective(view, part.sets) for view, part in zip(views, parts)
+            rows.values[view.start, view.end]
+            if solver == "exact"
+            else evaluate_sub_objective(view, part.sets)
+            for view, part in zip(views, parts)
         )
         value = evaluate_objective(inst, combined.sets)
         if value < sum(window_values):
@@ -457,4 +515,5 @@ __all__ = [
     "solve_bounded_horizon",
     "solve_general_result",
     "stage_dp_masks",
+    "stage_dp_sets",
 ]

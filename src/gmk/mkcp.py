@@ -33,7 +33,7 @@ in ``cutting`` pick the same schedules for its windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,6 +165,34 @@ def pack_mkc(mkc: Mkc, chosen: Sequence[str] | frozenset[str], *, node_budget: i
     )
 
 
+class Capacities(NamedTuple):
+    """A constraint's bin capacities, as far as loads alone decide packability."""
+
+    single: int | None  # the capacity of the one bin; None unless there is exactly one
+    total: int
+    largest: int
+
+    @classmethod
+    def of(cls, capacities: Iterable[int]) -> "Capacities":
+        caps = list(capacities)
+        return cls(caps[0] if len(caps) == 1 else None, sum(caps), max(caps, default=0))
+
+    def fit(self, load: int, heaviest: int) -> bool | None:
+        """Whether weights summing to ``load``, none above ``heaviest``, pack.
+
+        One bin takes them when their sum fits; more bins refuse them when
+        the sum exceeds the total or the heaviest exceeds the largest bin,
+        and take them all in the largest bin when the sum fits there.
+        ``None`` leaves the rest to the exact packer. The constraint must
+        have a bin: ``pack_assignment`` packs only the empty set into none.
+        """
+        if self.single is not None:
+            return load <= self.single
+        if load > self.total or heaviest > self.largest:
+            return False
+        return True if load <= self.largest else None
+
+
 class _PartialPacking:
     """Incremental packability of a growing chosen set, stage by stage.
 
@@ -172,8 +200,8 @@ class _PartialPacking:
     top of the pushed ones exactly when each of its stages accepts the item.
     Packer keys are item ranks, which order the new entry against the pushed
     ones as ``ReducedElement`` keys do, so a budgeted packer search visits
-    the same nodes. Single-bin constraints are decided additively; multi-bin
-    ones go through cheap necessary conditions before the exact packer.
+    the same nodes. ``Capacities.fit`` decides from the loads what it can,
+    every single-bin constraint included, and the exact packer the rest.
     """
 
     def __init__(
@@ -186,14 +214,7 @@ class _PartialPacking:
         self.constraints = constraints
         self.node_budget = node_budget
         self.full = (1 << horizon) - 1
-        self.single_cap: list[int | None] = []
-        self.total_cap: list[int] = []
-        self.max_cap: list[int] = []
-        for rc in constraints:
-            caps = list(rc.capacities.values())
-            self.single_cap.append(caps[0] if len(caps) == 1 else None)
-            self.total_cap.append(sum(caps))
-            self.max_cap.append(max(caps, default=0))
+        self.caps = [Capacities.of(rc.capacities.values()) for rc in constraints]
         # per item: (constraint index, stage bit, weight) wherever it weighs anything
         self.weights: list[list[tuple[int, int, int]]] = []
         for item in items:
@@ -216,18 +237,14 @@ class _PartialPacking:
         for ci, bit, w in self.weights[k]:
             if not avail & bit:
                 continue
-            loaded = self.load_sums[ci] + w
-            cap = self.single_cap[ci]
-            if cap is not None:
-                if loaded > cap:
-                    avail ^= bit
-                continue
-            if loaded > self.total_cap[ci] or w > self.max_cap[ci]:
-                avail ^= bit
-                continue
-            rc = self.constraints[ci]
-            weights = {**self.loads[ci], key: w}
-            if not pack_assignment(rc.bins, rc.capacities, weights, node_budget=self.node_budget).packed:
+            # the pushed weights fit already, so w is the one that can be too heavy
+            fits = self.caps[ci].fit(self.load_sums[ci] + w, w)
+            if fits is None:
+                rc = self.constraints[ci]
+                weights = {**self.loads[ci], key: w}
+                packed = pack_assignment(rc.bins, rc.capacities, weights, node_budget=self.node_budget)
+                fits = packed.packed
+            if not fits:
                 avail ^= bit
         return avail
 
@@ -236,7 +253,7 @@ class _PartialPacking:
         for ci, bit, w in self.weights[k]:
             if mask & bit:
                 self.load_sums[ci] += w
-                if self.single_cap[ci] is None:
+                if self.caps[ci].single is None:
                     self.loads[ci][key] = w
 
     def pop(self, k: int, mask: int) -> None:
@@ -244,7 +261,7 @@ class _PartialPacking:
         for ci, bit, w in self.weights[k]:
             if mask & bit:
                 self.load_sums[ci] -= w
-                if self.single_cap[ci] is None:
+                if self.caps[ci].single is None:
                     del self.loads[ci][key]
 
 
@@ -308,7 +325,7 @@ def _kept_schedules(reduced: ReducedInstance, packing: _PartialPacking, k: int) 
     vals = np.fromiter(table.values(), dtype=np.int64, count=len(table))
     solo_bad = 0
     for ci, bit, w in packing.weights[k]:
-        if w > packing.max_cap[ci]:
+        if w > packing.caps[ci].largest:
             solo_bad |= bit
     keep = _dominance_prune(reduced.horizon, masks, vals) & ((masks & solo_bad) == 0)
     order = np.lexsort((masks[keep], -vals[keep]))
@@ -359,7 +376,7 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
     # stages all still accept the item's weight (in single-bin constraints;
     # multi-bin ones are relaxed here and enforced by avail) bounds its
     # contribution. Subset-max tables make that a single lookup.
-    single_cap = packing.single_cap
+    single_cap = [caps.single for caps in packing.caps]
     stage_weights = [
         [(ci, ~bit, w) for ci, bit, w in row if single_cap[ci] is not None]
         for row in packing.weights

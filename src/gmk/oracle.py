@@ -9,34 +9,43 @@ Two exact shortcuts keep the inner work small. Every coupling term belongs
 to one item and depends only on whether that item is in the previous and
 the current set, so the transition values of a stage separate by item: the
 full ``cur x prev`` table is built by doubling over the items, one bit at a
-time, in about ``1.33 * 4**|items|`` additions. Packability is monotone, as
-weights are nonnegative and dropping an item from a feasible assignment
-keeps it feasible: a subset is packable when some subset with one more item
-is, and the exact packer decides only the subsets with no such superset.
+time, in about ``1.33 * 4**|items|`` additions. Packability is built in
+bulk: each constraint's subset weight sums and heaviest weights come by
+doubling over the items, and ``mkcp.Capacities.fit`` screens them (one bin
+packs a sum within its capacity; more bins refuse a sum above their total
+or an item above the largest bin, and take a sum that fits the largest
+bin), while a constraint with no bin packs only the empty set. Packability
+is monotone, as weights are nonnegative and dropping an item from a
+feasible assignment keeps it feasible: a subset the screens leave open is
+packable when some subset with one more item is, and the exact packer
+decides only the subsets left after that.
 The DP runs on plain Python ints, so it is exact at any magnitude, and it
 keeps its own encoding of the objective's terms, independent of the
 reduction's, because it is the reference the exact solvers are tested
 against. ``packable_row``, the one packability kernel of the package's
-stage DPs, and ``pack_stage_sets`` are shared with ``cutting``, so an
-error in them would show in its stage DP and in this reference alike; the
-test that the DP picks the masks of the reduced branch and bound, which
-encodes the objective independently, catches it there.
+stage DPs, ``pack_stage`` and ``checked_solution`` are shared with
+``cutting``, so an error in them would show in its stage DP and in this
+reference alike; the test that the DP picks the masks of the reduced
+branch and bound, which encodes the objective independently, catches it
+there.
 ``transition_columns`` belongs to this reference alone.
 """
 
 from __future__ import annotations
 
 from operator import add
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     MODULAR,
     GmkInstance,
+    McpStage,
+    Mkc,
     MultistageSolution,
     check_feasible,
 )
 from .errors import BudgetExceededError, ContractViolationError
-from .mkcp import pack_mkc
+from .mkcp import Capacities, pack_mkc
 
 DEFAULT_ORACLE_BUDGET = 10**6
 
@@ -44,18 +53,35 @@ DEFAULT_ORACLE_BUDGET = 10**6
 def packable_row(inst: GmkInstance, t: int) -> list[bool]:
     """row[m]: the subset with bit k set for items[k] packs at stage t.
 
-    Masks are scanned in descending order, so every one-item superset of a
-    mask is decided before the mask itself.
+    Each constraint's subset sums and heaviest weights, built by doubling
+    over the items, decide what ``Capacities.fit`` can; a constraint with no
+    bin packs only the empty set. The masks left open are scanned in
+    descending order, so every one-item superset of a mask is decided before
+    the mask itself, and the exact packer runs only on those with no
+    packable one.
     """
-    n = len(inst.items)
-    size = 1 << n
-    members = [tuple(i for k, i in enumerate(inst.items) if (m >> k) & 1) for m in range(size)]
-    mkcs = inst.stage(t).mkcs
-    row = [False] * size
-    for m in range(size - 1, -1, -1):
-        row[m] = any(row[m | 1 << k] for k in range(n) if not (m >> k) & 1) or all(
-            pack_mkc(mkc, members[m]).packed for mkc in mkcs
-        )
+    items = inst.items
+    size = 1 << len(items)
+    row = [True] * size
+    open_mkcs: dict[int, list[Mkc]] = {}
+    for mkc in inst.stage(t).mkcs:
+        if not mkc.bins:
+            row[1:] = [False] * (size - 1)
+            continue
+        sums, heaviest = [0], [0]
+        for i in items:
+            w = mkc.weights[i]
+            sums += [s + w for s in sums]
+            heaviest += [max(h, w) for h in heaviest]
+        for m, fits in enumerate(map(Capacities.of(mkc.capacities.values()).fit, sums, heaviest)):
+            if fits is None:
+                open_mkcs.setdefault(m, []).append(mkc)
+            elif not fits:
+                row[m] = False
+    for m in sorted(open_mkcs, reverse=True):
+        if row[m] and not any(row[m | 1 << k] for k in range(len(items)) if not m >> k & 1):
+            members = [i for k, i in enumerate(items) if m >> k & 1]
+            row[m] = all(pack_mkc(mkc, members).packed for mkc in open_mkcs[m])
     return row
 
 
@@ -163,21 +189,29 @@ def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> Mul
     return pack_stage_sets(inst, tuple(subsets[m] for m in masks))
 
 
-def pack_stage_sets(inst: GmkInstance, sets: Sequence[frozenset[str]]) -> MultistageSolution:
-    """Pack each stage set under every constraint of its stage, then check the whole.
+def pack_stage(
+    stage: McpStage, chosen: frozenset[str], t: int
+) -> tuple[Mapping[str, frozenset[str]], ...]:
+    """Assignments of ``chosen`` under every constraint of stage t, in constraint order.
 
-    Raises ``ContractViolationError`` when a set does not pack or the packed
-    solution is infeasible.
+    Raises ``ContractViolationError`` when the set does not pack.
     """
     assignments = []
-    for t, (stage, chosen) in enumerate(zip(inst.stages, sets), start=1):
-        per_stage = []
-        for j, mkc in enumerate(stage.mkcs, start=1):
-            result = pack_mkc(mkc, chosen)
-            if not result.packed:
-                raise ContractViolationError(f"stage set does not pack constraint (t={t}, j={j})")
-            per_stage.append(result.assignment)
-        assignments.append(tuple(per_stage))
+    for j, mkc in enumerate(stage.mkcs, start=1):
+        result = pack_mkc(mkc, chosen)
+        if not result.packed:
+            raise ContractViolationError(f"stage set does not pack constraint (t={t}, j={j})")
+        assignments.append(result.assignment)
+    return tuple(assignments)
+
+
+def checked_solution(
+    inst: GmkInstance, sets: Sequence[frozenset[str]], assignments: Sequence[tuple]
+) -> MultistageSolution:
+    """The solution of these stage sets and assignments, once ``check_feasible`` accepts it.
+
+    Raises ``ContractViolationError`` when it is infeasible.
+    """
     solution = MultistageSolution(sets=tuple(sets), assignments=tuple(assignments))
     feasibility = check_feasible(inst, solution)
     if not feasibility.ok:
@@ -185,3 +219,10 @@ def pack_stage_sets(inst: GmkInstance, sets: Sequence[frozenset[str]]) -> Multis
             "packed stage sets infeasible: " + "; ".join(feasibility.violations)
         )
     return solution
+
+
+def pack_stage_sets(inst: GmkInstance, sets: Sequence[frozenset[str]]) -> MultistageSolution:
+    """Pack each stage set under every constraint of its stage, then check the whole."""
+    stages = enumerate(zip(inst.stages, sets), start=1)
+    packed = [pack_stage(stage, chosen, t) for t, (stage, chosen) in stages]
+    return checked_solution(inst, sets, packed)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -166,26 +167,42 @@ def _bit_columns(horizon: int, masks: np.ndarray) -> np.ndarray:
     return (masks >> np.arange(horizon, dtype=np.int64)[:, None]) & 1
 
 
-def check_value_range(inst: GmkInstance, items: Sequence[str] | None = None) -> None:
-    """Refuse an item whose schedule values could leave ``VALUE_LIMIT``.
+class ValueRange:
+    """Per-item prefix sums of profits, gains and change costs over the stages.
 
-    A value adds some of the item's profits and gains and subtracts some of
-    its change costs, so both totals below the limit keep every value, and
-    every partial sum, strictly inside it. Checks ``items``, by default
-    every item of ``inst``, in O(|I| * T).
+    A schedule value adds some of an item's profits and gains and subtracts
+    some of its change costs, so both totals below ``VALUE_LIMIT`` keep every
+    value, and every partial sum, strictly inside it. Built in O(|I| * T),
+    after which ``check`` refuses an item beyond that range on any window in
+    O(|I|).
     """
-    stages = range(1, inst.horizon + 1)
-    for item in inst.items if items is None else items:
-        gains = sum(inst.gain_plus[item, t] + inst.gain_minus[item, t] for t in stages[1:])
-        profits = costs = 0
-        if inst.variant == MODULAR:
-            profits = sum(inst.item_profit(t, item) for t in stages)
-            costs = sum(inst.cost_plus[item, t] + inst.cost_minus[item, t] for t in stages)
-        if profits + gains >= VALUE_LIMIT or costs >= VALUE_LIMIT:
-            raise InputError(
-                f"item {item}: its profits and gains, or its change costs, sum to 2**62 or "
-                f"more, beyond the exact integer range of the reduction"
-            )
+
+    def __init__(self, inst: GmkInstance, items: Sequence[str] | None = None):
+        self.items = inst.items if items is None else items
+        stages = range(1, inst.horizon + 1)
+        self.sums = []
+        for item in self.items:
+            # gains[t - 1] sums stages 2..t; profits[t] and costs[t] sum stages 1..t
+            gains = list(accumulate(
+                (inst.gain_plus[item, t] + inst.gain_minus[item, t] for t in stages[1:]), initial=0
+            ))
+            profits = costs = [0] * (inst.horizon + 1)
+            if inst.variant == MODULAR:
+                profits = list(accumulate((inst.item_profit(t, item) for t in stages), initial=0))
+                costs = list(accumulate(
+                    (inst.cost_plus[item, t] + inst.cost_minus[item, t] for t in stages), initial=0
+                ))
+            self.sums.append((profits, gains, costs))
+
+    def check(self, lo: int, hi: int) -> None:
+        """Refuse an item whose values on stages lo..hi, as a window, could leave the range."""
+        for item, (profits, gains, costs) in zip(self.items, self.sums):
+            gained = profits[hi] - profits[lo - 1] + gains[hi - 1] - gains[lo - 1]
+            if gained >= VALUE_LIMIT or costs[hi] - costs[lo - 1] >= VALUE_LIMIT:
+                raise InputError(
+                    f"item {item}: its profits and gains, or its change costs, sum to 2**62 or "
+                    f"more, beyond the exact integer range of the reduction"
+                )
 
 
 def _schedule_values(
@@ -200,10 +217,10 @@ def _schedule_values(
     stage indicators do not depend on the item, so every item is valued by
     one product with its row of terms; costs are summed apart from profits
     and gains, so no partial sum leaves int64. Raises ``InputError`` for an
-    item beyond that range (``check_value_range``) before any product.
+    item beyond that range (``ValueRange``) before any product.
     """
     items = inst.items if items is None else items
-    check_value_range(inst, items)
+    ValueRange(inst, items).check(1, inst.horizon)
     horizon = inst.horizon
     modular = inst.variant == MODULAR
     stages, later = range(1, horizon + 1), range(2, horizon + 1)

@@ -29,8 +29,9 @@ from gmk.cutting import (
     solve_bounded_horizon,
     solve_general_result,
     stage_dp_masks,
+    stage_dp_sets,
 )
-from gmk.errors import BudgetExceededError, InputError
+from gmk.errors import BudgetExceededError, ContractViolationError, InputError
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import finish_selection, solve_mkcp_exact, solve_mkcp_greedy
 from gmk.oracle import brute_force_gmk
@@ -369,7 +370,7 @@ def _recording(calls, name):
 def exact_routes(monkeypatch):
     """The stage DP calls the exact solves make, in call order."""
     calls = []
-    monkeypatch.setattr(cutting, "stage_dp_masks", _recording(calls, "stage_dp_masks"))
+    monkeypatch.setattr(cutting, "stage_dp_sets", _recording(calls, "stage_dp_sets"))
     return calls
 
 
@@ -390,7 +391,7 @@ def test_exact_route_follows_the_worst_case_rule(exact_routes):
     for budget in (None, work):
         exact_routes.clear()
         sol = solve_bounded_horizon(inst, "exact", enum_budget=budget)
-        assert exact_routes == ["stage_dp_masks"], budget
+        assert exact_routes == ["stage_dp_sets"], budget
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
     exact_routes.clear()
     with pytest.raises(BudgetExceededError, match="stage DP work"):
@@ -403,7 +404,7 @@ def test_exact_route_solves_nine_items_by_the_dp_alone(exact_routes):
     # factored DP's 4 * 9 * 2**9 additions fit the default budget
     inst = gen_random(GenParams(items=9, horizon=4), 0)
     sol = solve_bounded_horizon(inst, "exact")
-    assert exact_routes == ["stage_dp_masks"]
+    assert exact_routes == ["stage_dp_sets"]
     assert _solution_bytes(sol) == _solution_bytes(_reduce_pack_lift(inst))
     assert stage_dp_masks(inst) == _search_masks(inst)
 
@@ -420,7 +421,7 @@ def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
             solve_mkcp_exact(reduced, enum_budget=work)
         exact_routes.clear()
         sol = solve_bounded_horizon(inst, "exact", enum_budget=work)
-        assert exact_routes == ["stage_dp_masks"]
+        assert exact_routes == ["stage_dp_sets"]
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
         scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=2)
         result = solve_general_result(inst, scheme, "exact", enum_budget=work)
@@ -532,7 +533,7 @@ def test_dp_route_emits_the_bytes_of_reduce_pack_lift(shape, exact_routes):
         for target in targets:
             got = solve_bounded_horizon(target, "exact", enum_budget=budget, rows=rows)
             assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(target)), seed
-    assert set(exact_routes) == {"stage_dp_masks"}
+    assert set(exact_routes) == {"stage_dp_sets"}
 
 
 def _reduce_greedy_lift(target, budget):
@@ -568,7 +569,7 @@ def test_dp_route_packs_stages_with_fewer_constraints_than_d(exact_routes):
         False, True, False, False, False, True,
     ]
     got = solve_bounded_horizon(inst, "exact")
-    assert exact_routes == ["stage_dp_masks"]
+    assert exact_routes == ["stage_dp_sets"]
     assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(inst))
     assert evaluate_objective(inst, got.sets) == evaluate_objective(
         inst, brute_force_gmk(inst).sets
@@ -588,13 +589,29 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         stages.append(t)
         return real_row(row_inst, t)
 
+    # the stage sets the exact windows choose, and the stage sets packed
+    chosen, packed = [], []
+    real_dp, real_pack = cutting.stage_dp_sets, cutting.pack_stage
+
+    def recorded_dp(view, rows=None):
+        sets = real_dp(view, rows)
+        for t, m in enumerate(sets, start=view.start):
+            chosen.append((t, frozenset(i for k, i in enumerate(inst.items) if m >> k & 1)))
+        return sets
+
+    def counted_pack(stage, members, t):
+        packed.append((t, members))
+        return real_pack(stage, members, t)
+
     calls = []
     monkeypatch.setattr(cutting, "packable_row", counted_row)
+    monkeypatch.setattr(cutting, "stage_dp_sets", recorded_dp)
+    monkeypatch.setattr(cutting, "pack_stage", counted_pack)
     for module, name in (
         (reduction, "reduce_instance"), (reduction, "lift_solution"), (mkcp, "solve_mkcp_greedy"),
     ):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
-    # each window is validated, materialized and checked once
+    # each window is validated, materialized, checked and valued once
     checks = []
     for module, name in (
         (core, "validate_instance"), (SubInstanceView, "materialize"),
@@ -603,9 +620,11 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
     ):
         monkeypatch.setattr(module, name, _counting(checks, name, getattr(module, name)))
     scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=4)
-    for solver, rows, dp_checks in (("exact", 1, 1), ("greedy", 0, 0)):
+    for solver, rows in (("exact", 1), ("greedy", 0)):
         stages.clear()
         checks.clear()
+        chosen.clear()
+        packed.clear()
         result = solve_general_result(inst, scheme, solver, enum_budget=10**15)
         assert not result.bypassed and len(result.iterations) == 4
         assert sorted(stages) == rows * list(range(1, inst.horizon + 1))
@@ -615,5 +634,32 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
             "validate_instance": 1,
             "materialize": windows,
             "check_feasible": windows + 4,
-            "evaluate_sub_objective": (1 + dp_checks) * windows,
+            "evaluate_sub_objective": windows,
         }
+        # every exact window chooses a set at every stage, and each distinct
+        # (stage, set) pair, 52 of the 160, is packed once across all shifts
+        assert len(chosen) == rows * 4 * inst.horizon
+        assert len(packed) == len(set(packed)) == rows * 52
+        assert set(packed) == set(chosen)
+
+
+def test_stage_rows_of_another_instance_are_refused():
+    # the table hands out packed assignments, so a table built for another
+    # instance, even an equal one, is a contract error on every path, also
+    # under python -O
+    params = DP_SHAPES["two_bin_d2"]
+    inst = gen_random(params, 0)
+    window = sub_instance(inst, 2, inst.horizon - 1)
+    for other in (gen_random(params, 1), gen_random(params, 0), window.materialize()):
+        assert other is not inst
+        rows = StageRows(other)
+        for target in (inst, window):
+            for call in (
+                lambda: stage_dp_sets(target, rows),
+                lambda: stage_dp_masks(target, rows),
+                lambda: solve_bounded_horizon(target, "exact", rows=rows),
+                lambda: solve_bounded_horizon(target, "greedy", rows=rows),
+            ):
+                with pytest.raises(ContractViolationError, match="another instance"):
+                    call()
+        assert not rows and not rows.packed

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
-from gmk.core import check_feasible, evaluate_objective
+from gmk import mkcp
+from gmk.core import McpStage, Mkc, check_feasible, evaluate_objective
 from gmk.errors import BudgetExceededError
 from gmk.generators import GenParams, gen_random
 from gmk.oracle import brute_force_gmk, packable_row
@@ -183,19 +185,56 @@ def test_golden_digests_pin_tie_break_and_witness(shape):
         assert hashlib.sha256(payload.encode()).hexdigest() == digest, seed
 
 
+def _mixed_stages(seed):
+    """Six items, some weightless, over three stages of mixed constraints.
+
+    Stage 1 holds a constraint with no bin, a one-bin constraint and a
+    three-bin constraint with a zero-capacity bin; stage 2 drops the
+    binless one and stage 3 holds one-bin constraints only.
+    """
+    rng = random.Random(seed)
+    items = "abcdef"
+
+    def mkc(caps):
+        weights = {i: rng.choice((0, 0, 1, 2, 3, 4)) for i in items}
+        return Mkc(weights=weights, bins=tuple(caps), capacities=caps)
+
+    binless = mkc({})
+    one = mkc({"b": rng.randint(2, 8)})
+    three = mkc({"x": 0, "y": rng.randint(2, 6), "z": rng.randint(2, 6)})
+    profit = {i: 1 for i in items}
+    stages = [(binless, one, three), (one, three), (one, mkc({"c": rng.randint(0, 6)}))]
+    return build_instance(items, [McpStage(mkcs=mkcs, profit=profit) for mkcs in stages])
+
+
 @pytest.mark.parametrize(
     "params",
     [
         GenParams(items=5, horizon=3, dimension=2, bins_per_mkc=3, capacity_range=(1, 5)),
         GenParams(items=4, horizon=4, dimension=2, bins_per_mkc=1, capacity_range=(1, 5)),
+        GenParams(items=8, horizon=2, dimension=2, bins_per_mkc=2, weight_range=(1, 6),
+                  capacity_range=(3, 9)),
+        "mixed",
     ],
 )
-def test_packable_rows_match_packing_every_subset(params):
+def test_packable_rows_match_packing_every_subset(params, monkeypatch):
+    packer = []
+    real_packer = mkcp.pack_assignment
+
+    def counted(*args, **kwargs):
+        packer.append(args)
+        return real_packer(*args, **kwargs)
+
+    monkeypatch.setattr(mkcp, "pack_assignment", counted)
     unpackable = 0
     for seed in range(6):
-        inst = gen_random(params, seed)
+        inst = _mixed_stages(seed) if params == "mixed" else gen_random(params, seed)
         for t in range(1, inst.horizon + 1):
+            packer.clear()
             row = packable_row(inst, t)
+            # subset sums decide every one-bin constraint without the packer
+            if all(len(mkc.bins) == 1 for mkc in inst.stage(t).mkcs):
+                assert packer == [], (seed, t)
             got = {
                 frozenset(i for k, i in enumerate(inst.items) if (m >> k) & 1)
                 for m, ok in enumerate(row)
