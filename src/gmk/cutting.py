@@ -5,17 +5,19 @@ For mu_inv shifted grids the horizon splits into windows of length at most
 ``T - mu_inv``, so for ``2 * mu_inv < T <= 3 * mu_inv - 2`` some shifts get
 no interior cut and their one window is the whole horizon (at mu_inv = 25,
 T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). Each window is
-solved at bounded horizon by a stage DP, with no reduction built. An exact
-window runs it over packable item sets, within the enumeration budget.
-Every window of every shift reads one per-instance stage table
-(``StageRows``), which ``solve_general_result`` builds: each stage's
-packability and profit rows, built once; each chosen (stage, set) pair's
-assignments, packed once; per-item sums that check a window's value range
-in O(|I|); and each exact window's checked objective, which the loop
-reports. A greedy window runs the DP on one item at a time. The window
-solutions concatenate into a full solution worth at least the sum of its
-parts (seam costs can only be saved, seam gains only added). The best
-recombination over all shifts wins. Short horizons bypass the loop.
+solved at bounded horizon by a stage DP, read in place from the instance's
+tables, with no reduction built and no window copied. An exact window runs
+it over packable item sets, within the enumeration budget, and its value is
+the one the DP checked. Every window of every shift reads one per-instance
+stage table (``StageRows``), which ``solve_general_result`` builds: each
+stage's packability and profit rows, built once; each chosen (stage, set)
+pair's assignments, packed once; and per-item sums that check a window's
+value range in O(|I|). A greedy window runs the DP on one item at a time.
+The window solutions concatenate into a full solution worth at least the
+sum of its parts (seam costs can only be saved, seam gains only added), and
+each shift's concatenation, like the bypass's solution, is checked once
+against the whole instance. The best recombination over all shifts wins.
+Short horizons bypass the loop.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -45,8 +47,8 @@ from .core import (
 )
 from .errors import BudgetExceededError, ContractViolationError, InputError
 from .mkcp import DEFAULT_ENUM_BUDGET, DEFAULT_PACK_BUDGET, _PartialPacking
-from .oracle import checked_solution, pack_stage, pack_stage_sets, packable_row
-from .reduction import ValueRange, _reduced_constraints
+from .oracle import checked_solution, pack_stage, packable_row
+from .reduction import ValueRange
 
 SOLVER_CHOICES = ("exact", "greedy")
 
@@ -170,16 +172,13 @@ class StageRows(dict):
     of every item subset at stage t (``oracle.packable_row``) and that
     subset's stage profit. ``assignments`` packs each (stage, subset) pair
     once, for every window that chooses it; ``value_range`` holds the
-    per-item sums that check any window's value range in O(|I|); and
-    ``values`` keeps, per window (start, end), the objective that the exact
-    route checked, which the cutting loop reports.
+    per-item sums that check any window's value range in O(|I|).
     """
 
     def __init__(self, inst: GmkInstance):
         super().__init__()
         self.instance = inst
         self.packed: dict[tuple[int, int], tuple[Mapping[str, frozenset[str]], ...]] = {}
-        self.values: dict[tuple[int, int], int] = {}
 
     @cached_property
     def members(self) -> list[frozenset[str]]:
@@ -288,77 +287,92 @@ def _stage_dp(
     return -(-top // scale), sets  # top = value * scale - M with 0 <= M < scale
 
 
-def _table(
-    target: GmkInstance | SubInstanceView, rows: StageRows | None
-) -> tuple[SubInstanceView, StageRows]:
-    """The target as a view, and the stage table of its instance: ``rows``, or a new one.
+def _view(target: GmkInstance | SubInstanceView) -> SubInstanceView:
+    return target if isinstance(target, SubInstanceView) else sub_instance(target, 1, target.horizon)
 
-    Raises ``ContractViolationError`` when ``rows`` belongs to another instance.
+
+def _dp_masks(rows: StageRows, lo: int, hi: int) -> tuple[list[int], int]:
+    """``_stage_dp``'s set masks over all items at stages lo..hi, and their checked value.
+
+    The value must equal the objective of the chosen sets on the window.
     """
-    view = target if isinstance(target, SubInstanceView) else sub_instance(target, 1, target.horizon)
-    if rows is None:
-        rows = StageRows(view.instance)
-    elif rows.instance is not view.instance:
-        raise ContractViolationError("stage rows belong to another instance")
-    return view, rows
+    inst = rows.instance
+    packable, profits = zip(*(rows[t] for t in range(lo, hi + 1)))
+    decoded, masks = _stage_dp(inst, inst.items, lo, hi, packable, profits)
+    value = evaluate_sub_objective(sub_instance(inst, lo, hi), [rows.members[m] for m in masks])
+    if value != decoded:
+        raise ContractViolationError(f"stage DP value {decoded} differs from the objective {value}")
+    return masks, value
 
 
-def stage_dp_sets(
-    target: GmkInstance | SubInstanceView, rows: StageRows | None = None
-) -> list[int]:
+def stage_dp_sets(target: GmkInstance | SubInstanceView) -> list[int]:
     """The exact search's answer in one DP pass, as the set mask of each stage.
 
     The exact search's answer, a maximum value with the lexicographically
     smallest mask tuple, is ``_stage_dp``'s over all items, and its value
-    must equal the objective of the chosen sets; ``rows.values`` keeps it
-    under the target's (start, end). A window is read in place from its
-    parent's tables and ``rows``, built here when not given; the rows of
-    another instance raise ``ContractViolationError``.
+    must equal the objective of the chosen sets. A window is read in place
+    from its parent's tables.
     """
-    view, rows = _table(target, rows)
-    inst, lo, hi = view.instance, view.start, view.end
-    packable, profits = zip(*(rows[t] for t in range(lo, hi + 1)))
-    decoded, sets = _stage_dp(inst, inst.items, lo, hi, packable, profits)
-    value = evaluate_sub_objective(view, [rows.members[m] for m in sets])
-    if value != decoded:
-        raise ContractViolationError(f"stage DP value {decoded} differs from the objective {value}")
-    rows.values[lo, hi] = value
-    return sets
+    view = _view(target)
+    return _dp_masks(StageRows(view.instance), view.start, view.end)[0]
 
 
-def stage_dp_masks(
-    target: GmkInstance | SubInstanceView, rows: StageRows | None = None
-) -> tuple[int, ...]:
-    """Per item, the schedule mask of ``stage_dp_sets``'s answer."""
-    view, rows = _table(target, rows)
-    sets = stage_dp_sets(view, rows)
-    return tuple(
-        sum((m >> k & 1) << t for t, m in enumerate(sets)) for k in range(len(view.instance.items))
-    )
+def _greedy_sets(inst: GmkInstance, lo: int, hi: int, pack_budget: int | None) -> list[frozenset]:
+    """Stage sets at stages lo..hi built item by item, by ``_stage_dp`` over each item alone.
 
-
-def _greedy_sets(inst: GmkInstance, pack_budget: int | None) -> list[frozenset[str]]:
-    """Stage sets built item by item, each schedule by ``_stage_dp`` over its item alone.
-
-    The item packs at the stages of ``_PartialPacking.avail(k)`` under
-    ``pack_budget`` packer nodes and earns its marginal profit over the
-    items chosen before it. The DP's value is not checked: one item's sets
-    miss the other items' g- terms.
+    The item packs at the stages of ``_PartialPacking.avail(k)``, built from
+    the window's constraints, under ``pack_budget`` packer nodes and earns
+    its marginal profit over the items chosen before it. The DP's value is
+    not checked: one item's sets miss the other items' g- terms.
     """
-    horizon = inst.horizon
-    packing = _PartialPacking(inst.items, horizon, _reduced_constraints(inst), pack_budget)
+    horizon = hi - lo + 1
+    stages = [stage.mkcs for stage in inst.stages[lo - 1 : hi]]
+    packing = _PartialPacking(inst.items, stages, pack_budget)
     chosen: list[frozenset[str]] = [frozenset()] * horizon
     for k, item in enumerate(inst.items):
         avail = packing.avail(k)
         packable = [(True, bool(avail >> t & 1)) for t in range(horizon)]
         profits = [
             (0, inst.stage_profit(t, s | {item}) - inst.stage_profit(t, s))
-            for t, s in enumerate(chosen, start=1)
+            for t, s in enumerate(chosen, start=lo)
         ]
-        _, sets = _stage_dp(inst, (item,), 1, horizon, packable, profits)
+        _, sets = _stage_dp(inst, (item,), lo, hi, packable, profits)
         packing.push(k, sum(m << t for t, m in enumerate(sets)))
         chosen = [s | {item} if m else s for s, m in zip(chosen, sets)]
     return chosen
+
+
+def _solve_window(
+    rows: StageRows, lo: int, hi: int, solver: str, enum_budget: int | None, pack_budget: int | None
+) -> tuple[list[frozenset[str]], list[tuple[Mapping[str, frozenset[str]], ...]], int]:
+    """The stage sets at stages lo..hi of ``rows.instance``, their assignments and value.
+
+    The window is read in place from its instance's tables. Each sub-solver
+    picks the schedules its reduced solver would: exact by ``_dp_masks``,
+    whose work of ``T * |I| * 2**|I|`` additions the enumeration budget
+    bounds, with the value its DP checked; greedy by ``_greedy_sets`` under
+    ``pack_budget``, valued by the objective. Values beyond the reduction's
+    integer range are refused as the reduction refuses them, after the
+    exact work refusal. The caller checks the solution these make up.
+    """
+    if solver not in SOLVER_CHOICES:
+        raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
+    inst = rows.instance
+    if solver == "greedy":
+        rows.value_range.check(lo, hi)
+        sets = _greedy_sets(inst, lo, hi, pack_budget)
+        packed = [pack_stage(inst.stage(t), s, t) for t, s in enumerate(sets, start=lo)]
+        return sets, packed, evaluate_sub_objective(sub_instance(inst, lo, hi), sets)
+    budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
+    work = (hi - lo + 1) * len(inst.items) * 2 ** len(inst.items)
+    if work > budget:
+        raise BudgetExceededError(
+            f"exact solve refused: stage DP work {work} (T * |I| * 2**|I|) exceeds budget {budget}"
+        )
+    rows.value_range.check(lo, hi)
+    masks, value = _dp_masks(rows, lo, hi)
+    packed = [rows.assignments(t, m) for t, m in enumerate(masks, start=lo)]
+    return [rows.members[m] for m in masks], packed, value
 
 
 def solve_bounded_horizon(
@@ -367,39 +381,21 @@ def solve_bounded_horizon(
     *,
     enum_budget: int | None = None,
     pack_budget: int | None = DEFAULT_PACK_BUDGET,
-    rows: StageRows | None = None,
 ) -> MultistageSolution:
-    """Solve an instance or window at bounded horizon, without the reduction.
+    """Solve one instance or window at bounded horizon, without the reduction.
 
-    Each sub-solver picks the schedules its reduced solver would: exact by
-    ``stage_dp_sets``, whose work of ``T * |I| * 2**|I|`` additions the
-    enumeration budget bounds, and greedy by ``_greedy_sets`` under
-    ``pack_budget``. Values beyond the reduction's integer range are
-    refused as the reduction refuses them, and the sets are packed and
-    checked. ``rows`` shares the stage table of the target's instance (of
-    its parent for a window) across calls; another instance's table raises
-    ``ContractViolationError``.
-
-    The target must be valid; ``solve_general_result`` validates once, and
-    every window of a valid instance is valid.
+    The window solver of the cutting loop, on a stage table of its own; the
+    solution is packed and checked against the target (a window is
+    materialized for the check). The target must be valid;
+    ``solve_general_result`` validates once, and every window of a valid
+    instance is valid.
     """
-    if solver not in SOLVER_CHOICES:
-        raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
-    view, rows = _table(target, rows)
+    view = _view(target)
+    sets, packed, _ = _solve_window(
+        StageRows(view.instance), view.start, view.end, solver, enum_budget, pack_budget
+    )
     inst = target.materialize() if isinstance(target, SubInstanceView) else target
-    if solver == "greedy":
-        rows.value_range.check(view.start, view.end)
-        return pack_stage_sets(inst, _greedy_sets(inst, pack_budget))
-    budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
-    work = inst.horizon * len(inst.items) * 2 ** len(inst.items)
-    if work > budget:
-        raise BudgetExceededError(
-            f"exact solve refused: stage DP work {work} (T * |I| * 2**|I|) exceeds budget {budget}"
-        )
-    rows.value_range.check(view.start, view.end)
-    sets = stage_dp_sets(view, rows)
-    packed = [rows.assignments(t, m) for t, m in enumerate(sets, start=view.start)]
-    return checked_solution(inst, [rows.members[m] for m in sets], packed)
+    return checked_solution(inst, sets, packed)
 
 
 @dataclass(frozen=True)
@@ -448,22 +444,12 @@ def solve_general_result(
                 )
 
     rows = StageRows(inst)
-    solve_kwargs = dict(enum_budget=enum_budget, pack_budget=pack_budget, rows=rows)
+    budgets = (enum_budget, pack_budget)
     mu_inv = params.mu_inv
     assert mu_inv is not None
     if inst.horizon <= 2 * mu_inv:
-        solution = solve_bounded_horizon(inst, solver, **solve_kwargs)
-        if solver == "exact":
-            value = rows.values[1, inst.horizon]
-        else:
-            value = evaluate_objective(inst, solution.sets)
-        return SchemeResult(
-            solution=solution,
-            value=value,
-            bypassed=True,
-            selected_j=None,
-            iterations=(),
-        )
+        sets, packed, value = _solve_window(rows, 1, inst.horizon, solver, *budgets)
+        return SchemeResult(checked_solution(inst, sets, packed), value, True, None, ())
 
     best: MultistageSolution | None = None
     best_value = 0
@@ -471,22 +457,21 @@ def solve_general_result(
     iterations: list[SchemeIteration] = []
     for j in range(1, mu_inv + 1):
         cuts = cut_points(inst.horizon, mu_inv, j)
+        windows = cuts.windows()
         if cuts.interior():
-            longest = max(hi - lo + 1 for lo, hi in cuts.windows())
+            longest = max(hi - lo + 1 for lo, hi in windows)
             if longest > 2 * mu_inv:
                 raise ContractViolationError(
                     f"window of length {longest} exceeds the bounded horizon {2 * mu_inv}"
                 )
-        views = cut_instances(inst, cuts)
-        parts = [solve_bounded_horizon(view, solver, **solve_kwargs) for view in views]
-        combined = combine_cut_solutions(inst, parts)
-        # an exact window's value is the one its stage DP checked
-        window_values = tuple(
-            rows.values[view.start, view.end]
-            if solver == "exact"
-            else evaluate_sub_objective(view, part.sets)
-            for view, part in zip(views, parts)
+        parts = [_solve_window(rows, lo, hi, solver, *budgets) for lo, hi in windows]
+        # the one check of the shift: its windows' concatenation, on the whole instance
+        combined = checked_solution(
+            inst,
+            [s for sets, _, _ in parts for s in sets],
+            [a for _, packed, _ in parts for a in packed],
         )
+        window_values = tuple(value for _, _, value in parts)
         value = evaluate_objective(inst, combined.sets)
         if value < sum(window_values):
             raise ContractViolationError("combined value fell below the sum of window values")
@@ -494,13 +479,7 @@ def solve_general_result(
         if best is None or value > best_value:
             best, best_value, best_j = combined, value, j
     assert best is not None
-    return SchemeResult(
-        solution=best,
-        value=best_value,
-        bypassed=False,
-        selected_j=best_j,
-        iterations=tuple(iterations),
-    )
+    return SchemeResult(best, best_value, False, best_j, tuple(iterations))
 
 
 __all__ = [
@@ -508,12 +487,10 @@ __all__ = [
     "SchemeParams",
     "SchemeIteration",
     "SchemeResult",
-    "StageRows",
     "cut_points",
     "cut_instances",
     "combine_cut_solutions",
     "solve_bounded_horizon",
     "solve_general_result",
-    "stage_dp_masks",
     "stage_dp_sets",
 ]

@@ -19,7 +19,8 @@ inside ``avail`` in ascending mask order and records only strict
 improvements, so it returns the first optimum it reaches, the
 lexicographically smallest. Submodular objectives are searched in
 lexicographic order under a monotonicity upper bound. Both are exact and
-deterministic; an enumeration budget refuses oversized candidate spaces.
+deterministic; an enumeration budget refuses oversized candidate spaces
+and per-item subset tables.
 
 ``solve_mkcp_greedy`` gives each item in turn its best schedule inside
 ``avail``, packing under a node budget, and never fails: the empty
@@ -27,7 +28,8 @@ schedule weighs nothing everywhere.
 
 Both solvers serve only ``gmk solve-mkcp``, whose reduced file may carry
 arbitrary per-mask values. The scheme builds no reduction: the stage DPs
-in ``cutting`` pick the same schedules for its windows.
+in ``cutting`` pick the same schedules for its windows, and its greedy
+windows build their ``_PartialPacking`` from the stages' own constraints.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .core import MODULAR, Mkc
 from .errors import BudgetExceededError, ContractViolationError
 from .reduction import (
     VALUE_LIMIT,
-    ReducedConstraint,
     ReducedElement,
     ReducedInstance,
     ReducedSolution,
@@ -196,39 +197,35 @@ class Capacities(NamedTuple):
 class _PartialPacking:
     """Incremental packability of a growing chosen set, stage by stage.
 
-    Every reduced constraint belongs to one stage, so a schedule packs on
-    top of the pushed ones exactly when each of its stages accepts the item.
-    Packer keys are item ranks, which order the new entry against the pushed
-    ones as ``ReducedElement`` keys do, so a budgeted packer search visits
-    the same nodes. ``Capacities.fit`` decides from the loads what it can,
-    every single-bin constraint included, and the exact packer the rest.
+    ``stages[t]`` holds the constraints of the stage on bit t. Every
+    constraint belongs to one stage, so a schedule packs on top of the
+    pushed ones exactly when each of its stages accepts the item. A stage
+    with a binless constraint accepts no item, whatever its weight: no bin
+    can hold it. Packer keys are item ranks, which order the new entry
+    against the pushed ones as ``ReducedElement`` keys do, so a budgeted
+    packer search visits the same nodes. ``Capacities.fit`` decides from the
+    loads what it can, every single-bin constraint included, and the exact
+    packer the rest.
     """
 
     def __init__(
-        self,
-        items: Sequence[str],
-        horizon: int,
-        constraints: Sequence[ReducedConstraint],
-        node_budget: int | None = None,
+        self, items: Sequence[str], stages: Sequence[Sequence[Mkc]], node_budget: int | None = None
     ):
-        self.constraints = constraints
         self.node_budget = node_budget
-        self.full = (1 << horizon) - 1
-        self.caps = [Capacities.of(rc.capacities.values()) for rc in constraints]
+        pairs = [(1 << t, mkc) for t, mkcs in enumerate(stages) for mkc in mkcs]
+        self.constraints = [mkc for _, mkc in pairs]
+        self.full = (1 << len(stages)) - 1 & ~sum({bit for bit, mkc in pairs if not mkc.bins})
+        self.caps = [Capacities.of(mkc.capacities.values()) for mkc in self.constraints]
         # per item: (constraint index, stage bit, weight) wherever it weighs anything
-        self.weights: list[list[tuple[int, int, int]]] = []
-        for item in items:
-            row = []
-            for ci, rc in enumerate(constraints):
-                w = 0 if rc.padding else rc.item_weights.get(item, 0)
-                if w > 0:
-                    row.append((ci, 1 << (rc.stage - 1), w))
-            self.weights.append(row)
+        self.weights: list[list[tuple[int, int, int]]] = [
+            [(ci, b, w) for ci, (b, mkc) in enumerate(pairs) if (w := mkc.weights.get(item, 0)) > 0]
+            for item in items
+        ]
         rank = {item: r for r, item in enumerate(sorted(items))}
         self.rank = [rank[item] for item in items]
         # pushed items' weights by rank, kept for multi-bin constraints only
-        self.loads: list[dict[int, int]] = [{} for _ in constraints]
-        self.load_sums: list[int] = [0] * len(constraints)
+        self.loads: list[dict[int, int]] = [{} for _ in self.constraints]
+        self.load_sums: list[int] = [0] * len(self.constraints)
 
     def avail(self, k: int) -> int:
         """Mask of the stages where the k-th item still packs."""
@@ -240,9 +237,9 @@ class _PartialPacking:
             # the pushed weights fit already, so w is the one that can be too heavy
             fits = self.caps[ci].fit(self.load_sums[ci] + w, w)
             if fits is None:
-                rc = self.constraints[ci]
+                mkc = self.constraints[ci]
                 weights = {**self.loads[ci], key: w}
-                packed = pack_assignment(rc.bins, rc.capacities, weights, node_budget=self.node_budget)
+                packed = pack_assignment(mkc.bins, mkc.capacities, weights, node_budget=self.node_budget)
                 fits = packed.packed
             if not fits:
                 avail ^= bit
@@ -263,6 +260,15 @@ class _PartialPacking:
                 self.load_sums[ci] -= w
                 if self.caps[ci].single is None:
                     del self.loads[ci][key]
+
+
+def _packing(reduced: ReducedInstance, node_budget: int | None = None) -> _PartialPacking:
+    """The ``_PartialPacking`` of a reduced instance; padding constraints weigh nothing."""
+    stages: list[list[Mkc]] = [[] for _ in range(reduced.horizon)]
+    for rc in reduced.constraints:
+        if not rc.padding:
+            stages[rc.stage - 1].append(Mkc(rc.item_weights, rc.bins, rc.capacities))
+    return _PartialPacking(reduced.items, stages, node_budget)
 
 
 def _build_assignments(reduced: ReducedInstance, chosen: frozenset[ReducedElement]):
@@ -338,7 +344,8 @@ def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None
     The tie-break is over the tuple of chosen schedule masks in item order.
     Refuses, before the search starts, a candidate space (the product over
     items of one plus the kept schedule count) larger than the enumeration
-    budget.
+    budget, and then per-item subset tables (``|I| * 2**T`` entries) larger
+    than it.
     """
     budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
     space = 1
@@ -349,6 +356,12 @@ def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None
                 f"exact solve refused: candidate space exceeds budget {budget}; "
                 f"use solve_mkcp_greedy or raise the budget"
             )
+    tables = len(reduced.items) << reduced.horizon
+    if tables > budget:
+        raise BudgetExceededError(
+            f"exact solve refused: subset tables of {tables} entries (|I| * 2**T) "
+            f"exceed budget {budget}"
+        )
     if reduced.variant == MODULAR:
         return _exact_modular(reduced)
     return _exact_submodular(reduced)
@@ -358,7 +371,7 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
     items = reduced.items
     n = len(items)
     horizon = reduced.horizon
-    packing = _PartialPacking(reduced.items, reduced.horizon, reduced.constraints)
+    packing = _packing(reduced)
     # per item: candidates (value, mask) in _kept_schedules order, and the
     # subset-max table of their values
     cand: list[list[tuple[int, int]]] = []
@@ -434,7 +447,7 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
 
 def _greedy_value(reduced: ReducedInstance, cand) -> int:
     """Feasible lower bound: greedy over the pruned candidate lists."""
-    packing = _PartialPacking(reduced.items, reduced.horizon, reduced.constraints)
+    packing = _packing(reduced)
     total = 0
     for k, group in enumerate(cand):
         blocked = ~packing.avail(k)
@@ -456,7 +469,7 @@ def _exact_submodular(reduced: ReducedInstance) -> ReducedSolution:
     for k in range(n - 1, -1, -1):
         rest[k] = rest[k + 1] | frozenset(groups[k])
 
-    packing = _PartialPacking(reduced.items, reduced.horizon, reduced.constraints)
+    packing = _packing(reduced)
     stack: list[ReducedElement] = []
     best_value: int | None = None
     best_chosen: tuple[ReducedElement, ...] = ()
@@ -496,7 +509,7 @@ def solve_mkcp_greedy(
     Packing checks run under ``pack_budget`` nodes (``None``: unbounded);
     an undecided check counts as unpackable. Ties go to the smaller mask.
     """
-    packing = _PartialPacking(reduced.items, reduced.horizon, reduced.constraints, pack_budget)
+    packing = _packing(reduced, pack_budget)
     chosen: list[ReducedElement] = []
     objective = reduced.objective
     for k, item in enumerate(reduced.items):

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .core import (
     MODULAR,
     SUBMODULAR,
@@ -44,7 +42,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_HORIZON_CAP = 12
 PAD_BIN = "pad"
-# Schedule values are summed in int64, and the solvers' tables use -2**62
+# The reduced solvers hold schedule values in int64, and their tables use -2**62
 # as "no candidate": every value must lie strictly between the two limits.
 VALUE_LIMIT = 1 << 62
 
@@ -155,16 +153,16 @@ class ReducedSolution:
 
 
 def element_fixed_value(inst: GmkInstance, item: str, schedule: Iterable[int]) -> int:
-    """Fixed value of element (item, schedule) in the reduced objective."""
+    """Fixed value of element (item, schedule) in the reduced objective, in O(T)."""
     if inst.variant != MODULAR:
         raise UnsupportedVariantError("fixed element values require the modular variant")
     mask = mask_of(schedule, inst.horizon)
-    return int(_schedule_values(inst, np.array([mask], dtype=np.int64), (item,))[0, 0])
-
-
-def _bit_columns(horizon: int, masks: np.ndarray) -> np.ndarray:
-    """bits[t-1, k] = 1 iff masks[k] contains stage t; shape (T, len(masks))."""
-    return (masks >> np.arange(horizon, dtype=np.int64)[:, None]) & 1
+    value = prev = 0
+    for t, term in enumerate(_stage_terms(inst, (item,))[0]):
+        cur = mask >> t & 1  # 0 past stage T
+        value += term[prev << 1 | cur]
+        prev = cur
+    return value
 
 
 class ValueRange:
@@ -205,56 +203,57 @@ class ValueRange:
                 )
 
 
-def _schedule_values(
-    inst: GmkInstance, masks: np.ndarray, items: Sequence[str] | None = None
-) -> np.ndarray:
-    """values[k, s]: the fixed value of schedule ``masks[s]`` of ``items[k]``.
+def _stage_terms(inst: GmkInstance, items: Sequence[str]) -> list[list[tuple[int, int, int, int]]]:
+    """Per item, its term at each boundary t = 1..T+1, the one before stage t.
 
-    Interior gains accrue in both variants: g+ where the item stays packed,
-    g- where it stays out. The modular variant adds the profits of
-    scheduled stages and charges a change cost pair per run; stage 1 always
-    pays the entry cost and stage T the exit cost when scheduled. The
-    stage indicators do not depend on the item, so every item is valued by
-    one product with its row of terms; costs are summed apart from profits
-    and gains, so no partial sum leaves int64. Raises ``InputError`` for an
-    item beyond that range (``ValueRange``) before any product.
+    A term is indexed by ``in_prev << 1 | in_cur``: out of both stages,
+    entering at t, leaving before t, in both. Interior gains accrue in both
+    variants: g+ where the item stays packed, g- where it stays out. The
+    modular variant adds the profit of every scheduled stage, charges c+ on
+    entry and c- on exit; nothing is packed before stage 1 or after stage T,
+    so stage 1 pays the entry cost and stage T the exit cost when scheduled.
+    Raises ``InputError`` for an item beyond the reduction's integer range
+    (``ValueRange``).
     """
-    items = inst.items if items is None else items
     ValueRange(inst, items).check(1, inst.horizon)
-    horizon = inst.horizon
     modular = inst.variant == MODULAR
-    stages, later = range(1, horizon + 1), range(2, horizon + 1)
-    bits = _bit_columns(horizon, masks)
-    empty = np.zeros((1, len(masks)), dtype=np.int64)
-    # stage t's neighbours; nothing is packed before stage 1 or after stage T
-    prev = np.vstack((empty, bits[:-1]))
-    nxt = np.vstack((bits[1:], empty))
+    horizon = inst.horizon
+    out = []
+    for i in items:
+        terms = []
+        for t in range(1, horizon + 2):
+            inner = 1 < t <= horizon
+            profit = inst.item_profit(t, i) if modular and t <= horizon else 0
+            entry = inst.cost_plus[i, t] if modular and t <= horizon else 0
+            leave = inst.cost_minus[i, t - 1] if modular and t > 1 else 0
+            stay_out = inst.gain_minus[i, t] if inner else 0
+            stay_in = inst.gain_plus[i, t] if inner else 0
+            terms.append((stay_out, profit - entry, -leave, profit + stay_in))
+        out.append(terms)
+    return out
 
-    # per item, its terms side by side, aligned with the stacked indicators;
-    # gains start at stage 2, so stage 1 gets a zero term
-    gains = [
-        [0, *(inst.gain_plus[i, t] for t in later), 0, *(inst.gain_minus[i, t] for t in later)]
-        for i in items
-    ]
-    indicators = [bits & prev, (1 - bits) & (1 - prev)]
-    if modular:
-        for row, i in zip(gains, items):
-            row.extend(inst.item_profit(t, i) for t in stages)
-        indicators.append(bits)
-    values = _product(gains, np.vstack(indicators))
-    if modular:
-        costs = [
-            [*(inst.cost_plus[i, t] for t in stages), *(inst.cost_minus[i, t] for t in stages)]
-            for i in items
-        ]
-        values -= _product(costs, np.vstack((bits & (1 - prev), bits & (1 - nxt))))
+
+def _schedule_values(inst: GmkInstance) -> list[list[int]]:
+    """values[k][m]: the fixed value of schedule mask m of the k-th item, for every m.
+
+    Built from ``_stage_terms`` by doubling over the stages, in plain ints:
+    the masks of stages 1..t list those without stage t first, so the next
+    stage's terms add by halves.
+    """
+    values = []
+    for terms in _stage_terms(inst, inst.items):
+        row = [0]
+        for t, (stay_out, enter, leave, stay_in) in enumerate(terms[:-1]):
+            half = len(row) >> 1 if t else 1  # nothing is packed before stage 1
+            low, high = row[:half], row[half:]
+            row = (
+                [v + stay_out for v in low] + [v + leave for v in high]
+                + [v + enter for v in low] + [v + stay_in for v in high]
+            )
+        half = len(row) >> 1
+        row[half:] = [v + terms[-1][2] for v in row[half:]]  # stage T's exit
+        values.append(row)
     return values
-
-
-def _product(rows: list[list[int]], indicators: np.ndarray) -> np.ndarray:
-    """Per row of terms, its sums over the indicator columns, in int64."""
-    terms = np.array(rows, dtype=np.int64).reshape(len(rows), indicators.shape[0])
-    return terms @ indicators
 
 
 def _reduced_constraints(inst: GmkInstance) -> tuple[ReducedConstraint, ...]:
@@ -304,12 +303,10 @@ def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP
             f"reduction refused: horizon {inst.horizon} exceeds the cap {horizon_cap} "
             f"(the element set grows as |I| * 2**T; raise the cap explicitly if intended)"
         )
-    values = _schedule_values(inst, np.arange(1 << inst.horizon, dtype=np.int64))
     schedules: dict[str, dict[int, int]] = {}
-    for item, arr in zip(inst.items, values):
-        assert arr[0] >= 0, "empty schedule value is a nonnegative gain sum"
-        kept = np.flatnonzero(arr >= 0)
-        schedules[item] = dict(zip(kept.tolist(), arr[kept].tolist()))
+    for item, row in zip(inst.items, _schedule_values(inst)):
+        assert row[0] >= 0, "empty schedule value is a nonnegative gain sum"
+        schedules[item] = {m: v for m, v in enumerate(row) if v >= 0}
     objective = None
     if inst.variant != MODULAR:
         lifted = tuple(extend_function(inst.stage(t).profit, t) for t in range(1, inst.horizon + 1))

@@ -171,6 +171,29 @@ def test_solve_mkcp_bad_reduced_file_exits_2(tmp_path, capsys, corrupt, mode):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
 
 
+def test_solve_mkcp_exact_refuses_subset_tables_beyond_the_budget(tmp_path, capsys):
+    # one item over 64 stages, with the empty schedule and the one at stage
+    # 64: a candidate space of 3, but subset tables of 2**64 entries
+    horizon, elements = 64, ["x@0", f"x@{2**63}"]
+    raw = {
+        "variant": "modular", "items": ["x"], "horizon": horizon, "dimension": 1,
+        "elements": [{"id": e} for e in elements],
+        "partition": {"x": elements},
+        "constraints": [
+            {"stage": t, "index": 1, "padding": False, "bins": ["b"], "capacities": {"b": 1},
+             "item_weights": {"x": 1}}
+            for t in range(1, horizon + 1)
+        ],
+        "values": {"x@0": 0, f"x@{2**63}": 1},
+    }
+    reduced = tmp_path / "reduced.json"
+    reduced.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert run("solve-mkcp", "--in", reduced, "--exact", "--out", tmp_path / "rsol.json") == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "BudgetExceededError" and "|I| * 2**T" in error["message"]
+
+
 SCHEME = ("--eps", "0.2", "--phi", 10**30)
 
 
@@ -447,13 +470,32 @@ def test_negative_limit_exits_2(tmp_path, capsys, monkeypatch, flag, via_env):
     assert "InputError" not in capsys.readouterr().err
 
 
+def test_greedy_solve_packs_no_item_at_a_binless_stage(tmp_path):
+    # no bin holds the weightless item a either, so both sub-solvers leave
+    # every stage empty
+    binless = core.Mkc(weights={"a": 0, "b": 1}, bins=(), capacities={})
+    stages = [core.McpStage(mkcs=(binless,), profit={"a": 2, "b": 3})] * 2
+    zero_gain, zero_cost = {(i, 2): 0 for i in "ab"}, {(i, t): 0 for i in "ab" for t in (1, 2)}
+    inst = core.GmkInstance(("a", "b"), 2, tuple(stages), zero_gain, zero_gain, zero_cost,
+                            zero_cost)
+    path = tmp_path / "inst.json"
+    write_json(path, instance_to_dict(inst))
+    solutions = []
+    for solver in ("greedy", "exact"):
+        out = tmp_path / f"{solver}.json"
+        assert run("solve", "--in", path, *SCHEME, "--sub-solver", solver, "--out", out) == 0
+        solutions.append(load_json(out))
+    assert solutions[0] == solutions[1]
+    assert solutions[0]["sets"] == [[], []]
+
+
 def test_greedy_commands_default_to_one_pack_budget(tmp_path, monkeypatch):
     budgets = []
 
     class Recording(mkcp._PartialPacking):
-        def __init__(self, items, horizon, constraints, node_budget=None):
+        def __init__(self, items, stages, node_budget=None):
             budgets.append(node_budget)
-            super().__init__(items, horizon, constraints, node_budget)
+            super().__init__(items, stages, node_budget)
 
     monkeypatch.setattr(mkcp, "_PartialPacking", Recording)
     monkeypatch.setattr(cutting, "_PartialPacking", Recording)

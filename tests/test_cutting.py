@@ -22,13 +22,11 @@ from gmk.core import (
 from gmk.cutting import (
     CutPointSet,
     SchemeParams,
-    StageRows,
     combine_cut_solutions,
     cut_instances,
     cut_points,
     solve_bounded_horizon,
     solve_general_result,
-    stage_dp_masks,
     stage_dp_sets,
 )
 from gmk.errors import BudgetExceededError, ContractViolationError, InputError
@@ -333,6 +331,13 @@ DP_SHAPES = {
 }
 
 
+def stage_dp_masks(target):
+    """Per item, the schedule mask of ``stage_dp_sets``'s answer."""
+    sets = stage_dp_sets(target)
+    items = target.instance.items if isinstance(target, SubInstanceView) else target.items
+    return tuple(sum((m >> k & 1) << t for t, m in enumerate(sets)) for k in range(len(items)))
+
+
 def _search_masks(inst):
     rsol = solve_mkcp_exact(reduce_instance(inst), enum_budget=10**15)
     mask = {e.item: e.mask for e in rsol.chosen}
@@ -370,7 +375,7 @@ def _recording(calls, name):
 def exact_routes(monkeypatch):
     """The stage DP calls the exact solves make, in call order."""
     calls = []
-    monkeypatch.setattr(cutting, "stage_dp_sets", _recording(calls, "stage_dp_sets"))
+    monkeypatch.setattr(cutting, "_dp_masks", _recording(calls, "_dp_masks"))
     return calls
 
 
@@ -391,7 +396,7 @@ def test_exact_route_follows_the_worst_case_rule(exact_routes):
     for budget in (None, work):
         exact_routes.clear()
         sol = solve_bounded_horizon(inst, "exact", enum_budget=budget)
-        assert exact_routes == ["stage_dp_sets"], budget
+        assert exact_routes == ["_dp_masks"], budget
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
     exact_routes.clear()
     with pytest.raises(BudgetExceededError, match="stage DP work"):
@@ -404,7 +409,7 @@ def test_exact_route_solves_nine_items_by_the_dp_alone(exact_routes):
     # factored DP's 4 * 9 * 2**9 additions fit the default budget
     inst = gen_random(GenParams(items=9, horizon=4), 0)
     sol = solve_bounded_horizon(inst, "exact")
-    assert exact_routes == ["stage_dp_sets"]
+    assert exact_routes == ["_dp_masks"]
     assert _solution_bytes(sol) == _solution_bytes(_reduce_pack_lift(inst))
     assert stage_dp_masks(inst) == _search_masks(inst)
 
@@ -421,7 +426,7 @@ def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
             solve_mkcp_exact(reduced, enum_budget=work)
         exact_routes.clear()
         sol = solve_bounded_horizon(inst, "exact", enum_budget=work)
-        assert exact_routes == ["stage_dp_sets"]
+        assert exact_routes == ["_dp_masks"]
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
         scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=2)
         result = solve_general_result(inst, scheme, "exact", enum_budget=work)
@@ -524,16 +529,15 @@ def test_dp_route_emits_the_bytes_of_reduce_pack_lift(shape, exact_routes):
     budget = 10**15
     for seed in range(8):
         inst = gen_random(params, seed)
-        rows = StageRows(inst)
         targets = [inst] + [
             view
             for j in range(1, mu_inv + 1)
             for view in cut_instances(inst, cut_points(inst.horizon, mu_inv, j))
         ]
         for target in targets:
-            got = solve_bounded_horizon(target, "exact", enum_budget=budget, rows=rows)
+            got = solve_bounded_horizon(target, "exact", enum_budget=budget)
             assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(target)), seed
-    assert set(exact_routes) == {"stage_dp_sets"}
+    assert set(exact_routes) == {"_dp_masks"}
 
 
 def _reduce_greedy_lift(target, budget):
@@ -549,7 +553,6 @@ def test_greedy_route_emits_the_bytes_of_reduce_greedy_lift(shape):
     mu_inv = (params.horizon - 1) // 2
     for seed in range(6):
         inst = gen_random(params, seed)
-        rows = StageRows(inst)
         targets = [inst] + [
             view
             for j in range(1, mu_inv + 1)
@@ -557,10 +560,9 @@ def test_greedy_route_emits_the_bytes_of_reduce_greedy_lift(shape):
         ]
         for budget in (1, 2, 5, None):
             for target in targets:
-                got = solve_bounded_horizon(target, "greedy", pack_budget=budget, rows=rows)
+                got = solve_bounded_horizon(target, "greedy", pack_budget=budget)
                 want = _reduce_greedy_lift(target, budget)
                 assert _solution_bytes(got) == _solution_bytes(want), (seed, budget)
-        assert not rows, "the greedy route reads no stage rows"
 
 
 def test_dp_route_packs_stages_with_fewer_constraints_than_d(exact_routes):
@@ -569,7 +571,7 @@ def test_dp_route_packs_stages_with_fewer_constraints_than_d(exact_routes):
         False, True, False, False, False, True,
     ]
     got = solve_bounded_horizon(inst, "exact")
-    assert exact_routes == ["stage_dp_sets"]
+    assert exact_routes == ["_dp_masks"]
     assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(inst))
     assert evaluate_objective(inst, got.sets) == evaluate_objective(
         inst, brute_force_gmk(inst).sets
@@ -591,13 +593,14 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
 
     # the stage sets the exact windows choose, and the stage sets packed
     chosen, packed = [], []
-    real_dp, real_pack = cutting.stage_dp_sets, cutting.pack_stage
+    real_dp, real_pack = cutting._stage_dp, cutting.pack_stage
 
-    def recorded_dp(view, rows=None):
-        sets = real_dp(view, rows)
-        for t, m in enumerate(sets, start=view.start):
-            chosen.append((t, frozenset(i for k, i in enumerate(inst.items) if m >> k & 1)))
-        return sets
+    def recorded_dp(dp_inst, items, lo, hi, packable, profits):
+        value, sets = real_dp(dp_inst, items, lo, hi, packable, profits)
+        if items == inst.items:
+            for t, m in enumerate(sets, start=lo):
+                chosen.append((t, frozenset(i for k, i in enumerate(items) if m >> k & 1)))
+        return value, sets
 
     def counted_pack(stage, members, t):
         packed.append((t, members))
@@ -605,19 +608,22 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
 
     calls = []
     monkeypatch.setattr(cutting, "packable_row", counted_row)
-    monkeypatch.setattr(cutting, "stage_dp_sets", recorded_dp)
+    monkeypatch.setattr(cutting, "_stage_dp", recorded_dp)
     monkeypatch.setattr(cutting, "pack_stage", counted_pack)
     for module, name in (
         (reduction, "reduce_instance"), (reduction, "lift_solution"), (mkcp, "solve_mkcp_greedy"),
+        (reduction, "_reduced_constraints"),
     ):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
-    # each window is validated, materialized, checked and valued once
+    # the instance is validated once, no window is materialized, each shift's
+    # solution is checked once, and each window is valued once
     checks = []
-    for module, name in (
+    names = (
         (core, "validate_instance"), (SubInstanceView, "materialize"),
         (cutting, "check_feasible"), (oracle, "check_feasible"), (reduction, "check_feasible"),
         (cutting, "evaluate_sub_objective"),
-    ):
+    )
+    for module, name in names:
         monkeypatch.setattr(module, name, _counting(checks, name, getattr(module, name)))
     scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=4)
     for solver, rows in (("exact", 1), ("greedy", 0)):
@@ -630,36 +636,18 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         assert sorted(stages) == rows * list(range(1, inst.horizon + 1))
         assert calls == []
         windows = sum(len(it.window_values) for it in result.iterations)
-        assert {name: checks.count(name) for name in set(checks)} == {
+        assert {name: checks.count(name) for _, name in names} == {
             "validate_instance": 1,
-            "materialize": windows,
-            "check_feasible": windows + 4,
+            "materialize": 0,
+            "check_feasible": 4,
             "evaluate_sub_objective": windows,
         }
         # every exact window chooses a set at every stage, and each distinct
-        # (stage, set) pair, 52 of the 160, is packed once across all shifts
+        # (stage, set) pair, 52 of the 160, is packed once across all shifts;
+        # greedy windows pack each of their stage sets
         assert len(chosen) == rows * 4 * inst.horizon
-        assert len(packed) == len(set(packed)) == rows * 52
-        assert set(packed) == set(chosen)
-
-
-def test_stage_rows_of_another_instance_are_refused():
-    # the table hands out packed assignments, so a table built for another
-    # instance, even an equal one, is a contract error on every path, also
-    # under python -O
-    params = DP_SHAPES["two_bin_d2"]
-    inst = gen_random(params, 0)
-    window = sub_instance(inst, 2, inst.horizon - 1)
-    for other in (gen_random(params, 1), gen_random(params, 0), window.materialize()):
-        assert other is not inst
-        rows = StageRows(other)
-        for target in (inst, window):
-            for call in (
-                lambda: stage_dp_sets(target, rows),
-                lambda: stage_dp_masks(target, rows),
-                lambda: solve_bounded_horizon(target, "exact", rows=rows),
-                lambda: solve_bounded_horizon(target, "greedy", rows=rows),
-            ):
-                with pytest.raises(ContractViolationError, match="another instance"):
-                    call()
-        assert not rows and not rows.packed
+        if solver == "exact":
+            assert len(packed) == len(set(packed)) == 52
+            assert set(packed) == set(chosen)
+        else:
+            assert len(packed) == 4 * inst.horizon

@@ -16,7 +16,7 @@ from gmk.mkcp import (
     PACKED,
     UNKNOWN,
     _kept_schedules,
-    _PartialPacking,
+    _packing,
     pack_assignment,
     pack_mkc,
     solve_mkcp_exact,
@@ -385,7 +385,7 @@ def test_kept_schedules_match_loop_prune_and_solo_filter():
         for seed in range(6):
             reduced = reduce_modular(gen_random(params, seed))
             for candidate in (reduced, _with_masks_missing(reduced)):
-                packing = _PartialPacking(candidate.items, candidate.horizon, candidate.constraints)
+                packing = _packing(candidate)
                 kept = [
                     list(zip(*(a.tolist() for a in _kept_schedules(candidate, packing, k))))
                     for k in range(len(candidate.items))
@@ -423,7 +423,7 @@ def test_avail_matches_packing_every_touched_constraint(budget):
             # random schedule that packs on top of the earlier ones
             order = rng.sample(range(len(items)), len(items))
             k = order.pop()
-            packing = _PartialPacking(items, horizon, reduced.constraints, node_budget=budget)
+            packing = _packing(reduced, node_budget=budget)
             loaded = []
             for j in order:
                 e = ReducedElement(items[j], rng.randrange(1 << horizon))

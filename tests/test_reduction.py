@@ -5,13 +5,12 @@ from __future__ import annotations
 import hashlib
 import random
 
-import numpy as np
 import pytest
 
 from gmk.core import evaluate_objective, MultistageSolution
 from gmk.errors import BudgetExceededError, ContractViolationError, InputError
 from gmk.generators import GenParams, gen_random
-from gmk.intervals import IntervalElement, element_value
+from gmk.intervals import IntervalElement, element_value, to_intervals
 from gmk.mkcp import solve_mkcp_exact
 from gmk.oracle import brute_force_gmk
 from gmk.reduction import (
@@ -71,6 +70,23 @@ def test_fixed_value_formula_walk():
     assert element_fixed_value(inst, "i", (1, 3)) == 10 - 4 - 4
 
 
+def test_fixed_value_past_64_stages_adds_run_values_and_gaps():
+    # masks of 64 stages and more do not fit an int64
+    rng = random.Random(5)
+    horizon = 70
+    inst = gen_random(GenParams(items=2, horizon=horizon, cost_range=(0, 3)), 0)
+    stages = range(1, horizon + 1)
+    for k in range(12):
+        item = inst.items[k % 2]
+        schedule = {t for t in stages if rng.random() < 0.6} | {64, 70}
+        sets = [frozenset({item} if t in schedule else ()) for t in stages]
+        runs = sum(element_value(inst, e) for e in to_intervals(sets))
+        gaps = sum(
+            inst.gain_minus[item, t] for t in stages[1:] if not {t - 1, t} & schedule
+        )
+        assert element_fixed_value(inst, item, sorted(schedule)) == runs + gaps
+
+
 def test_vectorized_schedule_values_match_scalar():
     # a schedule's value is the objective of the set sequence that packs its
     # item alone, less the other items' empty-schedule values, and less the
@@ -79,9 +95,8 @@ def test_vectorized_schedule_values_match_scalar():
         for seed in range(10):
             params = GenParams(items=3, horizon=5, cost_range=(0, 4), variant=variant)
             inst = gen_random(params, seed)
-            masks = np.arange(1 << inst.horizon, dtype=np.int64)
-            values = _schedule_values(inst, masks)
-            assert values.shape == (3, 1 << inst.horizon)
+            values = _schedule_values(inst)
+            assert [len(row) for row in values] == [1 << inst.horizon] * 3
 
             def gain_value(sets):
                 value = evaluate_objective(inst, sets)
@@ -94,7 +109,7 @@ def test_vectorized_schedule_values_match_scalar():
                 alone = sum(inst.gain_minus[item, t] for t in range(2, inst.horizon + 1))
                 for mask in range(1 << inst.horizon):
                     sets = [frozenset({item} if mask >> t & 1 else ()) for t in range(inst.horizon)]
-                    assert values[k, mask] == gain_value(sets) - empty + alone
+                    assert values[k][mask] == gain_value(sets) - empty + alone
 
 
 def test_reduce_counts_and_partition():
