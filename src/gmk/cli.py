@@ -186,10 +186,14 @@ def cmd_solve(args) -> int:
     # solve_general_result validates the instance
     inst = serialize.instance_from_dict(serialize.load_json(args.instance))
     params, result, elapsed = _run_scheme(args, inst)
-    _emit(serialize.solution_to_dict(result.solution), args.out)
+    # The value line and the report, the outputs that hold integers, pass the
+    # JSON writer's guard before the solution is written, so an integer too
+    # long to print leaves no file behind.
+    value = serialize.canonical_dumps(result.value)
     if args.report:
         _emit(_report_payload(args, params, inst, result, {"solve": elapsed}), args.report)
-    sys.stdout.write(f"value {result.value}\n")
+    _emit(serialize.solution_to_dict(result.solution), args.out)
+    sys.stdout.write(f"value {value}\n")
     return 0
 
 

@@ -11,8 +11,8 @@ it over packable item sets, within the enumeration budget, and its value is
 the one the DP checked. Every window of every shift reads one per-instance
 stage table (``StageRows``), which ``solve_general_result`` builds: each
 stage's packability and profit rows, built once; each chosen (stage, set)
-pair's assignments, packed once; and per-item sums that check a window's
-value range in O(|I|). A greedy window runs the DP on one item at a time.
+pair's assignments, packed once. A greedy window runs the DP on one item at
+a time. All values are Python ints, exact at any magnitude.
 The window solutions concatenate into a full solution worth at least the
 sum of its parts (seam costs can only be saved, seam gains only added), and
 each shift's concatenation, like the bypass's solution, is checked once
@@ -48,7 +48,6 @@ from .core import (
 from .errors import BudgetExceededError, ContractViolationError, InputError
 from .mkcp import DEFAULT_ENUM_BUDGET, DEFAULT_PACK_BUDGET, _PartialPacking
 from .oracle import checked_solution, pack_stage, packable_row
-from .reduction import ValueRange
 
 SOLVER_CHOICES = ("exact", "greedy")
 
@@ -171,8 +170,7 @@ class StageRows(dict):
     Stage t maps, on first use, to the stage DP's row pair: the packability
     of every item subset at stage t (``oracle.packable_row``) and that
     subset's stage profit. ``assignments`` packs each (stage, subset) pair
-    once, for every window that chooses it; ``value_range`` holds the
-    per-item sums that check any window's value range in O(|I|).
+    once, for every window that chooses it.
     """
 
     def __init__(self, inst: GmkInstance):
@@ -187,10 +185,6 @@ class StageRows(dict):
         return [
             frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(1 << len(items))
         ]
-
-    @cached_property
-    def value_range(self) -> ValueRange:
-        return ValueRange(self.instance)
 
     def __missing__(self, t: int) -> tuple[list[bool], list[int]]:
         profit = self.instance.stage(t).profit
@@ -253,8 +247,8 @@ def _stage_dp(
     # No reachable key nor link term exceeds ``span`` in absolute value, so
     # an unreachable predecessor (``floor`` plus a term) loses to every
     # reachable one; the empty set packs at every stage, so one exists.
-    span = sum(abs(v) for row in terms for v in row)
-    span += sum(abs(v) for link in links for term in link for pair in term for v in pair)
+    span = sum(sum(map(abs, row)) for row in terms)
+    span += sum(abs(a) + abs(b) + abs(c) + abs(d) for link in links for (a, b), (c, d) in link)
     floor = -(3 * span + 1)
     best = [term if ok else floor for term, ok in zip(terms[0], packable[0])]
     history = [best]
@@ -351,15 +345,13 @@ def _solve_window(
     picks the schedules its reduced solver would: exact by ``_dp_masks``,
     whose work of ``T * |I| * 2**|I|`` additions the enumeration budget
     bounds, with the value its DP checked; greedy by ``_greedy_sets`` under
-    ``pack_budget``, valued by the objective. Values beyond the reduction's
-    integer range are refused as the reduction refuses them, after the
-    exact work refusal. The caller checks the solution these make up.
+    ``pack_budget``, valued by the objective. The caller checks the
+    solution these make up.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
     inst = rows.instance
     if solver == "greedy":
-        rows.value_range.check(lo, hi)
         sets = _greedy_sets(inst, lo, hi, pack_budget)
         packed = [pack_stage(inst.stage(t), s, t) for t, s in enumerate(sets, start=lo)]
         return sets, packed, evaluate_sub_objective(sub_instance(inst, lo, hi), sets)
@@ -369,7 +361,6 @@ def _solve_window(
         raise BudgetExceededError(
             f"exact solve refused: stage DP work {work} (T * |I| * 2**|I|) exceeds budget {budget}"
         )
-    rows.value_range.check(lo, hi)
     masks, value = _dp_masks(rows, lo, hi)
     packed = [rows.assignments(t, m) for t, m in enumerate(masks, start=lo)]
     return [rows.members[m] for m in masks], packed, value
@@ -435,13 +426,6 @@ def solve_general_result(
                 f"profit-cost ratio exceeds phi={params.phi}: item {item} has change cost "
                 f"{cost} at stage {t_cost} against profit {profit} at stage {t_profit}"
             )
-    else:
-        for table in (inst.cost_plus, inst.cost_minus):
-            nonzero = [k for k, v in table.items() if v != 0]
-            if nonzero:
-                raise InputError(
-                    f"submodular scheme requires zero change costs, found {nonzero[0]}"
-                )
 
     rows = StageRows(inst)
     budgets = (enum_budget, pack_budget)

@@ -11,10 +11,10 @@ its mask lies inside that mask.
 item. Every solver reads the reduced instance's per-item mask-to-value
 tables and builds ``ReducedElement``s only for the schedules it chooses or
 hands to a submodular objective. For modular values the search runs on
-plain integers: per item, the mask and value of every schedule that
-survives a dominance prune (a subset schedule of at least equal value
-exists; safe, as weights shrink coordinatewise with the schedule) and a
-solo-pack filter. One branch-and-bound pass walks each item's schedules
+Python ints, exact at any magnitude: per item, the mask and value of every
+schedule that survives a solo-pack filter and a dominance prune (a subset
+schedule of at least equal value exists; safe, as weights shrink
+coordinatewise with the schedule). One branch-and-bound pass walks each item's schedules
 inside ``avail`` in ascending mask order and records only strict
 improvements, so it returns the first optimum it reaches, the
 lexicographically smallest. Submodular objectives are searched in
@@ -37,12 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .core import MODULAR, Mkc
 from .errors import BudgetExceededError, ContractViolationError
 from .reduction import (
-    VALUE_LIMIT,
     ReducedElement,
     ReducedInstance,
     ReducedSolution,
@@ -55,7 +52,6 @@ UNKNOWN = "unknown"
 
 DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_PACK_BUDGET = 10**5
-_FLOOR = -VALUE_LIMIT  # "no candidate" in subset-max tables
 
 
 class _BudgetHit(Exception):
@@ -274,7 +270,7 @@ def _packing(reduced: ReducedInstance, node_budget: int | None = None) -> _Parti
 def _build_assignments(reduced: ReducedInstance, chosen: frozenset[ReducedElement]):
     assignments = {}
     for rc in reduced.constraints:
-        weights = {e: rc.weight_of(e) for e in chosen}
+        weights = {e: rc.weight_of(e) for e in rc.held(chosen)}
         result = pack_assignment(rc.bins, rc.capacities, weights)
         if not result.packed:
             raise ContractViolationError(
@@ -294,48 +290,50 @@ def finish_selection(reduced: ReducedInstance, chosen: Sequence[ReducedElement])
     return rsol
 
 
-def _subset_max_table(horizon: int, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """best[c] = max value over candidates whose mask is a subset of c."""
-    best = np.full(1 << horizon, _FLOOR, dtype=np.int64)
-    np.maximum.at(best, masks, values)
-    for t in range(horizon):
-        # rows [:, 1] hold the masks with bit t set, rows [:, 0] the same masks without it
-        pairs = best.reshape(-1, 2, 1 << t)
-        np.maximum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
-    return best
+def _kept_schedules(
+    reduced: ReducedInstance, packing: _PartialPacking, k: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The k-th item's schedules that can be optimal, and their subset-max table.
 
-
-def _dominance_prune(horizon: int, masks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Keep-flags: schedules valued above every proper subset in their group.
-
-    A subset schedule weighs less in every constraint, so any optimum using
-    the superset can swap down at no loss; the swap also lowers the mask,
-    keeping the lexicographic tie-break. Every schedule counts as a subset.
-    """
-    best = _subset_max_table(horizon, masks, values)
-    proper = np.full(len(masks), _FLOOR, dtype=np.int64)
-    for t in range(horizon):
-        has = (masks >> t & 1) == 1
-        proper[has] = np.maximum(proper[has], best[masks[has] ^ (1 << t)])
-    return (masks == 0) | (values > proper)
-
-
-def _kept_schedules(reduced: ReducedInstance, packing: _PartialPacking, k: int) -> tuple[np.ndarray, ...]:
-    """Masks and values of the k-th item's schedules that can be optimal.
-
-    Drops dominated schedules and those covering a stage where the item
-    outweighs every bin of a constraint. Sorted by value desc, then mask.
+    Drops the schedules covering a stage where the item outweighs every bin
+    of a constraint, then the dominated ones, worth no more than a proper
+    subset schedule: the swap down loses nothing and lowers the mask, which
+    keeps the lexicographic tie-break. Returns the kept (value, mask) pairs,
+    by value desc, then mask, and ``fit[c]``, the largest kept value whose
+    mask lies inside c. One pass builds both tables over the solo-filtered
+    schedules; ``fit`` is also the kept ones' table, as every dominated
+    schedule has a kept subset worth at least as much. Values are
+    nonnegative (``reduce_instance`` drops negative schedules, and a reduced
+    file holds none), so -1 marks "no schedule".
     """
     table = reduced.schedules[reduced.items[k]]
-    masks = np.fromiter(table, dtype=np.int64, count=len(table))
-    vals = np.fromiter(table.values(), dtype=np.int64, count=len(table))
     solo_bad = 0
     for ci, bit, w in packing.weights[k]:
         if w > packing.caps[ci].largest:
             solo_bad |= bit
-    keep = _dominance_prune(reduced.horizon, masks, vals) & ((masks & solo_bad) == 0)
-    order = np.lexsort((masks[keep], -vals[keep]))
-    return masks[keep][order], vals[keep][order]
+    size = 1 << reduced.horizon
+    fit = [-1] * size
+    for mask, value in table.items():
+        if not mask & solo_bad:
+            fit[mask] = value
+    # proper[m]: the largest value over proper subsets of m. A pass takes the
+    # top bit's halves and rotates the mask left, bringing the next bit on
+    # top, as ``cutting._stage_dp`` does; T passes restore the mask order.
+    proper = [-1] * size
+    half = size >> 1
+    for _ in range(reduced.horizon):
+        low, below = fit[:half], proper[:half]
+        proper[1::2] = [p if p > v else v for p, v in zip(proper[half:], low)]
+        proper[0::2] = below
+        fit[1::2] = [f if f > v else v for f, v in zip(fit[half:], low)]
+        fit[0::2] = low
+    kept = [
+        (value, mask)
+        for mask, value in table.items()
+        if not mask & solo_bad and value > proper[mask]  # mask 0 has no proper subset
+    ]
+    kept.sort(key=lambda c: (-c[0], c[1]))
+    return kept, fit
 
 
 def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None) -> ReducedSolution:
@@ -370,16 +368,15 @@ def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None
 def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
     items = reduced.items
     n = len(items)
-    horizon = reduced.horizon
     packing = _packing(reduced)
     # per item: candidates (value, mask) in _kept_schedules order, and the
     # subset-max table of their values
     cand: list[list[tuple[int, int]]] = []
     fit: list[list[int]] = []
     for k in range(n):
-        masks, vals = _kept_schedules(reduced, packing, k)
-        cand.append(list(zip(vals.tolist(), masks.tolist())))
-        fit.append(_subset_max_table(horizon, masks, vals).tolist())
+        kept, table = _kept_schedules(reduced, packing, k)
+        cand.append(kept)
+        fit.append(table)
     suffix = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
         suffix[k] = suffix[k + 1] + (cand[k][0][0] if cand[k] else 0)

@@ -16,15 +16,15 @@ horizon cap refuses long instances.
 
 Both directions of the solution mapping preserve the objective exactly:
 ``lower_solution`` mirrors assignments bin by bin, parking inactive
-elements in the designated bin of each constraint, while ``lift_solution``
-projects schedules back onto stages.
+elements in the designated bin of each constraint that has a bin, while
+``lift_solution`` projects schedules back onto stages. Schedule values are
+Python ints, exact at any magnitude.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .core import (
@@ -42,9 +42,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_HORIZON_CAP = 12
 PAD_BIN = "pad"
-# The reduced solvers hold schedule values in int64, and their tables use -2**62
-# as "no candidate": every value must lie strictly between the two limits.
-VALUE_LIMIT = 1 << 62
 
 
 def mask_of(stages: Iterable[int], horizon: int) -> int:
@@ -101,6 +98,17 @@ class ReducedConstraint:
         if self.padding or not e.active_at(self.stage):
             return 0
         return self.item_weights[e.item]
+
+    def held(self, chosen: Iterable[ReducedElement]) -> list[ReducedElement]:
+        """The chosen elements the bins of this constraint must hold between them.
+
+        Every chosen element if the constraint has a bin, the ones inactive at
+        its stage at weight 0. A constraint with no bin holds no element, so
+        only those active at its stage are returned, and none can be placed.
+        """
+        if self.bins:
+            return list(chosen)
+        return [e for e in chosen if e.active_at(self.stage)]
 
 
 @dataclass(frozen=True)
@@ -165,44 +173,6 @@ def element_fixed_value(inst: GmkInstance, item: str, schedule: Iterable[int]) -
     return value
 
 
-class ValueRange:
-    """Per-item prefix sums of profits, gains and change costs over the stages.
-
-    A schedule value adds some of an item's profits and gains and subtracts
-    some of its change costs, so both totals below ``VALUE_LIMIT`` keep every
-    value, and every partial sum, strictly inside it. Built in O(|I| * T),
-    after which ``check`` refuses an item beyond that range on any window in
-    O(|I|).
-    """
-
-    def __init__(self, inst: GmkInstance, items: Sequence[str] | None = None):
-        self.items = inst.items if items is None else items
-        stages = range(1, inst.horizon + 1)
-        self.sums = []
-        for item in self.items:
-            # gains[t - 1] sums stages 2..t; profits[t] and costs[t] sum stages 1..t
-            gains = list(accumulate(
-                (inst.gain_plus[item, t] + inst.gain_minus[item, t] for t in stages[1:]), initial=0
-            ))
-            profits = costs = [0] * (inst.horizon + 1)
-            if inst.variant == MODULAR:
-                profits = list(accumulate((inst.item_profit(t, item) for t in stages), initial=0))
-                costs = list(accumulate(
-                    (inst.cost_plus[item, t] + inst.cost_minus[item, t] for t in stages), initial=0
-                ))
-            self.sums.append((profits, gains, costs))
-
-    def check(self, lo: int, hi: int) -> None:
-        """Refuse an item whose values on stages lo..hi, as a window, could leave the range."""
-        for item, (profits, gains, costs) in zip(self.items, self.sums):
-            gained = profits[hi] - profits[lo - 1] + gains[hi - 1] - gains[lo - 1]
-            if gained >= VALUE_LIMIT or costs[hi] - costs[lo - 1] >= VALUE_LIMIT:
-                raise InputError(
-                    f"item {item}: its profits and gains, or its change costs, sum to 2**62 or "
-                    f"more, beyond the exact integer range of the reduction"
-                )
-
-
 def _stage_terms(inst: GmkInstance, items: Sequence[str]) -> list[list[tuple[int, int, int, int]]]:
     """Per item, its term at each boundary t = 1..T+1, the one before stage t.
 
@@ -212,10 +182,7 @@ def _stage_terms(inst: GmkInstance, items: Sequence[str]) -> list[list[tuple[int
     modular variant adds the profit of every scheduled stage, charges c+ on
     entry and c- on exit; nothing is packed before stage 1 or after stage T,
     so stage 1 pays the entry cost and stage T the exit cost when scheduled.
-    Raises ``InputError`` for an item beyond the reduction's integer range
-    (``ValueRange``).
     """
-    ValueRange(inst, items).check(1, inst.horizon)
     modular = inst.variant == MODULAR
     horizon = inst.horizon
     out = []
@@ -295,8 +262,7 @@ def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP
     mass and always stays. In the modular variant those values are the
     whole objective. In the submodular variant they are its gain terms,
     sums of nonnegative gains, so nothing is dropped; the objective stays an
-    oracle that adds per-stage lifted profit functions to them. An item
-    whose values could reach ``VALUE_LIMIT`` is refused with ``InputError``.
+    oracle that adds per-stage lifted profit functions to them.
     """
     if inst.horizon > horizon_cap:
         raise BudgetExceededError(
@@ -335,7 +301,8 @@ def verify_reduced_solution(reduced: ReducedInstance, rsol: ReducedSolution) -> 
     """Independent check of the reduced-solution invariants.
 
     Deliberately separate from the solvers' own bookkeeping: matroid
-    membership, element existence, exact cover per constraint, capacities.
+    membership, element existence, exact cover per constraint
+    (``ReducedConstraint.held``), capacities.
     """
     violations: list[str] = []
     per_item: dict[str, int] = {}
@@ -365,7 +332,7 @@ def verify_reduced_solution(reduced: ReducedInstance, rsol: ReducedSolution) -> 
                     f"bin {b} over capacity at (t={rc.stage}, j={rc.index}): "
                     f"load {load} > {rc.capacities[b]}"
                 )
-        if covered != set(rsol.chosen):
+        if covered != set(rc.held(rsol.chosen)):
             violations.append(
                 f"assignment does not cover the chosen set at (t={rc.stage}, j={rc.index})"
             )
@@ -409,15 +376,13 @@ def lower_solution(
         if rc.padding:
             assignments[(rc.stage, rc.index)] = {PAD_BIN: chosen_set}
             continue
-        designated = min(rc.bins)
         original = sol.assignments[rc.stage - 1][rc.index - 1]
         placed: dict[str, set[ReducedElement]] = {b: set() for b in rc.bins}
-        for item, e in chosen.items():
+        for e in rc.held(chosen_set):
             if e.active_at(rc.stage):
-                home = next(b for b in rc.bins if item in original.get(b, frozenset()))
-                placed[home].add(e)
+                placed[next(b for b in rc.bins if e.item in original.get(b, ()))].add(e)
             else:
-                placed[designated].add(e)
+                placed[min(rc.bins)].add(e)
         assignments[(rc.stage, rc.index)] = {b: frozenset(s) for b, s in placed.items()}
 
     result = ReducedSolution(

@@ -28,7 +28,6 @@ from .core import (
 )
 from .errors import InputError
 from .reduction import (
-    VALUE_LIMIT,
     ReducedConstraint,
     ReducedElement,
     ReducedInstance,
@@ -330,7 +329,7 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
     group per item, each with the empty schedule, there is one constraint per
     stage and index with nonnegative data, every stage profit is defined on
     every item, and the variant's ``values`` or ``objective`` covers every
-    element, each value or gain value below ``VALUE_LIMIT``.
+    element.
     """
     if not isinstance(raw, Mapping):
         raise InputError("reduced instance file must hold a JSON object")
@@ -391,8 +390,6 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
         raise InputError("every stage profit needs every item")
     if set(values) != element_set:
         raise InputError(f"{payload} must cover exactly the elements")
-    if any(v >= VALUE_LIMIT for v in values.values()):
-        raise InputError(f"{payload} must stay below 2**62")
     schedules = {item: {e.mask: values[e] for e in sorted(groups[item])} for item in items}
     objective = None if stage_functions is None else ReducedObjective(stage_functions, schedules)
     return ReducedInstance(variant, items, horizon, dimension, schedules, constraints, objective)

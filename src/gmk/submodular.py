@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import ClassVar, Hashable, Iterable, Mapping
 
-import numpy as np
-
 from .errors import InputError
 
 
@@ -187,47 +185,45 @@ def _fmt(members, mask: int) -> str:
 
 def _exhaustive_check(oracle, members) -> PropertyReport:
     n = len(members)
-    size = 1 << n
-    table = np.empty(size, dtype=object)  # Python ints: exact at any magnitude
-    for mask in range(size):
-        table[mask] = oracle.evaluate(_subset(members, mask))
+    table = [oracle.evaluate(_subset(members, mask)) for mask in range(1 << n)]
 
     violations: list[str] = []
-    negatives = np.flatnonzero(table < 0)
-    if negatives.size:
-        mask = int(negatives[0])
-        violations.append(f"negative: f({_fmt(members, mask)}) = {int(table[mask])}")
+    negative = next((mask for mask, v in enumerate(table) if v < 0), None)
+    if negative is not None:
+        violations.append(f"negative: f({_fmt(members, negative)}) = {table[negative]}")
 
     monotone_witness = None
     submodular_witness = None
+    half = (1 << n) >> 1
     for k in range(n):
         bit = 1 << k
-        half = 1 << (n - 1)
-        comp = np.arange(half)
-        # masks not containing bit k, re-expanded from a compressed index
-        orig = ((comp >> k) << (k + 1)) | (comp & (bit - 1))
-        marg = table[orig | bit] - table[orig]
+        # the masks not containing bit k, ascending; index c of orig is a
+        # compressed mask over the other n - 1 members
+        orig = [mask for mask in range(1 << n) if not mask & bit]
+        marg = [table[mask | bit] - table[mask] for mask in orig]
 
         if monotone_witness is None:
-            bad = np.flatnonzero(marg < 0)
-            if bad.size:
-                mask = int(orig[bad[0]])
+            bad = next((c for c, m in enumerate(marg) if m < 0), None)
+            if bad is not None:
+                mask = orig[bad]
                 monotone_witness = (
                     f"not monotone: f({_fmt(members, mask | bit)}) - "
-                    f"f({_fmt(members, mask)}) = {int(marg[bad[0]])}"
+                    f"f({_fmt(members, mask)}) = {marg[bad]}"
                 )
 
         if submodular_witness is None:
             # diminishing returns: marg over supersets never exceeds the
-            # minimum marginal over their subsets
-            mins = marg.copy()
-            for j in range(n - 1):
-                bj = 1 << j
-                idx = comp[(comp & bj) != 0]
-                mins[idx] = np.minimum(mins[idx], mins[idx ^ bj])
-            bad = np.flatnonzero(marg > mins)
-            if bad.size:
-                b_comp = int(bad[0])
+            # minimum marginal over their subsets. A pass takes the top
+            # bit's halves and rotates the index left, bringing the next bit
+            # on top; n - 1 passes restore the index order.
+            mins = marg
+            for _ in range(n - 1):
+                low, high = mins[: half >> 1], mins[half >> 1 :]
+                mins = [0] * half
+                mins[0::2], mins[1::2] = low, map(min, high, low)
+            bad = next((c for c, (m, low) in enumerate(zip(marg, mins)) if m > low), None)
+            if bad is not None:
+                b_comp = bad
                 a_comp = b_comp
                 sub = b_comp
                 while True:
@@ -237,11 +233,11 @@ def _exhaustive_check(oracle, members) -> PropertyReport:
                     if sub == 0:
                         break
                     sub = (sub - 1) & b_comp
-                b_mask = int(orig[b_comp])
-                a_mask = int(orig[a_comp])
+                b_mask = orig[b_comp]
+                a_mask = orig[a_comp]
                 submodular_witness = (
-                    f"not submodular: adding {members[k]} gains {int(marg[b_comp])} at "
-                    f"{_fmt(members, b_mask)} but {int(marg[a_comp])} at subset {_fmt(members, a_mask)}"
+                    f"not submodular: adding {members[k]} gains {marg[b_comp]} at "
+                    f"{_fmt(members, b_mask)} but {marg[a_comp]} at subset {_fmt(members, a_mask)}"
                 )
 
     if monotone_witness:

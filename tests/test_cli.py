@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,7 @@ from gmk.cli import main
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import DEFAULT_PACK_BUDGET
 from gmk.serialize import canonical_dumps, instance_to_dict, load_json, write_json
+from util import binless_first_stage
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -147,7 +151,6 @@ def _element_without_value(raw):
         _element_without_value,
         lambda raw: raw.update(variant="bogus"),
         lambda raw: raw.pop("values"),
-        lambda raw: raw["values"].update({raw["partition"]["cam"][-1]: 2**62}),
     ],
     ids=[
         "negative_capacity",
@@ -156,7 +159,6 @@ def _element_without_value(raw):
         "element_without_value",
         "unknown_variant",
         "modular_without_values",
-        "value_at_2_62",
     ],
 )
 @pytest.mark.parametrize("mode", ["--exact", "--greedy"])
@@ -207,16 +209,57 @@ def _micro_with_cam_profit(tmp_path, profit):
 
 
 @pytest.mark.parametrize("profit", [2**62, 2**63, 10**400], ids=["2_62", "2_63", "10_400"])
-def test_values_beyond_int64_exit_2_and_oracle_still_answers(tmp_path, capsys, profit):
+def test_values_beyond_int64_solve_exactly(tmp_path, capsys, profit):
+    # the micro optimum packs both items at both stages: 15 - (5 + 4) + 2 * profit
+    optimum = 2 * profit + 6
     path = _micro_with_cam_profit(tmp_path, profit)
-    for command in ("solve", "compare"):
-        capsys.readouterr()
-        assert run(command, "--in", path, *SCHEME) == 2
-        assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
     capsys.readouterr()
     assert run("oracle", "--in", path) == 0
-    # the micro optimum packs both items at both stages: 15 - (5 + 4) + 2 * profit
-    assert json.loads(capsys.readouterr().out)["value"] == 2 * profit + 6
+    assert json.loads(capsys.readouterr().out)["value"] == optimum
+    assert run("solve", "--in", path, *SCHEME, "--out", tmp_path / "s.json") == 0
+    assert capsys.readouterr().out == f"value {optimum}\n"
+    assert run("compare", "--in", path, *SCHEME, "--report", tmp_path / "r.json") == 0
+    report = load_json(tmp_path / "r.json")
+    assert report["final_value"] == report["oracle_value"] == optimum
+    reduced = tmp_path / "reduced.json"
+    assert run("reduce", "--in", path, "--out", reduced) == 0
+    for mode in ("--exact", "--greedy"):
+        assert run("solve-mkcp", "--in", reduced, mode) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == optimum
+
+
+def _assert_refused_unwritable(capsys, code):
+    assert code == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "InputError" and "cannot be written" in error["message"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, outputs",
+    [("solve", ("--out", "--report")), ("compare", ("--report",)), ("reduce", ("--out",))],
+)
+def test_values_too_long_to_write_exit_2_and_leave_no_file(tmp_path, capsys, command, outputs):
+    # schedule values and the optimum, 2 * profit + 6, have 4,301 digits:
+    # one past the int-to-string limit
+    path = _micro_with_cam_profit(tmp_path, int("9" * 4300))
+    argv = ["--in", path, *(SCHEME if command != "reduce" else ())]
+    files = [tmp_path / f"out{k}.json" for k in range(len(outputs))]
+    for flags in ((), outputs):
+        capsys.readouterr()
+        extra = [a for flag, f in zip(flags, files) for a in (flag, f)]
+        _assert_refused_unwritable(capsys, run(command, *argv, *extra))
+    assert not any(f.exists() for f in files)
+
+
+def test_report_too_long_to_write_leaves_no_solution_file(tmp_path, capsys):
+    # eps = 10**-3000 makes the report's mu_inv 10**6000, its one integer too long
+    out, report = tmp_path / "s.json", tmp_path / "r.json"
+    argv = ("--in", DOCS / "modular_micro.json", "--eps", f"1/{10**3000}", "--phi", 1)
+    capsys.readouterr()
+    _assert_refused_unwritable(capsys, run("solve", *argv, "--out", out, "--report", report))
+    assert not out.exists() and not report.exists()
 
 
 def test_oracle_value_too_long_to_write_exits_2(tmp_path, capsys):
@@ -227,14 +270,6 @@ def test_oracle_value_too_long_to_write_exits_2(tmp_path, capsys):
     out = tmp_path / "sol.json"
     assert run("oracle", "--in", path, "--out", out) == 2
     assert not out.exists()
-
-
-def test_values_just_below_the_limit_solve_exactly(tmp_path, capsys):
-    # cam's profits and gains sum to 2**62 - 2, just inside the limit
-    path = _micro_with_cam_profit(tmp_path, 2**61 - 2)
-    assert run("compare", "--in", path, *SCHEME, "--report", tmp_path / "r.json") == 0
-    report = load_json(tmp_path / "r.json")
-    assert report["final_value"] == report["oracle_value"] == 2 * (2**61 - 2) + 6
 
 
 def test_solve_validates_the_instance_once(tmp_path, capsys, monkeypatch):
@@ -487,6 +522,40 @@ def test_greedy_solve_packs_no_item_at_a_binless_stage(tmp_path):
         solutions.append(load_json(out))
     assert solutions[0] == solutions[1]
     assert solutions[0]["sets"] == [[], []]
+
+
+def test_binless_stage_solves_through_every_command(tmp_path, capsys):
+    path, reduced = tmp_path / "inst.json", tmp_path / "reduced.json"
+    write_json(path, instance_to_dict(binless_first_stage()))
+    capsys.readouterr()
+    assert run("solve", "--in", path, *SCHEME, "--out", tmp_path / "s.json") == 0
+    assert capsys.readouterr().out == "value 5\n"
+    assert run("reduce", "--in", path, "--out", reduced) == 0
+    for mode in ("--exact", "--greedy"):
+        assert run("solve-mkcp", "--in", reduced, mode) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == 5 and payload["chosen"] == ["a@2", "b@2"]
+
+
+def test_solve_refuses_submodular_change_costs_as_an_invalid_instance(tmp_path, capsys):
+    raw = instance_to_dict(gen_random(GenParams(items=2, horizon=2, variant="submodular"), 0))
+    raw["cost_plus"][next(iter(raw["cost_plus"]))]["1"] = 2
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert run("solve", "--in", path, *SCHEME, "--out", tmp_path / "s.json") == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "InputError" and "invalid instance" in error["message"]
+    assert "must have zero change costs" in error["message"]
+
+
+def test_cli_imports_no_numpy():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, gmk.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"
 
 
 def test_greedy_commands_default_to_one_pack_budget(tmp_path, monkeypatch):

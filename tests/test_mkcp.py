@@ -386,11 +386,15 @@ def test_kept_schedules_match_loop_prune_and_solo_filter():
             reduced = reduce_modular(gen_random(params, seed))
             for candidate in (reduced, _with_masks_missing(reduced)):
                 packing = _packing(candidate)
-                kept = [
-                    list(zip(*(a.tolist() for a in _kept_schedules(candidate, packing, k))))
-                    for k in range(len(candidate.items))
-                ]
+                tables = [_kept_schedules(candidate, packing, k) for k in range(len(candidate.items))]
+                kept = [[(m, v) for v, m in cand] for cand, _ in tables]
                 assert kept == _reference_kept(candidate, dropped)
+                # fit is the subset-max table of the kept values
+                for cand, fit in tables:
+                    assert fit == [
+                        max((v for v, m in cand if m & c == m), default=-1)
+                        for c in range(1 << candidate.horizon)
+                    ]
     # both rules fire on this corpus
     assert dropped["dominated"] > 0 and dropped["unpackable"] > 0
 

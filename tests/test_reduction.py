@@ -29,6 +29,7 @@ from gmk.serialize import canonical_dumps, reduced_from_dict, reduced_to_dict
 
 from gmk.core import McpStage
 from util import (
+    binless_first_stage,
     build_instance,
     dense_table,
     random_feasible_solution,
@@ -268,6 +269,23 @@ def test_lift_lower_round_trip():
             assert evaluate_objective(inst, lifted.sets) == evaluate_objective(inst, sol.sets)
             again = lower_solution(inst, lifted, reduced)
             assert again.chosen == rsol.chosen
+
+
+def test_binless_constraint_holds_no_element():
+    inst = binless_first_stage()
+    reduced = reduce_instance(inst)
+    rsol = lower_solution(inst, brute_force_gmk(inst), reduced)
+    assert rsol.assignments[1, 1] == {}
+    assert not verify_reduced_solution(reduced, rsol)
+    lifted = lift_solution(inst, rsol, reduced)
+    assert lifted.sets == (frozenset(), frozenset("ab"))
+    assert evaluate_objective(inst, lifted.sets) == 5
+    assert lower_solution(inst, lifted, reduced) == rsol
+    # b packed at the binless stage 1 too: no bin holds it there
+    active = frozenset({ReducedElement("a", 2), ReducedElement("b", 3)})
+    assignments = {(1, 1): {}, (2, 1): {"x": active}}
+    out = verify_reduced_solution(reduced, ReducedSolution(chosen=active, assignments=assignments))
+    assert out == ("assignment does not cover the chosen set at (t=1, j=1)",)
 
 
 def test_lift_rejects_infeasible_reduced_solution():

@@ -63,6 +63,18 @@ def two_stage_single_item():
     )
 
 
+def binless_first_stage():
+    """Two items; stage 1 has one constraint with no bin, stage 2 one bin for both.
+
+    No item packs at stage 1, the weightless a included, so the optimum packs
+    both at stage 2 alone, for value 5.
+    """
+    binless = Mkc(weights={"a": 0, "b": 1}, bins=(), capacities={})
+    one_bin = Mkc(weights={"a": 1, "b": 1}, bins=("x",), capacities={"x": 2})
+    profits = {"a": 2, "b": 3}
+    return build_instance("ab", [McpStage((binless,), profits), McpStage((one_bin,), profits)])
+
+
 def packable_sets(inst, t):
     """All subsets of the item set packable under every constraint of stage t."""
     out = []
