@@ -30,8 +30,8 @@ from .cutting import (
     CutPointSet,
     SchemeParams,
     SchemeResult,
+    StageRows,
     combine_cut_solutions,
-    cut_instances,
     cut_points,
     solve_bounded_horizon,
     solve_general_result,
@@ -75,8 +75,6 @@ from .reduction import (
     lift_solution,
     lower_solution,
     reduce_instance,
-    reduce_modular,
-    reduce_submodular,
     verify_reduced_solution,
 )
 from .submodular import (

@@ -13,11 +13,12 @@ stage table (``StageRows``), which ``solve_general_result`` builds: each
 stage's packability and profit rows, built once; each chosen (stage, set)
 pair's assignments, packed once. A greedy window runs the DP on one item at
 a time. All values are Python ints, exact at any magnitude.
-The window solutions concatenate into a full solution worth at least the
-sum of its parts (seam costs can only be saved, seam gains only added), and
-each shift's concatenation, like the bypass's solution, is checked once
-against the whole instance. The best recombination over all shifts wins.
-Short horizons bypass the loop.
+One window solver (``solve_bounded_horizon``) and one concatenation
+(``combine_cut_solutions``) carry every shift, and the bypass of short
+horizons, whose one window is the whole horizon. A concatenation is worth at
+least the sum of its parts (seam costs can only be saved, seam gains only
+added); it is checked and valued once against the whole instance. The best
+recombination over all shifts wins.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -37,8 +38,6 @@ from .core import (
     MODULAR,
     GmkInstance,
     MultistageSolution,
-    SubInstanceView,
-    check_feasible,
     ensure_valid,
     evaluate_objective,
     evaluate_sub_objective,
@@ -124,44 +123,6 @@ def cut_points(horizon: int, mu_inv: int, j: int) -> CutPointSet:
         points.add(a * mu_inv + j - 1)
         a += 1
     return CutPointSet(tuple(sorted(points)))
-
-
-def cut_instances(inst: GmkInstance, cuts: CutPointSet) -> list[SubInstanceView]:
-    """Views over the consecutive windows the cut points induce."""
-    if cuts.horizon != inst.horizon:
-        raise InputError(
-            f"cut points end at {cuts.points[-1]}, expected horizon {inst.horizon} + 1"
-        )
-    return [sub_instance(inst, lo, hi) for lo, hi in cuts.windows()]
-
-
-def combine_cut_solutions(
-    inst: GmkInstance, parts: Sequence[MultistageSolution]
-) -> MultistageSolution:
-    """Concatenate window solutions into a full solution.
-
-    The part horizons must sum to T and each part must hold one assignment
-    per stage set. One ``check_feasible`` on the concatenation then checks
-    every part, stage by stage on the stage objects the windows share; an
-    infeasible part raises ``InputError``.
-    """
-    total = sum(p.horizon for p in parts)
-    if total != inst.horizon:
-        raise InputError(f"window horizons sum to {total}, expected {inst.horizon}")
-    for k, part in enumerate(parts, start=1):
-        if len(part.assignments) != part.horizon:
-            raise InputError(
-                f"window {k} has {part.horizon} stage sets and "
-                f"{len(part.assignments)} assignments"
-            )
-    combined = MultistageSolution(
-        sets=tuple(s for part in parts for s in part.sets),
-        assignments=tuple(a for part in parts for a in part.assignments),
-    )
-    report = check_feasible(inst, combined)
-    if not report.ok:
-        raise InputError("window solutions infeasible: " + "; ".join(report.violations))
-    return combined
 
 
 class StageRows(dict):
@@ -281,10 +242,6 @@ def _stage_dp(
     return -(-top // scale), sets  # top = value * scale - M with 0 <= M < scale
 
 
-def _view(target: GmkInstance | SubInstanceView) -> SubInstanceView:
-    return target if isinstance(target, SubInstanceView) else sub_instance(target, 1, target.horizon)
-
-
 def _dp_masks(rows: StageRows, lo: int, hi: int) -> tuple[list[int], int]:
     """``_stage_dp``'s set masks over all items at stages lo..hi, and their checked value.
 
@@ -297,18 +254,6 @@ def _dp_masks(rows: StageRows, lo: int, hi: int) -> tuple[list[int], int]:
     if value != decoded:
         raise ContractViolationError(f"stage DP value {decoded} differs from the objective {value}")
     return masks, value
-
-
-def stage_dp_sets(target: GmkInstance | SubInstanceView) -> list[int]:
-    """The exact search's answer in one DP pass, as the set mask of each stage.
-
-    The exact search's answer, a maximum value with the lexicographically
-    smallest mask tuple, is ``_stage_dp``'s over all items, and its value
-    must equal the objective of the chosen sets. A window is read in place
-    from its parent's tables.
-    """
-    view = _view(target)
-    return _dp_masks(StageRows(view.instance), view.start, view.end)[0]
 
 
 def _greedy_sets(inst: GmkInstance, lo: int, hi: int, pack_budget: int | None) -> list[frozenset]:
@@ -336,17 +281,23 @@ def _greedy_sets(inst: GmkInstance, lo: int, hi: int, pack_budget: int | None) -
     return chosen
 
 
-def _solve_window(
-    rows: StageRows, lo: int, hi: int, solver: str, enum_budget: int | None, pack_budget: int | None
-) -> tuple[list[frozenset[str]], list[tuple[Mapping[str, frozenset[str]], ...]], int]:
-    """The stage sets at stages lo..hi of ``rows.instance``, their assignments and value.
+def solve_bounded_horizon(
+    rows: StageRows,
+    lo: int,
+    hi: int,
+    solver: str = "exact",
+    *,
+    enum_budget: int | None = None,
+    pack_budget: int | None = DEFAULT_PACK_BUDGET,
+) -> tuple[MultistageSolution, int]:
+    """An unchecked solution at stages lo..hi of ``rows.instance``, and its value.
 
-    The window is read in place from its instance's tables. Each sub-solver
-    picks the schedules its reduced solver would: exact by ``_dp_masks``,
-    whose work of ``T * |I| * 2**|I|`` additions the enumeration budget
-    bounds, with the value its DP checked; greedy by ``_greedy_sets`` under
-    ``pack_budget``, valued by the objective. The caller checks the
-    solution these make up.
+    The window is read in place from a valid instance's tables. Each
+    sub-solver picks the schedules its reduced solver would: exact by
+    ``_dp_masks``, whose work of ``T * |I| * 2**|I|`` additions the
+    enumeration budget bounds, with the value its DP checked (at lo..hi =
+    1..T, the optimum); greedy by ``_greedy_sets`` under ``pack_budget``,
+    valued by the objective.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
@@ -354,7 +305,8 @@ def _solve_window(
     if solver == "greedy":
         sets = _greedy_sets(inst, lo, hi, pack_budget)
         packed = [pack_stage(inst.stage(t), s, t) for t, s in enumerate(sets, start=lo)]
-        return sets, packed, evaluate_sub_objective(sub_instance(inst, lo, hi), sets)
+        value = evaluate_sub_objective(sub_instance(inst, lo, hi), sets)
+        return MultistageSolution(tuple(sets), tuple(packed)), value
     budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
     work = (hi - lo + 1) * len(inst.items) * 2 ** len(inst.items)
     if work > budget:
@@ -362,31 +314,39 @@ def _solve_window(
             f"exact solve refused: stage DP work {work} (T * |I| * 2**|I|) exceeds budget {budget}"
         )
     masks, value = _dp_masks(rows, lo, hi)
-    packed = [rows.assignments(t, m) for t, m in enumerate(masks, start=lo)]
-    return [rows.members[m] for m in masks], packed, value
+    sets = tuple(rows.members[m] for m in masks)
+    packed = tuple(rows.assignments(t, m) for t, m in enumerate(masks, start=lo))
+    return MultistageSolution(sets, packed), value
 
 
-def solve_bounded_horizon(
-    target: GmkInstance | SubInstanceView,
-    solver: str = "exact",
-    *,
-    enum_budget: int | None = None,
-    pack_budget: int | None = DEFAULT_PACK_BUDGET,
-) -> MultistageSolution:
-    """Solve one instance or window at bounded horizon, without the reduction.
+def combine_cut_solutions(
+    inst: GmkInstance, parts: Sequence[tuple[MultistageSolution, int]]
+) -> tuple[MultistageSolution, int]:
+    """Concatenate (solution, window value) parts into a full solution and its value.
 
-    The window solver of the cutting loop, on a stage table of its own; the
-    solution is packed and checked against the target (a window is
-    materialized for the check). The target must be valid;
-    ``solve_general_result`` validates once, and every window of a valid
-    instance is valid.
+    The part horizons must sum to T and each part must hold one assignment
+    per stage set. The concatenation is checked once against the whole
+    instance, which checks every part, and valued once; it must be worth at
+    least the sum of the part values.
     """
-    view = _view(target)
-    sets, packed, _ = _solve_window(
-        StageRows(view.instance), view.start, view.end, solver, enum_budget, pack_budget
+    total = sum(part.horizon for part, _ in parts)
+    if total != inst.horizon:
+        raise InputError(f"window horizons sum to {total}, expected {inst.horizon}")
+    for k, (part, _) in enumerate(parts, start=1):
+        if len(part.assignments) != part.horizon:
+            raise InputError(
+                f"window {k} has {part.horizon} stage sets and "
+                f"{len(part.assignments)} assignments"
+            )
+    combined = checked_solution(
+        inst,
+        [s for part, _ in parts for s in part.sets],
+        [a for part, _ in parts for a in part.assignments],
     )
-    inst = target.materialize() if isinstance(target, SubInstanceView) else target
-    return checked_solution(inst, sets, packed)
+    value = evaluate_objective(inst, combined.sets)
+    if value < sum(v for _, v in parts):
+        raise ContractViolationError("combined value fell below the sum of window values")
+    return combined, value
 
 
 @dataclass(frozen=True)
@@ -428,12 +388,12 @@ def solve_general_result(
             )
 
     rows = StageRows(inst)
-    budgets = (enum_budget, pack_budget)
+    budgets = dict(enum_budget=enum_budget, pack_budget=pack_budget)
     mu_inv = params.mu_inv
     assert mu_inv is not None
     if inst.horizon <= 2 * mu_inv:
-        sets, packed, value = _solve_window(rows, 1, inst.horizon, solver, *budgets)
-        return SchemeResult(checked_solution(inst, sets, packed), value, True, None, ())
+        whole = solve_bounded_horizon(rows, 1, inst.horizon, solver, **budgets)
+        return SchemeResult(*combine_cut_solutions(inst, [whole]), True, None, ())
 
     best: MultistageSolution | None = None
     best_value = 0
@@ -448,18 +408,9 @@ def solve_general_result(
                 raise ContractViolationError(
                     f"window of length {longest} exceeds the bounded horizon {2 * mu_inv}"
                 )
-        parts = [_solve_window(rows, lo, hi, solver, *budgets) for lo, hi in windows]
-        # the one check of the shift: its windows' concatenation, on the whole instance
-        combined = checked_solution(
-            inst,
-            [s for sets, _, _ in parts for s in sets],
-            [a for _, packed, _ in parts for a in packed],
-        )
-        window_values = tuple(value for _, _, value in parts)
-        value = evaluate_objective(inst, combined.sets)
-        if value < sum(window_values):
-            raise ContractViolationError("combined value fell below the sum of window values")
-        iterations.append(SchemeIteration(j, cuts.points, window_values, value))
+        parts = [solve_bounded_horizon(rows, lo, hi, solver, **budgets) for lo, hi in windows]
+        combined, value = combine_cut_solutions(inst, parts)
+        iterations.append(SchemeIteration(j, cuts.points, tuple(v for _, v in parts), value))
         if best is None or value > best_value:
             best, best_value, best_j = combined, value, j
     assert best is not None
@@ -471,10 +422,9 @@ __all__ = [
     "SchemeParams",
     "SchemeIteration",
     "SchemeResult",
+    "StageRows",
     "cut_points",
-    "cut_instances",
     "combine_cut_solutions",
     "solve_bounded_horizon",
     "solve_general_result",
-    "stage_dp_sets",
 ]

@@ -29,7 +29,6 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .core import (
     MODULAR,
-    SUBMODULAR,
     GmkInstance,
     MultistageSolution,
     check_feasible,
@@ -281,20 +280,6 @@ def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP
         inst.variant, inst.items, inst.horizon, inst.dimension, schedules,
         _reduced_constraints(inst), objective,
     )
-
-
-def reduce_modular(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:
-    """``reduce_instance`` for an instance known to be modular."""
-    if inst.variant != MODULAR:
-        raise UnsupportedVariantError("reduce_modular requires the modular variant")
-    return reduce_instance(inst, horizon_cap=horizon_cap)
-
-
-def reduce_submodular(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:
-    """``reduce_instance`` for an instance known to be submodular."""
-    if inst.variant != SUBMODULAR:
-        raise UnsupportedVariantError("reduce_submodular requires the submodular variant")
-    return reduce_instance(inst, horizon_cap=horizon_cap)
 
 
 def verify_reduced_solution(reduced: ReducedInstance, rsol: ReducedSolution) -> tuple[str, ...]:

@@ -448,11 +448,16 @@ def load_json(path) -> Any:
             return json.load(handle)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except OSError as exc:  # a directory, say, or a file it may not read
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}")
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
 def write_json(path, payload: Any) -> None:
     text = dumps(payload)  # first, so a refused payload leaves no file behind
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:  # a missing directory, say
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}")

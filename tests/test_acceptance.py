@@ -15,7 +15,6 @@ from gmk.cutting import (
     CutPointSet,
     SchemeParams,
     combine_cut_solutions,
-    cut_instances,
     cut_points,
     solve_general_result,
 )
@@ -30,7 +29,7 @@ from gmk.intervals import (
 )
 from gmk.mkcp import solve_mkcp_exact, solve_mkcp_greedy
 from gmk.oracle import brute_force_gmk
-from gmk.reduction import ReducedElement, lift_solution, lower_solution, reduce_modular, reduce_submodular
+from gmk.reduction import ReducedElement, lift_solution, lower_solution, reduce_instance
 from gmk.serialize import canonical_dumps, instance_to_dict, reduced_solution_to_dict, solution_to_dict
 from gmk.submodular import TableFunction, check_monotone_submodular, extend_function
 
@@ -50,7 +49,7 @@ def test_criterion_1_reduction_value_preservation():
     for inst in sweep_instances(max_items=3, max_horizon=3, max_dim=2, max_bins=2,
                                 cap_limit=4, value_limit=5, fillings=3):
         instances += 1
-        reduced = reduce_modular(inst)
+        reduced = reduce_instance(inst)
         rsol = solve_mkcp_exact(reduced)
         reduced_opt = reduced.value_of(rsol.chosen)
         oracle_opt = evaluate_objective(inst, brute_force_gmk(inst).sets)
@@ -129,15 +128,13 @@ def test_criterion_4_combine_inequality():
         )
         interior = sorted(rng.sample(range(2, horizon + 1), rng.randint(0, min(3, horizon - 1))))
         cuts = CutPointSet(tuple(sorted({1, horizon + 1, *interior})))
-        views = cut_instances(inst, cuts)
+        views = [sub_instance(inst, lo, hi) for lo, hi in cuts.windows()]
         parts = [
             random_feasible_solution(rng, view.materialize()) for view in views
         ]
-        combined = combine_cut_solutions(inst, parts)
-        window_sum = sum(
-            evaluate_sub_objective(view, part.sets) for view, part in zip(views, parts)
-        )
-        assert evaluate_objective(inst, combined.sets) >= window_sum
+        values = [evaluate_sub_objective(view, part.sets) for view, part in zip(views, parts)]
+        combined, value = combine_cut_solutions(inst, list(zip(parts, values)))
+        assert value == evaluate_objective(inst, combined.sets) >= sum(values)
         triples += 1
     assert triples == 1000
     report(4, f"combined value at least the window sum on {triples} instance/cut/part triples")
@@ -295,7 +292,7 @@ def test_criterion_9_determinism_byte_identical():
     ]
     assert loop_bytes[0] == loop_bytes[1]
 
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     greedy_bytes = [
         canonical_dumps(reduced_solution_to_dict(solve_mkcp_greedy(reduced))) for _ in range(2)
     ]
@@ -307,7 +304,7 @@ def test_criterion_9_determinism_byte_identical():
     assert oracle_bytes[0] == oracle_bytes[1]
 
     sub_inst = gen_random(GenParams(items=2, horizon=2, variant="submodular"), 9)
-    sub_reduced = reduce_submodular(sub_inst)
+    sub_reduced = reduce_instance(sub_inst)
     sub_bytes = [
         canonical_dumps(reduced_solution_to_dict(solve_mkcp_exact(sub_reduced))) for _ in range(2)
     ]

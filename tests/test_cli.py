@@ -463,6 +463,41 @@ def test_missing_file_exit_2():
     assert run("validate", "/nonexistent/file.json") == 2
 
 
+MICRO = DOCS / "modular_micro.json"
+
+
+# "DIR" reads a directory, "NODIR" writes into a directory that does not exist
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "DIR"),
+        ("validate", MICRO, "--solution", "DIR"),
+        ("solve", "--in", "DIR", *SCHEME),
+        ("gen", "--from-kp", "DIR"),
+        ("solve-mkcp", "--in", "DIR"),
+        ("solve", "--in", MICRO, *SCHEME, "--out", "NODIR"),
+        ("compare", "--in", MICRO, *SCHEME, "--report", "NODIR"),
+        ("reduce", "--in", MICRO, "--out", "NODIR"),
+        ("oracle", "--in", MICRO, "--out", "NODIR"),
+        ("gen", "--random", "--out", "NODIR"),
+    ],
+    ids=[
+        "validate", "validate_solution", "solve_in", "gen_from_kp", "solve_mkcp_in",
+        "solve_out", "compare_report", "reduce_out", "oracle_out", "gen_out",
+    ],
+)
+def test_path_the_system_refuses_exits_2(tmp_path, capsys, argv):
+    paths = {"DIR": tmp_path, "NODIR": tmp_path / "nodir" / "x.json"}
+    capsys.readouterr()
+    assert run(*(paths.get(a, a) for a in argv)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    path = next(paths[a] for a in argv if a in paths)
+    assert error["type"] == "InputError" and str(path) in error["message"]
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_env_var_budget_fallback(tmp_path, monkeypatch):
     inst = tmp_path / "inst.json"
     assert run("gen", "--random", "--seed", 0, "--items", 3, "--horizon", 3, "--out", inst) == 0

@@ -22,17 +22,16 @@ from gmk.core import (
 from gmk.cutting import (
     CutPointSet,
     SchemeParams,
+    StageRows,
     combine_cut_solutions,
-    cut_instances,
     cut_points,
     solve_bounded_horizon,
     solve_general_result,
-    stage_dp_sets,
 )
 from gmk.errors import BudgetExceededError, ContractViolationError, InputError
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import finish_selection, solve_mkcp_exact, solve_mkcp_greedy
-from gmk.oracle import brute_force_gmk
+from gmk.oracle import brute_force_gmk, checked_solution
 from gmk.reduction import DEFAULT_HORIZON_CAP, ReducedElement, lift_solution, reduce_instance
 from gmk.serialize import canonical_dumps, solution_to_dict
 
@@ -95,25 +94,44 @@ def test_scheme_params_derivation_and_validation():
     assert override.mu_inv == 3
 
 
-def test_cut_instances_windows():
+def _solve(target, solver="exact", **budgets):
+    """``solve_bounded_horizon`` on an instance or a window view, checked on the window."""
+    if isinstance(target, SubInstanceView):
+        inst, lo, hi, local = target.instance, target.start, target.end, target.materialize()
+    else:
+        inst, lo, hi, local = target, 1, target.horizon, target
+    sol, value = solve_bounded_horizon(StageRows(inst), lo, hi, solver, **budgets)
+    assert value == evaluate_objective(local, sol.sets)
+    return checked_solution(local, sol.sets, sol.assignments)
+
+
+def _shift_windows(inst, mu_inv, j):
+    """Views over the windows of the j-th shifted cut grid."""
+    return [sub_instance(inst, lo, hi) for lo, hi in cut_points(inst.horizon, mu_inv, j).windows()]
+
+
+def test_cut_windows_cover_the_horizon():
     inst = gen_random(GenParams(items=2, horizon=12), 0)
-    views = cut_instances(inst, CutPointSet((1, 13)))
-    assert len(views) == 1 and views[0].start == 1 and views[0].end == 12
-    views = cut_instances(inst, CutPointSet((1, 3, 6, 9, 13)))
-    assert [(v.start, v.end) for v in views] == [(1, 2), (3, 5), (6, 8), (9, 12)]
-    covered = sorted(t for v in views for t in range(v.start, v.end + 1))
+    assert CutPointSet((1, 13)).windows() == ((1, 12),)
+    windows = CutPointSet((1, 3, 6, 9, 13)).windows()
+    assert windows == ((1, 2), (3, 5), (6, 8), (9, 12))
+    covered = sorted(t for lo, hi in windows for t in range(lo, hi + 1))
     assert covered == list(range(1, 13))
-    with pytest.raises(InputError):
-        cut_instances(inst, CutPointSet((1, 3, 10)))
+    # the windows of cut points that end short of T + 1 combine into no solution
+    rows = StageRows(inst)
+    parts = [solve_bounded_horizon(rows, lo, hi) for lo, hi in CutPointSet((1, 3, 10)).windows()]
+    with pytest.raises(InputError, match="sum to 9"):
+        combine_cut_solutions(inst, parts)
 
 
 def test_combine_single_window_identity():
     inst = gen_random(GenParams(items=3, horizon=4, cost_range=(0, 2)), 1)
     rng = random.Random(0)
     part = random_feasible_solution(rng, inst)
-    combined = combine_cut_solutions(inst, [part])
     view = sub_instance(inst, 1, 4)
-    assert evaluate_objective(inst, combined.sets) == evaluate_sub_objective(view, part.sets)
+    combined, value = combine_cut_solutions(inst, [(part, evaluate_sub_objective(view, part.sets))])
+    assert combined.sets == part.sets
+    assert value == evaluate_objective(inst, combined.sets) == evaluate_sub_objective(view, part.sets)
 
 
 def test_combine_seam_bonus_exact_accounting():
@@ -130,12 +148,12 @@ def test_combine_seam_bonus_exact_accounting():
         [{"i"}] * 2, [[{"b": {"i"}}], [{"b": {"i"}}]]
     )
     left = right = full
-    combined = combine_cut_solutions(inst, [left, right])
     left_value = evaluate_sub_objective(sub_instance(inst, 1, 2), left.sets)
     right_value = evaluate_sub_objective(sub_instance(inst, 3, 4), right.sets)
+    combined, value = combine_cut_solutions(inst, [(left, left_value), (right, right_value)])
     # the seam saves c-_{i,2} + c+_{i,3} and earns g+_{i,3}
-    assert evaluate_objective(inst, combined.sets) == left_value + right_value + 1 + 1 + 2
-    assert evaluate_objective(inst, combined.sets) >= left_value + right_value + 2
+    assert value == evaluate_objective(inst, combined.sets) == left_value + right_value + 1 + 1 + 2
+    assert value >= left_value + right_value + 2
 
 
 def test_combine_inequality_random():
@@ -148,21 +166,22 @@ def test_combine_inequality_random():
         )
         interior = sorted(rng.sample(range(2, horizon + 1), rng.randint(0, min(3, horizon - 1))))
         cuts = CutPointSet(tuple(sorted({1, horizon + 1, *interior})))
-        views = cut_instances(inst, cuts)
-        parts = [random_feasible_solution(rng, sub_instance(inst, v.start, v.end).materialize()) for v in views]
-        combined = combine_cut_solutions(inst, parts)
-        window_sum = sum(
-            evaluate_sub_objective(view, part.sets) for view, part in zip(views, parts)
-        )
-        assert evaluate_objective(inst, combined.sets) >= window_sum
+        views = [sub_instance(inst, lo, hi) for lo, hi in cuts.windows()]
+        parts = [random_feasible_solution(rng, view.materialize()) for view in views]
+        values = [evaluate_sub_objective(view, part.sets) for view, part in zip(views, parts)]
+        combined, value = combine_cut_solutions(inst, list(zip(parts, values)))
+        assert value == evaluate_objective(inst, combined.sets) >= sum(values)
 
 
 def test_combine_rejects_bad_shapes_and_infeasible_parts():
     inst = gen_random(GenParams(items=2, horizon=4), 0)
     rng = random.Random(1)
     part = random_feasible_solution(rng, sub_instance(inst, 1, 2).materialize())
+    value = evaluate_sub_objective(sub_instance(inst, 1, 2), part.sets)
     with pytest.raises(InputError):
-        combine_cut_solutions(inst, [part])
+        combine_cut_solutions(inst, [(part, value)])
+    # a part its window solver got wrong breaks the contract: a set whose
+    # item no bin holds, or a value above what the concatenation is worth
     bad = MultistageSolution.from_raw(
         [set(), {"i01"}],
         [
@@ -170,8 +189,13 @@ def test_combine_rejects_bad_shapes_and_infeasible_parts():
             [{b: set() for b in inst.stage(2).mkcs[0].bins}],
         ],
     )
-    with pytest.raises(InputError):
-        combine_cut_solutions(inst, [bad, part])
+    with pytest.raises(ContractViolationError, match="infeasible"):
+        combine_cut_solutions(inst, [(bad, 0), (part, value)])
+    tail = random_feasible_solution(rng, sub_instance(inst, 3, 4).materialize())
+    tail_value = evaluate_sub_objective(sub_instance(inst, 3, 4), tail.sets)
+    combined, total = combine_cut_solutions(inst, [(part, value), (tail, tail_value)])
+    with pytest.raises(ContractViolationError, match="below the sum"):
+        combine_cut_solutions(inst, [(part, value), (tail, total - value + 1)])
 
     # two parts that swap assignment counts concatenate into a feasible whole
     stages = [single_bin_stage(["i"], {"i": 1}, 1, {"i": 1})] * 4
@@ -180,19 +204,19 @@ def test_combine_rejects_bad_shapes_and_infeasible_parts():
     short = MultistageSolution.from_raw([set()] * 2, [empty])
     long = MultistageSolution.from_raw([set()] * 2, [empty] * 3)
     assert check_feasible(inst, MultistageSolution.from_raw([set()] * 4, [empty] * 4)).ok
-    with pytest.raises(InputError):
-        combine_cut_solutions(inst, [short, long])
+    with pytest.raises(InputError, match="assignments"):
+        combine_cut_solutions(inst, [(short, 0), (long, 0)])
 
 
 def test_bounded_horizon_spec_example():
     inst = two_stage_single_item()
-    sol = solve_bounded_horizon(inst, "exact")
+    sol = _solve(inst)
     assert evaluate_objective(inst, sol.sets) == 10
 
 
 def test_bounded_horizon_matches_oracle_on_sweep():
     for inst in sweep_instances(fillings=1):
-        sol = solve_bounded_horizon(inst, "exact")
+        sol = _solve(inst)
         opt = evaluate_objective(inst, brute_force_gmk(inst).sets)
         assert evaluate_objective(inst, sol.sets) == opt
 
@@ -204,24 +228,26 @@ def test_bounded_horizon_on_view_equals_window_optimum():
         t1 = rng.randint(1, 5)
         t2 = rng.randint(t1, 5)
         view = sub_instance(inst, t1, t2)
-        sol = solve_bounded_horizon(view, "exact")
+        sol, value = solve_bounded_horizon(StageRows(inst), t1, t2, "exact")
         local = view.materialize()
         opt = evaluate_objective(local, brute_force_gmk(local).sets)
-        assert evaluate_sub_objective(view, sol.sets) == opt
+        assert evaluate_sub_objective(view, sol.sets) == value == opt
+        assert check_feasible(local, sol).ok
 
 
 def test_bounded_horizon_unknown_solver():
     with pytest.raises(InputError):
-        solve_bounded_horizon(two_stage_single_item(), "annealing")
+        solve_bounded_horizon(StageRows(two_stage_single_item()), 1, 2, "annealing")
 
 
 def test_general_bypass_equivalence():
     params = SchemeParams(Fraction(1, 5), 1)  # mu_inv 25, bypass for short horizons
     for seed in range(6):
         inst = gen_random(GenParams(items=3, horizon=3, cost_range=(1, 1), profit_range=(1, 5), target_phi=1), seed)
-        direct = solve_bounded_horizon(inst, "exact")
+        direct, value = solve_bounded_horizon(StageRows(inst), 1, inst.horizon, "exact")
         result = solve_general_result(inst, params, "exact")
         assert result.bypassed and result.selected_j is None
+        assert result.value == value
         assert canonical_dumps(solution_to_dict(result.solution)) == canonical_dumps(
             solution_to_dict(direct)
         )
@@ -331,11 +357,10 @@ DP_SHAPES = {
 }
 
 
-def stage_dp_masks(target):
-    """Per item, the schedule mask of ``stage_dp_sets``'s answer."""
-    sets = stage_dp_sets(target)
-    items = target.instance.items if isinstance(target, SubInstanceView) else target.items
-    return tuple(sum((m >> k & 1) << t for t, m in enumerate(sets)) for k in range(len(items)))
+def stage_dp_masks(inst):
+    """Per item, the schedule mask of the whole-horizon stage DP's answer."""
+    sol, _ = solve_bounded_horizon(StageRows(inst), 1, inst.horizon, "exact", enum_budget=10**15)
+    return tuple(sum((item in s) << t for t, s in enumerate(sol.sets)) for item in inst.items)
 
 
 def _search_masks(inst):
@@ -395,12 +420,12 @@ def test_exact_route_follows_the_worst_case_rule(exact_routes):
     assert work == 3 * 6 * 2**6
     for budget in (None, work):
         exact_routes.clear()
-        sol = solve_bounded_horizon(inst, "exact", enum_budget=budget)
+        sol = _solve(inst, enum_budget=budget)
         assert exact_routes == ["_dp_masks"], budget
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
     exact_routes.clear()
     with pytest.raises(BudgetExceededError, match="stage DP work"):
-        solve_bounded_horizon(inst, "exact", enum_budget=work - 1)
+        _solve(inst, enum_budget=work - 1)
     assert exact_routes == []
 
 
@@ -408,7 +433,7 @@ def test_exact_route_solves_nine_items_by_the_dp_alone(exact_routes):
     # 4 * 4**9 transitions pass the oracle's default work bound, but the
     # factored DP's 4 * 9 * 2**9 additions fit the default budget
     inst = gen_random(GenParams(items=9, horizon=4), 0)
-    sol = solve_bounded_horizon(inst, "exact")
+    sol = _solve(inst)
     assert exact_routes == ["_dp_masks"]
     assert _solution_bytes(sol) == _solution_bytes(_reduce_pack_lift(inst))
     assert stage_dp_masks(inst) == _search_masks(inst)
@@ -425,7 +450,7 @@ def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
         with pytest.raises(BudgetExceededError, match="candidate space exceeds budget"):
             solve_mkcp_exact(reduced, enum_budget=work)
         exact_routes.clear()
-        sol = solve_bounded_horizon(inst, "exact", enum_budget=work)
+        sol = _solve(inst, enum_budget=work)
         assert exact_routes == ["_dp_masks"]
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
         scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=2)
@@ -434,7 +459,7 @@ def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
         long = gen_random(dataclasses.replace(params, horizon=DEFAULT_HORIZON_CAP + 1), seed)
         with pytest.raises(BudgetExceededError, match="horizon"):
             reduce_instance(long)
-        sol = solve_bounded_horizon(long, "greedy")
+        sol = _solve(long, "greedy")
         assert check_feasible(long, sol).ok
         assert 0 <= evaluate_objective(long, sol.sets) <= _optimum(long)
 
@@ -451,7 +476,7 @@ def test_exact_scheme_matches_oracle_beyond_one_bin(shape):
     for seed in range(8):
         inst = gen_random(params, seed)
         opt = evaluate_objective(inst, brute_force_gmk(inst).sets)
-        assert evaluate_objective(inst, solve_bounded_horizon(inst, "exact", **budget).sets) == opt
+        assert evaluate_objective(inst, _solve(inst, **budget).sets) == opt
         result = solve_general_result(inst, bypass, "exact", **budget)
         assert result.bypassed and result.value == opt
         result = solve_general_result(inst, cutting_loop, "exact", **budget)
@@ -530,12 +555,10 @@ def test_dp_route_emits_the_bytes_of_reduce_pack_lift(shape, exact_routes):
     for seed in range(8):
         inst = gen_random(params, seed)
         targets = [inst] + [
-            view
-            for j in range(1, mu_inv + 1)
-            for view in cut_instances(inst, cut_points(inst.horizon, mu_inv, j))
+            view for j in range(1, mu_inv + 1) for view in _shift_windows(inst, mu_inv, j)
         ]
         for target in targets:
-            got = solve_bounded_horizon(target, "exact", enum_budget=budget)
+            got = _solve(target, enum_budget=budget)
             assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(target)), seed
     assert set(exact_routes) == {"_dp_masks"}
 
@@ -554,13 +577,11 @@ def test_greedy_route_emits_the_bytes_of_reduce_greedy_lift(shape):
     for seed in range(6):
         inst = gen_random(params, seed)
         targets = [inst] + [
-            view
-            for j in range(1, mu_inv + 1)
-            for view in cut_instances(inst, cut_points(inst.horizon, mu_inv, j))
+            view for j in range(1, mu_inv + 1) for view in _shift_windows(inst, mu_inv, j)
         ]
         for budget in (1, 2, 5, None):
             for target in targets:
-                got = solve_bounded_horizon(target, "greedy", pack_budget=budget)
+                got = _solve(target, "greedy", pack_budget=budget)
                 want = _reduce_greedy_lift(target, budget)
                 assert _solution_bytes(got) == _solution_bytes(want), (seed, budget)
 
@@ -570,7 +591,7 @@ def test_dp_route_packs_stages_with_fewer_constraints_than_d(exact_routes):
     assert [rc.padding for rc in reduce_instance(inst).constraints] == [
         False, True, False, False, False, True,
     ]
-    got = solve_bounded_horizon(inst, "exact")
+    got = _solve(inst)
     assert exact_routes == ["_dp_masks"]
     assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(inst))
     assert evaluate_objective(inst, got.sets) == evaluate_objective(
@@ -615,17 +636,20 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         (reduction, "_reduced_constraints"),
     ):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
-    # the instance is validated once, no window is materialized, each shift's
-    # solution is checked once, and each window is valued once
+    # the instance is validated once and no window is materialized; each
+    # window is solved and valued once, through the one window solver, and
+    # each shift's windows are combined, checked and valued once
     checks = []
     names = (
         (core, "validate_instance"), (SubInstanceView, "materialize"),
-        (cutting, "check_feasible"), (oracle, "check_feasible"), (reduction, "check_feasible"),
-        (cutting, "evaluate_sub_objective"),
+        (oracle, "check_feasible"), (reduction, "check_feasible"),
+        (cutting, "evaluate_sub_objective"), (cutting, "evaluate_objective"),
+        (cutting, "solve_bounded_horizon"), (cutting, "combine_cut_solutions"),
     )
     for module, name in names:
         monkeypatch.setattr(module, name, _counting(checks, name, getattr(module, name)))
     scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=4)
+    bypass = SchemeParams(Fraction(1, 5), 1, mu_inv=inst.horizon // 2)
     for solver, rows in (("exact", 1), ("greedy", 0)):
         stages.clear()
         checks.clear()
@@ -641,6 +665,9 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
             "materialize": 0,
             "check_feasible": 4,
             "evaluate_sub_objective": windows,
+            "evaluate_objective": 4,
+            "solve_bounded_horizon": windows,
+            "combine_cut_solutions": 4,
         }
         # every exact window chooses a set at every stage, and each distinct
         # (stage, set) pair, 52 of the 160, is packed once across all shifts;
@@ -651,3 +678,16 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
             assert set(packed) == set(chosen)
         else:
             assert len(packed) == 4 * inst.horizon
+        # a bypass solves its one window and combines it, through the same two functions
+        checks.clear()
+        assert solve_general_result(inst, bypass, solver, enum_budget=10**15).bypassed
+        assert {name: checks.count(name) for _, name in names} == {
+            "validate_instance": 1,
+            "materialize": 0,
+            "check_feasible": 1,
+            "evaluate_sub_objective": 1,
+            "evaluate_objective": 1,
+            "solve_bounded_horizon": 1,
+            "combine_cut_solutions": 1,
+        }
+        assert calls == []

@@ -25,8 +25,6 @@ from gmk.mkcp import (
 from gmk.reduction import (
     ReducedElement,
     reduce_instance,
-    reduce_modular,
-    reduce_submodular,
     verify_reduced_solution,
 )
 from gmk.oracle import brute_force_gmk
@@ -93,7 +91,7 @@ def test_pack_mkc_wrapper():
 
 def test_exact_single_item_argmax_and_feasibility_filter():
     inst = gen_random(GenParams(items=1, horizon=2, cost_range=(0, 1)), 2)
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     rsol = solve_mkcp_exact(reduced)
     table = reduced.schedules[reduced.items[0]]
     best = max(table.values())
@@ -107,7 +105,7 @@ def test_exact_single_item_argmax_and_feasibility_filter():
     items = ["a"]
     stages = [single_bin_stage(items, {"a": 5}, 4, {"a": 9}), single_bin_stage(items, {"a": 1}, 4, {"a": 7})]
     inst2 = build_instance(items, stages)
-    reduced2 = reduce_modular(inst2)
+    reduced2 = reduce_instance(inst2)
     rsol2 = solve_mkcp_exact(reduced2)
     chosen2 = next(iter(rsol2.chosen))
     assert chosen2.mask == 0b10  # stage 2 only; stage 1 never fits
@@ -127,8 +125,8 @@ def test_exact_matches_naive_enumeration():
         items=3, horizon=4, dimension=2, bins_per_mkc=2, profit_range=(0, 1), gain_range=(0, 1),
         cost_range=(0, 1),
     )
-    corpus = [reduce_modular(gen_random(small, seed)) for seed in range(40)]
-    corpus += [reduce_modular(gen_random(ties, seed)) for seed in range(12)]
+    corpus = [reduce_instance(gen_random(small, seed)) for seed in range(40)]
+    corpus += [reduce_instance(gen_random(ties, seed)) for seed in range(12)]
     corpus.append(_reversed_partition(corpus[-1]))
     # the file lists each group in descending mask order; the table holds it ascending
     masks = list(corpus[-1].schedules[corpus[-1].items[0]])
@@ -148,7 +146,7 @@ def test_exact_matches_naive_enumeration():
 def test_exact_submodular_matches_naive():
     for seed in range(12):
         inst = gen_random(GenParams(items=2, horizon=2, variant="submodular"), seed)
-        reduced = reduce_submodular(inst)
+        reduced = reduce_instance(inst)
         rsol = solve_mkcp_exact(reduced)
         naive_value, _ = naive_reduced_optimum(reduced)
         assert reduced.value_of(rsol.chosen) == naive_value
@@ -156,14 +154,14 @@ def test_exact_submodular_matches_naive():
 
 def test_exact_budget_refusal_mentions_greedy():
     inst = gen_random(GenParams(items=3, horizon=3), 0)
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     with pytest.raises(BudgetExceededError, match="greedy"):
         solve_mkcp_exact(reduced, enum_budget=10)
 
 
 def test_exact_empty_instance():
     inst = gen_random(GenParams(items=0, horizon=2), 0)
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     rsol = solve_mkcp_exact(reduced)
     assert rsol.chosen == frozenset()
     assert reduced.value_of(rsol.chosen) == 0
@@ -172,7 +170,7 @@ def test_exact_empty_instance():
 def test_greedy_agrees_with_exact_on_single_item():
     for seed in range(10):
         inst = gen_random(GenParams(items=1, horizon=3, cost_range=(0, 2)), seed)
-        reduced = reduce_modular(inst)
+        reduced = reduce_instance(inst)
         exact = solve_mkcp_exact(reduced)
         greedy = solve_mkcp_greedy(reduced)
         assert reduced.value_of(exact.chosen) == reduced.value_of(greedy.chosen)
@@ -182,7 +180,7 @@ def test_greedy_never_below_all_empty_and_never_above_exact():
     ratios = []
     for seed in range(200):
         inst = gen_random(GenParams(items=3, horizon=3, dimension=2, cost_range=(0, 2)), seed)
-        reduced = reduce_modular(inst)
+        reduced = reduce_instance(inst)
         greedy = solve_mkcp_greedy(reduced)
         assert not verify_reduced_solution(reduced, greedy)
         value = reduced.value_of(greedy.chosen)
@@ -199,7 +197,7 @@ def test_greedy_never_below_all_empty_and_never_above_exact():
 def test_greedy_submodular_bound():
     for seed in range(10):
         inst = gen_random(GenParams(items=3, horizon=2, variant="submodular"), seed)
-        reduced = reduce_submodular(inst)
+        reduced = reduce_instance(inst)
         greedy = solve_mkcp_greedy(reduced)
         empties = frozenset(ReducedElement(i, 0) for i in reduced.items)
         assert reduced.value_of(greedy.chosen) >= reduced.value_of(empties)
@@ -208,7 +206,7 @@ def test_greedy_submodular_bound():
 def test_solver_determinism():
     for seed in (1, 7):
         inst = gen_random(GenParams(items=3, horizon=3, dimension=2, cost_range=(0, 2)), seed)
-        reduced = reduce_modular(inst)
+        reduced = reduce_instance(inst)
         a = solve_mkcp_exact(reduced)
         b = solve_mkcp_exact(reduced)
         assert a.chosen == b.chosen and a.assignments == b.assignments
@@ -266,7 +264,7 @@ def test_exact_golden_digests_and_oracle_value(shape):
     params, digests = GOLDEN_EXACT[shape]
     for seed, digest in enumerate(digests):
         inst = gen_random(params, seed)
-        reduced = reduce_modular(inst)
+        reduced = reduce_instance(inst)
         rsol = solve_mkcp_exact(reduced, enum_budget=10**15)
         payload = canonical_dumps(reduced_solution_to_dict(rsol))
         assert hashlib.sha256(payload.encode()).hexdigest() == digest, seed
@@ -383,7 +381,7 @@ def test_kept_schedules_match_loop_prune_and_solo_filter():
     dropped = {"dominated": 0, "unpackable": 0}
     for params in shapes:
         for seed in range(6):
-            reduced = reduce_modular(gen_random(params, seed))
+            reduced = reduce_instance(gen_random(params, seed))
             for candidate in (reduced, _with_masks_missing(reduced)):
                 packing = _packing(candidate)
                 tables = [_kept_schedules(candidate, packing, k) for k in range(len(candidate.items))]
@@ -420,7 +418,7 @@ def test_avail_matches_packing_every_touched_constraint(budget):
     fits = [0, 0]
     undecided = 0
     for seed in range(6):
-        reduced = reduce_modular(gen_random(params, seed))
+        reduced = reduce_instance(gen_random(params, seed))
         items, horizon = reduced.items, reduced.horizon
         for _ in range(8):
             # a random partial packing: items in random order, each with a

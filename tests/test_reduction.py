@@ -19,8 +19,6 @@ from gmk.reduction import (
     element_fixed_value,
     lift_solution,
     lower_solution,
-    reduce_modular,
-    reduce_submodular,
     verify_reduced_solution,
     _schedule_values,
     reduce_instance,
@@ -117,7 +115,7 @@ def test_reduce_counts_and_partition():
     items = ["a", "b"]
     stages = [single_bin_stage(items, {"a": 1, "b": 1}, 2, {"a": 1, "b": 1})] * 2
     inst = build_instance(items, stages)
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     assert len(reduced.elements) == 8  # zero costs, nothing dropped
     assert len(reduced.constraints) == 2
     assert set(reduced.schedules) == {"a", "b"}
@@ -133,7 +131,7 @@ def test_reduce_drops_negative_values_but_keeps_empty():
         cost_plus=dense_table(items, 1, 2, default=5),
         cost_minus=dense_table(items, 1, 2, default=5),
     )
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     masks = {e.mask for e in reduced.elements}
     assert 0 in masks
     assert 0b01 not in masks  # 1 - 10 < 0
@@ -143,7 +141,7 @@ def test_reduce_drops_negative_values_but_keeps_empty():
 def test_weight_rule_audit():
     for seed in range(5):
         inst = gen_random(GenParams(items=3, horizon=3, dimension=2, bins_per_mkc=2), seed)
-        reduced = reduce_modular(inst)
+        reduced = reduce_instance(inst)
         for rc in reduced.constraints:
             for e in reduced.elements:
                 expected = 0
@@ -158,7 +156,7 @@ def test_padding_constraints_take_everything_at_zero_weight():
     wide = single_bin_stage(items, mkc, 3, {"a": 1, "b": 1})
     two_mkcs = McpStage(mkcs=wide.mkcs * 2, profit=dict(wide.profit))
     inst = build_instance(items, [wide, two_mkcs])
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     pads = [rc for rc in reduced.constraints if rc.padding]
     assert [(rc.stage, rc.index) for rc in pads] == [(1, 2)]
     for rc in pads:
@@ -169,12 +167,12 @@ def test_padding_constraints_take_everything_at_zero_weight():
 def test_horizon_cap_refusal():
     inst = gen_random(GenParams(items=1, horizon=4), 0)
     with pytest.raises(BudgetExceededError):
-        reduce_modular(inst, horizon_cap=3)
+        reduce_instance(inst, horizon_cap=3)
 
 
 def test_lower_empty_solution_collects_gain_minus_mass():
     inst = gen_random(GenParams(items=3, horizon=3, cost_range=(0, 2)), 4)
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     empty = MultistageSolution.from_raw(
         [set()] * 3,
         [
@@ -191,7 +189,7 @@ def test_lower_empty_solution_collects_gain_minus_mass():
 def test_lower_value_preservation_on_spec_example():
     inst = two_stage_single_item()
     sol = MultistageSolution.from_raw([{"i"}, {"i"}], [[{"b": {"i"}}], [{"b": {"i"}}]])
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     rsol = lower_solution(inst, sol, reduced)
     assert reduced.value_of(rsol.chosen) == 10
 
@@ -201,7 +199,7 @@ def test_lower_value_preservation_random():
     checked = 0
     for seed in range(90):
         inst = gen_random(GenParams(items=3, horizon=3, dimension=2, cost_range=(0, 2)), seed)
-        reduced = reduce_modular(inst)
+        reduced = reduce_instance(inst)
         for _ in range(10):
             sol = random_feasible_solution(rng, inst)
             rsol = lower_solution(inst, sol, reduced)
@@ -224,7 +222,7 @@ def test_lower_substitutes_dropped_schedules():
         cost_minus=dense_table(items, 1, 2, default=5),
         gain_minus=dense_table(items, 2, 2, default=1),
     )
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     sol = MultistageSolution.from_raw([{"a"}, set()], [[{"b": {"a"}}], [{"b": set()}]])
     rsol = lower_solution(inst, sol, reduced)
     assert rsol.substituted_items == ("a",)
@@ -236,12 +234,12 @@ def test_lower_rejects_infeasible_solution():
     inst = two_stage_single_item()
     bad = MultistageSolution.from_raw([{"i"}, set()], [[{"b": set()}], [{"b": set()}]])
     with pytest.raises(InputError):
-        lower_solution(inst, bad, reduce_modular(inst))
+        lower_solution(inst, bad, reduce_instance(inst))
 
 
 def test_lift_empty_schedule_only():
     inst = gen_random(GenParams(items=1, horizon=3, cost_range=(0, 1)), 8)
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     chosen = frozenset({ReducedElement(inst.items[0], 0)})
     assignments = {}
     for rc in reduced.constraints:
@@ -258,7 +256,7 @@ def test_lift_lower_round_trip():
     rng = random.Random(14)
     for seed in range(30):
         inst = gen_random(GenParams(items=3, horizon=3, dimension=2, cost_range=(0, 2)), seed)
-        reduced = reduce_modular(inst)
+        reduced = reduce_instance(inst)
         for _ in range(5):
             sol = random_feasible_solution(rng, inst)
             rsol = lower_solution(inst, sol, reduced)
@@ -290,7 +288,7 @@ def test_binless_constraint_holds_no_element():
 
 def test_lift_rejects_infeasible_reduced_solution():
     inst = two_stage_single_item()
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     both = frozenset({ReducedElement("i", 0), ReducedElement("i", 3)})
     assignments = {
         (rc.stage, rc.index): {b: both if b == min(rc.bins) else frozenset() for b in rc.bins}
@@ -302,7 +300,7 @@ def test_lift_rejects_infeasible_reduced_solution():
 
 def test_verifier_catches_violations():
     inst = two_stage_single_item()
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     chosen = frozenset({ReducedElement("i", 3)})
     good = {
         (rc.stage, rc.index): {min(rc.bins): chosen, **{b: frozenset() for b in rc.bins if b != min(rc.bins)}}
@@ -326,7 +324,7 @@ def test_verifier_catches_violations():
 
 def test_matroid_violation_detected():
     inst = two_stage_single_item()
-    reduced = reduce_modular(inst)
+    reduced = reduce_instance(inst)
     pair = frozenset({ReducedElement("i", 1), ReducedElement("i", 2)})
     assignments = {
         (rc.stage, rc.index): {min(rc.bins): pair, **{b: frozenset() for b in rc.bins if b != min(rc.bins)}}
@@ -340,7 +338,7 @@ def test_optimum_preserved_small_sweep():
     """Reduced optimum equals the multistage optimum on a shape sweep."""
     count = 0
     for inst in sweep_instances(fillings=1):
-        reduced = reduce_modular(inst)
+        reduced = reduce_instance(inst)
         rsol = solve_mkcp_exact(reduced)
         opt = evaluate_objective(inst, brute_force_gmk(inst).sets)
         assert reduced.value_of(rsol.chosen) == opt
@@ -352,7 +350,7 @@ def test_optimum_preserved_small_sweep():
 
 def test_submodular_reduction_keeps_everything():
     inst = gen_random(GenParams(items=2, horizon=3, variant="submodular"), 5)
-    reduced = reduce_submodular(inst)
+    reduced = reduce_instance(inst)
     assert len(reduced.elements) == 2 * 8
     # one table holds the gains; the objective reads the same one
     assert reduced.objective is not None and reduced.objective.schedules is reduced.schedules

@@ -11,7 +11,7 @@ import pytest
 from gmk.core import evaluate_objective
 from gmk.errors import InputError
 from gmk.generators import GenParams, gen_random
-from gmk.reduction import ReducedElement, reduce_submodular
+from gmk.reduction import ReducedElement, reduce_instance
 from gmk.submodular import (
     CoverageFunction,
     ModularFunction,
@@ -188,7 +188,7 @@ def test_reduced_submodular_objective_examples():
         cost_minus={("a", 1): 0, ("a", 2): 0},
         variant="submodular",
     )
-    reduced = reduce_submodular(inst)
+    reduced = reduce_instance(inst)
     objective = reduced.objective
     assert objective.evaluate(frozenset()) == 0
     full = ReducedElement("a", 0b11)
