@@ -15,16 +15,16 @@ from .core import (
     Mkc,
     McpStage,
     MultistageSolution,
-    SubInstanceView,
     ValidationReport,
     check_feasible,
+    coupling_terms,
     ensure_valid,
     evaluate_objective,
-    evaluate_sub_objective,
+    evaluate_window,
     profit_cost_ratio,
     ratio_violation,
-    sub_instance,
     validate_instance,
+    window_instance,
 )
 from .cutting import (
     CutPointSet,

@@ -13,8 +13,12 @@ monotone submodular oracle and must carry all-zero cost tables.
 
 All numeric data are exact integers (``serialize`` scales decimal input at
 parse time), so every identity in this package is testable with tolerance
-zero. Instances and views are immutable after construction and safe to share
-across workers.
+zero. Instances are immutable after construction and safe to share across
+workers. A window is a plain stage range ``(lo, hi)``: ``evaluate_window``
+values it under the empty-boundary convention (nothing is packed before lo
+or after hi), ``window_instance`` copies it into a standalone instance, and
+``coupling_terms`` gives the solvers one encoding of the gains and costs
+that couple consecutive stages.
 """
 
 from __future__ import annotations
@@ -317,17 +321,25 @@ def _check_sets(inst: GmkInstance, sets: Sequence[AbstractSet[str]], expected: i
             raise InputError(f"stage set {k + 1} references unknown items {sorted(unknown)}")
 
 
-def _evaluate_range(inst: GmkInstance, t1: int, t2: int, sets: Sequence[AbstractSet[str]]) -> int:
-    """Objective over stages [t1, t2] with empty boundary sets.
+def _check_window(inst: GmkInstance, lo: int, hi: int) -> None:
+    if not 1 <= lo <= hi <= inst.horizon:
+        raise InputError(f"invalid stage range [{lo}, {hi}] for horizon {inst.horizon}")
+
+
+def evaluate_window(inst: GmkInstance, lo: int, hi: int, sets: Sequence[AbstractSet[str]]) -> int:
+    """Objective over stages [lo, hi] with empty boundary sets.
 
     Gains and costs are read at their global stage indices; gains accrue
-    only at transitions strictly inside the range.
+    only at transitions strictly inside the range. This is the reference
+    the solvers' ``coupling_terms`` are checked against, so it keeps its
+    own arithmetic.
     """
-    _check_sets(inst, sets, t2 - t1 + 1)
+    _check_window(inst, lo, hi)
+    _check_sets(inst, sets, hi - lo + 1)
     total = 0
-    for k, t in enumerate(range(t1, t2 + 1)):
+    for k, t in enumerate(range(lo, hi + 1)):
         total += inst.stage_profit(t, sets[k])
-    for k, t in enumerate(range(t1 + 1, t2 + 1), start=1):
+    for k, t in enumerate(range(lo + 1, hi + 1), start=1):
         prev, cur = sets[k - 1], sets[k]
         for i in inst.items:
             if i in prev:
@@ -337,7 +349,7 @@ def _evaluate_range(inst: GmkInstance, t1: int, t2: int, sets: Sequence[Abstract
                 total += inst.gain_minus[i, t]
     if inst.variant == MODULAR:
         empty: frozenset[str] = frozenset()
-        for k, t in enumerate(range(t1, t2 + 1)):
+        for k, t in enumerate(range(lo, hi + 1)):
             prev = sets[k - 1] if k > 0 else empty
             nxt = sets[k + 1] if k + 1 < len(sets) else empty
             for i in sets[k]:
@@ -350,62 +362,49 @@ def _evaluate_range(inst: GmkInstance, t1: int, t2: int, sets: Sequence[Abstract
 
 def evaluate_objective(inst: GmkInstance, sets: Sequence[AbstractSet[str]]) -> int:
     """Exact objective value of the stage sets (assignments do not matter)."""
-    return _evaluate_range(inst, 1, inst.horizon, sets)
+    return evaluate_window(inst, 1, inst.horizon, sets)
 
 
-@dataclass(frozen=True)
-class SubInstanceView:
-    """Read-only window [start, end] of an instance.
+def coupling_terms(inst: GmkInstance, item: str, lo: int, hi: int, scale: int = 1) -> list:
+    """``item``'s coupling terms at the boundaries t = lo..hi+1 of a window, times ``scale``.
 
-    The window is evaluated under the empty-boundary convention: nothing is
-    packed just before ``start`` or just after ``end``. The view shares the
-    parent tables; nothing is copied until ``materialize`` is called.
+    ``terms[t - lo][in_cur][in_prev]`` is what the boundary before stage t
+    adds when the item is packed (1) or not (0) at stages t and t - 1. By
+    the empty-boundary convention lo adds only the entry cost -c+[lo], and
+    hi + 1 only the exit cost -c-[hi]; inside, ``((g-, -c-[t-1]), (-c+[t], g+))``.
+    Costs are read in both variants (the submodular one has zero costs).
+    The stage DP passes its tie-break scale, the reduction 1.
     """
-
-    instance: GmkInstance
-    start: int
-    end: int
-
-    @property
-    def horizon(self) -> int:
-        return self.end - self.start + 1
-
-    def materialize(self) -> GmkInstance:
-        """Standalone instance over local stages 1..horizon, same semantics."""
-        inst = self.instance
-        offset = self.start - 1
-        length = self.horizon
-
-        def shift(table: Table, lo: int) -> dict[tuple[str, int], int]:
-            return {
-                (i, t): table[i, t + offset]
-                for i in inst.items
-                for t in range(lo, length + 1)
-            }
-
-        return GmkInstance(
-            items=inst.items,
-            horizon=length,
-            stages=inst.stages[offset : self.end],
-            gain_plus=shift(inst.gain_plus, 2),
-            gain_minus=shift(inst.gain_minus, 2),
-            cost_plus=shift(inst.cost_plus, 1),
-            cost_minus=shift(inst.cost_minus, 1),
-            variant=inst.variant,
-            metadata={"window": [self.start, self.end]},
-        )
+    gp, gm, cp, cm = inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus
+    return [
+        ((0, 0), (-cp[item, lo] * scale, 0)),
+        *[
+            ((gm[item, t] * scale, -cm[item, t - 1] * scale),
+             (-cp[item, t] * scale, gp[item, t] * scale))
+            for t in range(lo + 1, hi + 1)
+        ],
+        ((0, -cm[item, hi] * scale), (0, 0)),
+    ]
 
 
-def sub_instance(inst: GmkInstance, t1: int, t2: int) -> SubInstanceView:
-    """View of stages t1..t2 without shifting or truncating the tables."""
-    if not (1 <= t1 <= t2 <= inst.horizon):
-        raise InputError(f"invalid stage range [{t1}, {t2}] for horizon {inst.horizon}")
-    return SubInstanceView(instance=inst, start=t1, end=t2)
+def window_instance(inst: GmkInstance, lo: int, hi: int) -> GmkInstance:
+    """Standalone instance over local stages 1..hi-lo+1 with the window's semantics."""
+    _check_window(inst, lo, hi)
 
+    def shift(table: Table, first: int) -> dict[tuple[str, int], int]:
+        return {(i, t): table[i, t + lo - 1] for i in inst.items for t in range(first, hi - lo + 2)}
 
-def evaluate_sub_objective(view: SubInstanceView, sets: Sequence[AbstractSet[str]]) -> int:
-    """Objective of the window under the empty-boundary convention."""
-    return _evaluate_range(view.instance, view.start, view.end, sets)
+    return GmkInstance(
+        items=inst.items,
+        horizon=hi - lo + 1,
+        stages=inst.stages[lo - 1 : hi],
+        gain_plus=shift(inst.gain_plus, 2),
+        gain_minus=shift(inst.gain_minus, 2),
+        cost_plus=shift(inst.cost_plus, 1),
+        cost_minus=shift(inst.cost_minus, 1),
+        variant=inst.variant,
+        metadata={"window": [lo, hi]},
+    )
 
 
 def _ratio_terms(inst: GmkInstance, item: str) -> tuple[int, int, int, int]:

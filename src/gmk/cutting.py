@@ -4,21 +4,18 @@ For mu_inv shifted grids the horizon splits into windows of length at most
 ``2 * mu_inv``, with one exception: interior cut points are capped at
 ``T - mu_inv``, so for ``2 * mu_inv < T <= 3 * mu_inv - 2`` some shifts get
 no interior cut and their one window is the whole horizon (at mu_inv = 25,
-T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). Each window is
-solved at bounded horizon by a stage DP, read in place from the instance's
-tables, with no reduction built and no window copied. An exact window runs
-it over packable item sets, within the enumeration budget, and its value is
-the one the DP checked. Every window of every shift reads one per-instance
-stage table (``StageRows``), which ``solve_general_result`` builds: each
-stage's packability and profit rows, built once; each chosen (stage, set)
-pair's assignments, packed once. A greedy window runs the DP on one item at
-a time. All values are Python ints, exact at any magnitude.
-One window solver (``solve_bounded_horizon``) and one concatenation
-(``combine_cut_solutions``) carry every shift, and the bypass of short
-horizons, whose one window is the whole horizon. A concatenation is worth at
-least the sum of its parts (seam costs can only be saved, seam gains only
-added); it is checked and valued once against the whole instance. The best
-recombination over all shifts wins.
+T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). A window is a
+plain stage range (lo, hi), read in place from the instance's tables: no
+reduction is built and no window copied. One window solver
+(``solve_bounded_horizon``) runs a stage DP on it, whose coupling terms are
+``core.coupling_terms``: over packable item sets for an exact window, one
+item at a time for a greedy one. Every window of every shift reads one
+per-instance stage table (``StageRows``). One concatenation
+(``combine_cut_solutions``) carries every shift and the bypass of short
+horizons; a concatenation is worth at least the sum of its parts (seam
+costs can only be saved, seam gains only added), and is checked and valued
+once against the whole instance. The best recombination over all shifts
+wins. All values are Python ints, exact at any magnitude.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -31,18 +28,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, sub
+from operator import add
 from typing import Mapping, Sequence
 
 from .core import (
     MODULAR,
     GmkInstance,
     MultistageSolution,
+    coupling_terms,
     ensure_valid,
     evaluate_objective,
-    evaluate_sub_objective,
+    evaluate_window,
     ratio_violation,
-    sub_instance,
 )
 from .errors import BudgetExceededError, ContractViolationError, InputError
 from .mkcp import DEFAULT_ENUM_BUDGET, DEFAULT_PACK_BUDGET, _PartialPacking
@@ -172,11 +169,13 @@ def _stage_dp(
     """Maximum value and its set masks, stage by stage, over ``items`` at stages lo..hi.
 
     Set m has bit k for ``items[k]``; ``packable[t - lo][m]`` and
-    ``profits[t - lo][m]`` are its packability and profit at stage t;
-    ``inst`` gives the coupling terms, the entry costs at lo and the exit
-    costs at hi. Among maxima the DP keeps the smallest ``M = sum_k mask_k
-    * 2**(T*(n-1-k))`` over item schedules ``mask_k``, as it maximizes
-    ``value * 2**(n*T) - M``; distinct set sequences have distinct ``M``.
+    ``profits[t - lo][m]`` are its packability and profit at stage t. Each
+    item's coupling terms come from ``core.coupling_terms`` at the
+    tie-break scale: the entry cost at lo, the exit cost at hi, and the
+    gains and costs of every boundary in between. Among maxima the DP keeps
+    the smallest ``M = sum_k mask_k * 2**(T*(n-1-k))`` over item schedules
+    ``mask_k``, as it maximizes ``value * 2**(n*T) - M``; distinct set
+    sequences have distinct ``M``.
     """
     n, horizon = len(items), hi - lo + 1
     size = 1 << n
@@ -186,24 +185,17 @@ def _stage_dp(
     terms = [
         [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in enumerate(profits)
     ]
+    scaled = [coupling_terms(inst, i, lo, hi, scale) for i in items]
     # the first stage pays every packed item's entry cost, the last its exit cost
-    for row, table, t in ((terms[0], inst.cost_plus, lo), (terms[-1], inst.cost_minus, hi)):
-        cost = [0]
-        for i in items:
-            cost += [c + table[i, t] * scale for c in cost]
-        row[:] = map(sub, row, cost)
-
-    # links[t][k][in_cur][in_prev]: item k's scaled term from stage t + 1 to
-    # t + 2 of the target: g- out of both sets, g+ in both, minus c+ on entry
-    # and c- on exit (costs are zero in the submodular variant)
-    links = [
-        [
-            ((inst.gain_minus[i, t] * scale, -inst.cost_minus[i, t - 1] * scale),
-             (-inst.cost_plus[i, t] * scale, inst.gain_plus[i, t] * scale))
-            for i in items
-        ]
-        for t in range(lo + 1, hi + 1)
-    ]
+    entry, leave = [0], [0]
+    for term in scaled:
+        entry += [c + term[0][1][0] for c in entry]
+        leave += [c + term[-1][0][1] for c in leave]
+    terms[0][:] = map(add, terms[0], entry)
+    terms[-1][:] = map(add, terms[-1], leave)
+    # links[t][k][in_cur][in_prev]: item k's term from stage lo + t to lo + t + 1;
+    # with no item, zip yields nothing and each link is empty
+    links = list(zip(*scaled))[1:-1] if items else [()] * (horizon - 1)
 
     # No reachable key nor link term exceeds ``span`` in absolute value, so
     # an unreachable predecessor (``floor`` plus a term) loses to every
@@ -250,7 +242,7 @@ def _dp_masks(rows: StageRows, lo: int, hi: int) -> tuple[list[int], int]:
     inst = rows.instance
     packable, profits = zip(*(rows[t] for t in range(lo, hi + 1)))
     decoded, masks = _stage_dp(inst, inst.items, lo, hi, packable, profits)
-    value = evaluate_sub_objective(sub_instance(inst, lo, hi), [rows.members[m] for m in masks])
+    value = evaluate_window(inst, lo, hi, [rows.members[m] for m in masks])
     if value != decoded:
         raise ContractViolationError(f"stage DP value {decoded} differs from the objective {value}")
     return masks, value
@@ -305,7 +297,7 @@ def solve_bounded_horizon(
     if solver == "greedy":
         sets = _greedy_sets(inst, lo, hi, pack_budget)
         packed = [pack_stage(inst.stage(t), s, t) for t, s in enumerate(sets, start=lo)]
-        value = evaluate_sub_objective(sub_instance(inst, lo, hi), sets)
+        value = evaluate_window(inst, lo, hi, sets)
         return MultistageSolution(tuple(sets), tuple(packed)), value
     budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
     work = (hi - lo + 1) * len(inst.items) * 2 ** len(inst.items)

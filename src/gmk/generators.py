@@ -29,7 +29,7 @@ from .core import (
     profit_cost_ratio,
 )
 from .errors import ContractViolationError, InputError
-from .serialize import canonical_dumps
+from .serialize import _scaled_int, canonical_dumps
 from .submodular import CoverageFunction
 
 
@@ -57,12 +57,16 @@ def kp_to_dict(kp: MultidimKnapsackInstance) -> dict:
 
 
 def kp_from_dict(raw) -> MultidimKnapsackInstance:
+    """Parse a knapsack file; every number is a nonnegative integer, as in instance files."""
     try:
         items = tuple(str(i) for i in raw["items"])
-        capacities = tuple(int(c) for c in raw["capacities"])
-        profits = {str(i): int(p) for i, p in raw["profits"].items()}
-        weights = {str(i): tuple(int(w) for w in ws) for i, ws in raw["weights"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        capacities = tuple(_scaled_int(c, 1, "capacity") for c in raw["capacities"])
+        profits = {str(i): _scaled_int(p, 1, f"profit of {i}") for i, p in raw["profits"].items()}
+        weights = {
+            str(i): tuple(_scaled_int(w, 1, f"weight of {i}") for w in ws)
+            for i, ws in raw["weights"].items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"knapsack file malformed: {exc}")
     kp = MultidimKnapsackInstance(items=items, profits=profits, weights=weights, capacities=capacities)
     d = kp.dimension
@@ -73,10 +77,6 @@ def kp_from_dict(raw) -> MultidimKnapsackInstance:
             raise InputError(f"knapsack item {i} lacks a profit or weight vector")
         if len(weights[i]) != d:
             raise InputError(f"knapsack item {i} has {len(weights[i])} weights, expected {d}")
-        if profits[i] < 0 or any(w < 0 for w in weights[i]):
-            raise InputError(f"knapsack item {i} has negative data")
-    if any(c < 0 for c in capacities):
-        raise InputError("knapsack capacities must be nonnegative")
     return kp
 
 
@@ -164,7 +164,6 @@ class GenParams:
     cost_range: tuple[int, int] = (0, 3)
     target_phi: Fraction | int | None = None
     variant: str = MODULAR
-    vary_dimension: bool = True
 
 
 def _rand_in(rng: random.Random, lo_hi: tuple[int, int], where: str) -> int:
@@ -193,9 +192,8 @@ def gen_random(params: GenParams, seed: int) -> GmkInstance:
 
     stages = []
     for _ in range(params.horizon):
-        d_t = rng.randint(1, params.dimension) if params.vary_dimension else params.dimension
         mkcs = []
-        for _ in range(d_t):
+        for _ in range(rng.randint(1, params.dimension)):
             weights = {i: _rand_in(rng, params.weight_range, "weight") for i in items}
             bins = tuple(f"b{b + 1}" for b in range(params.bins_per_mkc))
             capacities = {b: _rand_in(rng, params.capacity_range, "capacity") for b in bins}

@@ -18,20 +18,24 @@ Both directions of the solution mapping preserve the objective exactly:
 ``lower_solution`` mirrors assignments bin by bin, parking inactive
 elements in the designated bin of each constraint that has a bin, while
 ``lift_solution`` projects schedules back onto stages. Schedule values are
-Python ints, exact at any magnitude.
+built from ``core.coupling_terms`` over stages 1..T, the same encoding of
+the gains and costs the cutting loop's stage DP reads, plus the item's
+profit at each scheduled stage in the modular variant; they are Python
+ints, exact at any magnitude.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping
 
 from .core import (
     MODULAR,
     GmkInstance,
     MultistageSolution,
     check_feasible,
+    coupling_terms,
     evaluate_objective,
 )
 from .errors import BudgetExceededError, ContractViolationError, InputError, UnsupportedVariantError
@@ -165,59 +169,36 @@ def element_fixed_value(inst: GmkInstance, item: str, schedule: Iterable[int]) -
         raise UnsupportedVariantError("fixed element values require the modular variant")
     mask = mask_of(schedule, inst.horizon)
     value = prev = 0
-    for t, term in enumerate(_stage_terms(inst, (item,))[0]):
-        cur = mask >> t & 1  # 0 past stage T
-        value += term[prev << 1 | cur]
+    for t, term in enumerate(coupling_terms(inst, item, 1, inst.horizon), start=1):
+        cur = mask >> (t - 1) & 1  # 0 past stage T
+        value += term[cur][prev] + (inst.item_profit(t, item) if cur else 0)
         prev = cur
     return value
-
-
-def _stage_terms(inst: GmkInstance, items: Sequence[str]) -> list[list[tuple[int, int, int, int]]]:
-    """Per item, its term at each boundary t = 1..T+1, the one before stage t.
-
-    A term is indexed by ``in_prev << 1 | in_cur``: out of both stages,
-    entering at t, leaving before t, in both. Interior gains accrue in both
-    variants: g+ where the item stays packed, g- where it stays out. The
-    modular variant adds the profit of every scheduled stage, charges c+ on
-    entry and c- on exit; nothing is packed before stage 1 or after stage T,
-    so stage 1 pays the entry cost and stage T the exit cost when scheduled.
-    """
-    modular = inst.variant == MODULAR
-    horizon = inst.horizon
-    out = []
-    for i in items:
-        terms = []
-        for t in range(1, horizon + 2):
-            inner = 1 < t <= horizon
-            profit = inst.item_profit(t, i) if modular and t <= horizon else 0
-            entry = inst.cost_plus[i, t] if modular and t <= horizon else 0
-            leave = inst.cost_minus[i, t - 1] if modular and t > 1 else 0
-            stay_out = inst.gain_minus[i, t] if inner else 0
-            stay_in = inst.gain_plus[i, t] if inner else 0
-            terms.append((stay_out, profit - entry, -leave, profit + stay_in))
-        out.append(terms)
-    return out
 
 
 def _schedule_values(inst: GmkInstance) -> list[list[int]]:
     """values[k][m]: the fixed value of schedule mask m of the k-th item, for every m.
 
-    Built from ``_stage_terms`` by doubling over the stages, in plain ints:
-    the masks of stages 1..t list those without stage t first, so the next
-    stage's terms add by halves.
+    Built from ``core.coupling_terms`` over stages 1..T by doubling over the
+    stages, in plain ints: the masks of stages 1..t list those without
+    stage t first, so the next stage's terms add by halves. The modular
+    variant adds the item's profit at each scheduled stage.
     """
+    modular = inst.variant == MODULAR
     values = []
-    for terms in _stage_terms(inst, inst.items):
+    for i in inst.items:
+        terms = coupling_terms(inst, i, 1, inst.horizon)
         row = [0]
-        for t, (stay_out, enter, leave, stay_in) in enumerate(terms[:-1]):
-            half = len(row) >> 1 if t else 1  # nothing is packed before stage 1
+        for t, ((stay_out, leave), (enter, stay_in)) in enumerate(terms[:-1], start=1):
+            profit = inst.item_profit(t, i) if modular else 0
+            half = len(row) >> 1 if t > 1 else 1  # nothing is packed before stage 1
             low, high = row[:half], row[half:]
             row = (
                 [v + stay_out for v in low] + [v + leave for v in high]
-                + [v + enter for v in low] + [v + stay_in for v in high]
+                + [v + enter + profit for v in low] + [v + stay_in + profit for v in high]
             )
         half = len(row) >> 1
-        row[half:] = [v + terms[-1][2] for v in row[half:]]  # stage T's exit
+        row[half:] = [v + terms[-1][0][1] for v in row[half:]]  # stage T's exit
         values.append(row)
     return values
 

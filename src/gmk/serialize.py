@@ -192,14 +192,14 @@ def instance_from_dict(raw: Any) -> GmkInstance:
             raise InputError(f"instance file missing required key {key!r}")
     try:
         denominator = raw.get("denominator", 1)
-        if not isinstance(denominator, int) or denominator < 1:
+        if type(denominator) is not int or denominator < 1:
             raise InputError(f"denominator must be a positive integer, got {denominator!r}")
         variant = raw["variant"]
         if variant not in (MODULAR, SUBMODULAR):
             raise InputError(f"unknown variant {variant!r}")
         items = tuple(str(i) for i in raw["items"])
         horizon = raw["horizon"]
-        if not isinstance(horizon, int) or horizon < 1:
+        if type(horizon) is not int or horizon < 1:
             raise InputError(f"horizon must be a positive integer, got {horizon!r}")
 
         stages = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gmk.core import evaluate_objective, evaluate_sub_objective, sub_instance
+from gmk.core import evaluate_objective, evaluate_window, window_instance
 from gmk.cutting import (
     CutPointSet,
     SchemeParams,
@@ -128,11 +128,9 @@ def test_criterion_4_combine_inequality():
         )
         interior = sorted(rng.sample(range(2, horizon + 1), rng.randint(0, min(3, horizon - 1))))
         cuts = CutPointSet(tuple(sorted({1, horizon + 1, *interior})))
-        views = [sub_instance(inst, lo, hi) for lo, hi in cuts.windows()]
-        parts = [
-            random_feasible_solution(rng, view.materialize()) for view in views
-        ]
-        values = [evaluate_sub_objective(view, part.sets) for view, part in zip(views, parts)]
+        windows = cuts.windows()
+        parts = [random_feasible_solution(rng, window_instance(inst, lo, hi)) for lo, hi in windows]
+        values = [evaluate_window(inst, lo, hi, part.sets) for (lo, hi), part in zip(windows, parts)]
         combined, value = combine_cut_solutions(inst, list(zip(parts, values)))
         assert value == evaluate_objective(inst, combined.sets) >= sum(values)
         triples += 1

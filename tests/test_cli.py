@@ -114,6 +114,42 @@ def test_gen_from_kp_and_validate(tmp_path):
     assert run("validate", out2) == 0
 
 
+# knapsack numbers follow the instance-file rule: nonnegative integers,
+# never a truncated float, a string or a boolean
+KP_CORRUPTIONS = {
+    "profit_1.5": lambda kp: kp["profits"].update(x=1.5),
+    "capacity_3.9": lambda kp: kp["capacities"].__setitem__(0, 3.9),
+    "weight_string": lambda kp: kp["weights"]["y"].__setitem__(1, "3"),
+    "profit_true": lambda kp: kp["profits"].update(z=True),
+    "profits_list": lambda kp: kp.update(profits=[6, 4, 5]),
+}
+
+
+@pytest.mark.parametrize("mode", ["--from-kp", "--from-2kp"])
+@pytest.mark.parametrize("corrupt", list(KP_CORRUPTIONS.values()), ids=list(KP_CORRUPTIONS))
+def test_gen_from_knapsack_rejects_non_integer_numbers(tmp_path, capsys, mode, corrupt):
+    kp = load_json(DOCS / "kp_2d.json")
+    corrupt(kp)
+    path, out = tmp_path / "kp.json", tmp_path / "inst.json"
+    path.write_text(json.dumps(kp))
+    assert run("gen", mode, path, "--out", out) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["horizon", "denominator"])
+def test_boolean_horizon_or_denominator_exits_2(tmp_path, capsys, key):
+    # true would read as 1, and the instance would be written back with true
+    raw = instance_to_dict(gen_random(GenParams(items=2, horizon=1, target_phi=1), 0))
+    raw[key] = True
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(raw))
+    assert run("validate", path) == 2
+    assert run("solve", "--in", path, "--eps", "0.2", "--phi", 1, "--out", tmp_path / "s.json") == 2
+    assert not (tmp_path / "s.json").exists()
+    assert key in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]["message"]
+
+
 def test_reduce_solve_mkcp_pipeline(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert run("gen", "--random", "--seed", 4, "--items", 2, "--horizon", 2, "--out", inst) == 0

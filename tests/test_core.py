@@ -1,4 +1,4 @@
-"""Objective evaluation, validation, feasibility, ratio and sub-instances."""
+"""Objective evaluation, validation, feasibility, ratio, windows and coupling terms."""
 
 from __future__ import annotations
 
@@ -15,12 +15,13 @@ from gmk.core import (
     McpStage,
     MultistageSolution,
     check_feasible,
+    coupling_terms,
     evaluate_objective,
-    evaluate_sub_objective,
+    evaluate_window,
     profit_cost_ratio,
     ratio_violation,
-    sub_instance,
     validate_instance,
+    window_instance,
 )
 from gmk.errors import InputError, UnsupportedVariantError
 from gmk.generators import GenParams, gen_random
@@ -212,9 +213,8 @@ def test_sub_instance_full_range_identity():
     rng = random.Random(11)
     for seed in range(10):
         inst = gen_random(GenParams(items=3, horizon=4), seed)
-        view = sub_instance(inst, 1, inst.horizon)
         sets = [frozenset(i for i in inst.items if rng.random() < 0.5) for _ in range(4)]
-        assert evaluate_sub_objective(view, sets) == evaluate_objective(inst, sets)
+        assert evaluate_window(inst, 1, inst.horizon, sets) == evaluate_objective(inst, sets)
 
 
 def test_sub_instance_boundary_convention():
@@ -227,9 +227,8 @@ def test_sub_instance_boundary_convention():
         cost_plus=dense_table(items, 1, 4, **{"i:2": 2}),
         cost_minus=dense_table(items, 1, 4, **{"i:3": 3}),
     )
-    view = sub_instance(inst, 2, 3)
     # g+ at t=2 is out of scope inside the window, g+ at t=3 is earned
-    assert evaluate_sub_objective(view, [{"i"}, {"i"}]) == 7 - 2 - 3
+    assert evaluate_window(inst, 2, 3, [{"i"}, {"i"}]) == 7 - 2 - 3
 
 
 def test_sub_instance_single_stage_entry_and_exit():
@@ -240,8 +239,7 @@ def test_sub_instance_single_stage_entry_and_exit():
         cost_plus=dense_table(items, 1, 1, **{"i:1": 1}),
         cost_minus=dense_table(items, 1, 1, **{"i:1": 1}),
     )
-    view = sub_instance(inst, 1, 1)
-    assert evaluate_sub_objective(view, [{"i"}]) == 3
+    assert evaluate_window(inst, 1, 1, [{"i"}]) == 3
 
 
 def test_sub_instance_gain_minus_inside_window_only():
@@ -250,18 +248,16 @@ def test_sub_instance_gain_minus_inside_window_only():
     inst = build_instance(
         items, stages, gain_minus=dense_table(items, 2, 3, **{"i:2": 5, "i:3": 7})
     )
-    view = sub_instance(inst, 2, 3)
-    assert evaluate_sub_objective(view, [set(), set()]) == 7
+    assert evaluate_window(inst, 2, 3, [set(), set()]) == 7
 
 
 def test_sub_instance_range_checks():
     inst = two_stage_single_item()
-    with pytest.raises(InputError):
-        sub_instance(inst, 2, 1)
-    with pytest.raises(InputError):
-        sub_instance(inst, 0, 1)
-    with pytest.raises(InputError):
-        sub_instance(inst, 1, 3)
+    for lo, hi in ((2, 1), (0, 1), (1, 3)):
+        with pytest.raises(InputError, match="invalid stage range"):
+            window_instance(inst, lo, hi)
+        with pytest.raises(InputError, match="invalid stage range"):
+            evaluate_window(inst, lo, hi, [])
 
 
 def test_sub_value_at_most_global_window_contribution():
@@ -272,7 +268,6 @@ def test_sub_value_at_most_global_window_contribution():
         sets = [frozenset(i for i in inst.items if rng.random() < 0.5) for _ in range(4)]
         t1 = rng.randint(1, 4)
         t2 = rng.randint(t1, 4)
-        view = sub_instance(inst, t1, t2)
         window = sets[t1 - 1 : t2]
         contribution = sum(inst.stage_profit(t, sets[t - 1]) for t in range(t1, t2 + 1))
         for t in range(t1 + 1, t2 + 1):
@@ -289,7 +284,7 @@ def test_sub_value_at_most_global_window_contribution():
                     contribution -= inst.cost_plus[i, t]
                 if i not in nxt:
                     contribution -= inst.cost_minus[i, t]
-        assert evaluate_sub_objective(view, window) <= contribution
+        assert evaluate_window(inst, t1, t2, window) <= contribution
 
 
 def test_materialized_view_evaluates_identically():
@@ -298,7 +293,31 @@ def test_materialized_view_evaluates_identically():
         inst = gen_random(GenParams(items=3, horizon=5, dimension=2), seed)
         t1 = rng.randint(1, 5)
         t2 = rng.randint(t1, 5)
-        view = sub_instance(inst, t1, t2)
-        local = view.materialize()
-        sets = [frozenset(i for i in inst.items if rng.random() < 0.5) for _ in range(view.horizon)]
-        assert evaluate_objective(local, sets) == evaluate_sub_objective(view, sets)
+        local = window_instance(inst, t1, t2)
+        assert local.horizon == t2 - t1 + 1
+        sets = [frozenset(i for i in inst.items if rng.random() < 0.5) for _ in range(local.horizon)]
+        assert evaluate_objective(local, sets) == evaluate_window(inst, t1, t2, sets)
+
+
+@pytest.mark.parametrize("variant", ["modular", "submodular"])
+def test_coupling_terms_plus_stage_profits_equal_the_window_objective(variant):
+    rng = random.Random(47)
+    for seed in range(40):
+        horizon = rng.randint(1, 6)
+        params = GenParams(items=3, horizon=horizon, dimension=2, variant=variant)
+        inst = gen_random(params, seed)
+        single, start = rng.randint(1, horizon), rng.randint(1, horizon)
+        for lo, hi in ((1, horizon), (single, single), (start, rng.randint(start, horizon))):
+            sets = [frozenset(i for i in inst.items if rng.random() < 0.5) for _ in range(lo, hi + 1)]
+            total = sum(inst.stage_profit(t, s) for t, s in enumerate(sets, start=lo))
+            # nothing is packed just before lo or just after hi
+            padded = [frozenset(), *sets, frozenset()]
+            for i in inst.items:
+                terms = coupling_terms(inst, i, lo, hi)
+                assert len(terms) == hi - lo + 2
+                assert coupling_terms(inst, i, lo, hi, 8) == [
+                    tuple(tuple(8 * v for v in pair) for pair in term) for term in terms
+                ]
+                for term, prev, cur in zip(terms, padded, padded[1:]):
+                    total += term[i in cur][i in prev]
+            assert total == evaluate_window(inst, lo, hi, sets), (seed, lo, hi)

@@ -13,11 +13,10 @@ from gmk.core import (
     Mkc,
     McpStage,
     MultistageSolution,
-    SubInstanceView,
     check_feasible,
     evaluate_objective,
-    evaluate_sub_objective,
-    sub_instance,
+    evaluate_window,
+    window_instance,
 )
 from gmk.cutting import (
     CutPointSet,
@@ -94,20 +93,24 @@ def test_scheme_params_derivation_and_validation():
     assert override.mu_inv == 3
 
 
-def _solve(target, solver="exact", **budgets):
-    """``solve_bounded_horizon`` on an instance or a window view, checked on the window."""
-    if isinstance(target, SubInstanceView):
-        inst, lo, hi, local = target.instance, target.start, target.end, target.materialize()
-    else:
-        inst, lo, hi, local = target, 1, target.horizon, target
+def _local(inst, window):
+    """The window (lo, hi) of ``inst`` as a standalone instance; None is the whole horizon."""
+    return inst if window is None else window_instance(inst, *window)
+
+
+def _solve(inst, solver="exact", window=None, **budgets):
+    """``solve_bounded_horizon`` on a window of ``inst`` (default all of it), checked on the window."""
+    lo, hi = window or (1, inst.horizon)
+    local = _local(inst, window)
     sol, value = solve_bounded_horizon(StageRows(inst), lo, hi, solver, **budgets)
     assert value == evaluate_objective(local, sol.sets)
     return checked_solution(local, sol.sets, sol.assignments)
 
 
-def _shift_windows(inst, mu_inv, j):
-    """Views over the windows of the j-th shifted cut grid."""
-    return [sub_instance(inst, lo, hi) for lo, hi in cut_points(inst.horizon, mu_inv, j).windows()]
+def _all_windows(inst, mu_inv):
+    """The whole horizon (None), then the windows of every shifted cut grid."""
+    grids = [cut_points(inst.horizon, mu_inv, j) for j in range(1, mu_inv + 1)]
+    return [None] + [window for cuts in grids for window in cuts.windows()]
 
 
 def test_cut_windows_cover_the_horizon():
@@ -128,10 +131,10 @@ def test_combine_single_window_identity():
     inst = gen_random(GenParams(items=3, horizon=4, cost_range=(0, 2)), 1)
     rng = random.Random(0)
     part = random_feasible_solution(rng, inst)
-    view = sub_instance(inst, 1, 4)
-    combined, value = combine_cut_solutions(inst, [(part, evaluate_sub_objective(view, part.sets))])
+    window_value = evaluate_window(inst, 1, 4, part.sets)
+    combined, value = combine_cut_solutions(inst, [(part, window_value)])
     assert combined.sets == part.sets
-    assert value == evaluate_objective(inst, combined.sets) == evaluate_sub_objective(view, part.sets)
+    assert value == evaluate_objective(inst, combined.sets) == window_value
 
 
 def test_combine_seam_bonus_exact_accounting():
@@ -148,8 +151,8 @@ def test_combine_seam_bonus_exact_accounting():
         [{"i"}] * 2, [[{"b": {"i"}}], [{"b": {"i"}}]]
     )
     left = right = full
-    left_value = evaluate_sub_objective(sub_instance(inst, 1, 2), left.sets)
-    right_value = evaluate_sub_objective(sub_instance(inst, 3, 4), right.sets)
+    left_value = evaluate_window(inst, 1, 2, left.sets)
+    right_value = evaluate_window(inst, 3, 4, right.sets)
     combined, value = combine_cut_solutions(inst, [(left, left_value), (right, right_value)])
     # the seam saves c-_{i,2} + c+_{i,3} and earns g+_{i,3}
     assert value == evaluate_objective(inst, combined.sets) == left_value + right_value + 1 + 1 + 2
@@ -166,9 +169,9 @@ def test_combine_inequality_random():
         )
         interior = sorted(rng.sample(range(2, horizon + 1), rng.randint(0, min(3, horizon - 1))))
         cuts = CutPointSet(tuple(sorted({1, horizon + 1, *interior})))
-        views = [sub_instance(inst, lo, hi) for lo, hi in cuts.windows()]
-        parts = [random_feasible_solution(rng, view.materialize()) for view in views]
-        values = [evaluate_sub_objective(view, part.sets) for view, part in zip(views, parts)]
+        windows = cuts.windows()
+        parts = [random_feasible_solution(rng, window_instance(inst, lo, hi)) for lo, hi in windows]
+        values = [evaluate_window(inst, lo, hi, part.sets) for (lo, hi), part in zip(windows, parts)]
         combined, value = combine_cut_solutions(inst, list(zip(parts, values)))
         assert value == evaluate_objective(inst, combined.sets) >= sum(values)
 
@@ -176,8 +179,8 @@ def test_combine_inequality_random():
 def test_combine_rejects_bad_shapes_and_infeasible_parts():
     inst = gen_random(GenParams(items=2, horizon=4), 0)
     rng = random.Random(1)
-    part = random_feasible_solution(rng, sub_instance(inst, 1, 2).materialize())
-    value = evaluate_sub_objective(sub_instance(inst, 1, 2), part.sets)
+    part = random_feasible_solution(rng, window_instance(inst, 1, 2))
+    value = evaluate_window(inst, 1, 2, part.sets)
     with pytest.raises(InputError):
         combine_cut_solutions(inst, [(part, value)])
     # a part its window solver got wrong breaks the contract: a set whose
@@ -191,8 +194,8 @@ def test_combine_rejects_bad_shapes_and_infeasible_parts():
     )
     with pytest.raises(ContractViolationError, match="infeasible"):
         combine_cut_solutions(inst, [(bad, 0), (part, value)])
-    tail = random_feasible_solution(rng, sub_instance(inst, 3, 4).materialize())
-    tail_value = evaluate_sub_objective(sub_instance(inst, 3, 4), tail.sets)
+    tail = random_feasible_solution(rng, window_instance(inst, 3, 4))
+    tail_value = evaluate_window(inst, 3, 4, tail.sets)
     combined, total = combine_cut_solutions(inst, [(part, value), (tail, tail_value)])
     with pytest.raises(ContractViolationError, match="below the sum"):
         combine_cut_solutions(inst, [(part, value), (tail, total - value + 1)])
@@ -227,11 +230,10 @@ def test_bounded_horizon_on_view_equals_window_optimum():
         inst = gen_random(GenParams(items=3, horizon=5, cost_range=(0, 2)), seed)
         t1 = rng.randint(1, 5)
         t2 = rng.randint(t1, 5)
-        view = sub_instance(inst, t1, t2)
         sol, value = solve_bounded_horizon(StageRows(inst), t1, t2, "exact")
-        local = view.materialize()
+        local = window_instance(inst, t1, t2)
         opt = evaluate_objective(local, brute_force_gmk(local).sets)
-        assert evaluate_sub_objective(view, sol.sets) == value == opt
+        assert evaluate_window(inst, t1, t2, sol.sets) == value == opt
         assert check_feasible(local, sol).ok
 
 
@@ -373,7 +375,7 @@ def _search_masks(inst):
 def test_stage_dp_masks_equal_exact_search_masks(shape):
     for seed in range(12):
         inst = gen_random(DP_SHAPES[shape], seed)
-        window = sub_instance(inst, 2, inst.horizon - 1).materialize()
+        window = window_instance(inst, 2, inst.horizon - 1)
         for target in (inst, window):
             assert stage_dp_masks(target) == _search_masks(target), seed
 
@@ -484,7 +486,7 @@ def test_exact_scheme_matches_oracle_beyond_one_bin(shape):
         for it in result.iterations:
             windows = CutPointSet(it.cut_points).windows()
             for (lo, hi), value in zip(windows, it.window_values):
-                local = sub_instance(inst, lo, hi).materialize()
+                local = window_instance(inst, lo, hi)
                 assert value == evaluate_objective(local, brute_force_gmk(local).sets)
 
 
@@ -514,9 +516,9 @@ def test_exact_scheme_at_the_paper_parameters_keeps_the_ptas_bound():
         assert all(it.combined_value <= opt for it in result.iterations), seed
 
 
-def _reduce_pack_lift(target):
-    """The DP's masks packed, verified and lifted through the reduction."""
-    inst = target.materialize() if isinstance(target, SubInstanceView) else target
+def _reduce_pack_lift(inst, window=None):
+    """The DP's masks on a window of ``inst``, packed, verified and lifted through the reduction."""
+    inst = _local(inst, window)
     reduced = reduce_instance(inst)
     chosen = list(map(ReducedElement, inst.items, stage_dp_masks(inst)))
     return lift_solution(inst, finish_selection(reduced, chosen), reduced)
@@ -554,18 +556,15 @@ def test_dp_route_emits_the_bytes_of_reduce_pack_lift(shape, exact_routes):
     budget = 10**15
     for seed in range(8):
         inst = gen_random(params, seed)
-        targets = [inst] + [
-            view for j in range(1, mu_inv + 1) for view in _shift_windows(inst, mu_inv, j)
-        ]
-        for target in targets:
-            got = _solve(target, enum_budget=budget)
-            assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(target)), seed
+        for window in _all_windows(inst, mu_inv):
+            got = _solve(inst, window=window, enum_budget=budget)
+            assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(inst, window)), seed
     assert set(exact_routes) == {"_dp_masks"}
 
 
-def _reduce_greedy_lift(target, budget):
-    """Reference for the greedy route: reduce, ``solve_mkcp_greedy``, lift."""
-    inst = target.materialize() if isinstance(target, SubInstanceView) else target
+def _reduce_greedy_lift(inst, window, budget):
+    """Reference for the greedy route on a window of ``inst``: reduce, ``solve_mkcp_greedy``, lift."""
+    inst = _local(inst, window)
     reduced = reduce_instance(inst)
     return lift_solution(inst, solve_mkcp_greedy(reduced, pack_budget=budget), reduced)
 
@@ -576,13 +575,10 @@ def test_greedy_route_emits_the_bytes_of_reduce_greedy_lift(shape):
     mu_inv = (params.horizon - 1) // 2
     for seed in range(6):
         inst = gen_random(params, seed)
-        targets = [inst] + [
-            view for j in range(1, mu_inv + 1) for view in _shift_windows(inst, mu_inv, j)
-        ]
         for budget in (1, 2, 5, None):
-            for target in targets:
-                got = _solve(target, "greedy", pack_budget=budget)
-                want = _reduce_greedy_lift(target, budget)
+            for window in _all_windows(inst, mu_inv):
+                got = _solve(inst, "greedy", window, pack_budget=budget)
+                want = _reduce_greedy_lift(inst, window, budget)
                 assert _solution_bytes(got) == _solution_bytes(want), (seed, budget)
 
 
@@ -641,9 +637,9 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
     # each shift's windows are combined, checked and valued once
     checks = []
     names = (
-        (core, "validate_instance"), (SubInstanceView, "materialize"),
+        (core, "validate_instance"), (core, "window_instance"),
         (oracle, "check_feasible"), (reduction, "check_feasible"),
-        (cutting, "evaluate_sub_objective"), (cutting, "evaluate_objective"),
+        (cutting, "evaluate_window"), (cutting, "evaluate_objective"),
         (cutting, "solve_bounded_horizon"), (cutting, "combine_cut_solutions"),
     )
     for module, name in names:
@@ -662,9 +658,9 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         windows = sum(len(it.window_values) for it in result.iterations)
         assert {name: checks.count(name) for _, name in names} == {
             "validate_instance": 1,
-            "materialize": 0,
+            "window_instance": 0,
             "check_feasible": 4,
-            "evaluate_sub_objective": windows,
+            "evaluate_window": windows,
             "evaluate_objective": 4,
             "solve_bounded_horizon": windows,
             "combine_cut_solutions": 4,
@@ -683,9 +679,9 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         assert solve_general_result(inst, bypass, solver, enum_budget=10**15).bypassed
         assert {name: checks.count(name) for _, name in names} == {
             "validate_instance": 1,
-            "materialize": 0,
+            "window_instance": 0,
             "check_feasible": 1,
-            "evaluate_sub_objective": 1,
+            "evaluate_window": 1,
             "evaluate_objective": 1,
             "solve_bounded_horizon": 1,
             "combine_cut_solutions": 1,
