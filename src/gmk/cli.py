@@ -8,6 +8,7 @@ Errors are printed as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -324,9 +325,19 @@ def _apply_env_defaults(args) -> None:
         setattr(args, name, value)
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built by the first.
+
+    Parsing leaves a parser unchanged, and no default comes from the
+    environment: the ``GMK_*`` limits are read after parsing, on each call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when None) and return its exit code."""
+    args = _shared_parser().parse_args(argv)
     try:
         _apply_env_defaults(args)
         return args.handler(args)

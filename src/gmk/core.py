@@ -108,6 +108,12 @@ class GmkInstance:
         return sum(profit[i] for i in subset)
 
 
+def _collection(raw):
+    if isinstance(raw, (str, Mapping)):
+        raise TypeError(f"expected a collection of names, got {type(raw).__name__}")
+    return raw
+
+
 @dataclass(frozen=True)
 class MultistageSolution:
     """Per-stage item sets plus per-stage, per-constraint bin assignments.
@@ -121,10 +127,15 @@ class MultistageSolution:
 
     @classmethod
     def from_raw(cls, sets, assignments) -> "MultistageSolution":
+        """Build a solution from nested collections, such as parsed JSON.
+
+        A string or a mapping where a collection of names is due raises
+        ``TypeError`` instead of being read as its characters or keys.
+        """
         return cls(
-            sets=tuple(frozenset(s) for s in sets),
+            sets=tuple(frozenset(_collection(s)) for s in _collection(sets)),
             assignments=tuple(
-                tuple({b: frozenset(v) for b, v in a.items()} for a in per_stage)
+                tuple({b: frozenset(_collection(v)) for b, v in a.items()} for a in per_stage)
                 for per_stage in assignments
             ),
         )

@@ -29,7 +29,7 @@ from .core import (
     profit_cost_ratio,
 )
 from .errors import ContractViolationError, InputError
-from .serialize import _scaled_int, canonical_dumps
+from .serialize import _name_list, _scaled_int, canonical_dumps
 from .submodular import CoverageFunction
 
 
@@ -59,7 +59,7 @@ def kp_to_dict(kp: MultidimKnapsackInstance) -> dict:
 def kp_from_dict(raw) -> MultidimKnapsackInstance:
     """Parse a knapsack file; every number is a nonnegative integer, as in instance files."""
     try:
-        items = tuple(str(i) for i in raw["items"])
+        items = _name_list(raw["items"], "knapsack items")
         capacities = tuple(_scaled_int(c, 1, "capacity") for c in raw["capacities"])
         profits = {str(i): _scaled_int(p, 1, f"profit of {i}") for i, p in raw["profits"].items()}
         weights = {

@@ -78,6 +78,13 @@ def _scaled_int(raw: Any, denominator: int, where: str) -> int:
     return number
 
 
+def _name_list(raw: Any, where: str) -> tuple[str, ...]:
+    # a string or an object would otherwise read as its characters or keys
+    if not isinstance(raw, list):
+        raise InputError(f"{where}: expected a list of names, got {type(raw).__name__}")
+    return tuple(str(name) for name in raw)
+
+
 def _table_from_json(raw: Any, denominator: int, where: str) -> dict[tuple[str, int], int]:
     if not isinstance(raw, Mapping):
         raise InputError(f"{where}: expected an object keyed by item")
@@ -126,10 +133,11 @@ def oracle_from_dict(raw: Any, denominator: int, where: str) -> SetFunctionOracl
         }
         covers = {}
         for item, cover in raw.get("covers", {}).items():
+            cover = _name_list(cover, f"{where}.covers[{item}]")
             unknown = set(cover) - set(universe)
             if unknown:
                 raise InputError(f"{where}.covers[{item}]: unknown universe elements {sorted(unknown)}")
-            covers[str(item)] = frozenset(str(u) for u in cover)
+            covers[str(item)] = frozenset(cover)
         return CoverageFunction(universe=universe, covers=covers)
     if kind == "modular":
         return ModularFunction(
@@ -197,7 +205,7 @@ def instance_from_dict(raw: Any) -> GmkInstance:
         variant = raw["variant"]
         if variant not in (MODULAR, SUBMODULAR):
             raise InputError(f"unknown variant {variant!r}")
-        items = tuple(str(i) for i in raw["items"])
+        items = _name_list(raw["items"], "items")
         horizon = raw["horizon"]
         if type(horizon) is not int or horizon < 1:
             raise InputError(f"horizon must be a positive integer, got {horizon!r}")
@@ -213,7 +221,7 @@ def instance_from_dict(raw: Any) -> GmkInstance:
                     str(i): _scaled_int(w, denominator, f"{where} weight of {i}")
                     for i, w in mkc_raw.get("weights", {}).items()
                 }
-                bins = tuple(str(b) for b in mkc_raw.get("bins", []))
+                bins = _name_list(mkc_raw.get("bins", []), f"{where} bins")
                 capacities = {
                     str(b): _scaled_int(c, denominator, f"{where} capacity of {b}")
                     for b, c in mkc_raw.get("capacities", {}).items()
@@ -309,7 +317,7 @@ def reduced_to_dict(reduced: ReducedInstance) -> dict:
 
 
 def _reduced_constraint(rc: Any, where: str) -> ReducedConstraint:
-    bins = tuple(str(b) for b in rc["bins"])
+    bins = _name_list(rc["bins"], f"{where} bins")
     caps = {
         str(b): _scaled_int(c, 1, f"{where} capacity of {b}") for b, c in rc["capacities"].items()
     }
@@ -341,7 +349,7 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
         raise InputError(f"the {variant} variant needs {payload!r} and no {other!r}")
     label = "value" if variant == MODULAR else "gain value"
     try:
-        items = tuple(str(i) for i in raw["items"])
+        items = _name_list(raw["items"], "items")
         horizon = _scaled_int(raw["horizon"], 1, "horizon")
         dimension = _scaled_int(raw["dimension"], 1, "dimension")
         elements = tuple(_element_from_id(e["id"]) for e in raw["elements"])
@@ -452,6 +460,8 @@ def load_json(path) -> Any:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}")
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise InputError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise InputError(f"{path} nests too deeply to parse as JSON")
 
 
 def write_json(path, payload: Any) -> None:

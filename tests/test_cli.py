@@ -6,12 +6,14 @@ import hashlib
 import json
 import os
 import pathlib
+import shlex
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from gmk import core, cutting, mkcp
+from gmk import cli, core, cutting, mkcp
 from gmk.cli import main
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import DEFAULT_PACK_BUDGET
@@ -740,3 +742,206 @@ def test_exact_scheme_golden_digests(tmp_path, shape):
         del payload["timings_sec"]
         got.append(hashlib.sha256(sol.read_bytes() + canonical_dumps(payload).encode()).hexdigest())
     assert got == digests
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "DEEP"),
+        ("solve", "--in", "DEEP", *SCHEME),
+        ("gen", "--from-kp", "DEEP"),
+        ("solve-mkcp", "--in", "DEEP"),
+    ],
+    ids=["validate", "solve", "gen_from_kp", "solve_mkcp"],
+)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, argv):
+    # the decoder recurses once per bracket, far past the interpreter's limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    capsys.readouterr()
+    assert run(*(deep if a == "DEEP" else a for a in argv)) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "InputError" and "nests too deeply" in error["message"]
+
+
+# Every name is one letter, so each string below reads, split into its
+# characters, as the list it replaces, and an object as the list of its keys.
+STRING_FOR_LIST = {
+    "knapsack_items": ("kp", lambda f: f.update(items="xyz")),
+    "instance_items": ("inst", lambda f: f.update(items="ab")),
+    "instance_items_object": ("inst", lambda f: f.update(items={"a": 1, "b": 2})),
+    "instance_bins": ("inst", lambda f: f["stages"][1]["mkcs"][0].update(bins="x")),
+    "coverage_cover": ("sub", lambda f: f["stages"][0]["profit"]["covers"].update(b="uv")),
+    "reduced_items": ("reduced", lambda f: f.update(items="ab")),
+    "reduced_bins": ("reduced", lambda f: f["constraints"][-1].update(bins="x")),
+    "solution_sets": ("sol", lambda f: f["sets"].__setitem__(1, "ab")),
+    "solution_bin": ("sol", lambda f: f["assignments"][1][0].update(x="ab")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRING_FOR_LIST))
+def test_string_where_a_list_of_names_is_due_exits_2(tmp_path, capsys, case):
+    paths = {key: tmp_path / f"{key}.json" for key in ("kp", "inst", "sub", "reduced", "sol")}
+    write_json(paths["inst"], instance_to_dict(binless_first_stage()))
+    assert run("solve", "--in", paths["inst"], *SCHEME, "--out", paths["sol"]) == 0
+    assert run("reduce", "--in", paths["inst"], "--out", paths["reduced"]) == 0
+    write_json(paths["kp"], load_json(DOCS / "kp_2d.json"))
+    sub = load_json(DOCS / "submodular_micro.json")
+    profit = sub["stages"][0]["profit"]
+    profit.update(universe={"u": 3, "v": 2}, covers={"a": ["u"], "b": ["u", "v"]})
+    write_json(paths["sub"], sub)
+    argv = {
+        "kp": ("gen", "--from-kp", paths["kp"]),
+        "inst": ("validate", paths["inst"]),
+        "sub": ("validate", paths["sub"]),
+        "reduced": ("solve-mkcp", "--in", paths["reduced"]),
+        "sol": ("validate", paths["inst"], "--solution", paths["sol"]),
+    }
+    target, corrupt = STRING_FOR_LIST[case]
+    assert run(*argv[target]) == 0
+    raw = load_json(paths[target])
+    corrupt(raw)
+    write_json(paths[target], raw)
+    capsys.readouterr()
+    assert run(*argv[target]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
+
+
+SUBCOMMANDS = ("validate", "gen", "reduce", "solve-mkcp", "oracle", "solve", "compare")
+# every help text, then two usage errors: a missing required flag and an unknown command
+SURFACE_ARGVS = [
+    ["--help"], *([name, "--help"] for name in SUBCOMMANDS), ["solve", "--in", "x"], ["nosuch"]
+]
+
+
+def _surface(parse, capsys):
+    outcomes = []
+    for argv in SURFACE_ARGVS:
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        outcomes.append((exc.value.code, out.out, out.err))
+    return outcomes
+
+
+def test_shared_parser_prints_what_a_fresh_parser_prints(capsys):
+    fresh = _surface(lambda argv: cli.build_parser().parse_args(argv), capsys)
+    assert [code for code, _, _ in fresh] == [0] * (1 + len(SUBCOMMANDS)) + [2, 2]
+    assert all(name in fresh[0][1] for name in SUBCOMMANDS)
+    assert "required: --eps, --phi" in fresh[-2][2] and "nosuch" in fresh[-1][2]
+    cli._shared_parser.cache_clear()
+    assert run("validate", MICRO) == 0  # builds the shared parser; nothing exits yet
+    capsys.readouterr()
+    # the first argv runs before any exit of the shared parser, the rest after one
+    assert _surface(main, capsys) == fresh
+    assert _surface(main, capsys) == fresh
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._shared_parser.cache_clear()
+    assert run("solve", "--in", MICRO, *SCHEME, "--out", tmp_path / "s.json") == 0
+    assert run("compare", "--in", MICRO, *SCHEME, "--report", tmp_path / "c.json") == 0
+    assert run("validate", tmp_path / "missing.json") == 2  # a GmkError
+    for argv, code in ((["solve", "--in", str(MICRO)], 2), (["--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    assert run("oracle", "--in", MICRO, "--out", tmp_path / "o.json") == 0
+    assert builds == [1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import gmk.cli\n"
+        "print(len(built))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "0\n"
+
+
+def test_budget_from_the_environment_is_read_on_every_call(tmp_path, monkeypatch):
+    inst = tmp_path / "inst.json"
+    assert run("gen", "--random", "--seed", 0, "--items", 3, "--horizon", 3, "--target-phi", 1,
+               "--out", inst) == 0
+    commands = (
+        ("oracle", "--in", inst, "--out", tmp_path / "o.json"),
+        ("solve", "--in", inst, *SCHEME, "--out", tmp_path / "s.json"),
+    )
+    outcomes = []
+    for budget in (None, "10", "100000000", "-1", "ten", "10", None):
+        if budget is None:
+            monkeypatch.delenv("GMK_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("GMK_BUDGET", budget)
+        outcomes.append([run(*argv) for argv in commands])
+    assert outcomes == [[0, 0], [3, 3], [0, 0], [2, 2], [2, 2], [3, 3], [0, 0]]
+
+
+def _readme_walkthrough():
+    """The commands of README's command-line walkthrough, without the leading ``gmk``."""
+    readme = (DOCS.parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", "").splitlines()]
+    assert all(argv[0] == "gmk" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+def _walkthrough_files(directory):
+    files = {}
+    for path in sorted(directory.glob("*.json")):
+        payload = load_json(path)
+        payload.pop("timings_sec", None)
+        files[path.name] = canonical_dumps(payload)
+    return files
+
+
+def test_readme_walkthrough_repeats_in_one_process_and_matches_a_fresh_one(
+    tmp_path, capsys, monkeypatch
+):
+    walkthrough = _readme_walkthrough()
+    assert len(walkthrough) == 15
+    for name in ("GMK_BUDGET", "GMK_PACK_BUDGET", "GMK_HORIZON_CAP"):
+        monkeypatch.delenv(name, raising=False)
+
+    src = DOCS.parent.parent / "src"
+
+    def in_process(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def fresh_process(argv):
+        done = subprocess.run([sys.executable, "-m", "gmk.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        return done.returncode, done.stdout, done.stderr
+
+    runs = []
+    for name, call in (("first", in_process), ("second", in_process), ("fresh", fresh_process)):
+        directory = tmp_path / name
+        shutil.copytree(DOCS, directory / "docs" / "examples")
+        monkeypatch.chdir(directory)
+        capsys.readouterr()
+        outcomes = [call(argv) for argv in walkthrough]
+        runs.append((outcomes, _walkthrough_files(directory)))
+    first = runs[0]
+    assert all(code == 0 for code, _, _ in first[0])
+    assert "report.json" in first[1] and "cmp3.json" in first[1]
+    assert runs[1] == first and runs[2] == first
