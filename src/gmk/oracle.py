@@ -1,39 +1,46 @@
 """Ground-truth solver: exhaustive dynamic program over per-stage item sets.
 
-The objective couples only consecutive stages, so enumerating every subset
-per stage and every transition between consecutive subsets is exhaustive
-and exact. A work budget of roughly ``T * 4**|items|`` transitions keeps
-this a desk-scale oracle.
+The objective couples only consecutive stages, so a DP whose row holds
+every subset of the items at a stage, and that takes each subset's best
+predecessor, is exhaustive and exact. Every coupling term belongs to one
+item and depends only on whether that item is in the previous and the
+current set, so the max over predecessors factors by item: one pass per
+item over the ``2**|items|`` row swaps that item's previous-stage bit for
+its current-stage bit and adds its term. A stage costs about
+``|items| * 2**|items|`` additions, and the budget bounds the whole DP's
+``T * |items| * 2**|items|``. The forward pass keeps each stage's row of
+best values and no predecessor table; walking back, each stage rebuilds
+the one column of the full ``cur x prev`` table that belongs to the chosen
+set and takes its first maximum. Modular profit rows come by doubling over
+the items.
 
-Two exact shortcuts keep the inner work small. Every coupling term belongs
-to one item and depends only on whether that item is in the previous and
-the current set, so the transition values of a stage separate by item: the
-full ``cur x prev`` table is built by doubling over the items, one bit at a
-time, in about ``1.33 * 4**|items|`` additions. Packability is built in
-bulk: each constraint's subset weight sums and heaviest weights come by
-doubling over the items, and ``mkcp.Capacities.fit`` screens them (one bin
-packs a sum within its capacity; more bins refuse a sum above their total
-or an item above the largest bin, and take a sum that fits the largest
-bin), while a constraint with no bin packs only the empty set. Packability
-is monotone, as weights are nonnegative and dropping an item from a
-feasible assignment keeps it feasible: a subset the screens leave open is
-packable when some subset with one more item is, and the exact packer
-decides only the subsets left after that.
-The DP runs on plain Python ints, so it is exact at any magnitude, and it
-keeps its own encoding of the objective's terms, independent of the
-reduction's, because it is the reference the exact solvers are tested
-against. ``packable_row``, the one packability kernel of the package's
-stage DPs, ``pack_stage`` and ``checked_solution`` are shared with
-``cutting``, so an error in them would show in its stage DP and in this
-reference alike; the test that the DP picks the masks of the reduced
-branch and bound, which encodes the objective independently, catches it
-there.
-``transition_columns`` belongs to this reference alone.
+Packability is built in bulk: each constraint's subset weight sums and
+heaviest weights come by doubling over the items, and
+``mkcp.Capacities.fit`` screens them (one bin packs a sum within its
+capacity; more bins refuse a sum above their total or an item above the
+largest bin, and take a sum that fits the largest bin), while a constraint
+with no bin packs only the empty set. Packability is monotone, as weights
+are nonnegative and dropping an item from a feasible assignment keeps it
+feasible: a subset the screens leave open is packable when some subset
+with one more item is, and the exact packer decides only the subsets left
+after that.
+
+The DP runs on plain Python ints, so it is exact at any magnitude. It
+keeps its own encoding of the objective's terms, per item
+``((g-, -c-[t-1]), (-c+[t], g+))`` read straight from the instance tables,
+independent of ``core.coupling_terms`` (which the reduction and
+``cutting``'s stage DP read), because it is the reference the exact
+solvers are tested against. ``packable_row``, the one packability kernel
+of the package's stage DPs, ``pack_stage`` and ``checked_solution`` are
+shared with ``cutting``, so an error in them would show in its stage DP
+and in this reference alike; the test that the DP picks the masks of the
+reduced branch and bound, which encodes the objective independently,
+catches it there.
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .core import (
@@ -85,64 +92,60 @@ def packable_row(inst: GmkInstance, t: int) -> list[bool]:
     return row
 
 
-def transition_columns(inst: GmkInstance, t: int) -> list[list[int]]:
-    """cols[cur][prev]: coupling terms at the boundary between stages t-1 and t.
+def check_oracle_budget(inst: GmkInstance, work_budget: int | None = None) -> None:
+    """Refuse the oracle's DP when its ``T * |I| * 2**|I|`` additions pass the budget.
 
-    Item k adds bit k to both masks with the terms of its four cases: g- when
-    out of both sets, g+ when in both, and in the modular variant minus the
-    entry cost c+[i, t] or the exit cost c-[i, t-1] when it enters or leaves.
+    None means ``DEFAULT_ORACLE_BUDGET``. Raises ``BudgetExceededError``.
     """
-    modular = inst.variant == MODULAR
-    cols = [[0]]
-    for i in inst.items:
-        entry = inst.cost_plus[i, t] if modular else 0
-        leave = inst.cost_minus[i, t - 1] if modular else 0
-        # term[in_cur] = (value with i out of prev, value with i in prev)
-        term = ((inst.gain_minus[i, t], -leave), (-entry, inst.gain_plus[i, t]))
-        cols = [[v + a for v in col] + [v + b for v in col] for a, b in term for col in cols]
-    return cols
+    budget = DEFAULT_ORACLE_BUDGET if work_budget is None else work_budget
+    n = len(inst.items)
+    work = inst.horizon * n * 2**n
+    if work > budget:
+        raise BudgetExceededError(
+            f"oracle refused: DP work {work} (T * |I| * 2**|I|) exceeds budget {budget}"
+        )
 
 
 def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> MultistageSolution:
     """Exact optimum with a witness solution.
 
-    Stage by stage, each packable subset keeps its best predecessor; the
-    transition values come from separable per-item columns and the
-    packability table from the monotone closure described in the module
-    docstring. Deterministic: among optimal set sequences the one found by
-    ascending subset masks stage by stage is returned (the first maximum
-    over predecessors, then over final subsets), with packer-produced
-    assignments.
+    Stage by stage, each packable subset keeps its best value over all
+    predecessors, by the per-item passes and the packability closure
+    described in the module docstring. Deterministic: among optimal set
+    sequences the one found by ascending subset masks stage by stage is
+    returned (the first maximum over predecessors, then over final
+    subsets), with packer-produced assignments.
     """
-    budget = DEFAULT_ORACLE_BUDGET if work_budget is None else work_budget
-    n = len(inst.items)
-    horizon = inst.horizon
-    work = horizon * (1 << n) * (1 << n)
-    if work > budget:
-        raise BudgetExceededError(
-            f"oracle refused: {work} transitions exceed the budget {budget}"
-        )
+    check_oracle_budget(inst, work_budget)
+    items, horizon = inst.items, inst.horizon
+    size = 1 << len(items)
+    subsets = [frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(size)]
+    modular = inst.variant == MODULAR
 
-    size = 1 << n
-    items = inst.items
-    members = [tuple(i for k, i in enumerate(items) if (m >> k) & 1) for m in range(size)]
-    subsets = [frozenset(t) for t in members]
+    def item_row(values) -> list[int]:
+        row = [0]
+        for v in values:
+            row += [x + v for x in row]
+        return row
 
     packable = [packable_row(inst, t) for t in range(1, horizon + 1)]
     profits = [
-        [inst.stage_profit(t, subsets[m]) for m in range(size)] for t in range(1, horizon + 1)
+        item_row(inst.stage(t).profit[i] for i in items)
+        if modular
+        else [inst.stage(t).profit.evaluate(s) for s in subsets]
+        for t in range(1, horizon + 1)
     ]
-    modular = inst.variant == MODULAR
-
-    def entry_cost(m: int) -> int:
-        if not modular:
-            return 0
-        return sum(inst.cost_plus[i, 1] for i in members[m])
-
-    def exit_cost(m: int) -> int:
-        if not modular:
-            return 0
-        return sum(inst.cost_minus[i, horizon] for i in members[m])
+    entry = item_row(inst.cost_plus[i, 1] if modular else 0 for i in items)
+    leave = item_row(inst.cost_minus[i, horizon] if modular else 0 for i in items)
+    # links[t - 2][k][in_cur][in_prev]: item k's term at the boundary before stage t
+    gp, gm, cp, cm = inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus
+    links = [
+        [
+            ((gm[i, t], -cm[i, t - 1] if modular else 0), (-cp[i, t] if modular else 0, gp[i, t]))
+            for i in items
+        ]
+        for t in range(2, horizon + 1)
+    ]
 
     # No reachable value nor transition term exceeds ``span`` in absolute
     # value, so an unreachable predecessor (``floor`` plus a term) loses to
@@ -153,37 +156,35 @@ def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> Mul
         for v in table.values()
     )
     floor = -3 * span - 1
-    best = [profits[0][m] - entry_cost(m) if packable[0][m] else floor for m in range(size)]
-    parents: list[list[int]] = []
-    for t in range(2, horizon + 1):
-        cols = transition_columns(inst, t)
-        nxt = [floor] * size
-        parent = [0] * size
-        for cur in range(size):
-            if not packable[t - 1][cur]:
-                continue
-            cand = list(map(add, best, cols[cur]))
-            top = max(cand)
-            nxt[cur] = top + profits[t - 1][cur]
-            parent[cur] = cand.index(top)
-        parents.append(parent)
-        best = nxt
+    best = [p - c if ok else floor for p, c, ok in zip(profits[0], entry, packable[0])]
+    history = [best]
+    half = size >> 1
+    for link, profit, ok in zip(links, profits[1:], packable[1:]):
+        # One pass per item, last item first: a pass swaps the top bit's
+        # previous-stage value for its current one and rotates the mask
+        # left, so after all passes the mask holds the current set.
+        acc = best[:]
+        for (out0, out1), (in0, in1) in reversed(link):
+            left, right = acc[:half], acc[half:]
+            acc[0::2] = map(max, [v + out0 for v in left], [v + out1 for v in right])
+            acc[1::2] = map(max, [v + in0 for v in left], [v + in1 for v in right])
+        best = [v + p if y else floor for v, p, y in zip(acc, profit, ok)]
+        history.append(best)
 
-    final_best = floor
-    final_mask = 0
-    for m in range(size):
-        if best[m] == floor:
-            continue
-        candidate = best[m] - exit_cost(m)
-        if candidate > final_best:
-            final_best = candidate
-            final_mask = m
-    if final_best == floor:
+    final = list(map(sub, best, leave))
+    masks = [final.index(max(final))]
+    if best[masks[0]] == floor:
         raise ContractViolationError("no packable subset sequence exists (empty set must pack)")
-
-    masks = [final_mask]
-    for parent in reversed(parents):
-        masks.append(parent[masks[-1]])
+    # Walking back, the chosen set's transition column is rebuilt over every
+    # predecessor and its first maximum taken, the predecessor a full
+    # ``cur x prev`` table would keep.
+    for link, prev in zip(reversed(links), reversed(history[:-1])):
+        col = [0]
+        for k, term in enumerate(link):
+            out_prev, in_prev = term[masks[-1] >> k & 1]
+            col = [v + out_prev for v in col] + [v + in_prev for v in col]
+        cand = list(map(add, prev, col))
+        masks.append(cand.index(max(cand)))
     masks.reverse()
 
     return pack_stage_sets(inst, tuple(subsets[m] for m in masks))

@@ -341,6 +341,48 @@ def test_oracle_budget_exit_3(tmp_path):
     assert run("oracle", "--in", inst, "--budget", 10, "--out", tmp_path / "s.json") == 3
 
 
+def test_oracle_budget_boundary_is_the_dp_work(tmp_path, capsys):
+    # T * |I| * 2**|I| = 3 * 3 * 8: that budget runs both commands, one less refuses both
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert run("gen", "--random", "--seed", 0, "--items", 3, "--horizon", 3, "--target-phi", 1,
+               "--out", inst) == 0
+    oracle = ("oracle", "--in", inst, "--out", out)
+    compare = ("compare", "--in", inst, *SCHEME, "--report", out)
+    for argv in (oracle, compare):
+        assert run(*argv, "--budget", 72) == 0
+        capsys.readouterr()
+        assert run(*argv, "--budget", 71) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"].startswith("oracle refused: DP work 72 ")
+
+
+def test_compare_refuses_before_it_solves(tmp_path, monkeypatch):
+    inst = tmp_path / "inst.json"
+    assert run("gen", "--random", "--seed", 1, "--items", 9, "--horizon", 60, "--d", 2,
+               "--bins", 2, "--target-phi", 1, "--out", inst) == 0
+    solves = []
+    real = cli.solve_general_result
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_general_result", counted)
+    argv = ("compare", "--in", inst, *SCHEME, "--sub-solver", "greedy",
+            "--report", tmp_path / "c.json")
+    assert run(*argv, "--budget", 60 * 9 * 2**9 - 1) == 3
+    assert solves == []
+
+
+def test_oracle_readme_reach_at_the_default_budget(tmp_path, monkeypatch):
+    monkeypatch.delenv("GMK_BUDGET", raising=False)
+    inst, out = tmp_path / "big.json", tmp_path / "big_opt.json"
+    assert run("gen", "--random", "--seed", 1, "--items", 10, "--horizon", 60, "--d", 2,
+               "--bins", 2, "--target-phi", 1, "--out", inst) == 0
+    assert run("oracle", "--in", inst, "--out", out) == 0
+    assert load_json(out)["value"] == 1625
+
+
 def test_solve_report_invariants(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert (
@@ -444,17 +486,16 @@ def test_compare_readme_long_horizon_example(tmp_path):
     assert payload["final_value"] == payload["oracle_value"] == 610
 
 
-def test_exact_commands_run_past_the_transition_bound(tmp_path):
-    # the stage DP's T * |I| * 2**|I| additions fit where T * 4**|I| transitions did not
+def test_exact_commands_run_past_the_transition_bound(tmp_path, monkeypatch):
+    # the DPs' T * |I| * 2**|I| additions fit the default budget where
+    # T * 4**|I| transitions did not, the oracle's in compare included
+    monkeypatch.delenv("GMK_BUDGET", raising=False)
     inst, report = tmp_path / "inst.json", tmp_path / "cmp.json"
     assert run(
         "gen", "--random", "--seed", 2, "--items", 8, "--horizon", 60, "--d", 2, "--bins", 2,
         "--target-phi", 1, "--out", inst,
     ) == 0
-    assert run(
-        "compare", "--in", inst, "--eps", "0.2", "--phi", 1, "--budget", 4_000_000,
-        "--report", report,
-    ) == 0
+    assert run("compare", "--in", inst, "--eps", "0.2", "--phi", 1, "--report", report) == 0
     payload = load_json(report)
     assert payload["ratio"] == 1.0 and payload["final_value"] == 1413
     assert run(

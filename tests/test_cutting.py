@@ -432,8 +432,8 @@ def test_exact_route_follows_the_worst_case_rule(exact_routes):
 
 
 def test_exact_route_solves_nine_items_by_the_dp_alone(exact_routes):
-    # 4 * 4**9 transitions pass the oracle's default work bound, but the
-    # factored DP's 4 * 9 * 2**9 additions fit the default budget
+    # a full transition table's 4 * 4**9 entries pass the default budget,
+    # but the factored DP's 4 * 9 * 2**9 additions fit it
     inst = gen_random(GenParams(items=9, horizon=4), 0)
     sol = _solve(inst)
     assert exact_routes == ["_dp_masks"]

@@ -9,12 +9,20 @@ import pytest
 
 from gmk import mkcp
 from gmk.core import McpStage, Mkc, check_feasible, evaluate_objective
+from gmk.cutting import StageRows, solve_bounded_horizon
 from gmk.errors import BudgetExceededError
 from gmk.generators import GenParams, gen_random
-from gmk.oracle import brute_force_gmk, packable_row
-from gmk.serialize import dumps, solution_to_dict
+from gmk.oracle import DEFAULT_ORACLE_BUDGET, brute_force_gmk, packable_row
+from gmk.serialize import canonical_dumps, dumps, solution_to_dict
 
-from util import build_instance, enumerate_optimum, knapsack_dp, packable_sets, single_bin_stage
+from util import (
+    build_instance,
+    enumerate_optimum,
+    full_table_oracle,
+    knapsack_dp,
+    packable_sets,
+    single_bin_stage,
+)
 
 TIE_HEAVY = dict(
     dimension=2, bins_per_mkc=2, weight_range=(0, 2), capacity_range=(0, 3),
@@ -75,6 +83,15 @@ def test_budget_refusal():
         brute_force_gmk(inst, work_budget=10)
 
 
+def test_budget_counts_the_dp_work_at_the_boundary():
+    # the DP's T * |I| * 2**|I| additions, not the T * 4**|I| of a full transition table
+    inst = gen_random(GenParams(items=5, horizon=4), 0)
+    work = 4 * 5 * 2**5
+    assert brute_force_gmk(inst, work_budget=work) == brute_force_gmk(inst)
+    with pytest.raises(BudgetExceededError, match=f"DP work {work} .* exceeds budget {work - 1}"):
+        brute_force_gmk(inst, work_budget=work - 1)
+
+
 def test_respects_stage_packability():
     items = ["i"]
     # item never fits stage 2, so staying packed both stages is impossible
@@ -88,7 +105,7 @@ def test_respects_stage_packability():
     assert evaluate_objective(inst, sol.sets) == 9
 
 
-def test_exact_beyond_float_range():
+def _huge_gain_instance():
     items = ["i"]
     huge = 10**400
     # stage 1 cannot hold the item, so the DP meets an unreachable predecessor
@@ -98,10 +115,14 @@ def test_exact_beyond_float_range():
         single_bin_stage(items, {"i": 1}, 1, {"i": huge}),
     ]
     gain_plus = {("i", 2): huge}
-    inst = build_instance(items, stages, gain_plus=gain_plus, gain_minus={("i", 2): 0})
+    return build_instance(items, stages, gain_plus=gain_plus, gain_minus={("i", 2): 0})
+
+
+def test_exact_beyond_float_range():
+    inst = _huge_gain_instance()
     sol = brute_force_gmk(inst)
     assert sol.sets == (frozenset(), frozenset({"i"}))
-    assert evaluate_objective(inst, sol.sets) == huge
+    assert evaluate_objective(inst, sol.sets) == 10**400
 
 
 def test_witness_deterministic():
@@ -253,3 +274,52 @@ def test_matches_enumeration_on_tie_heavy_instances():
         best_value, _ = enumerate_optimum(inst)
         assert evaluate_objective(inst, sol.sets) == best_value
         assert check_feasible(inst, sol).ok
+
+
+# the benchmark's four corpora, and shapes that stress ties, packability and edges
+FULL_TABLE_CORPORA = {
+    "exact_bypass": (GenParams(
+        items=3, horizon=10, weight_range=(1, 4), capacity_range=(3, 7), profit_range=(1, 5),
+        gain_range=(0, 2), cost_range=(1, 1), target_phi=1,
+    ), 12),
+    "cut_multibin": (GenParams(
+        items=3, horizon=40, dimension=2, bins_per_mkc=2, capacity_range=(3, 8), target_phi=1,
+    ), 6),
+    "greedy_oracle": (GOLDEN_ORACLE["greedy_oracle"][0], 16),
+    "submod_exact": (GenParams(items=3, horizon=4, variant="submodular"), 12),
+    "tie_heavy": (GenParams(items=5, horizon=5, **TIE_HEAVY), 20),
+    "submodular_two_bin_d2": (GenParams(
+        items=6, horizon=4, dimension=2, bins_per_mkc=2, gain_range=(0, 1), variant="submodular",
+    ), 8),
+    "no_items": (GenParams(items=0, horizon=3), 2),
+    "one_stage": (GenParams(items=4, horizon=1, capacity_range=(3, 9), cost_range=(0, 3)), 10),
+}
+
+
+@pytest.mark.parametrize("shape", [*FULL_TABLE_CORPORA, "mixed", "huge"])
+def test_per_item_passes_match_the_full_table_byte_for_byte(shape):
+    # the full cur x prev table keeps the first maximal predecessor; the
+    # passes plus the recomputed backtrack must pick the same witness
+    if shape == "mixed":
+        instances = [_mixed_stages(seed) for seed in range(8)]
+    elif shape == "huge":
+        instances = [_huge_gain_instance()]
+    else:
+        params, seeds = FULL_TABLE_CORPORA[shape]
+        instances = [gen_random(params, seed) for seed in range(seeds)]
+    for k, inst in enumerate(instances):
+        got = canonical_dumps(solution_to_dict(brute_force_gmk(inst)))
+        assert got == canonical_dumps(solution_to_dict(full_table_oracle(inst))), k
+
+
+def test_matches_the_whole_horizon_stage_dp_past_the_full_table_reach():
+    # two exact DPs with independent term encodings; a full table's T * 4**|I|
+    # exceeds the default budget here, the passes' T * |I| * 2**|I| fits it
+    params = GenParams(items=10, horizon=60, dimension=2, bins_per_mkc=2, target_phi=1)
+    assert 60 * 4**10 > DEFAULT_ORACLE_BUDGET >= 60 * 10 * 2**10
+    for seed in range(3):
+        inst = gen_random(params, seed)
+        sol, _ = solve_bounded_horizon(StageRows(inst), 1, inst.horizon, "exact")
+        oracle = brute_force_gmk(inst)
+        assert check_feasible(inst, oracle).ok
+        assert evaluate_objective(inst, oracle.sets) == evaluate_objective(inst, sol.sets), seed

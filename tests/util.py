@@ -11,8 +11,16 @@ from __future__ import annotations
 import itertools
 import random
 
-from gmk.core import GmkInstance, Mkc, McpStage, MultistageSolution, evaluate_objective
+from gmk.core import (
+    MODULAR,
+    GmkInstance,
+    Mkc,
+    McpStage,
+    MultistageSolution,
+    evaluate_objective,
+)
 from gmk.mkcp import pack_mkc
+from gmk.oracle import pack_stage_sets, packable_row
 from gmk.reduction import ReducedElement, ReducedInstance
 
 
@@ -209,3 +217,71 @@ def sweep_instances(max_items=3, max_horizon=3, max_dim=2, max_bins=2,
                             cost_plus=cost_plus,
                             cost_minus=cost_minus,
                         )
+
+
+def transition_columns(inst, t):
+    """cols[cur][prev]: coupling terms at the boundary between stages t-1 and t.
+
+    Item k adds bit k to both masks with the terms of its four cases: g- when
+    out of both sets, g+ when in both, and in the modular variant minus the
+    entry cost c+[i, t] or the exit cost c-[i, t-1] when it enters or leaves.
+    """
+    modular = inst.variant == MODULAR
+    cols = [[0]]
+    for i in inst.items:
+        entry = inst.cost_plus[i, t] if modular else 0
+        leave = inst.cost_minus[i, t - 1] if modular else 0
+        # term[in_cur] = (value with i out of prev, value with i in prev)
+        term = ((inst.gain_minus[i, t], -leave), (-entry, inst.gain_plus[i, t]))
+        cols = [[v + a for v in col] + [v + b for v in col] for a, b in term for col in cols]
+    return cols
+
+
+def full_table_oracle(inst):
+    """The oracle DP over the full ``cur x prev`` transition table of every stage.
+
+    Each packable set keeps the first predecessor of maximum value, and the
+    first final set of maximum value wins; profits come from
+    ``stage_profit`` one subset at a time. ``T * 4**|I|`` work: small inputs only.
+    """
+    size = 1 << len(inst.items)
+    subsets = [frozenset(i for k, i in enumerate(inst.items) if m >> k & 1) for m in range(size)]
+    modular = inst.variant == MODULAR
+    horizon = inst.horizon
+
+    def boundary_cost(m, table, t):
+        return sum(table[i, t] for i in subsets[m]) if modular else 0
+
+    packable = [packable_row(inst, t) for t in range(1, horizon + 1)]
+    profits = [[inst.stage_profit(t, s) for s in subsets] for t in range(1, horizon + 1)]
+    span = sum(abs(p) for row in profits for p in row) + sum(
+        abs(v)
+        for table in (inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus)
+        for v in table.values()
+    )
+    floor = -3 * span - 1
+    best = [
+        profits[0][m] - boundary_cost(m, inst.cost_plus, 1) if packable[0][m] else floor
+        for m in range(size)
+    ]
+    parents = []
+    for t in range(2, horizon + 1):
+        cols = transition_columns(inst, t)
+        nxt, parent = [floor] * size, [0] * size
+        for cur in range(size):
+            if packable[t - 1][cur]:
+                cand = [b + c for b, c in zip(best, cols[cur])]
+                nxt[cur] = max(cand) + profits[t - 1][cur]
+                parent[cur] = cand.index(max(cand))
+        parents.append(parent)
+        best = nxt
+
+    final_best, final_mask = floor, 0
+    for m in range(size):
+        candidate = best[m] - boundary_cost(m, inst.cost_minus, horizon)
+        if best[m] != floor and candidate > final_best:
+            final_best, final_mask = candidate, m
+    masks = [final_mask]
+    for parent in reversed(parents):
+        masks.append(parent[masks[-1]])
+    return pack_stage_sets(inst, [subsets[m] for m in reversed(masks)])
