@@ -28,7 +28,7 @@ from .errors import ContractViolationError, GmkError, InputError
 from .generators import GenParams, gen_from_2kp, gen_from_multidim_knapsack, gen_random, kp_from_dict
 from .intervals import to_intervals
 from .mkcp import DEFAULT_PACK_BUDGET, solve_mkcp_exact, solve_mkcp_greedy
-from .oracle import brute_force_gmk, check_oracle_budget
+from .oracle import brute_force_gmk, check_dp_work
 from .reduction import DEFAULT_HORIZON_CAP, reduce_instance
 
 # flags fall back to GMK_BUDGET, GMK_PACK_BUDGET and GMK_HORIZON_CAP
@@ -202,7 +202,7 @@ def cmd_compare(args) -> int:
     # solve_general_result validates the instance; the oracle's budget, which
     # reads only |I| and T, refuses first so that no refused run solves
     inst = serialize.instance_from_dict(serialize.load_json(args.instance))
-    check_oracle_budget(inst, args.budget)
+    check_dp_work("oracle refused: DP", inst.horizon, len(inst.items), args.budget)
     params, result, solve_elapsed = _run_scheme(args, inst)
     started = time.perf_counter()
     oracle_sol = brute_force_gmk(inst, work_budget=args.budget)

@@ -7,14 +7,16 @@ no interior cut and their one window is the whole horizon (at mu_inv = 25,
 T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). A window is a
 plain stage range (lo, hi), read in place from the instance's tables: no
 reduction is built and no window copied. One window solver
-(``solve_bounded_horizon``) runs a stage DP on it, whose coupling terms are
-``core.coupling_terms``: over packable item sets for an exact window, one
-item at a time for a greedy one. Every window of every shift reads one
-per-instance stage table (``StageRows``). One concatenation
-(``combine_cut_solutions``) carries every shift and the bypass of short
-horizons; a concatenation is worth at least the sum of its parts (seam
-costs can only be saved, seam gains only added), and is checked and valued
-once against the whole instance. The best recombination over all shifts
+(``solve_bounded_horizon``) runs a stage DP on it, over packable item sets
+for an exact window, one item at a time for a greedy one: its coupling
+terms are ``core.coupling_terms`` and its max-plus passes and backtrack
+are the oracle's engine, ``oracle.max_plus_masks``. Every window of every
+shift reads one per-instance stage table (``StageRows``). One
+concatenation (``combine_cut_solutions``) carries every shift and the
+bypass of short horizons. It is checked once against the whole instance;
+one window spanning the horizon keeps its value, and more windows are
+valued once, worth at least the sum of their parts (seam costs can only
+be saved, seam gains only added). The best recombination over all shifts
 wins. All values are Python ints, exact at any magnitude.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
@@ -41,9 +43,9 @@ from .core import (
     evaluate_window,
     ratio_violation,
 )
-from .errors import BudgetExceededError, ContractViolationError, InputError
-from .mkcp import DEFAULT_ENUM_BUDGET, DEFAULT_PACK_BUDGET, _PartialPacking
-from .oracle import checked_solution, pack_stage, packable_row
+from .errors import ContractViolationError, InputError
+from .mkcp import DEFAULT_PACK_BUDGET, _PartialPacking
+from .oracle import check_dp_work, checked_solution, max_plus_masks, pack_stage, packable_row
 
 SOLVER_CHOICES = ("exact", "greedy")
 
@@ -171,17 +173,17 @@ def _stage_dp(
     Set m has bit k for ``items[k]``; ``packable[t - lo][m]`` and
     ``profits[t - lo][m]`` are its packability and profit at stage t. Each
     item's coupling terms come from ``core.coupling_terms`` at the
-    tie-break scale: the entry cost at lo, the exit cost at hi, and the
-    gains and costs of every boundary in between. Among maxima the DP keeps
+    tie-break scale: the entry cost at lo and the exit cost at hi, folded
+    into the first and last rows, and the gains and costs of every boundary
+    in between; ``oracle.max_plus_masks`` runs the DP. Among maxima it keeps
     the smallest ``M = sum_k mask_k * 2**(T*(n-1-k))`` over item schedules
     ``mask_k``, as it maximizes ``value * 2**(n*T) - M``; distinct set
     sequences have distinct ``M``.
     """
     n, horizon = len(items), hi - lo + 1
-    size = 1 << n
     scale = 1 << n * horizon
     # lex[m]: the M of set m packed at stage lo alone; stage t shifts it left by t - lo
-    lex = [sum(1 << horizon * (n - 1 - k) for k in range(n) if m >> k & 1) for m in range(size)]
+    lex = [sum(1 << horizon * (n - 1 - k) for k in range(n) if m >> k & 1) for m in range(1 << n)]
     terms = [
         [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in enumerate(profits)
     ]
@@ -196,41 +198,7 @@ def _stage_dp(
     # links[t][k][in_cur][in_prev]: item k's term from stage lo + t to lo + t + 1;
     # with no item, zip yields nothing and each link is empty
     links = list(zip(*scaled))[1:-1] if items else [()] * (horizon - 1)
-
-    # No reachable key nor link term exceeds ``span`` in absolute value, so
-    # an unreachable predecessor (``floor`` plus a term) loses to every
-    # reachable one; the empty set packs at every stage, so one exists.
-    span = sum(sum(map(abs, row)) for row in terms)
-    span += sum(abs(a) + abs(b) + abs(c) + abs(d) for link in links for (a, b), (c, d) in link)
-    floor = -(3 * span + 1)
-    best = [term if ok else floor for term, ok in zip(terms[0], packable[0])]
-    history = [best]
-    half = size >> 1
-    for link, term, ok in zip(links, terms[1:], packable[1:]):
-        # The max over prev of best[prev] plus the per-item terms takes one
-        # pass per item: a pass swaps the top bit's prev value for its cur
-        # value and rotates the mask left, bringing the next item's bit on
-        # top; n passes restore the item order.
-        acc = best[:]
-        for (out0, out1), (in0, in1) in reversed(link):
-            left, right = acc[:half], acc[half:]
-            acc[0::2] = map(max, [v + out0 for v in left], [v + out1 for v in right])
-            acc[1::2] = map(max, [v + in0 for v in left], [v + in1 for v in right])
-        best = [v + x if y else floor for v, x, y in zip(acc, term, ok)]
-        history.append(best)
-
-    # Walking back, each set's one best predecessor (distinct set sequences
-    # have distinct keys) is recomputed from the previous stage's row.
-    top = max(best)
-    sets = [best.index(top)]
-    for link, prev in zip(reversed(links), reversed(history[:-1])):
-        col = [0]
-        for k, term in enumerate(link):
-            out_prev, in_prev = term[sets[-1] >> k & 1]
-            col = [v + out_prev for v in col] + [v + in_prev for v in col]
-        cand = list(map(add, prev, col))
-        sets.append(cand.index(max(cand)))
-    sets.reverse()
+    top, sets = max_plus_masks(terms, links, packable)
     return -(-top // scale), sets  # top = value * scale - M with 0 <= M < scale
 
 
@@ -299,12 +267,7 @@ def solve_bounded_horizon(
         packed = [pack_stage(inst.stage(t), s, t) for t, s in enumerate(sets, start=lo)]
         value = evaluate_window(inst, lo, hi, sets)
         return MultistageSolution(tuple(sets), tuple(packed)), value
-    budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
-    work = (hi - lo + 1) * len(inst.items) * 2 ** len(inst.items)
-    if work > budget:
-        raise BudgetExceededError(
-            f"exact solve refused: stage DP work {work} (T * |I| * 2**|I|) exceeds budget {budget}"
-        )
+    check_dp_work("exact solve refused: stage DP", hi - lo + 1, len(inst.items), enum_budget)
     masks, value = _dp_masks(rows, lo, hi)
     sets = tuple(rows.members[m] for m in masks)
     packed = tuple(rows.assignments(t, m) for t, m in enumerate(masks, start=lo))
@@ -318,8 +281,9 @@ def combine_cut_solutions(
 
     The part horizons must sum to T and each part must hold one assignment
     per stage set. The concatenation is checked once against the whole
-    instance, which checks every part, and valued once; it must be worth at
-    least the sum of the part values.
+    instance, which checks every part. One part spans the whole horizon, so
+    its value is the concatenation's; more parts are valued once, and must
+    be worth at least the sum of the part values.
     """
     total = sum(part.horizon for part, _ in parts)
     if total != inst.horizon:
@@ -335,7 +299,8 @@ def combine_cut_solutions(
         [s for part, _ in parts for s in part.sets],
         [a for part, _ in parts for a in part.assignments],
     )
-    value = evaluate_objective(inst, combined.sets)
+    # one part spans the horizon, and its window value is the objective
+    value = parts[0][1] if len(parts) == 1 else evaluate_objective(inst, combined.sets)
     if value < sum(v for _, v in parts):
         raise ContractViolationError("combined value fell below the sum of window values")
     return combined, value

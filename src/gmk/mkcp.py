@@ -19,8 +19,8 @@ inside ``avail`` in ascending mask order and records only strict
 improvements, so it returns the first optimum it reaches, the
 lexicographically smallest. Submodular objectives are searched in
 lexicographic order under a monotonicity upper bound. Both are exact and
-deterministic; an enumeration budget refuses oversized candidate spaces
-and per-item subset tables.
+deterministic; an enumeration budget refuses oversized per-item subset
+tables and stops a search once it has examined more candidate schedules.
 
 ``solve_mkcp_greedy`` gives each item in turn its best schedule inside
 ``avail``, packing under a node budget, and never fails: the empty
@@ -35,7 +35,7 @@ windows build their ``_PartialPacking`` from the stages' own constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import MODULAR, Mkc
 from .errors import BudgetExceededError, ContractViolationError
@@ -340,32 +340,35 @@ def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None
     """Maximum-value feasible selection, ties broken lexicographically.
 
     The tie-break is over the tuple of chosen schedule masks in item order.
-    Refuses, before the search starts, a candidate space (the product over
-    items of one plus the kept schedule count) larger than the enumeration
-    budget, and then per-item subset tables (``|I| * 2**T`` entries) larger
-    than it.
+    The enumeration budget refuses, before the search starts, per-item
+    subset tables (``|I| * 2**T`` entries) larger than it, and then the
+    search once the candidate schedules it examined outnumber it.
     """
     budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
-    space = 1
-    for item in reduced.items:
-        space *= len(reduced.schedules[item]) + 1
-        if space > budget:
-            raise BudgetExceededError(
-                f"exact solve refused: candidate space exceeds budget {budget}; "
-                f"use solve_mkcp_greedy or raise the budget"
-            )
+    hint = "; use solve_mkcp_greedy or raise the budget"
     tables = len(reduced.items) << reduced.horizon
     if tables > budget:
         raise BudgetExceededError(
             f"exact solve refused: subset tables of {tables} entries (|I| * 2**T) "
-            f"exceed budget {budget}"
+            f"exceed budget {budget}{hint}"
         )
+    examined = 0
+
+    def examine(candidates: int) -> None:
+        nonlocal examined
+        examined += candidates
+        if examined > budget:
+            raise BudgetExceededError(
+                f"exact solve refused: search examined more than {budget} "
+                f"candidate schedules{hint}"
+            )
+
     if reduced.variant == MODULAR:
-        return _exact_modular(reduced)
-    return _exact_submodular(reduced)
+        return _exact_modular(reduced, examine)
+    return _exact_submodular(reduced, examine)
 
 
-def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
+def _exact_modular(reduced: ReducedInstance, examine: Callable[[int], None]) -> ReducedSolution:
     items = reduced.items
     n = len(items)
     packing = _packing(reduced)
@@ -425,6 +428,7 @@ def _exact_modular(reduced: ReducedInstance) -> ReducedSolution:
             return
         if acc + completion_bound(k) <= best:
             return
+        examine(len(by_mask[k]))
         bound = suffix[k + 1]
         blocked = ~avail(k)
         for value, mask in by_mask[k]:
@@ -456,7 +460,7 @@ def _greedy_value(reduced: ReducedInstance, cand) -> int:
     return total
 
 
-def _exact_submodular(reduced: ReducedInstance) -> ReducedSolution:
+def _exact_submodular(reduced: ReducedInstance, examine: Callable[[int], None]) -> ReducedSolution:
     objective = reduced.objective
     assert objective is not None
     items = reduced.items
@@ -479,6 +483,7 @@ def _exact_submodular(reduced: ReducedInstance) -> ReducedSolution:
                 best_value = value
                 best_chosen = tuple(stack)
             return
+        examine(len(groups[k]))
         blocked = ~packing.avail(k)
         for e in groups[k]:
             if e.mask & blocked:

@@ -1,18 +1,14 @@
 """Ground-truth solver: exhaustive dynamic program over per-stage item sets.
 
-The objective couples only consecutive stages, so a DP whose row holds
-every subset of the items at a stage, and that takes each subset's best
-predecessor, is exhaustive and exact. Every coupling term belongs to one
-item and depends only on whether that item is in the previous and the
-current set, so the max over predecessors factors by item: one pass per
-item over the ``2**|items|`` row swaps that item's previous-stage bit for
-its current-stage bit and adds its term. A stage costs about
-``|items| * 2**|items|`` additions, and the budget bounds the whole DP's
-``T * |items| * 2**|items|``. The forward pass keeps each stage's row of
-best values and no predecessor table; walking back, each stage rebuilds
-the one column of the full ``cur x prev`` table that belongs to the chosen
-set and takes its first maximum. Modular profit rows come by doubling over
-the items.
+The objective couples only consecutive stages, and each coupling term
+belongs to one item and depends only on whether that item is in the
+previous and the current set. So a DP whose row holds every subset of the
+items at a stage is exhaustive, and its max over predecessors factors by
+item: ``max_plus_masks`` takes one pass per item over the ``2**|items|``
+row, and the budget bounds the whole DP's ``T * |items| * 2**|items|``
+additions. It keeps each stage's row of best values and no predecessor
+table; walking back, it rebuilds the chosen set's one column of the full
+``cur x prev`` table and takes its first maximum.
 
 Packability is built in bulk: each constraint's subset weight sums and
 heaviest weights come by doubling over the items, and
@@ -25,17 +21,17 @@ feasible: a subset the screens leave open is packable when some subset
 with one more item is, and the exact packer decides only the subsets left
 after that.
 
-The DP runs on plain Python ints, so it is exact at any magnitude. It
-keeps its own encoding of the objective's terms, per item
-``((g-, -c-[t-1]), (-c+[t], g+))`` read straight from the instance tables,
-independent of ``core.coupling_terms`` (which the reduction and
-``cutting``'s stage DP read), because it is the reference the exact
-solvers are tested against. ``packable_row``, the one packability kernel
-of the package's stage DPs, ``pack_stage`` and ``checked_solution`` are
-shared with ``cutting``, so an error in them would show in its stage DP
-and in this reference alike; the test that the DP picks the masks of the
-reduced branch and bound, which encodes the objective independently,
-catches it there.
+This module holds what the package's stage DPs share: the engine
+``max_plus_masks``, ``packable_row``, ``pack_stage`` and
+``checked_solution``, which ``cutting`` calls too. The oracle keeps its own
+terms, per item ``((g-, -c-[t-1]), (-c+[t], g+))`` read straight from the
+instance tables (never ``core.coupling_terms``), its own profit rows and
+the plain ascending-mask tie-break. An error in the engine would show in
+both, so tests check it against references that do not run it:
+``tests/util.full_table_oracle`` (a ``T * 4**|items|`` DP on
+``stage_profit``), the literal enumeration ``enumerate_optimum`` and the
+reduced branch and bound, which encodes the objective and packability
+independently. All values are plain Python ints, exact at any magnitude.
 """
 
 from __future__ import annotations
@@ -52,9 +48,7 @@ from .core import (
     check_feasible,
 )
 from .errors import BudgetExceededError, ContractViolationError
-from .mkcp import Capacities, pack_mkc
-
-DEFAULT_ORACLE_BUDGET = 10**6
+from .mkcp import DEFAULT_ENUM_BUDGET, Capacities, pack_mkc
 
 
 def packable_row(inst: GmkInstance, t: int) -> list[bool]:
@@ -92,34 +86,83 @@ def packable_row(inst: GmkInstance, t: int) -> list[bool]:
     return row
 
 
-def check_oracle_budget(inst: GmkInstance, work_budget: int | None = None) -> None:
-    """Refuse the oracle's DP when its ``T * |I| * 2**|I|`` additions pass the budget.
+def check_dp_work(refusal: str, horizon: int, n: int, budget: int | None) -> None:
+    """Refuse a stage DP whose ``horizon * n * 2**n`` additions over n items pass ``budget``.
 
-    None means ``DEFAULT_ORACLE_BUDGET``. Raises ``BudgetExceededError``.
+    None means ``DEFAULT_ENUM_BUDGET``. Raises ``BudgetExceededError``, opening with ``refusal``.
     """
-    budget = DEFAULT_ORACLE_BUDGET if work_budget is None else work_budget
-    n = len(inst.items)
-    work = inst.horizon * n * 2**n
+    budget = DEFAULT_ENUM_BUDGET if budget is None else budget
+    work = horizon * n * 2**n
     if work > budget:
         raise BudgetExceededError(
-            f"oracle refused: DP work {work} (T * |I| * 2**|I|) exceeds budget {budget}"
+            f"{refusal} work {work} (T * |I| * 2**|I|) exceeds budget {budget}"
         )
 
 
-def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> MultistageSolution:
-    """Exact optimum with a witness solution.
+def max_plus_masks(
+    rows: Sequence[list[int]], links: Sequence[Sequence[tuple]], packable: Sequence[list[bool]]
+) -> tuple[int, list[int]]:
+    """The best value of a set sequence, and its set masks stage by stage.
 
-    Stage by stage, each packable subset keeps its best value over all
-    predecessors, by the per-item passes and the packability closure
-    described in the module docstring. Deterministic: among optimal set
-    sequences the one found by ascending subset masks stage by stage is
-    returned (the first maximum over predecessors, then over final
-    subsets), with packer-produced assignments.
+    A sequence is worth the sum of ``rows[t][m]`` over its stages and of
+    ``links[t][k][in_cur][in_prev]`` over its boundaries and items: item k's
+    term between stages t and t + 1, by whether bit k is set in the two
+    sets. Each caller folds its entry costs into the first row and its exit
+    costs into the last. Set m counts only where ``packable[t][m]``. Ties go
+    to the first maximum: over final sets, then over each chosen set's
+    predecessors. Raises ``ContractViolationError`` when no sequence packs.
     """
-    check_oracle_budget(inst, work_budget)
+    # A packable sequence is worth at least -span, one through ``floor`` at
+    # most floor + span < -span: it never wins a maximum, and a top below
+    # -span means that no sequence packs.
+    span = sum(sum(map(abs, row)) for row in rows)
+    span += sum(abs(a) + abs(b) + abs(c) + abs(d) for link in links for (a, b), (c, d) in link)
+    floor = -(3 * span + 1)
+    best = [v if ok else floor for v, ok in zip(rows[0], packable[0])]
+    history = [best]
+    half = len(best) >> 1
+    for link, row, ok in zip(links, rows[1:], packable[1:]):
+        # The max over prev of best[prev] plus the per-item terms takes one
+        # pass per item, last item first: a pass swaps the top bit's prev
+        # value for its cur value and rotates the mask left, bringing the
+        # next item's bit on top; n passes restore the item order.
+        acc = best[:]
+        for (out0, out1), (in0, in1) in reversed(link):
+            left, right = acc[:half], acc[half:]
+            acc[0::2] = map(max, [v + out0 for v in left], [v + out1 for v in right])
+            acc[1::2] = map(max, [v + in0 for v in left], [v + in1 for v in right])
+        best = [v + x if y else floor for v, x, y in zip(acc, row, ok)]
+        history.append(best)
+
+    top = max(best)
+    if top < -span:
+        raise ContractViolationError("no packable subset sequence exists (empty set must pack)")
+    # Walking back, the chosen set's transition column is rebuilt over every
+    # predecessor and its first maximum taken, the predecessor a full
+    # ``cur x prev`` table would keep.
+    masks = [best.index(top)]
+    for link, prev in zip(reversed(links), reversed(history[:-1])):
+        col = [0]
+        for k, term in enumerate(link):
+            out_prev, in_prev = term[masks[-1] >> k & 1]
+            col = [v + out_prev for v in col] + [v + in_prev for v in col]
+        cand = list(map(add, prev, col))
+        masks.append(cand.index(max(cand)))
+    masks.reverse()
+    return top, masks
+
+
+def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> MultistageSolution:
+    """Exact optimum with a witness solution, by ``max_plus_masks`` on this module's terms.
+
+    Among optimal set sequences, the first by ascending subset masks (over
+    final subsets, then over predecessors), with packer-produced
+    assignments. Refused when the DP's ``T * |I| * 2**|I|`` additions pass
+    ``work_budget``.
+    """
     items, horizon = inst.items, inst.horizon
-    size = 1 << len(items)
-    subsets = [frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(size)]
+    check_dp_work("oracle refused: DP", horizon, len(items), work_budget)
+    subsets = [frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(1 << len(items))]
     modular = inst.variant == MODULAR
 
     def item_row(values) -> list[int]:
@@ -129,14 +172,15 @@ def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> Mul
         return row
 
     packable = [packable_row(inst, t) for t in range(1, horizon + 1)]
-    profits = [
+    rows = [
         item_row(inst.stage(t).profit[i] for i in items)
         if modular
         else [inst.stage(t).profit.evaluate(s) for s in subsets]
         for t in range(1, horizon + 1)
     ]
-    entry = item_row(inst.cost_plus[i, 1] if modular else 0 for i in items)
-    leave = item_row(inst.cost_minus[i, horizon] if modular else 0 for i in items)
+    if modular:
+        rows[0] = list(map(sub, rows[0], item_row(inst.cost_plus[i, 1] for i in items)))
+        rows[-1] = list(map(sub, rows[-1], item_row(inst.cost_minus[i, horizon] for i in items)))
     # links[t - 2][k][in_cur][in_prev]: item k's term at the boundary before stage t
     gp, gm, cp, cm = inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus
     links = [
@@ -146,47 +190,7 @@ def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> Mul
         ]
         for t in range(2, horizon + 1)
     ]
-
-    # No reachable value nor transition term exceeds ``span`` in absolute
-    # value, so an unreachable predecessor (``floor`` plus a term) loses to
-    # every reachable one, and the first maximum is the smallest best mask.
-    span = sum(abs(p) for row in profits for p in row) + sum(
-        abs(v)
-        for table in (inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus)
-        for v in table.values()
-    )
-    floor = -3 * span - 1
-    best = [p - c if ok else floor for p, c, ok in zip(profits[0], entry, packable[0])]
-    history = [best]
-    half = size >> 1
-    for link, profit, ok in zip(links, profits[1:], packable[1:]):
-        # One pass per item, last item first: a pass swaps the top bit's
-        # previous-stage value for its current one and rotates the mask
-        # left, so after all passes the mask holds the current set.
-        acc = best[:]
-        for (out0, out1), (in0, in1) in reversed(link):
-            left, right = acc[:half], acc[half:]
-            acc[0::2] = map(max, [v + out0 for v in left], [v + out1 for v in right])
-            acc[1::2] = map(max, [v + in0 for v in left], [v + in1 for v in right])
-        best = [v + p if y else floor for v, p, y in zip(acc, profit, ok)]
-        history.append(best)
-
-    final = list(map(sub, best, leave))
-    masks = [final.index(max(final))]
-    if best[masks[0]] == floor:
-        raise ContractViolationError("no packable subset sequence exists (empty set must pack)")
-    # Walking back, the chosen set's transition column is rebuilt over every
-    # predecessor and its first maximum taken, the predecessor a full
-    # ``cur x prev`` table would keep.
-    for link, prev in zip(reversed(links), reversed(history[:-1])):
-        col = [0]
-        for k, term in enumerate(link):
-            out_prev, in_prev = term[masks[-1] >> k & 1]
-            col = [v + out_prev for v in col] + [v + in_prev for v in col]
-        cand = list(map(add, prev, col))
-        masks.append(cand.index(max(cand)))
-    masks.reverse()
-
+    _, masks = max_plus_masks(rows, links, packable)
     return pack_stage_sets(inst, tuple(subsets[m] for m in masks))
 
 

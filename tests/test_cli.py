@@ -234,6 +234,33 @@ def test_solve_mkcp_exact_refuses_subset_tables_beyond_the_budget(tmp_path, caps
     assert error["type"] == "BudgetExceededError" and "|I| * 2**T" in error["message"]
 
 
+@pytest.mark.parametrize("horizon", [7, 8, 10, 12])
+def test_solve_mkcp_exact_runs_at_the_default_budget(tmp_path, monkeypatch, horizon):
+    # candidate spaces of 1.3 * 10**6 to 6.6 * 10**10 schedule tuples, but
+    # searches that examine 28 to 467 candidate schedules
+    monkeypatch.delenv("GMK_BUDGET", raising=False)
+    inst, reduced = tmp_path / "inst.json", tmp_path / "reduced.json"
+    assert run("gen", "--random", "--seed", 3, "--items", 3, "--horizon", horizon, "--out", inst) == 0
+    assert run("reduce", "--in", inst, "--out", reduced) == 0
+    assert run("solve-mkcp", "--in", reduced, "--exact", "--out", tmp_path / "rsol.json") == 0
+
+
+def test_solve_mkcp_exact_budget_boundary_is_the_search_count(tmp_path, capsys):
+    # subset tables of 3 * 2**6 = 192 entries; the search examines 3784 candidates
+    inst, reduced = tmp_path / "inst.json", tmp_path / "reduced.json"
+    gen = ("--random", "--seed", 2, "--items", 3, "--horizon", 6, "--d", 2, "--bins", 2)
+    assert run("gen", *gen, "--target-phi", 1, "--out", inst) == 0
+    assert run("reduce", "--in", inst, "--out", reduced) == 0
+    rsol = tmp_path / "rsol.json"
+    assert run("solve-mkcp", "--in", reduced, "--exact", "--budget", 3784, "--out", rsol) == 0
+    capsys.readouterr()
+    assert run("solve-mkcp", "--in", reduced, "--exact", "--budget", 3783, "--out", rsol) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "BudgetExceededError"
+    assert "search examined more than 3783" in error["message"]
+    assert "use solve_mkcp_greedy or raise the budget" in error["message"]
+
+
 SCHEME = ("--eps", "0.2", "--phi", 10**30)
 
 

@@ -37,6 +37,7 @@ from gmk.serialize import canonical_dumps, solution_to_dict
 from util import (
     build_instance,
     dense_table,
+    full_table_oracle,
     random_feasible_solution,
     single_bin_stage,
     sweep_instances,
@@ -221,6 +222,8 @@ def test_bounded_horizon_matches_oracle_on_sweep():
     for inst in sweep_instances(fillings=1):
         sol = _solve(inst)
         opt = evaluate_objective(inst, brute_force_gmk(inst).sets)
+        # a second reference that shares no DP code with the stage DP
+        assert evaluate_objective(inst, full_table_oracle(inst).sets) == opt
         assert evaluate_objective(inst, sol.sets) == opt
 
 
@@ -398,6 +401,24 @@ def _recording(calls, name):
     return _counting(calls, name, getattr(cutting, name))
 
 
+@pytest.mark.parametrize("solver", ["exact", "greedy"])
+def test_a_whole_horizon_window_is_valued_once(monkeypatch, solver):
+    # evaluate_objective reads core.evaluate_window, so every valuation counts;
+    # at mu_inv = 4, T = 9, shifts 3 and 4 have the one window 1..9
+    calls = []
+    for module in (core, cutting):
+        real = module.evaluate_window
+        monkeypatch.setattr(module, "evaluate_window", _counting(calls, "evaluate_window", real))
+    inst = gen_random(GenParams(items=3, horizon=9, target_phi=1), 0)
+    result = solve_general_result(inst, SchemeParams(Fraction(1, 5), 1, mu_inv=5), solver)
+    assert result.bypassed and len(calls) == 1
+    calls.clear()
+    result = solve_general_result(inst, SchemeParams(Fraction(1, 5), 1, mu_inv=4), solver)
+    windows = [len(it.window_values) for it in result.iterations]
+    assert windows == [2, 2, 1, 1]
+    assert len(calls) == sum(windows) + 2  # one more per shift of two windows
+
+
 @pytest.fixture
 def exact_routes(monkeypatch):
     """The stage DP calls the exact solves make, in call order."""
@@ -442,14 +463,15 @@ def test_exact_route_solves_nine_items_by_the_dp_alone(exact_routes):
 
 
 def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
-    # neither branch and bound's candidate space nor the horizon cap binds
-    # the scheme; the cap binds only the reduction, which greedy no longer builds
+    # neither branch and bound's budget (its subset tables, then its search)
+    # nor the horizon cap binds the scheme; the cap binds only the reduction,
+    # which greedy no longer builds
     params = dataclasses.replace(DP_SHAPES["two_bin_d2"], target_phi=1)
     for seed in range(3):
         inst = gen_random(params, seed)
         work = _dp_work(inst)
         reduced = reduce_instance(inst)
-        with pytest.raises(BudgetExceededError, match="candidate space exceeds budget"):
+        with pytest.raises(BudgetExceededError, match="use solve_mkcp_greedy"):
             solve_mkcp_exact(reduced, enum_budget=work)
         exact_routes.clear()
         sol = _solve(inst, enum_budget=work)
@@ -682,7 +704,7 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
             "window_instance": 0,
             "check_feasible": 1,
             "evaluate_window": 1,
-            "evaluate_objective": 1,
+            "evaluate_objective": 0,
             "solve_bounded_horizon": 1,
             "combine_cut_solutions": 1,
         }

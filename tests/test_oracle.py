@@ -10,9 +10,10 @@ import pytest
 from gmk import mkcp
 from gmk.core import McpStage, Mkc, check_feasible, evaluate_objective
 from gmk.cutting import StageRows, solve_bounded_horizon
-from gmk.errors import BudgetExceededError
+from gmk.errors import BudgetExceededError, ContractViolationError
 from gmk.generators import GenParams, gen_random
-from gmk.oracle import DEFAULT_ORACLE_BUDGET, brute_force_gmk, packable_row
+from gmk.mkcp import DEFAULT_ENUM_BUDGET as DEFAULT_ORACLE_BUDGET
+from gmk.oracle import brute_force_gmk, max_plus_masks, packable_row
 from gmk.serialize import canonical_dumps, dumps, solution_to_dict
 
 from util import (
@@ -323,3 +324,14 @@ def test_matches_the_whole_horizon_stage_dp_past_the_full_table_reach():
         oracle = brute_force_gmk(inst)
         assert check_feasible(inst, oracle).ok
         assert evaluate_objective(inst, oracle.sets) == evaluate_objective(inst, sol.sets), seed
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2])
+def test_engine_refuses_rows_where_the_empty_set_does_not_pack(stage):
+    # with no item the empty set is the only one; a value reached through the
+    # floor at a later stage must not pass for a packable sequence
+    packable = [[True], [True], [True]]
+    packable[stage] = [False]
+    assert max_plus_masks([[1], [2], [3]], [(), ()], [[True]] * 3) == (6, [0, 0, 0])
+    with pytest.raises(ContractViolationError, match="no packable subset sequence"):
+        max_plus_masks([[1], [2], [3]], [(), ()], packable)
