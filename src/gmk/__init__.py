@@ -56,7 +56,6 @@ from .intervals import (
     cut_element,
     cut_loss,
     element_value,
-    from_intervals,
     to_intervals,
 )
 from .mkcp import (
@@ -71,7 +70,6 @@ from .reduction import (
     ReducedElement,
     ReducedInstance,
     ReducedSolution,
-    element_fixed_value,
     lift_solution,
     lower_solution,
     reduce_instance,
@@ -85,7 +83,6 @@ from .submodular import (
     SumFunction,
     TableFunction,
     check_monotone_submodular,
-    eval_set_function,
     extend_function,
 )
 

@@ -85,11 +85,6 @@ def to_intervals(sets: Sequence[AbstractSet[str]]) -> IntervalSet:
     return IntervalSet.from_elements(out)
 
 
-def from_intervals(iv: IntervalSet, t: int) -> frozenset[str]:
-    """Items whose interval covers stage ``t`` (the reverse mapping)."""
-    return frozenset(e.item for e in iv if e.start <= t <= e.end)
-
-
 def element_value(inst: GmkInstance, e: IntervalElement) -> int:
     """Net value of one run: profits plus interior gains minus boundary costs."""
     if inst.variant != MODULAR:

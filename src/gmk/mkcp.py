@@ -197,7 +197,7 @@ class _PartialPacking:
     constraint belongs to one stage, so a schedule packs on top of the
     pushed ones exactly when each of its stages accepts the item. A stage
     with a binless constraint accepts no item, whatever its weight: no bin
-    can hold it. Packer keys are item ranks, which order the new entry
+    can hold it. Packer keys are item names, which order the new entry
     against the pushed ones as ``ReducedElement`` keys do, so a budgeted
     packer search visits the same nodes. ``Capacities.fit`` decides from the
     loads what it can, every single-bin constraint included, and the exact
@@ -217,16 +217,15 @@ class _PartialPacking:
             [(ci, b, w) for ci, (b, mkc) in enumerate(pairs) if (w := mkc.weights.get(item, 0)) > 0]
             for item in items
         ]
-        rank = {item: r for r, item in enumerate(sorted(items))}
-        self.rank = [rank[item] for item in items]
-        # pushed items' weights by rank, kept for multi-bin constraints only
-        self.loads: list[dict[int, int]] = [{} for _ in self.constraints]
+        self.items = items
+        # pushed items' weights by name, kept for multi-bin constraints only
+        self.loads: list[dict[str, int]] = [{} for _ in self.constraints]
         self.load_sums: list[int] = [0] * len(self.constraints)
 
     def avail(self, k: int) -> int:
         """Mask of the stages where the k-th item still packs."""
         avail = self.full
-        key = self.rank[k]
+        key = self.items[k]
         for ci, bit, w in self.weights[k]:
             if not avail & bit:
                 continue
@@ -242,7 +241,7 @@ class _PartialPacking:
         return avail
 
     def push(self, k: int, mask: int) -> None:
-        key = self.rank[k]
+        key = self.items[k]
         for ci, bit, w in self.weights[k]:
             if mask & bit:
                 self.load_sums[ci] += w
@@ -250,7 +249,7 @@ class _PartialPacking:
                     self.loads[ci][key] = w
 
     def pop(self, k: int, mask: int) -> None:
-        key = self.rank[k]
+        key = self.items[k]
         for ci, bit, w in self.weights[k]:
             if mask & bit:
                 self.load_sums[ci] -= w
@@ -318,7 +317,7 @@ def _kept_schedules(
             fit[mask] = value
     # proper[m]: the largest value over proper subsets of m. A pass takes the
     # top bit's halves and rotates the mask left, bringing the next bit on
-    # top, as ``cutting._stage_dp`` does; T passes restore the mask order.
+    # top, as ``oracle.max_plus_masks`` does; T passes restore the mask order.
     proper = [-1] * size
     half = size >> 1
     for _ in range(reduced.horizon):
@@ -412,9 +411,9 @@ def _exact_modular(reduced: ReducedInstance, examine: Callable[[int], None]) -> 
     # ``best``, and at the last item every schedule that does not beat it, so
     # the first leaf to reach the optimum, the lexicographically smallest
     # one, is recorded and no later tie replaces it. Starting one below the
-    # greedy value keeps a tie with it recordable.
+    # value of ``solve_mkcp_greedy`` keeps a tie with it recordable.
     by_mask = [sorted(group, key=lambda c: c[1]) for group in cand]
-    best = _greedy_value(reduced, cand) - 1
+    best = reduced.value_of(solve_mkcp_greedy(reduced, pack_budget=None).chosen) - 1
     avail, push, pop = packing.avail, packing.push, packing.pop
     stack: list[int] = []
     chosen: list[ReducedElement] | None = None
@@ -444,20 +443,6 @@ def _exact_modular(reduced: ReducedInstance, examine: Callable[[int], None]) -> 
     if chosen is None:
         raise ContractViolationError("exact search recorded no solution")
     return finish_selection(reduced, chosen)
-
-
-def _greedy_value(reduced: ReducedInstance, cand) -> int:
-    """Feasible lower bound: greedy over the pruned candidate lists."""
-    packing = _packing(reduced)
-    total = 0
-    for k, group in enumerate(cand):
-        blocked = ~packing.avail(k)
-        for value, mask in group:
-            if not mask & blocked:
-                packing.push(k, mask)
-                total += value
-                break
-    return total
 
 
 def _exact_submodular(reduced: ReducedInstance, examine: Callable[[int], None]) -> ReducedSolution:

@@ -38,23 +38,13 @@ from .core import (
     coupling_terms,
     evaluate_objective,
 )
-from .errors import BudgetExceededError, ContractViolationError, InputError, UnsupportedVariantError
+from .errors import BudgetExceededError, ContractViolationError, InputError
 from .submodular import ExtendedStageFunction, extend_function
 
 log = logging.getLogger(__name__)
 
 DEFAULT_HORIZON_CAP = 12
 PAD_BIN = "pad"
-
-
-def mask_of(stages: Iterable[int], horizon: int) -> int:
-    """Bitmask of a stage collection."""
-    mask = 0
-    for t in stages:
-        if not 1 <= t <= horizon:
-            raise InputError(f"schedule stage {t} out of range [1, {horizon}]")
-        mask |= 1 << (t - 1)
-    return mask
 
 
 @dataclass(frozen=True, order=True)
@@ -161,19 +151,6 @@ class ReducedSolution:
     chosen: frozenset[ReducedElement]
     assignments: Mapping[tuple[int, int], Mapping[str, frozenset[ReducedElement]]]
     substituted_items: tuple[str, ...] = ()
-
-
-def element_fixed_value(inst: GmkInstance, item: str, schedule: Iterable[int]) -> int:
-    """Fixed value of element (item, schedule) in the reduced objective, in O(T)."""
-    if inst.variant != MODULAR:
-        raise UnsupportedVariantError("fixed element values require the modular variant")
-    mask = mask_of(schedule, inst.horizon)
-    value = prev = 0
-    for t, term in enumerate(coupling_terms(inst, item, 1, inst.horizon), start=1):
-        cur = mask >> (t - 1) & 1  # 0 past stage T
-        value += term[cur][prev] + (inst.item_profit(t, item) if cur else 0)
-        prev = cur
-    return value
 
 
 def _schedule_values(inst: GmkInstance) -> list[list[int]]:

@@ -420,27 +420,6 @@ def reduced_solution_to_dict(rsol: ReducedSolution) -> dict:
     return payload
 
 
-def reduced_solution_from_dict(raw: Any) -> ReducedSolution:
-    if not isinstance(raw, Mapping) or "chosen" not in raw or "assignments" not in raw:
-        raise InputError("reduced solution file must hold 'chosen' and 'assignments'")
-    try:
-        chosen = frozenset(_element_from_id(eid) for eid in raw["chosen"])
-        assignments = {}
-        for entry in raw["assignments"]:
-            key = (int(entry["stage"]), int(entry["index"]))
-            assignments[key] = {
-                str(b): frozenset(_element_from_id(eid) for eid in assigned)
-                for b, assigned in entry["bins"].items()
-            }
-        return ReducedSolution(
-            chosen=chosen,
-            assignments=assignments,
-            substituted_items=tuple(raw.get("substituted_items", ())),
-        )
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise InputError(f"reduced solution file malformed: {exc!r}")
-
-
 def interval_set_to_list(iv) -> list[list]:
     """Debug form of an interval set: [item, start, end] triples."""
     return [[e.item, e.start, e.end] for e in iv]

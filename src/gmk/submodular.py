@@ -131,15 +131,6 @@ class ExtendedStageFunction(SetFunctionOracle):
         return self.base.evaluate(items)
 
 
-def eval_set_function(oracle: SetFunctionOracle, subset: Iterable) -> int:
-    """Evaluate ``oracle`` on ``subset`` after a ground-set membership check."""
-    members = frozenset(subset)
-    unknown = members - oracle.ground
-    if unknown:
-        raise InputError(f"unknown ground elements: {sorted(map(str, unknown))}")
-    return oracle.evaluate(members)
-
-
 def extend_function(oracle: SetFunctionOracle, stage: int, ground: Iterable = ()) -> ExtendedStageFunction:
     """Oracle over item/schedule elements seeing only stage ``stage``."""
     return ExtendedStageFunction(base=oracle, stage=stage, members=frozenset(ground))

@@ -31,7 +31,6 @@ READERS = (
     serialize.instance_from_dict,
     serialize.solution_from_dict,
     serialize.reduced_from_dict,
-    serialize.reduced_solution_from_dict,
 )
 
 

@@ -12,11 +12,9 @@ from gmk.errors import UnsupportedVariantError
 from gmk.generators import GenParams, gen_random
 from gmk.intervals import (
     IntervalElement,
-    IntervalSet,
     cut_element,
     cut_loss,
     element_value,
-    from_intervals,
     to_intervals,
 )
 
@@ -36,15 +34,6 @@ def test_to_intervals_examples():
     assert to_intervals([set(), set()]).elements == ()
 
 
-def test_from_intervals_examples():
-    iv = IntervalSet.from_elements([IntervalElement("i", 1, 3)])
-    assert from_intervals(iv, 2) == {"i"}
-    split = IntervalSet.from_elements(
-        [IntervalElement("i", 1, 1), IntervalElement("i", 3, 3)]
-    )
-    assert from_intervals(split, 2) == frozenset()
-
-
 def test_round_trip_both_directions():
     rng = random.Random(7)
     items = [f"i{k}" for k in range(5)]
@@ -52,7 +41,8 @@ def test_round_trip_both_directions():
         sets = random_sets(rng, items, 6)
         iv = to_intervals(sets)
         assert iv.is_maximal_runs()
-        assert [from_intervals(iv, t) for t in range(1, 7)] == sets
+        # rebuild each stage's set from the runs covering it
+        assert [frozenset(e.item for e in iv if e.start <= t <= e.end) for t in range(1, 7)] == sets
 
 
 def test_element_value_formula():

@@ -315,6 +315,60 @@ def test_greedy_golden_digests(shape, budget):
     assert digest.hexdigest() == digests[budget]
 
 
+def _solve_mkcp_corpus():
+    """Seeded reduced instances: modular, submodular, and modular files with arbitrary values."""
+    rng = random.Random(21)
+    corpus = []
+    for seed in range(120):
+        kind = ("modular", "submodular", "arbitrary")[seed % 3]
+        params = GenParams(
+            items=rng.randint(2, 4) if kind == "submodular" else rng.randint(3, 5),
+            horizon=rng.randint(2, 3) if kind == "submodular" else rng.randint(2, 6),
+            dimension=rng.randint(1, 2),
+            bins_per_mkc=rng.randint(1, 3),
+            weight_range=(2, 7),
+            capacity_range=(3, 10),
+            variant="submodular" if kind == "submodular" else "modular",
+        )
+        reduced = reduce_instance(gen_random(params, seed))
+        if kind == "arbitrary":
+            raw = reduced_to_dict(reduced)
+            raw["values"] = {eid: rng.randrange(20) for eid in raw["values"]}
+            reduced = reduced_from_dict(raw)
+        corpus.append(reduced)
+    return corpus
+
+
+# sha256 over every solve-mkcp outcome of the corpus above: the canonical
+# reduced-solution JSON, or the refusal message; recorded before the exact
+# search took its starting bound from solve_mkcp_greedy
+GOLDEN_SOLVE_MKCP = "cbc7a64d89a1473f7c8fdf680772c4fb3e0fbaf0622f427beddb6306c5c1534a"
+
+
+def test_solve_mkcp_outcomes_digest():
+    digest = hashlib.sha256()
+    outcomes = {"refused": 0, "budget_changes_greedy": 0}
+    for reduced in _solve_mkcp_corpus():
+        for budget in (None, 50, 400):
+            try:
+                rsol = solve_mkcp_exact(reduced, enum_budget=budget)
+                text = canonical_dumps(reduced_solution_to_dict(rsol))
+            except BudgetExceededError as exc:
+                text = str(exc)
+                outcomes["refused"] += 1
+            digest.update(text.encode())
+        greedy = [
+            canonical_dumps(reduced_solution_to_dict(solve_mkcp_greedy(reduced, pack_budget=budget)))
+            for budget in (None, 3, 10**5)
+        ]
+        outcomes["budget_changes_greedy"] += greedy[0] != greedy[1]
+        for text in greedy:
+            digest.update(text.encode())
+    # the corpus reaches both refusals and budgeted packer outcomes
+    assert outcomes["refused"] > 0 and outcomes["budget_changes_greedy"] > 0
+    assert digest.hexdigest() == GOLDEN_SOLVE_MKCP
+
+
 def _loop_dominance_prune(reduced, table):
     """Reference: the per-schedule prune over a subset-max table."""
     size = 1 << reduced.horizon

@@ -10,13 +10,12 @@ import pytest
 from gmk.core import evaluate_objective, MultistageSolution
 from gmk.errors import BudgetExceededError, ContractViolationError, InputError
 from gmk.generators import GenParams, gen_random
-from gmk.intervals import IntervalElement, element_value, to_intervals
+from gmk.intervals import IntervalElement, element_value
 from gmk.mkcp import solve_mkcp_exact
 from gmk.oracle import brute_force_gmk
 from gmk.reduction import (
     ReducedElement,
     ReducedSolution,
-    element_fixed_value,
     lift_solution,
     lower_solution,
     verify_reduced_solution,
@@ -41,17 +40,17 @@ def test_fixed_value_empty_schedule_collects_gain_minus():
     items = ["i"]
     stages = [single_bin_stage(items, {"i": 1}, 1, {"i": 9}) for _ in range(3)]
     inst = build_instance(items, stages, gain_minus=dense_table(items, 2, 3, default=4))
-    assert element_fixed_value(inst, "i", ()) == 8
+    assert reduce_instance(inst).schedules["i"][0] == 8
 
 
 def test_fixed_value_full_schedule_equals_interval_value():
     rng = random.Random(2)
     for seed in range(20):
         inst = gen_random(GenParams(items=3, horizon=4, cost_range=(0, 3)), seed)
-        item = inst.items[rng.randrange(3)]
-        full = range(1, inst.horizon + 1)
-        assert element_fixed_value(inst, item, full) == element_value(
-            inst, IntervalElement(item, 1, inst.horizon)
+        k = rng.randrange(3)
+        full = (1 << inst.horizon) - 1
+        assert _schedule_values(inst)[k][full] == element_value(
+            inst, IntervalElement(inst.items[k], 1, inst.horizon)
         )
 
 
@@ -66,24 +65,7 @@ def test_fixed_value_formula_walk():
         cost_plus=dense_table(items, 1, 3, default=2),
         cost_minus=dense_table(items, 1, 3, default=2),
     )
-    assert element_fixed_value(inst, "i", (1, 3)) == 10 - 4 - 4
-
-
-def test_fixed_value_past_64_stages_adds_run_values_and_gaps():
-    # masks of 64 stages and more do not fit an int64
-    rng = random.Random(5)
-    horizon = 70
-    inst = gen_random(GenParams(items=2, horizon=horizon, cost_range=(0, 3)), 0)
-    stages = range(1, horizon + 1)
-    for k in range(12):
-        item = inst.items[k % 2]
-        schedule = {t for t in stages if rng.random() < 0.6} | {64, 70}
-        sets = [frozenset({item} if t in schedule else ()) for t in stages]
-        runs = sum(element_value(inst, e) for e in to_intervals(sets))
-        gaps = sum(
-            inst.gain_minus[item, t] for t in stages[1:] if not {t - 1, t} & schedule
-        )
-        assert element_fixed_value(inst, item, sorted(schedule)) == runs + gaps
+    assert reduce_instance(inst).schedules["i"][0b101] == 10 - 4 - 4  # stages 1 and 3
 
 
 def test_vectorized_schedule_values_match_scalar():

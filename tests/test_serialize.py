@@ -21,7 +21,6 @@ from gmk.serialize import (
     instance_hash,
     instance_to_dict,
     reduced_from_dict,
-    reduced_solution_from_dict,
     reduced_solution_to_dict,
     reduced_to_dict,
     solution_from_dict,
@@ -133,28 +132,23 @@ def test_reduced_stage_profit_missing_an_item_rejected(profit):
 
 
 def test_reduced_solution_round_trip():
+    # no command reads a reduced solution back, so pin the writer's form:
+    # sorted element ids, and one entry per constraint in (stage, index) order
     inst = gen_random(GenParams(items=3, horizon=2, dimension=2), 6)
-    reduced = reduce_instance(inst)
-    rsol = solve_mkcp_greedy(reduced)
-    again = reduced_solution_from_dict(reduced_solution_to_dict(rsol))
-    assert again.chosen == rsol.chosen
-    assert again.assignments == dict(rsol.assignments)
+    rsol = solve_mkcp_greedy(reduce_instance(inst))
 
+    def ids(elements):
+        return sorted(f"{e.item}@{e.mask}" for e in elements)
 
-@pytest.mark.parametrize(
-    "raw",
-    [
-        {"chosen": ["x@1"], "assignments": 3},
-        {"chosen": 5, "assignments": []},
-        {"chosen": [], "assignments": [{"stage": 1}]},
-        {"chosen": [], "assignments": [{"stage": "one", "index": 1, "bins": {}}]},
-        {"chosen": [], "assignments": [{"stage": 1, "index": 1, "bins": []}]},
-    ],
-    ids=["assignments_number", "chosen_number", "entry_without_index", "stage_text", "bins_list"],
-)
-def test_reduced_solution_malformed_raises_input_error(raw):
-    with pytest.raises(InputError):
-        reduced_solution_from_dict(raw)
+    keys = [(t, j) for t in range(1, inst.horizon + 1) for j in range(1, inst.dimension + 1)]
+    assert sorted(rsol.assignments) == keys
+    assert reduced_solution_to_dict(rsol) == {
+        "chosen": ids(rsol.chosen),
+        "assignments": [
+            {"stage": t, "index": j, "bins": {b: ids(held) for b, held in rsol.assignments[t, j].items()}}
+            for t, j in keys
+        ],
+    }
 
 
 def test_canonical_dumps_stable():

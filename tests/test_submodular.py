@@ -9,7 +9,6 @@ import random
 import pytest
 
 from gmk.core import evaluate_objective
-from gmk.errors import InputError
 from gmk.generators import GenParams, gen_random
 from gmk.reduction import ReducedElement, reduce_instance
 from gmk.submodular import (
@@ -18,7 +17,6 @@ from gmk.submodular import (
     SumFunction,
     TableFunction,
     check_monotone_submodular,
-    eval_set_function,
     extend_function,
 )
 
@@ -33,15 +31,9 @@ def random_coverage(rng, items, universe_size=5):
 
 def test_coverage_examples():
     f = CoverageFunction(universe={"u": 5}, covers={"a": frozenset({"u"}), "b": frozenset({"u"})})
-    assert eval_set_function(f, set()) == 0
-    assert eval_set_function(f, {"a", "b"}) == 5
-    assert eval_set_function(f, {"a"}) == 5
-
-
-def test_eval_rejects_unknown_items():
-    f = ModularFunction(values={"a": 1})
-    with pytest.raises(InputError):
-        eval_set_function(f, {"zz"})
+    assert f.evaluate(frozenset()) == 0
+    assert f.evaluate(frozenset({"a", "b"})) == 5
+    assert f.evaluate(frozenset({"a"})) == 5
 
 
 def test_modular_oracle_matches_profit_table():
@@ -49,7 +41,7 @@ def test_modular_oracle_matches_profit_table():
     f = ModularFunction(values=values)
     for size in range(4):
         for combo in itertools.combinations(values, size):
-            assert eval_set_function(f, set(combo)) == sum(values[i] for i in combo)
+            assert f.evaluate(frozenset(combo)) == sum(values[i] for i in combo)
 
 
 def test_checker_clean_on_guaranteed_kinds():
