@@ -29,9 +29,9 @@ from .generators import GenParams, gen_from_2kp, gen_from_multidim_knapsack, gen
 from .intervals import to_intervals
 from .mkcp import DEFAULT_PACK_BUDGET, solve_mkcp_exact, solve_mkcp_greedy
 from .oracle import brute_force_gmk, check_dp_work
-from .reduction import DEFAULT_HORIZON_CAP, reduce_instance
+from .reduction import reduce_instance
 
-# flags fall back to GMK_BUDGET, GMK_PACK_BUDGET and GMK_HORIZON_CAP
+# flags fall back to GMK_BUDGET and GMK_PACK_BUDGET
 ENV_PREFIX = "GMK_"
 
 
@@ -116,7 +116,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_reduce(args) -> int:
     inst = ensure_valid(serialize.instance_from_dict(serialize.load_json(args.instance)))
-    reduced = reduce_instance(inst, horizon_cap=args.horizon_cap)
+    reduced = reduce_instance(inst, enum_budget=args.budget)
     _emit(serialize.reduced_to_dict(reduced), args.out)
     return 0
 
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="materialize the reduced packing instance")
     p.add_argument("--in", dest="instance", required=True)
-    p.add_argument("--horizon-cap", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_reduce)
 
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phi", type=int, required=True)
         p.add_argument("--mu-inv", type=int, default=None, help="experimental grid override")
         p.add_argument("--sub-solver", choices=["exact", "greedy"], default="exact")
-        p.add_argument("--horizon-cap", type=int, default=None, help="ignored; binds only reduce")
+        p.add_argument("--horizon-cap", help="accepted and ignored")
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--pack-budget", type=int, default=None)
         if name == "solve":
@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 _LIMITS = (
     ("budget", "BUDGET", None),
     ("pack_budget", "PACK_BUDGET", DEFAULT_PACK_BUDGET),
-    ("horizon_cap", "HORIZON_CAP", DEFAULT_HORIZON_CAP),
 )
 
 

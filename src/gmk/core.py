@@ -259,10 +259,10 @@ def validate_instance(inst: GmkInstance) -> ValidationReport:
                     if item in item_set and not _is_amount(p):
                         entries.append(f"stage {t} profit of {item} is {p!r}, not a nonnegative integer")
 
-    _check_table(entries, "gain_plus", inst.gain_plus, inst.items, 2, inst.horizon)
-    _check_table(entries, "gain_minus", inst.gain_minus, inst.items, 2, inst.horizon)
-    _check_table(entries, "cost_plus", inst.cost_plus, inst.items, 1, inst.horizon)
-    _check_table(entries, "cost_minus", inst.cost_minus, inst.items, 1, inst.horizon)
+    # the tables span |I| * T keys: checked against a horizon the stages confirm
+    if len(inst.stages) == inst.horizon:
+        for name, lo in (("gain_plus", 2), ("gain_minus", 2), ("cost_plus", 1), ("cost_minus", 1)):
+            _check_table(entries, name, getattr(inst, name), inst.items, lo, inst.horizon)
 
     if inst.variant == SUBMODULAR:
         for name, table in (("cost_plus", inst.cost_plus), ("cost_minus", inst.cost_minus)):

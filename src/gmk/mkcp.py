@@ -43,6 +43,7 @@ from .reduction import (
     ReducedElement,
     ReducedInstance,
     ReducedSolution,
+    check_table_budget,
     verify_reduced_solution,
 )
 
@@ -50,7 +51,6 @@ PACKED = "packed"
 INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
 
-DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_PACK_BUDGET = 10**5
 
 
@@ -343,14 +343,8 @@ def solve_mkcp_exact(reduced: ReducedInstance, *, enum_budget: int | None = None
     subset tables (``|I| * 2**T`` entries) larger than it, and then the
     search once the candidate schedules it examined outnumber it.
     """
-    budget = DEFAULT_ENUM_BUDGET if enum_budget is None else enum_budget
     hint = "; use solve_mkcp_greedy or raise the budget"
-    tables = len(reduced.items) << reduced.horizon
-    if tables > budget:
-        raise BudgetExceededError(
-            f"exact solve refused: subset tables of {tables} entries (|I| * 2**T) "
-            f"exceed budget {budget}{hint}"
-        )
+    budget = check_table_budget("exact solve refused", len(reduced.items), reduced.horizon, enum_budget, hint)
     examined = 0
 
     def examine(candidates: int) -> None:
@@ -411,9 +405,9 @@ def _exact_modular(reduced: ReducedInstance, examine: Callable[[int], None]) -> 
     # ``best``, and at the last item every schedule that does not beat it, so
     # the first leaf to reach the optimum, the lexicographically smallest
     # one, is recorded and no later tie replaces it. Starting one below the
-    # value of ``solve_mkcp_greedy`` keeps a tie with it recordable.
+    # value of the greedy's unbudgeted choice keeps a tie with it recordable.
     by_mask = [sorted(group, key=lambda c: c[1]) for group in cand]
-    best = reduced.value_of(solve_mkcp_greedy(reduced, pack_budget=None).chosen) - 1
+    best = reduced.value_of(frozenset(_greedy_choice(reduced, _packing(reduced)))) - 1
     avail, push, pop = packing.avail, packing.push, packing.pop
     stack: list[int] = []
     chosen: list[ReducedElement] | None = None
@@ -496,7 +490,11 @@ def solve_mkcp_greedy(
     Packing checks run under ``pack_budget`` nodes (``None``: unbounded);
     an undecided check counts as unpackable. Ties go to the smaller mask.
     """
-    packing = _packing(reduced, pack_budget)
+    return finish_selection(reduced, _greedy_choice(reduced, _packing(reduced, pack_budget)))
+
+
+def _greedy_choice(reduced: ReducedInstance, packing: _PartialPacking) -> list[ReducedElement]:
+    """The greedy's schedules, one per item, pushed onto ``packing`` in item order."""
     chosen: list[ReducedElement] = []
     objective = reduced.objective
     for k, item in enumerate(reduced.items):
@@ -510,4 +508,4 @@ def solve_mkcp_greedy(
             mask = min(fits, key=lambda m: (-objective.evaluate(current | {ReducedElement(item, m)}), m))
         packing.push(k, mask)
         chosen.append(ReducedElement(item, mask))
-    return finish_selection(reduced, chosen)
+    return chosen

@@ -48,7 +48,8 @@ from .core import (
     check_feasible,
 )
 from .errors import BudgetExceededError, ContractViolationError
-from .mkcp import DEFAULT_ENUM_BUDGET, Capacities, pack_mkc
+from .mkcp import Capacities, pack_mkc
+from .reduction import DEFAULT_ENUM_BUDGET
 
 
 def packable_row(inst: GmkInstance, t: int) -> list[bool]:

@@ -11,8 +11,8 @@ tables. Each original constraint (t, j) carries over with the weight rule
 fewer than d constraints are padded with a trivial zero-capacity,
 zero-weight constraint so the reduced instance always has d*T of them.
 
-The reduction blows up as ``|I| * 2**T`` by design, so a configurable
-horizon cap refuses long instances.
+The reduction blows up as ``|I| * 2**T`` by design; ``check_table_budget``
+refuses it by the rule the exact reduced solver applies to its tables.
 
 Both directions of the solution mapping preserve the objective exactly:
 ``lower_solution`` mirrors assignments bin by bin, parking inactive
@@ -33,6 +33,7 @@ from typing import AbstractSet, Iterable, Mapping
 from .core import (
     MODULAR,
     GmkInstance,
+    Mkc,
     MultistageSolution,
     check_feasible,
     coupling_terms,
@@ -43,7 +44,7 @@ from .submodular import ExtendedStageFunction, extend_function
 
 log = logging.getLogger(__name__)
 
-DEFAULT_HORIZON_CAP = 12
+DEFAULT_ENUM_BUDGET = 10**6
 PAD_BIN = "pad"
 
 
@@ -181,37 +182,38 @@ def _schedule_values(inst: GmkInstance) -> list[list[int]]:
 
 
 def _reduced_constraints(inst: GmkInstance) -> tuple[ReducedConstraint, ...]:
+    pad = Mkc({}, (PAD_BIN,), {PAD_BIN: 0})
     out: list[ReducedConstraint] = []
-    d = inst.dimension
     for t, stage in enumerate(inst.stages, start=1):
-        for j in range(1, d + 1):
-            if j <= stage.dimension:
-                mkc = stage.mkcs[j - 1]
-                out.append(
-                    ReducedConstraint(
-                        stage=t,
-                        index=j,
-                        padding=False,
-                        bins=tuple(mkc.bins),
-                        capacities=dict(mkc.capacities),
-                        item_weights=dict(mkc.weights),
-                    )
+        for j in range(1, inst.dimension + 1):
+            mkc = stage.mkcs[j - 1] if j <= stage.dimension else pad
+            out.append(
+                ReducedConstraint(
+                    stage=t,
+                    index=j,
+                    padding=mkc is pad,
+                    bins=tuple(mkc.bins),
+                    capacities=dict(mkc.capacities),
+                    item_weights=dict(mkc.weights),
                 )
-            else:
-                out.append(
-                    ReducedConstraint(
-                        stage=t,
-                        index=j,
-                        padding=True,
-                        bins=(PAD_BIN,),
-                        capacities={PAD_BIN: 0},
-                        item_weights={},
-                    )
-                )
+            )
     return tuple(out)
 
 
-def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP) -> ReducedInstance:
+def check_table_budget(refusal: str, n: int, horizon: int, budget: int | None, hint: str = "") -> int:
+    """Return ``budget`` (None: ``DEFAULT_ENUM_BUDGET``) unless ``n << horizon`` table entries pass it.
+
+    Then raise ``BudgetExceededError``, opening with ``refusal`` and closing with ``hint``.
+    """
+    budget = DEFAULT_ENUM_BUDGET if budget is None else budget
+    if n << horizon > budget:
+        raise BudgetExceededError(
+            f"{refusal}: subset tables of {n << horizon} entries (|I| * 2**T) exceed budget {budget}{hint}"
+        )
+    return budget
+
+
+def reduce_instance(inst: GmkInstance, *, enum_budget: int | None = None) -> ReducedInstance:
     """Build the reduced packing instance's schedule tables and constraints.
 
     Both variants value each schedule with ``_schedule_values``. Schedules
@@ -219,13 +221,10 @@ def reduce_instance(inst: GmkInstance, *, horizon_cap: int = DEFAULT_HORIZON_CAP
     mass and always stays. In the modular variant those values are the
     whole objective. In the submodular variant they are its gain terms,
     sums of nonnegative gains, so nothing is dropped; the objective stays an
-    oracle that adds per-stage lifted profit functions to them.
+    oracle that adds per-stage lifted profit functions to them. Refuses
+    (``check_table_budget``) tables larger than ``enum_budget``.
     """
-    if inst.horizon > horizon_cap:
-        raise BudgetExceededError(
-            f"reduction refused: horizon {inst.horizon} exceeds the cap {horizon_cap} "
-            f"(the element set grows as |I| * 2**T; raise the cap explicitly if intended)"
-        )
+    check_table_budget("reduction refused", len(inst.items), inst.horizon, enum_budget)
     schedules: dict[str, dict[int, int]] = {}
     for item, row in zip(inst.items, _schedule_values(inst)):
         assert row[0] >= 0, "empty schedule value is a nonnegative gain sum"

@@ -389,8 +389,11 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
         raise InputError("partition must split the elements into one group per item")
     if any(ReducedElement(item, 0) not in element_set for item in items):
         raise InputError("every item needs its empty schedule")
-    keys = [(t, j) for t in range(1, horizon + 1) for j in range(1, dimension + 1)]
-    if sorted((rc.stage, rc.index) for rc in constraints) != keys:
+    keys = sorted((rc.stage, rc.index) for rc in constraints)
+    # the count first, so that the expected keys are no more than the listed ones
+    if len(keys) != horizon * dimension or keys != [
+        (t, j) for t in range(1, horizon + 1) for j in range(1, dimension + 1)
+    ]:
         raise InputError("constraints must be one per stage and index within horizon and dimension")
     if any(not rc.padding and not set(items) <= set(rc.item_weights) for rc in constraints):
         raise InputError("every unpadded constraint needs the weight of every item")

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import pathlib
+import resource
 import shlex
 import shutil
 import subprocess
@@ -356,10 +357,35 @@ def test_solve_validates_the_instance_once(tmp_path, capsys, monkeypatch):
     assert "invalid instance" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
-def test_reduce_horizon_cap_exit_3(tmp_path):
-    inst = tmp_path / "inst.json"
-    assert run("gen", "--random", "--seed", 0, "--items", 1, "--horizon", 5, "--out", inst) == 0
-    assert run("reduce", "--in", inst, "--horizon-cap", 3, "--out", tmp_path / "r.json") == 3
+def test_reduce_budget_bounds_the_schedule_tables(tmp_path, capsys, monkeypatch):
+    # |I| = 1, T = 13: 8192 table entries, past the horizon the reduction once capped
+    monkeypatch.delenv("GMK_BUDGET", raising=False)
+    inst, out = tmp_path / "inst.json", tmp_path / "r.json"
+    assert run("gen", "--random", "--seed", 0, "--items", 1, "--horizon", 13, "--out", inst) == 0
+    assert run("reduce", "--in", inst, "--budget", 8192, "--out", out) == 0
+    capsys.readouterr()
+    assert run("reduce", "--in", inst, "--budget", 8191, "--out", tmp_path / "refused.json") == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "BudgetExceededError"
+    assert "8192 entries (|I| * 2**T) exceed budget 8191" in error["message"]
+    assert not (tmp_path / "refused.json").exists()
+    # GMK_BUDGET fills in for an absent flag, and an explicit flag wins over it
+    monkeypatch.setenv("GMK_BUDGET", "8191")
+    assert run("reduce", "--in", inst, "--out", tmp_path / "r2.json") == 3
+    assert run("reduce", "--in", inst, "--budget", 8192, "--out", tmp_path / "r2.json") == 0
+    assert (tmp_path / "r2.json").read_bytes() == out.read_bytes()
+    monkeypatch.setenv("GMK_BUDGET", "8192")
+    assert run("reduce", "--in", inst, "--budget", 8191, "--out", tmp_path / "r3.json") == 3
+
+
+def test_solve_and_compare_accept_and_ignore_horizon_cap(tmp_path, monkeypatch):
+    for name in ("GMK_BUDGET", "GMK_PACK_BUDGET"):
+        monkeypatch.delenv(name, raising=False)
+    args = ("--in", DOCS / "modular_micro.json", *SCHEME)
+    assert run("solve", *args, "--out", tmp_path / "a.json") == 0
+    assert run("solve", *args, "--horizon-cap", -1, "--out", tmp_path / "b.json") == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert run("compare", *args, "--horizon-cap", 0, "--report", tmp_path / "c.json") == 0
 
 
 def test_oracle_budget_exit_3(tmp_path):
@@ -438,7 +464,7 @@ def test_solve_report_invariants(tmp_path, capsys):
 
 def test_greedy_solve_runs_at_the_paper_parameters(tmp_path, capsys):
     # eps 0.2 and phi 1 give mu_inv = 25, so greedy windows reach 50 stages,
-    # far past the reduction's horizon cap
+    # far past the 15 stages the default budget admits for a reduction of 20 items
     inst, sol, report = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "report.json"
     assert run("gen", "--random", "--seed", 3, "--items", 20, "--horizon", 60, "--d", 2,
                "--bins", 2, "--target-phi", 1, "--out", inst) == 0
@@ -613,20 +639,11 @@ def test_env_var_budget_fallback(tmp_path, monkeypatch):
     assert run("oracle", "--in", inst, "--out", tmp_path / "s.json") == 2
 
 
-def test_env_var_horizon_cap(tmp_path, monkeypatch):
-    inst = tmp_path / "inst.json"
-    assert run("gen", "--random", "--seed", 0, "--items", 1, "--horizon", 5, "--out", inst) == 0
-    monkeypatch.setenv("GMK_HORIZON_CAP", "3")
-    assert run("reduce", "--in", inst, "--out", tmp_path / "r.json") == 3
-    # an explicit flag wins over the environment
-    assert run("reduce", "--in", inst, "--horizon-cap", 5, "--out", tmp_path / "r.json") == 0
-
-
-@pytest.mark.parametrize("flag", ["budget", "pack-budget", "horizon-cap"])
+@pytest.mark.parametrize("flag", ["budget", "pack-budget"])
 @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
 def test_negative_limit_exits_2(tmp_path, capsys, monkeypatch, flag, via_env):
     env = "GMK_" + flag.upper().replace("-", "_")
-    for name in ("GMK_BUDGET", "GMK_PACK_BUDGET", "GMK_HORIZON_CAP"):
+    for name in ("GMK_BUDGET", "GMK_PACK_BUDGET"):
         monkeypatch.delenv(name, raising=False)
     args = ("solve", "--in", DOCS / "modular_micro.json", *SCHEME, "--out", tmp_path / "s.json")
 
@@ -644,6 +661,61 @@ def test_negative_limit_exits_2(tmp_path, capsys, monkeypatch, flag, via_env):
     # zero is a limit like any other: it may refuse work, never the input
     attempt(0)
     assert "InputError" not in capsys.readouterr().err
+
+
+HOSTILE_REDUCED = {
+    "variant": "modular", "items": ["x"], "horizon": 100000, "dimension": 100000,
+    "elements": [{"id": "x@0"}], "partition": {"x": ["x@0"]}, "constraints": [],
+    "values": {"x@0": 0},
+}
+HOSTILE_INSTANCE = {
+    "variant": "modular", "items": ["a"], "horizon": 10**8, "stages": [],
+    "gain_plus": {}, "gain_minus": {}, "cost_plus": {}, "cost_minus": {},
+}
+
+
+def _gmk_in_1_gb(tmp_path, payload, *argv):
+    """Run ``gmk`` on ``payload``, written to a file, with its address space capped at 1 GB."""
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(payload))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "gmk.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=cap, timeout=60)
+
+
+@pytest.mark.parametrize("mode", ["--greedy", "--exact"])
+def test_hostile_reduced_file_exits_2_in_bounded_memory(tmp_path, mode):
+    # horizon * dimension is 10**10 constraint keys, against the none listed
+    done = _gmk_in_1_gb(tmp_path, HOSTILE_REDUCED, "solve-mkcp", "--in", "FILE", mode)
+    assert done.returncode == 2, done.stderr
+    error = json.loads(done.stderr)["error"]
+    assert error["type"] == "InputError" and "one per stage and index" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("validate", "FILE"), 2),
+        (("solve", "--in", "FILE", "--eps", "0.2", "--phi", "1"), 2),
+        (("oracle", "--in", "FILE"), 2),
+        (("reduce", "--in", "FILE"), 2),
+        # the oracle's budget reads only |I| and T, and refuses first
+        (("compare", "--in", "FILE", "--eps", "0.2", "--phi", "1"), 3),
+    ],
+    ids=lambda v: v[0] if isinstance(v, tuple) else str(v),
+)
+def test_hostile_instance_file_exits_in_bounded_memory(tmp_path, argv, code):
+    # a horizon of 10**8 with no stage: the tables would span 10**8 keys per item
+    done = _gmk_in_1_gb(tmp_path, HOSTILE_INSTANCE, *argv)
+    assert done.returncode == code, done.stderr
+    error = json.loads(done.stderr.splitlines()[-1])["error"]
+    if code == 2:
+        assert "expected 100000000 stages, got 0" in error["message"]
 
 
 def test_greedy_solve_packs_no_item_at_a_binless_stage(tmp_path):
@@ -986,7 +1058,7 @@ def test_readme_walkthrough_repeats_in_one_process_and_matches_a_fresh_one(
 ):
     walkthrough = _readme_walkthrough()
     assert len(walkthrough) == 15
-    for name in ("GMK_BUDGET", "GMK_PACK_BUDGET", "GMK_HORIZON_CAP"):
+    for name in ("GMK_BUDGET", "GMK_PACK_BUDGET"):
         monkeypatch.delenv(name, raising=False)
 
     src = DOCS.parent.parent / "src"

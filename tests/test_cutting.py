@@ -31,7 +31,7 @@ from gmk.errors import BudgetExceededError, ContractViolationError, InputError
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import finish_selection, solve_mkcp_exact, solve_mkcp_greedy
 from gmk.oracle import brute_force_gmk, checked_solution
-from gmk.reduction import DEFAULT_HORIZON_CAP, ReducedElement, lift_solution, reduce_instance
+from gmk.reduction import ReducedElement, lift_solution, reduce_instance
 from gmk.serialize import canonical_dumps, solution_to_dict
 
 from util import (
@@ -463,9 +463,9 @@ def test_exact_route_solves_nine_items_by_the_dp_alone(exact_routes):
 
 
 def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
-    # neither branch and bound's budget (its subset tables, then its search)
-    # nor the horizon cap binds the scheme; the cap binds only the reduction,
-    # which greedy no longer builds
+    # the budget of the reduction and of branch and bound (their |I| * 2**T
+    # subset tables, then the search) does not bind the scheme, which builds
+    # no reduction
     params = dataclasses.replace(DP_SHAPES["two_bin_d2"], target_phi=1)
     for seed in range(3):
         inst = gen_random(params, seed)
@@ -480,9 +480,9 @@ def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
         scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=2)
         result = solve_general_result(inst, scheme, "exact", enum_budget=work)
         assert not result.bypassed
-        long = gen_random(dataclasses.replace(params, horizon=DEFAULT_HORIZON_CAP + 1), seed)
-        with pytest.raises(BudgetExceededError, match="horizon"):
-            reduce_instance(long)
+        long = gen_random(dataclasses.replace(params, horizon=13), seed)
+        with pytest.raises(BudgetExceededError, match=r"reduction refused: .* \(\|I\| \* 2\*\*T\)"):
+            reduce_instance(long, enum_budget=work)
         sol = _solve(long, "greedy")
         assert check_feasible(long, sol).ok
         assert 0 <= evaluate_objective(long, sol.sets) <= _optimum(long)
@@ -523,7 +523,7 @@ PAPER_PARAMETER_CASES = [
 
 def test_exact_scheme_at_the_paper_parameters_keeps_the_ptas_bound():
     # mu_inv derives from eps and phi (25 at eps 1/5, 45 at 3/20), with no
-    # override, so windows run up to 90 stages past the default horizon cap
+    # override, so windows run up to 90 stages, far past what the reduction admits
     for seed, (eps, items, horizon, d, bins) in enumerate(PAPER_PARAMETER_CASES):
         params = GenParams(items=items, horizon=horizon, dimension=d, bins_per_mkc=bins,
                            target_phi=1)

@@ -146,10 +146,23 @@ def test_padding_constraints_take_everything_at_zero_weight():
         assert all(rc.weight_of(e) == 0 for e in reduced.elements)
 
 
-def test_horizon_cap_refusal():
-    inst = gen_random(GenParams(items=1, horizon=4), 0)
-    with pytest.raises(BudgetExceededError):
-        reduce_instance(inst, horizon_cap=3)
+def test_reduce_refuses_tables_past_the_budget():
+    # |I| * 2**T = 2 * 16 table entries, the rule solve_mkcp_exact applies
+    inst = gen_random(GenParams(items=2, horizon=4), 0)
+    assert reduce_instance(inst, enum_budget=32).schedules == reduce_instance(inst).schedules
+    with pytest.raises(BudgetExceededError, match=r"32 entries \(\|I\| \* 2\*\*T\) exceed budget 31"):
+        reduce_instance(inst, enum_budget=31)
+    with pytest.raises(BudgetExceededError, match="exact solve refused"):
+        solve_mkcp_exact(reduce_instance(inst), enum_budget=31)
+
+
+def test_default_budget_reduces_solves_and_lifts_past_twelve_stages():
+    # 3 * 2**13 table entries: the reduce, solve-mkcp --exact, lift pipeline
+    # at the default budget reaches the oracle's optimum
+    inst = gen_random(GenParams(items=3, horizon=13), 3)
+    reduced = reduce_instance(inst)
+    sol = lift_solution(inst, solve_mkcp_exact(reduced), reduced)
+    assert evaluate_objective(inst, sol.sets) == evaluate_objective(inst, brute_force_gmk(inst).sets) == 74
 
 
 def test_lower_empty_solution_collects_gain_minus_mass():
