@@ -357,11 +357,17 @@ def test_solve_validates_the_instance_once(tmp_path, capsys, monkeypatch):
     assert "invalid instance" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
-def test_reduce_budget_bounds_the_schedule_tables(tmp_path, capsys, monkeypatch):
-    # |I| = 1, T = 13: 8192 table entries, past the horizon the reduction once capped
-    monkeypatch.delenv("GMK_BUDGET", raising=False)
-    inst, out = tmp_path / "inst.json", tmp_path / "r.json"
+def _reduce_at_table_boundary(tmp_path):
+    """Write an instance with |I| = 1, T = 13: 8192 table entries, past the old horizon cap."""
+    inst = tmp_path / "inst.json"
     assert run("gen", "--random", "--seed", 0, "--items", 1, "--horizon", 13, "--out", inst) == 0
+    return inst
+
+
+def test_reduce_horizon_cap_exit_3(tmp_path, capsys, monkeypatch):
+    # reduce's limit on the horizon is its --budget on the |I| * 2**T schedule tables
+    monkeypatch.delenv("GMK_BUDGET", raising=False)
+    inst, out = _reduce_at_table_boundary(tmp_path), tmp_path / "r.json"
     assert run("reduce", "--in", inst, "--budget", 8192, "--out", out) == 0
     capsys.readouterr()
     assert run("reduce", "--in", inst, "--budget", 8191, "--out", tmp_path / "refused.json") == 3
@@ -369,6 +375,14 @@ def test_reduce_budget_bounds_the_schedule_tables(tmp_path, capsys, monkeypatch)
     assert error["type"] == "BudgetExceededError"
     assert "8192 entries (|I| * 2**T) exceed budget 8191" in error["message"]
     assert not (tmp_path / "refused.json").exists()
+
+
+def test_env_var_horizon_cap(tmp_path, monkeypatch):
+    monkeypatch.delenv("GMK_BUDGET", raising=False)
+    inst, out = _reduce_at_table_boundary(tmp_path), tmp_path / "r.json"
+    # GMK_HORIZON_CAP is no longer read: a cap far below T = 13 refuses nothing
+    monkeypatch.setenv("GMK_HORIZON_CAP", "3")
+    assert run("reduce", "--in", inst, "--out", out) == 0
     # GMK_BUDGET fills in for an absent flag, and an explicit flag wins over it
     monkeypatch.setenv("GMK_BUDGET", "8191")
     assert run("reduce", "--in", inst, "--out", tmp_path / "r2.json") == 3
