@@ -1,9 +1,11 @@
-"""Solvers for reduced packing instances.
+"""Solvers for reduced packing instances, on one placement search.
 
-``pack_assignment`` decides exactly whether a fixed element set fits a
-multiple knapsack constraint, by first-fit-decreasing and then exhaustive
-backtracking with symmetry breaking on equal remaining capacities. Every
-solver asks ``_PartialPacking.avail(k)`` for the stages where the k-th item
+``place`` decides whether positive weights fit a multiple knapsack
+constraint's bins, by first-fit-decreasing and then exhaustive
+backtracking with symmetry breaking on equal remaining capacities.
+``pack_assignment`` names its placement by element and bin;
+``oracle.packable_row`` and ``_PartialPacking.avail`` only ask whether one
+exists. Every solver asks ``avail(k)`` for the stages where the k-th item
 still packs on top of its choices so far; a schedule packs exactly when
 its mask lies inside that mask.
 
@@ -35,7 +37,7 @@ windows build their ``_PartialPacking`` from the stages' own constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .core import MODULAR, Mkc
 from .errors import BudgetExceededError, ContractViolationError
@@ -74,6 +76,58 @@ class PackingResult:
         return self.status == PACKED
 
 
+def place(caps: Sequence[int], weights: Sequence[int], node_budget: int | None = None) -> list[int] | None:
+    """Each weight's index in ``caps`` in a packing of the weights, or None when none exists.
+
+    ``caps`` must descend, and ``weights`` be positive and descend. First
+    fit decreasing runs first; when it strands a weight, backtracking tries
+    each weight in every bin with room, once per distinct remaining
+    capacity, and raises ``_BudgetHit`` past ``node_budget`` nodes. Equal
+    weights are interchangeable and the ``tried`` set merges bins of equal
+    capacity, so the nodes visited and a budgeted outcome depend on the two
+    lists alone, never on the names behind them.
+    """
+    if sum(weights) > sum(caps) or weights and weights[0] > caps[0]:
+        return None
+    remaining = list(caps)
+    placed: list[int] = []
+    for w in weights:
+        for b, r in enumerate(remaining):
+            if r >= w:
+                remaining[b] = r - w
+                placed.append(b)
+                break
+        else:
+            break
+    else:
+        return placed
+
+    remaining, placed = list(caps), [0] * len(weights)
+    nodes = 0
+
+    def dfs(k: int) -> bool:
+        nonlocal nodes
+        if k == len(weights):
+            return True
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise _BudgetHit
+        w = weights[k]
+        tried: set[int] = set()
+        for b, r in enumerate(remaining):
+            if r < w or r in tried:
+                continue
+            tried.add(r)
+            remaining[b] = r - w
+            placed[k] = b
+            if dfs(k + 1):
+                return True
+            remaining[b] = r
+        return False
+
+    return placed if dfs(0) else None
+
+
 def pack_assignment(
     bins: Sequence[str],
     capacities: Mapping[str, int],
@@ -81,113 +135,70 @@ def pack_assignment(
     *,
     node_budget: int | None = None,
 ) -> PackingResult:
-    """Exact multiple-knapsack packability of a fixed element set.
+    """Exact multiple-knapsack packability of a fixed element set, by ``place``.
 
-    Zero-weight elements always fit and are parked in the first bin of the
-    canonical order (capacity descending, then bin id).
+    Elements go in weight descending, then key, order and bins in the
+    canonical order (capacity descending, then bin id). Zero-weight
+    elements always fit and are parked in the first bin of that order.
     """
     entries = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
     if not bins:
-        if entries:
-            return PackingResult(INFEASIBLE)
-        return PackingResult(PACKED, {})
+        return PackingResult(INFEASIBLE) if entries else PackingResult(PACKED, {})
     order = sorted(bins, key=lambda b: (-capacities[b], b))
-    heavy = [(e, w) for e, w in entries if w > 0]
-
-    placed: dict[Hashable, str] = {}
-    if heavy:
-        if sum(w for _, w in heavy) > sum(capacities.values()):
-            return PackingResult(INFEASIBLE)
-        if heavy[0][1] > capacities[order[0]]:
-            return PackingResult(INFEASIBLE)
-
-        remaining = {b: capacities[b] for b in order}
-        complete = True
-        for e, w in heavy:
-            for b in order:
-                if remaining[b] >= w:
-                    remaining[b] -= w
-                    placed[e] = b
-                    break
-            else:
-                complete = False
-                break
-
-        if not complete:
-            remaining = {b: capacities[b] for b in order}
-            placed = {}
-            nodes = 0
-
-            def dfs(k: int) -> bool:
-                nonlocal nodes
-                if k == len(heavy):
-                    return True
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    raise _BudgetHit
-                e, w = heavy[k]
-                tried: set[int] = set()
-                for b in order:
-                    r = remaining[b]
-                    if r < w or r in tried:
-                        continue
-                    tried.add(r)
-                    remaining[b] = r - w
-                    placed[e] = b
-                    if dfs(k + 1):
-                        return True
-                    remaining[b] = r
-                    del placed[e]
-                return False
-
-            try:
-                if not dfs(0):
-                    return PackingResult(INFEASIBLE)
-            except _BudgetHit:
-                return PackingResult(UNKNOWN)
-
+    try:
+        placed = place([capacities[b] for b in order], [w for _, w in entries if w], node_budget)
+    except _BudgetHit:
+        return PackingResult(UNKNOWN)
+    if placed is None:
+        return PackingResult(INFEASIBLE)
     assignment: dict[str, set] = {b: set() for b in bins}
-    for e, b in placed.items():
-        assignment[b].add(e)
-    for e, w in entries:
-        if w == 0:
-            assignment[order[0]].add(e)
+    # the positive weights lead the entries, and the zeros follow
+    for (e, _), b in zip(entries, placed):
+        assignment[order[b]].add(e)
+    for e, _ in entries[len(placed) :]:
+        assignment[order[0]].add(e)
     return PackingResult(PACKED, {b: frozenset(s) for b, s in assignment.items()})
 
 
-def pack_mkc(mkc: Mkc, chosen: Sequence[str] | frozenset[str], *, node_budget: int | None = None) -> PackingResult:
+def pack_mkc(mkc: Mkc, chosen: Sequence[str] | frozenset[str]) -> PackingResult:
     """Packability of an item set under one original constraint."""
-    return pack_assignment(
-        mkc.bins, mkc.capacities, {i: mkc.weights[i] for i in chosen}, node_budget=node_budget
-    )
+    return pack_assignment(mkc.bins, mkc.capacities, {i: mkc.weights[i] for i in chosen})
 
 
 class Capacities(NamedTuple):
     """A constraint's bin capacities, as far as loads alone decide packability."""
 
-    single: int | None  # the capacity of the one bin; None unless there is exactly one
     total: int
     largest: int
 
     @classmethod
-    def of(cls, capacities: Iterable[int]) -> "Capacities":
-        caps = list(capacities)
-        return cls(caps[0] if len(caps) == 1 else None, sum(caps), max(caps, default=0))
+    def of(cls, caps: Sequence[int]) -> "Capacities":
+        return cls(sum(caps), max(caps, default=0))
 
     def fit(self, load: int, heaviest: int) -> bool | None:
         """Whether weights summing to ``load``, none above ``heaviest``, pack.
 
-        One bin takes them when their sum fits; more bins refuse them when
-        the sum exceeds the total or the heaviest exceeds the largest bin,
-        and take them all in the largest bin when the sum fits there.
-        ``None`` leaves the rest to the exact packer. The constraint must
-        have a bin: ``pack_assignment`` packs only the empty set into none.
+        Bins refuse them when the sum exceeds the total or the heaviest
+        exceeds the largest bin, and take them all in the largest bin when
+        the sum fits there; so one bin takes them when their sum fits.
+        ``None`` leaves the rest to ``place``. The constraint must have a
+        bin: ``pack_assignment`` packs only the empty set into none.
         """
-        if self.single is not None:
-            return load <= self.single
         if load > self.total or heaviest > self.largest:
             return False
         return True if load <= self.largest else None
+
+    def subset_sums(self, weights: Sequence[int]) -> list[int]:
+        """Every subset's weight sum, an item above the largest bin counting as total + 1.
+
+        So ``fit`` of subset m, with bit k for ``weights[k]``, is False when
+        ``sums[m]`` exceeds the total, True within the largest bin, else None.
+        """
+        sums = [0]
+        for w in weights:
+            w = w if w <= self.largest else self.total + 1
+            sums += [s + w for s in sums]
+        return sums
 
 
 class _PartialPacking:
@@ -197,11 +208,9 @@ class _PartialPacking:
     constraint belongs to one stage, so a schedule packs on top of the
     pushed ones exactly when each of its stages accepts the item. A stage
     with a binless constraint accepts no item, whatever its weight: no bin
-    can hold it. Packer keys are item names, which order the new entry
-    against the pushed ones as ``ReducedElement`` keys do, so a budgeted
-    packer search visits the same nodes. ``Capacities.fit`` decides from the
-    loads what it can, every single-bin constraint included, and the exact
-    packer the rest.
+    can hold it. ``Capacities.fit`` decides from the loads what it can,
+    every single-bin constraint included, and ``place`` the rest from the
+    pushed weights.
     """
 
     def __init__(
@@ -209,52 +218,47 @@ class _PartialPacking:
     ):
         self.node_budget = node_budget
         pairs = [(1 << t, mkc) for t, mkcs in enumerate(stages) for mkc in mkcs]
-        self.constraints = [mkc for _, mkc in pairs]
         self.full = (1 << len(stages)) - 1 & ~sum({bit for bit, mkc in pairs if not mkc.bins})
-        self.caps = [Capacities.of(mkc.capacities.values()) for mkc in self.constraints]
+        self.bin_caps = [sorted([mkc.capacities[b] for b in mkc.bins], reverse=True) for _, mkc in pairs]
+        self.caps = [Capacities.of(caps) for caps in self.bin_caps]
         # per item: (constraint index, stage bit, weight) wherever it weighs anything
         self.weights: list[list[tuple[int, int, int]]] = [
             [(ci, b, w) for ci, (b, mkc) in enumerate(pairs) if (w := mkc.weights.get(item, 0)) > 0]
             for item in items
         ]
-        self.items = items
-        # pushed items' weights by name, kept for multi-bin constraints only
-        self.loads: list[dict[str, int]] = [{} for _ in self.constraints]
-        self.load_sums: list[int] = [0] * len(self.constraints)
+        # per constraint: the pushed items' positive weights, and their sum
+        self.loads: list[list[int]] = [[] for _ in pairs]
+        self.load_sums: list[int] = [0] * len(pairs)
 
     def avail(self, k: int) -> int:
         """Mask of the stages where the k-th item still packs."""
         avail = self.full
-        key = self.items[k]
         for ci, bit, w in self.weights[k]:
             if not avail & bit:
                 continue
             # the pushed weights fit already, so w is the one that can be too heavy
             fits = self.caps[ci].fit(self.load_sums[ci] + w, w)
             if fits is None:
-                mkc = self.constraints[ci]
-                weights = {**self.loads[ci], key: w}
-                packed = pack_assignment(mkc.bins, mkc.capacities, weights, node_budget=self.node_budget)
-                fits = packed.packed
+                try:
+                    weights = sorted([*self.loads[ci], w], reverse=True)
+                    fits = place(self.bin_caps[ci], weights, self.node_budget) is not None
+                except _BudgetHit:
+                    fits = False
             if not fits:
                 avail ^= bit
         return avail
 
     def push(self, k: int, mask: int) -> None:
-        key = self.items[k]
         for ci, bit, w in self.weights[k]:
             if mask & bit:
                 self.load_sums[ci] += w
-                if self.caps[ci].single is None:
-                    self.loads[ci][key] = w
+                self.loads[ci].append(w)
 
     def pop(self, k: int, mask: int) -> None:
-        key = self.items[k]
         for ci, bit, w in self.weights[k]:
             if mask & bit:
                 self.load_sums[ci] -= w
-                if self.caps[ci].single is None:
-                    del self.loads[ci][key]
+                self.loads[ci].remove(w)
 
 
 def _packing(reduced: ReducedInstance, node_budget: int | None = None) -> _PartialPacking:
@@ -382,7 +386,7 @@ def _exact_modular(reduced: ReducedInstance, examine: Callable[[int], None]) -> 
     # stages all still accept the item's weight (in single-bin constraints;
     # multi-bin ones are relaxed here and enforced by avail) bounds its
     # contribution. Subset-max tables make that a single lookup.
-    single_cap = [caps.single for caps in packing.caps]
+    single_cap = [caps[0] if len(caps) == 1 else None for caps in packing.bin_caps]
     stage_weights = [
         [(ci, ~bit, w) for ci, bit, w in row if single_cap[ci] is not None]
         for row in packing.weights

@@ -10,15 +10,12 @@ additions. It keeps each stage's row of best values and no predecessor
 table; walking back, it rebuilds the chosen set's one column of the full
 ``cur x prev`` table and takes its first maximum.
 
-Packability is built in bulk: each constraint's subset weight sums and
-heaviest weights come by doubling over the items, and
-``mkcp.Capacities.fit`` screens them (one bin packs a sum within its
-capacity; more bins refuse a sum above their total or an item above the
-largest bin, and take a sum that fits the largest bin), while a constraint
-with no bin packs only the empty set. Packability is monotone, as weights
-are nonnegative and dropping an item from a feasible assignment keeps it
-feasible: a subset the screens leave open is packable when some subset
-with one more item is, and the exact packer decides only the subsets left
+Packability is built in bulk (``packable_row``): ``mkcp.Capacities``
+screens every subset's weight sum at once, and a constraint with no bin
+packs only the empty set. Packability is monotone, as weights are
+nonnegative and dropping an item from a feasible assignment keeps it
+feasible: a subset the screen leaves open is packable when some subset
+with one more item is, and ``mkcp.place`` decides only the subsets left
 after that.
 
 This module holds what the package's stage DPs share: the engine
@@ -43,47 +40,46 @@ from .core import (
     MODULAR,
     GmkInstance,
     McpStage,
-    Mkc,
     MultistageSolution,
     check_feasible,
 )
 from .errors import BudgetExceededError, ContractViolationError
-from .mkcp import Capacities, pack_mkc
+from .mkcp import Capacities, pack_mkc, place
 from .reduction import DEFAULT_ENUM_BUDGET
 
 
 def packable_row(inst: GmkInstance, t: int) -> list[bool]:
     """row[m]: the subset with bit k set for items[k] packs at stage t.
 
-    Each constraint's subset sums and heaviest weights, built by doubling
-    over the items, decide what ``Capacities.fit`` can; a constraint with no
-    bin packs only the empty set. The masks left open are scanned in
-    descending order, so every one-item superset of a mask is decided before
-    the mask itself, and the exact packer runs only on those with no
-    packable one.
+    The masks each constraint's ``Capacities.subset_sums`` leaves open are
+    scanned in descending order, so every one-item superset of a mask is
+    decided before the mask itself, and ``place`` runs only on those with
+    no packable one.
     """
     items = inst.items
     size = 1 << len(items)
+    bits = [1 << k for k in range(len(items))]
     row = [True] * size
-    open_mkcs: dict[int, list[Mkc]] = {}
+    open_mkcs: dict[int, list[tuple[list[int], list[tuple[int, int]]]]] = {}
     for mkc in inst.stage(t).mkcs:
         if not mkc.bins:
             row[1:] = [False] * (size - 1)
             continue
-        sums, heaviest = [0], [0]
-        for i in items:
-            w = mkc.weights[i]
-            sums += [s + w for s in sums]
-            heaviest += [max(h, w) for h in heaviest]
-        for m, fits in enumerate(map(Capacities.of(mkc.capacities.values()).fit, sums, heaviest)):
-            if fits is None:
-                open_mkcs.setdefault(m, []).append(mkc)
-            elif not fits:
-                row[m] = False
+        caps = sorted([mkc.capacities[b] for b in mkc.bins], reverse=True)
+        total, largest = screen = Capacities.of(caps)
+        weights = [mkc.weights[i] for i in items]
+        sums = screen.subset_sums(weights)
+        row = [ok and s <= total for ok, s in zip(row, sums)]
+        if total > largest:
+            # (weight, bit) pairs by weight descending, for the masks left open
+            desc = sorted(((w, bit) for w, bit in zip(weights, bits) if w), reverse=True)
+            for m in [m for m, s in enumerate(sums) if s > largest and row[m]]:
+                open_mkcs.setdefault(m, []).append((caps, desc))
     for m in sorted(open_mkcs, reverse=True):
-        if row[m] and not any(row[m | 1 << k] for k in range(len(items)) if not m >> k & 1):
-            members = [i for k, i in enumerate(items) if m >> k & 1]
-            row[m] = all(pack_mkc(mkc, members).packed for mkc in open_mkcs[m])
+        if row[m] and not any(row[m | bit] for bit in bits if not m & bit):
+            row[m] = all(
+                place(caps, [w for w, bit in desc if m & bit]) is not None for caps, desc in open_mkcs[m]
+            )
     return row
 
 

@@ -15,10 +15,13 @@ from gmk.mkcp import (
     INFEASIBLE,
     PACKED,
     UNKNOWN,
+    Capacities,
+    _BudgetHit,
     _kept_schedules,
     _packing,
     pack_assignment,
     pack_mkc,
+    place,
     solve_mkcp_exact,
     solve_mkcp_greedy,
 )
@@ -30,7 +33,7 @@ from gmk.reduction import (
 from gmk.oracle import brute_force_gmk
 from gmk.serialize import canonical_dumps, reduced_from_dict, reduced_solution_to_dict, reduced_to_dict
 
-from util import naive_reduced_optimum
+from util import naive_reduced_optimum, packs_by_every_map
 
 
 def test_pack_two_items_one_bin():
@@ -87,6 +90,75 @@ def test_pack_mkc_wrapper():
     assert pack_mkc(mkc, {"i", "j"}).packed
     tight = Mkc(weights={"i": 3, "j": 4}, bins=("b1",), capacities={"b1": 5})
     assert not pack_mkc(tight, {"i", "j"}).packed
+
+
+def _pack_corpus():
+    """Seeded packer inputs: 0-4 bins, repeated capacities, zero and repeated weights."""
+    rng = random.Random(24)
+    for _ in range(1500):
+        # shuffled bin ids, so the canonical order differs from the given one
+        bins = [f"b{k}" for k in rng.sample(range(6), rng.randint(0, 4))]
+        caps = [rng.randint(0, 10) for _ in range(2)]
+        capacities = {b: rng.choice(caps) for b in bins}
+        weights = [0] + [rng.randint(1, 7) for _ in range(3)]
+        items = rng.sample(range(12), rng.randint(0, 9))
+        yield bins, capacities, {f"e{k}": rng.choice(weights) for k in items}
+
+
+# sha256 over the status and assignment of every packing of the corpus
+# above, recorded before ``place`` took over the packer's search
+GOLDEN_PACK = "1933298c454a376d158f25070692bf2ee61b44d944b9338690faafa1adf849ad"
+
+
+def test_pack_assignment_outcomes_digest():
+    digest = hashlib.sha256()
+    statuses = {PACKED: 0, INFEASIBLE: 0, UNKNOWN: 0}
+    for bins, capacities, weights in _pack_corpus():
+        for budget in (None, 1, 3, 10, 100):
+            result = pack_assignment(bins, capacities, weights, node_budget=budget)
+            statuses[result.status] += 1
+            assignment = sorted((b, sorted(s)) for b, s in (result.assignment or {}).items())
+            digest.update(repr((result.status, assignment)).encode())
+    assert min(statuses.values()) > 0
+    assert digest.hexdigest() == GOLDEN_PACK
+
+
+def test_place_matches_every_map():
+    rng = random.Random(5)
+    outcomes = {"packed": 0, "unpackable": 0, "budget_hit": 0}
+    for _ in range(600):
+        caps = sorted((rng.randint(0, 9) for _ in range(rng.randint(0, 4))), reverse=True)
+        weights = sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 8))), reverse=True)
+        packs = packs_by_every_map(caps, weights)
+        placed = place(caps, weights)
+        assert (placed is not None) == packs, (caps, weights)
+        if placed is not None:
+            loads = [sum(w for w, b in zip(weights, placed) if b == j) for j in range(len(caps))]
+            assert all(load <= cap for load, cap in zip(loads, caps)), (caps, weights, placed)
+        outcomes["packed" if packs else "unpackable"] += 1
+        # a budget either stops the search or leaves its answer unchanged
+        for budget in (1, 3):
+            try:
+                assert place(caps, weights, budget) == placed
+            except _BudgetHit:
+                outcomes["budget_hit"] += 1
+    assert min(outcomes.values()) > 0
+
+
+def test_subset_sums_screen_agrees_with_fit():
+    rng = random.Random(8)
+    verdicts = {True: 0, False: 0, None: 0}
+    for _ in range(300):
+        caps = Capacities.of(sorted((rng.randint(0, 9) for _ in range(rng.randint(1, 4))), reverse=True))
+        weights = [rng.choice((0, rng.randint(1, 12))) for _ in range(rng.randint(0, 6))]
+        sums = caps.subset_sums(weights)
+        for m, s in enumerate(sums):
+            held = [w for k, w in enumerate(weights) if m >> k & 1]
+            fits = caps.fit(sum(held), max(held, default=0))
+            # the rule packable_row reads off the sums
+            assert (True if s <= caps.largest else None if s <= caps.total else False) is fits
+            verdicts[fits] += 1
+    assert min(verdicts.values()) > 0
 
 
 def test_exact_single_item_argmax_and_feasibility_filter():
@@ -491,6 +563,14 @@ def test_avail_matches_packing_every_touched_constraint(budget):
                 new = ReducedElement(items[k], mask)
                 packs = _packs_with(reduced, loaded, new, budget)
                 assert (mask & ~avail == 0) == packs, (seed, k, loaded, mask)
+                if budget is None:
+                    assert packs == all(
+                        packs_by_every_map(
+                            [rc.capacities[b] for b in rc.bins], [rc.weight_of(e) for e in loaded + [new]]
+                        )
+                        for rc in reduced.constraints
+                        if rc.weight_of(new) > 0
+                    ), (seed, k, loaded, mask)
                 fits[packs] += 1
                 undecided += packs != _packs_with(reduced, loaded, new, None)
     # the corpus reaches both answers, and every finite budget leaves some packing undecided

@@ -22,6 +22,7 @@ from util import (
     full_table_oracle,
     knapsack_dp,
     packable_sets,
+    packs_by_every_map,
     single_bin_stage,
 )
 
@@ -236,6 +237,10 @@ def _mixed_stages(seed):
         GenParams(items=4, horizon=4, dimension=2, bins_per_mkc=1, capacity_range=(1, 5)),
         GenParams(items=8, horizon=2, dimension=2, bins_per_mkc=2, weight_range=(1, 6),
                   capacity_range=(3, 9)),
+        GenParams(items=7, horizon=2, dimension=2, bins_per_mkc=3, weight_range=(0, 5),
+                  capacity_range=(0, 7)),
+        GenParams(items=8, horizon=2, dimension=1, bins_per_mkc=4, weight_range=(0, 6),
+                  capacity_range=(1, 6)),
         "mixed",
     ],
 )
@@ -254,15 +259,21 @@ def test_packable_rows_match_packing_every_subset(params, monkeypatch):
         for t in range(1, inst.horizon + 1):
             packer.clear()
             row = packable_row(inst, t)
-            # subset sums decide every one-bin constraint without the packer
-            if all(len(mkc.bins) == 1 for mkc in inst.stage(t).mkcs):
-                assert packer == [], (seed, t)
+            # rows ask ``place`` directly, never the naming packer
+            assert packer == [], (seed, t)
             got = {
                 frozenset(i for k, i in enumerate(inst.items) if (m >> k) & 1)
                 for m, ok in enumerate(row)
                 if ok
             }
             assert got == set(packable_sets(inst, t)), (seed, t)
+            mkcs = inst.stage(t).mkcs
+            for m, ok in enumerate(row):
+                members = [i for k, i in enumerate(inst.items) if m >> k & 1]
+                assert ok == all(
+                    packs_by_every_map(list(mkc.capacities.values()), [mkc.weights[i] for i in members])
+                    for mkc in mkcs
+                ), (seed, t, m)
             unpackable += row.count(False)
     # tight capacities leave many subsets unpackable, so the closure is exercised
     assert unpackable > 100

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from gmk.core import (
     MODULAR,
     GmkInstance,
@@ -91,6 +93,24 @@ def packable_sets(inst, t):
             if all(pack_mkc(mkc, combo).packed for mkc in inst.stage(t).mkcs):
                 out.append(frozenset(combo))
     return out
+
+
+def packs_by_every_map(capacities, weights):
+    """Whether some map of the weights to the bins keeps every bin within its capacity.
+
+    Tries all ``len(capacities) ** len(weights)`` maps at once, with no
+    ordering, screen or search, so it shares no code with ``gmk.mkcp``.
+    Small inputs only: at most 4 bins and 8 weights.
+    """
+    if not weights:
+        return True
+    if not capacities:
+        return False
+    # maps[k]: the bin of weights[k], in each map
+    maps = np.indices((len(capacities),) * len(weights)).reshape(len(weights), -1)
+    column = np.array(weights)[:, None]
+    within = [(column * (maps == b)).sum(axis=0) <= cap for b, cap in enumerate(capacities)]
+    return bool(np.logical_and.reduce(within).any())
 
 
 def enumerate_optimum(inst):
