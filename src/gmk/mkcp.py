@@ -180,25 +180,26 @@ class Capacities(NamedTuple):
 
         Bins refuse them when the sum exceeds the total or the heaviest
         exceeds the largest bin, and take them all in the largest bin when
-        the sum fits there; so one bin takes them when their sum fits.
-        ``None`` leaves the rest to ``place``. The constraint must have a
-        bin: ``pack_assignment`` packs only the empty set into none.
+        the sum fits there, as one bin does. ``None`` leaves the rest to
+        ``place``; ``pack_assignment`` packs only the empty set into no bin.
         """
         if load > self.total or heaviest > self.largest:
             return False
         return True if load <= self.largest else None
 
-    def subset_sums(self, weights: Sequence[int]) -> list[int]:
-        """Every subset's weight sum, an item above the largest bin counting as total + 1.
+    def screen(self, weights: Sequence[int]) -> tuple[list[bool], list[int]]:
+        """``fit`` of every subset at once: which may pack, and the masks left to ``place``.
 
-        So ``fit`` of subset m, with bit k for ``weights[k]``, is False when
-        ``sums[m]`` exceeds the total, True within the largest bin, else None.
+        Subset m holds ``weights[k]`` for each bit k of m. An item above the
+        largest bin counts as total + 1, so one comparison refuses its subsets.
         """
+        total, largest = self
         sums = [0]
         for w in weights:
-            w = w if w <= self.largest else self.total + 1
+            w = w if w <= largest else total + 1
             sums += [s + w for s in sums]
-        return sums
+        undecided = [m for m, s in enumerate(sums) if largest < s <= total] if total > largest else []
+        return [s <= total for s in sums], undecided
 
 
 class _PartialPacking:

@@ -51,7 +51,7 @@ from .reduction import DEFAULT_ENUM_BUDGET
 def packable_row(inst: GmkInstance, t: int) -> list[bool]:
     """row[m]: the subset with bit k set for items[k] packs at stage t.
 
-    The masks each constraint's ``Capacities.subset_sums`` leaves open are
+    The masks each constraint's ``Capacities.screen`` leaves open are
     scanned in descending order, so every one-item superset of a mask is
     decided before the mask itself, and ``place`` runs only on those with
     no packable one.
@@ -66,14 +66,13 @@ def packable_row(inst: GmkInstance, t: int) -> list[bool]:
             row[1:] = [False] * (size - 1)
             continue
         caps = sorted([mkc.capacities[b] for b in mkc.bins], reverse=True)
-        total, largest = screen = Capacities.of(caps)
         weights = [mkc.weights[i] for i in items]
-        sums = screen.subset_sums(weights)
-        row = [ok and s <= total for ok, s in zip(row, sums)]
-        if total > largest:
+        allowed, undecided = Capacities.of(caps).screen(weights)
+        row = [ok and a for ok, a in zip(row, allowed)]
+        if undecided:
             # (weight, bit) pairs by weight descending, for the masks left open
             desc = sorted(((w, bit) for w, bit in zip(weights, bits) if w), reverse=True)
-            for m in [m for m, s in enumerate(sums) if s > largest and row[m]]:
+            for m in [m for m in undecided if row[m]]:
                 open_mkcs.setdefault(m, []).append((caps, desc))
     for m in sorted(open_mkcs, reverse=True):
         if row[m] and not any(row[m | bit] for bit in bits if not m & bit):

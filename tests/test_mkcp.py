@@ -145,18 +145,18 @@ def test_place_matches_every_map():
     assert min(outcomes.values()) > 0
 
 
-def test_subset_sums_screen_agrees_with_fit():
+def test_screen_agrees_with_fit():
     rng = random.Random(8)
     verdicts = {True: 0, False: 0, None: 0}
     for _ in range(300):
         caps = Capacities.of(sorted((rng.randint(0, 9) for _ in range(rng.randint(1, 4))), reverse=True))
         weights = [rng.choice((0, rng.randint(1, 12))) for _ in range(rng.randint(0, 6))]
-        sums = caps.subset_sums(weights)
-        for m, s in enumerate(sums):
+        allowed, undecided = caps.screen(weights)
+        assert len(allowed) == 1 << len(weights) and undecided == sorted(set(undecided))
+        for m, ok in enumerate(allowed):
             held = [w for k, w in enumerate(weights) if m >> k & 1]
             fits = caps.fit(sum(held), max(held, default=0))
-            # the rule packable_row reads off the sums
-            assert (True if s <= caps.largest else None if s <= caps.total else False) is fits
+            assert ok is (fits is not False) and (m in undecided) is (fits is None), (caps, weights, m)
             verdicts[fits] += 1
     assert min(verdicts.values()) > 0
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from gmk import mkcp
+from gmk import mkcp, oracle
 from gmk.core import McpStage, Mkc, check_feasible, evaluate_objective
 from gmk.cutting import StageRows, solve_bounded_horizon
 from gmk.errors import BudgetExceededError, ContractViolationError
@@ -252,15 +252,28 @@ def test_packable_rows_match_packing_every_subset(params, monkeypatch):
         packer.append(args)
         return real_packer(*args, **kwargs)
 
+    placed = []
+    real_place = oracle.place
+
+    def counted_place(*args, **kwargs):
+        placed.append(args)
+        return real_place(*args, **kwargs)
+
     monkeypatch.setattr(mkcp, "pack_assignment", counted)
-    unpackable = 0
+    monkeypatch.setattr(oracle, "place", counted_place)
+    unpackable = searched = 0
     for seed in range(6):
         inst = _mixed_stages(seed) if params == "mixed" else gen_random(params, seed)
         for t in range(1, inst.horizon + 1):
+            searched += len(placed)
             packer.clear()
+            placed.clear()
             row = packable_row(inst, t)
             # rows ask ``place`` directly, never the naming packer
             assert packer == [], (seed, t)
+            # the sums alone decide every one-bin constraint
+            if all(len(mkc.bins) == 1 for mkc in inst.stage(t).mkcs):
+                assert placed == [], (seed, t)
             got = {
                 frozenset(i for k, i in enumerate(inst.items) if (m >> k) & 1)
                 for m, ok in enumerate(row)
@@ -277,6 +290,8 @@ def test_packable_rows_match_packing_every_subset(params, monkeypatch):
             unpackable += row.count(False)
     # tight capacities leave many subsets unpackable, so the closure is exercised
     assert unpackable > 100
+    # and the spy sees the searches that stages with several bins make
+    assert searched > 0 or params.bins_per_mkc == 1
 
 
 def test_matches_enumeration_on_tie_heavy_instances():
