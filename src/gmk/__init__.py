@@ -30,7 +30,6 @@ from .cutting import (
     CutPointSet,
     SchemeParams,
     SchemeResult,
-    StageRows,
     combine_cut_solutions,
     cut_points,
     solve_bounded_horizon,
@@ -65,7 +64,7 @@ from .mkcp import (
     solve_mkcp_exact,
     solve_mkcp_greedy,
 )
-from .oracle import brute_force_gmk
+from .oracle import StageRows, brute_force_gmk
 from .reduction import (
     ReducedElement,
     ReducedInstance,

@@ -23,7 +23,7 @@ from .core import (
     evaluate_objective,
     validate_instance,
 )
-from .cutting import SchemeParams, solve_general_result
+from .cutting import SOLVER_CHOICES, SchemeParams, solve_general_result
 from .errors import ContractViolationError, GmkError, InputError
 from .generators import GenParams, gen_from_2kp, gen_from_multidim_knapsack, gen_random, kp_from_dict
 from .intervals import to_intervals
@@ -63,12 +63,13 @@ def cmd_validate(args) -> int:
     inst = serialize.instance_from_dict(serialize.load_json(args.instance))
     report = validate_instance(inst)
     payload = {"ok": report.ok, "entries": list(report.entries)}
-    if args.solution:
+    # check_feasible assumes a valid instance
+    if args.solution and report.ok:
         sol = serialize.solution_from_dict(serialize.load_json(args.solution))
         feasibility = check_feasible(inst, sol)
         payload["solution_ok"] = feasibility.ok
         payload["solution_violations"] = list(feasibility.violations)
-        if report.ok and feasibility.ok:
+        if feasibility.ok:
             payload["value"] = evaluate_objective(inst, sol.sets)
             payload["intervals"] = serialize.interval_set_to_list(to_intervals(sol.sets))
     _emit(payload, args.out)
@@ -205,7 +206,8 @@ def cmd_compare(args) -> int:
     check_dp_work("oracle refused: DP", inst.horizon, len(inst.items), args.budget)
     params, result, solve_elapsed = _run_scheme(args, inst)
     started = time.perf_counter()
-    oracle_sol = brute_force_gmk(inst, work_budget=args.budget)
+    # the oracle reads the stage table the scheme filled
+    oracle_sol = result.rows.optimum(args.budget)
     oracle_elapsed = time.perf_counter() - started
     oracle_value = evaluate_objective(inst, oracle_sol.sets)
 
@@ -289,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", required=True)
         p.add_argument("--phi", type=int, required=True)
         p.add_argument("--mu-inv", type=int, default=None, help="experimental grid override")
-        p.add_argument("--sub-solver", choices=["exact", "greedy"], default="exact")
+        p.add_argument("--sub-solver", choices=SOLVER_CHOICES, default="exact")
         p.add_argument("--horizon-cap", help="accepted and ignored")
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--pack-budget", type=int, default=None)

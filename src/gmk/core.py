@@ -18,14 +18,14 @@ workers. A window is a plain stage range ``(lo, hi)``: ``evaluate_window``
 values it under the empty-boundary convention (nothing is packed before lo
 or after hi), ``window_instance`` copies it into a standalone instance, and
 ``coupling_terms`` gives the solvers one encoding of the gains and costs
-that couple consecutive stages.
+that couple consecutive stages, as ``subset_sums`` does of subset sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import InputError, UnsupportedVariantError
 from .submodular import SetFunctionOracle
@@ -396,6 +396,14 @@ def coupling_terms(inst: GmkInstance, item: str, lo: int, hi: int, scale: int = 
         ],
         ((0, -cm[item, hi] * scale), (0, 0)),
     ]
+
+
+def subset_sums(values: Iterable[int]) -> list[int]:
+    """sums[m]: the sum of ``values[k]`` over the bits k of mask m, for every mask m."""
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
 
 
 def window_instance(inst: GmkInstance, lo: int, hi: int) -> GmkInstance:

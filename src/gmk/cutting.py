@@ -11,13 +11,15 @@ reduction is built and no window copied. One window solver
 for an exact window, one item at a time for a greedy one: its coupling
 terms are ``core.coupling_terms`` and its max-plus passes and backtrack
 are the oracle's engine, ``oracle.max_plus_masks``. Every window of every
-shift reads one per-instance stage table (``StageRows``). One
-concatenation (``combine_cut_solutions``) carries every shift and the
-bypass of short horizons. It is checked once against the whole instance;
-one window spanning the horizon keeps its value, and more windows are
-valued once, worth at least the sum of their parts (seam costs can only
-be saved, seam gains only added). The best recombination over all shifts
-wins. All values are Python ints, exact at any magnitude.
+shift reads one stage table (``oracle.StageRows``) for its rows, subsets
+and packed assignments, and ``SchemeResult.rows`` hands it on to the
+oracle of the same command. One concatenation (``combine_cut_solutions``)
+carries every shift and the bypass of short horizons. It is checked once
+against the whole instance; one window spanning the horizon keeps its
+value, and more windows are valued once, worth at least the sum of their
+parts (seam costs can only be saved, seam gains only added). The best
+recombination over all shifts wins. All values are Python ints, exact at
+any magnitude.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -27,11 +29,10 @@ mu_inv at least 17.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import add
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import (
     MODULAR,
@@ -42,10 +43,11 @@ from .core import (
     evaluate_objective,
     evaluate_window,
     ratio_violation,
+    subset_sums,
 )
 from .errors import ContractViolationError, InputError
 from .mkcp import DEFAULT_PACK_BUDGET, _PartialPacking
-from .oracle import check_dp_work, checked_solution, max_plus_masks, pack_stage, packable_row
+from .oracle import StageRows, check_dp_work, checked_solution, max_plus_masks
 
 SOLVER_CHOICES = ("exact", "greedy")
 
@@ -124,47 +126,6 @@ def cut_points(horizon: int, mu_inv: int, j: int) -> CutPointSet:
     return CutPointSet(tuple(sorted(points)))
 
 
-class StageRows(dict):
-    """The per-instance stage table that every window of every shift reads.
-
-    Stage t maps, on first use, to the stage DP's row pair: the packability
-    of every item subset at stage t (``oracle.packable_row``) and that
-    subset's stage profit. ``assignments`` packs each (stage, subset) pair
-    once, for every window that chooses it.
-    """
-
-    def __init__(self, inst: GmkInstance):
-        super().__init__()
-        self.instance = inst
-        self.packed: dict[tuple[int, int], tuple[Mapping[str, frozenset[str]], ...]] = {}
-
-    @cached_property
-    def members(self) -> list[frozenset[str]]:
-        """The item subset of every mask, built on first use."""
-        items = self.instance.items
-        return [
-            frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(1 << len(items))
-        ]
-
-    def __missing__(self, t: int) -> tuple[list[bool], list[int]]:
-        profit = self.instance.stage(t).profit
-        if self.instance.variant == MODULAR:
-            row = [0]
-            for i in self.instance.items:
-                row += [v + profit[i] for v in row]
-        else:
-            row = [profit.evaluate(s) for s in self.members]
-        rows = self[t] = (packable_row(self.instance, t), row)
-        return rows
-
-    def assignments(self, t: int, m: int) -> tuple[Mapping[str, frozenset[str]], ...]:
-        """The assignments of subset m under every constraint of stage t, packed once."""
-        key = (t, m)
-        if key not in self.packed:
-            self.packed[key] = pack_stage(self.instance.stage(t), self.members[m], t)
-        return self.packed[key]
-
-
 def _stage_dp(
     inst: GmkInstance, items: Sequence[str], lo: int, hi: int, packable: list, profits: list
 ) -> tuple[int, list[int]]:
@@ -183,18 +144,14 @@ def _stage_dp(
     n, horizon = len(items), hi - lo + 1
     scale = 1 << n * horizon
     # lex[m]: the M of set m packed at stage lo alone; stage t shifts it left by t - lo
-    lex = [sum(1 << horizon * (n - 1 - k) for k in range(n) if m >> k & 1) for m in range(1 << n)]
+    lex = subset_sums(1 << horizon * (n - 1 - k) for k in range(n))
     terms = [
         [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in enumerate(profits)
     ]
     scaled = [coupling_terms(inst, i, lo, hi, scale) for i in items]
     # the first stage pays every packed item's entry cost, the last its exit cost
-    entry, leave = [0], [0]
-    for term in scaled:
-        entry += [c + term[0][1][0] for c in entry]
-        leave += [c + term[-1][0][1] for c in leave]
-    terms[0][:] = map(add, terms[0], entry)
-    terms[-1][:] = map(add, terms[-1], leave)
+    terms[0][:] = map(add, terms[0], subset_sums(term[0][1][0] for term in scaled))
+    terms[-1][:] = map(add, terms[-1], subset_sums(term[-1][0][1] for term in scaled))
     # links[t][k][in_cur][in_prev]: item k's term from stage lo + t to lo + t + 1;
     # with no item, zip yields nothing and each link is empty
     links = list(zip(*scaled))[1:-1] if items else [()] * (horizon - 1)
@@ -257,21 +214,21 @@ def solve_bounded_horizon(
     ``_dp_masks``, whose work of ``T * |I| * 2**|I|`` additions the
     enumeration budget bounds, with the value its DP checked (at lo..hi =
     1..T, the optimum); greedy by ``_greedy_sets`` under ``pack_budget``,
-    valued by the objective.
+    valued by the objective. Both take their assignments from
+    ``rows.assignments``, which packs each (stage, set) pair once.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
     inst = rows.instance
     if solver == "greedy":
         sets = _greedy_sets(inst, lo, hi, pack_budget)
-        packed = [pack_stage(inst.stage(t), s, t) for t, s in enumerate(sets, start=lo)]
         value = evaluate_window(inst, lo, hi, sets)
-        return MultistageSolution(tuple(sets), tuple(packed)), value
-    check_dp_work("exact solve refused: stage DP", hi - lo + 1, len(inst.items), enum_budget)
-    masks, value = _dp_masks(rows, lo, hi)
-    sets = tuple(rows.members[m] for m in masks)
-    packed = tuple(rows.assignments(t, m) for t, m in enumerate(masks, start=lo))
-    return MultistageSolution(sets, packed), value
+    else:
+        check_dp_work("exact solve refused: stage DP", hi - lo + 1, len(inst.items), enum_budget)
+        masks, value = _dp_masks(rows, lo, hi)
+        sets = [rows.members[m] for m in masks]
+    packed = tuple(rows.assignments(t, s) for t, s in enumerate(sets, start=lo))
+    return MultistageSolution(tuple(sets), packed), value
 
 
 def combine_cut_solutions(
@@ -323,6 +280,8 @@ class SchemeResult:
     bypassed: bool
     selected_j: int | None
     iterations: tuple[SchemeIteration, ...]
+    # the stage table the scheme filled, for the oracle of the same instance
+    rows: StageRows = field(compare=False, repr=False)
 
 
 def solve_general_result(
@@ -350,7 +309,7 @@ def solve_general_result(
     assert mu_inv is not None
     if inst.horizon <= 2 * mu_inv:
         whole = solve_bounded_horizon(rows, 1, inst.horizon, solver, **budgets)
-        return SchemeResult(*combine_cut_solutions(inst, [whole]), True, None, ())
+        return SchemeResult(*combine_cut_solutions(inst, [whole]), True, None, (), rows)
 
     best: MultistageSolution | None = None
     best_value = 0
@@ -371,7 +330,7 @@ def solve_general_result(
         if best is None or value > best_value:
             best, best_value, best_j = combined, value, j
     assert best is not None
-    return SchemeResult(best, best_value, False, best_j, tuple(iterations))
+    return SchemeResult(best, best_value, False, best_j, tuple(iterations), rows)
 
 
 __all__ = [
@@ -379,7 +338,6 @@ __all__ = [
     "SchemeParams",
     "SchemeIteration",
     "SchemeResult",
-    "StageRows",
     "cut_points",
     "combine_cut_solutions",
     "solve_bounded_horizon",

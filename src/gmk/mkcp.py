@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .core import MODULAR, Mkc
+from .core import MODULAR, Mkc, subset_sums
 from .errors import BudgetExceededError, ContractViolationError
 from .reduction import (
     ReducedElement,
@@ -194,10 +194,7 @@ class Capacities(NamedTuple):
         largest bin counts as total + 1, so one comparison refuses its subsets.
         """
         total, largest = self
-        sums = [0]
-        for w in weights:
-            w = w if w <= largest else total + 1
-            sums += [s + w for s in sums]
+        sums = subset_sums(w if w <= largest else total + 1 for w in weights)
         undecided = [m for m, s in enumerate(sums) if largest < s <= total] if total > largest else []
         return [s <= total for s in sums], undecided
 

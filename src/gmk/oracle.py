@@ -19,20 +19,23 @@ with one more item is, and ``mkcp.place`` decides only the subsets left
 after that.
 
 This module holds what the package's stage DPs share: the engine
-``max_plus_masks``, ``packable_row``, ``pack_stage`` and
-``checked_solution``, which ``cutting`` calls too. The oracle keeps its own
-terms, per item ``((g-, -c-[t-1]), (-c+[t], g+))`` read straight from the
-instance tables (never ``core.coupling_terms``), its own profit rows and
-the plain ascending-mask tie-break. An error in the engine would show in
-both, so tests check it against references that do not run it:
+``max_plus_masks`` and the stage table ``StageRows``, the one builder of a
+stage's packability and profit rows, subsets and packed assignments. The
+scheme's windows and the oracle (``StageRows.optimum``) read one table per
+command. The oracle keeps its own terms, per item ``((g-, -c-[t-1]),
+(-c+[t], g+))`` read straight from the instance tables (never
+``core.coupling_terms``), and the plain ascending-mask tie-break. Tests
+check the engine and the table against references that run neither:
 ``tests/util.full_table_oracle`` (a ``T * 4**|items|`` DP on
 ``stage_profit``), the literal enumeration ``enumerate_optimum`` and the
-reduced branch and bound, which encodes the objective and packability
-independently. All values are plain Python ints, exact at any magnitude.
+reduced branch and bound; ``cutting._dp_masks`` checks every exact window's
+DP value against ``core.evaluate_window``. All values are plain Python
+ints, exact at any magnitude.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import add, sub
 from typing import Mapping, Sequence
 
@@ -42,10 +45,14 @@ from .core import (
     McpStage,
     MultistageSolution,
     check_feasible,
+    subset_sums,
 )
 from .errors import BudgetExceededError, ContractViolationError
 from .mkcp import Capacities, pack_mkc, place
 from .reduction import DEFAULT_ENUM_BUDGET
+
+# one stage's assignments: per constraint, the items of each bin
+StageAssignments = tuple[Mapping[str, frozenset[str]], ...]
 
 
 def packable_row(inst: GmkInstance, t: int) -> list[bool]:
@@ -148,51 +155,83 @@ def max_plus_masks(
     return top, masks
 
 
-def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> MultistageSolution:
-    """Exact optimum with a witness solution, by ``max_plus_masks`` on this module's terms.
+class StageRows(dict):
+    """The per-instance stage table that every stage DP of one command reads.
 
-    Among optimal set sequences, the first by ascending subset masks (over
-    final subsets, then over predecessors), with packer-produced
-    assignments. Refused when the DP's ``T * |I| * 2**|I|`` additions pass
-    ``work_budget``.
+    Stage t maps, on first use, to its row pair: the packability of every
+    item subset at stage t (``packable_row``) and that subset's stage
+    profit. ``members`` lists the subset of every mask, and ``assignments``
+    packs each (stage, set) pair once, for every window and the oracle.
     """
-    items, horizon = inst.items, inst.horizon
-    check_dp_work("oracle refused: DP", horizon, len(items), work_budget)
-    subsets = [frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(1 << len(items))]
-    modular = inst.variant == MODULAR
 
-    def item_row(values) -> list[int]:
-        row = [0]
-        for v in values:
-            row += [x + v for x in row]
-        return row
+    def __init__(self, inst: GmkInstance):
+        super().__init__()
+        self.instance = inst
+        self.packed: dict[tuple[int, frozenset[str]], StageAssignments] = {}
 
-    packable = [packable_row(inst, t) for t in range(1, horizon + 1)]
-    rows = [
-        item_row(inst.stage(t).profit[i] for i in items)
-        if modular
-        else [inst.stage(t).profit.evaluate(s) for s in subsets]
-        for t in range(1, horizon + 1)
-    ]
-    if modular:
-        rows[0] = list(map(sub, rows[0], item_row(inst.cost_plus[i, 1] for i in items)))
-        rows[-1] = list(map(sub, rows[-1], item_row(inst.cost_minus[i, horizon] for i in items)))
-    # links[t - 2][k][in_cur][in_prev]: item k's term at the boundary before stage t
-    gp, gm, cp, cm = inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus
-    links = [
-        [
-            ((gm[i, t], -cm[i, t - 1] if modular else 0), (-cp[i, t] if modular else 0, gp[i, t]))
-            for i in items
+    @cached_property
+    def members(self) -> list[frozenset[str]]:
+        """The item subset of every mask, built on first use."""
+        items = self.instance.items
+        return [
+            frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(1 << len(items))
         ]
-        for t in range(2, horizon + 1)
-    ]
-    _, masks = max_plus_masks(rows, links, packable)
-    return pack_stage_sets(inst, tuple(subsets[m] for m in masks))
+
+    def __missing__(self, t: int) -> tuple[list[bool], list[int]]:
+        inst = self.instance
+        profit = inst.stage(t).profit
+        if inst.variant == MODULAR:
+            row = subset_sums(profit[i] for i in inst.items)
+        else:
+            row = [profit.evaluate(s) for s in self.members]
+        rows = self[t] = (packable_row(inst, t), row)
+        return rows
+
+    def assignments(self, t: int, chosen: frozenset[str]) -> StageAssignments:
+        """The assignments of ``chosen`` under every constraint of stage t, packed once."""
+        key = (t, chosen)
+        if key not in self.packed:
+            self.packed[key] = pack_stage(self.instance.stage(t), chosen, t)
+        return self.packed[key]
+
+    def optimum(self, work_budget: int | None = None) -> MultistageSolution:
+        """Exact optimum with a witness solution, by ``max_plus_masks`` on this module's terms.
+
+        Among optimal set sequences, the first by ascending subset masks
+        (over final subsets, then over predecessors), with packer-produced
+        assignments. Refused when the DP's ``T * |I| * 2**|I|`` additions
+        pass ``work_budget``.
+        """
+        inst = self.instance
+        items, horizon = inst.items, inst.horizon
+        check_dp_work("oracle refused: DP", horizon, len(items), work_budget)
+        modular = inst.variant == MODULAR
+        packable, profits = zip(*(self[t] for t in range(1, horizon + 1)))
+        rows = list(profits)
+        gp, gm, cp, cm = inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus
+        if modular:
+            rows[0] = list(map(sub, rows[0], subset_sums(cp[i, 1] for i in items)))
+            rows[-1] = list(map(sub, rows[-1], subset_sums(cm[i, horizon] for i in items)))
+        # links[t - 2][k][in_cur][in_prev]: item k's term at the boundary before stage t
+        links = [
+            [
+                ((gm[i, t], -cm[i, t - 1] if modular else 0), (-cp[i, t] if modular else 0, gp[i, t]))
+                for i in items
+            ]
+            for t in range(2, horizon + 1)
+        ]
+        _, masks = max_plus_masks(rows, links, packable)
+        sets = [self.members[m] for m in masks]
+        packed = [self.assignments(t, s) for t, s in enumerate(sets, start=1)]
+        return checked_solution(inst, sets, packed)
 
 
-def pack_stage(
-    stage: McpStage, chosen: frozenset[str], t: int
-) -> tuple[Mapping[str, frozenset[str]], ...]:
+def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> MultistageSolution:
+    """``StageRows(inst).optimum(work_budget)``: the exact optimum on a table of its own."""
+    return StageRows(inst).optimum(work_budget)
+
+
+def pack_stage(stage: McpStage, chosen: frozenset[str], t: int) -> StageAssignments:
     """Assignments of ``chosen`` under every constraint of stage t, in constraint order.
 
     Raises ``ContractViolationError`` when the set does not pack.
@@ -220,10 +259,3 @@ def checked_solution(
             "packed stage sets infeasible: " + "; ".join(feasibility.violations)
         )
     return solution
-
-
-def pack_stage_sets(inst: GmkInstance, sets: Sequence[frozenset[str]]) -> MultistageSolution:
-    """Pack each stage set under every constraint of its stage, then check the whole."""
-    stages = enumerate(zip(inst.stages, sets), start=1)
-    packed = [pack_stage(stage, chosen, t) for t, (stage, chosen) in stages]
-    return checked_solution(inst, sets, packed)

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from gmk import cli, core, cutting, mkcp
+from gmk import cli, core, cutting, mkcp, oracle
 from gmk.cli import main
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import DEFAULT_PACK_BUDGET
@@ -52,8 +52,21 @@ def test_validate_broken_instance_exits_2(tmp_path, capsys):
         lambda inst, sol: inst["stages"][0].update(mkcs=3),
         lambda inst, sol: inst["stages"][0]["mkcs"][0]["capacities"].update(srv1=float("inf")),
         lambda inst, sol: sol.update(sets=5),
+        # an invalid instance is not checked against the solution, which
+        # here reads a capacity that does not exist, or a stage past T
+        lambda inst, sol: (
+            inst["stages"][0]["mkcs"][0]["bins"].append("b2"),
+            sol["assignments"][0][0].update(srv2=[], b2=["log"]),
+        ),
+        lambda inst, sol: (
+            inst.update(horizon=1),
+            sol.update(sets=sol["sets"][:1], assignments=sol["assignments"][:1]),
+        ),
     ],
-    ids=["items_number", "stage_number", "mkcs_number", "capacity_1e400", "solution_sets_number"],
+    ids=[
+        "items_number", "stage_number", "mkcs_number", "capacity_1e400", "solution_sets_number",
+        "bin_without_capacity", "horizon_below_stages",
+    ],
 )
 def test_validate_malformed_file_exits_2(tmp_path, capsys, corrupt):
     inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
@@ -439,6 +452,52 @@ def test_compare_refuses_before_it_solves(tmp_path, monkeypatch):
             "--report", tmp_path / "c.json")
     assert run(*argv, "--budget", 60 * 9 * 2**9 - 1) == 3
     assert solves == []
+
+
+@pytest.mark.parametrize(
+    "gen, flags",
+    [
+        # the exact_bypass benchmark shape: one window, the whole horizon
+        (dict(items=3, horizon=10, capacity_range=(3, 7), profit_range=(1, 5),
+              gain_range=(0, 2), cost_range=(1, 1), target_phi=1), ()),
+        # a cut loop over 2-bin, d = 2 stages, exact and greedy
+        (dict(items=3, horizon=40, dimension=2, bins_per_mkc=2, capacity_range=(3, 8),
+              target_phi=1), ("--mu-inv", 4)),
+        (dict(items=3, horizon=40, dimension=2, bins_per_mkc=2, capacity_range=(3, 8),
+              target_phi=1), ("--mu-inv", 4, "--sub-solver", "greedy")),
+    ],
+    ids=["exact_bypass", "cut_loop", "greedy_cut_loop"],
+)
+def test_compare_builds_each_stage_row_once_for_scheme_and_oracle(tmp_path, monkeypatch, gen, flags):
+    inst = tmp_path / "inst.json"
+    write_json(inst, instance_to_dict(gen_random(GenParams(**gen), 3)))
+    stages, packed = [], []
+    real_row, real_pack = oracle.packable_row, oracle.pack_stage
+
+    def counted_row(row_inst, t):
+        stages.append(t)
+        return real_row(row_inst, t)
+
+    def counted_pack(stage, members, t):
+        packed.append((t, members))
+        return real_pack(stage, members, t)
+
+    # every gmk module that holds either function calls the spy
+    for module in (cli, core, cutting, mkcp, oracle):
+        for name, spy in (("packable_row", counted_row), ("pack_stage", counted_pack)):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, spy)
+    horizon = gen["horizon"]
+    assert run("compare", "--in", inst, *SCHEME, *flags, "--report", tmp_path / "c.json") == 0
+    # the scheme and the oracle read one stage table: each row is built once,
+    # and each (stage, set) pair is packed at most once
+    assert sorted(stages) == list(range(1, horizon + 1))
+    assert len(packed) == len(set(packed)) >= horizon
+    stages.clear()
+    packed.clear()
+    assert run("oracle", "--in", inst, "--out", tmp_path / "o.json") == 0
+    assert sorted(stages) == list(range(1, horizon + 1))
+    assert sorted(t for t, _ in packed) == list(range(1, horizon + 1))
 
 
 def test_oracle_readme_reach_at_the_default_budget(tmp_path, monkeypatch):

@@ -21,7 +21,6 @@ from gmk.core import (
 from gmk.cutting import (
     CutPointSet,
     SchemeParams,
-    StageRows,
     combine_cut_solutions,
     cut_points,
     solve_bounded_horizon,
@@ -30,7 +29,7 @@ from gmk.cutting import (
 from gmk.errors import BudgetExceededError, ContractViolationError, InputError
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import finish_selection, solve_mkcp_exact, solve_mkcp_greedy
-from gmk.oracle import brute_force_gmk, checked_solution
+from gmk.oracle import StageRows, brute_force_gmk, checked_solution
 from gmk.reduction import ReducedElement, lift_solution, reduce_instance
 from gmk.serialize import canonical_dumps, solution_to_dict
 
@@ -624,7 +623,7 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
                        capacity_range=(3, 8), target_phi=1)
     inst = gen_random(params, 1_000_003)
     stages = []
-    real_row = cutting.packable_row
+    real_row = oracle.packable_row
 
     def counted_row(row_inst, t):
         stages.append(t)
@@ -632,7 +631,7 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
 
     # the stage sets the exact windows choose, and the stage sets packed
     chosen, packed = [], []
-    real_dp, real_pack = cutting._stage_dp, cutting.pack_stage
+    real_dp, real_pack = cutting._stage_dp, oracle.pack_stage
 
     def recorded_dp(dp_inst, items, lo, hi, packable, profits):
         value, sets = real_dp(dp_inst, items, lo, hi, packable, profits)
@@ -646,9 +645,9 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         return real_pack(stage, members, t)
 
     calls = []
-    monkeypatch.setattr(cutting, "packable_row", counted_row)
+    monkeypatch.setattr(oracle, "packable_row", counted_row)
     monkeypatch.setattr(cutting, "_stage_dp", recorded_dp)
-    monkeypatch.setattr(cutting, "pack_stage", counted_pack)
+    monkeypatch.setattr(oracle, "pack_stage", counted_pack)
     for module, name in (
         (reduction, "reduce_instance"), (reduction, "lift_solution"), (mkcp, "solve_mkcp_greedy"),
         (reduction, "_reduced_constraints"),
@@ -687,15 +686,13 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
             "solve_bounded_horizon": windows,
             "combine_cut_solutions": 4,
         }
-        # every exact window chooses a set at every stage, and each distinct
-        # (stage, set) pair, 52 of the 160, is packed once across all shifts;
-        # greedy windows pack each of their stage sets
+        # every exact window chooses a set at every stage; for both
+        # sub-solvers each distinct (stage, set) pair of the 160 the windows
+        # choose, 52 exact and 51 greedy, is packed once across all shifts
         assert len(chosen) == rows * 4 * inst.horizon
+        assert len(packed) == len(set(packed)) == {"exact": 52, "greedy": 51}[solver]
         if solver == "exact":
-            assert len(packed) == len(set(packed)) == 52
             assert set(packed) == set(chosen)
-        else:
-            assert len(packed) == 4 * inst.horizon
         # a bypass solves its one window and combines it, through the same two functions
         checks.clear()
         assert solve_general_result(inst, bypass, solver, enum_budget=10**15).bypassed

@@ -9,11 +9,11 @@ import pytest
 
 from gmk import mkcp, oracle
 from gmk.core import McpStage, Mkc, check_feasible, evaluate_objective
-from gmk.cutting import StageRows, solve_bounded_horizon
+from gmk.cutting import solve_bounded_horizon
 from gmk.errors import BudgetExceededError, ContractViolationError
 from gmk.generators import GenParams, gen_random
 from gmk.reduction import DEFAULT_ENUM_BUDGET as DEFAULT_ORACLE_BUDGET
-from gmk.oracle import brute_force_gmk, max_plus_masks, packable_row
+from gmk.oracle import StageRows, brute_force_gmk, max_plus_masks, packable_row
 from gmk.serialize import canonical_dumps, dumps, solution_to_dict
 
 from util import (

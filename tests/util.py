@@ -22,7 +22,7 @@ from gmk.core import (
     evaluate_objective,
 )
 from gmk.mkcp import pack_mkc
-from gmk.oracle import pack_stage_sets, packable_row
+from gmk.oracle import checked_solution, pack_stage, packable_row
 from gmk.reduction import ReducedElement, ReducedInstance
 
 
@@ -262,7 +262,9 @@ def full_table_oracle(inst):
 
     Each packable set keeps the first predecessor of maximum value, and the
     first final set of maximum value wins; profits come from
-    ``stage_profit`` one subset at a time. ``T * 4**|I|`` work: small inputs only.
+    ``stage_profit`` one subset at a time, and the chosen sets are packed by
+    ``pack_stage``, not through ``StageRows``. ``T * 4**|I|`` work: small
+    inputs only.
     """
     size = 1 << len(inst.items)
     subsets = [frozenset(i for k, i in enumerate(inst.items) if m >> k & 1) for m in range(size)]
@@ -304,4 +306,5 @@ def full_table_oracle(inst):
     masks = [final_mask]
     for parent in reversed(parents):
         masks.append(parent[masks[-1]])
-    return pack_stage_sets(inst, [subsets[m] for m in reversed(masks)])
+    sets = [subsets[m] for m in reversed(masks)]
+    return checked_solution(inst, sets, [pack_stage(inst.stage(t), s, t) for t, s in enumerate(sets, start=1)])
