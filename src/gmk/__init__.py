@@ -70,7 +70,6 @@ from .reduction import (
     ReducedInstance,
     ReducedSolution,
     lift_solution,
-    lower_solution,
     reduce_instance,
     verify_reduced_solution,
 )

@@ -1,4 +1,4 @@
-"""Command-line surface: validate, generate, reduce, solve, compare.
+"""Command-line surface: validate, gen, reduce, solve-mkcp, oracle, solve, compare.
 
 Every subcommand reads and writes the JSON formats from ``serialize``.
 Exit codes: 0 ok, 2 input error, 3 budget exceeded, 4 contract violation.

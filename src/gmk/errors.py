@@ -21,7 +21,10 @@ class UnsupportedVariantError(InputError):
 
 
 class BudgetExceededError(GmkError):
-    """A configured enumeration, node or horizon budget would be exceeded."""
+    """A configured enumeration or DP work budget would be exceeded.
+
+    A packer's node budget raises nothing: a check it stops counts as unpackable.
+    """
 
     exit_code = 3
 

@@ -53,9 +53,6 @@ class IntervalSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, e: IntervalElement) -> bool:
-        return e in self.elements
-
     def is_maximal_runs(self) -> bool:
         """True when same-item intervals are disjoint and non-adjacent."""
         by_item: dict[str, list[IntervalElement]] = {}

@@ -49,10 +49,6 @@ from .reduction import (
     verify_reduced_solution,
 )
 
-PACKED = "packed"
-INFEASIBLE = "infeasible"
-UNKNOWN = "unknown"
-
 DEFAULT_PACK_BUDGET = 10**5
 
 
@@ -62,18 +58,13 @@ class _BudgetHit(Exception):
 
 @dataclass(frozen=True)
 class PackingResult:
-    """Outcome of a packing attempt; a witness assignment when packed.
+    """Outcome of a packing attempt: a witness assignment, or None when the set does not pack."""
 
-    ``unknown`` only occurs under a finite node budget and is treated as
-    infeasible by the greedy solver; the exact solver packs unbudgeted.
-    """
-
-    status: str
-    assignment: Mapping[str, frozenset] | None = None
+    assignment: Mapping[str, frozenset] | None
 
     @property
     def packed(self) -> bool:
-        return self.status == PACKED
+        return self.assignment is not None
 
 
 def place(caps: Sequence[int], weights: Sequence[int], node_budget: int | None = None) -> list[int] | None:
@@ -129,13 +120,9 @@ def place(caps: Sequence[int], weights: Sequence[int], node_budget: int | None =
 
 
 def pack_assignment(
-    bins: Sequence[str],
-    capacities: Mapping[str, int],
-    weights: Mapping[Hashable, int],
-    *,
-    node_budget: int | None = None,
+    bins: Sequence[str], capacities: Mapping[str, int], weights: Mapping[Hashable, int]
 ) -> PackingResult:
-    """Exact multiple-knapsack packability of a fixed element set, by ``place``.
+    """Exact multiple-knapsack packability of a fixed element set, by unbudgeted ``place``.
 
     Elements go in weight descending, then key, order and bins in the
     canonical order (capacity descending, then bin id). Zero-weight
@@ -143,21 +130,18 @@ def pack_assignment(
     """
     entries = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
     if not bins:
-        return PackingResult(INFEASIBLE) if entries else PackingResult(PACKED, {})
+        return PackingResult(None if entries else {})
     order = sorted(bins, key=lambda b: (-capacities[b], b))
-    try:
-        placed = place([capacities[b] for b in order], [w for _, w in entries if w], node_budget)
-    except _BudgetHit:
-        return PackingResult(UNKNOWN)
+    placed = place([capacities[b] for b in order], [w for _, w in entries if w])
     if placed is None:
-        return PackingResult(INFEASIBLE)
+        return PackingResult(None)
     assignment: dict[str, set] = {b: set() for b in bins}
     # the positive weights lead the entries, and the zeros follow
     for (e, _), b in zip(entries, placed):
         assignment[order[b]].add(e)
     for e, _ in entries[len(placed) :]:
         assignment[order[0]].add(e)
-    return PackingResult(PACKED, {b: frozenset(s) for b, s in assignment.items()})
+    return PackingResult({b: frozenset(s) for b, s in assignment.items()})
 
 
 def pack_mkc(mkc: Mkc, chosen: Sequence[str] | frozenset[str]) -> PackingResult:

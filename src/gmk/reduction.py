@@ -14,10 +14,8 @@ zero-weight constraint so the reduced instance always has d*T of them.
 The reduction blows up as ``|I| * 2**T`` by design; ``check_table_budget``
 refuses it by the rule the exact reduced solver applies to its tables.
 
-Both directions of the solution mapping preserve the objective exactly:
-``lower_solution`` mirrors assignments bin by bin, parking inactive
-elements in the designated bin of each constraint that has a bin, while
-``lift_solution`` projects schedules back onto stages. Schedule values are
+``lift_solution`` projects a reduced solution's schedules back onto the
+stages and keeps its value, so OPT(R(Q)) = OPT(Q). Schedule values are
 built from ``core.coupling_terms`` over stages 1..T, the same encoding of
 the gains and costs the cutting loop's stage DP reads, plus the item's
 profit at each scheduled stage in the modular variant; they are Python
@@ -26,7 +24,6 @@ ints, exact at any magnitude.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping
 
@@ -41,8 +38,6 @@ from .core import (
 )
 from .errors import BudgetExceededError, ContractViolationError, InputError
 from .submodular import ExtendedStageFunction, extend_function
-
-log = logging.getLogger(__name__)
 
 DEFAULT_ENUM_BUDGET = 10**6
 PAD_BIN = "pad"
@@ -151,7 +146,6 @@ class ReducedSolution:
 
     chosen: frozenset[ReducedElement]
     assignments: Mapping[tuple[int, int], Mapping[str, frozenset[ReducedElement]]]
-    substituted_items: tuple[str, ...] = ()
 
 
 def _schedule_values(inst: GmkInstance) -> list[list[int]]:
@@ -279,75 +273,6 @@ def verify_reduced_solution(reduced: ReducedInstance, rsol: ReducedSolution) -> 
                 f"assignment does not cover the chosen set at (t={rc.stage}, j={rc.index})"
             )
     return tuple(violations)
-
-
-def lower_solution(
-    inst: GmkInstance, sol: MultistageSolution, reduced: ReducedInstance
-) -> ReducedSolution:
-    """Map a feasible multistage solution onto the reduced instance.
-
-    Picks for every item the element whose schedule is its packed-stage
-    set, mirrors the per-bin assignments, and parks elements inactive at a
-    stage in the designated bin (the lexicographically smallest one, where
-    they weigh nothing). Preserves the value exactly.
-
-    When a schedule was dropped at reduction time (negative fixed value),
-    the empty-schedule element substitutes for it; the reduced value then
-    strictly exceeds the multistage value, and the affected items are
-    reported on the result.
-    """
-    report = check_feasible(inst, sol)
-    if not report.ok:
-        raise InputError("solution is infeasible: " + "; ".join(report.violations))
-
-    chosen: dict[str, ReducedElement] = {}
-    substituted: list[str] = []
-    for item in inst.items:
-        mask = 0
-        for t in range(1, inst.horizon + 1):
-            if item in sol.sets[t - 1]:
-                mask |= 1 << (t - 1)
-        if mask not in reduced.schedules[item]:
-            substituted.append(item)
-            mask = 0
-        chosen[item] = ReducedElement(item, mask)
-    chosen_set = frozenset(chosen.values())
-
-    assignments: dict[tuple[int, int], dict[str, frozenset[ReducedElement]]] = {}
-    for rc in reduced.constraints:
-        if rc.padding:
-            assignments[(rc.stage, rc.index)] = {PAD_BIN: chosen_set}
-            continue
-        original = sol.assignments[rc.stage - 1][rc.index - 1]
-        placed: dict[str, set[ReducedElement]] = {b: set() for b in rc.bins}
-        for e in rc.held(chosen_set):
-            if e.active_at(rc.stage):
-                placed[next(b for b in rc.bins if e.item in original.get(b, ()))].add(e)
-            else:
-                placed[min(rc.bins)].add(e)
-        assignments[(rc.stage, rc.index)] = {b: frozenset(s) for b, s in placed.items()}
-
-    result = ReducedSolution(
-        chosen=chosen_set, assignments=assignments, substituted_items=tuple(substituted)
-    )
-    reduced_value = reduced.value_of(chosen_set)
-    original_value = evaluate_objective(inst, sol.sets)
-    if substituted:
-        if reduced_value <= original_value:
-            raise ContractViolationError(
-                "substituting dropped schedules must strictly increase the value"
-            )
-        log.info(
-            "substituted empty schedules for %s; reduced value %d exceeds %d",
-            substituted,
-            reduced_value,
-            original_value,
-        )
-    elif reduced_value != original_value:
-        raise ContractViolationError(
-            f"lowering broke value preservation: {reduced_value} != {original_value}"
-        )
-    return result
 
 
 def lift_solution(

@@ -407,7 +407,7 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
 
 
 def reduced_solution_to_dict(rsol: ReducedSolution) -> dict:
-    payload: dict[str, Any] = {
+    return {
         "chosen": sorted(e.id for e in rsol.chosen),
         "assignments": [
             {
@@ -418,9 +418,6 @@ def reduced_solution_to_dict(rsol: ReducedSolution) -> dict:
             for (t, j), assignment in sorted(rsol.assignments.items())
         ],
     }
-    if rsol.substituted_items:
-        payload["substituted_items"] = list(rsol.substituted_items)
-    return payload
 
 
 def interval_set_to_list(iv) -> list[list]:

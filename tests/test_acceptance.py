@@ -27,9 +27,9 @@ from gmk.intervals import (
     element_value,
     to_intervals,
 )
-from gmk.mkcp import solve_mkcp_exact, solve_mkcp_greedy
+from gmk.mkcp import finish_selection, solve_mkcp_exact, solve_mkcp_greedy
 from gmk.oracle import brute_force_gmk
-from gmk.reduction import ReducedElement, lift_solution, lower_solution, reduce_instance
+from gmk.reduction import ReducedElement, lift_solution, reduce_instance
 from gmk.serialize import canonical_dumps, instance_to_dict, reduced_solution_to_dict, solution_to_dict
 from gmk.submodular import TableFunction, check_monotone_submodular, extend_function
 
@@ -45,7 +45,8 @@ def report(number: int, text: str) -> None:
 def test_criterion_1_reduction_value_preservation():
     rng = random.Random(101)
     instances = 0
-    lowered = 0
+    below_opt = 0
+    lifted_random = 0
     for inst in sweep_instances(max_items=3, max_horizon=3, max_dim=2, max_bins=2,
                                 cap_limit=4, value_limit=5, fillings=3):
         instances += 1
@@ -56,18 +57,26 @@ def test_criterion_1_reduction_value_preservation():
         assert reduced_opt == oracle_opt
         lifted = lift_solution(inst, rsol, reduced)
         assert evaluate_objective(inst, lifted.sets) == oracle_opt
+        # the greedy's reduced solutions lift with their value too, optimal or not
+        greedy = solve_mkcp_greedy(reduced)
+        greedy_value = reduced.value_of(greedy.chosen)
+        assert evaluate_objective(inst, lift_solution(inst, greedy, reduced).sets) == greedy_value
+        assert greedy_value <= oracle_opt
+        below_opt += greedy_value < oracle_opt
+        # so do the schedules of random feasible solutions, whose masks the reduction kept
         for _ in range(8):
             sol = random_feasible_solution(rng, inst)
-            low = lower_solution(inst, sol, reduced)
-            if low.substituted_items:
+            masks = [sum(1 << t for t, s in enumerate(sol.sets) if i in s) for i in inst.items]
+            if any(m not in reduced.schedules[i] for i, m in zip(inst.items, masks)):
                 continue
-            assert reduced.value_of(low.chosen) == evaluate_objective(inst, sol.sets)
-            relift = lift_solution(inst, low, reduced)
-            assert evaluate_objective(inst, relift.sets) == evaluate_objective(inst, sol.sets)
-            lowered += 1
-    assert instances == 108 and lowered >= 400
-    report(1, f"value preserved both ways and OPT(R(Q)) = OPT(Q) on {instances} instances "
-              f"({lowered} lowered solutions), tolerance 0")
+            picked = finish_selection(reduced, [ReducedElement(i, m) for i, m in zip(inst.items, masks)])
+            assert reduced.value_of(picked.chosen) == evaluate_objective(inst, sol.sets)
+            assert lift_solution(inst, picked, reduced).sets == sol.sets
+            lifted_random += 1
+    assert instances == 108 and below_opt > 0 and lifted_random >= 400
+    report(1, f"lifting preserves value and OPT(R(Q)) = OPT(Q) on {instances} instances "
+              f"({below_opt} greedy reduced solutions below OPT, {lifted_random} random "
+              f"feasible schedules lifted), tolerance 0")
 
 
 def test_criterion_2_interval_decomposition_identity():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -194,35 +195,53 @@ def _element_without_value(raw):
     del raw["values"][raw["partition"]["cam"][-1]]
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        _negative_capacity,
-        _mask_beyond_horizon,
-        lambda raw: raw["constraints"][0].pop("stage"),
-        _element_without_value,
-        lambda raw: raw.update(variant="bogus"),
-        lambda raw: raw.pop("values"),
-    ],
-    ids=[
-        "negative_capacity",
-        "mask_beyond_horizon",
-        "constraint_without_stage",
-        "element_without_value",
-        "unknown_variant",
-        "modular_without_values",
-    ],
-)
+def _without_empty_schedule(raw):
+    raw["elements"] = [e for e in raw["elements"] if e["id"] != "cam@0"]
+    raw["partition"]["cam"].remove("cam@0")
+    del raw["values"]["cam@0"]
+
+
+# per case: the docs example whose reduction it corrupts, the corruption,
+# and a fragment of the error message
+BAD_REDUCED = {
+    "negative_capacity": ("modular_micro", _negative_capacity, "negative values are rejected"),
+    "mask_beyond_horizon": ("modular_micro", _mask_beyond_horizon, "beyond horizon 2"),
+    "constraint_without_stage": (
+        "modular_micro", lambda raw: raw["constraints"][0].pop("stage"), "KeyError('stage')"
+    ),
+    "element_without_value": ("modular_micro", _element_without_value, "cover exactly the elements"),
+    "unknown_variant": ("modular_micro", lambda raw: raw.update(variant="bogus"), "unknown variant"),
+    "modular_without_values": ("modular_micro", lambda raw: raw.pop("values"), "needs 'values'"),
+    "stage_profit_missing": (
+        "submodular_micro",
+        lambda raw: raw["objective"]["stage_profits"].pop(),
+        "one stage profit per stage",
+    ),
+    "zero_horizon": (
+        "modular_micro", lambda raw: raw.update(horizon=0), "positive horizon and distinct items"
+    ),
+    "item_without_empty_schedule": ("modular_micro", _without_empty_schedule, "empty schedule"),
+    "constraint_without_item_weight": (
+        "modular_micro",
+        lambda raw: raw["constraints"][0]["item_weights"].pop("log"),
+        "needs the weight of every item",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_REDUCED))
 @pytest.mark.parametrize("mode", ["--exact", "--greedy"])
-def test_solve_mkcp_bad_reduced_file_exits_2(tmp_path, capsys, corrupt, mode):
+def test_solve_mkcp_bad_reduced_file_exits_2(tmp_path, capsys, case, mode):
+    example, corrupt, message = BAD_REDUCED[case]
     reduced = tmp_path / "reduced.json"
-    assert run("reduce", "--in", DOCS / "modular_micro.json", "--out", reduced) == 0
+    assert run("reduce", "--in", DOCS / f"{example}.json", "--out", reduced) == 0
     raw = load_json(reduced)
     corrupt(raw)
     reduced.write_text(json.dumps(raw))
     capsys.readouterr()
     assert run("solve-mkcp", "--in", reduced, mode, "--out", tmp_path / "rsol.json") == 2
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "InputError" and message in error["message"]
 
 
 def test_solve_mkcp_exact_refuses_subset_tables_beyond_the_budget(tmp_path, capsys):
@@ -610,6 +629,62 @@ def test_compare_readme_long_horizon_example(tmp_path):
     assert len(values) == 25 and (min(values), max(values)) == (607, 610)
     assert payload["selected_j"] == 2
     assert payload["final_value"] == payload["oracle_value"] == 610
+
+
+def test_compare_sum_oracle_example(tmp_path):
+    report = tmp_path / "cmp.json"
+    assert run(
+        "compare", "--in", DOCS / "submodular_sum.json", "--eps", "0.2", "--phi", 1, "--report", report
+    ) == 0
+    payload = load_json(report)
+    assert payload["final_value"] == payload["oracle_value"] == 12
+
+
+# scheme values around the micro example's optimum of 15, with whether
+# compare accepts each under the exact and the greedy sub-solver
+@pytest.mark.parametrize(
+    "value, exact_ok, greedy_ok, message",
+    [
+        (16, False, False, "scheme value 16 exceeds the oracle optimum 15"),
+        (12, True, True, ""),
+        (11, False, True, "scheme value 11 below (1 - 1/5) * 15"),
+    ],
+    ids=["above_opt", "at_guarantee", "below_guarantee"],
+)
+def test_compare_exit_4_when_the_scheme_value_breaks_its_bounds(
+    tmp_path, capsys, monkeypatch, value, exact_ok, greedy_ok, message
+):
+    real = cli.solve_general_result
+    monkeypatch.setattr(
+        cli, "solve_general_result", lambda *a, **k: dataclasses.replace(real(*a, **k), value=value)
+    )
+    for solver, ok in (("exact", exact_ok), ("greedy", greedy_ok)):
+        capsys.readouterr()
+        code = run("compare", "--in", DOCS / "modular_micro.json", "--eps", "0.2", "--phi", 1,
+                   "--sub-solver", solver, "--report", tmp_path / "cmp.json")
+        assert code == (0 if ok else 4), solver
+        assert load_json(tmp_path / "cmp.json")["final_value"] == value
+        if not ok:
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error == {"type": "ContractViolationError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("solve", "--in", DOCS / "modular_micro.json", "--eps", "abc", "--phi", 1), "epsilon 'abc'"),
+        (("compare", "--in", DOCS / "modular_micro.json", "--eps", "1/0", "--phi", 1), "epsilon '1/0'"),
+        (("gen", "--random", "--weights", "1-4"), "range '1-4'"),
+    ],
+    ids=["eps_abc", "eps_1_over_0", "weights_dash"],
+)
+def test_unparsable_number_exits_2(capsys, argv, message):
+    capsys.readouterr()
+    assert run(*argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    error = json.loads(out.err)["error"]
+    assert error["type"] == "InputError" and message in error["message"]
 
 
 def test_exact_commands_run_past_the_transition_bound(tmp_path, monkeypatch):

@@ -125,6 +125,67 @@ def test_validate_catches_structural_breakage():
     assert any("profit" in e for e in entries)
 
 
+def _submodular(inst):
+    """``inst`` as a valid submodular instance: oracle profits and zero change costs."""
+    stages = tuple(dataclasses.replace(s, profit=ModularFunction(values=dict(s.profit))) for s in inst.stages)
+    zero = {key: 0 for key in inst.cost_plus}
+    return dataclasses.replace(
+        inst, variant="submodular", stages=stages, cost_plus=zero, cost_minus=dict(zero)
+    )
+
+
+def _first_stage(inst, profit=None, **mkc_changes):
+    """``inst`` with its first stage's profit or first constraint's fields replaced."""
+    stage = inst.stages[0]
+    mkc = dataclasses.replace(stage.mkcs[0], **mkc_changes)
+    profit = stage.profit if profit is None else profit
+    stage = dataclasses.replace(stage, mkcs=(mkc, *stage.mkcs[1:]), profit=profit)
+    return dataclasses.replace(inst, stages=(stage, *inst.stages[1:]))
+
+
+# per case: a corruption of a valid instance, and the entry validation must report
+INVALID_INSTANCES = {
+    "unknown_variant": (lambda inst: dataclasses.replace(inst, variant="bogus"), "unknown variant 'bogus'"),
+    "horizon_below_1": (
+        lambda inst: dataclasses.replace(inst, horizon=0, stages=()), "horizon must be at least 1, got 0"
+    ),
+    "empty_item_id": (lambda inst: dataclasses.replace(inst, items=("i", "")), "empty item id"),
+    "duplicate_item_id": (lambda inst: dataclasses.replace(inst, items=("i", "i")), "duplicate item id i"),
+    "negative_weight": (
+        lambda inst: _first_stage(inst, weights={"i": -1}),
+        "stage 1 constraint 1 weight of i is -1, not a nonnegative integer",
+    ),
+    "negative_capacity": (
+        lambda inst: _first_stage(inst, capacities={"b": -1}),
+        "stage 1 constraint 1 capacity of bin b is -1, not a nonnegative integer",
+    ),
+    "negative_table_value": (
+        lambda inst: dataclasses.replace(inst, gain_plus={("i", 2): -1}),
+        "gain_plus[('i', 2)] = -1 is not a nonnegative integer",
+    ),
+    "oracle_profit_in_modular": (
+        lambda inst: _first_stage(inst, ModularFunction(values={"i": 5})),
+        "stage 1 profit must be a per-item table in the modular variant",
+    ),
+    "table_profit_in_submodular": (
+        lambda inst: _first_stage(_submodular(inst), {"i": 5}),
+        "stage 1 profit must be a set-function oracle in the submodular variant",
+    ),
+    "oracle_missing_an_item": (
+        lambda inst: _first_stage(_submodular(inst), ModularFunction(values={"j": 1})),
+        "stage 1 profit oracle missing items ['i']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_INSTANCES))
+def test_validate_reports_each_invalid_field(case):
+    corrupt, entry = INVALID_INSTANCES[case]
+    inst = two_stage_single_item()
+    assert validate_instance(inst).ok and validate_instance(_submodular(inst)).ok
+    assert entry in validate_instance(corrupt(inst)).entries
+
+
 def test_check_feasible_examples():
     items = ["i"]
     inst = build_instance(items, [single_bin_stage(items, {"i": 3}, 3, {"i": 1})])

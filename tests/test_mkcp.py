@@ -12,9 +12,6 @@ from gmk.core import Mkc, evaluate_objective
 from gmk.errors import BudgetExceededError
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import (
-    INFEASIBLE,
-    PACKED,
-    UNKNOWN,
     Capacities,
     _BudgetHit,
     _kept_schedules,
@@ -44,7 +41,7 @@ def test_pack_two_items_one_bin():
 
 def test_pack_infeasible_split():
     result = pack_assignment(["b1", "b2"], {"b1": 5, "b2": 2}, {"x": 4, "y": 3})
-    assert result.status == INFEASIBLE
+    assert not result.packed and result.assignment is None
 
 
 def test_pack_needs_backtracking():
@@ -65,17 +62,8 @@ def test_pack_zero_weight_always_fits():
 
 
 def test_pack_no_bins():
-    assert pack_assignment([], {}, {}).packed
-    assert pack_assignment([], {}, {"x": 0}).status == INFEASIBLE
-
-
-def test_pack_budget_unknown():
-    # first-fit fails here, so the search starts and hits the node budget
-    weights = {"x": 4, "y": 3, "z": 3}
-    result = pack_assignment(["b1", "b2"], {"b1": 6, "b2": 4}, weights, node_budget=1)
-    assert result.status == UNKNOWN
-    # with room to search the same input packs
-    assert pack_assignment(["b1", "b2"], {"b1": 6, "b2": 4}, weights).packed
+    assert pack_assignment([], {}, {}).assignment == {}
+    assert pack_assignment([], {}, {"x": 0}).assignment is None
 
 
 def test_pack_deterministic_witness():
@@ -105,20 +93,38 @@ def _pack_corpus():
         yield bins, capacities, {f"e{k}": rng.choice(weights) for k in items}
 
 
+def _budget_stops(bins, capacities, weights, budget) -> bool:
+    """Whether ``place`` stops at ``budget`` on the lists ``pack_assignment`` builds from these."""
+    if budget is None or not bins:
+        return False
+    caps = sorted((capacities[b] for b in bins), reverse=True)
+    try:
+        place(caps, sorted((w for w in weights.values() if w), reverse=True), budget)
+    except _BudgetHit:
+        return True
+    return False
+
+
 # sha256 over the status and assignment of every packing of the corpus
-# above, recorded before ``place`` took over the packer's search
+# above under each node budget, recorded when ``pack_assignment`` took one
+# and answered "unknown" where the budget stopped its search
 GOLDEN_PACK = "1933298c454a376d158f25070692bf2ee61b44d944b9338690faafa1adf849ad"
 
 
 def test_pack_assignment_outcomes_digest():
     digest = hashlib.sha256()
-    statuses = {PACKED: 0, INFEASIBLE: 0, UNKNOWN: 0}
+    statuses = {"packed": 0, "infeasible": 0, "unknown": 0}
     for bins, capacities, weights in _pack_corpus():
+        result = pack_assignment(bins, capacities, weights)
         for budget in (None, 1, 3, 10, 100):
-            result = pack_assignment(bins, capacities, weights, node_budget=budget)
-            statuses[result.status] += 1
-            assignment = sorted((b, sorted(s)) for b, s in (result.assignment or {}).items())
-            digest.update(repr((result.status, assignment)).encode())
+            if _budget_stops(bins, capacities, weights, budget):
+                status, assignment = "unknown", None
+            else:
+                status = "packed" if result.packed else "infeasible"
+                assignment = result.assignment
+            statuses[status] += 1
+            assignment = sorted((b, sorted(s)) for b, s in (assignment or {}).items())
+            digest.update(repr((status, assignment)).encode())
     assert min(statuses.values()) > 0
     assert digest.hexdigest() == GOLDEN_PACK
 
@@ -126,9 +132,13 @@ def test_pack_assignment_outcomes_digest():
 def test_place_matches_every_map():
     rng = random.Random(5)
     outcomes = {"packed": 0, "unpackable": 0, "budget_hit": 0}
+    # first fit strands a 3 here, so the search starts, and budget 1 stops it
+    inputs = [([6, 4], [4, 3, 3])]
     for _ in range(600):
         caps = sorted((rng.randint(0, 9) for _ in range(rng.randint(0, 4))), reverse=True)
         weights = sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 8))), reverse=True)
+        inputs.append((caps, weights))
+    for caps, weights in inputs:
         packs = packs_by_every_map(caps, weights)
         placed = place(caps, weights)
         assert (placed is not None) == packs, (caps, weights)
@@ -143,6 +153,8 @@ def test_place_matches_every_map():
             except _BudgetHit:
                 outcomes["budget_hit"] += 1
     assert min(outcomes.values()) > 0
+    with pytest.raises(_BudgetHit):
+        place(*inputs[0], 1)
 
 
 def test_screen_agrees_with_fit():
@@ -524,14 +536,18 @@ def test_kept_schedules_match_loop_prune_and_solo_filter():
 
 
 def _packs_with(reduced, loaded, new, budget):
-    """Reference: ``new`` on top of ``loaded`` packs every constraint it weighs in."""
-    return all(
-        pack_assignment(
-            rc.bins, rc.capacities, {e: rc.weight_of(e) for e in loaded + [new]}, node_budget=budget
-        ).packed
-        for rc in reduced.constraints
-        if rc.weight_of(new) > 0
-    )
+    """Reference: ``new`` on top of ``loaded`` packs every constraint it weighs in.
+
+    A constraint whose search ``budget`` stops counts as unpackable.
+    """
+    for rc in reduced.constraints:
+        if rc.weight_of(new) > 0:
+            weights = {e: rc.weight_of(e) for e in loaded + [new]}
+            if _budget_stops(rc.bins, rc.capacities, weights, budget):
+                return False
+            if not pack_assignment(rc.bins, rc.capacities, weights).packed:
+                return False
+    return True
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5, None])

@@ -1,4 +1,4 @@
-"""Element values, the reduced instance, and both solution mappings."""
+"""Element values, the reduced instance, and lifting reduced solutions back."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from gmk.core import evaluate_objective, MultistageSolution
-from gmk.errors import BudgetExceededError, ContractViolationError, InputError
+from gmk.core import evaluate_objective
+from gmk.errors import BudgetExceededError, InputError
 from gmk.generators import GenParams, gen_random
 from gmk.intervals import IntervalElement, element_value
 from gmk.mkcp import solve_mkcp_exact
@@ -17,7 +17,6 @@ from gmk.reduction import (
     ReducedElement,
     ReducedSolution,
     lift_solution,
-    lower_solution,
     verify_reduced_solution,
     _schedule_values,
     reduce_instance,
@@ -29,7 +28,6 @@ from util import (
     binless_first_stage,
     build_instance,
     dense_table,
-    random_feasible_solution,
     single_bin_stage,
     sweep_instances,
     two_stage_single_item,
@@ -165,73 +163,6 @@ def test_default_budget_reduces_solves_and_lifts_past_twelve_stages():
     assert evaluate_objective(inst, sol.sets) == evaluate_objective(inst, brute_force_gmk(inst).sets) == 74
 
 
-def test_lower_empty_solution_collects_gain_minus_mass():
-    inst = gen_random(GenParams(items=3, horizon=3, cost_range=(0, 2)), 4)
-    reduced = reduce_instance(inst)
-    empty = MultistageSolution.from_raw(
-        [set()] * 3,
-        [
-            [{b: set() for b in mkc.bins} for mkc in inst.stage(t).mkcs]
-            for t in range(1, 4)
-        ],
-    )
-    rsol = lower_solution(inst, empty, reduced)
-    assert rsol.chosen == frozenset(ReducedElement(i, 0) for i in inst.items)
-    mass = sum(inst.gain_minus[i, t] for i in inst.items for t in range(2, 4))
-    assert reduced.value_of(rsol.chosen) == mass == evaluate_objective(inst, empty.sets)
-
-
-def test_lower_value_preservation_on_spec_example():
-    inst = two_stage_single_item()
-    sol = MultistageSolution.from_raw([{"i"}, {"i"}], [[{"b": {"i"}}], [{"b": {"i"}}]])
-    reduced = reduce_instance(inst)
-    rsol = lower_solution(inst, sol, reduced)
-    assert reduced.value_of(rsol.chosen) == 10
-
-
-def test_lower_value_preservation_random():
-    rng = random.Random(6)
-    checked = 0
-    for seed in range(90):
-        inst = gen_random(GenParams(items=3, horizon=3, dimension=2, cost_range=(0, 2)), seed)
-        reduced = reduce_instance(inst)
-        for _ in range(10):
-            sol = random_feasible_solution(rng, inst)
-            rsol = lower_solution(inst, sol, reduced)
-            if rsol.substituted_items:
-                assert reduced.value_of(rsol.chosen) > evaluate_objective(inst, sol.sets)
-                continue
-            assert reduced.value_of(rsol.chosen) == evaluate_objective(inst, sol.sets)
-            assert not verify_reduced_solution(reduced, rsol)
-            checked += 1
-    assert checked >= 500
-
-
-def test_lower_substitutes_dropped_schedules():
-    items = ["a"]
-    stages = [single_bin_stage(items, {"a": 1}, 1, {"a": 1}) for _ in range(2)]
-    inst = build_instance(
-        items,
-        stages,
-        cost_plus=dense_table(items, 1, 2, default=5),
-        cost_minus=dense_table(items, 1, 2, default=5),
-        gain_minus=dense_table(items, 2, 2, default=1),
-    )
-    reduced = reduce_instance(inst)
-    sol = MultistageSolution.from_raw([{"a"}, set()], [[{"b": {"a"}}], [{"b": set()}]])
-    rsol = lower_solution(inst, sol, reduced)
-    assert rsol.substituted_items == ("a",)
-    assert rsol.chosen == frozenset({ReducedElement("a", 0)})
-    assert reduced.value_of(rsol.chosen) > evaluate_objective(inst, sol.sets)
-
-
-def test_lower_rejects_infeasible_solution():
-    inst = two_stage_single_item()
-    bad = MultistageSolution.from_raw([{"i"}, set()], [[{"b": set()}], [{"b": set()}]])
-    with pytest.raises(InputError):
-        lower_solution(inst, bad, reduce_instance(inst))
-
-
 def test_lift_empty_schedule_only():
     inst = gen_random(GenParams(items=1, horizon=3, cost_range=(0, 1)), 8)
     reduced = reduce_instance(inst)
@@ -247,33 +178,16 @@ def test_lift_empty_schedule_only():
     assert evaluate_objective(inst, sol.sets) == mass
 
 
-def test_lift_lower_round_trip():
-    rng = random.Random(14)
-    for seed in range(30):
-        inst = gen_random(GenParams(items=3, horizon=3, dimension=2, cost_range=(0, 2)), seed)
-        reduced = reduce_instance(inst)
-        for _ in range(5):
-            sol = random_feasible_solution(rng, inst)
-            rsol = lower_solution(inst, sol, reduced)
-            if rsol.substituted_items:
-                continue
-            lifted = lift_solution(inst, rsol, reduced)
-            assert lifted.sets == sol.sets
-            assert evaluate_objective(inst, lifted.sets) == evaluate_objective(inst, sol.sets)
-            again = lower_solution(inst, lifted, reduced)
-            assert again.chosen == rsol.chosen
-
-
 def test_binless_constraint_holds_no_element():
     inst = binless_first_stage()
     reduced = reduce_instance(inst)
-    rsol = lower_solution(inst, brute_force_gmk(inst), reduced)
+    rsol = solve_mkcp_exact(reduced)
+    assert rsol.chosen == frozenset({ReducedElement("a", 2), ReducedElement("b", 2)})
     assert rsol.assignments[1, 1] == {}
     assert not verify_reduced_solution(reduced, rsol)
     lifted = lift_solution(inst, rsol, reduced)
     assert lifted.sets == (frozenset(), frozenset("ab"))
     assert evaluate_objective(inst, lifted.sets) == 5
-    assert lower_solution(inst, lifted, reduced) == rsol
     # b packed at the binless stage 1 too: no bin holds it there
     active = frozenset({ReducedElement("a", 2), ReducedElement("b", 3)})
     assignments = {(1, 1): {}, (2, 1): {"x": active}}

@@ -46,7 +46,7 @@ def test_instance_round_trip_submodular():
 
 
 def test_docs_micro_instances_parse_and_validate():
-    for name in ("modular_micro.json", "submodular_micro.json"):
+    for name in ("modular_micro.json", "submodular_micro.json", "submodular_sum.json"):
         raw = json.loads((DOCS / name).read_text())
         inst = instance_from_dict(raw)
         assert validate_instance(inst).ok
