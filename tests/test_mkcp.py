@@ -66,6 +66,15 @@ def test_pack_no_bins():
     assert pack_assignment([], {}, {"x": 0}).assignment is None
 
 
+def test_pack_budget_unknown():
+    # first-fit fails here, so the search starts and hits the node budget
+    with pytest.raises(_BudgetHit):
+        place([6, 4], [4, 3, 3], 1)
+    # with room to search the same input packs
+    weights = {"x": 4, "y": 3, "z": 3}
+    assert pack_assignment(["b1", "b2"], {"b1": 6, "b2": 4}, weights).packed
+
+
 def test_pack_deterministic_witness():
     weights = {f"e{k}": w for k, w in enumerate([4, 4, 3, 2, 1])}
     first = pack_assignment(["b1", "b2"], {"b1": 7, "b2": 7}, weights)
@@ -153,8 +162,6 @@ def test_place_matches_every_map():
             except _BudgetHit:
                 outcomes["budget_hit"] += 1
     assert min(outcomes.values()) > 0
-    with pytest.raises(_BudgetHit):
-        place(*inputs[0], 1)
 
 
 def test_screen_agrees_with_fit():
