@@ -9,7 +9,6 @@ exhaustive oracles at desk scale.
 from .core import (
     MODULAR,
     SUBMODULAR,
-    ExtendedRatio,
     FeasibilityReport,
     GmkInstance,
     Mkc,
@@ -51,7 +50,6 @@ from .generators import (
 )
 from .intervals import (
     IntervalElement,
-    IntervalSet,
     cut_element,
     cut_loss,
     element_value,

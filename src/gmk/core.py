@@ -23,6 +23,7 @@ that couple consecutive stages, as ``subset_sums`` does of subset sums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Mapping, Sequence
@@ -143,27 +144,6 @@ class MultistageSolution:
     @property
     def horizon(self) -> int:
         return len(self.sets)
-
-
-@dataclass(frozen=True)
-class ExtendedRatio:
-    """Nonnegative rational with a distinguished infinite value (``None``)."""
-
-    value: Fraction | None
-
-    @classmethod
-    def infinite(cls) -> "ExtendedRatio":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def at_most(self, bound: int | Fraction) -> bool:
-        return self.value is not None and self.value <= bound
-
-    def __str__(self) -> str:
-        return "inf" if self.value is None else str(self.value)
 
 
 @dataclass(frozen=True)
@@ -438,11 +418,11 @@ def _ratio_terms(inst: GmkInstance, item: str) -> tuple[int, int, int, int]:
     return costs.index(max_cost) + 1, max_cost, profits.index(min_profit) + 1, min_profit
 
 
-def profit_cost_ratio(inst: GmkInstance) -> ExtendedRatio:
+def profit_cost_ratio(inst: GmkInstance) -> Fraction | float:
     """Least r with every change cost at most r times every stage profit.
 
     Items with some positive change cost and some zero stage profit force
-    the infinite ratio; items with zero costs everywhere contribute 0 even
+    ``math.inf``; items with zero costs everywhere contribute 0 even
     when all their profits are 0.
     """
     if inst.variant != MODULAR:
@@ -453,9 +433,9 @@ def profit_cost_ratio(inst: GmkInstance) -> ExtendedRatio:
         if max_cost == 0:
             continue
         if min_profit == 0:
-            return ExtendedRatio.infinite()
+            return math.inf
         worst = max(worst, Fraction(max_cost, min_profit))
-    return ExtendedRatio(worst)
+    return worst
 
 
 def ratio_violation(inst: GmkInstance, bound: int | Fraction):

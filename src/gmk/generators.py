@@ -246,7 +246,7 @@ def gen_random(params: GenParams, seed: int) -> GmkInstance:
     ensure_valid(inst)
     if params.variant == MODULAR and params.target_phi is not None and params.items > 0:
         ratio = profit_cost_ratio(inst)
-        if not ratio.at_most(Fraction(params.target_phi)):
+        if ratio > params.target_phi:
             raise ContractViolationError(
                 f"generated ratio {ratio} exceeds the requested bound {params.target_phi}"
             )

@@ -10,7 +10,7 @@ hold with tolerance zero and anchor the horizon-cutting scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Sequence
 
 from .core import MODULAR, GmkInstance
 from .errors import InputError, UnsupportedVariantError
@@ -32,41 +32,11 @@ class IntervalElement:
             raise InputError(f"invalid interval [{self.start}, {self.end}]")
 
 
-@dataclass(frozen=True)
-class IntervalSet:
-    """Deterministically ordered set of interval elements.
+def to_intervals(sets: Sequence[AbstractSet[str]]) -> tuple[IntervalElement, ...]:
+    """Maximal runs of the set sequence, in ``(item, start, end)`` order.
 
-    Outputs of ``to_intervals`` are maximal runs (same-item intervals are
-    disjoint with a gap of at least one stage); pieces produced by
-    ``cut_element`` are adjacent by design and need not satisfy that.
+    Same-item runs are disjoint with a gap of at least one stage.
     """
-
-    elements: tuple[IntervalElement, ...]
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[IntervalElement]) -> "IntervalSet":
-        return cls(tuple(sorted(set(elements))))
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def is_maximal_runs(self) -> bool:
-        """True when same-item intervals are disjoint and non-adjacent."""
-        by_item: dict[str, list[IntervalElement]] = {}
-        for e in self.elements:
-            by_item.setdefault(e.item, []).append(e)
-        for runs in by_item.values():
-            for a, b in zip(runs, runs[1:]):
-                if b.start <= a.end + 1:
-                    return False
-        return True
-
-
-def to_intervals(sets: Sequence[AbstractSet[str]]) -> IntervalSet:
-    """Maximal runs of the set sequence."""
     horizon = len(sets)
     items = sorted(set().union(*sets)) if sets else []
     out: list[IntervalElement] = []
@@ -79,7 +49,7 @@ def to_intervals(sets: Sequence[AbstractSet[str]]) -> IntervalSet:
             elif not inside and start is not None:
                 out.append(IntervalElement(item, start, t - 1))
                 start = None
-    return IntervalSet.from_elements(out)
+    return tuple(out)
 
 
 def element_value(inst: GmkInstance, e: IntervalElement) -> int:
@@ -93,17 +63,16 @@ def element_value(inst: GmkInstance, e: IntervalElement) -> int:
     return value - inst.cost_plus[e.item, e.start] - inst.cost_minus[e.item, e.end]
 
 
-def cut_element(e: IntervalElement, cuts: "CutPointSet") -> IntervalSet:
-    """Pieces of ``e`` clipped to the windows the cut points induce.
+def cut_element(e: IntervalElement, cuts: "CutPointSet") -> tuple[IntervalElement, ...]:
+    """Pieces of ``e`` clipped to the windows the cut points induce, by start.
 
     Cut points at ``e.start`` or outside ``(start, end]`` are no-ops; the
-    pieces tile [start, end] exactly.
+    pieces tile [start, end] exactly. They are adjacent by design, so they
+    are not maximal runs.
     """
     inner = [u for u in cuts.points if e.start < u <= e.end]
     bounds = [e.start, *inner, e.end + 1]
-    return IntervalSet.from_elements(
-        IntervalElement(e.item, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])
-    )
+    return tuple(IntervalElement(e.item, lo, hi - 1) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def cut_loss(inst: GmkInstance, e: IntervalElement, cuts: "CutPointSet") -> int:

@@ -284,7 +284,7 @@ def _kept_schedules(
     of a constraint, then the dominated ones, worth no more than a proper
     subset schedule: the swap down loses nothing and lowers the mask, which
     keeps the lexicographic tie-break. Returns the kept (value, mask) pairs,
-    by value desc, then mask, and ``fit[c]``, the largest kept value whose
+    by ascending mask, and ``fit[c]``, the largest kept value whose
     mask lies inside c. One pass builds both tables over the solo-filtered
     schedules; ``fit`` is also the kept ones' table, as every dominated
     schedule has a kept subset worth at least as much. Values are
@@ -317,7 +317,6 @@ def _kept_schedules(
         for mask, value in table.items()
         if not mask & solo_bad and value > proper[mask]  # mask 0 has no proper subset
     ]
-    kept.sort(key=lambda c: (-c[0], c[1]))
     return kept, fit
 
 
@@ -351,17 +350,14 @@ def _exact_modular(reduced: ReducedInstance, examine: Callable[[int], None]) -> 
     items = reduced.items
     n = len(items)
     packing = _packing(reduced)
-    # per item: candidates (value, mask) in _kept_schedules order, and the
-    # subset-max table of their values
-    cand: list[list[tuple[int, int]]] = []
-    fit: list[list[int]] = []
-    for k in range(n):
-        kept, table = _kept_schedules(reduced, packing, k)
-        cand.append(kept)
-        fit.append(table)
+    # per item: candidates (value, mask) by ascending mask, and the
+    # subset-max table of their values, whose last entry is the largest
+    tables = [_kept_schedules(reduced, packing, k) for k in range(n)]
+    cand = [kept for kept, _ in tables]
+    fit = [table for _, table in tables]
     suffix = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + (cand[k][0][0] if cand[k] else 0)
+        suffix[k] = suffix[k + 1] + fit[k][-1]
 
     # Load-aware completion bound. A joint completion packs each remaining
     # element together with the others, so per item the best schedule whose
@@ -392,7 +388,6 @@ def _exact_modular(reduced: ReducedInstance, examine: Callable[[int], None]) -> 
     # the first leaf to reach the optimum, the lexicographically smallest
     # one, is recorded and no later tie replaces it. Starting one below the
     # value of the greedy's unbudgeted choice keeps a tie with it recordable.
-    by_mask = [sorted(group, key=lambda c: c[1]) for group in cand]
     best = reduced.value_of(frozenset(_greedy_choice(reduced, _packing(reduced)))) - 1
     avail, push, pop = packing.avail, packing.push, packing.pop
     stack: list[int] = []
@@ -407,10 +402,10 @@ def _exact_modular(reduced: ReducedInstance, examine: Callable[[int], None]) -> 
             return
         if acc + completion_bound(k) <= best:
             return
-        examine(len(by_mask[k]))
+        examine(len(cand[k]))
         bound = suffix[k + 1]
         blocked = ~avail(k)
-        for value, mask in by_mask[k]:
+        for value, mask in cand[k]:
             if acc + value + bound <= best or mask & blocked:
                 continue
             push(k, mask)

@@ -49,7 +49,7 @@ from .core import (
 )
 from .errors import BudgetExceededError, ContractViolationError
 from .mkcp import Capacities, pack_mkc, place
-from .reduction import DEFAULT_ENUM_BUDGET
+from .reduction import DEFAULT_ENUM_BUDGET, count_text
 
 # one stage's assignments: per constraint, the items of each bin
 StageAssignments = tuple[Mapping[str, frozenset[str]], ...]
@@ -98,7 +98,7 @@ def check_dp_work(refusal: str, horizon: int, n: int, budget: int | None) -> Non
     work = horizon * n * 2**n
     if work > budget:
         raise BudgetExceededError(
-            f"{refusal} work {work} (T * |I| * 2**|I|) exceeds budget {budget}"
+            f"{refusal} work {count_text(work)} (T * |I| * 2**|I|) exceeds budget {budget}"
         )
 
 
@@ -142,14 +142,12 @@ def max_plus_masks(
         raise ContractViolationError("no packable subset sequence exists (empty set must pack)")
     # Walking back, the chosen set's transition column is rebuilt over every
     # predecessor and its first maximum taken, the predecessor a full
-    # ``cur x prev`` table would keep.
+    # ``cur x prev`` table would keep. The column leaves out the constant sum
+    # of the out_prev terms, which moves no maximum.
     masks = [best.index(top)]
     for link, prev in zip(reversed(links), reversed(history[:-1])):
-        col = [0]
-        for k, term in enumerate(link):
-            out_prev, in_prev = term[masks[-1] >> k & 1]
-            col = [v + out_prev for v in col] + [v + in_prev for v in col]
-        cand = list(map(add, prev, col))
+        terms = [term[masks[-1] >> k & 1] for k, term in enumerate(link)]
+        cand = list(map(add, prev, subset_sums(in_prev - out_prev for out_prev, in_prev in terms)))
         masks.append(cand.index(max(cand)))
     masks.reverse()
     return top, masks
@@ -205,19 +203,14 @@ class StageRows(dict):
         inst = self.instance
         items, horizon = inst.items, inst.horizon
         check_dp_work("oracle refused: DP", horizon, len(items), work_budget)
-        modular = inst.variant == MODULAR
         packable, profits = zip(*(self[t] for t in range(1, horizon + 1)))
         rows = list(profits)
         gp, gm, cp, cm = inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus
-        if modular:
-            rows[0] = list(map(sub, rows[0], subset_sums(cp[i, 1] for i in items)))
-            rows[-1] = list(map(sub, rows[-1], subset_sums(cm[i, horizon] for i in items)))
+        rows[0] = list(map(sub, rows[0], subset_sums(cp[i, 1] for i in items)))
+        rows[-1] = list(map(sub, rows[-1], subset_sums(cm[i, horizon] for i in items)))
         # links[t - 2][k][in_cur][in_prev]: item k's term at the boundary before stage t
         links = [
-            [
-                ((gm[i, t], -cm[i, t - 1] if modular else 0), (-cp[i, t] if modular else 0, gp[i, t]))
-                for i in items
-            ]
+            [((gm[i, t], -cm[i, t - 1]), (-cp[i, t], gp[i, t])) for i in items]
             for t in range(2, horizon + 1)
         ]
         _, masks = max_plus_masks(rows, links, packable)

@@ -194,6 +194,17 @@ def _reduced_constraints(inst: GmkInstance) -> tuple[ReducedConstraint, ...]:
     return tuple(out)
 
 
+def count_text(count: int) -> str:
+    """``str(count)``, or ``at least 2**k`` past Python's limit on printed digits (4,300 by default).
+
+    k is one less than the bit length. Budget refusals write their counts this way.
+    """
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2**{count.bit_length() - 1}"
+
+
 def check_table_budget(refusal: str, n: int, horizon: int, budget: int | None, hint: str = "") -> int:
     """Return ``budget`` (None: ``DEFAULT_ENUM_BUDGET``) unless ``n << horizon`` table entries pass it.
 
@@ -202,7 +213,8 @@ def check_table_budget(refusal: str, n: int, horizon: int, budget: int | None, h
     budget = DEFAULT_ENUM_BUDGET if budget is None else budget
     if n << horizon > budget:
         raise BudgetExceededError(
-            f"{refusal}: subset tables of {n << horizon} entries (|I| * 2**T) exceed budget {budget}{hint}"
+            f"{refusal}: subset tables of {count_text(n << horizon)} entries (|I| * 2**T) "
+            f"exceed budget {budget}{hint}"
         )
     return budget
 

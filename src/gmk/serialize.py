@@ -376,8 +376,10 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise InputError(f"reduced instance file malformed: {exc!r}")
     element_set = frozenset(elements)
-    if horizon < 1 or len(set(items)) != len(items):
-        raise InputError("a reduced instance needs a positive horizon and distinct items")
+    if horizon < 1 or dimension < 1 or len(set(items)) != len(items):
+        raise InputError(
+            "a reduced instance needs a positive dimension, a positive horizon and distinct items"
+        )
     if any(e.mask >> horizon for e in elements):
         raise InputError(f"a schedule mask names a stage beyond horizon {horizon}")
     grouped = {e for item, group in groups.items() for e in group if e.item == item}
@@ -421,7 +423,7 @@ def reduced_solution_to_dict(rsol: ReducedSolution) -> dict:
 
 
 def interval_set_to_list(iv) -> list[list]:
-    """Debug form of an interval set: [item, start, end] triples."""
+    """Debug form of interval runs: [item, start, end] triples."""
     return [[e.item, e.start, e.end] for e in iv]
 
 

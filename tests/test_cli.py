@@ -63,10 +63,16 @@ def test_validate_broken_instance_exits_2(tmp_path, capsys):
             inst.update(horizon=1),
             sol.update(sets=sol["sets"][:1], assignments=sol["assignments"][:1]),
         ),
+        lambda inst, sol: inst.update(variant="bogus"),
+        lambda inst, sol: inst["cost_plus"]["cam"].update(one=1),
+        lambda inst, sol: inst["stages"][0].update(profit={"kind": "modular", "values": {"cam": 5}}),
+        # a valid instance, and a solution with no assignment at stage 1
+        lambda inst, sol: sol["assignments"][0].clear(),
     ],
     ids=[
         "items_number", "stage_number", "mkcs_number", "capacity_1e400", "solution_sets_number",
-        "bin_without_capacity", "horizon_below_stages",
+        "bin_without_capacity", "horizon_below_stages", "unknown_variant", "stage_key_one",
+        "modular_profit_oracle", "stage_without_assignments",
     ],
 )
 def test_validate_malformed_file_exits_2(tmp_path, capsys, corrupt):
@@ -132,13 +138,16 @@ def test_gen_from_kp_and_validate(tmp_path):
 
 
 # knapsack numbers follow the instance-file rule: nonnegative integers,
-# never a truncated float, a string or a boolean
+# never a truncated float, a string or a boolean; and every item needs a
+# profit and a weight in each of at least one dimension
 KP_CORRUPTIONS = {
     "profit_1.5": lambda kp: kp["profits"].update(x=1.5),
     "capacity_3.9": lambda kp: kp["capacities"].__setitem__(0, 3.9),
     "weight_string": lambda kp: kp["weights"]["y"].__setitem__(1, "3"),
     "profit_true": lambda kp: kp["profits"].update(z=True),
     "profits_list": lambda kp: kp.update(profits=[6, 4, 5]),
+    "no_capacities": lambda kp: kp.update(capacities=[]),
+    "item_without_weights": lambda kp: kp["weights"].pop("y"),
 }
 
 
@@ -838,11 +847,17 @@ def _gmk_in_1_gb(tmp_path, payload, *argv):
 
 @pytest.mark.parametrize("mode", ["--greedy", "--exact"])
 def test_hostile_reduced_file_exits_2_in_bounded_memory(tmp_path, mode):
-    # horizon * dimension is 10**10 constraint keys, against the none listed
-    done = _gmk_in_1_gb(tmp_path, HOSTILE_REDUCED, "solve-mkcp", "--in", "FILE", mode)
-    assert done.returncode == 2, done.stderr
-    error = json.loads(done.stderr)["error"]
-    assert error["type"] == "InputError" and "one per stage and index" in error["message"]
+    cases = [
+        # horizon * dimension is 10**10 constraint keys, against the none listed
+        (HOSTILE_REDUCED, "one per stage and index"),
+        # dimension 0 expects no constraint, which would leave the horizon unbounded
+        ({**HOSTILE_REDUCED, "horizon": 10**12, "dimension": 0}, "positive dimension"),
+    ]
+    for payload, message in cases:
+        done = _gmk_in_1_gb(tmp_path, payload, "solve-mkcp", "--in", "FILE", mode)
+        assert done.returncode == 2, done.stderr
+        error = json.loads(done.stderr)["error"]
+        assert error["type"] == "InputError" and message in error["message"]
 
 
 @pytest.mark.parametrize(
@@ -864,6 +879,55 @@ def test_hostile_instance_file_exits_in_bounded_memory(tmp_path, argv, code):
     error = json.loads(done.stderr.splitlines()[-1])["error"]
     if code == 2:
         assert "expected 100000000 stages, got 0" in error["message"]
+
+
+@pytest.fixture(scope="module")
+def counts_past_4300_digits(tmp_path_factory):
+    """Files whose budget counts have more than the 4,300 digits Python prints."""
+    where = tmp_path_factory.mktemp("counts")
+    items, stages = where / "items.json", where / "stages.json"
+    # T * |I| * 2**|I| at |I| = 14,300 and |I| * 2**T at T = 14,300
+    gen = ("gen", "--random", "--seed", 1, "--target-phi", 1)
+    assert run(*gen, "--items", 14300, "--horizon", 1, "--out", items) == 0
+    assert run(*gen, "--items", 1, "--horizon", 14300, "--out", stages) == 0
+    # a 4,300-digit horizon: DP work 2 * T has 4,301 digits
+    horizon = where / "horizon.json"
+    horizon.write_text(json.dumps({**HOSTILE_INSTANCE, "horizon": 10**4300 - 1}))
+    # subset tables of 2**14,285 entries, 4,301 digits
+    reduced = where / "reduced.json"
+    t = 14285
+    reduced.write_text(json.dumps({
+        "variant": "modular", "items": ["x"], "horizon": t, "dimension": 1,
+        "elements": [{"id": "x@0"}], "partition": {"x": ["x@0"]}, "values": {"x@0": 0},
+        "constraints": [
+            {"stage": s, "index": 1, "padding": False, "bins": ["b"], "capacities": {"b": 1},
+             "item_weights": {"x": 1}}
+            for s in range(1, t + 1)
+        ],
+    }))
+    return {"items": items, "stages": stages, "horizon": horizon, "reduced": reduced}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--in", "items", "--out", "OUT"),
+        ("solve", "--in", "items", *SCHEME, "--out", "OUT"),
+        ("compare", "--in", "items", *SCHEME, "--report", "OUT"),
+        ("reduce", "--in", "stages", "--out", "OUT"),
+        ("compare", "--in", "horizon", *SCHEME, "--report", "OUT"),
+        ("solve-mkcp", "--in", "reduced", "--exact", "--out", "OUT"),
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[2]}",
+)
+def test_budget_refusal_of_a_count_too_long_to_print_exits_3(
+    tmp_path, capsys, counts_past_4300_digits, argv
+):
+    paths = {**counts_past_4300_digits, "OUT": tmp_path / "out.json"}
+    capsys.readouterr()
+    assert run(*[paths.get(a, a) for a in argv]) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "BudgetExceededError"
 
 
 def test_greedy_solve_packs_no_item_at_a_binless_stage(tmp_path):

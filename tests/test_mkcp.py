@@ -500,7 +500,6 @@ def _reference_kept(reduced, dropped):
         kept = [m for m in pruned if m == 0 or _packs_alone(reduced, ReducedElement(item, m))]
         dropped["dominated"] += len(table) - len(pruned)
         dropped["unpackable"] += len(pruned) - len(kept)
-        kept.sort(key=lambda m: (-table[m], m))
         out.append([(m, table[m]) for m in kept])
     return out
 

@@ -196,15 +196,20 @@ def test_binless_constraint_holds_no_element():
 
 
 def test_lift_rejects_infeasible_reduced_solution():
-    inst = two_stage_single_item()
-    reduced = reduce_instance(inst)
-    both = frozenset({ReducedElement("i", 0), ReducedElement("i", 3)})
-    assignments = {
-        (rc.stage, rc.index): {b: both if b == min(rc.bins) else frozenset() for b in rc.bins}
-        for rc in reduced.constraints
-    }
-    with pytest.raises(InputError):
-        lift_solution(inst, ReducedSolution(chosen=both, assignments=assignments), reduced)
+    # per case: the item's weight against a bin of 1, the chosen masks, the
+    # bin that holds them at both stages, and the violation
+    cases = [
+        (1, (0, 3), "b", "matroid violation"),
+        (1, (3,), "zz", "unknown bin zz"),
+        (2, (3,), "b", "bin b over capacity"),
+    ]
+    for weight, masks, holder, violation in cases:
+        inst = build_instance("i", [single_bin_stage("i", {"i": weight}, 1, {"i": 5})] * 2)
+        reduced = reduce_instance(inst)
+        chosen = frozenset(ReducedElement("i", m) for m in masks)
+        assignments = {(rc.stage, rc.index): {holder: chosen} for rc in reduced.constraints}
+        with pytest.raises(InputError, match=violation):
+            lift_solution(inst, ReducedSolution(chosen=chosen, assignments=assignments), reduced)
 
 
 def test_verifier_catches_violations():

@@ -122,6 +122,24 @@ def test_sampled_mode_flag():
     assert report.sampled and report.clean
 
 
+@pytest.mark.parametrize(
+    "size_value,witness",
+    [(lambda s: -s, "negative"), (lambda s: 13 - s, "not monotone"), (lambda s: s * s, "not submodular")],
+    ids=["negative", "not_monotone", "not_submodular"],
+)
+def test_sampled_check_reports_the_first_witness(size_value, witness):
+    # 13 members, one past the exhaustive cap; the value depends on the size alone
+    members = [f"i{k:02d}" for k in range(13)]
+    table = {
+        frozenset(subset): size_value(r)
+        for r in range(len(members) + 1)
+        for subset in itertools.combinations(members, r)
+    }
+    report = check_monotone_submodular(TableFunction(table=table, members=frozenset(members)))
+    assert report.sampled and len(report.violations) == 1
+    assert report.violations[0].startswith(witness)
+
+
 def test_extension_base_cases():
     f = CoverageFunction(universe={"u": 4}, covers={"a": frozenset({"u"})})
     g = extend_function(f, 2)
