@@ -141,10 +141,6 @@ class MultistageSolution:
             ),
         )
 
-    @property
-    def horizon(self) -> int:
-        return len(self.sets)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

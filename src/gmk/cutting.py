@@ -7,19 +7,19 @@ no interior cut and their one window is the whole horizon (at mu_inv = 25,
 T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). A window is a
 plain stage range (lo, hi), read in place from the instance's tables: no
 reduction is built and no window copied. One window solver
-(``solve_bounded_horizon``) runs a stage DP on it, over packable item sets
-for an exact window, one item at a time for a greedy one: its coupling
-terms are ``core.coupling_terms`` and its max-plus passes and backtrack
-are the oracle's engine, ``oracle.max_plus_masks``. Every window of every
-shift reads one stage table (``oracle.StageRows``) for its rows, subsets
-and packed assignments, and ``SchemeResult.rows`` hands it on to the
-oracle of the same command. One concatenation (``combine_cut_solutions``)
-carries every shift and the bypass of short horizons. It is checked once
-against the whole instance; one window spanning the horizon keeps its
-value, and more windows are valued once, worth at least the sum of their
-parts (seam costs can only be saved, seam gains only added). The best
-recombination over all shifts wins. All values are Python ints, exact at
-any magnitude.
+(``solve_bounded_horizon``) returns a window's stage sets, not packed, and
+their value, by a stage DP over packable item sets for an exact window, one
+item at a time for a greedy one: its coupling terms are
+``core.coupling_terms`` and its max-plus passes and backtrack are the
+oracle's engine, ``oracle.max_plus_masks``. Every window of every shift
+reads one stage table (``oracle.StageRows``) for its rows and subsets, and
+``SchemeResult.rows`` hands it on to the oracle of the same command.
+``combine_cut_solutions`` joins a shift's window sets: one window spanning
+the horizon keeps its value, and more windows are valued once, worth at
+least the sum of their parts (seam costs can only be saved, seam gains
+only added). The best shift, or the bypass's one window of a short
+horizon, is the only answer packed (``StageRows.solution``) and checked
+against the whole instance. All values are Python ints, exact at any magnitude.
 
 ``SchemeParams`` derives ``mu_inv = ceil(phi / epsilon**2)`` so grid
 spacing and loop bounds stay integral; any valid epsilon below 1/4 makes
@@ -47,9 +47,12 @@ from .core import (
 )
 from .errors import ContractViolationError, InputError
 from .mkcp import DEFAULT_PACK_BUDGET, _PartialPacking
-from .oracle import StageRows, check_dp_work, checked_solution, max_plus_masks
+from .oracle import StageRows, check_dp_work, max_plus_masks
 
 SOLVER_CHOICES = ("exact", "greedy")
+
+# the item sets of consecutive stages, one per stage
+StageSets = tuple[frozenset[str], ...]
 
 
 @dataclass(frozen=True)
@@ -159,21 +162,22 @@ def _stage_dp(
     return -(-top // scale), sets  # top = value * scale - M with 0 <= M < scale
 
 
-def _dp_masks(rows: StageRows, lo: int, hi: int) -> tuple[list[int], int]:
-    """``_stage_dp``'s set masks over all items at stages lo..hi, and their checked value.
+def _dp_masks(rows: StageRows, lo: int, hi: int) -> tuple[StageSets, int]:
+    """``_stage_dp``'s stage sets over all items at stages lo..hi, and their checked value.
 
     The value must equal the objective of the chosen sets on the window.
     """
     inst = rows.instance
     packable, profits = zip(*(rows[t] for t in range(lo, hi + 1)))
     decoded, masks = _stage_dp(inst, inst.items, lo, hi, packable, profits)
-    value = evaluate_window(inst, lo, hi, [rows.members[m] for m in masks])
+    sets = tuple(rows.members[m] for m in masks)
+    value = evaluate_window(inst, lo, hi, sets)
     if value != decoded:
         raise ContractViolationError(f"stage DP value {decoded} differs from the objective {value}")
-    return masks, value
+    return sets, value
 
 
-def _greedy_sets(inst: GmkInstance, lo: int, hi: int, pack_budget: int | None) -> list[frozenset]:
+def _greedy_sets(inst: GmkInstance, lo: int, hi: int, pack_budget: int | None) -> StageSets:
     """Stage sets at stages lo..hi built item by item, by ``_stage_dp`` over each item alone.
 
     The item packs at the stages of ``_PartialPacking.avail(k)``, built from
@@ -195,7 +199,7 @@ def _greedy_sets(inst: GmkInstance, lo: int, hi: int, pack_budget: int | None) -
         _, sets = _stage_dp(inst, (item,), lo, hi, packable, profits)
         packing.push(k, sum(m << t for t, m in enumerate(sets)))
         chosen = [s | {item} if m else s for s, m in zip(chosen, sets)]
-    return chosen
+    return tuple(chosen)
 
 
 def solve_bounded_horizon(
@@ -206,58 +210,39 @@ def solve_bounded_horizon(
     *,
     enum_budget: int | None = None,
     pack_budget: int | None = DEFAULT_PACK_BUDGET,
-) -> tuple[MultistageSolution, int]:
-    """An unchecked solution at stages lo..hi of ``rows.instance``, and its value.
+) -> tuple[StageSets, int]:
+    """The stage sets at stages lo..hi of ``rows.instance``, not packed, and their value.
 
     The window is read in place from a valid instance's tables. Each
     sub-solver picks the schedules its reduced solver would: exact by
     ``_dp_masks``, whose work of ``T * |I| * 2**|I|`` additions the
     enumeration budget bounds, with the value its DP checked (at lo..hi =
     1..T, the optimum); greedy by ``_greedy_sets`` under ``pack_budget``,
-    valued by the objective. Both take their assignments from
-    ``rows.assignments``, which packs each (stage, set) pair once.
+    valued by the objective.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
     inst = rows.instance
     if solver == "greedy":
         sets = _greedy_sets(inst, lo, hi, pack_budget)
-        value = evaluate_window(inst, lo, hi, sets)
-    else:
-        check_dp_work("exact solve refused: stage DP", hi - lo + 1, len(inst.items), enum_budget)
-        masks, value = _dp_masks(rows, lo, hi)
-        sets = [rows.members[m] for m in masks]
-    packed = tuple(rows.assignments(t, s) for t, s in enumerate(sets, start=lo))
-    return MultistageSolution(tuple(sets), packed), value
+        return sets, evaluate_window(inst, lo, hi, sets)
+    check_dp_work("exact solve refused: stage DP", hi - lo + 1, len(inst.items), enum_budget)
+    return _dp_masks(rows, lo, hi)
 
 
 def combine_cut_solutions(
-    inst: GmkInstance, parts: Sequence[tuple[MultistageSolution, int]]
-) -> tuple[MultistageSolution, int]:
-    """Concatenate (solution, window value) parts into a full solution and its value.
+    inst: GmkInstance, parts: Sequence[tuple[StageSets, int]]
+) -> tuple[StageSets, int]:
+    """Concatenate (stage sets, window value) parts into the sets of all T stages and their value.
 
-    The part horizons must sum to T and each part must hold one assignment
-    per stage set. The concatenation is checked once against the whole
-    instance, which checks every part. One part spans the whole horizon, so
+    The part horizons must sum to T. One part spans the whole horizon, so
     its value is the concatenation's; more parts are valued once, and must
     be worth at least the sum of the part values.
     """
-    total = sum(part.horizon for part, _ in parts)
-    if total != inst.horizon:
-        raise InputError(f"window horizons sum to {total}, expected {inst.horizon}")
-    for k, (part, _) in enumerate(parts, start=1):
-        if len(part.assignments) != part.horizon:
-            raise InputError(
-                f"window {k} has {part.horizon} stage sets and "
-                f"{len(part.assignments)} assignments"
-            )
-    combined = checked_solution(
-        inst,
-        [s for part, _ in parts for s in part.sets],
-        [a for part, _ in parts for a in part.assignments],
-    )
-    # one part spans the horizon, and its window value is the objective
-    value = parts[0][1] if len(parts) == 1 else evaluate_objective(inst, combined.sets)
+    combined = tuple(s for sets, _ in parts for s in sets)
+    if len(combined) != inst.horizon:
+        raise InputError(f"window horizons sum to {len(combined)}, expected {inst.horizon}")
+    value = parts[0][1] if len(parts) == 1 else evaluate_objective(inst, combined)
     if value < sum(v for _, v in parts):
         raise ContractViolationError("combined value fell below the sum of window values")
     return combined, value
@@ -308,13 +293,11 @@ def solve_general_result(
     mu_inv = params.mu_inv
     assert mu_inv is not None
     if inst.horizon <= 2 * mu_inv:
-        whole = solve_bounded_horizon(rows, 1, inst.horizon, solver, **budgets)
-        return SchemeResult(*combine_cut_solutions(inst, [whole]), True, None, (), rows)
+        sets, value = solve_bounded_horizon(rows, 1, inst.horizon, solver, **budgets)
+        return SchemeResult(rows.solution(sets), value, True, None, (), rows)
 
-    best: MultistageSolution | None = None
-    best_value = 0
-    best_j: int | None = None
     iterations: list[SchemeIteration] = []
+    shift_sets: list[StageSets] = []
     for j in range(1, mu_inv + 1):
         cuts = cut_points(inst.horizon, mu_inv, j)
         windows = cuts.windows()
@@ -325,12 +308,13 @@ def solve_general_result(
                     f"window of length {longest} exceeds the bounded horizon {2 * mu_inv}"
                 )
         parts = [solve_bounded_horizon(rows, lo, hi, solver, **budgets) for lo, hi in windows]
-        combined, value = combine_cut_solutions(inst, parts)
+        sets, value = combine_cut_solutions(inst, parts)
         iterations.append(SchemeIteration(j, cuts.points, tuple(v for _, v in parts), value))
-        if best is None or value > best_value:
-            best, best_value, best_j = combined, value, j
-    assert best is not None
-    return SchemeResult(best, best_value, False, best_j, tuple(iterations), rows)
+        shift_sets.append(sets)
+    # the first shift of the largest value wins; only its sets are packed and checked
+    best = max(iterations, key=lambda it: it.combined_value)
+    solution = rows.solution(shift_sets[best.j - 1])
+    return SchemeResult(solution, best.combined_value, False, best.j, tuple(iterations), rows)
 
 
 __all__ = [

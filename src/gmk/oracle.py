@@ -28,9 +28,9 @@ command. The oracle keeps its own terms, per item ``((g-, -c-[t-1]),
 check the engine and the table against references that run neither:
 ``tests/util.full_table_oracle`` (a ``T * 4**|items|`` DP on
 ``stage_profit``), the literal enumeration ``enumerate_optimum`` and the
-reduced branch and bound; ``cutting._dp_masks`` checks every exact window's
-DP value against ``core.evaluate_window``. All values are plain Python
-ints, exact at any magnitude.
+reduced branch and bound. ``cutting._dp_masks`` checks each exact window's
+DP value against ``core.evaluate_window``, and ``optimum`` its own against
+``core.evaluate_objective``. All values are plain Python ints, exact.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .core import (
     McpStage,
     MultistageSolution,
     check_feasible,
+    evaluate_objective,
     subset_sums,
 )
 from .errors import BudgetExceededError, ContractViolationError
@@ -159,7 +160,7 @@ class StageRows(dict):
     Stage t maps, on first use, to its row pair: the packability of every
     item subset at stage t (``packable_row``) and that subset's stage
     profit. ``members`` lists the subset of every mask, and ``assignments``
-    packs each (stage, set) pair once, for every window and the oracle.
+    packs each (stage, set) pair once, for the scheme's answer and the oracle's.
     """
 
     def __init__(self, inst: GmkInstance):
@@ -197,8 +198,8 @@ class StageRows(dict):
 
         Among optimal set sequences, the first by ascending subset masks
         (over final subsets, then over predecessors), with packer-produced
-        assignments. Refused when the DP's ``T * |I| * 2**|I|`` additions
-        pass ``work_budget``.
+        assignments; the DP's value must equal the objective of its sets.
+        Refused when the DP's ``T * |I| * 2**|I|`` additions pass ``work_budget``.
         """
         inst = self.instance
         items, horizon = inst.items, inst.horizon
@@ -213,10 +214,17 @@ class StageRows(dict):
             [((gm[i, t], -cm[i, t - 1]), (-cp[i, t], gp[i, t])) for i in items]
             for t in range(2, horizon + 1)
         ]
-        _, masks = max_plus_masks(rows, links, packable)
+        top, masks = max_plus_masks(rows, links, packable)
         sets = [self.members[m] for m in masks]
+        value = evaluate_objective(inst, sets)
+        if top != value:
+            raise ContractViolationError(f"oracle DP value {top} differs from the objective {value}")
+        return self.solution(sets)
+
+    def solution(self, sets: Sequence[frozenset[str]]) -> MultistageSolution:
+        """The solution of the stage sets of all T stages, each packed once, after ``checked_solution``."""
         packed = [self.assignments(t, s) for t, s in enumerate(sets, start=1)]
-        return checked_solution(inst, sets, packed)
+        return checked_solution(self.instance, sets, packed)
 
 
 def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> MultistageSolution:

@@ -140,8 +140,8 @@ def test_criterion_4_combine_inequality():
         windows = cuts.windows()
         parts = [random_feasible_solution(rng, window_instance(inst, lo, hi)) for lo, hi in windows]
         values = [evaluate_window(inst, lo, hi, part.sets) for (lo, hi), part in zip(windows, parts)]
-        combined, value = combine_cut_solutions(inst, list(zip(parts, values)))
-        assert value == evaluate_objective(inst, combined.sets) >= sum(values)
+        combined, value = combine_cut_solutions(inst, [(p.sets, v) for p, v in zip(parts, values)])
+        assert value == evaluate_objective(inst, combined) >= sum(values)
         triples += 1
     assert triples == 1000
     report(4, f"combined value at least the window sum on {triples} instance/cut/part triples")

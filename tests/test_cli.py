@@ -678,6 +678,51 @@ def test_compare_exit_4_when_the_scheme_value_breaks_its_bounds(
             assert error == {"type": "ContractViolationError", "message": message}
 
 
+def _contract_error(capsys):
+    """The message of the one JSON ``ContractViolationError`` a command printed."""
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ContractViolationError"
+    return error["message"]
+
+
+def test_oracle_dp_value_off_the_objective_exits_4(capsys, monkeypatch):
+    real = oracle.max_plus_masks
+
+    def one_over(*args):
+        top, masks = real(*args)
+        return top + 1, masks
+
+    monkeypatch.setattr(oracle, "max_plus_masks", one_over)
+    micro = DOCS / "modular_micro.json"
+    for argv in (("oracle", "--in", micro), ("compare", "--in", micro, "--eps", "0.2", "--phi", 1)):
+        capsys.readouterr()
+        assert run(*argv) == 4, argv
+        assert _contract_error(capsys) == "oracle DP value 16 differs from the objective 15"
+
+
+@pytest.mark.parametrize("mu_inv", [None, 4], ids=["bypass", "cut_loop"])
+def test_scheme_answer_that_does_not_pack_exits_4(tmp_path, capsys, monkeypatch, mu_inv):
+    # every item outweighs some bin's capacity, so the optimum of the
+    # unconstrained stages packs nowhere: only the packer of the returned sets sees it
+    params = GenParams(items=3, horizon=10, weight_range=(3, 4), capacity_range=(2, 5), target_phi=1)
+    path = tmp_path / "inst.json"
+    write_json(path, instance_to_dict(gen_random(params, 0)))
+    monkeypatch.setattr(oracle, "packable_row", lambda inst, t: [True] * (1 << len(inst.items)))
+    grid = () if mu_inv is None else ("--mu-inv", mu_inv)
+    capsys.readouterr()
+    assert run("solve", "--in", path, "--eps", "0.2", "--phi", 1, *grid, "--out", tmp_path / "s.json") == 4
+    assert "does not pack" in _contract_error(capsys)
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_exact_window_value_off_the_objective_exits_4(capsys, monkeypatch):
+    real = cutting.evaluate_window
+    monkeypatch.setattr(cutting, "evaluate_window", lambda *a: real(*a) + 1)
+    capsys.readouterr()
+    assert run("solve", "--in", DOCS / "modular_micro.json", "--eps", "0.2", "--phi", 1) == 4
+    assert _contract_error(capsys) == "stage DP value 15 differs from the objective 16"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

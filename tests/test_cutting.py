@@ -99,12 +99,13 @@ def _local(inst, window):
 
 
 def _solve(inst, solver="exact", window=None, **budgets):
-    """``solve_bounded_horizon`` on a window of ``inst`` (default all of it), checked on the window."""
+    """``solve_bounded_horizon`` on a window of ``inst`` (default all of it), packed and checked on the window."""
     lo, hi = window or (1, inst.horizon)
     local = _local(inst, window)
-    sol, value = solve_bounded_horizon(StageRows(inst), lo, hi, solver, **budgets)
-    assert value == evaluate_objective(local, sol.sets)
-    return checked_solution(local, sol.sets, sol.assignments)
+    rows = StageRows(inst)
+    sets, value = solve_bounded_horizon(rows, lo, hi, solver, **budgets)
+    assert value == evaluate_objective(local, sets)
+    return checked_solution(local, sets, [rows.assignments(t, s) for t, s in enumerate(sets, start=lo)])
 
 
 def _all_windows(inst, mu_inv):
@@ -132,9 +133,9 @@ def test_combine_single_window_identity():
     rng = random.Random(0)
     part = random_feasible_solution(rng, inst)
     window_value = evaluate_window(inst, 1, 4, part.sets)
-    combined, value = combine_cut_solutions(inst, [(part, window_value)])
-    assert combined.sets == part.sets
-    assert value == evaluate_objective(inst, combined.sets) == window_value
+    combined, value = combine_cut_solutions(inst, [(part.sets, window_value)])
+    assert combined == part.sets
+    assert value == evaluate_objective(inst, combined) == window_value
 
 
 def test_combine_seam_bonus_exact_accounting():
@@ -153,9 +154,9 @@ def test_combine_seam_bonus_exact_accounting():
     left = right = full
     left_value = evaluate_window(inst, 1, 2, left.sets)
     right_value = evaluate_window(inst, 3, 4, right.sets)
-    combined, value = combine_cut_solutions(inst, [(left, left_value), (right, right_value)])
+    combined, value = combine_cut_solutions(inst, [(left.sets, left_value), (right.sets, right_value)])
     # the seam saves c-_{i,2} + c+_{i,3} and earns g+_{i,3}
-    assert value == evaluate_objective(inst, combined.sets) == left_value + right_value + 1 + 1 + 2
+    assert value == evaluate_objective(inst, combined) == left_value + right_value + 1 + 1 + 2
     assert value >= left_value + right_value + 2
 
 
@@ -172,43 +173,24 @@ def test_combine_inequality_random():
         windows = cuts.windows()
         parts = [random_feasible_solution(rng, window_instance(inst, lo, hi)) for lo, hi in windows]
         values = [evaluate_window(inst, lo, hi, part.sets) for (lo, hi), part in zip(windows, parts)]
-        combined, value = combine_cut_solutions(inst, list(zip(parts, values)))
-        assert value == evaluate_objective(inst, combined.sets) >= sum(values)
+        combined, value = combine_cut_solutions(inst, [(p.sets, v) for p, v in zip(parts, values)])
+        assert value == evaluate_objective(inst, combined) >= sum(values)
 
 
-def test_combine_rejects_bad_shapes_and_infeasible_parts():
+def test_combine_rejects_bad_shapes_and_values_below_the_sum():
     inst = gen_random(GenParams(items=2, horizon=4), 0)
     rng = random.Random(1)
-    part = random_feasible_solution(rng, window_instance(inst, 1, 2))
-    value = evaluate_window(inst, 1, 2, part.sets)
-    with pytest.raises(InputError):
+    part = random_feasible_solution(rng, window_instance(inst, 1, 2)).sets
+    value = evaluate_window(inst, 1, 2, part)
+    with pytest.raises(InputError, match="sum to 2"):
         combine_cut_solutions(inst, [(part, value)])
-    # a part its window solver got wrong breaks the contract: a set whose
-    # item no bin holds, or a value above what the concatenation is worth
-    bad = MultistageSolution.from_raw(
-        [set(), {"i01"}],
-        [
-            [{b: set() for b in inst.stage(1).mkcs[0].bins}],
-            [{b: set() for b in inst.stage(2).mkcs[0].bins}],
-        ],
-    )
-    with pytest.raises(ContractViolationError, match="infeasible"):
-        combine_cut_solutions(inst, [(bad, 0), (part, value)])
-    tail = random_feasible_solution(rng, window_instance(inst, 3, 4))
-    tail_value = evaluate_window(inst, 3, 4, tail.sets)
-    combined, total = combine_cut_solutions(inst, [(part, value), (tail, tail_value)])
+    # a part its window solver got wrong breaks the contract: a value above
+    # what the concatenation is worth
+    tail = random_feasible_solution(rng, window_instance(inst, 3, 4)).sets
+    tail_value = evaluate_window(inst, 3, 4, tail)
+    _, total = combine_cut_solutions(inst, [(part, value), (tail, tail_value)])
     with pytest.raises(ContractViolationError, match="below the sum"):
         combine_cut_solutions(inst, [(part, value), (tail, total - value + 1)])
-
-    # two parts that swap assignment counts concatenate into a feasible whole
-    stages = [single_bin_stage(["i"], {"i": 1}, 1, {"i": 1})] * 4
-    inst = build_instance(["i"], stages)
-    empty = [{"b": set()}]
-    short = MultistageSolution.from_raw([set()] * 2, [empty])
-    long = MultistageSolution.from_raw([set()] * 2, [empty] * 3)
-    assert check_feasible(inst, MultistageSolution.from_raw([set()] * 4, [empty] * 4)).ok
-    with pytest.raises(InputError, match="assignments"):
-        combine_cut_solutions(inst, [(short, 0), (long, 0)])
 
 
 def test_bounded_horizon_spec_example():
@@ -232,11 +214,11 @@ def test_bounded_horizon_on_view_equals_window_optimum():
         inst = gen_random(GenParams(items=3, horizon=5, cost_range=(0, 2)), seed)
         t1 = rng.randint(1, 5)
         t2 = rng.randint(t1, 5)
-        sol, value = solve_bounded_horizon(StageRows(inst), t1, t2, "exact")
+        sets, value = solve_bounded_horizon(StageRows(inst), t1, t2, "exact")
         local = window_instance(inst, t1, t2)
         opt = evaluate_objective(local, brute_force_gmk(local).sets)
-        assert evaluate_window(inst, t1, t2, sol.sets) == value == opt
-        assert check_feasible(local, sol).ok
+        assert evaluate_window(inst, t1, t2, sets) == value == opt
+        assert _solve(inst, window=(t1, t2)).sets == sets
 
 
 def test_bounded_horizon_unknown_solver():
@@ -248,13 +230,11 @@ def test_general_bypass_equivalence():
     params = SchemeParams(Fraction(1, 5), 1)  # mu_inv 25, bypass for short horizons
     for seed in range(6):
         inst = gen_random(GenParams(items=3, horizon=3, cost_range=(1, 1), profit_range=(1, 5), target_phi=1), seed)
-        direct, value = solve_bounded_horizon(StageRows(inst), 1, inst.horizon, "exact")
+        _, value = solve_bounded_horizon(StageRows(inst), 1, inst.horizon, "exact")
         result = solve_general_result(inst, params, "exact")
         assert result.bypassed and result.selected_j is None
         assert result.value == value
-        assert canonical_dumps(solution_to_dict(result.solution)) == canonical_dumps(
-            solution_to_dict(direct)
-        )
+        assert _solution_bytes(result.solution) == _solution_bytes(_solve(inst))
 
 
 def test_general_phi_precondition_names_item():
@@ -363,8 +343,8 @@ DP_SHAPES = {
 
 def stage_dp_masks(inst):
     """Per item, the schedule mask of the whole-horizon stage DP's answer."""
-    sol, _ = solve_bounded_horizon(StageRows(inst), 1, inst.horizon, "exact", enum_budget=10**15)
-    return tuple(sum((item in s) << t for t, s in enumerate(sol.sets)) for item in inst.items)
+    sets, _ = solve_bounded_horizon(StageRows(inst), 1, inst.horizon, "exact", enum_budget=10**15)
+    return tuple(sum((item in s) << t for t, s in enumerate(sets)) for item in inst.items)
 
 
 def _search_masks(inst):
@@ -654,8 +634,9 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
     ):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     # the instance is validated once and no window is materialized; each
-    # window is solved and valued once, through the one window solver, and
-    # each shift's windows are combined, checked and valued once
+    # window is solved and valued once, through the one window solver, each
+    # shift's windows are combined and valued once, and only the returned
+    # solution is packed and checked
     checks = []
     names = (
         (core, "validate_instance"), (core, "window_instance"),
@@ -680,22 +661,25 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         assert {name: checks.count(name) for _, name in names} == {
             "validate_instance": 1,
             "window_instance": 0,
-            "check_feasible": 4,
+            "check_feasible": 1,
             "evaluate_window": windows,
             "evaluate_objective": 4,
             "solve_bounded_horizon": windows,
             "combine_cut_solutions": 4,
         }
-        # every exact window chooses a set at every stage; for both
-        # sub-solvers each distinct (stage, set) pair of the 160 the windows
-        # choose, 52 exact and 51 greedy, is packed once across all shifts
+        # every exact window chooses a set at every stage; of the 160 the
+        # windows choose, for both sub-solvers, only the returned sets are
+        # packed, once per stage
         assert len(chosen) == rows * 4 * inst.horizon
-        assert len(packed) == len(set(packed)) == {"exact": 52, "greedy": 51}[solver]
+        assert packed == list(enumerate(result.solution.sets, start=1))
         if solver == "exact":
-            assert set(packed) == set(chosen)
-        # a bypass solves its one window and combines it, through the same two functions
+            assert set(packed) < set(chosen)
+        # a bypass solves its one window and packs and checks it, combining nothing
         checks.clear()
-        assert solve_general_result(inst, bypass, solver, enum_budget=10**15).bypassed
+        packed.clear()
+        result = solve_general_result(inst, bypass, solver, enum_budget=10**15)
+        assert result.bypassed
+        assert packed == list(enumerate(result.solution.sets, start=1))
         assert {name: checks.count(name) for _, name in names} == {
             "validate_instance": 1,
             "window_instance": 0,
@@ -703,6 +687,6 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
             "evaluate_window": 1,
             "evaluate_objective": 0,
             "solve_bounded_horizon": 1,
-            "combine_cut_solutions": 1,
+            "combine_cut_solutions": 0,
         }
         assert calls == []

@@ -346,10 +346,10 @@ def test_matches_the_whole_horizon_stage_dp_past_the_full_table_reach():
     assert 60 * 4**10 > DEFAULT_ORACLE_BUDGET >= 60 * 10 * 2**10
     for seed in range(3):
         inst = gen_random(params, seed)
-        sol, _ = solve_bounded_horizon(StageRows(inst), 1, inst.horizon, "exact")
+        sets, _ = solve_bounded_horizon(StageRows(inst), 1, inst.horizon, "exact")
         oracle = brute_force_gmk(inst)
         assert check_feasible(inst, oracle).ok
-        assert evaluate_objective(inst, oracle.sets) == evaluate_objective(inst, sol.sets), seed
+        assert evaluate_objective(inst, oracle.sets) == evaluate_objective(inst, sets), seed
 
 
 @pytest.mark.parametrize("stage", [0, 1, 2])

@@ -11,7 +11,7 @@ from gmk.core import evaluate_objective
 from gmk.errors import BudgetExceededError, InputError
 from gmk.generators import GenParams, gen_random
 from gmk.intervals import IntervalElement, element_value
-from gmk.mkcp import solve_mkcp_exact
+from gmk.mkcp import finish_selection, solve_mkcp_exact
 from gmk.oracle import brute_force_gmk
 from gmk.reduction import (
     ReducedElement,
@@ -176,6 +176,17 @@ def test_lift_empty_schedule_only():
     assert all(not s for s in sol.sets)
     mass = sum(inst.gain_minus[inst.items[0], t] for t in range(2, 4))
     assert evaluate_objective(inst, sol.sets) == mass
+    # an item with no chosen element lifts as its empty schedule does: the
+    # lift earns its g- mass, which the reduced value leaves out
+    for seed in range(10):
+        inst = gen_random(GenParams(items=3, horizon=4, dimension=2, bins_per_mkc=2), seed)
+        reduced = reduce_instance(inst)
+        chosen = solve_mkcp_exact(reduced).chosen
+        for left_out in chosen:
+            rsol = finish_selection(reduced, [e for e in chosen if e != left_out])
+            lifted = evaluate_objective(inst, lift_solution(inst, rsol, reduced).sets)
+            mass = sum(inst.gain_minus[left_out.item, t] for t in range(2, 5))
+            assert lifted - reduced.value_of(rsol.chosen) == mass, seed
 
 
 def test_binless_constraint_holds_no_element():
