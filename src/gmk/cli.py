@@ -28,7 +28,7 @@ from .errors import ContractViolationError, GmkError, InputError
 from .generators import GenParams, gen_from_2kp, gen_from_multidim_knapsack, gen_random, kp_from_dict
 from .intervals import to_intervals
 from .mkcp import DEFAULT_PACK_BUDGET, solve_mkcp_exact, solve_mkcp_greedy
-from .oracle import brute_force_gmk, check_dp_work
+from .oracle import StageRows, check_dp_work
 from .reduction import reduce_instance
 
 # flags fall back to GMK_BUDGET and GMK_PACK_BUDGET
@@ -136,9 +136,9 @@ def cmd_solve_mkcp(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = ensure_valid(serialize.instance_from_dict(serialize.load_json(args.instance)))
-    sol = brute_force_gmk(inst, work_budget=args.budget)
+    sol, value = StageRows(inst).optimum(args.budget)
     payload = serialize.solution_to_dict(sol)
-    payload["value"] = evaluate_objective(inst, sol.sets)
+    payload["value"] = value
     _emit(payload, args.out)
     return 0
 
@@ -207,9 +207,8 @@ def cmd_compare(args) -> int:
     params, result, solve_elapsed = _run_scheme(args, inst)
     started = time.perf_counter()
     # the oracle reads the stage table the scheme filled
-    oracle_sol = result.rows.optimum(args.budget)
+    _, oracle_value = result.rows.optimum(args.budget)
     oracle_elapsed = time.perf_counter() - started
-    oracle_value = evaluate_objective(inst, oracle_sol.sets)
 
     payload = _report_payload(
         args, params, inst, result, {"solve": solve_elapsed, "oracle": oracle_elapsed}

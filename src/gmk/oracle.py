@@ -8,7 +8,12 @@ item: ``max_plus_masks`` takes one pass per item over the ``2**|items|``
 row, and the budget bounds the whole DP's ``T * |items| * 2**|items|``
 additions. It keeps each stage's row of best values and no predecessor
 table; walking back, it rebuilds the chosen set's one column of the full
-``cur x prev`` table and takes its first maximum.
+``cur x prev`` table and takes its first maximum. Where the terms' span
+fits 32- or 64-bit lanes, a row is one Python int of biased, nonnegative
+lanes, and a pass is about twenty big-int operations with a guard-bit max
+("SIMD within a register": Fisher and Dietz, LCPC 1998; Warren, *Hacker's
+Delight*, ch. 2). Wider cells, such as the scheme's tie-break keys, take
+passes over lists. Both give the same values and witness.
 
 Packability is built in bulk (``packable_row``): ``mkcp.Capacities``
 screens every subset's weight sum at once, and a constraint with no bin
@@ -35,6 +40,8 @@ DP value against ``core.evaluate_window``, and ``optimum`` its own against
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import cached_property
 from operator import add, sub
 from typing import Mapping, Sequence
@@ -116,16 +123,50 @@ def max_plus_masks(
     to the first maximum: over final sets, then over each chosen set's
     predecessors. Raises ``ContractViolationError`` when no sequence packs.
     """
+    span = sum(sum(map(abs, row)) for row in rows)
+    span += sum(abs(a) + abs(b) + abs(c) + abs(d) for link in links for (a, b), (c, d) in link)
+    # Every cell is worth a partial sequence's value, within span of 0 or of
+    # the floor, so a lane biased by 4 * span + 1 holds it in 0..5 * span + 1
+    # below its guard bit.
+    width = next((w for w in _LANE_CODES if 5 * span + 1 < 1 << w - 1), None)
+    return _max_plus(rows, links, packable, span, width)
+
+
+# a signed array typecode of each lane width in bits, chosen by itemsize, narrowest first
+_LANE_CODES = dict(sorted((array(code).itemsize * 8, code) for code in "iq"))
+
+
+def _max_plus(rows, links, packable, span: int, width: int | None) -> tuple[int, list[int]]:
+    """``max_plus_masks`` with its forward passes on ``width``-bit lanes, or on lists for None."""
     # A packable sequence is worth at least -span, one through ``floor`` at
     # most floor + span < -span: it never wins a maximum, and a top below
     # -span means that no sequence packs.
-    span = sum(sum(map(abs, row)) for row in rows)
-    span += sum(abs(a) + abs(b) + abs(c) + abs(d) for link in links for (a, b), (c, d) in link)
     floor = -(3 * span + 1)
-    best = [v if ok else floor for v, ok in zip(rows[0], packable[0])]
-    history = [best]
+    if width is None:
+        bias, (history, column) = 0, _list_passes(rows, links, packable, floor)
+    else:
+        bias = span - floor
+        history, column = _lane_passes(rows, links, packable, floor, bias, width)
+    best = column(history[-1], ())
+    top = max(best) - bias
+    if top < -span:
+        raise ContractViolationError("no packable subset sequence exists (empty set must pack)")
+    # Walking back, the chosen set's transition column is rebuilt over every
+    # predecessor and its first maximum taken, the predecessor a full
+    # ``cur x prev`` table would keep.
+    masks = [best.index(top + bias)]
+    for link, prev in zip(reversed(links), reversed(history[:-1])):
+        cand = column(prev, [term[masks[-1] >> k & 1] for k, term in enumerate(link)])
+        masks.append(cand.index(max(cand)))
+    masks.reverse()
+    return top, masks
+
+
+def _list_passes(rows, links, packable, floor: int):
+    """Each stage's row of best values, one Python int per cell, and ``_list_column``."""
+    history, best = [], [0] * len(rows[0])
     half = len(best) >> 1
-    for link, row, ok in zip(links, rows[1:], packable[1:]):
+    for link, row, ok in zip(((), *links), rows, packable):
         # The max over prev of best[prev] plus the per-item terms takes one
         # pass per item, last item first: a pass swaps the top bit's prev
         # value for its cur value and rotates the mask left, bringing the
@@ -137,21 +178,60 @@ def max_plus_masks(
             acc[1::2] = map(max, [v + in0 for v in left], [v + in1 for v in right])
         best = [v + x if y else floor for v, x, y in zip(acc, row, ok)]
         history.append(best)
+    return history, _list_column
 
-    top = max(best)
-    if top < -span:
-        raise ContractViolationError("no packable subset sequence exists (empty set must pack)")
-    # Walking back, the chosen set's transition column is rebuilt over every
-    # predecessor and its first maximum taken, the predecessor a full
-    # ``cur x prev`` table would keep. The column leaves out the constant sum
-    # of the out_prev terms, which moves no maximum.
-    masks = [best.index(top)]
-    for link, prev in zip(reversed(links), reversed(history[:-1])):
-        terms = [term[masks[-1] >> k & 1] for k, term in enumerate(link)]
-        cand = list(map(add, prev, subset_sums(in_prev - out_prev for out_prev, in_prev in terms)))
-        masks.append(cand.index(max(cand)))
-    masks.reverse()
-    return top, masks
+
+def _list_column(prev: list[int], terms) -> list[int]:
+    """Every predecessor's value plus its ``terms[k][in_prev]``, less the constant sum of the out_prev terms."""
+    if not terms:
+        return prev
+    return list(map(add, prev, subset_sums(in_prev - out_prev for out_prev, in_prev in terms)))
+
+
+def _lane_passes(rows, links, packable, floor: int, bias: int, width: int):
+    """Each stage's row of best values plus ``bias``, cell m in bits ``m * width`` up, and its column.
+
+    Every lane holds a partial sequence's value plus ``bias``: nonnegative
+    and below its guard bit (``max_plus_masks`` picks the width), so big-int
+    sums never carry across lanes. ``column`` adds all of each predecessor's terms.
+    """
+    code, order, size = _LANE_CODES[width], sys.byteorder, len(rows[0])
+    one = array(code, [1]).tobytes()
+    ones = int.from_bytes(one * size, order)
+    guard, floors = ones << width - 1, (floor + bias) * ones
+    # per item k: the shift that lines lane m up with lane m | 2**k, a one in
+    # each lane with bit k clear and in each with it set, and the former's bits
+    per_item = []
+    for k in range(size.bit_length() - 1):
+        e0 = int.from_bytes((one * (1 << k) + bytes(len(one) << k)) * (size >> k + 1), order)
+        per_item.append((width << k, e0, e0 << (width << k), (e0 << width) - e0))
+
+    def lanes(values) -> int:
+        # two's complement lanes, less a borrow from the lane above each negative one
+        raw = int.from_bytes(array(code, values).tobytes(), order)
+        return raw - ((raw >> width - 1 & ones) << width)
+
+    def column(prev: int, terms) -> array:
+        for (out_prev, in_prev), (_, e0, e1, _) in zip(terms, per_item):
+            prev += out_prev * e0 + in_prev * e1
+        return array(code, prev.to_bytes(len(one) * size, order))
+
+    history, best = [], bias * ones
+    for link, row, ok in zip(((), *links), rows, packable):
+        acc = best
+        for ((out0, out1), (in0, in1)), (shift, e0, e1, low) in zip(link, per_item):
+            # Lane m and lane m | 2**k line up by one shift. Each lane keeps
+            # the larger of its prev bit k kept (same) and flipped (cross), by
+            # the sign of same - cross in its guard bit, clear in both.
+            p0 = acc & low
+            same = acc + out0 * e0 + in1 * e1
+            cross = ((acc ^ p0) >> shift) + (p0 << shift) + out1 * e0 + in0 * e1
+            sel = ((same | guard) - cross) & guard
+            acc = cross ^ (same ^ cross) & sel - (sel >> width - 1)
+        keep = lanes(ok)
+        best = floors ^ ((acc + lanes(row)) ^ floors) & ((keep << width) - keep)
+        history.append(best)
+    return history, column
 
 
 class StageRows(dict):
@@ -193,13 +273,14 @@ class StageRows(dict):
             self.packed[key] = pack_stage(self.instance.stage(t), chosen, t)
         return self.packed[key]
 
-    def optimum(self, work_budget: int | None = None) -> MultistageSolution:
+    def optimum(self, work_budget: int | None = None) -> tuple[MultistageSolution, int]:
         """Exact optimum with a witness solution, by ``max_plus_masks`` on this module's terms.
 
         Among optimal set sequences, the first by ascending subset masks
         (over final subsets, then over predecessors), with packer-produced
-        assignments; the DP's value must equal the objective of its sets.
-        Refused when the DP's ``T * |I| * 2**|I|`` additions pass ``work_budget``.
+        assignments, and its value: the DP's, which must equal the objective
+        of its sets. Refused when the DP's ``T * |I| * 2**|I|`` additions
+        pass ``work_budget``.
         """
         inst = self.instance
         items, horizon = inst.items, inst.horizon
@@ -219,7 +300,7 @@ class StageRows(dict):
         value = evaluate_objective(inst, sets)
         if top != value:
             raise ContractViolationError(f"oracle DP value {top} differs from the objective {value}")
-        return self.solution(sets)
+        return self.solution(sets), value
 
     def solution(self, sets: Sequence[frozenset[str]]) -> MultistageSolution:
         """The solution of the stage sets of all T stages, each packed once, after ``checked_solution``."""
@@ -228,8 +309,8 @@ class StageRows(dict):
 
 
 def brute_force_gmk(inst: GmkInstance, *, work_budget: int | None = None) -> MultistageSolution:
-    """``StageRows(inst).optimum(work_budget)``: the exact optimum on a table of its own."""
-    return StageRows(inst).optimum(work_budget)
+    """The solution of ``StageRows(inst).optimum(work_budget)``: the exact optimum on a table of its own."""
+    return StageRows(inst).optimum(work_budget)[0]
 
 
 def pack_stage(stage: McpStage, chosen: frozenset[str], t: int) -> StageAssignments:

@@ -700,6 +700,20 @@ def test_oracle_dp_value_off_the_objective_exits_4(capsys, monkeypatch):
         assert _contract_error(capsys) == "oracle DP value 16 differs from the objective 15"
 
 
+def test_oracle_and_compare_evaluate_the_oracle_sets_once(tmp_path, monkeypatch):
+    # the value the oracle's DP checked against the objective is the one reported
+    evaluated = []
+    real = core.evaluate_objective
+    for module in (cli, oracle):
+        monkeypatch.setattr(module, "evaluate_objective", lambda i, s: evaluated.append(s) or real(i, s))
+    micro = DOCS / "modular_micro.json"
+    assert run("oracle", "--in", micro, "--out", tmp_path / "o.json") == 0
+    assert len(evaluated) == 1
+    assert run("compare", "--in", micro, "--eps", "0.2", "--phi", 1, "--report", tmp_path / "c.json") == 0
+    assert len(evaluated) == 2
+    assert load_json(tmp_path / "o.json")["value"] == load_json(tmp_path / "c.json")["oracle_value"] == 15
+
+
 @pytest.mark.parametrize("mu_inv", [None, 4], ids=["bypass", "cut_loop"])
 def test_scheme_answer_that_does_not_pack_exits_4(tmp_path, capsys, monkeypatch, mu_inv):
     # every item outweighs some bin's capacity, so the optimum of the

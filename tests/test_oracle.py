@@ -8,13 +8,14 @@ import random
 import pytest
 
 from gmk import mkcp, oracle
+from gmk.cli import main
 from gmk.core import McpStage, Mkc, check_feasible, evaluate_objective
 from gmk.cutting import solve_bounded_horizon
 from gmk.errors import BudgetExceededError, ContractViolationError
 from gmk.generators import GenParams, gen_random
 from gmk.reduction import DEFAULT_ENUM_BUDGET as DEFAULT_ORACLE_BUDGET
 from gmk.oracle import StageRows, brute_force_gmk, max_plus_masks, packable_row
-from gmk.serialize import canonical_dumps, dumps, solution_to_dict
+from gmk.serialize import canonical_dumps, dumps, instance_to_dict, solution_to_dict, write_json
 
 from util import (
     build_instance,
@@ -339,9 +340,25 @@ def test_per_item_passes_match_the_full_table_byte_for_byte(shape):
         assert got == canonical_dumps(solution_to_dict(full_table_oracle(inst))), k
 
 
-def test_matches_the_whole_horizon_stage_dp_past_the_full_table_reach():
+@pytest.fixture
+def lane_widths(monkeypatch):
+    """The lane width of every ``max_plus_masks`` call from here on, None for the list passes."""
+    widths = []
+    real = oracle._max_plus
+
+    def spy(rows, links, packable, span, width):
+        widths.append(width)
+        return real(rows, links, packable, span, width)
+
+    monkeypatch.setattr(oracle, "_max_plus", spy)
+    return widths
+
+
+def test_matches_the_whole_horizon_stage_dp_past_the_full_table_reach(lane_widths):
     # two exact DPs with independent term encodings; a full table's T * 4**|I|
-    # exceeds the default budget here, the passes' T * |I| * 2**|I| fits it
+    # exceeds the default budget here, the passes' T * |I| * 2**|I| fits it.
+    # The stage DP's 600-bit tie-break cells take the list passes, the
+    # oracle's plain values 32-bit lanes.
     params = GenParams(items=10, horizon=60, dimension=2, bins_per_mkc=2, target_phi=1)
     assert 60 * 4**10 > DEFAULT_ORACLE_BUDGET >= 60 * 10 * 2**10
     for seed in range(3):
@@ -350,6 +367,7 @@ def test_matches_the_whole_horizon_stage_dp_past_the_full_table_reach():
         oracle = brute_force_gmk(inst)
         assert check_feasible(inst, oracle).ok
         assert evaluate_objective(inst, oracle.sets) == evaluate_objective(inst, sets), seed
+    assert lane_widths == [None, 32] * 3
 
 
 @pytest.mark.parametrize("stage", [0, 1, 2])
@@ -361,3 +379,107 @@ def test_engine_refuses_rows_where_the_empty_set_does_not_pack(stage):
     assert max_plus_masks([[1], [2], [3]], [(), ()], [[True]] * 3) == (6, [0, 0, 0])
     with pytest.raises(ContractViolationError, match="no packable subset sequence"):
         max_plus_masks([[1], [2], [3]], [(), ()], packable)
+
+
+def _span(rows, links):
+    return sum(abs(v) for row in rows for v in row) + sum(
+        abs(v) for link in links for term in link for pair in term for v in pair
+    )
+
+
+def _engine_outcome(rows, links, packable, lanes=True):
+    """``max_plus_masks``' (top, masks) or refusal message, or the list passes' for ``lanes=False``."""
+    try:
+        if lanes:
+            return max_plus_masks(rows, links, packable)
+        return oracle._max_plus(rows, links, packable, _span(rows, links), None)
+    except ContractViolationError as err:
+        return str(err)
+
+
+def _engine_case(rng, n, horizon, magnitude, share):
+    """Seeded rows and link terms in +-magnitude; each nonempty set packs with chance ``share``."""
+    size = 1 << n
+    rows = [[rng.randint(-magnitude, magnitude) for _ in range(size)] for _ in range(horizon)]
+    links = [
+        [tuple(tuple(rng.randint(-magnitude, magnitude) for _ in "pq") for _ in "io") for _ in range(n)]
+        for _ in range(horizon - 1)
+    ]
+    packable = [[m == 0 or rng.random() < share for m in range(size)] for _ in range(horizon)]
+    return rows, links, packable
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 8])
+def test_lane_passes_match_the_list_passes(n, lane_widths):
+    # magnitude 0 gives all-zero rows (span 0), share 0 stages where only the
+    # empty set packs, and a stage where nothing packs the refusal
+    rng = random.Random(n)
+    outcomes = []
+    for horizon in (1, 2, 5):
+        for magnitude in (0, 1, 50, 10**6):
+            for share in (0.0, 0.5, 1.0):
+                rows, links, packable = _engine_case(rng, n, horizon, magnitude, share)
+                if share == 0.5 and magnitude == 50:
+                    packable[rng.randrange(horizon)] = [False] * (1 << n)
+                lane_widths.clear()
+                outcomes.append(_engine_outcome(rows, links, packable))
+                assert lane_widths[0] is not None
+                assert outcomes[-1] == _engine_outcome(rows, links, packable, lanes=False)
+    assert outcomes.count("no packable subset sequence exists (empty set must pack)") == 3
+
+
+@pytest.mark.parametrize("width, wider", [(32, 64), (64, None)])
+def test_lane_width_follows_the_span(width, wider, lane_widths):
+    # A lane holds a cell's value biased by 4 * span + 1, so 0..5 * span + 1,
+    # below its guard bit. At the limit the cells take this width, one past
+    # it the next width, or the list passes past 64 bits.
+    limit = ((1 << width - 1) - 2) // 5
+    rng = random.Random(width)
+    for span, expected in ((limit, width), (limit + 1, wider)):
+        rows, links, packable = _engine_case(rng, 3, 4, 9, 0.5)
+        rows[-1][-1] = -(span - _span(rows, links) + abs(rows[-1][-1]))
+        cases = [
+            # one sequence worth span, the highest lane, and one that drops
+            # from the floor by span - 1, near the lowest
+            ([[span - 2], [1], [1]], [(), ()], [[True]] * 3),
+            ([[-1], [-1], [2 - span]], [(), ()], [[False], [True], [True]]),
+            (rows, links, packable),
+        ]
+        lane_widths.clear()
+        for case in cases:
+            assert _span(*case[:2]) == span
+            assert _engine_outcome(*case) == _engine_outcome(*case, lanes=False)
+        assert lane_widths == [expected, None] * len(cases)
+
+
+# the command and instance shape of each perfbench workload
+BENCHMARK_SHAPES = {
+    "exact_bypass": (
+        ("compare", "--sub-solver", "exact"),
+        GenParams(items=3, horizon=10, weight_range=(1, 4), capacity_range=(3, 7),
+                  profit_range=(1, 5), gain_range=(0, 2), cost_range=(1, 1), target_phi=1),
+    ),
+    "cut_multibin": (
+        ("solve", "--mu-inv", "4", "--sub-solver", "exact"),
+        GenParams(items=3, horizon=40, dimension=2, bins_per_mkc=2, capacity_range=(3, 8), target_phi=1),
+    ),
+    "greedy_oracle": (
+        ("compare", "--sub-solver", "greedy"),
+        GenParams(items=6, horizon=10, dimension=2, bins_per_mkc=2, capacity_range=(4, 12), target_phi=1),
+    ),
+    "submod_exact": (
+        ("compare", "--sub-solver", "exact"),
+        GenParams(items=3, horizon=4, variant="submodular"),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
+def test_benchmark_shapes_take_lanes(shape, tmp_path, lane_widths):
+    (command, *flags), params = BENCHMARK_SHAPES[shape]
+    path = tmp_path / "inst.json"
+    for seed in range(1_000_003, 1_000_006):
+        write_json(path, instance_to_dict(gen_random(params, seed)))
+        argv = [command, "--in", str(path), "--eps", "0.2", "--phi", "1", *flags, "--budget", str(10**15)]
+        assert main([*argv, "--out" if command == "solve" else "--report", str(tmp_path / "out.json")]) == 0
+    assert lane_widths and None not in lane_widths
