@@ -6,12 +6,21 @@ For mu_inv shifted grids the horizon splits into windows of length at most
 no interior cut and their one window is the whole horizon (at mu_inv = 25,
 T = 60, 14 of 25 shifts; at mu_inv = 4, T = 9, 2 of 4). A window is a
 plain stage range (lo, hi), read in place from the instance's tables: no
-reduction is built and no window copied. One window solver
-(``solve_bounded_horizon``) returns a window's stage sets, not packed, and
-their value, by a stage DP over packable item sets for an exact window, one
-item at a time for a greedy one: its coupling terms are
-``core.coupling_terms`` and its max-plus passes and backtrack are the
-oracle's engine, ``oracle.max_plus_masks``. Every window of every shift
+reduction is built and no window copied. One shift solver
+(``solve_shift``) returns each window's stage sets, not packed, and their
+value; ``solve_bounded_horizon`` is its one-window case. Shifts of the
+same windows are solved once. An exact shift is one stage DP over
+packable item sets (``_stage_dp``) across all of its windows: each window
+is valued as if alone, and at a cut an item pays the exit cost of the
+window before it when packed at its last stage and the entry cost of the
+window after it when packed at its first. Its tie-break key gives each
+window a block of ``n * L`` bits, L the longest window's length, that
+orders the window's set sequences as a DP of its own would, and the
+scale leaves ``bitlen(W - 1)`` spare bits above the sum of W blocks, so
+every window gets the sets of its own DP. A greedy window runs the DP one
+item at a time. The coupling terms are ``core.coupling_terms`` and the
+max-plus passes and backtrack are the oracle's engine,
+``oracle.max_plus_masks``. Every window of every shift
 reads one stage table (``oracle.StageRows``) for its rows and subsets, and
 ``SchemeResult.rows`` hands it on to the oracle of the same command.
 ``combine_cut_solutions`` joins a shift's window sets: one window spanning
@@ -31,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from operator import add
 from typing import Sequence
 
@@ -130,51 +140,90 @@ def cut_points(horizon: int, mu_inv: int, j: int) -> CutPointSet:
 
 
 def _stage_dp(
-    inst: GmkInstance, items: Sequence[str], lo: int, hi: int, packable: list, profits: list
+    inst: GmkInstance,
+    items: Sequence[str],
+    windows: Sequence[tuple[int, int]],
+    packable: list,
+    profits: list,
 ) -> tuple[int, list[int]]:
-    """Maximum value and its set masks, stage by stage, over ``items`` at stages lo..hi.
+    """Maximum value and its set masks, stage by stage, over ``items`` in consecutive windows.
 
-    Set m has bit k for ``items[k]``; ``packable[t - lo][m]`` and
-    ``profits[t - lo][m]`` are its packability and profit at stage t. Each
-    item's coupling terms come from ``core.coupling_terms`` at the
-    tie-break scale: the entry cost at lo and the exit cost at hi, folded
-    into the first and last rows, and the gains and costs of every boundary
-    in between; ``oracle.max_plus_masks`` runs the DP. Among maxima it keeps
-    the smallest ``M = sum_k mask_k * 2**(T*(n-1-k))`` over item schedules
-    ``mask_k``, as it maximizes ``value * 2**(n*T) - M``; distinct set
-    sequences have distinct ``M``.
+    Each window (lo, hi) is valued under the empty-boundary convention, and
+    the windows are solved side by side in one DP. Set m has bit k for
+    ``items[k]``; ``packable[s][m]`` and ``profits[s][m]`` are its
+    packability and profit at the windows' s-th stage. Each item's coupling
+    terms come from ``core.coupling_terms`` at the tie-break scale: the
+    first window's entry cost and the last window's exit cost are folded
+    into the first and last rows, and a cut links the exit cost of the
+    window before it to the entry cost of the one after it
+    (``_shift_terms``); ``oracle.max_plus_masks`` runs the DP.
+
+    With L stages in the longest of W windows, window w's key is
+    ``M_w = sum_k mask_k * 2**(L*(n-1-k))`` over its item schedules
+    ``mask_k`` (bit t - lo_w for stage t), below ``2**(n*L)``: one block of
+    n fields, which orders the window's set sequences by their masks as its
+    own ``2**(n*H_w)`` key does. The DP maximizes
+    ``value * scale - sum_w M_w``, with ``scale = 2**(n*L + bitlen(W-1))``
+    above any sum of W keys. Value and key are sums over the windows, so
+    the maximum is every window's own: its largest value, then its smallest
+    key, which distinct set sequences of one window never share.
     """
-    n, horizon = len(items), hi - lo + 1
-    scale = 1 << n * horizon
-    # lex[m]: the M of set m packed at stage lo alone; stage t shifts it left by t - lo
-    lex = subset_sums(1 << horizon * (n - 1 - k) for k in range(n))
+    n = len(items)
+    longest = max(hi - lo + 1 for lo, hi in windows)
+    scale = 1 << n * longest + (len(windows) - 1).bit_length()
+    # lex[m]: the M of set m packed at a window's first stage alone; stage t
+    # of the window shifts it left by t - lo
+    lex = subset_sums(1 << longest * (n - 1 - k) for k in range(n))
+    shifts = [t - lo for lo, hi in windows for t in range(lo, hi + 1)]
     terms = [
-        [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in enumerate(profits)
+        [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in zip(shifts, profits)
     ]
-    scaled = [coupling_terms(inst, i, lo, hi, scale) for i in items]
+    scaled = [_shift_terms(inst, i, windows, scale) for i in items]
     # the first stage pays every packed item's entry cost, the last its exit cost
     terms[0][:] = map(add, terms[0], subset_sums(term[0][1][0] for term in scaled))
     terms[-1][:] = map(add, terms[-1], subset_sums(term[-1][0][1] for term in scaled))
-    # links[t][k][in_cur][in_prev]: item k's term from stage lo + t to lo + t + 1;
+    # links[s][k][in_cur][in_prev]: item k's term from the s-th stage to the next;
     # with no item, zip yields nothing and each link is empty
-    links = list(zip(*scaled))[1:-1] if items else [()] * (horizon - 1)
+    links = list(zip(*scaled))[1:-1] if items else [()] * (len(shifts) - 1)
     top, sets = max_plus_masks(terms, links, packable)
-    return -(-top // scale), sets  # top = value * scale - M with 0 <= M < scale
+    return -(-top // scale), sets  # top = value * scale - key with 0 <= key < scale
 
 
-def _dp_masks(rows: StageRows, lo: int, hi: int) -> tuple[StageSets, int]:
-    """``_stage_dp``'s stage sets over all items at stages lo..hi, and their checked value.
+def _shift_terms(inst: GmkInstance, item: str, windows: Sequence[tuple[int, int]], scale: int) -> list:
+    """``item``'s ``core.coupling_terms`` over consecutive windows, from the first entry to the last exit.
 
-    The value must equal the objective of the chosen sets on the window.
+    A cut adds the exit cost x of the window before it when the item is
+    packed at its last stage, and the entry cost e of the window after it
+    when the item is packed at its first: ``((0, x), (e, x + e))``.
+    """
+    terms = coupling_terms(inst, item, *windows[0], scale)
+    for lo, hi in windows[1:]:
+        after = coupling_terms(inst, item, lo, hi, scale)
+        (_, x), _ = terms.pop()
+        e = after[0][1][0]
+        terms += [((0, x), (e, x + e)), *after[1:]]
+    return terms
+
+
+def _dp_masks(rows: StageRows, windows: Sequence[tuple[int, int]]) -> list[tuple[StageSets, int]]:
+    """``_stage_dp``'s stage sets over all items, window by window, and their checked values.
+
+    Each window is valued by ``core.evaluate_window``, and the values must
+    sum to the DP's.
     """
     inst = rows.instance
-    packable, profits = zip(*(rows[t] for t in range(lo, hi + 1)))
-    decoded, masks = _stage_dp(inst, inst.items, lo, hi, packable, profits)
-    sets = tuple(rows.members[m] for m in masks)
-    value = evaluate_window(inst, lo, hi, sets)
+    stages = [t for lo, hi in windows for t in range(lo, hi + 1)]
+    packable, profits = zip(*(rows[t] for t in stages))
+    decoded, masks = _stage_dp(inst, inst.items, windows, packable, profits)
+    chosen = iter(masks)
+    parts = []
+    for lo, hi in windows:
+        sets = tuple(rows.subset(m) for m in islice(chosen, hi - lo + 1))
+        parts.append((sets, evaluate_window(inst, lo, hi, sets)))
+    value = sum(v for _, v in parts)
     if value != decoded:
         raise ContractViolationError(f"stage DP value {decoded} differs from the objective {value}")
-    return sets, value
+    return parts
 
 
 def _greedy_sets(inst: GmkInstance, lo: int, hi: int, pack_budget: int | None) -> StageSets:
@@ -196,10 +245,42 @@ def _greedy_sets(inst: GmkInstance, lo: int, hi: int, pack_budget: int | None) -
             (0, inst.stage_profit(t, s | {item}) - inst.stage_profit(t, s))
             for t, s in enumerate(chosen, start=lo)
         ]
-        _, sets = _stage_dp(inst, (item,), lo, hi, packable, profits)
+        _, sets = _stage_dp(inst, (item,), ((lo, hi),), packable, profits)
         packing.push(k, sum(m << t for t, m in enumerate(sets)))
         chosen = [s | {item} if m else s for s, m in zip(chosen, sets)]
     return tuple(chosen)
+
+
+def solve_shift(
+    rows: StageRows,
+    windows: Sequence[tuple[int, int]],
+    solver: str = "exact",
+    *,
+    enum_budget: int | None = None,
+    pack_budget: int | None = DEFAULT_PACK_BUDGET,
+) -> list[tuple[StageSets, int]]:
+    """Per window (lo, hi) of consecutive ``windows``: its stage sets, not packed, and their value.
+
+    Each window is read in place from a valid instance's tables and solved
+    as if alone. Each sub-solver picks the schedules its reduced solver
+    would: exact by one ``_dp_masks`` over all the windows, once the
+    enumeration budget admits every window's work of ``T * |I| * 2**|I|``
+    additions, with the values its DP checked (at lo..hi = 1..T, the
+    optimum); greedy by ``_greedy_sets`` under ``pack_budget`` per window,
+    valued by the objective.
+    """
+    if solver not in SOLVER_CHOICES:
+        raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
+    inst = rows.instance
+    if solver == "greedy":
+        parts = []
+        for lo, hi in windows:
+            sets = _greedy_sets(inst, lo, hi, pack_budget)
+            parts.append((sets, evaluate_window(inst, lo, hi, sets)))
+        return parts
+    for lo, hi in windows:
+        check_dp_work("exact solve refused: stage DP", hi - lo + 1, len(inst.items), enum_budget)
+    return _dp_masks(rows, windows)
 
 
 def solve_bounded_horizon(
@@ -213,21 +294,10 @@ def solve_bounded_horizon(
 ) -> tuple[StageSets, int]:
     """The stage sets at stages lo..hi of ``rows.instance``, not packed, and their value.
 
-    The window is read in place from a valid instance's tables. Each
-    sub-solver picks the schedules its reduced solver would: exact by
-    ``_dp_masks``, whose work of ``T * |I| * 2**|I|`` additions the
-    enumeration budget bounds, with the value its DP checked (at lo..hi =
-    1..T, the optimum); greedy by ``_greedy_sets`` under ``pack_budget``,
-    valued by the objective.
+    ``solve_shift`` of the one window.
     """
-    if solver not in SOLVER_CHOICES:
-        raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
-    inst = rows.instance
-    if solver == "greedy":
-        sets = _greedy_sets(inst, lo, hi, pack_budget)
-        return sets, evaluate_window(inst, lo, hi, sets)
-    check_dp_work("exact solve refused: stage DP", hi - lo + 1, len(inst.items), enum_budget)
-    return _dp_masks(rows, lo, hi)
+    [part] = solve_shift(rows, ((lo, hi),), solver, enum_budget=enum_budget, pack_budget=pack_budget)
+    return part
 
 
 def combine_cut_solutions(
@@ -298,6 +368,8 @@ def solve_general_result(
 
     iterations: list[SchemeIteration] = []
     shift_sets: list[StageSets] = []
+    # shifts with no interior cut share the one window 1..T, solved once
+    solved: dict[tuple[tuple[int, int], ...], list[tuple[StageSets, int]]] = {}
     for j in range(1, mu_inv + 1):
         cuts = cut_points(inst.horizon, mu_inv, j)
         windows = cuts.windows()
@@ -307,7 +379,9 @@ def solve_general_result(
                 raise ContractViolationError(
                     f"window of length {longest} exceeds the bounded horizon {2 * mu_inv}"
                 )
-        parts = [solve_bounded_horizon(rows, lo, hi, solver, **budgets) for lo, hi in windows]
+        if windows not in solved:
+            solved[windows] = solve_shift(rows, windows, solver, **budgets)
+        parts = solved[windows]
         sets, value = combine_cut_solutions(inst, parts)
         iterations.append(SchemeIteration(j, cuts.points, tuple(v for _, v in parts), value))
         shift_sets.append(sets)
@@ -326,4 +400,5 @@ __all__ = [
     "combine_cut_solutions",
     "solve_bounded_horizon",
     "solve_general_result",
+    "solve_shift",
 ]

@@ -33,16 +33,16 @@ command. The oracle keeps its own terms, per item ``((g-, -c-[t-1]),
 check the engine and the table against references that run neither:
 ``tests/util.full_table_oracle`` (a ``T * 4**|items|`` DP on
 ``stage_profit``), the literal enumeration ``enumerate_optimum`` and the
-reduced branch and bound. ``cutting._dp_masks`` checks each exact window's
-DP value against ``core.evaluate_window``, and ``optimum`` its own against
-``core.evaluate_objective``. All values are plain Python ints, exact.
+reduced branch and bound. ``cutting._dp_masks`` checks each exact shift's
+DP value against the sum of its windows' ``core.evaluate_window``, and
+``optimum`` its own against ``core.evaluate_objective``. All values are
+plain Python ints, exact.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from functools import cached_property
 from operator import add, sub
 from typing import Mapping, Sequence
 
@@ -239,22 +239,23 @@ class StageRows(dict):
 
     Stage t maps, on first use, to its row pair: the packability of every
     item subset at stage t (``packable_row``) and that subset's stage
-    profit. ``members`` lists the subset of every mask, and ``assignments``
-    packs each (stage, set) pair once, for the scheme's answer and the oracle's.
+    profit. ``subset`` builds a mask's item set once, when a DP picks it or
+    a submodular profit row needs it, and ``assignments`` packs each
+    (stage, set) pair once, for the scheme's answer and the oracle's.
     """
 
     def __init__(self, inst: GmkInstance):
         super().__init__()
         self.instance = inst
+        self.subsets: dict[int, frozenset[str]] = {}
         self.packed: dict[tuple[int, frozenset[str]], StageAssignments] = {}
 
-    @cached_property
-    def members(self) -> list[frozenset[str]]:
-        """The item subset of every mask, built on first use."""
-        items = self.instance.items
-        return [
-            frozenset(i for k, i in enumerate(items) if m >> k & 1) for m in range(1 << len(items))
-        ]
+    def subset(self, m: int) -> frozenset[str]:
+        """The item subset of mask m, built on first use and kept in ``subsets``."""
+        if m not in self.subsets:
+            items = self.instance.items
+            self.subsets[m] = frozenset(i for k, i in enumerate(items) if m >> k & 1)
+        return self.subsets[m]
 
     def __missing__(self, t: int) -> tuple[list[bool], list[int]]:
         inst = self.instance
@@ -262,7 +263,7 @@ class StageRows(dict):
         if inst.variant == MODULAR:
             row = subset_sums(profit[i] for i in inst.items)
         else:
-            row = [profit.evaluate(s) for s in self.members]
+            row = [profit.evaluate(self.subset(m)) for m in range(1 << len(inst.items))]
         rows = self[t] = (packable_row(inst, t), row)
         return rows
 
@@ -296,7 +297,7 @@ class StageRows(dict):
             for t in range(2, horizon + 1)
         ]
         top, masks = max_plus_masks(rows, links, packable)
-        sets = [self.members[m] for m in masks]
+        sets = [self.subset(m) for m in masks]
         value = evaluate_objective(inst, sets)
         if top != value:
             raise ContractViolationError(f"oracle DP value {top} differs from the objective {value}")

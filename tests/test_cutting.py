@@ -25,6 +25,7 @@ from gmk.cutting import (
     cut_points,
     solve_bounded_horizon,
     solve_general_result,
+    solve_shift,
 )
 from gmk.errors import BudgetExceededError, ContractViolationError, InputError
 from gmk.generators import GenParams, gen_random
@@ -383,7 +384,7 @@ def _recording(calls, name):
 @pytest.mark.parametrize("solver", ["exact", "greedy"])
 def test_a_whole_horizon_window_is_valued_once(monkeypatch, solver):
     # evaluate_objective reads core.evaluate_window, so every valuation counts;
-    # at mu_inv = 4, T = 9, shifts 3 and 4 have the one window 1..9
+    # at mu_inv = 4, T = 9, shifts 3 and 4 have the one window 1..9, solved once
     calls = []
     for module in (core, cutting):
         real = module.evaluate_window
@@ -395,7 +396,95 @@ def test_a_whole_horizon_window_is_valued_once(monkeypatch, solver):
     result = solve_general_result(inst, SchemeParams(Fraction(1, 5), 1, mu_inv=4), solver)
     windows = [len(it.window_values) for it in result.iterations]
     assert windows == [2, 2, 1, 1]
-    assert len(calls) == sum(windows) + 2  # one more per shift of two windows
+    assert len(calls) == 2 + 2 + 1 + 2  # each distinct window, then each shift of two windows
+
+
+@pytest.mark.parametrize("solver, engine_calls", [("exact", 3), ("greedy", 5 * 3)])
+def test_identical_shifts_are_solved_once(monkeypatch, solver, engine_calls):
+    # at mu_inv = 4, T = 9, shifts 3 and 4 have the one window 1..9: the four
+    # shifts take one exact DP per distinct shift, or one greedy DP per item
+    # and distinct window, and report what solving each shift alone gives
+    calls = []
+    monkeypatch.setattr(cutting, "max_plus_masks", _recording(calls, "max_plus_masks"))
+    inst = gen_random(GenParams(items=3, horizon=9, target_phi=1), 0)
+    result = solve_general_result(inst, SchemeParams(Fraction(1, 5), 1, mu_inv=4), solver)
+    assert len(calls) == engine_calls
+    assert [len(it.window_values) for it in result.iterations] == [2, 2, 1, 1]
+    for it in result.iterations:
+        parts = solve_shift(StageRows(inst), CutPointSet(it.cut_points).windows(), solver)
+        assert it.window_values == tuple(v for _, v in parts)
+        assert it.combined_value == combine_cut_solutions(inst, parts)[1]
+
+
+def _shift_case(rng, n, horizon, variant):
+    """Seeded n items over ``horizon`` stages, some stages binless, and random consecutive windows."""
+    params = GenParams(items=n, horizon=horizon, bins_per_mkc=rng.randint(1, 2), variant=variant,
+                       target_phi=1 if variant == "modular" else None)
+    inst = gen_random(params, rng.randrange(10**6))
+    binless = Mkc(weights={i: 0 for i in inst.items}, bins=(), capacities={})
+    stages = [
+        dataclasses.replace(stage, mkcs=(binless,)) if rng.random() < 0.15 else stage
+        for stage in inst.stages
+    ]
+    inst = dataclasses.replace(inst, stages=tuple(stages))
+    interior = rng.sample(range(2, horizon + 1), rng.randint(0, horizon - 1))
+    return inst, CutPointSet((1, *sorted(interior), horizon + 1)).windows()
+
+
+def _windows_alone(inst, windows):
+    """Each window's ``solve_bounded_horizon``, on a stage table of its own."""
+    return [solve_bounded_horizon(StageRows(inst), lo, hi, enum_budget=10**15) for lo, hi in windows]
+
+
+def test_shift_dp_matches_its_windows_solved_alone():
+    # one DP over a shift's windows keys each window in a block of its own
+    # and links them by the cut's exit and entry costs: every window gets
+    # the sets and value of its own DP
+    rng = random.Random(30)
+    seen = dict.fromkeys(("binless", "submodular", "one_stage", "unequal", "no_item"), 0)
+    for case in range(240):
+        variant = "submodular" if case % 4 == 3 else "modular"
+        inst, windows = _shift_case(rng, case % 6, rng.randint(1, 12), variant)
+        got = solve_shift(StageRows(inst), windows, enum_budget=10**15)
+        assert got == _windows_alone(inst, windows), case
+        lengths = [hi - lo + 1 for lo, hi in windows]
+        seen["binless"] += any(not mkc.bins for stage in inst.stages for mkc in stage.mkcs)
+        seen["submodular"] += variant == "submodular" and len(windows) > 1
+        seen["one_stage"] += 1 in lengths and len(windows) > 1
+        seen["unequal"] += len(set(lengths)) > 1
+        seen["no_item"] += not inst.items and len(windows) > 1
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize(
+    "n, horizon, every, profits, shift_width, window_width",
+    [(2, 32, 4, (0, 10**4), 64, 32), (5, 20, 10, (0, 5), None, None)],
+    ids=["wider_lanes", "lists"],
+)
+def test_shift_dp_takes_the_lanes_its_span_needs(
+    lane_widths, n, horizon, every, profits, shift_width, window_width
+):
+    # a shift's span sums its windows' cells at its wider scale, so it can
+    # need wider lanes than any of its windows, or the list passes
+    inst = gen_random(GenParams(items=n, horizon=horizon, profit_range=profits), 0)
+    windows = CutPointSet((*range(1, horizon + 1, every), horizon + 1)).windows()
+    got = solve_shift(StageRows(inst), windows, enum_budget=10**15)
+    assert lane_widths == [shift_width]
+    lane_widths.clear()
+    assert got == _windows_alone(inst, windows)
+    assert lane_widths == [window_width] * len(windows)
+
+
+def test_shift_dp_value_off_the_sum_of_its_windows_is_refused(monkeypatch):
+    # each window's value is its objective, and they must sum to the DP's
+    inst = gen_random(GenParams(items=3, horizon=9, target_phi=1), 0)
+    windows = ((1, 3), (4, 4), (5, 9))
+    value = sum(v for _, v in solve_shift(StageRows(inst), windows))
+    real = cutting.evaluate_window
+    monkeypatch.setattr(cutting, "evaluate_window", lambda *a: real(*a) + 1)
+    with pytest.raises(ContractViolationError) as err:
+        solve_shift(StageRows(inst), windows)
+    assert str(err.value) == f"stage DP value {value} differs from the objective {value + 3}"
 
 
 @pytest.fixture
@@ -597,8 +686,8 @@ def test_dp_route_packs_stages_with_fewer_constraints_than_d(exact_routes):
 
 
 def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
-    # the shape of the cut_multibin benchmark: every exact window takes the
-    # stage DP, every greedy window the one-item DP
+    # the shape of the cut_multibin benchmark: every exact shift takes one
+    # stage DP over all its windows, every greedy window the one-item DP
     params = GenParams(items=3, horizon=40, dimension=2, bins_per_mkc=2,
                        capacity_range=(3, 8), target_phi=1)
     inst = gen_random(params, 1_000_003)
@@ -609,14 +698,17 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         stages.append(t)
         return real_row(row_inst, t)
 
-    # the stage sets the exact windows choose, and the stage sets packed
-    chosen, packed = [], []
+    # the stage DPs run (over all items or one), the stage sets the exact
+    # shifts choose, and the stage sets packed
+    dps, chosen, packed = [], [], []
     real_dp, real_pack = cutting._stage_dp, oracle.pack_stage
 
-    def recorded_dp(dp_inst, items, lo, hi, packable, profits):
-        value, sets = real_dp(dp_inst, items, lo, hi, packable, profits)
+    def recorded_dp(dp_inst, items, windows, packable, profits):
+        value, sets = real_dp(dp_inst, items, windows, packable, profits)
+        dps.append(len(items))
         if items == inst.items:
-            for t, m in enumerate(sets, start=lo):
+            stages = [t for lo, hi in windows for t in range(lo, hi + 1)]
+            for t, m in zip(stages, sets, strict=True):
                 chosen.append((t, frozenset(i for k, i in enumerate(items) if m >> k & 1)))
         return value, sets
 
@@ -634,15 +726,16 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
     ):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     # the instance is validated once and no window is materialized; each
-    # window is solved and valued once, through the one window solver, each
-    # shift's windows are combined and valued once, and only the returned
-    # solution is packed and checked
+    # shift is solved once, through the one shift solver, each window valued
+    # once, each shift's windows are combined and valued once, and only the
+    # returned solution is packed and checked
     checks = []
     names = (
         (core, "validate_instance"), (core, "window_instance"),
         (oracle, "check_feasible"), (reduction, "check_feasible"),
         (cutting, "evaluate_window"), (cutting, "evaluate_objective"),
-        (cutting, "solve_bounded_horizon"), (cutting, "combine_cut_solutions"),
+        (cutting, "solve_bounded_horizon"), (cutting, "solve_shift"),
+        (cutting, "combine_cut_solutions"),
     )
     for module, name in names:
         monkeypatch.setattr(module, name, _counting(checks, name, getattr(module, name)))
@@ -651,6 +744,7 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
     for solver, rows in (("exact", 1), ("greedy", 0)):
         stages.clear()
         checks.clear()
+        dps.clear()
         chosen.clear()
         packed.clear()
         result = solve_general_result(inst, scheme, solver, enum_budget=10**15)
@@ -664,9 +758,12 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
             "check_feasible": 1,
             "evaluate_window": windows,
             "evaluate_objective": 4,
-            "solve_bounded_horizon": windows,
+            "solve_bounded_horizon": 0,
+            "solve_shift": 4,
             "combine_cut_solutions": 4,
         }
+        # one exact DP over all items per shift, or one greedy DP per item and window
+        assert dps == ([3] * 4 if solver == "exact" else [1] * 3 * windows)
         # every exact window chooses a set at every stage; of the 160 the
         # windows choose, for both sub-solvers, only the returned sets are
         # packed, once per stage
@@ -687,6 +784,7 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
             "evaluate_window": 1,
             "evaluate_objective": 0,
             "solve_bounded_horizon": 1,
+            "solve_shift": 1,
             "combine_cut_solutions": 0,
         }
         assert calls == []

@@ -340,18 +340,17 @@ def test_per_item_passes_match_the_full_table_byte_for_byte(shape):
         assert got == canonical_dumps(solution_to_dict(full_table_oracle(inst))), k
 
 
-@pytest.fixture
-def lane_widths(monkeypatch):
-    """The lane width of every ``max_plus_masks`` call from here on, None for the list passes."""
-    widths = []
-    real = oracle._max_plus
-
-    def spy(rows, links, packable, span, width):
-        widths.append(width)
-        return real(rows, links, packable, span, width)
-
-    monkeypatch.setattr(oracle, "_max_plus", spy)
-    return widths
+def test_modular_optimum_builds_only_the_sets_it_picks():
+    # a modular profit row is a subset sum, so of the 2**14 masks only the
+    # optimum's stage sets are built, once each; a submodular row needs every subset
+    inst = gen_random(GenParams(items=14, horizon=3, target_phi=1), 0)
+    rows = StageRows(inst)
+    solution, _ = rows.optimum()
+    assert 1 <= len(rows.subsets) <= inst.horizon
+    assert set(rows.subsets.values()) == set(solution.sets)
+    rows = StageRows(gen_random(GenParams(items=4, horizon=1, variant="submodular"), 0))
+    rows.optimum()
+    assert len(rows.subsets) == 2**4
 
 
 def test_matches_the_whole_horizon_stage_dp_past_the_full_table_reach(lane_widths):
