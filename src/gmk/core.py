@@ -17,8 +17,9 @@ zero. Instances are immutable after construction and safe to share across
 workers. A window is a plain stage range ``(lo, hi)``: ``evaluate_window``
 values it under the empty-boundary convention (nothing is packed before lo
 or after hi), ``window_instance`` copies it into a standalone instance, and
-``coupling_terms`` gives the solvers one encoding of the gains and costs
-that couple consecutive stages, as ``subset_sums`` does of subset sums.
+``coupling_terms`` gives the solvers one encoding, in plain values, of the
+gains and costs that couple consecutive stages of a chain of windows, cuts
+included, as ``subset_sums`` does of subset sums.
 """
 
 from __future__ import annotations
@@ -352,26 +353,26 @@ def evaluate_objective(inst: GmkInstance, sets: Sequence[AbstractSet[str]]) -> i
     return evaluate_window(inst, 1, inst.horizon, sets)
 
 
-def coupling_terms(inst: GmkInstance, item: str, lo: int, hi: int, scale: int = 1) -> list:
-    """``item``'s coupling terms at the boundaries t = lo..hi+1 of a window, times ``scale``.
+def coupling_terms(inst: GmkInstance, item: str, windows: Sequence[tuple[int, int]]) -> list:
+    """``item``'s coupling terms at the boundaries t = lo..hi+1 of consecutive windows (lo, hi).
 
     ``terms[t - lo][in_cur][in_prev]`` is what the boundary before stage t
-    adds when the item is packed (1) or not (0) at stages t and t - 1. By
-    the empty-boundary convention lo adds only the entry cost -c+[lo], and
-    hi + 1 only the exit cost -c-[hi]; inside, ``((g-, -c-[t-1]), (-c+[t], g+))``.
-    Costs are read in both variants (the submodular one has zero costs).
-    The stage DP passes its tie-break scale, the reduction 1.
+    adds when the item is packed (1) or not (0) at stages t and t - 1, from
+    the first window's lo to the last one's hi. Each window is valued alone,
+    under the empty-boundary convention: lo adds only the entry cost -c+[lo],
+    hi + 1 only the exit cost -c-[hi], a cut t between two windows both,
+    ``((0, -c-[t-1]), (-c+[t], -c-[t-1] - c+[t]))``, and any other t
+    ``((g-, -c-[t-1]), (-c+[t], g+))``. Costs are read in both variants.
     """
     gp, gm, cp, cm = inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus
-    return [
-        ((0, 0), (-cp[item, lo] * scale, 0)),
-        *[
-            ((gm[item, t] * scale, -cm[item, t - 1] * scale),
-             (-cp[item, t] * scale, gp[item, t] * scale))
-            for t in range(lo + 1, hi + 1)
-        ],
-        ((0, -cm[item, hi] * scale), (0, 0)),
-    ]
+    (lo, _), (_, hi) = windows[0], windows[-1]
+    cuts = {start for start, _ in windows[1:]}
+    terms = [((0, 0), (-cp[item, lo], 0))]
+    for t in range(lo + 1, hi + 1):
+        leave, enter = -cm[item, t - 1], -cp[item, t]
+        out, stay = (0, leave + enter) if t in cuts else (gm[item, t], gp[item, t])
+        terms.append(((out, leave), (enter, stay)))
+    return [*terms, ((0, -cm[item, hi]), (0, 0))]
 
 
 def subset_sums(values: Iterable[int]) -> list[int]:

@@ -13,13 +13,14 @@ same windows are solved once. An exact shift is one stage DP over
 packable item sets (``_stage_dp``) across all of its windows: each window
 is valued as if alone, and at a cut an item pays the exit cost of the
 window before it when packed at its last stage and the entry cost of the
-window after it when packed at its first. Its tie-break key gives each
-window a block of ``n * L`` bits, L the longest window's length, that
-orders the window's set sequences as a DP of its own would, and the
-scale leaves ``bitlen(W - 1)`` spare bits above the sum of W blocks, so
-every window gets the sets of its own DP. A greedy window runs the DP one
-item at a time. The coupling terms are ``core.coupling_terms`` and the
-max-plus passes and backtrack are the oracle's engine,
+window after it when packed at its first: ``core.coupling_terms`` gives
+those cut links with the rest. ``_stage_dp`` alone knows the tie-break:
+its key gives each window a block of ``n * L`` bits, L the longest
+window's length, that orders the window's set sequences as a DP of its
+own would, and its scale, applied to rows and terms alike, leaves
+``bitlen(W - 1)`` spare bits above the sum of W blocks, so every window
+gets the sets of its own DP. A greedy window runs the DP one item at a
+time. The max-plus passes and backtrack are the oracle's engine,
 ``oracle.max_plus_masks``. Every window of every shift
 reads one stage table (``oracle.StageRows``) for its rows and subsets, and
 ``SchemeResult.rows`` hands it on to the oracle of the same command.
@@ -152,11 +153,10 @@ def _stage_dp(
     the windows are solved side by side in one DP. Set m has bit k for
     ``items[k]``; ``packable[s][m]`` and ``profits[s][m]`` are its
     packability and profit at the windows' s-th stage. Each item's coupling
-    terms come from ``core.coupling_terms`` at the tie-break scale: the
-    first window's entry cost and the last window's exit cost are folded
-    into the first and last rows, and a cut links the exit cost of the
-    window before it to the entry cost of the one after it
-    (``_shift_terms``); ``oracle.max_plus_masks`` runs the DP.
+    terms over the windows, cuts included, are ``core.coupling_terms``,
+    multiplied here by the tie-break scale as the rows are: the first
+    window's entry cost and the last window's exit cost are folded into the
+    first and last rows; ``oracle.max_plus_masks`` runs the DP.
 
     With L stages in the longest of W windows, window w's key is
     ``M_w = sum_k mask_k * 2**(L*(n-1-k))`` over its item schedules
@@ -178,7 +178,9 @@ def _stage_dp(
     terms = [
         [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in zip(shifts, profits)
     ]
-    scaled = [_shift_terms(inst, i, windows, scale) for i in items]
+    # each item's terms at the tie-break scale, as the rows carry it
+    chains = [coupling_terms(inst, i, windows) for i in items]
+    scaled = [[((a * scale, b * scale), (c * scale, d * scale)) for (a, b), (c, d) in chain] for chain in chains]
     # the first stage pays every packed item's entry cost, the last its exit cost
     terms[0][:] = map(add, terms[0], subset_sums(term[0][1][0] for term in scaled))
     terms[-1][:] = map(add, terms[-1], subset_sums(term[-1][0][1] for term in scaled))
@@ -187,22 +189,6 @@ def _stage_dp(
     links = list(zip(*scaled))[1:-1] if items else [()] * (len(shifts) - 1)
     top, sets = max_plus_masks(terms, links, packable)
     return -(-top // scale), sets  # top = value * scale - key with 0 <= key < scale
-
-
-def _shift_terms(inst: GmkInstance, item: str, windows: Sequence[tuple[int, int]], scale: int) -> list:
-    """``item``'s ``core.coupling_terms`` over consecutive windows, from the first entry to the last exit.
-
-    A cut adds the exit cost x of the window before it when the item is
-    packed at its last stage, and the entry cost e of the window after it
-    when the item is packed at its first: ``((0, x), (e, x + e))``.
-    """
-    terms = coupling_terms(inst, item, *windows[0], scale)
-    for lo, hi in windows[1:]:
-        after = coupling_terms(inst, item, lo, hi, scale)
-        (_, x), _ = terms.pop()
-        e = after[0][1][0]
-        terms += [((0, x), (e, x + e)), *after[1:]]
-    return terms
 
 
 def _dp_masks(rows: StageRows, windows: Sequence[tuple[int, int]]) -> list[tuple[StageSets, int]]:

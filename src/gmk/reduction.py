@@ -16,10 +16,10 @@ refuses it by the rule the exact reduced solver applies to its tables.
 
 ``lift_solution`` projects a reduced solution's schedules back onto the
 stages and keeps its value, so OPT(R(Q)) = OPT(Q). Schedule values are
-built from ``core.coupling_terms`` over stages 1..T, the same encoding of
-the gains and costs the cutting loop's stage DP reads, plus the item's
-profit at each scheduled stage in the modular variant; they are Python
-ints, exact at any magnitude.
+built from ``core.coupling_terms`` of the one window 1..T, the encoding
+of the gains and costs that the cutting loop's stage DP reads over a
+shift's windows, plus the item's profit at each scheduled stage in the
+modular variant; they are Python ints, exact at any magnitude.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class ReducedSolution:
 def _schedule_values(inst: GmkInstance) -> list[list[int]]:
     """values[k][m]: the fixed value of schedule mask m of the k-th item, for every m.
 
-    Built from ``core.coupling_terms`` over stages 1..T by doubling over the
+    Built from ``core.coupling_terms`` of the window 1..T by doubling over the
     stages, in plain ints: the masks of stages 1..t list those without
     stage t first, so the next stage's terms add by halves. The modular
     variant adds the item's profit at each scheduled stage.
@@ -159,7 +159,7 @@ def _schedule_values(inst: GmkInstance) -> list[list[int]]:
     modular = inst.variant == MODULAR
     values = []
     for i in inst.items:
-        terms = coupling_terms(inst, i, 1, inst.horizon)
+        terms = coupling_terms(inst, i, ((1, inst.horizon),))
         row = [0]
         for t, ((stay_out, leave), (enter, stay_in)) in enumerate(terms[:-1], start=1):
             profit = inst.item_profit(t, i) if modular else 0

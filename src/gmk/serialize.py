@@ -147,12 +147,15 @@ def oracle_from_dict(raw: Any, denominator: int, where: str) -> SetFunctionOracl
             }
         )
     if kind == "sum":
-        return SumFunction(
-            parts=tuple(
-                oracle_from_dict(p, denominator, f"{where}.parts[{k}]")
-                for k, p in enumerate(raw.get("parts", []))
-            )
-        )
+        # read flat, depth first by a stack of its own: a chain of sums costs no recursion
+        parts, pending = [], [(raw, where)]
+        while pending:
+            node, at = pending.pop()
+            if isinstance(node, Mapping) and node.get("kind") == "sum":
+                pending += reversed([(p, f"{at}.parts[{k}]") for k, p in enumerate(node.get("parts", []))])
+            else:
+                parts.append(oracle_from_dict(node, denominator, at))
+        return SumFunction(parts=tuple(parts))
     raise InputError(f"{where}: unknown oracle kind {kind!r}")
 
 

@@ -76,6 +76,12 @@ class SumFunction(SetFunctionOracle):
     kind: ClassVar[str] = "sum"
     parts: tuple[SetFunctionOracle, ...]
 
+    def __post_init__(self) -> None:
+        # held flat, so a chain of sums costs no recursion: a sum part gives its
+        # parts, whose grounds lie in its own, so every value is unchanged
+        flat = tuple(q for p in self.parts for q in (p.parts if isinstance(p, SumFunction) else (p,)))
+        object.__setattr__(self, "parts", flat)
+
     @property
     def ground(self) -> frozenset:
         ground: frozenset = frozenset()

@@ -19,7 +19,14 @@ from gmk import cli, core, cutting, mkcp, oracle
 from gmk.cli import main
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import DEFAULT_PACK_BUDGET
-from gmk.serialize import canonical_dumps, instance_to_dict, load_json, write_json
+from gmk.serialize import (
+    canonical_dumps,
+    instance_from_dict,
+    instance_hash,
+    instance_to_dict,
+    load_json,
+    write_json,
+)
 from util import binless_first_stage
 
 DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -647,6 +654,45 @@ def test_compare_sum_oracle_example(tmp_path):
     ) == 0
     payload = load_json(report)
     assert payload["final_value"] == payload["oracle_value"] == 12
+
+
+def test_a_chain_of_sums_as_deep_as_the_decoder_reads_runs_as_the_flat_file(tmp_path, capsys):
+    # each stage profit of the sum example wrapped in one-part sums, at the
+    # deepest chain every command reads: a sum's parts are held flat, so
+    # values and grounds take no recursion per level
+    flat = json.loads((DOCS / "submodular_sum.json").read_text())
+    path, opt, sol, report = (tmp_path / name for name in ("chain.json", "opt.json", "sol.json", "cmp.json"))
+    scheme = ("--eps", "0.2", "--phi", 1)
+
+    def codes(depth):
+        # written as text: the encoder recurses once per level, as the decoder does
+        stages = [{**stage, "profit": f"profit {t}"} for t, stage in enumerate(flat["stages"])]
+        text = json.dumps({**flat, "stages": stages})
+        for t, stage in enumerate(flat["stages"]):
+            chain = '{"kind": "sum", "parts": [' * depth + json.dumps(stage["profit"]) + "]}" * depth
+            text = text.replace(f'"profit {t}"', chain)
+        path.write_text(text)
+        got = (
+            run("oracle", "--in", path, "--out", opt),
+            run("solve", "--in", path, *scheme, "--out", sol),
+            run("compare", "--in", path, *scheme, "--report", report),
+        )
+        assert set(got) <= {0, 2}, (depth, got)  # 2: the decoder refused the nesting
+        return got
+
+    low, high = 1, 2000  # every command reads a chain of depth low
+    while low < high:
+        mid = (low + high + 1) // 2
+        low, high = (mid, high) if codes(mid) == (0, 0, 0) else (low, mid - 1)
+    assert low >= 200
+    capsys.readouterr()
+    assert codes(low) == (0, 0, 0)
+    assert capsys.readouterr().out.split() == ["value", "12"]
+    assert load_json(opt)["value"] == 12
+    payload = load_json(report)
+    assert payload["final_value"] == payload["oracle_value"] == 12
+    # written flat, the chain is the example itself
+    assert payload["instance_hash"] == instance_hash(instance_from_dict(flat))
 
 
 # scheme values around the micro example's optimum of 15, with whether

@@ -363,22 +363,30 @@ def test_materialized_view_evaluates_identically():
 @pytest.mark.parametrize("variant", ["modular", "submodular"])
 def test_coupling_terms_plus_stage_profits_equal_the_window_objective(variant):
     rng = random.Random(47)
+    chains = 0
     for seed in range(40):
         horizon = rng.randint(1, 6)
         params = GenParams(items=3, horizon=horizon, dimension=2, variant=variant)
         inst = gen_random(params, seed)
         single, start = rng.randint(1, horizon), rng.randint(1, horizon)
-        for lo, hi in ((1, horizon), (single, single), (start, rng.randint(start, horizon))):
+        end = rng.randint(start, horizon)
+        # consecutive windows over start..end, cut at random stages
+        cuts = sorted(rng.sample(range(start + 1, end + 1), rng.randint(0, end - start)))
+        chain = tuple(zip([start, *cuts], [t - 1 for t in cuts] + [end]))
+        chains += len(chain) > 1
+        for windows in (((1, horizon),), ((single, single),), ((start, end),), chain):
+            lo, hi = windows[0][0], windows[-1][1]
             sets = [frozenset(i for i in inst.items if rng.random() < 0.5) for _ in range(lo, hi + 1)]
             total = sum(inst.stage_profit(t, s) for t, s in enumerate(sets, start=lo))
             # nothing is packed just before lo or just after hi
             padded = [frozenset(), *sets, frozenset()]
             for i in inst.items:
-                terms = coupling_terms(inst, i, lo, hi)
+                terms = coupling_terms(inst, i, windows)
                 assert len(terms) == hi - lo + 2
-                assert coupling_terms(inst, i, lo, hi, 8) == [
-                    tuple(tuple(8 * v for v in pair) for pair in term) for term in terms
-                ]
                 for term, prev, cur in zip(terms, padded, padded[1:]):
                     total += term[i in cur][i in prev]
-            assert total == evaluate_window(inst, lo, hi, sets), (seed, lo, hi)
+            # each window is valued alone, with nothing packed around it
+            expected = sum(evaluate_window(inst, w_lo, w_hi, sets[w_lo - lo : w_hi - lo + 1])
+                           for w_lo, w_hi in windows)
+            assert total == expected, (seed, windows)
+    assert chains >= 10

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from gmk.core import evaluate_objective
-from gmk.cutting import CutPointSet
+from gmk.core import MODULAR, coupling_terms, evaluate_objective
+from gmk.cutting import CutPointSet, cut_points
 from gmk.errors import UnsupportedVariantError
 from gmk.generators import GenParams, gen_random
 from gmk.intervals import (
@@ -182,3 +183,33 @@ def test_cut_never_remerges_for_free():
     assert cut_loss(inst, e, cuts) > 0
     pieces = cut_element(e, cuts)
     assert not is_maximal_runs(pieces)
+
+
+@pytest.mark.parametrize("variant", ["modular", "submodular"])
+def test_cut_links_fall_short_of_in_window_links_by_the_seam_terms(variant):
+    # a shift's chain of windows, against the same stages as one window: at
+    # a cut u, an item absent on both sides misses g-[u], one present on
+    # both loses what cutting a run across u alone loses, and one entering
+    # or leaving at u pays the same cost either way
+    rng = random.Random(12)
+    nonzero = 0
+    for seed in range(12):
+        horizon, mu_inv = rng.randint(5, 14), rng.randint(2, 4)
+        inst = gen_random(GenParams(items=3, horizon=horizon, variant=variant), seed)
+        # cut_loss reads only the gain and cost tables, zero costs included
+        tables = dataclasses.replace(inst, variant=MODULAR)
+        for j in range(1, mu_inv + 1):
+            cuts = cut_points(horizon, mu_inv, j)
+            for i in inst.items:
+                whole = coupling_terms(inst, i, ((1, horizon),))
+                chain = coupling_terms(inst, i, cuts.windows())
+                for u in range(2, horizon + 1):
+                    at_cut = u in cuts.interior()
+                    seam = cut_loss(tables, IntervalElement(i, u - 1, u), CutPointSet((1, u, horizon + 1)))
+                    expected = {(0, 0): inst.gain_minus[i, u], (1, 1): seam} if at_cut else {}
+                    for in_cur in (0, 1):
+                        for in_prev in (0, 1):
+                            diff = whole[u - 1][in_cur][in_prev] - chain[u - 1][in_cur][in_prev]
+                            assert diff == expected.get((in_cur, in_prev), 0) >= 0, (seed, j, i, u)
+                            nonzero += diff > 0
+    assert nonzero >= 100, nonzero

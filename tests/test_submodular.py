@@ -61,6 +61,22 @@ def test_sum_closure():
     assert check_monotone_submodular(f).clean
 
 
+def test_nested_sums_are_held_flat_with_every_value_unchanged():
+    rng = random.Random(5)
+    a, b, c = (random_coverage(rng, items) for items in (["a", "b"], ["b", "c"], ["a", "c"]))
+    nested = SumFunction(parts=(a, SumFunction(parts=(b, SumFunction(parts=(c,))))))
+    assert nested.parts == (a, b, c) and nested.ground == frozenset("abc")
+    for size in range(4):
+        for combo in itertools.combinations("abc", size):
+            subset = frozenset(combo)
+            assert nested.evaluate(subset) == sum(f.evaluate(subset & f.ground) for f in (a, b, c))
+    # a chain far past the interpreter's recursion limit is one level deep
+    chain = c
+    for _ in range(5000):
+        chain = SumFunction(parts=(chain,))
+    assert chain.parts == (c,) and chain.evaluate(frozenset("abc")) == c.evaluate(frozenset("ac"))
+
+
 def test_adversarial_table_flagged_with_witness():
     ground = frozenset({"a", "b"})
     table = {
