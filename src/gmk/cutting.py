@@ -19,11 +19,14 @@ its key gives each window a block of ``n * L`` bits, L the longest
 window's length, that orders the window's set sequences as a DP of its
 own would, and its scale, applied to rows and terms alike, leaves
 ``bitlen(W - 1)`` spare bits above the sum of W blocks, so every window
-gets the sets of its own DP. A greedy window runs the DP one item at a
-time. The max-plus passes and backtrack are the oracle's engine,
-``oracle.max_plus_masks``. Every window of every shift
-reads one stage table (``oracle.StageRows``) for its rows and subsets, and
-``SchemeResult.rows`` hands it on to the oracle of the same command.
+gets the sets of its own DP. A greedy shift runs the DP once per item
+across its windows with no key: with one item, the engine's first-maximum
+backtrack already takes the smallest best schedule mask, the key's order
+(with more, the key's item-major order is not the engine's). The passes
+and backtrack are the oracle's engine, ``oracle.max_plus_masks``. Every
+exact shift reads one stage table (``oracle.StageRows``) for its rows and
+subsets, and ``SchemeResult.rows`` hands it on to the oracle of the same
+command.
 ``combine_cut_solutions`` joins a shift's window sets: one window spanning
 the horizon keeps its value, and more windows are valued once, worth at
 least the sum of their parts (seam costs can only be saved, seam gains
@@ -140,23 +143,17 @@ def cut_points(horizon: int, mu_inv: int, j: int) -> CutPointSet:
     return CutPointSet(tuple(sorted(points)))
 
 
-def _stage_dp(
-    inst: GmkInstance,
-    items: Sequence[str],
-    windows: Sequence[tuple[int, int]],
-    packable: list,
-    profits: list,
-) -> tuple[int, list[int]]:
-    """Maximum value and its set masks, stage by stage, over ``items`` in consecutive windows.
+def _stage_dp(rows: StageRows, windows: Sequence[tuple[int, int]]) -> tuple[StageSets, int]:
+    """An exact shift's stage sets over all items, stage by stage across consecutive windows, and their value.
 
     Each window (lo, hi) is valued under the empty-boundary convention, and
-    the windows are solved side by side in one DP. Set m has bit k for
-    ``items[k]``; ``packable[s][m]`` and ``profits[s][m]`` are its
-    packability and profit at the windows' s-th stage. Each item's coupling
-    terms over the windows, cuts included, are ``core.coupling_terms``,
-    multiplied here by the tie-break scale as the rows are: the first
-    window's entry cost and the last window's exit cost are folded into the
-    first and last rows; ``oracle.max_plus_masks`` runs the DP.
+    the windows are solved side by side in one DP on the packability and
+    profit rows of ``rows``. Set m has bit k for the k-th item. Each item's
+    coupling terms over the windows, cuts included, are
+    ``core.coupling_terms``, multiplied here by the tie-break scale as the
+    rows are: the first window's entry cost and the last window's exit cost
+    are folded into the first and last rows; ``oracle.max_plus_masks`` runs
+    the DP.
 
     With L stages in the longest of W windows, window w's key is
     ``M_w = sum_k mask_k * 2**(L*(n-1-k))`` over its item schedules
@@ -168,7 +165,9 @@ def _stage_dp(
     the maximum is every window's own: its largest value, then its smallest
     key, which distinct set sequences of one window never share.
     """
-    n = len(items)
+    inst = rows.instance
+    n = len(inst.items)
+    packable, profits = zip(*(rows[t] for lo, hi in windows for t in range(lo, hi + 1)))
     longest = max(hi - lo + 1 for lo, hi in windows)
     scale = 1 << n * longest + (len(windows) - 1).bit_length()
     # lex[m]: the M of set m packed at a window's first stage alone; stage t
@@ -179,61 +178,46 @@ def _stage_dp(
         [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in zip(shifts, profits)
     ]
     # each item's terms at the tie-break scale, as the rows carry it
-    chains = [coupling_terms(inst, i, windows) for i in items]
+    chains = [coupling_terms(inst, i, windows) for i in inst.items]
     scaled = [[((a * scale, b * scale), (c * scale, d * scale)) for (a, b), (c, d) in chain] for chain in chains]
     # the first stage pays every packed item's entry cost, the last its exit cost
     terms[0][:] = map(add, terms[0], subset_sums(term[0][1][0] for term in scaled))
     terms[-1][:] = map(add, terms[-1], subset_sums(term[-1][0][1] for term in scaled))
     # links[s][k][in_cur][in_prev]: item k's term from the s-th stage to the next;
     # with no item, zip yields nothing and each link is empty
-    links = list(zip(*scaled))[1:-1] if items else [()] * (len(shifts) - 1)
-    top, sets = max_plus_masks(terms, links, packable)
-    return -(-top // scale), sets  # top = value * scale - key with 0 <= key < scale
+    links = list(zip(*scaled))[1:-1] if n else [()] * (len(shifts) - 1)
+    top, masks = max_plus_masks(terms, links, packable)
+    # top = value * scale - key with 0 <= key < scale
+    return tuple(rows.subset(m) for m in masks), -(-top // scale)
 
 
-def _dp_masks(rows: StageRows, windows: Sequence[tuple[int, int]]) -> list[tuple[StageSets, int]]:
-    """``_stage_dp``'s stage sets over all items, window by window, and their checked values.
+def _greedy_sets(inst: GmkInstance, windows: Sequence[tuple[int, int]], pack_budget: int | None) -> StageSets:
+    """A greedy shift's stage sets, stage by stage across consecutive windows, built item by item.
 
-    Each window is valued by ``core.evaluate_window``, and the values must
-    sum to the DP's.
+    Each item runs ``max_plus_masks`` once over all the windows, on plain
+    values chained by its ``core.coupling_terms``: it packs at the stages of
+    ``_PartialPacking.avail(k)``, built from the windows' constraints, under
+    ``pack_budget`` nodes per ``place`` call, and earns its marginal profit
+    over the items chosen before it. The engine's first maximum, taken from
+    the last stage back with 0 before 1, is the smallest best schedule mask,
+    and the cut links are separable: each window gets the schedule a pass of
+    its own would. The value is not checked: one item's sets miss the other
+    items' g- terms.
     """
-    inst = rows.instance
     stages = [t for lo, hi in windows for t in range(lo, hi + 1)]
-    packable, profits = zip(*(rows[t] for t in stages))
-    decoded, masks = _stage_dp(inst, inst.items, windows, packable, profits)
-    chosen = iter(masks)
-    parts = []
-    for lo, hi in windows:
-        sets = tuple(rows.subset(m) for m in islice(chosen, hi - lo + 1))
-        parts.append((sets, evaluate_window(inst, lo, hi, sets)))
-    value = sum(v for _, v in parts)
-    if value != decoded:
-        raise ContractViolationError(f"stage DP value {decoded} differs from the objective {value}")
-    return parts
-
-
-def _greedy_sets(inst: GmkInstance, lo: int, hi: int, pack_budget: int | None) -> StageSets:
-    """Stage sets at stages lo..hi built item by item, by ``_stage_dp`` over each item alone.
-
-    The item packs at the stages of ``_PartialPacking.avail(k)``, built from
-    the window's constraints, under ``pack_budget`` packer nodes and earns
-    its marginal profit over the items chosen before it. The DP's value is
-    not checked: one item's sets miss the other items' g- terms.
-    """
-    horizon = hi - lo + 1
-    stages = [stage.mkcs for stage in inst.stages[lo - 1 : hi]]
-    packing = _PartialPacking(inst.items, stages, pack_budget)
-    chosen: list[frozenset[str]] = [frozenset()] * horizon
+    packing = _PartialPacking(inst.items, [inst.stage(t).mkcs for t in stages], pack_budget)
+    chosen: list[frozenset[str]] = [frozenset()] * len(stages)
     for k, item in enumerate(inst.items):
         avail = packing.avail(k)
-        packable = [(True, bool(avail >> t & 1)) for t in range(horizon)]
-        profits = [
-            (0, inst.stage_profit(t, s | {item}) - inst.stage_profit(t, s))
-            for t, s in enumerate(chosen, start=lo)
-        ]
-        _, sets = _stage_dp(inst, (item,), ((lo, hi),), packable, profits)
-        packing.push(k, sum(m << t for t, m in enumerate(sets)))
-        chosen = [s | {item} if m else s for s, m in zip(chosen, sets)]
+        packable = [(True, bool(avail >> s & 1)) for s in range(len(stages))]
+        profits = [[0, inst.stage_profit(t, s | {item}) - inst.stage_profit(t, s)] for t, s in zip(stages, chosen)]
+        chain = coupling_terms(inst, item, windows)
+        # the first stage pays the entry cost, the last the exit cost
+        profits[0][1] += chain[0][1][0]
+        profits[-1][1] += chain[-1][0][1]
+        _, masks = max_plus_masks(profits, [(link,) for link in chain[1:-1]], packable)
+        packing.push(k, sum(m << s for s, m in enumerate(masks)))
+        chosen = [s | {item} if m else s for s, m in zip(chosen, masks)]
     return tuple(chosen)
 
 
@@ -249,24 +233,36 @@ def solve_shift(
 
     Each window is read in place from a valid instance's tables and solved
     as if alone. Each sub-solver picks the schedules its reduced solver
-    would: exact by one ``_dp_masks`` over all the windows, once the
-    enumeration budget admits every window's work of ``T * |I| * 2**|I|``
-    additions, with the values its DP checked (at lo..hi = 1..T, the
-    optimum); greedy by ``_greedy_sets`` under ``pack_budget`` per window,
-    valued by the objective.
+    would, for all the windows at once: exact by one ``_stage_dp``, once
+    the enumeration budget admits every window's work of
+    ``T * |I| * 2**|I|`` additions; greedy by ``_greedy_sets`` under
+    ``pack_budget``. Every window is valued by ``core.evaluate_window``,
+    and an exact shift's values must sum to its DP's (at lo..hi = 1..T,
+    the optimum). A chain that is not a nonempty run of consecutive
+    ranges inside 1..T is refused before any work.
     """
     if solver not in SOLVER_CHOICES:
         raise InputError(f"unknown solver {solver!r}, expected one of {SOLVER_CHOICES}")
     inst = rows.instance
+    chained = all(hi + 1 == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
+    if not (windows and chained and 1 <= windows[0][0] and windows[-1][1] <= inst.horizon
+            and all(lo <= hi for lo, hi in windows)):
+        raise InputError(f"windows {tuple(windows)} are not consecutive stage ranges inside 1..{inst.horizon}")
     if solver == "greedy":
-        parts = []
+        sets, decoded = _greedy_sets(inst, windows, pack_budget), None
+    else:
         for lo, hi in windows:
-            sets = _greedy_sets(inst, lo, hi, pack_budget)
-            parts.append((sets, evaluate_window(inst, lo, hi, sets)))
-        return parts
+            check_dp_work("exact solve refused: stage DP", hi - lo + 1, len(inst.items), enum_budget)
+        sets, decoded = _stage_dp(rows, windows)
+    chosen = iter(sets)
+    parts = []
     for lo, hi in windows:
-        check_dp_work("exact solve refused: stage DP", hi - lo + 1, len(inst.items), enum_budget)
-    return _dp_masks(rows, windows)
+        window = tuple(islice(chosen, hi - lo + 1))
+        parts.append((window, evaluate_window(inst, lo, hi, window)))
+    value = sum(v for _, v in parts)
+    if decoded is not None and value != decoded:
+        raise ContractViolationError(f"stage DP value {decoded} differs from the objective {value}")
+    return parts
 
 
 def solve_bounded_horizon(

@@ -12,8 +12,8 @@ table; walking back, it rebuilds the chosen set's one column of the full
 fits 32- or 64-bit lanes, a row is one Python int of biased, nonnegative
 lanes, and a pass is about twenty big-int operations with a guard-bit max
 ("SIMD within a register": Fisher and Dietz, LCPC 1998; Warren, *Hacker's
-Delight*, ch. 2). Wider cells, such as the scheme's tie-break keys, take
-passes over lists. Both give the same values and witness.
+Delight*, ch. 2). Wider cells, such as the tie-break keys of the scheme's
+exact shifts, take passes over lists. Both give the same values and witness.
 
 Packability is built in bulk (``packable_row``): ``mkcp.Capacities``
 screens every subset's weight sum at once, and a constraint with no bin
@@ -33,7 +33,7 @@ command. The oracle keeps its own terms, per item ``((g-, -c-[t-1]),
 check the engine and the table against references that run neither:
 ``tests/util.full_table_oracle`` (a ``T * 4**|items|`` DP on
 ``stage_profit``), the literal enumeration ``enumerate_optimum`` and the
-reduced branch and bound. ``cutting._dp_masks`` checks each exact shift's
+reduced branch and bound. ``cutting.solve_shift`` checks each exact shift's
 DP value against the sum of its windows' ``core.evaluate_window``, and
 ``optimum`` its own against ``core.evaluate_objective``. All values are
 plain Python ints, exact.

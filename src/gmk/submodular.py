@@ -15,7 +15,7 @@ checker verifies exhaustively at desk scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Hashable, Iterable, Mapping
 
 from .errors import InputError
@@ -75,22 +75,22 @@ class SumFunction(SetFunctionOracle):
 
     kind: ClassVar[str] = "sum"
     parts: tuple[SetFunctionOracle, ...]
+    # each part's ground, built once with the sum
+    grounds: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # held flat, so a chain of sums costs no recursion: a sum part gives its
         # parts, whose grounds lie in its own, so every value is unchanged
         flat = tuple(q for p in self.parts for q in (p.parts if isinstance(p, SumFunction) else (p,)))
         object.__setattr__(self, "parts", flat)
+        object.__setattr__(self, "grounds", tuple(part.ground for part in flat))
 
     @property
     def ground(self) -> frozenset:
-        ground: frozenset = frozenset()
-        for part in self.parts:
-            ground |= part.ground
-        return ground
+        return frozenset().union(*self.grounds)
 
     def evaluate(self, subset: frozenset) -> int:
-        return sum(part.evaluate(subset & part.ground) for part in self.parts)
+        return sum(part.evaluate(subset & ground) for part, ground in zip(self.parts, self.grounds))
 
 
 @dataclass(frozen=True)

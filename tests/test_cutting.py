@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import gmk
 from gmk import core, cutting, mkcp, oracle, reduction
 from gmk.core import (
     Mkc,
@@ -399,11 +400,11 @@ def test_a_whole_horizon_window_is_valued_once(monkeypatch, solver):
     assert len(calls) == 2 + 2 + 1 + 2  # each distinct window, then each shift of two windows
 
 
-@pytest.mark.parametrize("solver, engine_calls", [("exact", 3), ("greedy", 5 * 3)])
+@pytest.mark.parametrize("solver, engine_calls", [("exact", 3), ("greedy", 3 * 3)])
 def test_identical_shifts_are_solved_once(monkeypatch, solver, engine_calls):
     # at mu_inv = 4, T = 9, shifts 3 and 4 have the one window 1..9: the four
-    # shifts take one exact DP per distinct shift, or one greedy DP per item
-    # and distinct window, and report what solving each shift alone gives
+    # shifts take one exact DP per distinct shift, or one greedy pass per item
+    # and distinct shift, and report what solving each shift alone gives
     calls = []
     monkeypatch.setattr(cutting, "max_plus_masks", _recording(calls, "max_plus_masks"))
     inst = gen_random(GenParams(items=3, horizon=9, target_phi=1), 0)
@@ -487,11 +488,60 @@ def test_shift_dp_value_off_the_sum_of_its_windows_is_refused(monkeypatch):
     assert str(err.value) == f"stage DP value {value} differs from the objective {value + 3}"
 
 
+def test_greedy_shift_matches_its_windows_solved_alone():
+    # one greedy pass per item chains a shift's windows by the cut's exit and
+    # entry costs, with no tie-break key: every window gets the sets and
+    # value that the greedy solve of it alone gives, at every packer budget
+    rng = random.Random(32)
+    seen = dict.fromkeys(("binless", "submodular", "one_stage", "unequal", "no_item"), 0)
+    for case in range(240):
+        variant = "submodular" if case % 4 == 3 else "modular"
+        inst, windows = _shift_case(rng, case % 6, rng.randint(1, 12), variant)
+        for budget in (1, 2, None):
+            got = solve_shift(StageRows(inst), windows, "greedy", pack_budget=budget)
+            alone = [solve_bounded_horizon(StageRows(inst), lo, hi, "greedy", pack_budget=budget)
+                     for lo, hi in windows]
+            assert got == alone, (case, budget)
+        lengths = [hi - lo + 1 for lo, hi in windows]
+        seen["binless"] += any(not mkc.bins for stage in inst.stages for mkc in stage.mkcs)
+        seen["submodular"] += variant == "submodular" and len(windows) > 1
+        seen["one_stage"] += 1 in lengths and len(windows) > 1
+        seen["unequal"] += len(set(lengths)) > 1
+        seen["no_item"] += not inst.items and len(windows) > 1
+    assert min(seen.values()) >= 10, seen
+
+
+MALFORMED_CHAINS = {
+    "reversed": ((3, 2),),
+    "gap": ((1, 3), (5, 6)),
+    "overlap": ((1, 3), (3, 6)),
+    "empty": (),
+    "past_the_horizon": ((5, 9),),
+    "before_stage_1": ((0, 4),),
+}
+
+
+@pytest.mark.parametrize("solver", ["exact", "greedy"])
+@pytest.mark.parametrize("chain", sorted(MALFORMED_CHAINS))
+def test_malformed_window_chains_are_refused_before_any_work(monkeypatch, chain, solver):
+    # refused as input, before the budget check (budget 0 would refuse any
+    # work) and before any DP
+    inst = gen_random(GenParams(items=3, horizon=8, target_phi=1), 1)
+    windows = MALFORMED_CHAINS[chain]
+    monkeypatch.setattr(cutting, "max_plus_masks", None)
+    budgets = dict(enum_budget=0, pack_budget=1)
+    with pytest.raises(InputError, match="are not consecutive stage ranges"):
+        solve_shift(StageRows(inst), windows, solver, **budgets)
+    if len(windows) == 1:
+        with pytest.raises(InputError, match="are not consecutive stage ranges"):
+            gmk.solve_bounded_horizon(StageRows(inst), *windows[0], solver, **budgets)
+
+
 @pytest.fixture
 def exact_routes(monkeypatch):
     """The stage DP calls the exact solves make, in call order."""
     calls = []
-    monkeypatch.setattr(cutting, "_dp_masks", _recording(calls, "_dp_masks"))
+    monkeypatch.setattr(cutting, "_stage_dp", _recording(calls, "_stage_dp"))
     return calls
 
 
@@ -512,7 +562,7 @@ def test_exact_route_follows_the_worst_case_rule(exact_routes):
     for budget in (None, work):
         exact_routes.clear()
         sol = _solve(inst, enum_budget=budget)
-        assert exact_routes == ["_dp_masks"], budget
+        assert exact_routes == ["_stage_dp"], budget
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
     exact_routes.clear()
     with pytest.raises(BudgetExceededError, match="stage DP work"):
@@ -525,7 +575,7 @@ def test_exact_route_solves_nine_items_by_the_dp_alone(exact_routes):
     # but the factored DP's 4 * 9 * 2**9 additions fit it
     inst = gen_random(GenParams(items=9, horizon=4), 0)
     sol = _solve(inst)
-    assert exact_routes == ["_dp_masks"]
+    assert exact_routes == ["_stage_dp"]
     assert _solution_bytes(sol) == _solution_bytes(_reduce_pack_lift(inst))
     assert stage_dp_masks(inst) == _search_masks(inst)
 
@@ -543,7 +593,7 @@ def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
             solve_mkcp_exact(reduced, enum_budget=work)
         exact_routes.clear()
         sol = _solve(inst, enum_budget=work)
-        assert exact_routes == ["_dp_masks"]
+        assert exact_routes == ["_stage_dp"]
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
         scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=2)
         result = solve_general_result(inst, scheme, "exact", enum_budget=work)
@@ -649,7 +699,7 @@ def test_dp_route_emits_the_bytes_of_reduce_pack_lift(shape, exact_routes):
         for window in _all_windows(inst, mu_inv):
             got = _solve(inst, window=window, enum_budget=budget)
             assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(inst, window)), seed
-    assert set(exact_routes) == {"_dp_masks"}
+    assert set(exact_routes) == {"_stage_dp"}
 
 
 def _reduce_greedy_lift(inst, window, budget):
@@ -678,7 +728,7 @@ def test_dp_route_packs_stages_with_fewer_constraints_than_d(exact_routes):
         False, True, False, False, False, True,
     ]
     got = _solve(inst)
-    assert exact_routes == ["_dp_masks"]
+    assert exact_routes == ["_stage_dp"]
     assert _solution_bytes(got) == _solution_bytes(_reduce_pack_lift(inst))
     assert evaluate_objective(inst, got.sets) == evaluate_objective(
         inst, brute_force_gmk(inst).sets
@@ -687,7 +737,7 @@ def test_dp_route_packs_stages_with_fewer_constraints_than_d(exact_routes):
 
 def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
     # the shape of the cut_multibin benchmark: every exact shift takes one
-    # stage DP over all its windows, every greedy window the one-item DP
+    # stage DP over all its windows, every greedy shift one pass per item
     params = GenParams(items=3, horizon=40, dimension=2, bins_per_mkc=2,
                        capacity_range=(3, 8), target_phi=1)
     inst = gen_random(params, 1_000_003)
@@ -698,19 +748,16 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         stages.append(t)
         return real_row(row_inst, t)
 
-    # the stage DPs run (over all items or one), the stage sets the exact
-    # shifts choose, and the stage sets packed
-    dps, chosen, packed = [], [], []
+    # the windows of each exact shift DP, the stage sets it chooses, the
+    # engine calls of both sub-solvers, and the stage sets packed
+    dps, chosen, engine, packed = [], [], [], []
     real_dp, real_pack = cutting._stage_dp, oracle.pack_stage
 
-    def recorded_dp(dp_inst, items, windows, packable, profits):
-        value, sets = real_dp(dp_inst, items, windows, packable, profits)
-        dps.append(len(items))
-        if items == inst.items:
-            stages = [t for lo, hi in windows for t in range(lo, hi + 1)]
-            for t, m in zip(stages, sets, strict=True):
-                chosen.append((t, frozenset(i for k, i in enumerate(items) if m >> k & 1)))
-        return value, sets
+    def recorded_dp(dp_rows, windows):
+        sets, value = real_dp(dp_rows, windows)
+        dps.append(windows)
+        chosen.extend(zip([t for lo, hi in windows for t in range(lo, hi + 1)], sets, strict=True))
+        return sets, value
 
     def counted_pack(stage, members, t):
         packed.append((t, members))
@@ -719,6 +766,7 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
     calls = []
     monkeypatch.setattr(oracle, "packable_row", counted_row)
     monkeypatch.setattr(cutting, "_stage_dp", recorded_dp)
+    monkeypatch.setattr(cutting, "max_plus_masks", _recording(engine, "max_plus_masks"))
     monkeypatch.setattr(oracle, "pack_stage", counted_pack)
     for module, name in (
         (reduction, "reduce_instance"), (reduction, "lift_solution"), (mkcp, "solve_mkcp_greedy"),
@@ -746,6 +794,7 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         checks.clear()
         dps.clear()
         chosen.clear()
+        engine.clear()
         packed.clear()
         result = solve_general_result(inst, scheme, solver, enum_budget=10**15)
         assert not result.bypassed and len(result.iterations) == 4
@@ -762,8 +811,10 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
             "solve_shift": 4,
             "combine_cut_solutions": 4,
         }
-        # one exact DP over all items per shift, or one greedy DP per item and window
-        assert dps == ([3] * 4 if solver == "exact" else [1] * 3 * windows)
+        # one exact DP over all items per shift, or one greedy pass per item and shift
+        shifts = [CutPointSet(it.cut_points).windows() for it in result.iterations]
+        assert dps == (shifts if solver == "exact" else [])
+        assert len(engine) == (4 if solver == "exact" else 3 * 4)
         # every exact window chooses a set at every stage; of the 160 the
         # windows choose, for both sub-solvers, only the returned sets are
         # packed, once per stage

@@ -9,8 +9,8 @@ import pytest
 
 from gmk import mkcp, oracle
 from gmk.cli import main
-from gmk.core import McpStage, Mkc, check_feasible, evaluate_objective
-from gmk.cutting import solve_bounded_horizon
+from gmk.core import McpStage, Mkc, check_feasible, coupling_terms, evaluate_objective
+from gmk.cutting import CutPointSet, solve_bounded_horizon
 from gmk.errors import BudgetExceededError, ContractViolationError
 from gmk.generators import GenParams, gen_random
 from gmk.reduction import DEFAULT_ENUM_BUDGET as DEFAULT_ORACLE_BUDGET
@@ -425,6 +425,53 @@ def test_lane_passes_match_the_list_passes(n, lane_widths):
                 assert lane_widths[0] is not None
                 assert outcomes[-1] == _engine_outcome(rows, links, packable, lanes=False)
     assert outcomes.count("no packable subset sequence exists (empty set must pack)") == 3
+
+
+def _best_schedules(rows, links, packable):
+    """Brute force over one item's 2**T schedules: the best value and its schedules by ascending mask."""
+    horizon = len(rows)
+    best, schedules = None, []
+    for mask in range(1 << horizon):
+        bits = [mask >> t & 1 for t in range(horizon)]
+        if all(ok[b] for ok, b in zip(packable, bits)):
+            value = sum(row[b] for row, b in zip(rows, bits))
+            value += sum(link[0][cur][prev] for link, prev, cur in zip(links, bits, bits[1:]))
+            if best is None or value > best:
+                best, schedules = value, []
+            if value == best:
+                schedules.append(bits)
+    return best, schedules
+
+
+def test_one_item_backtrack_picks_the_smallest_best_schedule():
+    # With one item, the first maximum at the last stage, then at each
+    # predecessor (0 before 1), is the smallest schedule mask, latest stage
+    # most significant, of best value: the order a tie-break key would give.
+    # Rows and links take few values, so most cases tie; the chains carry
+    # core.coupling_terms' cut links, as greedy shifts do.
+    rng = random.Random(32)
+    widths = [*oracle._LANE_CODES, None]
+    ties = 0
+    for case in range(240):
+        horizon = rng.randint(1, 9)
+        rows = [[rng.randint(0, 1), rng.randint(0, 1)] for _ in range(horizon)]
+        packable = [(True, rng.random() < 0.8) for _ in range(horizon)]
+        if case % 2:
+            params = GenParams(items=1, horizon=horizon, gain_range=(0, 1), cost_range=(0, 1))
+            inst = gen_random(params, case)
+            interior = rng.sample(range(2, horizon + 1), rng.randint(0, horizon - 1))
+            windows = CutPointSet((1, *sorted(interior), horizon + 1)).windows()
+            links = [(link,) for link in coupling_terms(inst, inst.items[0], windows)[1:-1]]
+        else:
+            links = [
+                (tuple(tuple(rng.randint(-1, 1) for _ in "pq") for _ in "io"),) for _ in range(horizon - 1)
+            ]
+        best, schedules = _best_schedules(rows, links, packable)
+        for width in widths:
+            got = oracle._max_plus(rows, links, packable, _span(rows, links), width)
+            assert got == (best, schedules[0]), (case, width)
+        ties += len(schedules) > 1
+    assert ties >= 120, ties
 
 
 @pytest.mark.parametrize("width, wider", [(32, 64), (64, None)])

@@ -77,6 +77,29 @@ def test_nested_sums_are_held_flat_with_every_value_unchanged():
     assert chain.parts == (c,) and chain.evaluate(frozenset("abc")) == c.evaluate(frozenset("ac"))
 
 
+def test_a_sum_builds_each_part_ground_once_and_equals_its_parts(monkeypatch):
+    rng = random.Random(7)
+    items = [f"i{k}" for k in range(6)]
+    parts = [random_coverage(rng, rng.sample(items, 4)) for _ in range(3)]
+    builds = []
+    real = CoverageFunction.ground.fget
+
+    def counted(self):
+        builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CoverageFunction, "ground", property(counted))
+    total = SumFunction(parts=tuple(parts))
+    assert len(builds) == len(parts)
+    builds.clear()
+    for size in range(len(items) + 1):
+        for combo in itertools.combinations(items, size):
+            subset = frozenset(combo)
+            want = sum(f.evaluate(subset & real(f)) for f in parts)
+            assert total.evaluate(subset) == want, combo
+    assert builds == []
+
+
 def test_adversarial_table_flagged_with_witness():
     ground = frozenset({"a", "b"})
     table = {
