@@ -233,7 +233,9 @@ def validate_instance(inst: GmkInstance) -> ValidationReport:
                     if item not in profit:
                         entries.append(f"profit incomplete: stage {t} missing item {item}")
                 for item, p in profit.items():
-                    if item in item_set and not _is_amount(p):
+                    if item not in item_set:
+                        entries.append(f"stage {t} profit names unknown item {item}")
+                    elif not _is_amount(p):
                         entries.append(f"stage {t} profit of {item} is {p!r}, not a nonnegative integer")
 
     # the tables span |I| * T keys: checked against a horizon the stages confirm

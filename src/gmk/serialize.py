@@ -95,6 +95,9 @@ def _table_from_json(raw: Any, denominator: int, where: str) -> dict[tuple[str, 
         for key, value in stages.items():
             try:
                 t = int(key)
+                # only the form _table_to_json writes, so no two keys name one stage
+                if str(t) != key:
+                    raise ValueError(key)
             except (TypeError, ValueError):
                 raise InputError(f"{where}[{item}]: bad stage key {key!r}")
             table[item, t] = _scaled_int(value, denominator, f"{where}[{item}][{key}]")
@@ -330,7 +333,9 @@ def _reduced_constraint(rc: Any, where: str) -> ReducedConstraint:
         str(i): _scaled_int(w, 1, f"{where} weight of {i}") for i, w in rc["item_weights"].items()
     }
     stage, index = _scaled_int(rc["stage"], 1, where), _scaled_int(rc["index"], 1, where)
-    return ReducedConstraint(stage, index, bool(rc["padding"]), bins, caps, weights)
+    if not isinstance(rc["padding"], bool):
+        raise InputError(f"{where}: padding must be true or false, got {rc['padding']!r}")
+    return ReducedConstraint(stage, index, rc["padding"], bins, caps, weights)
 
 
 def reduced_from_dict(raw: Any) -> ReducedInstance:

@@ -6,15 +6,17 @@ coverage functions, modular functions, and sums thereof. A table-backed
 oracle with no guarantees is also provided so the property checker can be
 exercised against adversarial inputs.
 
-``extend_function`` lifts an oracle over items to an oracle over
+``check_monotone_submodular`` is exhaustive over the ground it is given: it
+evaluates all ``2**n`` subsets of ``n`` members, so it is meant for desk
+scale. ``extend_function`` lifts an oracle over items to an oracle over
 item/schedule pairs that only sees the items whose schedule contains a
-given stage. The lifted function inherits all three properties, which the
-checker verifies exhaustively at desk scale.
+given stage. The lifted function inherits all three properties. Its ground
+is the item/schedule pairs, which it does not hold, so the caller passes
+the pairs to check to the checker.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import ClassVar, Hashable, Iterable, Mapping
 
@@ -121,55 +123,37 @@ class ExtendedStageFunction(SetFunctionOracle):
 
     Evaluates the base function on the items whose element is active at
     ``stage``; elements are anything exposing ``item`` and ``active_at``.
+    The elements range over every item/schedule pair, so there is no stored
+    ground: ``ground`` raises and a check names the elements it covers.
     """
 
     kind: ClassVar[str] = "stage-extension"
     base: SetFunctionOracle
     stage: int
-    members: frozenset = frozenset()
 
     @property
     def ground(self) -> frozenset:
-        return self.members
+        raise InputError("a stage extension has no stored ground; pass the elements to check")
 
     def evaluate(self, subset: frozenset) -> int:
         items = frozenset(e.item for e in subset if e.active_at(self.stage))
         return self.base.evaluate(items)
 
 
-def extend_function(oracle: SetFunctionOracle, stage: int, ground: Iterable = ()) -> ExtendedStageFunction:
+def extend_function(oracle: SetFunctionOracle, stage: int) -> ExtendedStageFunction:
     """Oracle over item/schedule elements seeing only stage ``stage``."""
-    return ExtendedStageFunction(base=oracle, stage=stage, members=frozenset(ground))
+    return ExtendedStageFunction(base=oracle, stage=stage)
 
 
 @dataclass(frozen=True)
 class PropertyReport:
     """Outcome of a nonnegativity, monotonicity and submodularity check."""
 
-    clean: bool
-    sampled: bool
     violations: tuple[str, ...]
 
-
-def check_monotone_submodular(
-    oracle: SetFunctionOracle,
-    ground: Iterable | None = None,
-    *,
-    exhaustive_cap: int = 12,
-    sample_count: int = 5000,
-    seed: int = 0,
-) -> PropertyReport:
-    """Verify nonnegativity, monotonicity and diminishing returns.
-
-    Grounds of size up to ``exhaustive_cap`` are checked exhaustively over
-    all subsets; larger grounds fall back to seeded sampling and the report
-    is flagged accordingly. The first witness of each violated property is
-    reported.
-    """
-    members = sorted(ground if ground is not None else oracle.ground)
-    if len(members) > exhaustive_cap:
-        return _sampled_check(oracle, members, sample_count, seed)
-    return _exhaustive_check(oracle, members)
+    @property
+    def clean(self) -> bool:
+        return not self.violations
 
 
 def _subset(members, mask: int) -> frozenset:
@@ -180,7 +164,14 @@ def _fmt(members, mask: int) -> str:
     return "{" + ", ".join(str(m) for m in sorted(map(str, _subset(members, mask)))) + "}"
 
 
-def _exhaustive_check(oracle, members) -> PropertyReport:
+def check_monotone_submodular(oracle: SetFunctionOracle, ground: Iterable | None = None) -> PropertyReport:
+    """Verify nonnegativity, monotonicity and diminishing returns.
+
+    Checks every subset of ``ground`` (the oracle's own ground if omitted),
+    so it makes ``2**n`` evaluations for ``n`` members. The first witness of
+    each violated property is reported.
+    """
+    members = sorted(ground if ground is not None else oracle.ground)
     n = len(members)
     table = [oracle.evaluate(_subset(members, mask)) for mask in range(1 << n)]
 
@@ -241,37 +232,5 @@ def _exhaustive_check(oracle, members) -> PropertyReport:
         violations.append(monotone_witness)
     if submodular_witness:
         violations.append(submodular_witness)
-    return PropertyReport(clean=not violations, sampled=False, violations=tuple(violations))
+    return PropertyReport(tuple(violations))
 
-
-def _sampled_check(oracle, members, sample_count: int, seed: int) -> PropertyReport:
-    rng = random.Random(seed)
-    n = len(members)
-    violations: list[str] = []
-    for _ in range(sample_count):
-        b_mask = rng.getrandbits(n)
-        a_mask = b_mask & rng.getrandbits(n)
-        outside = [k for k in range(n) if not (b_mask >> k) & 1]
-        set_a = _subset(members, a_mask)
-        set_b = _subset(members, b_mask)
-        fa, fb = oracle.evaluate(set_a), oracle.evaluate(set_b)
-        if fa < 0:
-            violations.append(f"negative: f({_fmt(members, a_mask)}) = {fa}")
-            break
-        if fa > fb:
-            violations.append(
-                f"not monotone: f({_fmt(members, a_mask)}) > f({_fmt(members, b_mask)})"
-            )
-            break
-        if outside:
-            k = rng.choice(outside)
-            extra = members[k]
-            ga = oracle.evaluate(set_a | {extra}) - fa
-            gb = oracle.evaluate(set_b | {extra}) - fb
-            if ga < gb:
-                violations.append(
-                    f"not submodular: adding {extra} gains {gb} at {_fmt(members, b_mask)} "
-                    f"but {ga} at subset {_fmt(members, a_mask)}"
-                )
-                break
-    return PropertyReport(clean=not violations, sampled=True, violations=tuple(violations))

@@ -73,13 +73,16 @@ def test_validate_broken_instance_exits_2(tmp_path, capsys):
         lambda inst, sol: inst.update(variant="bogus"),
         lambda inst, sol: inst["cost_plus"]["cam"].update(one=1),
         lambda inst, sol: inst["stages"][0].update(profit={"kind": "modular", "values": {"cam": 5}}),
+        # a second spelling of stage 2, which int() would read as the same key
+        lambda inst, sol: inst["gain_plus"]["cam"].update({"02": 9}),
+        lambda inst, sol: inst["stages"][0]["profit"].update(ghost=7),
         # a valid instance, and a solution with no assignment at stage 1
         lambda inst, sol: sol["assignments"][0].clear(),
     ],
     ids=[
         "items_number", "stage_number", "mkcs_number", "capacity_1e400", "solution_sets_number",
         "bin_without_capacity", "horizon_below_stages", "unknown_variant", "stage_key_one",
-        "modular_profit_oracle", "stage_without_assignments",
+        "modular_profit_oracle", "stage_key_02", "profit_of_unknown_item", "stage_without_assignments",
     ],
 )
 def test_validate_malformed_file_exits_2(tmp_path, capsys, corrupt):
@@ -237,6 +240,16 @@ BAD_REDUCED = {
         "modular_micro", lambda raw: raw.update(horizon=0), "positive horizon and distinct items"
     ),
     "item_without_empty_schedule": ("modular_micro", _without_empty_schedule, "empty schedule"),
+    "padding_string": (
+        "modular_micro",
+        lambda raw: raw["constraints"][0].update(padding="false"),
+        "constraint 0: padding must be true or false, got 'false'",
+    ),
+    "padding_number": (
+        "modular_micro",
+        lambda raw: raw["constraints"][0].update(padding=1),
+        "constraint 0: padding must be true or false, got 1",
+    ),
     "constraint_without_item_weight": (
         "modular_micro",
         lambda raw: raw["constraints"][0]["item_weights"].pop("log"),

@@ -171,6 +171,10 @@ INVALID_INSTANCES = {
         lambda inst: _first_stage(_submodular(inst), {"i": 5}),
         "stage 1 profit must be a set-function oracle in the submodular variant",
     ),
+    "unknown_item_in_modular_profit": (
+        lambda inst: _first_stage(inst, {"i": 5, "ghost": 7}),
+        "stage 1 profit names unknown item ghost",
+    ),
     "oracle_missing_an_item": (
         lambda inst: _first_stage(_submodular(inst), ModularFunction(values={"j": 1})),
         "stage 1 profit oracle missing items ['i']",

@@ -84,6 +84,16 @@ def test_negative_values_rejected_at_parse():
         instance_from_dict(raw)
 
 
+@pytest.mark.parametrize("key", ["02", " 2", "+2", "0_2", "\u0662", "two"])
+def test_stage_key_in_any_form_but_the_written_one_rejected(key):
+    raw = json.loads((DOCS / "modular_micro.json").read_text())
+    raw["gain_plus"]["cam"][key] = 9
+    with pytest.raises(InputError, match=re.escape(f"gain_plus[cam]: bad stage key {key!r}")):
+        instance_from_dict(raw)
+    del raw["gain_plus"]["cam"][key]
+    assert instance_from_dict(raw).gain_plus["cam", 2] == 2
+
+
 def test_missing_keys_rejected():
     with pytest.raises(InputError):
         instance_from_dict({"variant": "modular"})

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from gmk.core import evaluate_objective
+from gmk.errors import InputError
 from gmk.generators import GenParams, gen_random
 from gmk.reduction import ReducedElement, reduce_instance
 from gmk.submodular import (
@@ -50,8 +51,7 @@ def test_checker_clean_on_guaranteed_kinds():
         f = random_coverage(rng, ["a", "b", "c", "d"])
         assert check_monotone_submodular(f).clean
     g = ModularFunction(values={"a": 2, "b": 5})
-    report = check_monotone_submodular(g)
-    assert report.clean and not report.sampled
+    assert check_monotone_submodular(g).clean
 
 
 def test_sum_closure():
@@ -132,8 +132,7 @@ def test_nonmonotone_table_flagged():
     "values", [{"a": 2**63, "b": 1}, {"a": 2**62, "b": 2**62}], ids=["2_63", "two_2_62"]
 )
 def test_checker_exact_beyond_int64(values):
-    report = check_monotone_submodular(ModularFunction(values=values))
-    assert report.clean and not report.sampled
+    assert check_monotone_submodular(ModularFunction(values=values)).clean
 
 
 def test_nonmonotone_table_beyond_int64_reports_witness():
@@ -154,20 +153,17 @@ def test_negative_table_flagged():
     assert any("negative" in v for v in report.violations)
 
 
-def test_sampled_mode_flag():
-    values = {f"i{k}": 1 for k in range(16)}
-    f = ModularFunction(values=values)
-    report = check_monotone_submodular(f, exhaustive_cap=12, sample_count=200)
-    assert report.sampled and report.clean
-
-
 @pytest.mark.parametrize(
-    "size_value,witness",
-    [(lambda s: -s, "negative"), (lambda s: 13 - s, "not monotone"), (lambda s: s * s, "not submodular")],
+    "size_value,violations",
+    [
+        (lambda s: -s, ("negative: f({i00}) = -1", "not monotone: f({i00}) - f({}) = -1")),
+        (lambda s: 13 - s, ("not monotone: f({i00}) - f({}) = -1",)),
+        (lambda s: s * s, ("not submodular: adding i00 gains 3 at {i01} but 1 at subset {}",)),
+    ],
     ids=["negative", "not_monotone", "not_submodular"],
 )
-def test_sampled_check_reports_the_first_witness(size_value, witness):
-    # 13 members, one past the exhaustive cap; the value depends on the size alone
+def test_sampled_check_reports_the_first_witness(size_value, violations):
+    # all 8,192 subsets of 13 members are checked; the value depends on the size alone
     members = [f"i{k:02d}" for k in range(13)]
     table = {
         frozenset(subset): size_value(r)
@@ -175,8 +171,7 @@ def test_sampled_check_reports_the_first_witness(size_value, witness):
         for subset in itertools.combinations(members, r)
     }
     report = check_monotone_submodular(TableFunction(table=table, members=frozenset(members)))
-    assert report.sampled and len(report.violations) == 1
-    assert report.violations[0].startswith(witness)
+    assert report.violations == violations
 
 
 def test_extension_base_cases():
@@ -187,6 +182,21 @@ def test_extension_base_cases():
     active = ReducedElement("a", 0b010)  # stage 2 only
     assert g.evaluate(frozenset({inactive})) == 0
     assert g.evaluate(frozenset({active})) == 4
+
+
+def test_extension_is_checked_over_the_ground_its_caller_passes():
+    table = {
+        frozenset(): 0,
+        frozenset({"a"}): 1,
+        frozenset({"b"}): 1,
+        frozenset({"a", "b"}): 5,
+    }
+    g = extend_function(TableFunction(table=table, members=frozenset({"a", "b"})), 1)
+    with pytest.raises(InputError, match="no stored ground"):
+        check_monotone_submodular(g)
+    sample = [ReducedElement(i, m) for i in "ab" for m in (0b0, 0b1)]
+    report = check_monotone_submodular(g, sample)
+    assert len(report.violations) == 1 and report.violations[0].startswith("not submodular"), report
 
 
 def test_extension_stays_clean():
@@ -201,7 +211,7 @@ def test_extension_stays_clean():
         ]
         sample = rng.sample(ground, 9)
         stage = rng.randint(1, horizon)
-        g = extend_function(f, stage, sample)
+        g = extend_function(f, stage)
         report = check_monotone_submodular(g, sample)
         assert report.clean, report.violations
 
