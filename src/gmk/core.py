@@ -222,9 +222,11 @@ def validate_instance(inst: GmkInstance) -> ValidationReport:
             if not isinstance(profit, SetFunctionOracle):
                 entries.append(f"stage {t} profit must be a set-function oracle in the submodular variant")
             else:
-                missing = item_set - profit.ground
+                missing, unknown = item_set - profit.ground, profit.ground - item_set
                 if missing:
-                    entries.append(f"stage {t} profit oracle missing items {sorted(missing)}")
+                    entries.append(f"stage {t} profit oracle missing items {sorted(missing, key=str)}")
+                if unknown:
+                    entries.append(f"stage {t} profit oracle names unknown items {sorted(unknown, key=str)}")
         else:
             if isinstance(profit, SetFunctionOracle):
                 entries.append(f"stage {t} profit must be a per-item table in the modular variant")
@@ -276,7 +278,7 @@ def check_feasible(inst: GmkInstance, sol: MultistageSolution) -> FeasibilityRep
         selected = sol.sets[t - 1]
         unknown = selected - item_set
         if unknown:
-            violations.append(f"S_{t} contains unknown items {sorted(unknown)}")
+            violations.append(f"S_{t} contains unknown items {sorted(unknown, key=str)}")
         per_stage = sol.assignments[t - 1]
         if len(per_stage) != stage.dimension:
             violations.append(
@@ -308,7 +310,7 @@ def _check_sets(inst: GmkInstance, sets: Sequence[AbstractSet[str]], expected: i
     for k, subset in enumerate(sets):
         unknown = set(subset) - known
         if unknown:
-            raise InputError(f"stage set {k + 1} references unknown items {sorted(unknown)}")
+            raise InputError(f"stage set {k + 1} references unknown items {sorted(unknown, key=str)}")
 
 
 def _check_window(inst: GmkInstance, lo: int, hi: int) -> None:
@@ -365,6 +367,7 @@ def coupling_terms(inst: GmkInstance, item: str, windows: Sequence[tuple[int, in
     hi + 1 only the exit cost -c-[hi], a cut t between two windows both,
     ``((0, -c-[t-1]), (-c+[t], -c-[t-1] - c+[t]))``, and any other t
     ``((g-, -c-[t-1]), (-c+[t], g+))``. Costs are read in both variants.
+    The chain is what ``oracle.max_plus_masks`` takes per item, whole.
     """
     gp, gm, cp, cm = inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus
     (lo, _), (_, hi) = windows[0], windows[-1]

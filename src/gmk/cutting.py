@@ -23,10 +23,10 @@ gets the sets of its own DP. A greedy shift runs the DP once per item
 across its windows with no key: with one item, the engine's first-maximum
 backtrack already takes the smallest best schedule mask, the key's order
 (with more, the key's item-major order is not the engine's). The passes
-and backtrack are the oracle's engine, ``oracle.max_plus_masks``. Every
-exact shift reads one stage table (``oracle.StageRows``) for its rows and
-subsets, and ``SchemeResult.rows`` hands it on to the oracle of the same
-command.
+and backtrack are the oracle's engine, ``oracle.max_plus_masks``, which
+reads each item's ``core.coupling_terms`` chain whole. Every exact shift
+reads one stage table (``oracle.StageRows``) for its rows and subsets, and
+``SchemeResult.rows`` hands it on to the oracle of the same command.
 ``combine_cut_solutions`` joins a shift's window sets: one window spanning
 the horizon keeps its value, and more windows are valued once, worth at
 least the sum of their parts (seam costs can only be saved, seam gains
@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from operator import add
 from typing import Sequence
 
 from .core import (
@@ -151,9 +150,8 @@ def _stage_dp(rows: StageRows, windows: Sequence[tuple[int, int]]) -> tuple[Stag
     profit rows of ``rows``. Set m has bit k for the k-th item. Each item's
     coupling terms over the windows, cuts included, are
     ``core.coupling_terms``, multiplied here by the tie-break scale as the
-    rows are: the first window's entry cost and the last window's exit cost
-    are folded into the first and last rows; ``oracle.max_plus_masks`` runs
-    the DP.
+    rows are, and ``oracle.max_plus_masks`` runs the DP on those chains
+    whole, the first window's entry and the last window's exit included.
 
     With L stages in the longest of W windows, window w's key is
     ``M_w = sum_k mask_k * 2**(L*(n-1-k))`` over its item schedules
@@ -178,15 +176,11 @@ def _stage_dp(rows: StageRows, windows: Sequence[tuple[int, int]]) -> tuple[Stag
         [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in zip(shifts, profits)
     ]
     # each item's terms at the tie-break scale, as the rows carry it
-    chains = [coupling_terms(inst, i, windows) for i in inst.items]
-    scaled = [[((a * scale, b * scale), (c * scale, d * scale)) for (a, b), (c, d) in chain] for chain in chains]
-    # the first stage pays every packed item's entry cost, the last its exit cost
-    terms[0][:] = map(add, terms[0], subset_sums(term[0][1][0] for term in scaled))
-    terms[-1][:] = map(add, terms[-1], subset_sums(term[-1][0][1] for term in scaled))
-    # links[s][k][in_cur][in_prev]: item k's term from the s-th stage to the next;
-    # with no item, zip yields nothing and each link is empty
-    links = list(zip(*scaled))[1:-1] if n else [()] * (len(shifts) - 1)
-    top, masks = max_plus_masks(terms, links, packable)
+    chains = [
+        [((a * scale, b * scale), (c * scale, d * scale)) for (a, b), (c, d) in coupling_terms(inst, i, windows)]
+        for i in inst.items
+    ]
+    top, masks = max_plus_masks(terms, chains, packable)
     # top = value * scale - key with 0 <= key < scale
     return tuple(rows.subset(m) for m in masks), -(-top // scale)
 
@@ -195,10 +189,10 @@ def _greedy_sets(inst: GmkInstance, windows: Sequence[tuple[int, int]], pack_bud
     """A greedy shift's stage sets, stage by stage across consecutive windows, built item by item.
 
     Each item runs ``max_plus_masks`` once over all the windows, on plain
-    values chained by its ``core.coupling_terms``: it packs at the stages of
-    ``_PartialPacking.avail(k)``, built from the windows' constraints, under
-    ``pack_budget`` nodes per ``place`` call, and earns its marginal profit
-    over the items chosen before it. The engine's first maximum, taken from
+    values and its whole ``core.coupling_terms`` chain: it packs at the
+    stages of ``_PartialPacking.avail(k)``, built from the windows'
+    constraints, under ``pack_budget`` nodes per ``place`` call, and earns
+    its marginal profit over the items chosen before it. The engine's first maximum, taken from
     the last stage back with 0 before 1, is the smallest best schedule mask,
     and the cut links are separable: each window gets the schedule a pass of
     its own would. The value is not checked: one item's sets miss the other
@@ -211,11 +205,7 @@ def _greedy_sets(inst: GmkInstance, windows: Sequence[tuple[int, int]], pack_bud
         avail = packing.avail(k)
         packable = [(True, bool(avail >> s & 1)) for s in range(len(stages))]
         profits = [[0, inst.stage_profit(t, s | {item}) - inst.stage_profit(t, s)] for t, s in zip(stages, chosen)]
-        chain = coupling_terms(inst, item, windows)
-        # the first stage pays the entry cost, the last the exit cost
-        profits[0][1] += chain[0][1][0]
-        profits[-1][1] += chain[-1][0][1]
-        _, masks = max_plus_masks(profits, [(link,) for link in chain[1:-1]], packable)
+        _, masks = max_plus_masks(profits, [coupling_terms(inst, item, windows)], packable)
         packing.push(k, sum(m << s for s, m in enumerate(masks)))
         chosen = [s | {item} if m else s for s, m in zip(chosen, masks)]
     return tuple(chosen)

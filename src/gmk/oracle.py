@@ -27,23 +27,24 @@ This module holds what the package's stage DPs share: the engine
 ``max_plus_masks`` and the stage table ``StageRows``, the one builder of a
 stage's packability and profit rows, subsets and packed assignments. The
 scheme's windows and the oracle (``StageRows.optimum``) read one table per
-command. The oracle keeps its own terms, per item ``((g-, -c-[t-1]),
-(-c+[t], g+))`` read straight from the instance tables (never
-``core.coupling_terms``), and the plain ascending-mask tie-break. Tests
-check the engine and the table against references that run neither:
+command. The oracle keeps its own terms, per item the chain of entry
+``((0, 0), (-c+[1], 0))``, links ``((g-, -c-[t-1]), (-c+[t], g+))`` and
+exit ``((0, -c-[T]), (0, 0))`` read straight from the instance tables
+(never ``core.coupling_terms``), and the plain ascending-mask tie-break.
+Tests check the engine and the table against references that run neither:
 ``tests/util.full_table_oracle`` (a ``T * 4**|items|`` DP on
 ``stage_profit``), the literal enumeration ``enumerate_optimum`` and the
-reduced branch and bound. ``cutting.solve_shift`` checks each exact shift's
-DP value against the sum of its windows' ``core.evaluate_window``, and
-``optimum`` its own against ``core.evaluate_objective``. All values are
-plain Python ints, exact.
+reduced branch and bound. ``cutting.solve_shift`` checks each exact
+shift's DP value against the sum of its windows' ``core.evaluate_window``,
+and ``optimum`` its own against ``core.evaluate_objective``. All values
+are plain Python ints, exact.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from operator import add, sub
+from operator import add
 from typing import Mapping, Sequence
 
 from .core import (
@@ -111,25 +112,32 @@ def check_dp_work(refusal: str, horizon: int, n: int, budget: int | None) -> Non
 
 
 def max_plus_masks(
-    rows: Sequence[list[int]], links: Sequence[Sequence[tuple]], packable: Sequence[list[bool]]
+    rows: Sequence[list[int]], chains: Sequence[Sequence[tuple]], packable: Sequence[list[bool]]
 ) -> tuple[int, list[int]]:
     """The best value of a set sequence, and its set masks stage by stage.
 
     A sequence is worth the sum of ``rows[t][m]`` over its stages and of
-    ``links[t][k][in_cur][in_prev]`` over its boundaries and items: item k's
-    term between stages t and t + 1, by whether bit k is set in the two
-    sets. Each caller folds its entry costs into the first row and its exit
-    costs into the last. Set m counts only where ``packable[t][m]``. Ties go
-    to the first maximum: over final sets, then over each chosen set's
-    predecessors. Raises ``ContractViolationError`` when no sequence packs.
+    ``chains[k][s][in_cur][in_prev]`` over its items and T + 1 boundaries,
+    by whether item k is in the sets after and before boundary s: 0 comes
+    before the first stage and T after the last, next to empty sets, as in
+    ``core.coupling_terms``. Set m counts only where ``packable[t][m]``.
+    Ties go to the first maximum: over final sets, then over each chosen
+    set's predecessors. Raises ``ContractViolationError`` when no sequence packs.
     """
+    # each boundary's terms, item by item; with no item, every one is empty
+    entry, *links, leave = [[chain[s] for chain in chains] for s in range(len(rows) + 1)]
+    # entry terms [x][0] fold into the first row, exit terms [0][x] into the
+    # last, less their out terms [0][0], whose sum the top gets back
+    rows = [_list_column(rows[0], [(out, into) for (out, _), (into, _) in entry]), *rows[1:]]
+    rows[-1] = _list_column(rows[-1], [term[0] for term in leave])
     span = sum(sum(map(abs, row)) for row in rows)
     span += sum(abs(a) + abs(b) + abs(c) + abs(d) for link in links for (a, b), (c, d) in link)
     # Every cell is worth a partial sequence's value, within span of 0 or of
     # the floor, so a lane biased by 4 * span + 1 holds it in 0..5 * span + 1
     # below its guard bit.
     width = next((w for w in _LANE_CODES if 5 * span + 1 < 1 << w - 1), None)
-    return _max_plus(rows, links, packable, span, width)
+    top, masks = _max_plus(rows, links, packable, span, width)
+    return top + sum(term[0][0] for term in entry + leave), masks
 
 
 # a signed array typecode of each lane width in bits, chosen by itemsize, narrowest first
@@ -286,17 +294,16 @@ class StageRows(dict):
         inst = self.instance
         items, horizon = inst.items, inst.horizon
         check_dp_work("oracle refused: DP", horizon, len(items), work_budget)
-        packable, profits = zip(*(self[t] for t in range(1, horizon + 1)))
-        rows = list(profits)
+        packable, rows = zip(*(self[t] for t in range(1, horizon + 1)))
         gp, gm, cp, cm = inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus
-        rows[0] = list(map(sub, rows[0], subset_sums(cp[i, 1] for i in items)))
-        rows[-1] = list(map(sub, rows[-1], subset_sums(cm[i, horizon] for i in items)))
-        # links[t - 2][k][in_cur][in_prev]: item k's term at the boundary before stage t
-        links = [
-            [((gm[i, t], -cm[i, t - 1]), (-cp[i, t], gp[i, t])) for i in items]
-            for t in range(2, horizon + 1)
+        # chains[k][t - 1][in_cur][in_prev]: item k's term at the boundary before stage t
+        chains = [
+            [((0, 0), (-cp[i, 1], 0))]
+            + [((gm[i, t], -cm[i, t - 1]), (-cp[i, t], gp[i, t])) for t in range(2, horizon + 1)]
+            + [((0, -cm[i, horizon]), (0, 0))]
+            for i in items
         ]
-        top, masks = max_plus_masks(rows, links, packable)
+        top, masks = max_plus_masks(rows, chains, packable)
         sets = [self.subset(m) for m in masks]
         value = evaluate_objective(inst, sets)
         if top != value:

@@ -52,6 +52,36 @@ def test_validate_broken_instance_exits_2(tmp_path, capsys):
     assert "gain_plus incomplete" in out.out
 
 
+def _submodular_twin(inst, **extra):
+    """The raw modular instance made submodular: zero change costs, modular oracles of its profits and ``extra``."""
+    zero = {item: dict.fromkeys(costs, 0) for item, costs in inst["cost_plus"].items()}
+    inst.update(variant="submodular", cost_plus=zero, cost_minus=zero)
+    for stage in inst["stages"]:
+        stage["profit"] = {"kind": "modular", "values": {**stage["profit"], **extra}}
+
+
+def test_unknown_items_of_two_types_exit_2_with_their_names(tmp_path, capsys):
+    # sorted() alone cannot order a JSON true and a string
+    sol_path = tmp_path / "sol.json"
+    assert run("oracle", "--in", DOCS / "modular_micro.json", "--out", sol_path) == 0
+    sol = load_json(sol_path)
+    sol["sets"][0] = [True, "ghost"]
+    sol_path.write_text(json.dumps(sol))
+    capsys.readouterr()
+    assert run("validate", DOCS / "modular_micro.json", "--solution", sol_path) == 2
+    assert "S_1 contains unknown items [True, 'ghost']" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+def test_the_submodular_twin_of_modular_micro_is_valid(tmp_path, capsys):
+    # the oracle_of_unknown_item case below is refused for its ghost alone
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    assert run("oracle", "--in", DOCS / "modular_micro.json", "--out", sol_path) == 0
+    inst = load_json(DOCS / "modular_micro.json")
+    _submodular_twin(inst)
+    inst_path.write_text(json.dumps(inst))
+    assert run("validate", inst_path, "--solution", sol_path) == 0
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -78,11 +108,14 @@ def test_validate_broken_instance_exits_2(tmp_path, capsys):
         lambda inst, sol: inst["stages"][0]["profit"].update(ghost=7),
         # a valid instance, and a solution with no assignment at stage 1
         lambda inst, sol: sol["assignments"][0].clear(),
+        # a submodular stage oracle that values an item outside the instance
+        lambda inst, sol: _submodular_twin(inst, ghost=7),
     ],
     ids=[
         "items_number", "stage_number", "mkcs_number", "capacity_1e400", "solution_sets_number",
         "bin_without_capacity", "horizon_below_stages", "unknown_variant", "stage_key_one",
         "modular_profit_oracle", "stage_key_02", "profit_of_unknown_item", "stage_without_assignments",
+        "oracle_of_unknown_item",
     ],
 )
 def test_validate_malformed_file_exits_2(tmp_path, capsys, corrupt):

@@ -25,7 +25,7 @@ from gmk.core import (
 )
 from gmk.errors import InputError, UnsupportedVariantError
 from gmk.generators import GenParams, gen_random
-from gmk.submodular import ModularFunction
+from gmk.submodular import CoverageFunction, ModularFunction
 
 from util import build_instance, dense_table, single_bin_stage, two_stage_single_item
 
@@ -179,6 +179,16 @@ INVALID_INSTANCES = {
         lambda inst: _first_stage(_submodular(inst), ModularFunction(values={"j": 1})),
         "stage 1 profit oracle missing items ['i']",
     ),
+    "oracle_names_an_unknown_item": (
+        lambda inst: _first_stage(_submodular(inst), ModularFunction(values={"i": 1, "ghost": 7, "alien": 2})),
+        "stage 1 profit oracle names unknown items ['alien', 'ghost']",
+    ),
+    "coverage_names_an_unknown_item": (
+        lambda inst: _first_stage(
+            _submodular(inst), CoverageFunction(universe={"u": 3}, covers={"i": {"u"}, "ghost": {"u"}})
+        ),
+        "stage 1 profit oracle names unknown items ['ghost']",
+    ),
 }
 
 
@@ -203,6 +213,16 @@ def test_check_feasible_examples():
     uncovered = MultistageSolution.from_raw([{"i"}], [[{"b": set()}]])
     report = check_feasible(inst, uncovered)
     assert any("assignment does not cover S_1" in v for v in report.violations)
+
+
+def test_unknown_items_of_two_types_are_named_in_str_order():
+    # sorted() alone cannot order a bool and a str; the messages order names by str
+    inst = two_stage_single_item()
+    sets = [{True, "ghost"}, set()]
+    report = check_feasible(inst, MultistageSolution.from_raw(sets, [[{"b": set()}]] * 2))
+    assert "S_1 contains unknown items [True, 'ghost']" in report.violations
+    with pytest.raises(InputError, match=r"stage set 1 references unknown items \[True, 'ghost'\]"):
+        evaluate_objective(inst, sets)
 
 
 def test_check_feasible_rejects_overcover_and_unknown_bin():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -375,9 +376,9 @@ def test_engine_refuses_rows_where_the_empty_set_does_not_pack(stage):
     # floor at a later stage must not pass for a packable sequence
     packable = [[True], [True], [True]]
     packable[stage] = [False]
-    assert max_plus_masks([[1], [2], [3]], [(), ()], [[True]] * 3) == (6, [0, 0, 0])
+    assert max_plus_masks([[1], [2], [3]], [], [[True]] * 3) == (6, [0, 0, 0])
     with pytest.raises(ContractViolationError, match="no packable subset sequence"):
-        max_plus_masks([[1], [2], [3]], [(), ()], packable)
+        max_plus_masks([[1], [2], [3]], [], packable)
 
 
 def _span(rows, links):
@@ -390,7 +391,10 @@ def _engine_outcome(rows, links, packable, lanes=True):
     """``max_plus_masks``' (top, masks) or refusal message, or the list passes' for ``lanes=False``."""
     try:
         if lanes:
-            return max_plus_masks(rows, links, packable)
+            # each item's links as a chain with zero entry and exit terms
+            zero = ((0, 0), (0, 0))
+            chains = [[zero, *[link[k] for link in links], zero] for k in range(len(rows[0]).bit_length() - 1)]
+            return max_plus_masks(rows, chains, packable)
         return oracle._max_plus(rows, links, packable, _span(rows, links), None)
     except ContractViolationError as err:
         return str(err)
@@ -427,15 +431,19 @@ def test_lane_passes_match_the_list_passes(n, lane_widths):
     assert outcomes.count("no packable subset sequence exists (empty set must pack)") == 3
 
 
-def _best_schedules(rows, links, packable):
+def _chain_value(bits, chain):
+    """One item's chain terms along its schedule ``bits``, out before the first stage and after the last."""
+    return sum(term[cur][prev] for term, prev, cur in zip(chain, [0, *bits], [*bits, 0]))
+
+
+def _best_schedules(rows, chain, packable):
     """Brute force over one item's 2**T schedules: the best value and its schedules by ascending mask."""
     horizon = len(rows)
     best, schedules = None, []
     for mask in range(1 << horizon):
         bits = [mask >> t & 1 for t in range(horizon)]
         if all(ok[b] for ok, b in zip(packable, bits)):
-            value = sum(row[b] for row, b in zip(rows, bits))
-            value += sum(link[0][cur][prev] for link, prev, cur in zip(links, bits, bits[1:]))
+            value = sum(row[b] for row, b in zip(rows, bits)) + _chain_value(bits, chain)
             if best is None or value > best:
                 best, schedules = value, []
             if value == best:
@@ -443,14 +451,23 @@ def _best_schedules(rows, links, packable):
     return best, schedules
 
 
-def test_one_item_backtrack_picks_the_smallest_best_schedule():
+def _redraw_unread(rng, chain):
+    """``chain`` with new entry terms at in_prev = 1 and exit terms at in_cur = 1, the slots never read."""
+    (out, _), (into, _) = chain[0]
+    a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
+    return [((out, a), (into, b)), *chain[1:-1], (chain[-1][0], (c, d))]
+
+
+def test_one_item_backtrack_picks_the_smallest_best_schedule(monkeypatch):
     # With one item, the first maximum at the last stage, then at each
     # predecessor (0 before 1), is the smallest schedule mask, latest stage
     # most significant, of best value: the order a tie-break key would give.
-    # Rows and links take few values, so most cases tie; the chains carry
-    # core.coupling_terms' cut links, as greedy shifts do.
+    # Rows and terms take few values, so most cases tie; the chains carry
+    # core.coupling_terms' entry, cut and exit terms, as greedy shifts do, or
+    # random terms in all four slots of every boundary. At T = 1 the entry
+    # and exit terms fold into the one row.
     rng = random.Random(32)
-    widths = [*oracle._LANE_CODES, None]
+    real = oracle._max_plus
     ties = 0
     for case in range(240):
         horizon = rng.randint(1, 9)
@@ -461,17 +478,45 @@ def test_one_item_backtrack_picks_the_smallest_best_schedule():
             inst = gen_random(params, case)
             interior = rng.sample(range(2, horizon + 1), rng.randint(0, horizon - 1))
             windows = CutPointSet((1, *sorted(interior), horizon + 1)).windows()
-            links = [(link,) for link in coupling_terms(inst, inst.items[0], windows)[1:-1]]
+            chain = coupling_terms(inst, inst.items[0], windows)
         else:
-            links = [
-                (tuple(tuple(rng.randint(-1, 1) for _ in "pq") for _ in "io"),) for _ in range(horizon - 1)
+            chain = [
+                tuple(tuple(rng.randint(-1, 1) for _ in "pq") for _ in "io") for _ in range(horizon + 1)
             ]
-        best, schedules = _best_schedules(rows, links, packable)
-        for width in widths:
-            got = oracle._max_plus(rows, links, packable, _span(rows, links), width)
-            assert got == (best, schedules[0]), (case, width)
+        best, schedules = _best_schedules(rows, chain, packable)
+        for width in [*oracle._LANE_CODES, None]:
+            monkeypatch.setattr(oracle, "_max_plus", lambda r, l, p, s, _, w=width: real(r, l, p, s, w))
+            for terms in (chain, _redraw_unread(rng, chain)):
+                assert max_plus_masks(rows, [terms], packable) == (best, schedules[0]), (case, width)
         ties += len(schedules) > 1
     assert ties >= 120, ties
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_entry_and_exit_terms_count_for_every_item(n):
+    # Random terms in all four slots of every boundary, entry and exit
+    # included: the engine's top is the best value over every packable set
+    # sequence, and its masks are worth the top, at T = 1 too.
+    rng = random.Random(n)
+    size = 1 << n
+    for horizon in (1, 2, 3):
+        for _ in range(4):
+            rows, _, packable = _engine_case(rng, n, horizon, 5, 0.7)
+            chains = [
+                [tuple(tuple(rng.randint(-5, 5) for _ in "pq") for _ in "io") for _ in range(horizon + 1)]
+                for _ in range(n)
+            ]
+
+            def value(masks):
+                items = sum(_chain_value([m >> k & 1 for m in masks], chain) for k, chain in enumerate(chains))
+                return sum(row[m] for row, m in zip(rows, masks)) + items
+
+            def packs(masks):
+                return all(ok[m] for ok, m in zip(packable, masks))
+
+            top, masks = max_plus_masks(rows, chains, packable)
+            sequences = itertools.product(range(size), repeat=horizon)
+            assert packs(masks) and top == value(masks) == max(map(value, filter(packs, sequences)))
 
 
 @pytest.mark.parametrize("width, wider", [(32, 64), (64, None)])
