@@ -25,9 +25,12 @@ included, as ``subset_sums`` does of subset sums.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import AbstractSet, Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, UnsupportedVariantError
 from .submodular import SetFunctionOracle
@@ -386,6 +389,142 @@ def subset_sums(values: Iterable[int]) -> list[int]:
     for v in values:
         sums += [s + v for s in sums]
     return sums
+
+
+@lru_cache(maxsize=8)
+def lane_ones(size: int, width: int) -> int:
+    """A one in each of ``size`` lanes of ``width`` bits, a multiple of 8; the last few kept."""
+    return int.from_bytes((b"\1" + bytes((width >> 3) - 1)) * size, "little")
+
+
+def lane_sums(values: Sequence[int], width: int) -> int:
+    """``subset_sums(values)`` in ``width``-bit lanes: the int ``sum(sums[m] << m * width)``.
+
+    Each item doubles the lanes: the upper half is the lower half plus the
+    item's value in every lane. A negative sum borrows from the lane above.
+    """
+    lanes, ones = 0, 1
+    for k, v in enumerate(values):
+        shift = width << k
+        lanes += (lanes + v * ones) << shift
+        ones |= ones << shift
+    return lanes
+
+
+# a signed array typecode of each lane width in bits, chosen by itemsize, narrowest first;
+# lanes run from the least significant byte up, so big-endian arrays swap their bytes
+LANE_CODES = dict(sorted((array(code).itemsize * 8, code) for code in "iq"))
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def array_lanes(cells: Sequence[int], width: int) -> int:
+    """The ``width``-bit lanes of a list of cells, through a ``LANE_CODES`` array."""
+    words = array(LANE_CODES[width], cells)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    raw = int.from_bytes(words, "little")
+    # two's complement lanes, less a borrow from the lane above each negative one
+    return raw - ((raw >> width - 1 & lane_ones(len(cells), width)) << width)
+
+
+def array_cells(lanes: int, size: int, width: int) -> array:
+    """The ``size`` cells of nonnegative ``width``-bit lanes, as a ``LANE_CODES`` array."""
+    words = array(LANE_CODES[width], lanes.to_bytes(size * width >> 3, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
+class Row(Sequence[int]):
+    """One stage's cells, cell m for the item subset of mask m, in each form a stage DP reads.
+
+    ``form(None)`` is the list of cells and ``form(width)`` their lanes, the
+    int ``sum(cells[m] << m * width)``: lane m holds cell m in two's
+    complement, less a borrow from the lane above each negative one. Lanes
+    add, scale and shift as the cells they hold. Each form is built on first
+    use and kept in ``forms``, so a row held for a command is built once per
+    width. ``span`` bounds the sum of the cells' magnitudes. A row reads as
+    the sequence of its cells.
+    """
+
+    __slots__ = ("size", "span", "forms", "_make")
+
+    def __init__(self, size: int, span: int, make: Callable[[int | None], list | int]):
+        self.size, self.span, self._make = size, span, make
+        self.forms: dict[int | None, list | int] = {}
+
+    @classmethod
+    def of(cls, cells: Iterable[int]) -> Row:
+        """The row of these cells; its lanes are 32 or 64 bits wide, converted through ``array``."""
+        values = list(cells)
+        row = cls(len(values), sum(map(abs, values)), lambda width: array_lanes(values, width))
+        row.forms[None] = values
+        return row
+
+    @classmethod
+    def sums(cls, values: Iterable[int]) -> Row:
+        """The row of ``subset_sums(values)``; each value is in half of the cells."""
+        terms = list(values)
+        span = sum(map(abs, terms)) << len(terms) >> 1
+        return cls(1 << len(terms), span, lambda width: subset_sums(terms) if width is None else lane_sums(terms, width))
+
+    @classmethod
+    def flags(cls, flags: bytes) -> Row:
+        """The row of 0/1 cells, one byte each, read as booleans; its lanes take any width of whole bytes."""
+
+        def make(width: int | None) -> list | int:
+            if width is None:
+                return list(map(bool, flags))
+            lanes = bytearray(len(flags) * width >> 3)
+            lanes[:: width >> 3] = flags
+            return int.from_bytes(lanes, "little")
+
+        return cls(len(flags), flags.count(1), make)
+
+    def form(self, width: int | None) -> Any:
+        """The list of cells for None, else their ``width``-bit lanes; built once and kept."""
+        found = self.forms.get(width)
+        if found is None:
+            found = self.forms[width] = self._make(width)
+        return found
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, m):
+        return self.form(None)[m]
+
+    def __iter__(self):
+        return iter(self.form(None))
+
+
+class Rows(Row):
+    """The rows of consecutive stages, each of ``cells`` cells: a row whose cells are stage rows.
+
+    ``form(None)`` lists every stage's cells and ``form(width)`` every
+    stage's ``width``-bit lanes, so a stage DP reads each width's rows at
+    once. ``span`` bounds the sum of the magnitudes of all their cells.
+    """
+
+    __slots__ = ("cells",)
+
+    def __init__(self, stages: int, cells: int, span: int, make: Callable[[int | None], list]):
+        super().__init__(stages, span, make)
+        self.cells = cells
+
+    @classmethod
+    def stages(cls, rows: Iterable[Row | Sequence[int]]) -> Rows:
+        """The rows of these stages, each a ``Row`` or the sequence of its cells, converted through ``array``."""
+        held = list(rows)
+
+        def make(width: int | None) -> list:
+            return [
+                row.form(width) if isinstance(row, Row) else row if width is None else array_lanes(row, width)
+                for row in held
+            ]
+
+        span = sum(row.span if isinstance(row, Row) else sum(map(abs, row)) for row in held)
+        return cls(len(held), len(held[0]), span, make)
 
 
 def window_instance(inst: GmkInstance, lo: int, hi: int) -> GmkInstance:

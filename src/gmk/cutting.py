@@ -26,7 +26,10 @@ backtrack already takes the smallest best schedule mask, the key's order
 and backtrack are the oracle's engine, ``oracle.max_plus_masks``, which
 reads each item's ``core.coupling_terms`` chain whole. Every exact shift
 reads one stage table (``oracle.StageRows``) for its rows and subsets, and
-``SchemeResult.rows`` hands it on to the oracle of the same command.
+``SchemeResult.rows`` hands it on to the oracle of the same command. The
+table holds each row's lanes, built once per lane width, and an exact
+shift composes its cells from them, ``scale * P_t - (LEX << t - lo)``:
+about two big-int operations a stage, with no row converted again.
 ``combine_cut_solutions`` joins a shift's window sets: one window spanning
 the horizon keeps its value, and more windows are valued once, worth at
 least the sum of their parts (seam costs can only be saved, seam gains
@@ -51,12 +54,13 @@ from .core import (
     MODULAR,
     GmkInstance,
     MultistageSolution,
+    Row,
+    Rows,
     coupling_terms,
     ensure_valid,
     evaluate_objective,
     evaluate_window,
     ratio_violation,
-    subset_sums,
 )
 from .errors import ContractViolationError, InputError
 from .mkcp import DEFAULT_PACK_BUDGET, _PartialPacking
@@ -147,7 +151,9 @@ def _stage_dp(rows: StageRows, windows: Sequence[tuple[int, int]]) -> tuple[Stag
 
     Each window (lo, hi) is valued under the empty-boundary convention, and
     the windows are solved side by side in one DP on the packability and
-    profit rows of ``rows``. Set m has bit k for the k-th item. Each item's
+    profit rows of ``rows``, whose cells it composes in whichever form the
+    engine reads, lanes or lists, bounding their span by the held rows'
+    spans. Set m has bit k for the k-th item. Each item's
     coupling terms over the windows, cuts included, are
     ``core.coupling_terms``, multiplied here by the tie-break scale as the
     rows are, and ``oracle.max_plus_masks`` runs the DP on those chains
@@ -170,11 +176,19 @@ def _stage_dp(rows: StageRows, windows: Sequence[tuple[int, int]]) -> tuple[Stag
     scale = 1 << n * longest + (len(windows) - 1).bit_length()
     # lex[m]: the M of set m packed at a window's first stage alone; stage t
     # of the window shifts it left by t - lo
-    lex = subset_sums(1 << longest * (n - 1 - k) for k in range(n))
+    lex = Row.sums(1 << longest * (n - 1 - k) for k in range(n))
     shifts = [t - lo for lo, hi in windows for t in range(lo, hi + 1)]
-    terms = [
-        [p * scale - (x << shift) for p, x in zip(row, lex)] for shift, row in zip(shifts, profits)
-    ]
+
+    def cells(width: int | None) -> list:
+        # profit * scale - (lex << shift) cell by cell, or in lanes: about two
+        # big-int operations a stage
+        if width is None:
+            return [[p * scale - (x << shift) for p, x in zip(row, lex)] for row, shift in zip(profits, shifts)]
+        key = lex.form(width)
+        return [row.form(width) * scale - (key << shift) for row, shift in zip(profits, shifts)]
+
+    span = sum(row.span for row in profits) * scale + sum(lex.span << shift for shift in shifts)
+    terms = Rows(len(shifts), 1 << n, span, cells)
     # each item's terms at the tie-break scale, as the rows carry it
     chains = [
         [((a * scale, b * scale), (c * scale, d * scale)) for (a, b), (c, d) in coupling_terms(inst, i, windows)]

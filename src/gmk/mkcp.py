@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .core import MODULAR, Mkc, subset_sums
+from .core import MODULAR, Mkc, lane_ones, lane_sums
 from .errors import BudgetExceededError, ContractViolationError
 from .reduction import (
     ReducedElement,
@@ -171,16 +171,26 @@ class Capacities(NamedTuple):
             return False
         return True if load <= self.largest else None
 
-    def screen(self, weights: Sequence[int]) -> tuple[list[bool], list[int]]:
-        """``fit`` of every subset at once: which may pack, and the masks left to ``place``.
+    def lane_width(self, n: int) -> int:
+        """A lane width in whole bytes for ``screen`` of n weights: room for (n + 1) * (total + 1) below the guard bit."""
+        return ((n + 1) * (self.total + 1)).bit_length() + 8 >> 3 << 3
 
-        Subset m holds ``weights[k]`` for each bit k of m. An item above the
-        largest bin counts as total + 1, so one comparison refuses its subsets.
+    def screen(self, weights: Sequence[int], width: int) -> tuple[int, int]:
+        """``fit`` of every subset at once, in guard bits: of those that may pack, and of those left to ``place``.
+
+        Subset m holds ``weights[k]`` for each bit k of m, and its lane is
+        bits ``m * width`` up (``core.lane_sums``), its guard bit the top
+        one; ``width`` is at least ``lane_width``. An item above the largest
+        bin counts as total + 1, so one comparison refuses its subsets. Each
+        bound takes one subtraction: the guard bit of ``bound + guard - sum``
+        stays set where the sum is at most the bound.
         """
         total, largest = self
-        sums = subset_sums(w if w <= largest else total + 1 for w in weights)
-        undecided = [m for m, s in enumerate(sums) if largest < s <= total] if total > largest else []
-        return [s <= total for s in sums], undecided
+        ones = lane_ones(1 << len(weights), width)
+        guard = ones << width - 1
+        sums = lane_sums([w if w <= largest else total + 1 for w in weights], width)
+        within = (total * ones + guard - sums) & guard
+        return within, within ^ (largest * ones + guard - sums) & guard if total > largest else 0
 
 
 class _PartialPacking:

@@ -15,8 +15,15 @@ lanes, and a pass is about twenty big-int operations with a guard-bit max
 Delight*, ch. 2). Wider cells, such as the tie-break keys of the scheme's
 exact shifts, take passes over lists. Both give the same values and witness.
 
-Packability is built in bulk (``packable_row``): ``mkcp.Capacities``
-screens every subset's weight sum at once, and a constraint with no bin
+Rows are ``core.Row``: each form, the list of cells or their lanes of one
+width, is built on first use and kept, so a row held for a command is
+converted at most once per (stage, width), however many DPs read it, and
+its list is built only where something reads it: a submodular profit row,
+the list passes, the masks ``place`` decides. A modular profit row is a
+subset sum, built straight in lanes (``core.lane_sums``). Packability is
+built in bulk too (``packable_row``): ``mkcp.Capacities.screen`` flags
+every subset's weight sum at once by guard-bit compares, the flags of a
+stage's constraints are and-ed in one int, and a constraint with no bin
 packs only the empty set. Packability is monotone, as weights are
 nonnegative and dropping an item from a feasible assignment keeps it
 feasible: a subset the screen leaves open is packable when some subset
@@ -33,27 +40,32 @@ exit ``((0, -c-[T]), (0, 0))`` read straight from the instance tables
 (never ``core.coupling_terms``), and the plain ascending-mask tie-break.
 Tests check the engine and the table against references that run neither:
 ``tests/util.full_table_oracle`` (a ``T * 4**|items|`` DP on
-``stage_profit``), the literal enumeration ``enumerate_optimum`` and the
-reduced branch and bound. ``cutting.solve_shift`` checks each exact
-shift's DP value against the sum of its windows' ``core.evaluate_window``,
-and ``optimum`` its own against ``core.evaluate_objective``. All values
-are plain Python ints, exact.
+``stage_profit`` and every map of weights to bins), the literal
+enumeration ``enumerate_optimum`` and the reduced branch and bound.
+``cutting.solve_shift`` checks each exact shift's DP value against the
+sum of its windows' ``core.evaluate_window``, and ``optimum`` its own
+against ``core.evaluate_objective``. All values are plain Python ints, exact.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
+from itertools import compress
 from operator import add
 from typing import Mapping, Sequence
 
 from .core import (
+    LANE_CODES as _LANE_CODES,
     MODULAR,
     GmkInstance,
     McpStage,
     MultistageSolution,
+    Row,
+    Rows,
+    array_cells,
     check_feasible,
     evaluate_objective,
+    lane_ones,
     subset_sums,
 )
 from .errors import BudgetExceededError, ContractViolationError
@@ -64,38 +76,54 @@ from .reduction import DEFAULT_ENUM_BUDGET, count_text
 StageAssignments = tuple[Mapping[str, frozenset[str]], ...]
 
 
-def packable_row(inst: GmkInstance, t: int) -> list[bool]:
-    """row[m]: the subset with bit k set for items[k] packs at stage t.
+def packable_row(inst: GmkInstance, t: int) -> Row:
+    """The flag row whose cell m is True when the subset with bit k set for items[k] packs at stage t.
 
-    The masks each constraint's ``Capacities.screen`` leaves open are
-    scanned in descending order, so every one-item superset of a mask is
-    decided before the mask itself, and ``place`` runs only on those with
-    no packable one.
+    Every constraint's ``Capacities.screen`` flags all subsets at once, in
+    lanes of one width for the stage, and a constraint with no bin packs
+    only the empty set. The masks a screen leaves open are decided in
+    descending order, so every one-item superset of a mask is decided
+    before the mask itself, and ``place`` runs only on those with no
+    packable one. The flags are read out in bulk, one byte per subset.
     """
     items = inst.items
     size = 1 << len(items)
-    bits = [1 << k for k in range(len(items))]
-    row = [True] * size
-    open_mkcs: dict[int, list[tuple[list[int], list[tuple[int, int]]]]] = {}
+    screens, width = [], 8
     for mkc in inst.stage(t).mkcs:
         if not mkc.bins:
-            row[1:] = [False] * (size - 1)
-            continue
+            return Row.flags(b"\1" + bytes(size - 1))
         caps = sorted([mkc.capacities[b] for b in mkc.bins], reverse=True)
-        weights = [mkc.weights[i] for i in items]
-        allowed, undecided = Capacities.of(caps).screen(weights)
-        row = [ok and a for ok, a in zip(row, allowed)]
+        bounds = Capacities(sum(caps), caps[0])
+        width = max(width, bounds.lane_width(len(items)))
+        screens.append((caps, bounds, [mkc.weights[i] for i in items]))
+    # each lane's guard bit, as one byte per subset
+    nbytes, step = size * width >> 3, width >> 3
+    allowed, opened = lane_ones(size, width) << width - 1, []
+    for caps, bounds, weights in screens:
+        within, above = bounds.screen(weights, width)
+        allowed &= within
+        if above:
+            opened.append((caps, weights, above))
+    row = (allowed >> width - 1).to_bytes(nbytes, "little")[::step]
+    if not opened:
+        return Row.flags(row)
+    open_mkcs: dict[int, list[tuple[list[int], list[tuple[int, int]]]]] = {}
+    bits = [1 << k for k in range(len(items))]
+    for caps, weights, above in opened:
+        undecided = list(compress(range(size), ((above & allowed) >> width - 1).to_bytes(nbytes, "little")[::step]))
         if undecided:
             # (weight, bit) pairs by weight descending, for the masks left open
             desc = sorted(((w, bit) for w, bit in zip(weights, bits) if w), reverse=True)
-            for m in [m for m in undecided if row[m]]:
+            for m in undecided:
                 open_mkcs.setdefault(m, []).append((caps, desc))
-    for m in sorted(open_mkcs, reverse=True):
-        if row[m] and not any(row[m | bit] for bit in bits if not m & bit):
-            row[m] = all(
-                place(caps, [w for w, bit in desc if m & bit]) is not None for caps, desc in open_mkcs[m]
-            )
-    return row
+    if open_mkcs:
+        row = bytearray(row)
+        for m in sorted(open_mkcs, reverse=True):
+            if not any(row[m | bit] for bit in bits if not m & bit):
+                row[m] = all(
+                    place(caps, [w for w, bit in desc if m & bit]) is not None for caps, desc in open_mkcs[m]
+                )
+    return Row.flags(bytes(row))
 
 
 def check_dp_work(refusal: str, horizon: int, n: int, budget: int | None) -> None:
@@ -112,7 +140,9 @@ def check_dp_work(refusal: str, horizon: int, n: int, budget: int | None) -> Non
 
 
 def max_plus_masks(
-    rows: Sequence[list[int]], chains: Sequence[Sequence[tuple]], packable: Sequence[list[bool]]
+    rows: Rows | Sequence[Row | Sequence[int]],
+    chains: Sequence[Sequence[tuple]],
+    packable: Rows | Sequence[Row | Sequence[bool]],
 ) -> tuple[int, list[int]]:
     """The best value of a set sequence, and its set masks stage by stage.
 
@@ -121,27 +151,44 @@ def max_plus_masks(
     by whether item k is in the sets after and before boundary s: 0 comes
     before the first stage and T after the last, next to empty sets, as in
     ``core.coupling_terms``. Set m counts only where ``packable[t][m]``.
+    Each stage's row is a ``core.Row``, which gives each width's form once,
+    however many calls read it, or a list, converted on each call; both
+    may come as one ``core.Rows``.
     Ties go to the first maximum: over final sets, then over each chosen
     set's predecessors. Raises ``ContractViolationError`` when no sequence packs.
     """
     # each boundary's terms, item by item; with no item, every one is empty
-    entry, *links, leave = [[chain[s] for chain in chains] for s in range(len(rows) + 1)]
+    entry, *links, leave = zip(*chains) if chains else [()] * (len(rows) + 1)
+    rows = rows if isinstance(rows, Rows) else Rows.stages(rows)
+    packable = packable if isinstance(packable, Rows) else Rows.stages(packable)
     # entry terms [x][0] fold into the first row, exit terms [0][x] into the
     # last, less their out terms [0][0], whose sum the top gets back
-    rows = [_list_column(rows[0], [(out, into) for (out, _), (into, _) in entry]), *rows[1:]]
-    rows[-1] = _list_column(rows[-1], [term[0] for term in leave])
-    span = sum(sum(map(abs, row)) for row in rows)
+    first = Row.sums(into - out for (out, _), (into, _) in entry)
+    last = Row.sums(left - out for (out, left), _ in leave)
+    span = rows.span + first.span + last.span
     span += sum(abs(a) + abs(b) + abs(c) + abs(d) for link in links for (a, b), (c, d) in link)
     # Every cell is worth a partial sequence's value, within span of 0 or of
     # the floor, so a lane biased by 4 * span + 1 holds it in 0..5 * span + 1
     # below its guard bit.
     width = next((w for w in _LANE_CODES if 5 * span + 1 < 1 << w - 1), None)
-    top, masks = _max_plus(rows, links, packable, span, width)
+    top, masks = _max_plus(_folded(rows, first, last), links, packable, span, width)
     return top + sum(term[0][0] for term in entry + leave), masks
 
 
-# a signed array typecode of each lane width in bits, chosen by itemsize, narrowest first
-_LANE_CODES = dict(sorted((array(code).itemsize * 8, code) for code in "iq"))
+def _folded(rows: Rows, first: Row, last: Row) -> Rows:
+    """``rows`` with ``first`` added to the first stage's row and ``last`` to the last one's."""
+
+    def make(width: int | None) -> list:
+        forms = list(rows.form(width))
+        if width is None:
+            forms[0] = list(map(add, forms[0], first))
+            forms[-1] = list(map(add, forms[-1], last))
+        else:
+            forms[0] += first.form(width)
+            forms[-1] += last.form(width)
+        return forms
+
+    return Rows(len(rows), rows.cells, rows.span + first.span + last.span, make)
 
 
 def _max_plus(rows, links, packable, span: int, width: int | None) -> tuple[int, list[int]]:
@@ -155,7 +202,7 @@ def _max_plus(rows, links, packable, span: int, width: int | None) -> tuple[int,
     else:
         bias = span - floor
         history, column = _lane_passes(rows, links, packable, floor, bias, width)
-    best = column(history[-1], ())
+    best = column(history[-1], (), 0)
     top = max(best) - bias
     if top < -span:
         raise ContractViolationError("no packable subset sequence exists (empty set must pack)")
@@ -164,7 +211,7 @@ def _max_plus(rows, links, packable, span: int, width: int | None) -> tuple[int,
     # ``cur x prev`` table would keep.
     masks = [best.index(top + bias)]
     for link, prev in zip(reversed(links), reversed(history[:-1])):
-        cand = column(prev, [term[masks[-1] >> k & 1] for k, term in enumerate(link)])
+        cand = column(prev, link, masks[-1])
         masks.append(cand.index(max(cand)))
     masks.reverse()
     return top, masks
@@ -172,6 +219,7 @@ def _max_plus(rows, links, packable, span: int, width: int | None) -> tuple[int,
 
 def _list_passes(rows, links, packable, floor: int):
     """Each stage's row of best values, one Python int per cell, and ``_list_column``."""
+    rows = list(rows)
     history, best = [], [0] * len(rows[0])
     half = len(best) >> 1
     for link, row, ok in zip(((), *links), rows, packable):
@@ -189,43 +237,42 @@ def _list_passes(rows, links, packable, floor: int):
     return history, _list_column
 
 
-def _list_column(prev: list[int], terms) -> list[int]:
-    """Every predecessor's value plus its ``terms[k][in_prev]``, less the constant sum of the out_prev terms."""
-    if not terms:
+def _list_column(prev: list[int], link, cur: int) -> list[int]:
+    """Every predecessor's value plus its terms ``link[k][in_cur][in_prev]`` into set ``cur``, less their out_prev sum."""
+    if not link:
         return prev
+    terms = [term[cur >> k & 1] for k, term in enumerate(link)]
     return list(map(add, prev, subset_sums(in_prev - out_prev for out_prev, in_prev in terms)))
 
 
-def _lane_passes(rows, links, packable, floor: int, bias: int, width: int):
+def _lane_passes(rows: Rows, links, packable: Rows, floor: int, bias: int, width: int):
     """Each stage's row of best values plus ``bias``, cell m in bits ``m * width`` up, and its column.
 
     Every lane holds a partial sequence's value plus ``bias``: nonnegative
     and below its guard bit (``max_plus_masks`` picks the width), so big-int
-    sums never carry across lanes. ``column`` adds all of each predecessor's terms.
+    sums never carry across lanes. The rows give their lanes ready, each
+    built once per width. ``column`` adds all of each predecessor's terms.
     """
-    code, order, size = _LANE_CODES[width], sys.byteorder, len(rows[0])
-    one = array(code, [1]).tobytes()
-    ones = int.from_bytes(one * size, order)
-    guard, floors = ones << width - 1, (floor + bias) * ones
+    size = rows.cells
+    ones = lane_ones(size, width)
+    guard_bit = width - 1
+    guard, floors = ones << guard_bit, (floor + bias) * ones
     # per item k: the shift that lines lane m up with lane m | 2**k, a one in
     # each lane with bit k clear and in each with it set, and the former's bits
     per_item = []
+    one = b"\1" + bytes((width >> 3) - 1)
     for k in range(size.bit_length() - 1):
-        e0 = int.from_bytes((one * (1 << k) + bytes(len(one) << k)) * (size >> k + 1), order)
+        e0 = int.from_bytes((one * (1 << k) + bytes(len(one) << k)) * (size >> k + 1), "little")
         per_item.append((width << k, e0, e0 << (width << k), (e0 << width) - e0))
 
-    def lanes(values) -> int:
-        # two's complement lanes, less a borrow from the lane above each negative one
-        raw = int.from_bytes(array(code, values).tobytes(), order)
-        return raw - ((raw >> width - 1 & ones) << width)
-
-    def column(prev: int, terms) -> array:
-        for (out_prev, in_prev), (_, e0, e1, _) in zip(terms, per_item):
+    def column(prev: int, link, cur: int) -> array:
+        for k, (term, (_, e0, e1, _)) in enumerate(zip(link, per_item)):
+            out_prev, in_prev = term[cur >> k & 1]
             prev += out_prev * e0 + in_prev * e1
-        return array(code, prev.to_bytes(len(one) * size, order))
+        return array_cells(prev, size, width)
 
     history, best = [], bias * ones
-    for link, row, ok in zip(((), *links), rows, packable):
+    for link, row, keep in zip(((), *links), rows.form(width), packable.form(width)):
         acc = best
         for ((out0, out1), (in0, in1)), (shift, e0, e1, low) in zip(link, per_item):
             # Lane m and lane m | 2**k line up by one shift. Each lane keeps
@@ -235,9 +282,8 @@ def _lane_passes(rows, links, packable, floor: int, bias: int, width: int):
             same = acc + out0 * e0 + in1 * e1
             cross = ((acc ^ p0) >> shift) + (p0 << shift) + out1 * e0 + in0 * e1
             sel = ((same | guard) - cross) & guard
-            acc = cross ^ (same ^ cross) & sel - (sel >> width - 1)
-        keep = lanes(ok)
-        best = floors ^ ((acc + lanes(row)) ^ floors) & ((keep << width) - keep)
+            acc = cross ^ (same ^ cross) & sel - (sel >> guard_bit)
+        best = floors ^ ((acc + row) ^ floors) & ((keep << width) - keep)
         history.append(best)
     return history, column
 
@@ -245,9 +291,11 @@ def _lane_passes(rows, links, packable, floor: int, bias: int, width: int):
 class StageRows(dict):
     """The per-instance stage table that every stage DP of one command reads.
 
-    Stage t maps, on first use, to its row pair: the packability of every
-    item subset at stage t (``packable_row``) and that subset's stage
-    profit. ``subset`` builds a mask's item set once, when a DP picks it or
+    Stage t maps, on first use, to its pair of ``core.Row``: the
+    packability of every item subset at stage t (``packable_row``) and
+    that subset's stage profit, each held in every form a DP has read, so
+    a (stage, width) pair is converted at most once per command.
+    ``subset`` builds a mask's item set once, when a DP picks it or
     a submodular profit row needs it, and ``assignments`` packs each
     (stage, set) pair once, for the scheme's answer and the oracle's.
     """
@@ -265,13 +313,13 @@ class StageRows(dict):
             self.subsets[m] = frozenset(i for k, i in enumerate(items) if m >> k & 1)
         return self.subsets[m]
 
-    def __missing__(self, t: int) -> tuple[list[bool], list[int]]:
+    def __missing__(self, t: int) -> tuple[Row, Row]:
         inst = self.instance
         profit = inst.stage(t).profit
         if inst.variant == MODULAR:
-            row = subset_sums(profit[i] for i in inst.items)
+            row = Row.sums([profit[i] for i in inst.items])
         else:
-            row = [profit.evaluate(self.subset(m)) for m in range(1 << len(inst.items))]
+            row = Row.of(profit.evaluate(self.subset(m)) for m in range(1 << len(inst.items)))
         rows = self[t] = (packable_row(inst, t), row)
         return rows
 

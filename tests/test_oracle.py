@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from gmk import mkcp, oracle
+from gmk import core, mkcp, oracle
 from gmk.cli import main
 from gmk.core import McpStage, Mkc, check_feasible, coupling_terms, evaluate_objective
 from gmk.cutting import CutPointSet, solve_bounded_horizon
@@ -296,6 +296,39 @@ def test_packable_rows_match_packing_every_subset(params, monkeypatch):
     assert searched > 0 or params.bins_per_mkc == 1
 
 
+@pytest.mark.parametrize("unit", [2**40, 10**30], ids=["past_32_bits", "past_64_bits"])
+def test_packable_rows_hold_weights_past_machine_words(unit, monkeypatch):
+    # Screen lanes widen with the capacities. Sums of up to five weights near
+    # 2**40 still fit numpy's int64, so every map is tried; near 10**30 the
+    # reference is the packer of each subset.
+    placed = []
+    real_place = oracle.place
+    monkeypatch.setattr(oracle, "place", lambda *args: placed.append(args) or real_place(*args))
+    params = GenParams(items=5, horizon=3, dimension=2, bins_per_mkc=3,
+                       weight_range=(unit, 3 * unit), capacity_range=(unit, 5 * unit))
+    flags = []
+    for seed in range(4):
+        inst = gen_random(params, seed)
+        for t in range(1, inst.horizon + 1):
+            row = packable_row(inst, t)
+            subsets = [frozenset(i for k, i in enumerate(inst.items) if m >> k & 1) for m in range(len(row))]
+            if unit < 2**62:
+                expected = [
+                    all(
+                        packs_by_every_map([mkc.capacities[b] for b in mkc.bins], [mkc.weights[i] for i in s])
+                        for mkc in inst.stage(t).mkcs
+                    )
+                    for s in subsets
+                ]
+            else:
+                packable = set(packable_sets(inst, t))
+                expected = [s in packable for s in subsets]
+            assert list(row) == expected, (seed, t)
+            flags += expected
+    # both outcomes occur, and some subsets are left for the search to decide
+    assert 0 < flags.count(True) < len(flags) and placed
+
+
 def test_matches_enumeration_on_tie_heavy_instances():
     for seed in range(10):
         inst = gen_random(GenParams(items=3, horizon=4, **TIE_HEAVY), seed)
@@ -563,6 +596,35 @@ BENCHMARK_SHAPES = {
         GenParams(items=3, horizon=4, variant="submodular"),
     ),
 }
+
+
+def test_held_rows_enter_lanes_once_per_width(tmp_path, monkeypatch, lane_widths):
+    # cut_multibin's shape through compare: its four exact shifts (64-bit
+    # lanes) and the oracle (32-bit lanes) read one stage table. Each held
+    # row is built once per lane width, in lane arithmetic: no engine call
+    # converts a row through an array.
+    path = tmp_path / "inst.json"
+    write_json(path, instance_to_dict(gen_random(BENCHMARK_SHAPES["cut_multibin"][1], 1_000_003)))
+    held, built, converted = [], [], []
+    real_missing, real_convert = StageRows.__missing__, core.array_lanes
+
+    def missing(rows, t):
+        # each held row records every form it builds
+        for row in real_missing(rows, t):
+            make = row._make
+            row._make = lambda width, row=row, make=make: built.append((row, width)) or make(width)
+            held.append(row)
+        return rows[t]
+
+    monkeypatch.setattr(StageRows, "__missing__", missing)
+    monkeypatch.setattr(core, "array_lanes", lambda *args: converted.append(args) or real_convert(*args))
+    argv = ["compare", "--in", str(path), "--eps", "0.2", "--phi", "1", "--mu-inv", "4",
+            "--report", str(tmp_path / "c.json")]
+    assert main(argv) == 0
+    assert sorted(lane_widths) == [32, 64, 64, 64, 64]
+    assert len(held) == 2 * 40 and converted == []
+    for row in held:
+        assert sorted(width for other, width in built if other is row) == [32, 64]
 
 
 @pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))

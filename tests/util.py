@@ -22,7 +22,7 @@ from gmk.core import (
     evaluate_objective,
 )
 from gmk.mkcp import pack_mkc
-from gmk.oracle import checked_solution, pack_stage, packable_row
+from gmk.oracle import checked_solution, pack_stage
 from gmk.reduction import ReducedElement, ReducedInstance
 
 
@@ -261,10 +261,10 @@ def full_table_oracle(inst):
     """The oracle DP over the full ``cur x prev`` transition table of every stage.
 
     Each packable set keeps the first predecessor of maximum value, and the
-    first final set of maximum value wins; profits come from
-    ``stage_profit`` one subset at a time, and the chosen sets are packed by
-    ``pack_stage``, not through ``StageRows``. ``T * 4**|I|`` work: small
-    inputs only.
+    first final set of maximum value wins; packability comes from
+    ``packs_by_every_map`` and profits from ``stage_profit``, one subset at
+    a time, and the chosen sets are packed by ``pack_stage``, not through
+    ``StageRows``. ``T * 4**|I|`` work: small inputs only.
     """
     size = 1 << len(inst.items)
     subsets = [frozenset(i for k, i in enumerate(inst.items) if m >> k & 1) for m in range(size)]
@@ -274,7 +274,13 @@ def full_table_oracle(inst):
     def boundary_cost(m, table, t):
         return sum(table[i, t] for i in subsets[m]) if modular else 0
 
-    packable = [packable_row(inst, t) for t in range(1, horizon + 1)]
+    def packs(t, subset):
+        return all(
+            packs_by_every_map([mkc.capacities[b] for b in mkc.bins], [mkc.weights[i] for i in subset])
+            for mkc in inst.stage(t).mkcs
+        )
+
+    packable = [[packs(t, s) for s in subsets] for t in range(1, horizon + 1)]
     profits = [[inst.stage_profit(t, s) for s in subsets] for t in range(1, horizon + 1)]
     span = sum(abs(p) for row in profits for p in row) + sum(
         abs(v)
