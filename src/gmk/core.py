@@ -397,6 +397,21 @@ def lane_ones(size: int, width: int) -> int:
     return int.from_bytes((b"\1" + bytes((width >> 3) - 1)) * size, "little")
 
 
+@lru_cache(maxsize=1)
+def lane_masks(size: int, width: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per item k of ``size`` lanes of ``width`` bits: (shift, e0, e1, low), cached for the last pair only.
+
+    The shift lines lane m up with lane m | 2**k, e0 and e1 hold a one in each lane with bit k
+    clear and set, and low all of e0's lanes' bits: at |I| = 16, 48 ints of 2**16 lanes.
+    """
+    one = b"\1" + bytes((width >> 3) - 1)
+    masks = []
+    for k in range(size.bit_length() - 1):
+        e0 = int.from_bytes((one * (1 << k) + bytes(len(one) << k)) * (size >> k + 1), "little")
+        masks.append((width << k, e0, e0 << (width << k), (e0 << width) - e0))
+    return tuple(masks)
+
+
 def lane_sums(values: Sequence[int], width: int) -> int:
     """``subset_sums(values)`` in ``width``-bit lanes: the int ``sum(sums[m] << m * width)``.
 
@@ -513,18 +528,11 @@ class Rows(Row):
         self.cells = cells
 
     @classmethod
-    def stages(cls, rows: Iterable[Row | Sequence[int]]) -> Rows:
-        """The rows of these stages, each a ``Row`` or the sequence of its cells, converted through ``array``."""
+    def stages(cls, rows: Iterable[Row]) -> Rows:
+        """The held rows of these stages, each read in the form it holds."""
         held = list(rows)
-
-        def make(width: int | None) -> list:
-            return [
-                row.form(width) if isinstance(row, Row) else row if width is None else array_lanes(row, width)
-                for row in held
-            ]
-
-        span = sum(row.span if isinstance(row, Row) else sum(map(abs, row)) for row in held)
-        return cls(len(held), len(held[0]), span, make)
+        span = sum(row.span for row in held)
+        return cls(len(held), held[0].size, span, lambda width: [row.form(width) for row in held])
 
 
 def window_instance(inst: GmkInstance, lo: int, hi: int) -> GmkInstance:

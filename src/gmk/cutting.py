@@ -20,9 +20,10 @@ window's length, that orders the window's set sequences as a DP of its
 own would, and its scale, applied to rows and terms alike, leaves
 ``bitlen(W - 1)`` spare bits above the sum of W blocks, so every window
 gets the sets of its own DP. A greedy shift runs the DP once per item
-across its windows with no key: with one item, the engine's first-maximum
-backtrack already takes the smallest best schedule mask, the key's order
-(with more, the key's item-major order is not the engine's). The passes
+across its windows with no key, on two-cell rows built straight in lanes:
+with one item, the engine's first-maximum backtrack already takes the
+smallest best schedule mask, the key's order (with more, the key's
+item-major order is not the engine's). The passes
 and backtrack are the oracle's engine, ``oracle.max_plus_masks``, which
 reads each item's ``core.coupling_terms`` chain whole. Every exact shift
 reads one stage table (``oracle.StageRows``) for its rows and subsets, and
@@ -48,6 +49,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from operator import sub
 from typing import Sequence
 
 from .core import (
@@ -64,7 +66,7 @@ from .core import (
 )
 from .errors import ContractViolationError, InputError
 from .mkcp import DEFAULT_PACK_BUDGET, _PartialPacking
-from .oracle import StageRows, check_dp_work, max_plus_masks
+from .oracle import StageRows, check_dp_work, link_span, max_plus_masks
 
 SOLVER_CHOICES = ("exact", "greedy")
 
@@ -190,13 +192,17 @@ def _stage_dp(rows: StageRows, windows: Sequence[tuple[int, int]]) -> tuple[Stag
     span = sum(row.span for row in profits) * scale + sum(lex.span << shift for shift in shifts)
     terms = Rows(len(shifts), 1 << n, span, cells)
     # each item's terms at the tie-break scale, as the rows carry it
-    chains = [
-        [((a * scale, b * scale), (c * scale, d * scale)) for (a, b), (c, d) in coupling_terms(inst, i, windows)]
-        for i in inst.items
-    ]
-    top, masks = max_plus_masks(terms, chains, packable)
+    plain = [coupling_terms(inst, i, windows) for i in inst.items]
+    chains = [[((a * scale, b * scale), (c * scale, d * scale)) for (a, b), (c, d) in chain] for chain in plain]
+    top, masks = max_plus_masks(terms, chains, Rows.stages(packable), link_span(plain) * scale)
     # top = value * scale - key with 0 <= key < scale
     return tuple(rows.subset(m) for m in masks), -(-top // scale)
+
+
+def _pair_rows(empty: int, cells: Sequence[int]) -> Rows:
+    """One item's rows over its stages, cell 0 ``empty`` and cell 1 ``cells[t]``: lanes ``empty + (cell << width)``."""
+    span = sum(map(abs, cells)) + empty * len(cells)
+    return Rows(len(cells), 2, span, lambda w: [empty + (c << w) for c in cells] if w else [[empty, c] for c in cells])
 
 
 def _greedy_sets(inst: GmkInstance, windows: Sequence[tuple[int, int]], pack_budget: int | None) -> StageSets:
@@ -206,7 +212,9 @@ def _greedy_sets(inst: GmkInstance, windows: Sequence[tuple[int, int]], pack_bud
     values and its whole ``core.coupling_terms`` chain: it packs at the
     stages of ``_PartialPacking.avail(k)``, built from the windows'
     constraints, under ``pack_budget`` nodes per ``place`` call, and earns
-    its marginal profit over the items chosen before it. The engine's first maximum, taken from
+    its marginal profit over the items chosen before it: each stage's
+    profit with the item, less the profit the stage holds, which a stage
+    that takes the item then holds. The engine's first maximum, taken from
     the last stage back with 0 before 1, is the smallest best schedule mask,
     and the cut links are separable: each window gets the schedule a pass of
     its own would. The value is not checked: one item's sets miss the other
@@ -215,13 +223,16 @@ def _greedy_sets(inst: GmkInstance, windows: Sequence[tuple[int, int]], pack_bud
     stages = [t for lo, hi in windows for t in range(lo, hi + 1)]
     packing = _PartialPacking(inst.items, [inst.stage(t).mkcs for t in stages], pack_budget)
     chosen: list[frozenset[str]] = [frozenset()] * len(stages)
+    held = [inst.stage_profit(t, frozenset()) for t in stages]
     for k, item in enumerate(inst.items):
         avail = packing.avail(k)
-        packable = [(True, bool(avail >> s & 1)) for s in range(len(stages))]
-        profits = [[0, inst.stage_profit(t, s | {item}) - inst.stage_profit(t, s)] for t, s in zip(stages, chosen)]
-        _, masks = max_plus_masks(profits, [coupling_terms(inst, item, windows)], packable)
+        gained = [inst.stage_profit(t, s | {item}) for t, s in zip(stages, chosen)]
+        chain = coupling_terms(inst, item, windows)
+        fits = _pair_rows(1, [avail >> s & 1 for s in range(len(stages))])
+        _, masks = max_plus_masks(_pair_rows(0, list(map(sub, gained, held))), [chain], fits, link_span([chain]))
         packing.push(k, sum(m << s for s, m in enumerate(masks)))
         chosen = [s | {item} if m else s for s, m in zip(chosen, masks)]
+        held = [g if m else h for g, h, m in zip(gained, held, masks)]
     return tuple(chosen)
 
 

@@ -4,10 +4,11 @@
 constraint's bins, by first-fit-decreasing and then exhaustive
 backtracking with symmetry breaking on equal remaining capacities.
 ``pack_assignment`` names its placement by element and bin;
-``oracle.packable_row`` and ``_PartialPacking.avail`` only ask whether one
-exists. Every solver asks ``avail(k)`` for the stages where the k-th item
-still packs on top of its choices so far; a schedule packs exactly when
-its mask lies inside that mask.
+``_PartialPacking.avail``, and ``oracle.packable_row`` past two bins, only
+ask whether one exists (``Capacities.screen`` decides two bins in lanes).
+Every solver asks ``avail(k)`` for the stages where the k-th item still
+packs on top of its choices so far; a schedule packs exactly when its mask
+lies inside that mask.
 
 ``solve_mkcp_exact`` finds a maximum-value selection of one schedule per
 item. Every solver reads the reduced instance's per-item mask-to-value
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .core import MODULAR, Mkc, lane_ones, lane_sums
+from .core import MODULAR, Mkc, lane_masks, lane_ones, lane_sums
 from .errors import BudgetExceededError, ContractViolationError
 from .reduction import (
     ReducedElement,
@@ -175,7 +176,7 @@ class Capacities(NamedTuple):
         """A lane width in whole bytes for ``screen`` of n weights: room for (n + 1) * (total + 1) below the guard bit."""
         return ((n + 1) * (self.total + 1)).bit_length() + 8 >> 3 << 3
 
-    def screen(self, weights: Sequence[int], width: int) -> tuple[int, int]:
+    def screen(self, weights: Sequence[int], width: int, bins: int) -> tuple[int, int]:
         """``fit`` of every subset at once, in guard bits: of those that may pack, and of those left to ``place``.
 
         Subset m holds ``weights[k]`` for each bit k of m, and its lane is
@@ -183,14 +184,30 @@ class Capacities(NamedTuple):
         one; ``width`` is at least ``lane_width``. An item above the largest
         bin counts as total + 1, so one comparison refuses its subsets. Each
         bound takes one subtraction: the guard bit of ``bound + guard - sum``
-        stays set where the sum is at most the bound.
+        stays set where the sum is at most the bound. Of at most two
+        ``bins``, c1 >= c2, none is left: m packs exactly when
+        ``h[m] + c2 >= w(m)``, h[m] the largest ``w(A) <= c1`` over A inside
+        m, a subset max in one guard-bit max per item (Yates' transform over
+        (max, +); Bjorklund et al., "Fourier meets Mobius", STOC 2007).
         """
         total, largest = self
-        ones = lane_ones(1 << len(weights), width)
+        size = 1 << len(weights)
+        ones = lane_ones(size, width)
         guard = ones << width - 1
         sums = lane_sums([w if w <= largest else total + 1 for w in weights], width)
         within = (total * ones + guard - sums) & guard
-        return within, within ^ (largest * ones + guard - sums) & guard if total > largest else 0
+        if total == largest:
+            return within, 0
+        small = (largest * ones + guard - sums) & guard
+        if bins > 2:
+            return within, within ^ small
+        # h[m] = w(m) where it fits c1, else 0; item k's pass keeps the larger of lanes m and m & ~2**k
+        h = sums & small - (small >> width - 1)
+        for shift, _, _, low in lane_masks(size, width):
+            lower = (h & low) << shift
+            sel = ((h | guard) - lower) & guard
+            h = lower ^ (h ^ lower) & sel - (sel >> width - 1)
+        return (h + (total - largest) * ones + guard - sums) & guard, 0
 
 
 class _PartialPacking:

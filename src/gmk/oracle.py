@@ -6,29 +6,30 @@ previous and the current set. So a DP whose row holds every subset of the
 items at a stage is exhaustive, and its max over predecessors factors by
 item: ``max_plus_masks`` takes one pass per item over the ``2**|items|``
 row, and the budget bounds the whole DP's ``T * |items| * 2**|items|``
-additions. It keeps each stage's row of best values and no predecessor
-table; walking back, it rebuilds the chosen set's one column of the full
-``cur x prev`` table and takes its first maximum. Where the terms' span
-fits 32- or 64-bit lanes, a row is one Python int of biased, nonnegative
-lanes, and a pass is about twenty big-int operations with a guard-bit max
-("SIMD within a register": Fisher and Dietz, LCPC 1998; Warren, *Hacker's
-Delight*, ch. 2). Wider cells, such as the tie-break keys of the scheme's
-exact shifts, take passes over lists. Both give the same values and witness.
+additions. It keeps one row per stage and no predecessor table; walking
+back, it rebuilds the chosen set's one column of the full ``cur x prev``
+table and takes its first maximum. Where the terms' span fits 32- or
+64-bit lanes, a row is one Python int of biased, nonnegative lanes, a pass
+is about twenty big-int operations with a guard-bit max ("SIMD within a
+register": Fisher and Dietz, LCPC 1998; Warren, *Hacker's Delight*,
+ch. 2), and a column's first maximum is its lowest lane equal to the
+maximum the forward pass kept, by one guard-bit compare. Wider cells, such
+as the tie-break keys of the scheme's exact shifts, take passes over
+lists. Both give the same values and witness.
 
-Rows are ``core.Row``: each form, the list of cells or their lanes of one
-width, is built on first use and kept, so a row held for a command is
-converted at most once per (stage, width), however many DPs read it, and
-its list is built only where something reads it: a submodular profit row,
-the list passes, the masks ``place`` decides. A modular profit row is a
-subset sum, built straight in lanes (``core.lane_sums``). Packability is
-built in bulk too (``packable_row``): ``mkcp.Capacities.screen`` flags
-every subset's weight sum at once by guard-bit compares, the flags of a
-stage's constraints are and-ed in one int, and a constraint with no bin
-packs only the empty set. Packability is monotone, as weights are
-nonnegative and dropping an item from a feasible assignment keeps it
-feasible: a subset the screen leaves open is packable when some subset
-with one more item is, and ``mkcp.place`` decides only the subsets left
-after that.
+Rows are ``core.Row``, and the engine takes only held ``core.Rows``: each
+form, the list of cells or their lanes of one width, is built on first use
+and kept, so a row held for a command is converted at most once per
+(stage, width), however many DPs read it. A modular profit row is a subset
+sum, built straight in lanes (``core.lane_sums``). Packability is built in
+bulk too (``packable_row``): ``mkcp.Capacities.screen`` decides every subset
+under two bins at most in lanes, by a subset max and a compare, and flags
+the weight sums under more by guard-bit compares; a stage's flags are
+and-ed in one int, and a binless constraint packs only the empty set.
+Packability is monotone, as weights are nonnegative and dropping an item
+from a feasible assignment keeps it feasible: a subset a screen of three
+bins or more leaves open is packable when some subset with one more item
+is, and ``mkcp.place`` decides only the subsets left after that.
 
 This module holds what the package's stage DPs share: the engine
 ``max_plus_masks`` and the stage table ``StageRows``, the one builder of a
@@ -49,7 +50,6 @@ against ``core.evaluate_objective``. All values are plain Python ints, exact.
 
 from __future__ import annotations
 
-from array import array
 from itertools import compress
 from operator import add
 from typing import Mapping, Sequence
@@ -65,7 +65,9 @@ from .core import (
     array_cells,
     check_feasible,
     evaluate_objective,
+    lane_masks,
     lane_ones,
+    lane_sums,
     subset_sums,
 )
 from .errors import BudgetExceededError, ContractViolationError
@@ -80,11 +82,12 @@ def packable_row(inst: GmkInstance, t: int) -> Row:
     """The flag row whose cell m is True when the subset with bit k set for items[k] packs at stage t.
 
     Every constraint's ``Capacities.screen`` flags all subsets at once, in
-    lanes of one width for the stage, and a constraint with no bin packs
-    only the empty set. The masks a screen leaves open are decided in
-    descending order, so every one-item superset of a mask is decided
-    before the mask itself, and ``place`` runs only on those with no
-    packable one. The flags are read out in bulk, one byte per subset.
+    lanes of one width for the stage, and decides them all for at most two
+    bins; a constraint with no bin packs only the empty set. The masks a
+    screen leaves open are decided in descending order, so every one-item
+    superset of a mask is decided before the mask itself, and ``place``
+    runs only on those with no packable one. The flags are read out in
+    bulk, one byte per subset.
     """
     items = inst.items
     size = 1 << len(items)
@@ -100,7 +103,7 @@ def packable_row(inst: GmkInstance, t: int) -> Row:
     nbytes, step = size * width >> 3, width >> 3
     allowed, opened = lane_ones(size, width) << width - 1, []
     for caps, bounds, weights in screens:
-        within, above = bounds.screen(weights, width)
+        within, above = bounds.screen(weights, width, len(caps))
         allowed &= within
         if above:
             opened.append((caps, weights, above))
@@ -140,9 +143,7 @@ def check_dp_work(refusal: str, horizon: int, n: int, budget: int | None) -> Non
 
 
 def max_plus_masks(
-    rows: Rows | Sequence[Row | Sequence[int]],
-    chains: Sequence[Sequence[tuple]],
-    packable: Rows | Sequence[Row | Sequence[bool]],
+    rows: Rows, chains: Sequence[Sequence[tuple]], packable: Rows, link_span: int
 ) -> tuple[int, list[int]]:
     """The best value of a set sequence, and its set masks stage by stage.
 
@@ -151,75 +152,52 @@ def max_plus_masks(
     by whether item k is in the sets after and before boundary s: 0 comes
     before the first stage and T after the last, next to empty sets, as in
     ``core.coupling_terms``. Set m counts only where ``packable[t][m]``.
-    Each stage's row is a ``core.Row``, which gives each width's form once,
-    however many calls read it, or a list, converted on each call; both
-    may come as one ``core.Rows``.
+    Both are held ``core.Rows``, which give each width's form once, however
+    many calls read it. ``link_span`` is the sum of the magnitudes of the
+    chains' terms at boundaries 1..T-1, which the caller sums once.
     Ties go to the first maximum: over final sets, then over each chosen
     set's predecessors. Raises ``ContractViolationError`` when no sequence packs.
     """
     # each boundary's terms, item by item; with no item, every one is empty
     entry, *links, leave = zip(*chains) if chains else [()] * (len(rows) + 1)
-    rows = rows if isinstance(rows, Rows) else Rows.stages(rows)
-    packable = packable if isinstance(packable, Rows) else Rows.stages(packable)
     # entry terms [x][0] fold into the first row, exit terms [0][x] into the
-    # last, less their out terms [0][0], whose sum the top gets back
-    first = Row.sums(into - out for (out, _), (into, _) in entry)
-    last = Row.sums(left - out for (out, left), _ in leave)
-    span = rows.span + first.span + last.span
-    span += sum(abs(a) + abs(b) + abs(c) + abs(d) for link in links for (a, b), (c, d) in link)
+    # last, less their out terms [0][0], whose sum the top gets back; each
+    # term is in half of its row's cells
+    ends = [into - out for (out, _), (into, _) in entry], [left - out for (out, left), _ in leave]
+    span = rows.span + link_span + (sum(map(abs, ends[0])) + sum(map(abs, ends[1])) << len(entry) >> 1)
     # Every cell is worth a partial sequence's value, within span of 0 or of
     # the floor, so a lane biased by 4 * span + 1 holds it in 0..5 * span + 1
     # below its guard bit.
     width = next((w for w in _LANE_CODES if 5 * span + 1 < 1 << w - 1), None)
-    top, masks = _max_plus(_folded(rows, first, last), links, packable, span, width)
+    top, masks = _max_plus(rows, ends, links, packable, span, width)
     return top + sum(term[0][0] for term in entry + leave), masks
 
 
-def _folded(rows: Rows, first: Row, last: Row) -> Rows:
-    """``rows`` with ``first`` added to the first stage's row and ``last`` to the last one's."""
-
-    def make(width: int | None) -> list:
-        forms = list(rows.form(width))
-        if width is None:
-            forms[0] = list(map(add, forms[0], first))
-            forms[-1] = list(map(add, forms[-1], last))
-        else:
-            forms[0] += first.form(width)
-            forms[-1] += last.form(width)
-        return forms
-
-    return Rows(len(rows), rows.cells, rows.span + first.span + last.span, make)
+def link_span(chains: Sequence[Sequence[tuple]]) -> int:
+    """The sum of the magnitudes of the chains' terms at boundaries 1..T-1: ``max_plus_masks``' ``link_span``."""
+    return sum(abs(a) + abs(b) + abs(c) + abs(d) for chain in chains for (a, b), (c, d) in chain[1:-1])
 
 
-def _max_plus(rows, links, packable, span: int, width: int | None) -> tuple[int, list[int]]:
-    """``max_plus_masks`` with its forward passes on ``width``-bit lanes, or on lists for None."""
+def _max_plus(rows: Rows, ends, links, packable: Rows, span: int, width: int | None) -> tuple[int, list[int]]:
+    """``max_plus_masks`` with its passes on ``width``-bit lanes, or on lists for None, ``ends`` folded into the rows."""
     # A packable sequence is worth at least -span, one through ``floor`` at
     # most floor + span < -span: it never wins a maximum, and a top below
     # -span means that no sequence packs.
     floor = -(3 * span + 1)
+    forms = list(rows.form(width))
+    for t, terms in zip((0, -1), ends):
+        forms[t] = list(map(add, forms[t], subset_sums(terms))) if width is None else forms[t] + lane_sums(terms, width)
     if width is None:
-        bias, (history, column) = 0, _list_passes(rows, links, packable, floor)
+        top, masks = _list_passes(forms, links, packable.form(None), floor)
     else:
-        bias = span - floor
-        history, column = _lane_passes(rows, links, packable, floor, bias, width)
-    best = column(history[-1], (), 0)
-    top = max(best) - bias
+        top, masks = _lane_passes(forms, links, packable.form(width), floor, span - floor, width, rows.cells)
     if top < -span:
         raise ContractViolationError("no packable subset sequence exists (empty set must pack)")
-    # Walking back, the chosen set's transition column is rebuilt over every
-    # predecessor and its first maximum taken, the predecessor a full
-    # ``cur x prev`` table would keep.
-    masks = [best.index(top + bias)]
-    for link, prev in zip(reversed(links), reversed(history[:-1])):
-        cand = column(prev, link, masks[-1])
-        masks.append(cand.index(max(cand)))
-    masks.reverse()
     return top, masks
 
 
-def _list_passes(rows, links, packable, floor: int):
-    """Each stage's row of best values, one Python int per cell, and ``_list_column``."""
-    rows = list(rows)
+def _list_passes(rows: list, links, packable: list, floor: int) -> tuple[int, list[int]]:
+    """The top and masks by passes over lists, one Python int per cell."""
     history, best = [], [0] * len(rows[0])
     half = len(best) >> 1
     for link, row, ok in zip(((), *links), rows, packable):
@@ -234,45 +212,40 @@ def _list_passes(rows, links, packable, floor: int):
             acc[1::2] = map(max, [v + in0 for v in left], [v + in1 for v in right])
         best = [v + x if y else floor for v, x, y in zip(acc, row, ok)]
         history.append(best)
-    return history, _list_column
+    # Walking back, the chosen set's transition column is rebuilt over every
+    # predecessor and its first maximum taken, the predecessor a full
+    # ``cur x prev`` table would keep: each predecessor's value plus its
+    # terms into set cur, less their out_prev sum.
+    top = max(best)
+    masks = [best.index(top)]
+    for link, prev in zip(reversed(links), reversed(history[:-1])):
+        terms = [term[masks[-1] >> k & 1] for k, term in enumerate(link)]
+        cand = list(map(add, prev, subset_sums(in_prev - out_prev for out_prev, in_prev in terms)))
+        masks.append(cand.index(max(cand)))
+    masks.reverse()
+    return top, masks
 
 
-def _list_column(prev: list[int], link, cur: int) -> list[int]:
-    """Every predecessor's value plus its terms ``link[k][in_cur][in_prev]`` into set ``cur``, less their out_prev sum."""
-    if not link:
-        return prev
-    terms = [term[cur >> k & 1] for k, term in enumerate(link)]
-    return list(map(add, prev, subset_sums(in_prev - out_prev for out_prev, in_prev in terms)))
-
-
-def _lane_passes(rows: Rows, links, packable: Rows, floor: int, bias: int, width: int):
-    """Each stage's row of best values plus ``bias``, cell m in bits ``m * width`` up, and its column.
+def _lane_passes(rows: list[int], links, packable: list[int], floor: int, bias: int, width: int, size: int):
+    """The top and masks by passes over ``width``-bit lanes, cell m of ``size`` in bits ``m * width`` up.
 
     Every lane holds a partial sequence's value plus ``bias``: nonnegative
     and below its guard bit (``max_plus_masks`` picks the width), so big-int
     sums never carry across lanes. The rows give their lanes ready, each
-    built once per width. ``column`` adds all of each predecessor's terms.
+    built once per width.
     """
-    size = rows.cells
     ones = lane_ones(size, width)
     guard_bit = width - 1
     guard, floors = ones << guard_bit, (floor + bias) * ones
-    # per item k: the shift that lines lane m up with lane m | 2**k, a one in
-    # each lane with bit k clear and in each with it set, and the former's bits
-    per_item = []
-    one = b"\1" + bytes((width >> 3) - 1)
-    for k in range(size.bit_length() - 1):
-        e0 = int.from_bytes((one * (1 << k) + bytes(len(one) << k)) * (size >> k + 1), "little")
-        per_item.append((width << k, e0, e0 << (width << k), (e0 << width) - e0))
+    per_item = lane_masks(size, width)
 
-    def column(prev: int, link, cur: int) -> array:
-        for k, (term, (_, e0, e1, _)) in enumerate(zip(link, per_item)):
-            out_prev, in_prev = term[cur >> k & 1]
-            prev += out_prev * e0 + in_prev * e1
-        return array_cells(prev, size, width)
+    def settle(acc: int, row: int, keep: int) -> int:
+        # a stage's best values: its maxima plus its row where it packs, else the floor
+        return floors ^ ((acc + row) ^ floors) & ((keep << width) - keep)
 
+    # per stage: its maxima over the best values before it
     history, best = [], bias * ones
-    for link, row, keep in zip(((), *links), rows.form(width), packable.form(width)):
+    for link, row, keep in zip(((), *links), rows, packable):
         acc = best
         for ((out0, out1), (in0, in1)), (shift, e0, e1, low) in zip(link, per_item):
             # Lane m and lane m | 2**k line up by one shift. Each lane keeps
@@ -283,9 +256,23 @@ def _lane_passes(rows: Rows, links, packable: Rows, floor: int, bias: int, width
             cross = ((acc ^ p0) >> shift) + (p0 << shift) + out1 * e0 + in0 * e1
             sel = ((same | guard) - cross) & guard
             acc = cross ^ (same ^ cross) & sel - (sel >> guard_bit)
-        best = floors ^ ((acc + row) ^ floors) & ((keep << width) - keep)
-        history.append(best)
-    return history, column
+        history.append(acc)
+        best = settle(acc, row, keep)
+    cells = array_cells(best, size, width)
+    top = max(cells)
+    masks = [cells.index(top)]
+    # Walking back, the chosen set cur's column adds every predecessor's terms
+    # into cur; the lanes equal to cur's maximum from the forward pass set
+    # their guard bit, and the lowest is the first maximum.
+    for t in range(len(links), 0, -1):
+        cur, prev = masks[-1], settle(history[t - 1], rows[t - 1], packable[t - 1])
+        for k, (term, (_, e0, e1, _)) in enumerate(zip(links[t - 1], per_item)):
+            out_prev, in_prev = term[cur >> k & 1]
+            prev += out_prev * e0 + in_prev * e1
+        sel = ((prev | guard) - (history[t] >> cur * width & (1 << width) - 1) * ones) & guard
+        masks.append((sel & -sel).bit_length() // width - 1)
+    masks.reverse()
+    return top - bias, masks
 
 
 class StageRows(dict):
@@ -351,7 +338,7 @@ class StageRows(dict):
             + [((0, -cm[i, horizon]), (0, 0))]
             for i in items
         ]
-        top, masks = max_plus_masks(rows, chains, packable)
+        top, masks = max_plus_masks(Rows.stages(rows), chains, Rows.stages(packable), link_span(chains))
         sets = [self.subset(m) for m in masks]
         value = evaluate_objective(inst, sets)
         if top != value:

@@ -17,6 +17,8 @@ import pytest
 
 from gmk import cli, core, cutting, mkcp, oracle
 from gmk.cli import main
+from gmk.core import Row
+from gmk.oracle import StageRows
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import DEFAULT_PACK_BUDGET
 from gmk.serialize import (
@@ -640,6 +642,56 @@ def test_greedy_solve_runs_at_the_paper_parameters(tmp_path, capsys):
     assert 0 <= payload["final_value"] <= payload["oracle_value"]
 
 
+def test_greedy_cut_loop_over_two_bin_stages_validates(tmp_path, capsys):
+    inst, sol = tmp_path / "cut40.json", tmp_path / "cut40_greedy.json"
+    assert run("gen", "--random", "--seed", 1, "--items", 3, "--horizon", 40, "--d", 2, "--bins", 2,
+               "--target-phi", 1, "--out", inst) == 0
+    capsys.readouterr()
+    assert run("solve", "--in", inst, "--eps", "0.2", "--phi", 1, "--sub-solver", "greedy", "--mu-inv", 4,
+               "--out", sol) == 0
+    value = int(capsys.readouterr().out.split()[1])
+    assert run("validate", inst, "--solution", sol) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == value
+
+
+def test_greedy_cut_loop_values_each_window_as_its_solve_alone(tmp_path, capsys):
+    # at the default mu_inv of 25 and |I| = 20, T = 150, each shift chains its
+    # windows in one pass per item, and every window's value is what the
+    # greedy solve of that window alone gives
+    inst, sol, report = tmp_path / "g150.json", tmp_path / "g150_sol.json", tmp_path / "g150_report.json"
+    assert run("gen", "--random", "--seed", 1, "--items", 20, "--horizon", 150, "--d", 2, "--bins", 2,
+               "--target-phi", 1, "--out", inst) == 0
+    assert run("solve", "--in", inst, "--eps", "0.2", "--phi", 1, "--sub-solver", "greedy",
+               "--out", sol, "--report", report) == 0
+    assert run("validate", inst, "--solution", sol) == 0
+    instance = instance_from_dict(load_json(inst))
+    its = load_json(report)["iterations"]
+    assert len(its) == 25 and max(len(it["window_values"]) for it in its) > 2, its
+    for it in its:
+        points = it["cut_points"]
+        alone = [cutting.solve_bounded_horizon(StageRows(instance), lo, hi - 1, "greedy")[1]
+                 for lo, hi in zip(points, points[1:])]
+        assert it["window_values"] == alone, (it, alone)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [("--items", 10, "--horizon", 60, "--bins", 2), ("--items", 8, "--horizon", 10, "--bins", 3)],
+    ids=["big_two_bins", "three_bins"],
+)
+def test_greedy_compare_reads_the_oracle_it_runs(tmp_path, shape):
+    # README's big.json, and three bins, where first fit fails on some stage
+    # sets and the packer backtracks
+    inst, opt, report = tmp_path / "inst.json", tmp_path / "opt.json", tmp_path / "cmp.json"
+    assert run("gen", "--random", "--seed", 1, *shape, "--d", 2, "--target-phi", 1, "--out", inst) == 0
+    assert run("oracle", "--in", inst, "--out", opt) == 0
+    assert run("compare", "--in", inst, "--eps", "0.2", "--phi", 1, "--sub-solver", "greedy",
+               "--report", report) == 0
+    payload = load_json(report)
+    assert payload["oracle_value"] == load_json(opt)["value"]
+    assert payload["final_value"] <= payload["oracle_value"] and payload["ratio"] <= 1
+
+
 def test_solve_cut_loop_report(tmp_path):
     inst = tmp_path / "inst.json"
     assert (
@@ -813,7 +865,7 @@ def test_scheme_answer_that_does_not_pack_exits_4(tmp_path, capsys, monkeypatch,
     params = GenParams(items=3, horizon=10, weight_range=(3, 4), capacity_range=(2, 5), target_phi=1)
     path = tmp_path / "inst.json"
     write_json(path, instance_to_dict(gen_random(params, 0)))
-    monkeypatch.setattr(oracle, "packable_row", lambda inst, t: [True] * (1 << len(inst.items)))
+    monkeypatch.setattr(oracle, "packable_row", lambda inst, t: Row.of([True] * (1 << len(inst.items))))
     grid = () if mu_inv is None else ("--mu-inv", mu_inv)
     capsys.readouterr()
     assert run("solve", "--in", path, "--eps", "0.2", "--phi", 1, *grid, "--out", tmp_path / "s.json") == 4
@@ -1231,20 +1283,87 @@ GOLDEN_SCHEME = {
 }
 
 
-@pytest.mark.parametrize("shape", sorted(GOLDEN_SCHEME))
-def test_exact_scheme_golden_digests(tmp_path, shape):
-    params, digests = GOLDEN_SCHEME[shape]
+# sha256 of each seed's `solve --sub-solver greedy --mu-inv 2` solution bytes
+# followed by its `compare --sub-solver greedy --mu-inv 2` report without
+# `timings_sec`: every shift cuts T into two or more windows, so these pin the
+# greedy's multi-window shifts, recorded before the engine took held rows only
+GOLDEN_GREEDY = {
+    "two_bin_d2_t8": (
+        GenParams(items=4, horizon=8, dimension=2, bins_per_mkc=2, capacity_range=(3, 8),
+                  target_phi=1),
+        [
+            "656f0f3ce30207087ca9af05515e31d892184a6439bd2c4f9bc765c308fca5a1",
+            "e200ba4e3c135908e1529373b5861b029e765e7acc4118c4d88aedb41ce7369a",
+            "25585dbb46e6b5e8ebd73a0e7fedad028c5ee52d354dbff50f267577dd7966b3",
+            "ef3b0d182598cf029729b1c4dcc1baa2c71a2d85de7b05b2151fdb1f6e2f1b58",
+            "dbc4618b5e513f6900bc7eb94d948635961e2b7c07ff90669c73192813a711e6",
+            "5f501b0baacf44744362c0dfbedfe31579e1a2a50d7ceed3e0be006291ca3505",
+        ],
+    ),
+    "tie_heavy_t7": (
+        GenParams(items=4, horizon=7, weight_range=(0, 2), capacity_range=(1, 3),
+                  profit_range=(0, 1), gain_range=(0, 1), cost_range=(0, 1), target_phi=1),
+        [
+            "a3f2842f4ab3f20ad18a33e3a6a2312498f18669212c4876b26dfdc413e3a98f",
+            "a877216068471e39e7a8614ef0e495b72b12edcbd6be14ddccdfc451fa02a947",
+            "fb4c1976b3ffad43437704401ca239b7cf99045553ac95f052dd28b36b9fa465",
+            "72d266ac93489fb4125befcaa15eff8294723b445223e1c745129180dced774c",
+            "e7618a0f88ac3e0222cd7b0643d7fab14be43cf1d8e2fd80e37f91cae5099e13",
+            "edf5cc6a058b89a5d2bcd596585d436c67efc810c4d9e56b866beb7599285c6b",
+        ],
+    ),
+    "submodular_d2_t7": (
+        GenParams(items=3, horizon=7, dimension=2, bins_per_mkc=2, variant="submodular"),
+        [
+            "f7482461cc974c228b9eaf2a6657f6d39e8f6f01b2832d7f9e14a15bfd291f5f",
+            "2d6d32438cea379921005b5b8773c7794e86a9adc20bfaf6096ae01709039191",
+            "45f1ce5ac7e6b17c628921f2493fc8500f01dcf236262ff4e72cab396f12f3ea",
+            "9a6ba2d6ecc908a4011a99ae57f8ae51930725d07910ec06e0818aa9a0f10cb2",
+            "028976919f153c6fd9c8b1dae397bac6559a24306926ff468b504333c0400ca6",
+            "0e2b6b430900a22ead32a3321bc855e0b503b51f8f47c80783804c1f806a44b4",
+        ],
+    ),
+    "three_bin_d2_t8": (
+        GenParams(items=5, horizon=8, dimension=2, bins_per_mkc=3, capacity_range=(1, 5),
+                  target_phi=1),
+        [
+            "32aa6de48da8639a672f781de26bb76f865fd716b71cfa0b5339efa53a801fb4",
+            "20ac068d8efc703b72165af62ba584a6e6e238aad9af8c30dc94d9231b032661",
+            "e61ea1929fd0e6e74e237ddd95b48f37328aa597fa2e6ccad2b36754f7e6c259",
+            "9d7011fd03920298669347b9a7a14835995fdbd3d2316442f56bfe57d4adf1a0",
+            "426481ddcc922760a59e3604c65dffb2a0e64f1dcbf362225461fbed59db245b",
+            "59a4796203858773288f1f45905635cb19f9803f14225f0b28186d722d68fd10",
+        ],
+    ),
+}
+
+
+def _scheme_digests(tmp_path, params, solve_flags, compare_flags):
+    """Per seed 0..5: sha256 of the solution bytes and the compare report without timings."""
     inst, sol, report = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "report.json"
     common = ("--in", inst, "--eps", "0.2", "--phi", 1, "--budget", 10**15)
     got = []
     for seed in range(6):
         write_json(inst, instance_to_dict(gen_random(params, seed)))
-        assert run("solve", *common, "--sub-solver", "exact", "--out", sol) == 0
-        assert run("compare", *common, "--mu-inv", 2, "--report", report) == 0
+        assert run("solve", *common, *solve_flags, "--out", sol) == 0
+        assert run("compare", *common, *compare_flags, "--report", report) == 0
         payload = load_json(report)
         del payload["timings_sec"]
         got.append(hashlib.sha256(sol.read_bytes() + canonical_dumps(payload).encode()).hexdigest())
-    assert got == digests
+    return got
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SCHEME))
+def test_exact_scheme_golden_digests(tmp_path, shape):
+    params, digests = GOLDEN_SCHEME[shape]
+    assert _scheme_digests(tmp_path, params, ("--sub-solver", "exact"), ("--mu-inv", 2)) == digests
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_GREEDY))
+def test_greedy_scheme_golden_digests(tmp_path, shape):
+    params, digests = GOLDEN_GREEDY[shape]
+    flags = ("--sub-solver", "greedy", "--mu-inv", 2)
+    assert _scheme_digests(tmp_path, params, flags, flags) == digests
 
 
 @pytest.mark.parametrize(

@@ -166,25 +166,30 @@ def test_place_matches_every_map():
 
 def test_screen_agrees_with_fit():
     rng = random.Random(8)
-    verdicts = {True: 0, False: 0, None: 0}
+    # fit's verdicts, and those of two bins that the screen decides in lanes
+    verdicts = {True: 0, False: 0, None: 0, "two bins pack": 0, "two bins refuse": 0}
     for case in range(300):
         # small bins, and bins whose total sits just below a byte boundary,
         # where the sum of several heavy weights needs a wider lane
         top = (9, 127, 2**15 - 1)[case % 3]
-        caps = Capacities.of(sorted((rng.randint(0, top) for _ in range(rng.randint(1, 4))), reverse=True))
+        bins = sorted((rng.randint(0, top) for _ in range(rng.randint(1, 4))), reverse=True)
+        caps = Capacities.of(bins)
         weights = [rng.choice((0, rng.randint(1, top + top // 3))) for _ in range(rng.randint(0, 6))]
         # at the narrowest width the screen allows, and one byte wider
         width = caps.lane_width(len(weights)) + rng.choice((0, 8))
-        within, above = caps.screen(weights, width)
+        within, above = caps.screen(weights, width, len(bins))
         guards = [1 << (m + 1) * width - 1 for m in range(1 << len(weights))]
         # only guard bits are set, and only in the subsets' lanes
         assert within | above | sum(guards) == sum(guards)
         for m, guard in enumerate(guards):
             held = [w for k, w in enumerate(weights) if m >> k & 1]
             fits = caps.fit(sum(held), max(held, default=0))
+            verdicts[fits] += 1
+            if fits is None and len(bins) <= 2:
+                fits = packs_by_every_map(bins, held)
+                verdicts["two bins pack" if fits else "two bins refuse"] += 1
             assert bool(within & guard) is (fits is not False), (caps, weights, m)
             assert bool(above & guard) is (fits is None), (caps, weights, m)
-            verdicts[fits] += 1
     assert min(verdicts.values()) > 0
 
 

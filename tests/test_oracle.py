@@ -8,12 +8,13 @@ import random
 
 import pytest
 
-from gmk import core, mkcp, oracle
+from gmk import core, cutting, mkcp, oracle
 from gmk.cli import main
 from gmk.core import McpStage, Mkc, check_feasible, coupling_terms, evaluate_objective
 from gmk.cutting import CutPointSet, solve_bounded_horizon
 from gmk.errors import BudgetExceededError, ContractViolationError
 from gmk.generators import GenParams, gen_random
+from gmk.mkcp import Capacities
 from gmk.reduction import DEFAULT_ENUM_BUDGET as DEFAULT_ORACLE_BUDGET
 from gmk.oracle import StageRows, brute_force_gmk, max_plus_masks, packable_row
 from gmk.serialize import canonical_dumps, dumps, instance_to_dict, solution_to_dict, write_json
@@ -22,6 +23,7 @@ from util import (
     build_instance,
     enumerate_optimum,
     full_table_oracle,
+    held_rows,
     knapsack_dp,
     packable_sets,
     packs_by_every_map,
@@ -273,8 +275,9 @@ def test_packable_rows_match_packing_every_subset(params, monkeypatch):
             row = packable_row(inst, t)
             # rows ask ``place`` directly, never the naming packer
             assert packer == [], (seed, t)
-            # the sums alone decide every one-bin constraint
-            if all(len(mkc.bins) == 1 for mkc in inst.stage(t).mkcs):
+            # the lanes alone decide every constraint of one or two bins
+            assert all(len(caps) >= 3 for caps, _ in placed), (seed, t)
+            if all(len(mkc.bins) <= 2 for mkc in inst.stage(t).mkcs):
                 assert placed == [], (seed, t)
             got = {
                 frozenset(i for k, i in enumerate(inst.items) if (m >> k) & 1)
@@ -292,8 +295,8 @@ def test_packable_rows_match_packing_every_subset(params, monkeypatch):
             unpackable += row.count(False)
     # tight capacities leave many subsets unpackable, so the closure is exercised
     assert unpackable > 100
-    # and the spy sees the searches that stages with several bins make
-    assert searched > 0 or params.bins_per_mkc == 1
+    # and the spy sees the searches that stages with three bins or more make
+    assert (searched > 0) == (params == "mixed" or params.bins_per_mkc >= 3)
 
 
 @pytest.mark.parametrize("unit", [2**40, 10**30], ids=["past_32_bits", "past_64_bits"])
@@ -327,6 +330,64 @@ def test_packable_rows_hold_weights_past_machine_words(unit, monkeypatch):
             flags += expected
     # both outcomes occur, and some subsets are left for the search to decide
     assert 0 < flags.count(True) < len(flags) and placed
+
+
+def _two_bin_stage(rng, case):
+    """One stage over six items: two two-bin constraints of the case's shape, or a 1-, 2- and 3-bin one."""
+    items = "abcdef"
+    unit = {"past_32_bits": 2**40, "past_64_bits": 10**30}.get(case, 1)
+    c1 = rng.randint(4, 9)
+    shapes = {
+        "equal_capacities": [[c1, c1], [c1, c1]],
+        "zero_capacity_bin": [[c1, 0], [0, c1]],
+        "mixed_bins": [[c1], [c1, rng.randint(1, c1)], [c1, rng.randint(1, c1), rng.randint(0, c1)]],
+    }.get(case, [[c1, rng.randint(1, c1)], [rng.randint(1, c1), c1]])
+
+    def mkc(caps):
+        low = 0 if case == "zero_weights" else 1
+        # a weight near k * unit, nudged off the multiple where unit is large
+        weights = {i: rng.randint(low, 5) * unit + rng.randint(0, unit >> 3) for i in items}
+        if case == "above_c1":
+            weights[rng.choice(items)] = max(caps) * unit + 1
+        bins = tuple(f"b{j}" for j in range(len(caps)))
+        return Mkc(weights=weights, bins=bins, capacities={b: c * unit for b, c in zip(bins, caps)})
+
+    return McpStage(mkcs=tuple(map(mkc, shapes)), profit={i: 1 for i in items})
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["equal_capacities", "zero_capacity_bin", "zero_weights", "above_c1", "past_32_bits", "past_64_bits",
+     "mixed_bins"],
+)
+def test_two_bin_rows_match_every_map_without_place(case, monkeypatch):
+    # A constraint of at most two bins is decided in lanes, by a subset max
+    # and one compare, so ``place`` sees only constraints of three bins or
+    # more. The subsets that fit neither the largest bin alone nor fail the
+    # total, which the screen used to leave open, are decided both ways.
+    placed = []
+    real_place = oracle.place
+    monkeypatch.setattr(oracle, "place", lambda *args: placed.append(args) or real_place(*args))
+    rng = random.Random(case)
+    flags, decided = [], []
+    for _ in range(6):
+        stage = _two_bin_stage(rng, case)
+        inst = build_instance("abcdef", [stage])
+        row = packable_row(inst, 1)
+        for m, ok in enumerate(row):
+            members = [i for k, i in enumerate(inst.items) if m >> k & 1]
+            verdicts = []
+            for mkc in stage.mkcs:
+                caps, weights = sorted(mkc.capacities.values(), reverse=True), [mkc.weights[i] for i in members]
+                verdicts.append(packs_by_every_map(caps, weights))
+                if len(caps) == 2 and Capacities.of(caps).fit(sum(weights), max(weights, default=0)) is None:
+                    decided.append(verdicts[-1])
+            assert ok == all(verdicts), (case, m)
+            flags.append(ok)
+    assert all(len(caps) >= 3 for caps, _ in placed)
+    assert True in flags and False in flags
+    if case != "zero_capacity_bin":
+        assert True in decided and False in decided, decided
 
 
 def test_matches_enumeration_on_tie_heavy_instances():
@@ -409,9 +470,14 @@ def test_engine_refuses_rows_where_the_empty_set_does_not_pack(stage):
     # floor at a later stage must not pass for a packable sequence
     packable = [[True], [True], [True]]
     packable[stage] = [False]
-    assert max_plus_masks([[1], [2], [3]], [], [[True]] * 3) == (6, [0, 0, 0])
+    assert _engine([[1], [2], [3]], [], [[True]] * 3) == (6, [0, 0, 0])
     with pytest.raises(ContractViolationError, match="no packable subset sequence"):
-        max_plus_masks([[1], [2], [3]], [], packable)
+        _engine([[1], [2], [3]], [], packable)
+
+
+def _engine(rows, chains, packable):
+    """``max_plus_masks`` on the held rows of these cell lists."""
+    return max_plus_masks(held_rows(rows), chains, held_rows(packable), oracle.link_span(chains))
 
 
 def _span(rows, links):
@@ -427,8 +493,9 @@ def _engine_outcome(rows, links, packable, lanes=True):
             # each item's links as a chain with zero entry and exit terms
             zero = ((0, 0), (0, 0))
             chains = [[zero, *[link[k] for link in links], zero] for k in range(len(rows[0]).bit_length() - 1)]
-            return max_plus_masks(rows, chains, packable)
-        return oracle._max_plus(rows, links, packable, _span(rows, links), None)
+            return _engine(rows, chains, packable)
+        ends = [0] * (len(rows[0]).bit_length() - 1)
+        return oracle._max_plus(held_rows(rows), (ends, ends), links, held_rows(packable), _span(rows, links), None)
     except ContractViolationError as err:
         return str(err)
 
@@ -518,11 +585,30 @@ def test_one_item_backtrack_picks_the_smallest_best_schedule(monkeypatch):
             ]
         best, schedules = _best_schedules(rows, chain, packable)
         for width in [*oracle._LANE_CODES, None]:
-            monkeypatch.setattr(oracle, "_max_plus", lambda r, l, p, s, _, w=width: real(r, l, p, s, w))
+            monkeypatch.setattr(oracle, "_max_plus", lambda *args, w=width: real(*args[:-1], w))
             for terms in (chain, _redraw_unread(rng, chain)):
-                assert max_plus_masks(rows, [terms], packable) == (best, schedules[0]), (case, width)
+                assert _engine(rows, [terms], packable) == (best, schedules[0]), (case, width)
         ties += len(schedules) > 1
     assert ties >= 120, ties
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_all_zero_terms_backtrack_as_the_list_passes_do(n, monkeypatch, lane_widths):
+    # Every cell and term is 0, so every packable set ties at every stage:
+    # the guard-bit backtrack marks every packable predecessor's lane and
+    # must take the lowest, as the list backtrack's first maximum does.
+    rng = random.Random(n)
+    real = oracle._max_plus
+    for horizon in (1, 2, 4):
+        rows = [[0] * (1 << n)] * horizon
+        chains = [[((0, 0), (0, 0))] * (horizon + 1)] * n
+        packable = [[m == 0 or rng.random() < 0.6 for m in range(1 << n)] for _ in range(horizon)]
+        outcomes = []
+        for width in (32, 64, None):
+            monkeypatch.setattr(oracle, "_max_plus", lambda *args, w=width: real(*args[:-1], w))
+            outcomes.append(_engine(rows, chains, packable))
+        assert outcomes[0] == outcomes[1] == outcomes[2] == (0, [0] * horizon)
+    assert lane_widths == [32, 64, None] * 3
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -547,7 +633,7 @@ def test_entry_and_exit_terms_count_for_every_item(n):
             def packs(masks):
                 return all(ok[m] for ok, m in zip(packable, masks))
 
-            top, masks = max_plus_masks(rows, chains, packable)
+            top, masks = _engine(rows, chains, packable)
             sequences = itertools.product(range(size), repeat=horizon)
             assert packs(masks) and top == value(masks) == max(map(value, filter(packs, sequences)))
 
@@ -628,11 +714,35 @@ def test_held_rows_enter_lanes_once_per_width(tmp_path, monkeypatch, lane_widths
 
 
 @pytest.mark.parametrize("shape", sorted(BENCHMARK_SHAPES))
-def test_benchmark_shapes_take_lanes(shape, tmp_path, lane_widths):
+def test_benchmark_shapes_take_lanes(shape, tmp_path, monkeypatch, lane_widths):
+    # Every engine call reads held lanes: a row's cells go through an array
+    # only when a submodular profit row first builds its lanes of a width,
+    # and a call reads one array, its final row's, however many stages it
+    # walks back through.
+    converted, read, calls = [], [], []
+    real_convert, real_read = core.array_lanes, oracle.array_cells
+    monkeypatch.setattr(core, "array_lanes", lambda cells, width: converted.append((id(cells), width))
+                        or real_convert(cells, width))
+    monkeypatch.setattr(oracle, "array_cells", lambda *args: read.append(args) or real_read(*args))
+    real_engine = oracle.max_plus_masks
+
+    def engine(*args):
+        before = len(read)
+        result = real_engine(*args)
+        calls.append(len(read) - before)
+        return result
+
+    for module in (oracle, cutting):
+        monkeypatch.setattr(module, "max_plus_masks", engine)
     (command, *flags), params = BENCHMARK_SHAPES[shape]
     path = tmp_path / "inst.json"
     for seed in range(1_000_003, 1_000_006):
         write_json(path, instance_to_dict(gen_random(params, seed)))
         argv = [command, "--in", str(path), "--eps", "0.2", "--phi", "1", *flags, "--budget", str(10**15)]
         assert main([*argv, "--out" if command == "solve" else "--report", str(tmp_path / "out.json")]) == 0
+        # each held row's cells, alive through the command, once per width
+        assert len(set(converted)) == len(converted)
+        assert bool(converted) is (params.variant == "submodular")
+        converted.clear()
     assert lane_widths and None not in lane_widths
+    assert calls and set(calls) == {1}

@@ -19,6 +19,8 @@ from gmk.core import (
     Mkc,
     McpStage,
     MultistageSolution,
+    Row,
+    Rows,
     evaluate_objective,
 )
 from gmk.mkcp import pack_mkc
@@ -83,6 +85,15 @@ def binless_first_stage():
     one_bin = Mkc(weights={"a": 1, "b": 1}, bins=("x",), capacities={"x": 2})
     profits = {"a": 2, "b": 3}
     return build_instance("ab", [McpStage((binless,), profits), McpStage((one_bin,), profits)])
+
+
+def held_rows(rows):
+    """The held ``core.Rows`` the stage-DP engine takes, of these stages' cell lists.
+
+    Each stage is a ``core.Row.of`` its cells, whose lanes of each width are
+    converted once through ``core.array_lanes``.
+    """
+    return Rows.stages(map(Row.of, rows))
 
 
 def packable_sets(inst, t):
