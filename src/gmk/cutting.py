@@ -28,7 +28,7 @@ and backtrack are the oracle's engine, ``oracle.max_plus_masks``, which
 reads each item's ``core.coupling_terms`` chain whole. Every exact shift
 reads one stage table (``oracle.StageRows``) for its rows and subsets, and
 ``SchemeResult.rows`` hands it on to the oracle of the same command. The
-table holds each row's lanes, built once per lane width, and an exact
+table holds each ``lanes.Row``'s lanes, built once per width, and an exact
 shift composes its cells from them, ``scale * P_t - (LEX << t - lo)``:
 about two big-int operations a stage, with no row converted again.
 ``combine_cut_solutions`` joins a shift's window sets: one window spanning
@@ -52,12 +52,11 @@ from itertools import islice
 from operator import sub
 from typing import Sequence
 
+from . import lanes
 from .core import (
     MODULAR,
     GmkInstance,
     MultistageSolution,
-    Row,
-    Rows,
     coupling_terms,
     ensure_valid,
     evaluate_objective,
@@ -178,7 +177,7 @@ def _stage_dp(rows: StageRows, windows: Sequence[tuple[int, int]]) -> tuple[Stag
     scale = 1 << n * longest + (len(windows) - 1).bit_length()
     # lex[m]: the M of set m packed at a window's first stage alone; stage t
     # of the window shifts it left by t - lo
-    lex = Row.sums(1 << longest * (n - 1 - k) for k in range(n))
+    lex = lanes.Row.sums(1 << longest * (n - 1 - k) for k in range(n))
     shifts = [t - lo for lo, hi in windows for t in range(lo, hi + 1)]
 
     def cells(width: int | None) -> list:
@@ -190,19 +189,19 @@ def _stage_dp(rows: StageRows, windows: Sequence[tuple[int, int]]) -> tuple[Stag
         return [row.form(width) * scale - (key << shift) for row, shift in zip(profits, shifts)]
 
     span = sum(row.span for row in profits) * scale + sum(lex.span << shift for shift in shifts)
-    terms = Rows(len(shifts), 1 << n, span, cells)
+    terms = lanes.Rows(len(shifts), span, cells)
     # each item's terms at the tie-break scale, as the rows carry it
     plain = [coupling_terms(inst, i, windows) for i in inst.items]
     chains = [[((a * scale, b * scale), (c * scale, d * scale)) for (a, b), (c, d) in chain] for chain in plain]
-    top, masks = max_plus_masks(terms, chains, Rows.stages(packable), link_span(plain) * scale)
+    top, masks = max_plus_masks(terms, chains, lanes.Rows.stages(packable), link_span(plain) * scale)
     # top = value * scale - key with 0 <= key < scale
     return tuple(rows.subset(m) for m in masks), -(-top // scale)
 
 
-def _pair_rows(empty: int, cells: Sequence[int]) -> Rows:
+def _pair_rows(empty: int, cells: Sequence[int]) -> lanes.Rows:
     """One item's rows over its stages, cell 0 ``empty`` and cell 1 ``cells[t]``: lanes ``empty + (cell << width)``."""
     span = sum(map(abs, cells)) + empty * len(cells)
-    return Rows(len(cells), 2, span, lambda w: [empty + (c << w) for c in cells] if w else [[empty, c] for c in cells])
+    return lanes.Rows(len(cells), span, lambda w: [empty + (c << w) for c in cells] if w else [[empty, c] for c in cells])
 
 
 def _greedy_sets(inst: GmkInstance, windows: Sequence[tuple[int, int]], pack_budget: int | None) -> StageSets:

@@ -5,7 +5,7 @@ constraint's bins, by first-fit-decreasing and then exhaustive
 backtracking with symmetry breaking on equal remaining capacities.
 ``pack_assignment`` names its placement by element and bin;
 ``_PartialPacking.avail``, and ``oracle.packable_row`` past two bins, only
-ask whether one exists (``Capacities.screen`` decides two bins in lanes).
+ask whether one exists (``Capacities.screen`` decides two bins in ``lanes``).
 Every solver asks ``avail(k)`` for the stages where the k-th item still
 packs on top of its choices so far; a schedule packs exactly when its mask
 lies inside that mask.
@@ -40,7 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
-from .core import MODULAR, Mkc, lane_masks, lane_ones, lane_sums
+from . import lanes
+from .core import MODULAR, Mkc
 from .errors import BudgetExceededError, ContractViolationError
 from .reduction import (
     ReducedElement,
@@ -172,42 +173,33 @@ class Capacities(NamedTuple):
             return False
         return True if load <= self.largest else None
 
-    def lane_width(self, n: int) -> int:
-        """A lane width in whole bytes for ``screen`` of n weights: room for (n + 1) * (total + 1) below the guard bit."""
-        return ((n + 1) * (self.total + 1)).bit_length() + 8 >> 3 << 3
-
     def screen(self, weights: Sequence[int], width: int, bins: int) -> tuple[int, int]:
         """``fit`` of every subset at once, in guard bits: of those that may pack, and of those left to ``place``.
 
-        Subset m holds ``weights[k]`` for each bit k of m, and its lane is
-        bits ``m * width`` up (``core.lane_sums``), its guard bit the top
-        one; ``width`` is at least ``lane_width``. An item above the largest
-        bin counts as total + 1, so one comparison refuses its subsets. Each
-        bound takes one subtraction: the guard bit of ``bound + guard - sum``
-        stays set where the sum is at most the bound. Of at most two
-        ``bins``, c1 >= c2, none is left: m packs exactly when
-        ``h[m] + c2 >= w(m)``, h[m] the largest ``w(A) <= c1`` over A inside
-        m, a subset max in one guard-bit max per item (Yates' transform over
-        (max, +); Bjorklund et al., "Fourier meets Mobius", STOC 2007).
+        Lane m of ``lanes.sums`` holds subset m's weight, below ``width``'s
+        guard bit: ``width`` is at least ``lanes.width((n + 1) * (total + 1))``
+        for n weights. An item above the largest bin counts as total + 1, so
+        one compare refuses its subsets. Of at most two ``bins``, c1 >= c2,
+        none is left: m packs exactly when ``h[m] + c2 >= w(m)``, h[m] the
+        largest ``w(A) <= c1`` over A inside m, a subset max in one
+        ``lanes.larger`` per item (Yates' transform over (max, +); Bjorklund
+        et al., "Fourier meets Mobius", STOC 2007).
         """
         total, largest = self
         size = 1 << len(weights)
-        ones = lane_ones(size, width)
-        guard = ones << width - 1
-        sums = lane_sums([w if w <= largest else total + 1 for w in weights], width)
-        within = (total * ones + guard - sums) & guard
+        ones, guard = lanes.ones(size, width), lanes.guard(size, width)
+        sums = lanes.sums([w if w <= largest else total + 1 for w in weights], width)
+        within = lanes.at_least(total * ones, sums, guard)
         if total == largest:
             return within, 0
-        small = (largest * ones + guard - sums) & guard
+        small = lanes.at_least(largest * ones, sums, guard)
         if bins > 2:
             return within, within ^ small
         # h[m] = w(m) where it fits c1, else 0; item k's pass keeps the larger of lanes m and m & ~2**k
-        h = sums & small - (small >> width - 1)
-        for shift, _, _, low in lane_masks(size, width):
-            lower = (h & low) << shift
-            sel = ((h | guard) - lower) & guard
-            h = lower ^ (h ^ lower) & sel - (sel >> width - 1)
-        return (h + (total - largest) * ones + guard - sums) & guard, 0
+        h = sums & lanes.fill(small, width)
+        for shift, _, _, low in lanes.masks(size, width):
+            h = lanes.larger(h, (h & low) << shift, guard, width)
+        return lanes.at_least(h + (total - largest) * ones, sums, guard), 0
 
 
 class _PartialPacking:

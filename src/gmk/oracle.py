@@ -9,27 +9,23 @@ row, and the budget bounds the whole DP's ``T * |items| * 2**|items|``
 additions. It keeps one row per stage and no predecessor table; walking
 back, it rebuilds the chosen set's one column of the full ``cur x prev``
 table and takes its first maximum. Where the terms' span fits 32- or
-64-bit lanes, a row is one Python int of biased, nonnegative lanes, a pass
-is about twenty big-int operations with a guard-bit max ("SIMD within a
-register": Fisher and Dietz, LCPC 1998; Warren, *Hacker's Delight*,
-ch. 2), and a column's first maximum is its lowest lane equal to the
-maximum the forward pass kept, by one guard-bit compare. Wider cells, such
-as the tie-break keys of the scheme's exact shifts, take passes over
+64-bit lanes (``gmk.lanes``), a row is one int of biased, nonnegative
+lanes, a pass is about twenty big-int operations ending in one
+``lanes.larger``, and a column's first maximum is its lowest lane equal to
+the maximum the forward pass kept, by one ``lanes.at_least``. Wider cells,
+such as the tie-break keys of the scheme's exact shifts, take passes over
 lists. Both give the same values and witness.
 
-Rows are ``core.Row``, and the engine takes only held ``core.Rows``: each
-form, the list of cells or their lanes of one width, is built on first use
-and kept, so a row held for a command is converted at most once per
-(stage, width), however many DPs read it. A modular profit row is a subset
-sum, built straight in lanes (``core.lane_sums``). Packability is built in
-bulk too (``packable_row``): ``mkcp.Capacities.screen`` decides every subset
-under two bins at most in lanes, by a subset max and a compare, and flags
-the weight sums under more by guard-bit compares; a stage's flags are
-and-ed in one int, and a binless constraint packs only the empty set.
-Packability is monotone, as weights are nonnegative and dropping an item
-from a feasible assignment keeps it feasible: a subset a screen of three
-bins or more leaves open is packable when some subset with one more item
-is, and ``mkcp.place`` decides only the subsets left after that.
+The engine takes only held ``lanes.Rows``, so a row held for a command is
+converted at most once per (stage, width), however many DPs read it. A
+modular profit row is a ``lanes.Row.sums``. Packability is built in bulk
+too (``packable_row``): ``mkcp.Capacities.screen`` decides every subset
+under two bins at most in lanes, and flags the weight sums under more; a
+stage's flags are and-ed in one int, and a binless constraint packs only
+the empty set. Packability is monotone, as weights are nonnegative and
+dropping an item from a feasible assignment keeps it feasible: a subset a
+screen of three bins or more leaves open is packable when some subset with
+one more item is, and ``mkcp.place`` decides only the subsets left after that.
 
 This module holds what the package's stage DPs share: the engine
 ``max_plus_masks`` and the stage table ``StageRows``, the one builder of a
@@ -54,22 +50,8 @@ from itertools import compress
 from operator import add
 from typing import Mapping, Sequence
 
-from .core import (
-    LANE_CODES as _LANE_CODES,
-    MODULAR,
-    GmkInstance,
-    McpStage,
-    MultistageSolution,
-    Row,
-    Rows,
-    array_cells,
-    check_feasible,
-    evaluate_objective,
-    lane_masks,
-    lane_ones,
-    lane_sums,
-    subset_sums,
-)
+from . import lanes
+from .core import MODULAR, GmkInstance, McpStage, MultistageSolution, check_feasible, evaluate_objective
 from .errors import BudgetExceededError, ContractViolationError
 from .mkcp import Capacities, pack_mkc, place
 from .reduction import DEFAULT_ENUM_BUDGET, count_text
@@ -78,7 +60,7 @@ from .reduction import DEFAULT_ENUM_BUDGET, count_text
 StageAssignments = tuple[Mapping[str, frozenset[str]], ...]
 
 
-def packable_row(inst: GmkInstance, t: int) -> Row:
+def packable_row(inst: GmkInstance, t: int) -> lanes.Row:
     """The flag row whose cell m is True when the subset with bit k set for items[k] packs at stage t.
 
     Every constraint's ``Capacities.screen`` flags all subsets at once, in
@@ -94,39 +76,29 @@ def packable_row(inst: GmkInstance, t: int) -> Row:
     screens, width = [], 8
     for mkc in inst.stage(t).mkcs:
         if not mkc.bins:
-            return Row.flags(b"\1" + bytes(size - 1))
+            return lanes.Row.flags(b"\1" + bytes(size - 1))
         caps = sorted([mkc.capacities[b] for b in mkc.bins], reverse=True)
         bounds = Capacities(sum(caps), caps[0])
-        width = max(width, bounds.lane_width(len(items)))
+        width = max(width, lanes.width((len(items) + 1) * (bounds.total + 1)))
         screens.append((caps, bounds, [mkc.weights[i] for i in items]))
-    # each lane's guard bit, as one byte per subset
-    nbytes, step = size * width >> 3, width >> 3
-    allowed, opened = lane_ones(size, width) << width - 1, []
+    allowed, opened = lanes.guard(size, width), []
     for caps, bounds, weights in screens:
         within, above = bounds.screen(weights, width, len(caps))
         allowed &= within
         if above:
             opened.append((caps, weights, above))
-    row = (allowed >> width - 1).to_bytes(nbytes, "little")[::step]
-    if not opened:
-        return Row.flags(row)
+    row = bytearray(lanes.flags(allowed, size, width))
     open_mkcs: dict[int, list[tuple[list[int], list[tuple[int, int]]]]] = {}
     bits = [1 << k for k in range(len(items))]
     for caps, weights, above in opened:
-        undecided = list(compress(range(size), ((above & allowed) >> width - 1).to_bytes(nbytes, "little")[::step]))
-        if undecided:
-            # (weight, bit) pairs by weight descending, for the masks left open
-            desc = sorted(((w, bit) for w, bit in zip(weights, bits) if w), reverse=True)
-            for m in undecided:
-                open_mkcs.setdefault(m, []).append((caps, desc))
-    if open_mkcs:
-        row = bytearray(row)
-        for m in sorted(open_mkcs, reverse=True):
-            if not any(row[m | bit] for bit in bits if not m & bit):
-                row[m] = all(
-                    place(caps, [w for w, bit in desc if m & bit]) is not None for caps, desc in open_mkcs[m]
-                )
-    return Row.flags(bytes(row))
+        # (weight, bit) pairs by weight descending, for the masks left open
+        desc = sorted(((w, bit) for w, bit in zip(weights, bits) if w), reverse=True)
+        for m in compress(range(size), lanes.flags(above & allowed, size, width)):
+            open_mkcs.setdefault(m, []).append((caps, desc))
+    for m in sorted(open_mkcs, reverse=True):
+        if not any(row[m | bit] for bit in bits if not m & bit):
+            row[m] = all(place(caps, [w for w, bit in desc if m & bit]) is not None for caps, desc in open_mkcs[m])
+    return lanes.Row.flags(bytes(row))
 
 
 def check_dp_work(refusal: str, horizon: int, n: int, budget: int | None) -> None:
@@ -143,7 +115,7 @@ def check_dp_work(refusal: str, horizon: int, n: int, budget: int | None) -> Non
 
 
 def max_plus_masks(
-    rows: Rows, chains: Sequence[Sequence[tuple]], packable: Rows, link_span: int
+    rows: lanes.Rows, chains: Sequence[Sequence[tuple]], packable: lanes.Rows, link_span: int
 ) -> tuple[int, list[int]]:
     """The best value of a set sequence, and its set masks stage by stage.
 
@@ -152,7 +124,7 @@ def max_plus_masks(
     by whether item k is in the sets after and before boundary s: 0 comes
     before the first stage and T after the last, next to empty sets, as in
     ``core.coupling_terms``. Set m counts only where ``packable[t][m]``.
-    Both are held ``core.Rows``, which give each width's form once, however
+    Both are held ``lanes.Rows``, which give each width's form once, however
     many calls read it. ``link_span`` is the sum of the magnitudes of the
     chains' terms at boundaries 1..T-1, which the caller sums once.
     Ties go to the first maximum: over final sets, then over each chosen
@@ -168,7 +140,7 @@ def max_plus_masks(
     # Every cell is worth a partial sequence's value, within span of 0 or of
     # the floor, so a lane biased by 4 * span + 1 holds it in 0..5 * span + 1
     # below its guard bit.
-    width = next((w for w in _LANE_CODES if 5 * span + 1 < 1 << w - 1), None)
+    width = next((w for w in lanes.CODES if w >= lanes.width(5 * span + 1)), None)
     top, masks = _max_plus(rows, ends, links, packable, span, width)
     return top + sum(term[0][0] for term in entry + leave), masks
 
@@ -178,7 +150,7 @@ def link_span(chains: Sequence[Sequence[tuple]]) -> int:
     return sum(abs(a) + abs(b) + abs(c) + abs(d) for chain in chains for (a, b), (c, d) in chain[1:-1])
 
 
-def _max_plus(rows: Rows, ends, links, packable: Rows, span: int, width: int | None) -> tuple[int, list[int]]:
+def _max_plus(rows: lanes.Rows, ends, links, packable: lanes.Rows, span: int, width: int | None) -> tuple[int, list[int]]:
     """``max_plus_masks`` with its passes on ``width``-bit lanes, or on lists for None, ``ends`` folded into the rows."""
     # A packable sequence is worth at least -span, one through ``floor`` at
     # most floor + span < -span: it never wins a maximum, and a top below
@@ -186,11 +158,11 @@ def _max_plus(rows: Rows, ends, links, packable: Rows, span: int, width: int | N
     floor = -(3 * span + 1)
     forms = list(rows.form(width))
     for t, terms in zip((0, -1), ends):
-        forms[t] = list(map(add, forms[t], subset_sums(terms))) if width is None else forms[t] + lane_sums(terms, width)
+        forms[t] = list(map(add, forms[t], lanes.subset_sums(terms))) if width is None else forms[t] + lanes.sums(terms, width)
     if width is None:
         top, masks = _list_passes(forms, links, packable.form(None), floor)
     else:
-        top, masks = _lane_passes(forms, links, packable.form(width), floor, span - floor, width, rows.cells)
+        top, masks = _lane_passes(forms, links, packable.form(width), floor, span - floor, width, 1 << len(ends[0]))
     if top < -span:
         raise ContractViolationError("no packable subset sequence exists (empty set must pack)")
     return top, masks
@@ -220,24 +192,21 @@ def _list_passes(rows: list, links, packable: list, floor: int) -> tuple[int, li
     masks = [best.index(top)]
     for link, prev in zip(reversed(links), reversed(history[:-1])):
         terms = [term[masks[-1] >> k & 1] for k, term in enumerate(link)]
-        cand = list(map(add, prev, subset_sums(in_prev - out_prev for out_prev, in_prev in terms)))
+        cand = list(map(add, prev, lanes.subset_sums(in_prev - out_prev for out_prev, in_prev in terms)))
         masks.append(cand.index(max(cand)))
     masks.reverse()
     return top, masks
 
 
 def _lane_passes(rows: list[int], links, packable: list[int], floor: int, bias: int, width: int, size: int):
-    """The top and masks by passes over ``width``-bit lanes, cell m of ``size`` in bits ``m * width`` up.
+    """The top and masks by passes over ``size`` lanes of ``width`` bits, the rows' held lanes.
 
-    Every lane holds a partial sequence's value plus ``bias``: nonnegative
-    and below its guard bit (``max_plus_masks`` picks the width), so big-int
-    sums never carry across lanes. The rows give their lanes ready, each
-    built once per width.
+    Every lane holds a partial sequence's value plus ``bias``, nonnegative
+    and below its guard bit: ``max_plus_masks`` picks the width.
     """
-    ones = lane_ones(size, width)
-    guard_bit = width - 1
-    guard, floors = ones << guard_bit, (floor + bias) * ones
-    per_item = lane_masks(size, width)
+    ones, guard = lanes.ones(size, width), lanes.guard(size, width)
+    floors = (floor + bias) * ones
+    per_item = lanes.masks(size, width)
 
     def settle(acc: int, row: int, keep: int) -> int:
         # a stage's best values: its maxima plus its row where it packs, else the floor
@@ -249,16 +218,14 @@ def _lane_passes(rows: list[int], links, packable: list[int], floor: int, bias: 
         acc = best
         for ((out0, out1), (in0, in1)), (shift, e0, e1, low) in zip(link, per_item):
             # Lane m and lane m | 2**k line up by one shift. Each lane keeps
-            # the larger of its prev bit k kept (same) and flipped (cross), by
-            # the sign of same - cross in its guard bit, clear in both.
+            # the larger of its prev bit k kept (same) and flipped (cross).
             p0 = acc & low
             same = acc + out0 * e0 + in1 * e1
             cross = ((acc ^ p0) >> shift) + (p0 << shift) + out1 * e0 + in0 * e1
-            sel = ((same | guard) - cross) & guard
-            acc = cross ^ (same ^ cross) & sel - (sel >> guard_bit)
+            acc = lanes.larger(same, cross, guard, width)
         history.append(acc)
         best = settle(acc, row, keep)
-    cells = array_cells(best, size, width)
+    cells = lanes.cells(best, size, width)
     top = max(cells)
     masks = [cells.index(top)]
     # Walking back, the chosen set cur's column adds every predecessor's terms
@@ -269,8 +236,8 @@ def _lane_passes(rows: list[int], links, packable: list[int], floor: int, bias: 
         for k, (term, (_, e0, e1, _)) in enumerate(zip(links[t - 1], per_item)):
             out_prev, in_prev = term[cur >> k & 1]
             prev += out_prev * e0 + in_prev * e1
-        sel = ((prev | guard) - (history[t] >> cur * width & (1 << width) - 1) * ones) & guard
-        masks.append((sel & -sel).bit_length() // width - 1)
+        sel = lanes.at_least(prev, (history[t] >> cur * width & (1 << width) - 1) * ones, guard)
+        masks.append(lanes.lowest(sel, width))
     masks.reverse()
     return top - bias, masks
 
@@ -278,7 +245,7 @@ def _lane_passes(rows: list[int], links, packable: list[int], floor: int, bias: 
 class StageRows(dict):
     """The per-instance stage table that every stage DP of one command reads.
 
-    Stage t maps, on first use, to its pair of ``core.Row``: the
+    Stage t maps, on first use, to its pair of ``lanes.Row``: the
     packability of every item subset at stage t (``packable_row``) and
     that subset's stage profit, each held in every form a DP has read, so
     a (stage, width) pair is converted at most once per command.
@@ -300,13 +267,13 @@ class StageRows(dict):
             self.subsets[m] = frozenset(i for k, i in enumerate(items) if m >> k & 1)
         return self.subsets[m]
 
-    def __missing__(self, t: int) -> tuple[Row, Row]:
+    def __missing__(self, t: int) -> tuple[lanes.Row, lanes.Row]:
         inst = self.instance
         profit = inst.stage(t).profit
         if inst.variant == MODULAR:
-            row = Row.sums([profit[i] for i in inst.items])
+            row = lanes.Row.sums([profit[i] for i in inst.items])
         else:
-            row = Row.of(profit.evaluate(self.subset(m)) for m in range(1 << len(inst.items)))
+            row = lanes.Row.of(profit.evaluate(self.subset(m)) for m in range(1 << len(inst.items)))
         rows = self[t] = (packable_row(inst, t), row)
         return rows
 
@@ -338,7 +305,7 @@ class StageRows(dict):
             + [((0, -cm[i, horizon]), (0, 0))]
             for i in items
         ]
-        top, masks = max_plus_masks(Rows.stages(rows), chains, Rows.stages(packable), link_span(chains))
+        top, masks = max_plus_masks(lanes.Rows.stages(rows), chains, lanes.Rows.stages(packable), link_span(chains))
         sets = [self.subset(m) for m in masks]
         value = evaluate_objective(inst, sets)
         if top != value:

@@ -17,7 +17,7 @@ import pytest
 
 from gmk import cli, core, cutting, mkcp, oracle
 from gmk.cli import main
-from gmk.core import Row
+from gmk.lanes import Row
 from gmk.oracle import StageRows
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import DEFAULT_PACK_BUDGET
@@ -743,6 +743,66 @@ def test_compare_readme_long_horizon_example(tmp_path):
     assert len(values) == 25 and (min(values), max(values)) == (607, 610)
     assert payload["selected_j"] == 2
     assert payload["final_value"] == payload["oracle_value"] == 610
+
+
+def _value_line(capsys):
+    """The value ``solve`` printed, from its one ``value N`` line."""
+    words = capsys.readouterr().out.split()
+    assert words[0] == "value" and len(words) == 2, words
+    return int(words[1])
+
+
+def test_exact_cut_loop_over_two_bin_stages_validates_and_compares(tmp_path, capsys):
+    # an exact cut loop over 2-bin, d = 2 stages; compare runs it again
+    inst, sol, report = tmp_path / "cut40.json", tmp_path / "cut40_exact.json", tmp_path / "cut40_cmp.json"
+    assert run("gen", "--random", "--seed", 1, "--items", 3, "--horizon", 40, "--d", 2, "--bins", 2,
+               "--target-phi", 1, "--out", inst) == 0
+    capsys.readouterr()
+    assert run("solve", "--in", inst, "--eps", "0.2", "--phi", 1, "--sub-solver", "exact", "--mu-inv", 4,
+               "--out", sol) == 0
+    value = _value_line(capsys)
+    assert run("validate", inst, "--solution", sol) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == value
+    assert run("compare", "--in", inst, "--eps", "0.2", "--phi", 1, "--mu-inv", 4, "--report", report) == 0
+    assert load_json(report)["final_value"] == value
+
+
+@pytest.mark.parametrize(
+    "shape, budget, widths",
+    [
+        # one whole-horizon exact window keys its cells in 600 bits (list
+        # passes); the oracle's plain values fit 32-bit lanes
+        (("--items", 12, "--horizon", 50), ("--budget", 3000000), [None, 32]),
+        # profits near 10**20 overflow 64-bit lanes: both take the list passes
+        (("--items", 4, "--horizon", 6, "--profits", "100000000000000000000:100000000000000000009"), (),
+         [None, None]),
+    ],
+    ids=["paths", "p20"],
+)
+def test_exact_solve_and_oracle_agree_on_either_engine_path(tmp_path, capsys, lane_widths, shape, budget, widths):
+    inst, sol, opt = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "opt.json"
+    assert run("gen", "--random", "--seed", 1, *shape, "--d", 2, "--bins", 2, "--target-phi", 1, "--out", inst) == 0
+    capsys.readouterr()
+    assert run("solve", "--in", inst, "--eps", "0.2", "--phi", 1, "--sub-solver", "exact", *budget,
+               "--out", sol) == 0
+    value = _value_line(capsys)
+    assert run("oracle", "--in", inst, *budget, "--out", opt) == 0
+    assert load_json(opt)["value"] == value
+    assert lane_widths == widths
+    if "--profits" in shape:
+        assert value > 10**20
+
+
+def test_exact_bypass_over_four_bins_and_weightless_items_finds_the_optimum(tmp_path):
+    # four bins and weightless items: the exact bypass of a T <= 2 * mu_inv
+    # horizon finds the oracle's optimum
+    inst, report = tmp_path / "bins4.json", tmp_path / "bins4_cmp.json"
+    assert run("gen", "--random", "--seed", 1, "--items", 6, "--horizon", 8, "--d", 2, "--bins", 4,
+               "--weights", "0:4", "--target-phi", 1, "--out", inst) == 0
+    assert run("compare", "--in", inst, "--eps", "0.2", "--phi", 1, "--sub-solver", "exact",
+               "--report", report) == 0
+    payload = load_json(report)
+    assert payload["bypassed"] and payload["final_value"] == payload["oracle_value"], payload
 
 
 def test_compare_sum_oracle_example(tmp_path):

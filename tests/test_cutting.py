@@ -411,6 +411,7 @@ def test_identical_shifts_are_solved_once(monkeypatch, solver, engine_calls):
     result = solve_general_result(inst, SchemeParams(Fraction(1, 5), 1, mu_inv=4), solver)
     assert len(calls) == engine_calls
     assert [len(it.window_values) for it in result.iterations] == [2, 2, 1, 1]
+    assert result.iterations[2].window_values == result.iterations[3].window_values
     for it in result.iterations:
         parts = solve_shift(StageRows(inst), CutPointSet(it.cut_points).windows(), solver)
         assert it.window_values == tuple(v for _, v in parts)

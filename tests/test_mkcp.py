@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from gmk import lanes
 from gmk.core import Mkc, evaluate_objective
 from gmk.errors import BudgetExceededError
 from gmk.generators import GenParams, gen_random
@@ -176,7 +177,7 @@ def test_screen_agrees_with_fit():
         caps = Capacities.of(bins)
         weights = [rng.choice((0, rng.randint(1, top + top // 3))) for _ in range(rng.randint(0, 6))]
         # at the narrowest width the screen allows, and one byte wider
-        width = caps.lane_width(len(weights)) + rng.choice((0, 8))
+        width = lanes.width((len(weights) + 1) * (caps.total + 1)) + rng.choice((0, 8))
         within, above = caps.screen(weights, width, len(bins))
         guards = [1 << (m + 1) * width - 1 for m in range(1 << len(weights))]
         # only guard bits are set, and only in the subsets' lanes

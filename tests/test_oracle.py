@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from gmk import core, cutting, mkcp, oracle
+from gmk import cutting, lanes, mkcp, oracle
 from gmk.cli import main
 from gmk.core import McpStage, Mkc, check_feasible, coupling_terms, evaluate_objective
 from gmk.cutting import CutPointSet, solve_bounded_horizon
@@ -584,7 +584,7 @@ def test_one_item_backtrack_picks_the_smallest_best_schedule(monkeypatch):
                 tuple(tuple(rng.randint(-1, 1) for _ in "pq") for _ in "io") for _ in range(horizon + 1)
             ]
         best, schedules = _best_schedules(rows, chain, packable)
-        for width in [*oracle._LANE_CODES, None]:
+        for width in [*lanes.CODES, None]:
             monkeypatch.setattr(oracle, "_max_plus", lambda *args, w=width: real(*args[:-1], w))
             for terms in (chain, _redraw_unread(rng, chain)):
                 assert _engine(rows, [terms], packable) == (best, schedules[0]), (case, width)
@@ -692,7 +692,7 @@ def test_held_rows_enter_lanes_once_per_width(tmp_path, monkeypatch, lane_widths
     path = tmp_path / "inst.json"
     write_json(path, instance_to_dict(gen_random(BENCHMARK_SHAPES["cut_multibin"][1], 1_000_003)))
     held, built, converted = [], [], []
-    real_missing, real_convert = StageRows.__missing__, core.array_lanes
+    real_missing, real_convert = StageRows.__missing__, lanes.of
 
     def missing(rows, t):
         # each held row records every form it builds
@@ -703,7 +703,7 @@ def test_held_rows_enter_lanes_once_per_width(tmp_path, monkeypatch, lane_widths
         return rows[t]
 
     monkeypatch.setattr(StageRows, "__missing__", missing)
-    monkeypatch.setattr(core, "array_lanes", lambda *args: converted.append(args) or real_convert(*args))
+    monkeypatch.setattr(lanes, "of", lambda *args: converted.append(args) or real_convert(*args))
     argv = ["compare", "--in", str(path), "--eps", "0.2", "--phi", "1", "--mu-inv", "4",
             "--report", str(tmp_path / "c.json")]
     assert main(argv) == 0
@@ -720,10 +720,10 @@ def test_benchmark_shapes_take_lanes(shape, tmp_path, monkeypatch, lane_widths):
     # and a call reads one array, its final row's, however many stages it
     # walks back through.
     converted, read, calls = [], [], []
-    real_convert, real_read = core.array_lanes, oracle.array_cells
-    monkeypatch.setattr(core, "array_lanes", lambda cells, width: converted.append((id(cells), width))
+    real_convert, real_read = lanes.of, lanes.cells
+    monkeypatch.setattr(lanes, "of", lambda cells, width: converted.append((id(cells), width))
                         or real_convert(cells, width))
-    monkeypatch.setattr(oracle, "array_cells", lambda *args: read.append(args) or real_read(*args))
+    monkeypatch.setattr(lanes, "cells", lambda *args: read.append(args) or real_read(*args))
     real_engine = oracle.max_plus_masks
 
     def engine(*args):

@@ -19,10 +19,9 @@ from gmk.core import (
     Mkc,
     McpStage,
     MultistageSolution,
-    Row,
-    Rows,
     evaluate_objective,
 )
+from gmk.lanes import Row, Rows
 from gmk.mkcp import pack_mkc
 from gmk.oracle import checked_solution, pack_stage
 from gmk.reduction import ReducedElement, ReducedInstance
@@ -88,10 +87,10 @@ def binless_first_stage():
 
 
 def held_rows(rows):
-    """The held ``core.Rows`` the stage-DP engine takes, of these stages' cell lists.
+    """The held ``lanes.Rows`` the stage-DP engine takes, of these stages' cell lists.
 
-    Each stage is a ``core.Row.of`` its cells, whose lanes of each width are
-    converted once through ``core.array_lanes``.
+    Each stage is a ``lanes.Row.of`` its cells, whose lanes of each width are
+    converted once through ``lanes.of``.
     """
     return Rows.stages(map(Row.of, rows))
 
