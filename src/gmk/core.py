@@ -162,7 +162,7 @@ class FeasibilityReport:
 
 
 def _check_table(entries: list[str], name: str, table: Table, items, lo: int, hi: int) -> None:
-    expected = {(i, t) for i in items for t in range(lo, hi + 1)}
+    expected = dict.fromkeys((i, t) for i in items for t in range(lo, hi + 1))
     for key in expected:
         if key not in table:
             entries.append(f"{name} incomplete: missing entry for item {key[0]} stage {key[1]}")
@@ -195,7 +195,7 @@ def validate_instance(inst: GmkInstance) -> ValidationReport:
             entries.append(f"duplicate item id {item}")
         seen.add(item)
 
-    item_set = set(inst.items)
+    item_set = dict.fromkeys(inst.items)  # ordered: entries name items in instance order
     for t, stage in enumerate(inst.stages, start=1):
         if stage.dimension < 1:
             entries.append(f"stage {t} has no knapsack constraints")
@@ -222,7 +222,7 @@ def validate_instance(inst: GmkInstance) -> ValidationReport:
             if not isinstance(profit, SetFunctionOracle):
                 entries.append(f"stage {t} profit must be a set-function oracle in the submodular variant")
             else:
-                missing, unknown = item_set - profit.ground, profit.ground - item_set
+                missing, unknown = item_set.keys() - profit.ground, profit.ground - item_set.keys()
                 if missing:
                     entries.append(f"stage {t} profit oracle missing items {sorted(missing, key=str)}")
                 if unknown:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .core import (
     GmkInstance,
@@ -43,20 +43,53 @@ from .submodular import (
 )
 
 
-def _encode(payload: Any, **layout: Any) -> str:
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _key(key: Any) -> str:
+    # a key that is not a string, converted as the stdlib writer converts it
+    if key is None or isinstance(key, (int, float)):
+        return _quote(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(value: Any, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, its line breaks written as ``newline``.
+
+    A str or int in a container is written in place by a C call, not by a Python call per value.
+    """
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)) and value:
+        lines = [
+            _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _write(v, inner) for v in value
+        ]
+        return f"[{inner}{(',' + inner).join(lines)}{newline}]"
+    if isinstance(value, dict) and value:
+        lines = [
+            (_quote(k) if type(k) is str else _key(k))
+            + ": "
+            + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _write(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(lines)}{newline}}}"
+    return json.dumps(value)  # a scalar or an empty container: one line, as the indented form
+
+
+def _encode(write: Callable[[Any], str], payload: Any) -> str:
     try:
-        return json.dumps(payload, sort_keys=True, **layout)
+        return write(payload)
     except ValueError as exc:  # an integer beyond Python's int-to-string digit limit
         raise InputError(f"result cannot be written as JSON: {exc}")
 
 
 def canonical_dumps(payload: Any) -> str:
     """Stable compact encoding used for hashing and byte-equality tests."""
-    return _encode(payload, separators=(",", ":"))
+    return _encode(lambda value: json.dumps(value, sort_keys=True, separators=(",", ":")), payload)
 
 
 def dumps(payload: Any) -> str:
-    return _encode(payload, indent=2) + "\n"
+    """The indented form every file and stdout report takes, with a final newline."""
+    return _encode(_write, payload) + "\n"
 
 
 def _scaled_int(raw: Any, denominator: int, where: str) -> int:
@@ -78,6 +111,20 @@ def _scaled_int(raw: Any, denominator: int, where: str) -> int:
     return number
 
 
+def _scaled_values(raw: Any, denominator: int, where: str, key_form: str) -> dict[str, int]:
+    """``raw``'s values as integers, keyed by ``str`` of each key.
+
+    A nonnegative int is scaled in place; any other value goes to ``_scaled_int``,
+    named ``where + key_form.format(key)``.
+    """
+    return {
+        str(k): v * denominator
+        if type(v) is int and v >= 0
+        else _scaled_int(v, denominator, where + key_form.format(k))
+        for k, v in raw.items()
+    }
+
+
 def _name_list(raw: Any, where: str) -> tuple[str, ...]:
     # a string or an object would otherwise read as its characters or keys
     if not isinstance(raw, list):
@@ -85,7 +132,8 @@ def _name_list(raw: Any, where: str) -> tuple[str, ...]:
     return tuple(str(name) for name in raw)
 
 
-def _table_from_json(raw: Any, denominator: int, where: str) -> dict[tuple[str, int], int]:
+def _table_from_json(raw: Any, denominator: int, where: str, stage_of: dict[str, int]) -> dict[tuple[str, int], int]:
+    """A coupling table; ``stage_of`` holds each stage key the file has shown good, with its stage."""
     if not isinstance(raw, Mapping):
         raise InputError(f"{where}: expected an object keyed by item")
     table: dict[tuple[str, int], int] = {}
@@ -93,14 +141,20 @@ def _table_from_json(raw: Any, denominator: int, where: str) -> dict[tuple[str, 
         if not isinstance(stages, Mapping):
             raise InputError(f"{where}[{item}]: expected an object keyed by stage")
         for key, value in stages.items():
-            try:
-                t = int(key)
-                # only the form _table_to_json writes, so no two keys name one stage
-                if str(t) != key:
-                    raise ValueError(key)
-            except (TypeError, ValueError):
-                raise InputError(f"{where}[{item}]: bad stage key {key!r}")
-            table[item, t] = _scaled_int(value, denominator, f"{where}[{item}][{key}]")
+            if key not in stage_of:
+                try:
+                    t = int(key)
+                    # only the form _table_to_json writes, so no two keys name one stage
+                    if str(t) != key:
+                        raise ValueError(key)
+                except (TypeError, ValueError):
+                    raise InputError(f"{where}[{item}]: bad stage key {key!r}")
+                stage_of[key] = t
+            table[item, stage_of[key]] = (
+                value * denominator
+                if type(value) is int and value >= 0
+                else _scaled_int(value, denominator, f"{where}[{item}][{key}]")
+            )
     return table
 
 
@@ -130,10 +184,7 @@ def oracle_from_dict(raw: Any, denominator: int, where: str) -> SetFunctionOracl
         raise InputError(f"{where}: expected an oracle object with a 'kind'")
     kind = raw["kind"]
     if kind == "coverage":
-        universe = {
-            str(u): _scaled_int(w, denominator, f"{where}.universe[{u}]")
-            for u, w in raw.get("universe", {}).items()
-        }
+        universe = _scaled_values(raw.get("universe", {}), denominator, where, ".universe[{}]")
         covers = {}
         for item, cover in raw.get("covers", {}).items():
             cover = _name_list(cover, f"{where}.covers[{item}]")
@@ -143,12 +194,7 @@ def oracle_from_dict(raw: Any, denominator: int, where: str) -> SetFunctionOracl
             covers[str(item)] = frozenset(cover)
         return CoverageFunction(universe=universe, covers=covers)
     if kind == "modular":
-        return ModularFunction(
-            values={
-                str(i): _scaled_int(v, denominator, f"{where}.values[{i}]")
-                for i, v in raw.get("values", {}).items()
-            }
-        )
+        return ModularFunction(values=_scaled_values(raw.get("values", {}), denominator, where, ".values[{}]"))
     if kind == "sum":
         # read flat, depth first by a stack of its own: a chain of sums costs no recursion
         parts, pending = [], [(raw, where)]
@@ -223,15 +269,9 @@ def instance_from_dict(raw: Any) -> GmkInstance:
             mkcs = []
             for j, mkc_raw in enumerate(stage_raw.get("mkcs", []), start=1):
                 where = f"stage {t} constraint {j}"
-                weights = {
-                    str(i): _scaled_int(w, denominator, f"{where} weight of {i}")
-                    for i, w in mkc_raw.get("weights", {}).items()
-                }
+                weights = _scaled_values(mkc_raw.get("weights", {}), denominator, where, " weight of {}")
                 bins = _name_list(mkc_raw.get("bins", []), f"{where} bins")
-                capacities = {
-                    str(b): _scaled_int(c, denominator, f"{where} capacity of {b}")
-                    for b, c in mkc_raw.get("capacities", {}).items()
-                }
+                capacities = _scaled_values(mkc_raw.get("capacities", {}), denominator, where, " capacity of {}")
                 mkcs.append(Mkc(weights=weights, bins=bins, capacities=capacities))
             profit_raw = stage_raw.get("profit", {})
             if variant == SUBMODULAR:
@@ -239,20 +279,18 @@ def instance_from_dict(raw: Any) -> GmkInstance:
             else:
                 if not isinstance(profit_raw, Mapping) or "kind" in profit_raw:
                     raise InputError(f"stage {t} profit must be a per-item table in the modular variant")
-                profit = {
-                    str(i): _scaled_int(p, denominator, f"stage {t} profit of {i}")
-                    for i, p in profit_raw.items()
-                }
+                profit = _scaled_values(profit_raw, denominator, f"stage {t}", " profit of {}")
             stages.append(McpStage(mkcs=tuple(mkcs), profit=profit))
 
+        stage_of: dict[str, int] = {}
         return GmkInstance(
             items=items,
             horizon=horizon,
             stages=tuple(stages),
-            gain_plus=_table_from_json(raw["gain_plus"], denominator, "gain_plus"),
-            gain_minus=_table_from_json(raw["gain_minus"], denominator, "gain_minus"),
-            cost_plus=_table_from_json(raw["cost_plus"], denominator, "cost_plus"),
-            cost_minus=_table_from_json(raw["cost_minus"], denominator, "cost_minus"),
+            gain_plus=_table_from_json(raw["gain_plus"], denominator, "gain_plus", stage_of),
+            gain_minus=_table_from_json(raw["gain_minus"], denominator, "gain_minus", stage_of),
+            cost_plus=_table_from_json(raw["cost_plus"], denominator, "cost_plus", stage_of),
+            cost_minus=_table_from_json(raw["cost_minus"], denominator, "cost_minus", stage_of),
             variant=variant,
             metadata=dict(raw.get("metadata", {})),
         )

@@ -54,6 +54,29 @@ def test_validate_broken_instance_exits_2(tmp_path, capsys):
     assert "gain_plus incomplete" in out.out
 
 
+def test_validate_lists_missing_entries_in_instance_order_under_any_hash_seed(tmp_path):
+    raw = instance_to_dict(gen_random(GenParams(items=5, horizon=2), 1))
+    raw["stages"][0]["mkcs"][0]["weights"].clear()
+    raw["stages"][1]["profit"].clear()
+    raw["gain_plus"].clear()
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(raw))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    runs = [
+        subprocess.run([sys.executable, "-m", "gmk.cli", "validate", str(path)], capture_output=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
+        for seed in ("1", "2")
+    ]
+    assert [done.returncode for done in runs] == [2, 2]
+    assert runs[0].stdout == runs[1].stdout and runs[0].stderr == runs[1].stderr
+    items = raw["items"]
+    assert json.loads(runs[0].stdout)["entries"] == [
+        *(f"weights incomplete: stage 1 constraint 1 missing item {i}" for i in items),
+        *(f"profit incomplete: stage 2 missing item {i}" for i in items),
+        *(f"gain_plus incomplete: missing entry for item {i} stage 2" for i in items),
+    ]
+
+
 def _submodular_twin(inst, **extra):
     """The raw modular instance made submodular: zero change costs, modular oracles of its profits and ``extra``."""
     zero = {item: dict.fromkeys(costs, 0) for item, costs in inst["cost_plus"].items()}
@@ -84,43 +107,142 @@ def test_the_submodular_twin_of_modular_micro_is_valid(tmp_path, capsys):
     assert run("validate", inst_path, "--solution", sol_path) == 0
 
 
+def _valued(edit, value):
+    """A corruption that sets one number of the raw instance to ``value`` by ``edit``."""
+    return lambda inst, sol: edit(inst, value)
+
+
+def _coverage_twin(inst, weight):
+    _submodular_twin(inst)
+    profit = {"kind": "coverage", "universe": {"u1": 3, "u2": weight}, "covers": {"cam": ["u1"], "log": ["u2"]}}
+    inst["stages"][0]["profit"] = profit
+
+
+# every place a number in an instance file is scaled: how to set it, and the name its refusal gives
+NUMBER_SITES = {
+    "weight": (
+        lambda inst, v: inst["stages"][0]["mkcs"][0]["weights"].update(log=v),
+        "stage 1 constraint 1 weight of log",
+    ),
+    "bin_capacity": (
+        lambda inst, v: inst["stages"][1]["mkcs"][0]["capacities"].update(srv1=v),
+        "stage 2 constraint 1 capacity of srv1",
+    ),
+    "profit": (lambda inst, v: inst["stages"][1]["profit"].update(log=v), "stage 2 profit of log"),
+    "universe": (_coverage_twin, "stage 1 profit.universe[u2]"),
+    "oracle_value": (
+        lambda inst, v: (_submodular_twin(inst), inst["stages"][1]["profit"]["values"].update(log=v)),
+        "stage 2 profit.values[log]",
+    ),
+    **{
+        table: (lambda inst, v, table=table: inst[table]["log"].update({"2": v}), f"{table}[log][2]")
+        for table in ("gain_plus", "gain_minus", "cost_plus", "cost_minus")
+    },
+}
+# values an integer-only fast path must still hand to the full check; inf is written as 1e400
+BAD_NUMBERS = {
+    "true": (True, "expected a number, got True"),
+    "minus_1": (-1, "negative values are rejected at parse time, got -1"),
+    "2_5": (2.5, "2.5 is not integral under denominator 1"),
+    "string_3": ("3", "expected a number, got '3'"),
+    "1e400": (float("inf"), "expected a finite number, got inf"),
+}
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        lambda inst, sol: inst.update(items=5),
-        lambda inst, sol: inst["stages"].__setitem__(0, 3),
-        lambda inst, sol: inst["stages"][0].update(mkcs=3),
-        lambda inst, sol: inst["stages"][0]["mkcs"][0]["capacities"].update(srv1=float("inf")),
-        lambda inst, sol: sol.update(sets=5),
+        pytest.param(
+            lambda inst, sol: inst.update(items=5), "items: expected a list of names, got int", id="items_number"
+        ),
+        pytest.param(
+            lambda inst, sol: inst["stages"].__setitem__(0, 3),
+            "instance file malformed: AttributeError(\"'int' object has no attribute 'get'\")",
+            id="stage_number",
+        ),
+        pytest.param(
+            lambda inst, sol: inst["stages"][0].update(mkcs=3),
+            "instance file malformed: TypeError(\"'int' object is not iterable\")",
+            id="mkcs_number",
+        ),
+        pytest.param(
+            lambda inst, sol: inst["stages"][0]["mkcs"][0]["capacities"].update(srv1=float("inf")),
+            "stage 1 constraint 1 capacity of srv1: expected a finite number, got inf",
+            id="capacity_1e400",
+        ),
+        pytest.param(
+            lambda inst, sol: sol.update(sets=5),
+            "solution file malformed: TypeError(\"'int' object is not iterable\")",
+            id="solution_sets_number",
+        ),
         # an invalid instance is not checked against the solution, which
         # here reads a capacity that does not exist, or a stage past T
-        lambda inst, sol: (
-            inst["stages"][0]["mkcs"][0]["bins"].append("b2"),
-            sol["assignments"][0][0].update(srv2=[], b2=["log"]),
+        pytest.param(
+            lambda inst, sol: (
+                inst["stages"][0]["mkcs"][0]["bins"].append("b2"),
+                sol["assignments"][0][0].update(srv2=[], b2=["log"]),
+            ),
+            'validation failed: {"ok": false, "entries": ["stage 1 constraint 1 capacities do not match its bin list"]}',
+            id="bin_without_capacity",
         ),
-        lambda inst, sol: (
-            inst.update(horizon=1),
-            sol.update(sets=sol["sets"][:1], assignments=sol["assignments"][:1]),
+        pytest.param(
+            lambda inst, sol: (
+                inst.update(horizon=1),
+                sol.update(sets=sol["sets"][:1], assignments=sol["assignments"][:1]),
+            ),
+            'validation failed: {"ok": false, "entries": ["expected 1 stages, got 2"]}',
+            id="horizon_below_stages",
         ),
-        lambda inst, sol: inst.update(variant="bogus"),
-        lambda inst, sol: inst["cost_plus"]["cam"].update(one=1),
-        lambda inst, sol: inst["stages"][0].update(profit={"kind": "modular", "values": {"cam": 5}}),
+        pytest.param(lambda inst, sol: inst.update(variant="bogus"), "unknown variant 'bogus'", id="unknown_variant"),
+        pytest.param(
+            lambda inst, sol: inst["cost_plus"]["cam"].update(one=1),
+            "cost_plus[cam]: bad stage key 'one'",
+            id="stage_key_one",
+        ),
+        pytest.param(
+            lambda inst, sol: inst["stages"][0].update(profit={"kind": "modular", "values": {"cam": 5}}),
+            "stage 1 profit must be a per-item table in the modular variant",
+            id="modular_profit_oracle",
+        ),
         # a second spelling of stage 2, which int() would read as the same key
-        lambda inst, sol: inst["gain_plus"]["cam"].update({"02": 9}),
-        lambda inst, sol: inst["stages"][0]["profit"].update(ghost=7),
+        pytest.param(
+            lambda inst, sol: inst["gain_plus"]["cam"].update({"02": 9}),
+            "gain_plus[cam]: bad stage key '02'",
+            id="stage_key_02",
+        ),
+        # a bad key first met in the last table, after every good key was read
+        pytest.param(
+            lambda inst, sol: inst["cost_minus"]["log"].update({"01": 0}),
+            "cost_minus[log]: bad stage key '01'",
+            id="stage_key_late",
+        ),
+        pytest.param(
+            lambda inst, sol: inst["stages"][0]["profit"].update(ghost=7),
+            'validation failed: {"ok": false, "entries": ["stage 1 profit names unknown item ghost"]}',
+            id="profit_of_unknown_item",
+        ),
         # a valid instance, and a solution with no assignment at stage 1
-        lambda inst, sol: sol["assignments"][0].clear(),
+        pytest.param(
+            lambda inst, sol: sol["assignments"][0].clear(),
+            'validation failed: {"ok": true, "entries": [], "solution_ok": false,'
+            ' "solution_violations": ["stage 1 needs 1 assignments, got 0"]}',
+            id="stage_without_assignments",
+        ),
         # a submodular stage oracle that values an item outside the instance
-        lambda inst, sol: _submodular_twin(inst, ghost=7),
-    ],
-    ids=[
-        "items_number", "stage_number", "mkcs_number", "capacity_1e400", "solution_sets_number",
-        "bin_without_capacity", "horizon_below_stages", "unknown_variant", "stage_key_one",
-        "modular_profit_oracle", "stage_key_02", "profit_of_unknown_item", "stage_without_assignments",
-        "oracle_of_unknown_item",
+        pytest.param(
+            lambda inst, sol: _submodular_twin(inst, ghost=7),
+            'validation failed: {"ok": false, "entries": ["stage 1 profit oracle names unknown items [\'ghost\']",'
+            ' "stage 2 profit oracle names unknown items [\'ghost\']"]}',
+            id="oracle_of_unknown_item",
+        ),
+        *(
+            pytest.param(_valued(edit, value), f"{where}: {refusal}", id=f"{site}_{name}")
+            for site, (edit, where) in NUMBER_SITES.items()
+            for name, (value, refusal) in BAD_NUMBERS.items()
+        ),
     ],
 )
-def test_validate_malformed_file_exits_2(tmp_path, capsys, corrupt):
+def test_validate_malformed_file_exits_2(tmp_path, capsys, corrupt, message):
     inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
     assert run("oracle", "--in", DOCS / "modular_micro.json", "--out", sol_path) == 0
     inst, sol = load_json(DOCS / "modular_micro.json"), load_json(sol_path)
@@ -130,7 +252,8 @@ def test_validate_malformed_file_exits_2(tmp_path, capsys, corrupt):
     sol_path.write_text(json.dumps(sol))
     capsys.readouterr()
     assert run("validate", inst_path, "--solution", sol_path) == 2
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "InputError"
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (error["type"], error["message"]) == ("InputError", message)
 
 
 def test_integer_too_long_to_parse_exits_2(tmp_path, capsys):
@@ -331,15 +454,22 @@ def test_solve_mkcp_exact_refuses_subset_tables_beyond_the_budget(tmp_path, caps
     assert error["type"] == "BudgetExceededError" and "|I| * 2**T" in error["message"]
 
 
-@pytest.mark.parametrize("horizon", [7, 8, 10, 12])
-def test_solve_mkcp_exact_runs_at_the_default_budget(tmp_path, monkeypatch, horizon):
-    # candidate spaces of 1.3 * 10**6 to 6.6 * 10**10 schedule tuples, but
+# per horizon, the optimum the oracle finds too (README quotes T = 8 and 13)
+@pytest.mark.parametrize(
+    "horizon, value", [pytest.param(h, v, id=str(h)) for h, v in ((7, 41), (8, 56), (10, 61), (12, 75), (13, 74))]
+)
+def test_solve_mkcp_exact_runs_at_the_default_budget(tmp_path, monkeypatch, horizon, value):
+    # candidate spaces of 1.3 * 10**6 to 6.6 * 10**10 schedule tuples (T <= 12), but
     # searches that examine 28 to 467 candidate schedules
     monkeypatch.delenv("GMK_BUDGET", raising=False)
-    inst, reduced = tmp_path / "inst.json", tmp_path / "reduced.json"
+    inst, reduced, rsol = tmp_path / "inst.json", tmp_path / "reduced.json", tmp_path / "rsol.json"
     assert run("gen", "--random", "--seed", 3, "--items", 3, "--horizon", horizon, "--out", inst) == 0
     assert run("reduce", "--in", inst, "--out", reduced) == 0
-    assert run("solve-mkcp", "--in", reduced, "--exact", "--out", tmp_path / "rsol.json") == 0
+    assert run("solve-mkcp", "--in", reduced, "--exact", "--out", rsol) == 0
+    assert load_json(rsol)["value"] == value
+    assert run("solve-mkcp", "--in", reduced, "--greedy", "--out", tmp_path / "greedy.json") == 0
+    # 3 * 2**T schedule-table entries pass a budget of 100 at every horizon here
+    assert run("reduce", "--in", inst, "--budget", 100, "--out", tmp_path / "refused.json") == 3
 
 
 def test_solve_mkcp_exact_budget_boundary_is_the_search_count(tmp_path, capsys):
@@ -807,11 +937,39 @@ def test_exact_bypass_over_four_bins_and_weightless_items_finds_the_optimum(tmp_
 
 def test_compare_sum_oracle_example(tmp_path):
     report = tmp_path / "cmp.json"
+    assert run("validate", DOCS / "submodular_sum.json") == 0
     assert run(
         "compare", "--in", DOCS / "submodular_sum.json", "--eps", "0.2", "--phi", 1, "--report", report
     ) == 0
     payload = load_json(report)
     assert payload["final_value"] == payload["oracle_value"] == 12
+    # and the example without sums
+    assert run("compare", "--in", DOCS / "submodular_micro.json", "--eps", "0.2", "--phi", 1) == 0
+
+
+@pytest.mark.parametrize(
+    "stage, edit",
+    [
+        pytest.param(1, lambda profit: profit["covers"].update(ghost=["u1", "u2"]), id="cover"),
+        pytest.param(2, lambda profit: profit["values"].update(ghost=7), id="value"),
+    ],
+)
+def test_stage_oracle_of_an_unknown_item_exits_2_at_every_command(tmp_path, capsys, stage, edit):
+    raw = load_json(DOCS / "submodular_micro.json")
+    edit(raw["stages"][stage - 1]["profit"])
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps(raw))
+    for argv in (
+        ("validate", path),
+        ("reduce", "--in", path, "--out", tmp_path / "reduced.json"),
+        ("oracle", "--in", path),
+        ("compare", "--in", path, "--eps", "0.2", "--phi", 1),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == 2, argv
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert f"stage {stage} profit oracle names unknown items ['ghost']" in error["message"], argv
+    assert not (tmp_path / "reduced.json").exists()
 
 
 def test_a_chain_of_sums_as_deep_as_the_decoder_reads_runs_as_the_flat_file(tmp_path, capsys):

@@ -7,7 +7,10 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gmk import serialize
+from gmk.cli import main
 from gmk.core import ensure_valid, evaluate_objective, validate_instance
 from gmk.errors import InputError
 from gmk.generators import GenParams, gen_random
@@ -17,6 +20,7 @@ from gmk.reduction import ReducedElement, reduce_instance
 from gmk.serialize import (
     _scaled_int,
     canonical_dumps,
+    dumps,
     instance_from_dict,
     instance_hash,
     instance_to_dict,
@@ -187,3 +191,73 @@ def test_scaled_int_parse_results_and_messages():
     for raw, denominator, message in rejected:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             _scaled_int(raw, denominator, "w")
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    return [leaf for part in value for leaf in _leaves(part)] if isinstance(value, list) else [value]
+
+
+def _stdlib_indented(payload) -> str:
+    """The reference layout ``dumps`` must match byte for byte."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# quotes, backslashes, controls, non-ASCII beyond the BMP and lone surrogates
+_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7f\xe9\u2028\U0001f600\ud800') | st.characters(), max_size=8)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | _TEXT
+)
+# keys of one type per object: the stdlib sorts them, and cannot order a str and an int
+_KEYS = (_TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.one_of(*(st.dictionaries(keys, inner, max_size=4) for keys in _KEYS)),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(payload=_JSON_VALUES)
+def test_dumps_writes_what_the_stdlib_indented_writer_writes(payload):
+    assert dumps(payload) == _stdlib_indented(payload)
+
+
+def test_dumps_matches_the_stdlib_on_every_payload_the_cli_writes(tmp_path, monkeypatch):
+    written = []
+
+    def checked(payload):
+        text = dumps(payload)
+        assert text == _stdlib_indented(payload)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(serialize, "dumps", checked)
+    scheme = ("--eps", "0.2", "--phi", "1")
+    for seed, variant in ((1, "modular"), (2, "modular"), (3, "submodular")):
+        inst, reduced = tmp_path / f"inst{seed}.json", tmp_path / f"reduced{seed}.json"
+        gen = ("--random", "--seed", seed, "--items", 3, "--horizon", 3, "--d", 2, "--bins", 2)
+        runs = [
+            ("gen", *gen, "--variant", variant, "--target-phi", 1, "--out", inst),
+            ("reduce", "--in", inst, "--out", reduced),
+            ("solve-mkcp", "--in", reduced, "--exact", "--out", tmp_path / "rsol.json"),
+            ("solve-mkcp", "--in", reduced, "--greedy"),
+            ("oracle", "--in", inst, "--out", tmp_path / "opt.json"),
+            ("validate", inst, "--solution", tmp_path / "opt.json"),
+            ("solve", "--in", inst, *scheme, "--mu-inv", 1, "--out", tmp_path / "sol.json", "--report", tmp_path / "r.json"),
+            ("compare", "--in", inst, *scheme, "--sub-solver", "greedy", "--report", tmp_path / "cmp.json"),
+        ]
+        for argv in runs:
+            assert main([str(a) for a in argv]) == 0, argv
+    # each run writes one payload, and the solve run two
+    assert len(written) == 3 * 9
+    values = [value for text in written for value in _leaves(json.loads(text))]
+    assert {type(value) for value in values} == {str, int, bool, float, type(None)}
