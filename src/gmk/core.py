@@ -13,10 +13,11 @@ monotone submodular oracle and must carry all-zero cost tables.
 
 All numeric data are exact integers (``serialize`` scales decimal input at
 parse time), so every identity in this package is testable with tolerance
-zero. Instances are immutable after construction and safe to share across
-workers. A window is a plain stage range ``(lo, hi)``: ``evaluate_window``
-values it under the empty-boundary convention (nothing is packed before lo
-or after hi), ``window_instance`` copies it into a standalone instance, and
+zero. Instances are immutable after construction, being ``typing.NamedTuple``
+records whose fields refuse assignment, and safe to share across workers. A
+window is a plain stage range ``(lo, hi)``: ``evaluate_window`` values it
+under the empty-boundary convention (nothing is packed before lo or after
+hi), ``window_instance`` copies it into a standalone instance, and
 ``coupling_terms`` gives the solvers one encoding, in plain values, of the
 gains and costs that couple consecutive stages of a chain of windows, cuts
 included.
@@ -25,9 +26,11 @@ included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping  # an isinstance check on it takes a third of typing.Mapping's time
 from fractions import Fraction
-from typing import AbstractSet, Mapping, Sequence
+from itertools import chain, product
+from types import MappingProxyType
+from typing import AbstractSet, NamedTuple, Sequence
 
 from .errors import InputError, UnsupportedVariantError
 from .submodular import SetFunctionOracle
@@ -40,12 +43,35 @@ SUBMODULAR = "submodular"
 Table = Mapping[tuple[str, int], int]
 
 
-def _is_amount(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+# a mapping's refusals, formatted with where, key and value: a missing key, an unknown key, a bad value
+_WEIGHT_TEXTS = ("weights incomplete: {where} missing item {0}", "{where} weighs unknown item {0}",
+                 "{where} weight of {0} is {1!r}, not a nonnegative integer")
+_CAPACITY_TEXTS = ("", "", "{where} capacity of bin {0} is {1!r}, not a nonnegative integer")
+_PROFIT_TEXTS = ("profit incomplete: {where} missing item {0}", "{where} profit names unknown item {0}",
+                 "{where} profit of {0} is {1!r}, not a nonnegative integer")
+_TABLE_TEXTS = ("{where} incomplete: missing entry for item {0[0]} stage {0[1]}", "{where} has an extra entry {0}",
+                "{where}[{0}] = {1!r} is not a nonnegative integer")
 
 
-@dataclass(frozen=True)
-class Mkc:
+def _check_amounts(entries: list[str], numbers: list | None, where: str, mapping, expected, texts) -> None:
+    """Report by ``texts`` the keys of ``expected`` that ``mapping`` lacks, then its other keys and bad values.
+
+    Given a list ``numbers``, a mapping with the expected keys only adds its
+    values to it, for ``validate_instance`` to check in bulk.
+    """
+    if numbers is not None and mapping.keys() == expected.keys():
+        numbers.append(mapping.values())
+        return
+    missing, unknown, bad = texts
+    entries.extend(missing.format(key, where=where) for key in expected if key not in mapping)
+    for key, value in mapping.items():
+        if key not in expected:
+            entries.append(unknown.format(key, where=where))
+        elif not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
+            entries.append(bad.format(key, value, where=where))
+
+
+class Mkc(NamedTuple):
     """A multiple knapsack constraint: item weights and capacitated bins."""
 
     weights: Mapping[str, int]
@@ -53,8 +79,7 @@ class Mkc:
     capacities: Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class McpStage:
+class McpStage(NamedTuple):
     """One stage: an ordered tuple of MKCs plus the stage profit.
 
     ``profit`` is a plain item-to-integer mapping in the modular variant and
@@ -69,8 +94,7 @@ class McpStage:
         return len(self.mkcs)
 
 
-@dataclass(frozen=True)
-class GmkInstance:
+class GmkInstance(NamedTuple):
     """A full multistage instance.
 
     ``gain_plus``/``gain_minus`` are defined exactly on items x [2, T] and
@@ -85,7 +109,7 @@ class GmkInstance:
     cost_plus: Table
     cost_minus: Table
     variant: str = MODULAR
-    metadata: Mapping[str, object] = field(default_factory=dict)
+    metadata: Mapping[str, object] = MappingProxyType({})
 
     @property
     def dimension(self) -> int:
@@ -116,8 +140,7 @@ def _collection(raw):
     return raw
 
 
-@dataclass(frozen=True)
-class MultistageSolution:
+class MultistageSolution(NamedTuple):
     """Per-stage item sets plus per-stage, per-constraint bin assignments.
 
     ``assignments[t-1][j-1]`` maps every bin of constraint j at stage t to
@@ -143,8 +166,7 @@ class MultistageSolution:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     entries: tuple[str, ...]
 
     @property
@@ -152,8 +174,7 @@ class ValidationReport:
         return not self.entries
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property
@@ -161,24 +182,24 @@ class FeasibilityReport:
         return not self.violations
 
 
-def _check_table(entries: list[str], name: str, table: Table, items, lo: int, hi: int) -> None:
-    expected = dict.fromkeys((i, t) for i in items for t in range(lo, hi + 1))
-    for key in expected:
-        if key not in table:
-            entries.append(f"{name} incomplete: missing entry for item {key[0]} stage {key[1]}")
-    for key, value in table.items():
-        if key not in expected:
-            entries.append(f"{name} has an extra entry {key}")
-        elif not _is_amount(value):
-            entries.append(f"{name}[{key}] = {value!r} is not a nonnegative integer")
-
-
 def validate_instance(inst: GmkInstance) -> ValidationReport:
     """Collect every violated structural invariant of ``inst``.
 
     All failures are report entries; an empty report means the instance is
     well formed. Operations other than this one assume a valid instance.
+    Every weight, capacity, profit and table value is checked at once; the
+    per-value loops run only when some value is not a nonnegative int.
     """
+    numbers: list = []
+    entries = _entries(inst, numbers)
+    values = list(chain.from_iterable(numbers))
+    if not (set(map(type, values)) <= {int} and min(values, default=0) >= 0):  # a bool's type is not int
+        entries = _entries(inst, None)
+    return ValidationReport(tuple(entries))
+
+
+def _entries(inst: GmkInstance, numbers: list | None) -> list[str]:
+    """``validate_instance``'s entries, with ``numbers`` passed to each ``_check_amounts``."""
     entries: list[str] = []
     if inst.variant not in (MODULAR, SUBMODULAR):
         entries.append(f"unknown variant {inst.variant!r}")
@@ -201,21 +222,13 @@ def validate_instance(inst: GmkInstance) -> ValidationReport:
             entries.append(f"stage {t} has no knapsack constraints")
         for j, mkc in enumerate(stage.mkcs, start=1):
             where = f"stage {t} constraint {j}"
-            for item in item_set:
-                if item not in mkc.weights:
-                    entries.append(f"weights incomplete: {where} missing item {item}")
-            for item, w in mkc.weights.items():
-                if item not in item_set:
-                    entries.append(f"{where} weighs unknown item {item}")
-                elif not _is_amount(w):
-                    entries.append(f"{where} weight of {item} is {w!r}, not a nonnegative integer")
+            _check_amounts(entries, numbers, where, mkc.weights, item_set, _WEIGHT_TEXTS)
             if len(set(mkc.bins)) != len(mkc.bins):
                 entries.append(f"{where} has duplicate bin ids")
             if set(mkc.capacities) != set(mkc.bins):
                 entries.append(f"{where} capacities do not match its bin list")
-            for b, cap in mkc.capacities.items():
-                if not _is_amount(cap):
-                    entries.append(f"{where} capacity of bin {b} is {cap!r}, not a nonnegative integer")
+            # its own keys expected: only the values are checked
+            _check_amounts(entries, numbers, where, mkc.capacities, mkc.capacities, _CAPACITY_TEXTS)
 
         profit = stage.profit
         if inst.variant == SUBMODULAR:
@@ -231,19 +244,13 @@ def validate_instance(inst: GmkInstance) -> ValidationReport:
             if isinstance(profit, SetFunctionOracle):
                 entries.append(f"stage {t} profit must be a per-item table in the modular variant")
             else:
-                for item in item_set:
-                    if item not in profit:
-                        entries.append(f"profit incomplete: stage {t} missing item {item}")
-                for item, p in profit.items():
-                    if item not in item_set:
-                        entries.append(f"stage {t} profit names unknown item {item}")
-                    elif not _is_amount(p):
-                        entries.append(f"stage {t} profit of {item} is {p!r}, not a nonnegative integer")
+                _check_amounts(entries, numbers, f"stage {t}", profit, item_set, _PROFIT_TEXTS)
 
     # the tables span |I| * T keys: checked against a horizon the stages confirm
     if len(inst.stages) == inst.horizon:
         for name, lo in (("gain_plus", 2), ("gain_minus", 2), ("cost_plus", 1), ("cost_minus", 1)):
-            _check_table(entries, name, getattr(inst, name), inst.items, lo, inst.horizon)
+            expected = dict.fromkeys(product(inst.items, range(lo, inst.horizon + 1)))
+            _check_amounts(entries, numbers, name, getattr(inst, name), expected, _TABLE_TEXTS)
 
     if inst.variant == SUBMODULAR:
         for name, table in (("cost_plus", inst.cost_plus), ("cost_minus", inst.cost_minus)):
@@ -252,7 +259,7 @@ def validate_instance(inst: GmkInstance) -> ValidationReport:
                     entries.append(
                         f"submodular variant must have zero change costs: {name}[{key}] = {value}"
                     )
-    return ValidationReport(tuple(entries))
+    return entries
 
 
 def ensure_valid(inst: GmkInstance) -> GmkInstance:
@@ -285,18 +292,18 @@ def check_feasible(inst: GmkInstance, sol: MultistageSolution) -> FeasibilityRep
                 f"stage {t} needs {stage.dimension} assignments, got {len(per_stage)}"
             )
             continue
-        for j, (mkc, assignment) in enumerate(zip(stage.mkcs, per_stage), start=1):
-            bin_set = set(mkc.bins)
+        for j, ((weights, bins, capacities), assignment) in enumerate(zip(stage.mkcs, per_stage), start=1):
+            bin_set = set(bins)
             covered: set[str] = set()
             for b, assigned in assignment.items():
                 if b not in bin_set:
                     violations.append(f"unknown bin {b} at (t={t}, j={j})")
                     continue
                 covered.update(assigned)
-                load = sum(mkc.weights[i] for i in assigned if i in mkc.weights)
-                if load > mkc.capacities[b]:
+                load = sum(weights[i] for i in assigned if i in weights)
+                if load > capacities[b]:
                     violations.append(
-                        f"bin {b} over capacity at (t={t}, j={j}): load {load} > {mkc.capacities[b]}"
+                        f"bin {b} over capacity at (t={t}, j={j}): load {load} > {capacities[b]}"
                     )
             if covered != set(selected):
                 violations.append(f"assignment does not cover S_{t} at (t={t}, j={j})")
@@ -328,17 +335,18 @@ def evaluate_window(inst: GmkInstance, lo: int, hi: int, sets: Sequence[Abstract
     """
     _check_window(inst, lo, hi)
     _check_sets(inst, sets, hi - lo + 1)
+    items, gp, gm, cp, cm = inst.items, inst.gain_plus, inst.gain_minus, inst.cost_plus, inst.cost_minus
     total = 0
     for k, t in enumerate(range(lo, hi + 1)):
         total += inst.stage_profit(t, sets[k])
     for k, t in enumerate(range(lo + 1, hi + 1), start=1):
         prev, cur = sets[k - 1], sets[k]
-        for i in inst.items:
+        for i in items:
             if i in prev:
                 if i in cur:
-                    total += inst.gain_plus[i, t]
+                    total += gp[i, t]
             elif i not in cur:
-                total += inst.gain_minus[i, t]
+                total += gm[i, t]
     if inst.variant == MODULAR:
         empty: frozenset[str] = frozenset()
         for k, t in enumerate(range(lo, hi + 1)):
@@ -346,9 +354,9 @@ def evaluate_window(inst: GmkInstance, lo: int, hi: int, sets: Sequence[Abstract
             nxt = sets[k + 1] if k + 1 < len(sets) else empty
             for i in sets[k]:
                 if i not in prev:
-                    total -= inst.cost_plus[i, t]
+                    total -= cp[i, t]
                 if i not in nxt:
-                    total -= inst.cost_minus[i, t]
+                    total -= cm[i, t]
     return total
 
 
@@ -387,15 +395,13 @@ def window_instance(inst: GmkInstance, lo: int, hi: int) -> GmkInstance:
     def shift(table: Table, first: int) -> dict[tuple[str, int], int]:
         return {(i, t): table[i, t + lo - 1] for i in inst.items for t in range(first, hi - lo + 2)}
 
-    return GmkInstance(
-        items=inst.items,
+    return inst._replace(
         horizon=hi - lo + 1,
         stages=inst.stages[lo - 1 : hi],
         gain_plus=shift(inst.gain_plus, 2),
         gain_minus=shift(inst.gain_minus, 2),
         cost_plus=shift(inst.cost_plus, 1),
         cost_minus=shift(inst.cost_minus, 1),
-        variant=inst.variant,
         metadata={"window": [lo, hi]},
     )
 

@@ -46,11 +46,10 @@ mu_inv at least 17.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from operator import sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import lanes
 from .core import (
@@ -73,18 +72,17 @@ SOLVER_CHOICES = ("exact", "greedy")
 StageSets = tuple[frozenset[str], ...]
 
 
-@dataclass(frozen=True)
-class CutPointSet:
+class CutPointSet(NamedTuple("CutPointSet", [("points", tuple[int, ...])])):
     """Sorted cut points u_0 < ... < u_k with u_0 = 1 and u_k = T + 1."""
 
-    points: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        pts = self.points
-        if len(pts) < 2 or pts[0] != 1:
-            raise InputError(f"cut points must start at 1 and end at T+1, got {pts}")
-        if any(a >= b for a, b in zip(pts, pts[1:])):
-            raise InputError(f"cut points must be strictly increasing, got {pts}")
+    def __new__(cls, points: tuple[int, ...]) -> "CutPointSet":
+        if len(points) < 2 or points[0] != 1:
+            raise InputError(f"cut points must start at 1 and end at T+1, got {points}")
+        if any(a >= b for a, b in zip(points, points[1:])):
+            raise InputError(f"cut points must be strictly increasing, got {points}")
+        return super().__new__(cls, points)
 
     @property
     def horizon(self) -> int:
@@ -101,8 +99,7 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(NamedTuple("SchemeParams", [("epsilon", Fraction), ("phi", int), ("mu_inv", int)])):
     """Scheme parameters; mu_inv derives from epsilon and phi unless given.
 
     epsilon must lie strictly inside (0, 1/4) and phi must be a positive
@@ -111,21 +108,19 @@ class SchemeParams:
     the scheme's guarantee.
     """
 
-    epsilon: Fraction
-    phi: int
-    mu_inv: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        eps = Fraction(self.epsilon)
-        object.__setattr__(self, "epsilon", eps)
+    def __new__(cls, epsilon: Fraction, phi: int, mu_inv: int | None = None) -> "SchemeParams":
+        eps = Fraction(epsilon)
         if not 0 < eps < Fraction(1, 4):
             raise InputError(f"epsilon must lie strictly inside (0, 1/4), got {eps}")
-        if not _is_count(self.phi):
-            raise InputError(f"phi must be an integer >= 1, got {self.phi!r}")
-        if self.mu_inv is None:
-            object.__setattr__(self, "mu_inv", math.ceil(Fraction(self.phi) / (eps * eps)))
-        elif not _is_count(self.mu_inv):
-            raise InputError(f"mu_inv must be an integer >= 1, got {self.mu_inv!r}")
+        if not _is_count(phi):
+            raise InputError(f"phi must be an integer >= 1, got {phi!r}")
+        if mu_inv is None:
+            mu_inv = math.ceil(Fraction(phi) / (eps * eps))
+        elif not _is_count(mu_inv):
+            raise InputError(f"mu_inv must be an integer >= 1, got {mu_inv!r}")
+        return super().__new__(cls, eps, phi, mu_inv)
 
 
 def cut_points(horizon: int, mu_inv: int, j: int) -> CutPointSet:
@@ -314,8 +309,7 @@ def combine_cut_solutions(
     return combined, value
 
 
-@dataclass(frozen=True)
-class SchemeIteration:
+class SchemeIteration(NamedTuple):
     """One shift of the cutting loop, for reporting."""
 
     j: int
@@ -324,15 +318,24 @@ class SchemeIteration:
     combined_value: int
 
 
-@dataclass(frozen=True)
-class SchemeResult:
+class SchemeResult(NamedTuple):
     solution: MultistageSolution
     value: int
     bypassed: bool
     selected_j: int | None
     iterations: tuple[SchemeIteration, ...]
-    # the stage table the scheme filled, for the oracle of the same instance
-    rows: StageRows = field(compare=False, repr=False)
+    # the stage table the scheme filled, for the oracle of the same instance;
+    # equality and repr read the fields before it, and a result is unhashable
+    rows: StageRows
+
+    def __eq__(self, other):
+        return self[:-1] == other[:-1] if isinstance(other, SchemeResult) else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__, where tuple's would read rows
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[:-1]))
+        return f"SchemeResult({fields})"
 
 
 def solve_general_result(
@@ -357,7 +360,6 @@ def solve_general_result(
     rows = StageRows(inst)
     budgets = dict(enum_budget=enum_budget, pack_budget=pack_budget)
     mu_inv = params.mu_inv
-    assert mu_inv is not None
     if inst.horizon <= 2 * mu_inv:
         sets, value = solve_bounded_horizon(rows, 1, inst.horizon, solver, **budgets)
         return SchemeResult(rows.solution(sets), value, True, None, (), rows)

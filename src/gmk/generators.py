@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     MODULAR,
@@ -33,8 +32,7 @@ from .serialize import _name_list, _scaled_int, canonical_dumps
 from .submodular import CoverageFunction
 
 
-@dataclass(frozen=True)
-class MultidimKnapsackInstance:
+class MultidimKnapsackInstance(NamedTuple):
     """d-dimensional knapsack: one bin per dimension, vector weights."""
 
     items: tuple[str, ...]
@@ -149,8 +147,7 @@ def gen_from_2kp(kp: MultidimKnapsackInstance) -> GmkInstance:
     return ensure_valid(inst)
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(NamedTuple):
     """Knobs for the random generator; ranges are inclusive."""
 
     items: int = 3

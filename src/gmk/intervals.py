@@ -9,8 +9,7 @@ hold with tolerance zero and anchor the horizon-cutting scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Sequence
+from typing import TYPE_CHECKING, AbstractSet, NamedTuple, Sequence
 
 from .core import MODULAR, GmkInstance
 from .errors import InputError, UnsupportedVariantError
@@ -19,17 +18,15 @@ if TYPE_CHECKING:
     from .cutting import CutPointSet
 
 
-@dataclass(frozen=True, order=True)
-class IntervalElement:
+class IntervalElement(NamedTuple("IntervalElement", [("item", str), ("start", int), ("end", int)])):
     """Contiguous assignment run of one item over stages [start, end]."""
 
-    item: str
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.start <= self.end:
-            raise InputError(f"invalid interval [{self.start}, {self.end}]")
+    def __new__(cls, item: str, start: int, end: int) -> "IntervalElement":
+        if not 1 <= start <= end:
+            raise InputError(f"invalid interval [{start}, {end}]")
+        return super().__new__(cls, item, start, end)
 
 
 def to_intervals(sets: Sequence[AbstractSet[str]]) -> tuple[IntervalElement, ...]:
@@ -84,12 +81,5 @@ def cut_loss(inst: GmkInstance, e: IntervalElement, cuts: "CutPointSet") -> int:
     """
     if inst.variant != MODULAR:
         raise UnsupportedVariantError("cut losses are undefined for non-modular profits")
-    total = 0
-    for u in cuts.points:
-        if e.start < u <= e.end:
-            total += (
-                inst.gain_plus[e.item, u]
-                + inst.cost_plus[e.item, u]
-                + inst.cost_minus[e.item, u - 1]
-            )
-    return total
+    gp, cp, cm = inst.gain_plus, inst.cost_plus, inst.cost_minus
+    return sum(gp[e.item, u] + cp[e.item, u] + cm[e.item, u - 1] for u in cuts.points if e.start < u <= e.end)

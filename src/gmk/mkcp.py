@@ -37,7 +37,6 @@ windows build their ``_PartialPacking`` from the stages' own constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from . import lanes
@@ -58,8 +57,7 @@ class _BudgetHit(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(NamedTuple):
     """Outcome of a packing attempt: a witness assignment, or None when the set does not pack."""
 
     assignment: Mapping[str, frozenset] | None
@@ -148,7 +146,8 @@ def pack_assignment(
 
 def pack_mkc(mkc: Mkc, chosen: Sequence[str] | frozenset[str]) -> PackingResult:
     """Packability of an item set under one original constraint."""
-    return pack_assignment(mkc.bins, mkc.capacities, {i: mkc.weights[i] for i in chosen})
+    weights, bins, capacities = mkc
+    return pack_assignment(bins, capacities, {i: weights[i] for i in chosen})
 
 
 class Capacities(NamedTuple):

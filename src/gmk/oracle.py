@@ -74,13 +74,13 @@ def packable_row(inst: GmkInstance, t: int) -> lanes.Row:
     items = inst.items
     size = 1 << len(items)
     screens, width = [], 8
-    for mkc in inst.stage(t).mkcs:
-        if not mkc.bins:
+    for weights, bins, capacities in inst.stage(t).mkcs:
+        if not bins:
             return lanes.Row.flags(b"\1" + bytes(size - 1))
-        caps = sorted([mkc.capacities[b] for b in mkc.bins], reverse=True)
+        caps = sorted([capacities[b] for b in bins], reverse=True)
         bounds = Capacities(sum(caps), caps[0])
         width = max(width, lanes.width((len(items) + 1) * (bounds.total + 1)))
-        screens.append((caps, bounds, [mkc.weights[i] for i in items]))
+        screens.append((caps, bounds, [weights[i] for i in items]))
     allowed, opened = lanes.guard(size, width), []
     for caps, bounds, weights in screens:
         within, above = bounds.screen(weights, width, len(caps))

@@ -24,8 +24,7 @@ modular variant; they are Python ints, exact at any magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .core import (
     MODULAR,
@@ -43,8 +42,7 @@ DEFAULT_ENUM_BUDGET = 10**6
 PAD_BIN = "pad"
 
 
-@dataclass(frozen=True, order=True)
-class ReducedElement:
+class ReducedElement(NamedTuple):
     """Item plus schedule bitmask; the empty schedule is a legal element."""
 
     item: str
@@ -67,8 +65,7 @@ class ReducedElement:
         return f"{self.item}@{self.mask}"
 
 
-@dataclass(frozen=True)
-class ReducedConstraint:
+class ReducedConstraint(NamedTuple):
     """One of the d*T reduced MKCs.
 
     Real constraints mirror the bins of the original stage constraint;
@@ -100,8 +97,7 @@ class ReducedConstraint:
         return [e for e in chosen if e.active_at(self.stage)]
 
 
-@dataclass(frozen=True)
-class ReducedObjective:
+class ReducedObjective(NamedTuple):
     """Submodular reduced objective: per-stage lifted oracles plus the gains in ``schedules``."""
 
     stage_functions: tuple[ExtendedStageFunction, ...]
@@ -113,8 +109,7 @@ class ReducedObjective:
         return total + sum(self.schedules[e.item][e.mask] for e in subset)
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
+class ReducedInstance(NamedTuple):
     """Per item, ``schedules`` maps each kept mask, ascending, to its value.
 
     The value is the whole objective in the modular variant and the gain
@@ -140,8 +135,7 @@ class ReducedInstance:
         return self.objective.evaluate(chosen)
 
 
-@dataclass(frozen=True)
-class ReducedSolution:
+class ReducedSolution(NamedTuple):
     """Chosen elements plus one bin assignment per reduced constraint."""
 
     chosen: frozenset[ReducedElement]

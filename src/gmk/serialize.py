@@ -15,8 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable, Mapping  # isinstance on this Mapping takes a third of typing.Mapping's time
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any
 
 from .core import (
     GmkInstance,
@@ -111,12 +112,20 @@ def _scaled_int(raw: Any, denominator: int, where: str) -> int:
     return number
 
 
-def _scaled_values(raw: Any, denominator: int, where: str, key_form: str) -> dict[str, int]:
-    """``raw``'s values as integers, keyed by ``str`` of each key.
+def _object(raw: Any, where: str) -> Mapping:
+    """``raw``, refused unless it is a JSON object: a list or a number has no keys to read."""
+    if type(raw) is not dict and not isinstance(raw, Mapping):
+        raise InputError(f"{where}: expected an object, got {type(raw).__name__}")
+    return raw
+
+
+def _scaled_values(raw: Any, denominator: int, where: str, name: str, key_form: str) -> dict[str, int]:
+    """The values of ``raw``, a JSON object named ``where + name``, as integers, keyed by ``str`` of each key.
 
     A nonnegative int is scaled in place; any other value goes to ``_scaled_int``,
     named ``where + key_form.format(key)``.
     """
+    _object(raw, where + name)
     return {
         str(k): v * denominator
         if type(v) is int and v >= 0
@@ -184,7 +193,7 @@ def oracle_from_dict(raw: Any, denominator: int, where: str) -> SetFunctionOracl
         raise InputError(f"{where}: expected an oracle object with a 'kind'")
     kind = raw["kind"]
     if kind == "coverage":
-        universe = _scaled_values(raw.get("universe", {}), denominator, where, ".universe[{}]")
+        universe = _scaled_values(raw.get("universe", {}), denominator, where, ".universe", ".universe[{}]")
         covers = {}
         for item, cover in raw.get("covers", {}).items():
             cover = _name_list(cover, f"{where}.covers[{item}]")
@@ -194,7 +203,8 @@ def oracle_from_dict(raw: Any, denominator: int, where: str) -> SetFunctionOracl
             covers[str(item)] = frozenset(cover)
         return CoverageFunction(universe=universe, covers=covers)
     if kind == "modular":
-        return ModularFunction(values=_scaled_values(raw.get("values", {}), denominator, where, ".values[{}]"))
+        values = _scaled_values(raw.get("values", {}), denominator, where, ".values", ".values[{}]")
+        return ModularFunction(values=values)
     if kind == "sum":
         # read flat, depth first by a stack of its own: a chain of sums costs no recursion
         parts, pending = [], [(raw, where)]
@@ -266,12 +276,19 @@ def instance_from_dict(raw: Any) -> GmkInstance:
         if not isinstance(raw["stages"], list):
             raise InputError("stages must be a list")
         for t, stage_raw in enumerate(raw["stages"], start=1):
+            stage_raw = _object(stage_raw, f"stage {t}")
+            mkcs_raw = stage_raw.get("mkcs", [])
+            if not isinstance(mkcs_raw, list):
+                raise InputError(f"stage {t} mkcs: expected a list, got {type(mkcs_raw).__name__}")
             mkcs = []
-            for j, mkc_raw in enumerate(stage_raw.get("mkcs", []), start=1):
+            for j, mkc_raw in enumerate(mkcs_raw, start=1):
                 where = f"stage {t} constraint {j}"
-                weights = _scaled_values(mkc_raw.get("weights", {}), denominator, where, " weight of {}")
+                mkc_raw = _object(mkc_raw, where)
+                weights = _scaled_values(mkc_raw.get("weights", {}), denominator, where, " weights", " weight of {}")
                 bins = _name_list(mkc_raw.get("bins", []), f"{where} bins")
-                capacities = _scaled_values(mkc_raw.get("capacities", {}), denominator, where, " capacity of {}")
+                capacities = _scaled_values(
+                    mkc_raw.get("capacities", {}), denominator, where, " capacities", " capacity of {}"
+                )
                 mkcs.append(Mkc(weights=weights, bins=bins, capacities=capacities))
             profit_raw = stage_raw.get("profit", {})
             if variant == SUBMODULAR:
@@ -279,7 +296,7 @@ def instance_from_dict(raw: Any) -> GmkInstance:
             else:
                 if not isinstance(profit_raw, Mapping) or "kind" in profit_raw:
                     raise InputError(f"stage {t} profit must be a per-item table in the modular variant")
-                profit = _scaled_values(profit_raw, denominator, f"stage {t}", " profit of {}")
+                profit = _scaled_values(profit_raw, denominator, f"stage {t}", " profit", " profit of {}")
             stages.append(McpStage(mkcs=tuple(mkcs), profit=profit))
 
         stage_of: dict[str, int] = {}

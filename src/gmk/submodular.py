@@ -17,16 +17,49 @@ the pairs to check to the checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Hashable, Iterable, Mapping
+from typing import ClassVar, Hashable, Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 
 
 class SetFunctionOracle:
-    """Base class for evaluable set functions over a fixed ground set."""
+    """Base class for evaluable set functions over a fixed ground set.
 
+    An oracle is immutable: a subclass stores its fields in ``__slots__``,
+    set once by ``__init__`` through ``_set``, and names in ``_fields`` the
+    ones that equality, hash and repr read, in order. Assignment raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
     kind: ClassVar[str] = "abstract"
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__, as assignment is refused
+        return self.__class__, self._values()
 
     @property
     def ground(self) -> frozenset:
@@ -37,13 +70,14 @@ class SetFunctionOracle:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class CoverageFunction(SetFunctionOracle):
     """Total weight of universe elements covered by the selected items."""
 
+    __slots__ = _fields = ("universe", "covers")
     kind: ClassVar[str] = "coverage"
-    universe: Mapping[Hashable, int]
-    covers: Mapping[Hashable, frozenset]
+
+    def __init__(self, universe: Mapping[Hashable, int], covers: Mapping[Hashable, frozenset]):
+        self._set(universe=universe, covers=covers)
 
     @property
     def ground(self) -> frozenset:
@@ -56,12 +90,14 @@ class CoverageFunction(SetFunctionOracle):
         return sum(self.universe[u] for u in covered)
 
 
-@dataclass(frozen=True)
 class ModularFunction(SetFunctionOracle):
     """Additive set function; equals a per-item profit table."""
 
+    __slots__ = _fields = ("values",)
     kind: ClassVar[str] = "modular"
-    values: Mapping[Hashable, int]
+
+    def __init__(self, values: Mapping[Hashable, int]):
+        self._set(values=values)
 
     @property
     def ground(self) -> frozenset:
@@ -71,21 +107,18 @@ class ModularFunction(SetFunctionOracle):
         return sum(self.values[i] for i in subset)
 
 
-@dataclass(frozen=True)
 class SumFunction(SetFunctionOracle):
     """Sum of oracles; closed under the guaranteed properties."""
 
+    __slots__ = ("parts", "grounds")  # grounds: each part's ground, built once with the sum
+    _fields = ("parts",)
     kind: ClassVar[str] = "sum"
-    parts: tuple[SetFunctionOracle, ...]
-    # each part's ground, built once with the sum
-    grounds: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[SetFunctionOracle, ...]):
         # held flat, so a chain of sums costs no recursion: a sum part gives its
         # parts, whose grounds lie in its own, so every value is unchanged
-        flat = tuple(q for p in self.parts for q in (p.parts if isinstance(p, SumFunction) else (p,)))
-        object.__setattr__(self, "parts", flat)
-        object.__setattr__(self, "grounds", tuple(part.ground for part in flat))
+        flat = tuple(q for p in parts for q in (p.parts if isinstance(p, SumFunction) else (p,)))
+        self._set(parts=flat, grounds=tuple(part.ground for part in flat))
 
     @property
     def ground(self) -> frozenset:
@@ -95,16 +128,17 @@ class SumFunction(SetFunctionOracle):
         return sum(part.evaluate(subset & ground) for part, ground in zip(self.parts, self.grounds))
 
 
-@dataclass(frozen=True)
 class TableFunction(SetFunctionOracle):
     """Arbitrary explicit table, no properties guaranteed.
 
     Diagnostic oracle for checker tests; not accepted in instance files.
     """
 
+    __slots__ = _fields = ("table", "members")
     kind: ClassVar[str] = "table"
-    table: Mapping[frozenset, int]
-    members: frozenset
+
+    def __init__(self, table: Mapping[frozenset, int], members: frozenset):
+        self._set(table=table, members=members)
 
     @property
     def ground(self) -> frozenset:
@@ -117,7 +151,6 @@ class TableFunction(SetFunctionOracle):
             raise InputError(f"table oracle has no entry for {sorted(map(str, subset))}")
 
 
-@dataclass(frozen=True)
 class ExtendedStageFunction(SetFunctionOracle):
     """Lift of an item oracle to schedule elements active at one stage.
 
@@ -127,9 +160,11 @@ class ExtendedStageFunction(SetFunctionOracle):
     ground: ``ground`` raises and a check names the elements it covers.
     """
 
+    __slots__ = _fields = ("base", "stage")
     kind: ClassVar[str] = "stage-extension"
-    base: SetFunctionOracle
-    stage: int
+
+    def __init__(self, base: SetFunctionOracle, stage: int):
+        self._set(base=base, stage=stage)
 
     @property
     def ground(self) -> frozenset:
@@ -145,8 +180,7 @@ def extend_function(oracle: SetFunctionOracle, stage: int) -> ExtendedStageFunct
     return ExtendedStageFunction(base=oracle, stage=stage)
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Outcome of a nonnegativity, monotonicity and submodularity check."""
 
     violations: tuple[str, ...]

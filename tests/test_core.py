@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -76,7 +75,7 @@ def test_monotone_gain_property():
         item = sorted(stayers)[0]
         bumped = dict(inst.gain_plus)
         bumped[item, t] += 9
-        richer = dataclasses.replace(inst, gain_plus=bumped)
+        richer = inst._replace(gain_plus=bumped)
         assert evaluate_objective(richer, sets) == evaluate_objective(inst, sets) + 9
 
 
@@ -87,7 +86,7 @@ def test_validate_well_formed():
 
 def test_validate_missing_gain_entry():
     inst = two_stage_single_item()
-    broken = dataclasses.replace(inst, gain_plus={})
+    broken = inst._replace(gain_plus={})
     report = validate_instance(broken)
     assert any("gain_plus incomplete" in e for e in report.entries)
 
@@ -118,7 +117,7 @@ def test_validate_catches_structural_breakage():
         mkcs=(Mkc(weights={}, bins=("b", "b"), capacities={"b": 1}),),
         profit={"i": -2},
     )
-    broken = dataclasses.replace(inst, stages=(bad_stage, inst.stages[1]))
+    broken = inst._replace(stages=(bad_stage, inst.stages[1]))
     entries = validate_instance(broken).entries
     assert any("weights incomplete" in e for e in entries)
     assert any("duplicate bin" in e for e in entries)
@@ -127,30 +126,28 @@ def test_validate_catches_structural_breakage():
 
 def _submodular(inst):
     """``inst`` as a valid submodular instance: oracle profits and zero change costs."""
-    stages = tuple(dataclasses.replace(s, profit=ModularFunction(values=dict(s.profit))) for s in inst.stages)
+    stages = tuple(s._replace(profit=ModularFunction(values=dict(s.profit))) for s in inst.stages)
     zero = {key: 0 for key in inst.cost_plus}
-    return dataclasses.replace(
-        inst, variant="submodular", stages=stages, cost_plus=zero, cost_minus=dict(zero)
-    )
+    return inst._replace(variant="submodular", stages=stages, cost_plus=zero, cost_minus=dict(zero))
 
 
 def _first_stage(inst, profit=None, **mkc_changes):
     """``inst`` with its first stage's profit or first constraint's fields replaced."""
     stage = inst.stages[0]
-    mkc = dataclasses.replace(stage.mkcs[0], **mkc_changes)
+    mkc = stage.mkcs[0]._replace(**mkc_changes)
     profit = stage.profit if profit is None else profit
-    stage = dataclasses.replace(stage, mkcs=(mkc, *stage.mkcs[1:]), profit=profit)
-    return dataclasses.replace(inst, stages=(stage, *inst.stages[1:]))
+    stage = stage._replace(mkcs=(mkc, *stage.mkcs[1:]), profit=profit)
+    return inst._replace(stages=(stage, *inst.stages[1:]))
 
 
 # per case: a corruption of a valid instance, and the entry validation must report
 INVALID_INSTANCES = {
-    "unknown_variant": (lambda inst: dataclasses.replace(inst, variant="bogus"), "unknown variant 'bogus'"),
+    "unknown_variant": (lambda inst: inst._replace(variant="bogus"), "unknown variant 'bogus'"),
     "horizon_below_1": (
-        lambda inst: dataclasses.replace(inst, horizon=0, stages=()), "horizon must be at least 1, got 0"
+        lambda inst: inst._replace(horizon=0, stages=()), "horizon must be at least 1, got 0"
     ),
-    "empty_item_id": (lambda inst: dataclasses.replace(inst, items=("i", "")), "empty item id"),
-    "duplicate_item_id": (lambda inst: dataclasses.replace(inst, items=("i", "i")), "duplicate item id i"),
+    "empty_item_id": (lambda inst: inst._replace(items=("i", "")), "empty item id"),
+    "duplicate_item_id": (lambda inst: inst._replace(items=("i", "i")), "duplicate item id i"),
     "negative_weight": (
         lambda inst: _first_stage(inst, weights={"i": -1}),
         "stage 1 constraint 1 weight of i is -1, not a nonnegative integer",
@@ -160,7 +157,7 @@ INVALID_INSTANCES = {
         "stage 1 constraint 1 capacity of bin b is -1, not a nonnegative integer",
     ),
     "negative_table_value": (
-        lambda inst: dataclasses.replace(inst, gain_plus={("i", 2): -1}),
+        lambda inst: inst._replace(gain_plus={("i", 2): -1}),
         "gain_plus[('i', 2)] = -1 is not a nonnegative integer",
     ),
     "oracle_profit_in_modular": (
@@ -275,16 +272,13 @@ def test_profit_cost_ratio_scaling():
             for s in inst.stages
         )
         scale_costs = lambda table: {key: k * v for key, v in table.items()}
-        both = dataclasses.replace(
-            inst,
+        both = inst._replace(
             stages=scaled_stages,
             cost_plus=scale_costs(inst.cost_plus),
             cost_minus=scale_costs(inst.cost_minus),
         )
         assert profit_cost_ratio(both) == ratio
-        costs_only = dataclasses.replace(
-            inst, cost_plus=scale_costs(inst.cost_plus), cost_minus=scale_costs(inst.cost_minus)
-        )
+        costs_only = inst._replace(cost_plus=scale_costs(inst.cost_plus), cost_minus=scale_costs(inst.cost_minus))
         assert profit_cost_ratio(costs_only) == ratio * k
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -296,9 +295,8 @@ def test_general_submodular_path():
 
 def test_general_submodular_rejects_nonzero_costs():
     inst = gen_random(GenParams(items=2, horizon=2, variant="submodular"), 0)
-    import dataclasses
 
-    broken = dataclasses.replace(inst, cost_plus={("i01", 1): 2, **{k: 0 for k in inst.cost_plus if k != ("i01", 1)}})
+    broken = inst._replace(cost_plus={("i01", 1): 2, **{k: 0 for k in inst.cost_plus if k != ("i01", 1)}})
     with pytest.raises(InputError):
         solve_general_result(broken, SchemeParams(Fraction(1, 5), 1))
 
@@ -425,10 +423,10 @@ def _shift_case(rng, n, horizon, variant):
     inst = gen_random(params, rng.randrange(10**6))
     binless = Mkc(weights={i: 0 for i in inst.items}, bins=(), capacities={})
     stages = [
-        dataclasses.replace(stage, mkcs=(binless,)) if rng.random() < 0.15 else stage
+        stage._replace(mkcs=(binless,)) if rng.random() < 0.15 else stage
         for stage in inst.stages
     ]
-    inst = dataclasses.replace(inst, stages=tuple(stages))
+    inst = inst._replace(stages=tuple(stages))
     interior = rng.sample(range(2, horizon + 1), rng.randint(0, horizon - 1))
     return inst, CutPointSet((1, *sorted(interior), horizon + 1)).windows()
 
@@ -585,7 +583,7 @@ def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
     # the budget of the reduction and of branch and bound (their |I| * 2**T
     # subset tables, then the search) does not bind the scheme, which builds
     # no reduction
-    params = dataclasses.replace(DP_SHAPES["two_bin_d2"], target_phi=1)
+    params = DP_SHAPES["two_bin_d2"]._replace(target_phi=1)
     for seed in range(3):
         inst = gen_random(params, seed)
         work = _dp_work(inst)
@@ -599,7 +597,7 @@ def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
         scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=2)
         result = solve_general_result(inst, scheme, "exact", enum_budget=work)
         assert not result.bypassed
-        long = gen_random(dataclasses.replace(params, horizon=13), seed)
+        long = gen_random(params._replace(horizon=13), seed)
         with pytest.raises(BudgetExceededError, match=r"reduction refused: .* \(\|I\| \* 2\*\*T\)"):
             reduce_instance(long, enum_budget=work)
         sol = _solve(long, "greedy")
@@ -611,7 +609,7 @@ def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
 def test_exact_scheme_matches_oracle_beyond_one_bin(shape):
     params = DP_SHAPES[shape]
     if params.variant == "modular":
-        params = dataclasses.replace(params, target_phi=1)
+        params = params._replace(target_phi=1)
     bypass = SchemeParams(Fraction(1, 5), 1)
     # the largest grid count whose loop still cuts the horizon
     cutting_loop = SchemeParams(Fraction(1, 5), 1, mu_inv=(params.horizon - 1) // 2)

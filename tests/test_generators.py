@@ -114,15 +114,14 @@ def test_2kp_optimum_preserved():
 
 
 def test_2kp_relabels_as_submodular():
-    import dataclasses
 
     kp = small_kp(3, d=2)
     inst = gen_from_2kp(kp)
     twin_stages = tuple(
-        dataclasses.replace(s, profit=ModularFunction(values=dict(s.profit)))
+        s._replace(profit=ModularFunction(values=dict(s.profit)))
         for s in inst.stages
     )
-    twin = dataclasses.replace(inst, stages=twin_stages, variant="submodular")
+    twin = inst._replace(stages=twin_stages, variant="submodular")
     assert validate_instance(twin).ok
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -197,7 +196,7 @@ def test_cut_links_fall_short_of_in_window_links_by_the_seam_terms(variant):
         horizon, mu_inv = rng.randint(5, 14), rng.randint(2, 4)
         inst = gen_random(GenParams(items=3, horizon=horizon, variant=variant), seed)
         # cut_loss reads only the gain and cost tables, zero costs included
-        tables = dataclasses.replace(inst, variant=MODULAR)
+        tables = inst._replace(variant=MODULAR)
         for j in range(1, mu_inv + 1):
             cuts = cut_points(horizon, mu_inv, j)
             for i in inst.items:

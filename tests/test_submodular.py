@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -222,10 +221,10 @@ def test_submodular_objective_matches_modular_zero_costs():
     for seed in range(15):
         modular = gen_random(GenParams(items=3, horizon=3, cost_range=(0, 0)), seed)
         twin_stages = tuple(
-            dataclasses.replace(s, profit=ModularFunction(values=dict(s.profit)))
+            s._replace(profit=ModularFunction(values=dict(s.profit)))
             for s in modular.stages
         )
-        twin = dataclasses.replace(modular, stages=twin_stages, variant="submodular")
+        twin = modular._replace(stages=twin_stages, variant="submodular")
         for _ in range(20):
             sets = [frozenset(i for i in modular.items if rng.random() < 0.5) for _ in range(3)]
             assert evaluate_objective(twin, sets) == evaluate_objective(modular, sets)
