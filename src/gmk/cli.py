@@ -19,7 +19,6 @@ from . import serialize
 from .core import (
     MODULAR,
     check_feasible,
-    ensure_valid,
     evaluate_objective,
     validate_instance,
 )
@@ -116,7 +115,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def cmd_reduce(args) -> int:
-    inst = ensure_valid(serialize.instance_from_dict(serialize.load_json(args.instance)))
+    inst = serialize.instance_from_dict(serialize.load_json(args.instance))
     reduced = reduce_instance(inst, enum_budget=args.budget)
     _emit(serialize.reduced_to_dict(reduced), args.out)
     return 0
@@ -135,8 +134,8 @@ def cmd_solve_mkcp(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = ensure_valid(serialize.instance_from_dict(serialize.load_json(args.instance)))
-    sol, value = StageRows(inst).optimum(args.budget)
+    rows = StageRows(serialize.instance_from_dict(serialize.load_json(args.instance)))
+    sol, value = rows.optimum(args.budget)
     payload = serialize.solution_to_dict(sol)
     payload["value"] = value
     _emit(payload, args.out)
@@ -144,17 +143,19 @@ def cmd_oracle(args) -> int:
 
 
 def _run_scheme(args, inst):
+    # the parameters are checked first, then the instance, by the command's one stage table
     params = SchemeParams(epsilon=_parse_fraction(args.eps, "epsilon"), phi=args.phi, mu_inv=args.mu_inv)
     started = time.perf_counter()
+    rows = StageRows(inst)
     result = solve_general_result(
-        inst,
+        rows,
         params,
         args.sub_solver,
         enum_budget=args.budget,
         pack_budget=args.pack_budget,
     )
     elapsed = time.perf_counter() - started
-    return params, result, elapsed
+    return params, rows, result, elapsed
 
 
 def _report_payload(args, params, inst, result, timings) -> dict:
@@ -185,9 +186,8 @@ def _report_payload(args, params, inst, result, timings) -> dict:
 
 
 def cmd_solve(args) -> int:
-    # solve_general_result validates the instance
     inst = serialize.instance_from_dict(serialize.load_json(args.instance))
-    params, result, elapsed = _run_scheme(args, inst)
+    params, _, result, elapsed = _run_scheme(args, inst)
     # The value line and the report, the outputs that hold integers, pass the
     # JSON writer's guard before the solution is written, so an integer too
     # long to print leaves no file behind.
@@ -200,14 +200,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    # solve_general_result validates the instance; the oracle's budget, which
-    # reads only |I| and T, refuses first so that no refused run solves
+    # the oracle's budget, which reads only |I| and T, refuses first so that
+    # no refused run solves
     inst = serialize.instance_from_dict(serialize.load_json(args.instance))
     check_dp_work("oracle refused: DP", inst.horizon, len(inst.items), args.budget)
-    params, result, solve_elapsed = _run_scheme(args, inst)
+    params, rows, result, solve_elapsed = _run_scheme(args, inst)
     started = time.perf_counter()
     # the oracle reads the stage table the scheme filled
-    _, oracle_value = result.rows.optimum(args.budget)
+    _, oracle_value = rows.optimum(args.budget)
     oracle_elapsed = time.perf_counter() - started
 
     payload = _report_payload(

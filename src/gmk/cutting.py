@@ -26,8 +26,8 @@ smallest best schedule mask, the key's order (with more, the key's
 item-major order is not the engine's). The passes
 and backtrack are the oracle's engine, ``oracle.max_plus_masks``, which
 reads each item's ``core.coupling_terms`` chain whole. Every exact shift
-reads one stage table (``oracle.StageRows``) for its rows and subsets, and
-``SchemeResult.rows`` hands it on to the oracle of the same command. The
+reads the command's one stage table (``oracle.StageRows``), which the
+caller builds and passes in, for its rows and subsets. The
 table holds each ``lanes.Row``'s lanes, built once per width, and an exact
 shift composes its cells from them, ``scale * P_t - (LEX << t - lo)``:
 about two big-int operations a stage, with no row converted again.
@@ -57,7 +57,6 @@ from .core import (
     GmkInstance,
     MultistageSolution,
     coupling_terms,
-    ensure_valid,
     evaluate_objective,
     evaluate_window,
     ratio_violation,
@@ -324,30 +323,18 @@ class SchemeResult(NamedTuple):
     bypassed: bool
     selected_j: int | None
     iterations: tuple[SchemeIteration, ...]
-    # the stage table the scheme filled, for the oracle of the same instance;
-    # equality and repr read the fields before it, and a result is unhashable
-    rows: StageRows
-
-    def __eq__(self, other):
-        return self[:-1] == other[:-1] if isinstance(other, SchemeResult) else NotImplemented
-
-    __ne__ = object.__ne__  # the inverse of __eq__, where tuple's would read rows
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[:-1]))
-        return f"SchemeResult({fields})"
 
 
 def solve_general_result(
-    inst: GmkInstance,
+    rows: StageRows,
     params: SchemeParams,
     solver: str = "exact",
     *,
     enum_budget: int | None = None,
     pack_budget: int | None = DEFAULT_PACK_BUDGET,
 ) -> SchemeResult:
-    """Run the full scheme and keep per-shift details for reporting."""
-    ensure_valid(inst)
+    """Run the full scheme on the instance of ``rows``, which checked it, and keep per-shift details for reporting."""
+    inst = rows.instance
     if inst.variant == MODULAR:
         witness = ratio_violation(inst, Fraction(params.phi))
         if witness is not None:
@@ -357,12 +344,11 @@ def solve_general_result(
                 f"{cost} at stage {t_cost} against profit {profit} at stage {t_profit}"
             )
 
-    rows = StageRows(inst)
     budgets = dict(enum_budget=enum_budget, pack_budget=pack_budget)
     mu_inv = params.mu_inv
     if inst.horizon <= 2 * mu_inv:
         sets, value = solve_bounded_horizon(rows, 1, inst.horizon, solver, **budgets)
-        return SchemeResult(rows.solution(sets), value, True, None, (), rows)
+        return SchemeResult(rows.solution(sets), value, True, None, ())
 
     iterations: list[SchemeIteration] = []
     shift_sets: list[StageSets] = []
@@ -386,7 +372,7 @@ def solve_general_result(
     # the first shift of the largest value wins; only its sets are packed and checked
     best = max(iterations, key=lambda it: it.combined_value)
     solution = rows.solution(shift_sets[best.j - 1])
-    return SchemeResult(solution, best.combined_value, False, best.j, tuple(iterations), rows)
+    return SchemeResult(solution, best.combined_value, False, best.j, tuple(iterations))
 
 
 __all__ = [

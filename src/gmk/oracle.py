@@ -29,10 +29,11 @@ one more item is, and ``mkcp.place`` decides only the subsets left after that.
 
 This module holds what the package's stage DPs share: the engine
 ``max_plus_masks`` and the stage table ``StageRows``, the one builder of a
-stage's packability and profit rows, subsets and packed assignments. The
-scheme's windows and the oracle (``StageRows.optimum``) read one table per
-command. The oracle keeps its own terms, per item the chain of entry
-``((0, 0), (-c+[1], 0))``, links ``((g-, -c-[t-1]), (-c+[t], g+))`` and
+stage's packability and profit rows, subsets and packed assignments. Each
+command builds one table, which checks its instance (``core.ensure_valid``),
+and the scheme's windows and the oracle (``StageRows.optimum``) read it.
+The oracle keeps its own terms, per item the chain of entry ``((0, 0),
+(-c+[1], 0))``, links ``((g-, -c-[t-1]), (-c+[t], g+))`` and
 exit ``((0, -c-[T]), (0, 0))`` read straight from the instance tables
 (never ``core.coupling_terms``), and the plain ascending-mask tie-break.
 Tests check the engine and the table against references that run neither:
@@ -51,7 +52,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from . import lanes
-from .core import MODULAR, GmkInstance, McpStage, MultistageSolution, check_feasible, evaluate_objective
+from .core import MODULAR, GmkInstance, McpStage, MultistageSolution, check_feasible, ensure_valid, evaluate_objective
 from .errors import BudgetExceededError, ContractViolationError
 from .mkcp import Capacities, pack_mkc, place
 from .reduction import DEFAULT_ENUM_BUDGET, count_text
@@ -245,10 +246,12 @@ def _lane_passes(rows: list[int], links, packable: list[int], floor: int, bias: 
 class StageRows(dict):
     """The per-instance stage table that every stage DP of one command reads.
 
-    Stage t maps, on first use, to its pair of ``lanes.Row``: the
-    packability of every item subset at stage t (``packable_row``) and
-    that subset's stage profit, each held in every form a DP has read, so
-    a (stage, width) pair is converted at most once per command.
+    Building it checks the instance (``core.ensure_valid``), so an invalid
+    one is refused with ``InputError`` before any row is read. Stage t
+    maps, on first use, to its pair of ``lanes.Row``: the packability of
+    every item subset at stage t (``packable_row``) and that subset's
+    stage profit, each held in every form a DP has read, so a (stage,
+    width) pair is converted at most once per command.
     ``subset`` builds a mask's item set once, when a DP picks it or
     a submodular profit row needs it, and ``assignments`` packs each
     (stage, set) pair once, for the scheme's answer and the oracle's.
@@ -256,7 +259,7 @@ class StageRows(dict):
 
     def __init__(self, inst: GmkInstance):
         super().__init__()
-        self.instance = inst
+        self.instance = ensure_valid(inst)
         self.subsets: dict[int, frozenset[str]] = {}
         self.packed: dict[tuple[int, frozenset[str]], StageAssignments] = {}
 

@@ -33,6 +33,7 @@ from .core import (
     MultistageSolution,
     check_feasible,
     coupling_terms,
+    ensure_valid,
     evaluate_objective,
 )
 from .errors import BudgetExceededError, ContractViolationError, InputError
@@ -221,9 +222,11 @@ def reduce_instance(inst: GmkInstance, *, enum_budget: int | None = None) -> Red
     mass and always stays. In the modular variant those values are the
     whole objective. In the submodular variant they are its gain terms,
     sums of nonnegative gains, so nothing is dropped; the objective stays an
-    oracle that adds per-stage lifted profit functions to them. Refuses
-    (``check_table_budget``) tables larger than ``enum_budget``.
+    oracle that adds per-stage lifted profit functions to them. Checks the
+    instance (``core.ensure_valid``), then refuses (``check_table_budget``)
+    tables larger than ``enum_budget``.
     """
+    ensure_valid(inst)
     check_table_budget("reduction refused", len(inst.items), inst.horizon, enum_budget)
     schedules: dict[str, dict[int, int]] = {}
     for item, row in zip(inst.items, _schedule_values(inst)):

@@ -119,6 +119,13 @@ def _object(raw: Any, where: str) -> Mapping:
     return raw
 
 
+def _list(raw: Any, where: str) -> list:
+    """``raw``, refused unless it is a JSON array: an object would read as its keys."""
+    if not isinstance(raw, list):
+        raise InputError(f"{where}: expected a list, got {type(raw).__name__}")
+    return raw
+
+
 def _scaled_values(raw: Any, denominator: int, where: str, name: str, key_form: str) -> dict[str, int]:
     """The values of ``raw``, a JSON object named ``where + name``, as integers, keyed by ``str`` of each key.
 
@@ -195,7 +202,7 @@ def oracle_from_dict(raw: Any, denominator: int, where: str) -> SetFunctionOracl
     if kind == "coverage":
         universe = _scaled_values(raw.get("universe", {}), denominator, where, ".universe", ".universe[{}]")
         covers = {}
-        for item, cover in raw.get("covers", {}).items():
+        for item, cover in _object(raw.get("covers", {}), f"{where}.covers").items():
             cover = _name_list(cover, f"{where}.covers[{item}]")
             unknown = set(cover) - set(universe)
             if unknown:
@@ -211,7 +218,8 @@ def oracle_from_dict(raw: Any, denominator: int, where: str) -> SetFunctionOracl
         while pending:
             node, at = pending.pop()
             if isinstance(node, Mapping) and node.get("kind") == "sum":
-                pending += reversed([(p, f"{at}.parts[{k}]") for k, p in enumerate(node.get("parts", []))])
+                listed = _list(node.get("parts", []), f"{at}.parts")
+                pending += reversed([(p, f"{at}.parts[{k}]") for k, p in enumerate(listed)])
             else:
                 parts.append(oracle_from_dict(node, denominator, at))
         return SumFunction(parts=tuple(parts))
@@ -277,11 +285,8 @@ def instance_from_dict(raw: Any) -> GmkInstance:
             raise InputError("stages must be a list")
         for t, stage_raw in enumerate(raw["stages"], start=1):
             stage_raw = _object(stage_raw, f"stage {t}")
-            mkcs_raw = stage_raw.get("mkcs", [])
-            if not isinstance(mkcs_raw, list):
-                raise InputError(f"stage {t} mkcs: expected a list, got {type(mkcs_raw).__name__}")
             mkcs = []
-            for j, mkc_raw in enumerate(mkcs_raw, start=1):
+            for j, mkc_raw in enumerate(_list(stage_raw.get("mkcs", []), f"stage {t} mkcs"), start=1):
                 where = f"stage {t} constraint {j}"
                 mkc_raw = _object(mkc_raw, where)
                 weights = _scaled_values(mkc_raw.get("weights", {}), denominator, where, " weights", " weight of {}")
@@ -309,7 +314,7 @@ def instance_from_dict(raw: Any) -> GmkInstance:
             cost_plus=_table_from_json(raw["cost_plus"], denominator, "cost_plus", stage_of),
             cost_minus=_table_from_json(raw["cost_minus"], denominator, "cost_minus", stage_of),
             variant=variant,
-            metadata=dict(raw.get("metadata", {})),
+            metadata=dict(_object(raw.get("metadata", {}), "metadata")),
         )
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise InputError(f"instance file malformed: {exc!r}")
@@ -328,6 +333,9 @@ def solution_to_dict(sol: MultistageSolution) -> dict:
 def solution_from_dict(raw: Any) -> MultistageSolution:
     if not isinstance(raw, Mapping) or "sets" not in raw or "assignments" not in raw:
         raise InputError("solution file must hold an object with 'sets' and 'assignments'")
+    for t, per_stage in enumerate(_list(raw["assignments"], "assignments"), start=1):
+        for j, assignment in enumerate(_list(per_stage, f"stage {t} assignments"), start=1):
+            _object(assignment, f"stage {t} assignment {j}")
     try:
         return MultistageSolution.from_raw(raw["sets"], raw["assignments"])
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -378,18 +386,19 @@ def reduced_to_dict(reduced: ReducedInstance) -> dict:
 
 
 def _reduced_constraint(rc: Any, where: str) -> ReducedConstraint:
+    rc = _object(rc, where)
     bins = _name_list(rc["bins"], f"{where} bins")
-    caps = {
-        str(b): _scaled_int(c, 1, f"{where} capacity of {b}") for b, c in rc["capacities"].items()
-    }
+    caps = _object(rc["capacities"], f"{where} capacities")
+    caps = {str(b): _scaled_int(c, 1, f"{where} capacity of {b}") for b, c in caps.items()}
     if len(set(bins)) != len(bins) or set(caps) != set(bins):
         raise InputError(f"{where}: needs distinct bins with one capacity each")
-    weights = {
-        str(i): _scaled_int(w, 1, f"{where} weight of {i}") for i, w in rc["item_weights"].items()
-    }
+    weights = _object(rc["item_weights"], f"{where} item_weights")
+    weights = {str(i): _scaled_int(w, 1, f"{where} weight of {i}") for i, w in weights.items()}
     stage, index = _scaled_int(rc["stage"], 1, where), _scaled_int(rc["index"], 1, where)
     if not isinstance(rc["padding"], bool):
         raise InputError(f"{where}: padding must be true or false, got {rc['padding']!r}")
+    if rc["padding"] and list(caps.values()) != [0]:
+        raise InputError(f"{where}: a padding constraint holds one bin of capacity 0")
     return ReducedConstraint(stage, index, rc["padding"], bins, caps, weights)
 
 
@@ -415,23 +424,26 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
         items = _name_list(raw["items"], "items")
         horizon = _scaled_int(raw["horizon"], 1, "horizon")
         dimension = _scaled_int(raw["dimension"], 1, "dimension")
-        elements = tuple(_element_from_id(e["id"]) for e in raw["elements"])
-        groups = {
-            str(i): tuple(_element_from_id(eid) for eid in g) for i, g in raw["partition"].items()
-        }
+        elements = tuple(
+            _element_from_id(_object(e, f"elements[{k}]")["id"]) for k, e in enumerate(raw["elements"])
+        )
+        groups = _object(raw["partition"], "partition")
+        groups = {str(i): tuple(_element_from_id(eid) for eid in g) for i, g in groups.items()}
         constraints = tuple(
             _reduced_constraint(rc, f"constraint {k}") for k, rc in enumerate(raw["constraints"])
         )
         stage_functions = None
         if variant == SUBMODULAR:
-            stage_profits = list(raw["objective"]["stage_profits"])
+            objective_raw = _object(raw["objective"], "objective")
+            stage_profits = _list(objective_raw["stage_profits"], "objective.stage_profits")
             if len(stage_profits) != horizon:
                 raise InputError("objective needs one stage profit per stage")
             stage_functions = tuple(
                 extend_function(oracle_from_dict(p, 1, f"objective stage {t}"), t)
                 for t, p in enumerate(stage_profits, start=1)
             )
-        table = raw["values"] if stage_functions is None else raw["objective"]["gain_values"]
+        table = raw["values"] if stage_functions is None else objective_raw["gain_values"]
+        table = _object(table, "values" if stage_functions is None else "objective.gain_values")
         values = {
             _element_from_id(eid): _scaled_int(v, 1, f"{label} of {eid}")
             for eid, v in table.items()

@@ -28,7 +28,7 @@ from gmk.intervals import (
     to_intervals,
 )
 from gmk.mkcp import finish_selection, solve_mkcp_exact, solve_mkcp_greedy
-from gmk.oracle import brute_force_gmk
+from gmk.oracle import StageRows, brute_force_gmk
 from gmk.reduction import ReducedElement, lift_solution, reduce_instance
 from gmk.serialize import canonical_dumps, instance_to_dict, reduced_solution_to_dict, solution_to_dict
 from gmk.submodular import TableFunction, check_monotone_submodular, extend_function
@@ -166,11 +166,11 @@ def test_criterion_5_general_scheme_guarantee():
     for seed in range(200):
         inst = gen_random(params, seed)
         opt = evaluate_objective(inst, brute_force_gmk(inst).sets)
-        result = solve_general_result(inst, scheme_02, "exact", **kwargs)
+        result = solve_general_result(StageRows(inst), scheme_02, "exact", **kwargs)
         assert Fraction(result.value) >= (1 - Fraction("0.2")) * opt
         checked_02 += 1
         if seed < 50:
-            result_01 = solve_general_result(inst, scheme_01, "exact", **kwargs)
+            result_01 = solve_general_result(StageRows(inst), scheme_01, "exact", **kwargs)
             assert Fraction(result_01.value) >= (1 - Fraction("0.1")) * opt
             checked_01 += 1
     assert checked_02 == 200 and checked_01 == 50
@@ -285,7 +285,7 @@ def test_criterion_9_determinism_byte_identical():
                                 profit_range=(1, 5), target_phi=1), 7)
     scheme = SchemeParams(Fraction("0.2"), 1)
     solve_bytes = [
-        canonical_dumps(solution_to_dict(solve_general_result(inst, scheme, "exact").solution))
+        canonical_dumps(solution_to_dict(solve_general_result(StageRows(inst), scheme, "exact").solution))
         for _ in range(2)
     ]
     assert solve_bytes[0] == solve_bytes[1]
@@ -294,7 +294,7 @@ def test_criterion_9_determinism_byte_identical():
                                      profit_range=(1, 4), target_phi=1), 8)
     loop_scheme = SchemeParams(Fraction("0.2"), 1, mu_inv=2)
     loop_bytes = [
-        canonical_dumps(solution_to_dict(solve_general_result(loop_inst, loop_scheme, "exact").solution))
+        canonical_dumps(solution_to_dict(solve_general_result(StageRows(loop_inst), loop_scheme, "exact").solution))
         for _ in range(2)
     ]
     assert loop_bytes[0] == loop_bytes[1]

@@ -185,6 +185,47 @@ BAD_NUMBERS = {
             "solution file malformed: TypeError(\"'int' object is not iterable\")",
             id="solution_sets_number",
         ),
+        # metadata is an object: a list of pairs or of two-letter strings is no dict of it
+        *(
+            pytest.param(
+                lambda inst, sol, value=value: inst.update(metadata=value),
+                f"metadata: expected an object, got {type(value).__name__}",
+                id=f"metadata_{name}",
+            )
+            for name, value in (("pairs", [["seed", 9]]), ("chars", ["xy"]), ("number", 3), ("string", "ab"))
+        ),
+        pytest.param(
+            lambda inst, sol: (_coverage_twin(inst, 1), inst["stages"][0]["profit"].update(covers=[["u1"]])),
+            "stage 1 profit.covers: expected an object, got list",
+            id="covers_list",
+        ),
+        pytest.param(
+            lambda inst, sol: (_submodular_twin(inst), inst["stages"][1].update(profit={"kind": "sum", "parts": 3})),
+            "stage 2 profit.parts: expected a list, got int",
+            id="parts_number",
+        ),
+        # an object of parts would read as its keys, each refused as parts[0]
+        pytest.param(
+            lambda inst, sol: (
+                _submodular_twin(inst),
+                inst["stages"][1].update(profit={"kind": "sum", "parts": {"p": inst["stages"][1]["profit"]}}),
+            ),
+            "stage 2 profit.parts: expected a list, got dict",
+            id="parts_object",
+        ),
+        pytest.param(
+            lambda inst, sol: sol.update(assignments=5), "assignments: expected a list, got int", id="assignments_number"
+        ),
+        pytest.param(
+            lambda inst, sol: sol["assignments"].__setitem__(1, {"srv1": ["cam"]}),
+            "stage 2 assignments: expected a list, got dict",
+            id="stage_assignments_object",
+        ),
+        pytest.param(
+            lambda inst, sol: sol["assignments"][0].__setitem__(0, [["cam"]]),
+            "stage 1 assignment 1: expected an object, got list",
+            id="assignment_list",
+        ),
         # an invalid instance is not checked against the solution, which
         # here reads a capacity that does not exist, or a stage past T
         pytest.param(
@@ -423,6 +464,45 @@ BAD_REDUCED = {
         lambda raw: raw["constraints"][0]["item_weights"].pop("log"),
         "needs the weight of every item",
     ),
+    # the packer skips a padding constraint, so one with no bin would refuse the packed answer
+    "padding_without_its_bin": (
+        "modular_micro",
+        lambda raw: raw["constraints"][0].update(padding=True, bins=[], capacities={}),
+        "constraint 0: a padding constraint holds one bin of capacity 0",
+    ),
+    "elements_entry_string": (
+        "modular_micro", lambda raw: raw["elements"].__setitem__(1, "cam@1"), "elements[1]: expected an object, got str"
+    ),
+    "partition_list": (
+        "modular_micro", lambda raw: raw.update(partition=[["cam@0"]]), "partition: expected an object, got list"
+    ),
+    "values_list": ("modular_micro", lambda raw: raw.update(values=[0]), "values: expected an object, got list"),
+    "capacities_list": (
+        "modular_micro",
+        lambda raw: raw["constraints"][0].update(capacities=[2, 1]),
+        "constraint 0 capacities: expected an object, got list",
+    ),
+    "item_weights_list": (
+        "modular_micro",
+        lambda raw: raw["constraints"][0].update(item_weights=[2, 1]),
+        "constraint 0 item_weights: expected an object, got list",
+    ),
+    "gain_values_list": (
+        "submodular_micro",
+        lambda raw: raw["objective"].update(gain_values=[0]),
+        "objective.gain_values: expected an object, got list",
+    ),
+    "constraint_number": (
+        "modular_micro", lambda raw: raw["constraints"].__setitem__(0, 3), "constraint 0: expected an object, got int"
+    ),
+    "objective_list": (
+        "submodular_micro", lambda raw: raw.update(objective=[1]), "objective: expected an object, got list"
+    ),
+    "stage_profits_object": (
+        "submodular_micro",
+        lambda raw: raw["objective"].update(stage_profits=dict(enumerate(raw["objective"]["stage_profits"]))),
+        "objective.stage_profits: expected a list, got dict",
+    ),
 }
 
 
@@ -575,6 +655,7 @@ def test_oracle_value_too_long_to_write_exits_2(tmp_path, capsys):
 
 
 def test_solve_validates_the_instance_once(tmp_path, capsys, monkeypatch):
+    # each command checks its instance once: in its stage table, or in reduce_instance
     inst = tmp_path / "inst.json"
     params = GenParams(items=3, horizon=14, dimension=2, target_phi=1)
     write_json(inst, instance_to_dict(gen_random(params, 0)))
@@ -585,12 +666,20 @@ def test_solve_validates_the_instance_once(tmp_path, capsys, monkeypatch):
     calls = []
     real = core.validate_instance
     monkeypatch.setattr(core, "validate_instance", lambda i: calls.append(i) or real(i))
-    for path, code in ((inst, 0), (broken_path, 2)):
-        calls.clear()
-        capsys.readouterr()
-        assert run("solve", "--in", path, *SCHEME, "--out", tmp_path / "s.json") == code
-        assert len(calls) == 1
-    assert "invalid instance" in json.loads(capsys.readouterr().err)["error"]["message"]
+    commands = [
+        ("solve", *SCHEME, "--out", tmp_path / "s.json"),
+        ("compare", *SCHEME, "--report", tmp_path / "c.json"),
+        ("compare", *SCHEME, "--sub-solver", "greedy", "--report", tmp_path / "c.json"),
+        ("oracle", "--out", tmp_path / "o.json"),
+        ("reduce", "--out", tmp_path / "r.json"),
+    ]
+    for command, *flags in commands:
+        for path, code in ((inst, 0), (broken_path, 2)):
+            calls.clear()
+            capsys.readouterr()
+            assert run(command, "--in", path, *flags) == code, command
+            assert len(calls) == 1, command
+        assert "invalid instance" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 def _reduce_at_table_boundary(tmp_path):
@@ -1763,6 +1852,17 @@ def _readme_walkthrough():
     commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", "").splitlines()]
     assert all(argv[0] == "gmk" for argv in commands)
     return [argv[1:] for argv in commands]
+
+
+def test_readme_python_blocks_run_in_a_fresh_interpreter(tmp_path):
+    # each block of README's library section, as a reader would paste it
+    root = DOCS.parent.parent
+    blocks = [part.split("```", 1)[0] for part in (root / "README.md").read_text().split("```python\n")[1:]]
+    assert len(blocks) == 2
+    for block in blocks:
+        done = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 def _walkthrough_files(directory):

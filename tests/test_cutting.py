@@ -232,7 +232,7 @@ def test_general_bypass_equivalence():
     for seed in range(6):
         inst = gen_random(GenParams(items=3, horizon=3, cost_range=(1, 1), profit_range=(1, 5), target_phi=1), seed)
         _, value = solve_bounded_horizon(StageRows(inst), 1, inst.horizon, "exact")
-        result = solve_general_result(inst, params, "exact")
+        result = solve_general_result(StageRows(inst), params, "exact")
         assert result.bypassed and result.selected_j is None
         assert result.value == value
         assert _solution_bytes(result.solution) == _solution_bytes(_solve(inst))
@@ -243,7 +243,7 @@ def test_general_phi_precondition_names_item():
         GenParams(items=2, horizon=2, profit_range=(1, 1), cost_range=(3, 3)), 0
     )
     with pytest.raises(InputError, match="i01"):
-        solve_general_result(inst, SchemeParams(Fraction(1, 5), 1))
+        solve_general_result(StageRows(inst), SchemeParams(Fraction(1, 5), 1))
 
 
 def test_general_cutting_loop_with_override():
@@ -253,7 +253,7 @@ def test_general_cutting_loop_with_override():
             GenParams(items=2, horizon=8, cost_range=(1, 1), profit_range=(1, 4), target_phi=1),
             seed,
         )
-        result = solve_general_result(inst, params, "exact")
+        result = solve_general_result(StageRows(inst), params, "exact")
         assert not result.bypassed
         assert len(result.iterations) == 2
         assert result.selected_j in (1, 2)
@@ -276,8 +276,8 @@ def test_general_deterministic():
     inst = gen_random(
         GenParams(items=2, horizon=8, cost_range=(1, 1), profit_range=(1, 4), target_phi=1), 3
     )
-    first = solve_general_result(inst, params, "exact").solution
-    second = solve_general_result(inst, params, "exact").solution
+    first = solve_general_result(StageRows(inst), params, "exact").solution
+    second = solve_general_result(StageRows(inst), params, "exact").solution
     assert canonical_dumps(solution_to_dict(first)) == canonical_dumps(solution_to_dict(second))
 
 
@@ -285,11 +285,11 @@ def test_general_submodular_path():
     params = SchemeParams(Fraction(1, 5), 1, mu_inv=2)
     for seed in range(4):
         inst = gen_random(GenParams(items=2, horizon=7, variant="submodular"), seed)
-        result = solve_general_result(inst, params, "exact")
+        result = solve_general_result(StageRows(inst), params, "exact")
         assert not result.bypassed
         opt = evaluate_objective(inst, brute_force_gmk(inst).sets)
         assert result.value <= opt
-        bypass = solve_general_result(inst, SchemeParams(Fraction(1, 5), 1), "exact")
+        bypass = solve_general_result(StageRows(inst), SchemeParams(Fraction(1, 5), 1), "exact")
         assert bypass.value == opt
 
 
@@ -298,7 +298,7 @@ def test_general_submodular_rejects_nonzero_costs():
 
     broken = inst._replace(cost_plus={("i01", 1): 2, **{k: 0 for k in inst.cost_plus if k != ("i01", 1)}})
     with pytest.raises(InputError):
-        solve_general_result(broken, SchemeParams(Fraction(1, 5), 1))
+        solve_general_result(StageRows(broken), SchemeParams(Fraction(1, 5), 1))
 
 
 def test_general_greedy_subsolver_feasible():
@@ -308,7 +308,7 @@ def test_general_greedy_subsolver_feasible():
             GenParams(items=3, horizon=8, cost_range=(1, 1), profit_range=(1, 4), target_phi=1),
             seed,
         )
-        result = solve_general_result(inst, params, "greedy")
+        result = solve_general_result(StageRows(inst), params, "greedy")
         opt = evaluate_objective(inst, brute_force_gmk(inst).sets)
         assert result.value <= opt
 
@@ -389,10 +389,10 @@ def test_a_whole_horizon_window_is_valued_once(monkeypatch, solver):
         real = module.evaluate_window
         monkeypatch.setattr(module, "evaluate_window", _counting(calls, "evaluate_window", real))
     inst = gen_random(GenParams(items=3, horizon=9, target_phi=1), 0)
-    result = solve_general_result(inst, SchemeParams(Fraction(1, 5), 1, mu_inv=5), solver)
+    result = solve_general_result(StageRows(inst), SchemeParams(Fraction(1, 5), 1, mu_inv=5), solver)
     assert result.bypassed and len(calls) == 1
     calls.clear()
-    result = solve_general_result(inst, SchemeParams(Fraction(1, 5), 1, mu_inv=4), solver)
+    result = solve_general_result(StageRows(inst), SchemeParams(Fraction(1, 5), 1, mu_inv=4), solver)
     windows = [len(it.window_values) for it in result.iterations]
     assert windows == [2, 2, 1, 1]
     assert len(calls) == 2 + 2 + 1 + 2  # each distinct window, then each shift of two windows
@@ -406,7 +406,7 @@ def test_identical_shifts_are_solved_once(monkeypatch, solver, engine_calls):
     calls = []
     monkeypatch.setattr(cutting, "max_plus_masks", _recording(calls, "max_plus_masks"))
     inst = gen_random(GenParams(items=3, horizon=9, target_phi=1), 0)
-    result = solve_general_result(inst, SchemeParams(Fraction(1, 5), 1, mu_inv=4), solver)
+    result = solve_general_result(StageRows(inst), SchemeParams(Fraction(1, 5), 1, mu_inv=4), solver)
     assert len(calls) == engine_calls
     assert [len(it.window_values) for it in result.iterations] == [2, 2, 1, 1]
     assert result.iterations[2].window_values == result.iterations[3].window_values
@@ -595,7 +595,7 @@ def test_exact_routes_refuse_by_the_candidate_space(exact_routes):
         assert exact_routes == ["_stage_dp"]
         assert evaluate_objective(inst, sol.sets) == _optimum(inst)
         scheme = SchemeParams(Fraction(1, 5), 1, mu_inv=2)
-        result = solve_general_result(inst, scheme, "exact", enum_budget=work)
+        result = solve_general_result(StageRows(inst), scheme, "exact", enum_budget=work)
         assert not result.bypassed
         long = gen_random(params._replace(horizon=13), seed)
         with pytest.raises(BudgetExceededError, match=r"reduction refused: .* \(\|I\| \* 2\*\*T\)"):
@@ -618,9 +618,9 @@ def test_exact_scheme_matches_oracle_beyond_one_bin(shape):
         inst = gen_random(params, seed)
         opt = evaluate_objective(inst, brute_force_gmk(inst).sets)
         assert evaluate_objective(inst, _solve(inst, **budget).sets) == opt
-        result = solve_general_result(inst, bypass, "exact", **budget)
+        result = solve_general_result(StageRows(inst), bypass, "exact", **budget)
         assert result.bypassed and result.value == opt
-        result = solve_general_result(inst, cutting_loop, "exact", **budget)
+        result = solve_general_result(StageRows(inst), cutting_loop, "exact", **budget)
         assert not result.bypassed and result.value <= opt
         for it in result.iterations:
             windows = CutPointSet(it.cut_points).windows()
@@ -647,7 +647,7 @@ def test_exact_scheme_at_the_paper_parameters_keeps_the_ptas_bound():
         inst = gen_random(params, seed)
         scheme = SchemeParams(eps, 1)
         assert 2 * scheme.mu_inv < horizon <= 150
-        result = solve_general_result(inst, scheme, "exact")
+        result = solve_general_result(StageRows(inst), scheme, "exact")
         opt = _optimum(inst)
         assert not result.bypassed, seed
         assert result.value >= (1 - eps) * opt, seed
@@ -795,7 +795,7 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         chosen.clear()
         engine.clear()
         packed.clear()
-        result = solve_general_result(inst, scheme, solver, enum_budget=10**15)
+        result = solve_general_result(StageRows(inst), scheme, solver, enum_budget=10**15)
         assert not result.bypassed and len(result.iterations) == 4
         assert sorted(stages) == rows * list(range(1, inst.horizon + 1))
         assert calls == []
@@ -824,7 +824,7 @@ def test_cutting_loop_builds_each_stage_row_once_and_no_reduction(monkeypatch):
         # a bypass solves its one window and packs and checks it, combining nothing
         checks.clear()
         packed.clear()
-        result = solve_general_result(inst, bypass, solver, enum_budget=10**15)
+        result = solve_general_result(StageRows(inst), bypass, solver, enum_budget=10**15)
         assert result.bypassed
         assert packed == list(enumerate(result.solution.sets, start=1))
         assert {name: checks.count(name) for _, name in names} == {

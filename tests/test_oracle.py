@@ -12,10 +12,11 @@ from gmk import cutting, lanes, mkcp, oracle
 from gmk.cli import main
 from gmk.core import McpStage, Mkc, check_feasible, coupling_terms, evaluate_objective
 from gmk.cutting import CutPointSet, solve_bounded_horizon
-from gmk.errors import BudgetExceededError, ContractViolationError
+from gmk.errors import BudgetExceededError, ContractViolationError, InputError
 from gmk.generators import GenParams, gen_random
 from gmk.mkcp import Capacities
 from gmk.reduction import DEFAULT_ENUM_BUDGET as DEFAULT_ORACLE_BUDGET
+from gmk.reduction import reduce_instance
 from gmk.oracle import StageRows, brute_force_gmk, max_plus_masks, packable_row
 from gmk.serialize import canonical_dumps, dumps, instance_to_dict, solution_to_dict, write_json
 
@@ -87,6 +88,35 @@ def test_budget_refusal():
     inst = gen_random(GenParams(items=3, horizon=3), 0)
     with pytest.raises(BudgetExceededError):
         brute_force_gmk(inst, work_budget=10)
+
+
+def _without_one_gain(inst):
+    gains = dict(inst.gain_plus)
+    del gains[inst.items[0], 2]
+    return inst._replace(gain_plus=gains)
+
+
+@pytest.mark.parametrize(
+    "corrupt, entry",
+    [
+        (_without_one_gain, "gain_plus incomplete: missing entry for item i01 stage 2"),
+        (lambda inst: inst._replace(items=inst.items + ("zz",)), "missing item zz"),
+    ],
+    ids=["missing_gain_entry", "unknown_item"],
+)
+def test_stage_table_readers_refuse_an_invalid_instance(corrupt, entry):
+    # each reader checks its instance before it reads a table, so none fails on a missing key
+    bad = corrupt(gen_random(GenParams(items=3, horizon=3, dimension=2), 0))
+    readers = [
+        lambda: StageRows(bad),
+        lambda: brute_force_gmk(bad),
+        lambda: solve_bounded_horizon(StageRows(bad), 1, bad.horizon),
+        lambda: reduce_instance(bad),
+    ]
+    for read in readers:
+        with pytest.raises(InputError, match="^invalid instance: ") as refused:
+            read()
+        assert entry in str(refused.value)
 
 
 def test_budget_counts_the_dp_work_at_the_boundary():

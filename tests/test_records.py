@@ -35,6 +35,7 @@ from gmk import (
     SchemeParams,
     SchemeResult,
     SetFunctionOracle,
+    StageRows,
     SumFunction,
     TableFunction,
     ValidationReport,
@@ -75,7 +76,7 @@ EXAMPLES = {
     CutPointSet: lambda: CutPointSet((1, 3, 5)),
     SchemeParams: lambda: SchemeParams(Fraction(1, 5), 1),
     SchemeIteration: lambda: SchemeIteration(1, (1, 3), (4,), 4),
-    SchemeResult: lambda: solve_general_result(_instance(), SchemeParams(Fraction(1, 5), 1)),
+    SchemeResult: lambda: solve_general_result(StageRows(_instance()), SchemeParams(Fraction(1, 5), 1)),
     GenParams: lambda: GenParams(items=4, weight_range=(1, 2)),
     MultidimKnapsackInstance: lambda: MultidimKnapsackInstance(("a",), {"a": 2}, {"a": (1, 1)}, (2, 2)),
     IntervalElement: lambda: IntervalElement("a", 1, 2),
@@ -152,11 +153,14 @@ def test_oracles_compare_by_class_and_fields():
         assert clone == nested and clone.grounds == nested.grounds
 
 
-def test_scheme_result_leaves_its_stage_table_out_of_equality_and_repr():
+def test_two_scheme_runs_compare_equal_field_by_field():
     a, b = EXAMPLES[SchemeResult](), EXAMPLES[SchemeResult]()
-    assert a.rows is not b.rows and a == b
+    assert SchemeResult.__eq__ is tuple.__eq__ and SchemeResult.__ne__ is tuple.__ne__
+    assert a == b and all(x == y for x, y in zip(a, b))
     assert a != a._replace(value=a.value + 1)
-    assert "rows=" not in repr(a) and repr(a).startswith("SchemeResult(solution=")
+    assert a._fields == ("solution", "value", "bypassed", "selected_j", "iterations")
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(a._fields, a))
+    assert repr(a) == f"SchemeResult({fields})"
 
 
 def test_instance_metadata_defaults_to_an_immutable_empty_mapping():
