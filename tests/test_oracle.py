@@ -216,6 +216,22 @@ GOLDEN_ORACLE = {
             "2f7762ef903ade78d23d918cb421ea537492e133afa06141b8bb0a06853ca5a5",
         ],
     ),
+    # recorded while rows of three bins or more still asked ``place`` per subset
+    "four_bin": (
+        GenParams(items=5, horizon=4, dimension=2, bins_per_mkc=4, capacity_range=(1, 6)),
+        [
+            "fd92c518cefaed123cd8dc8b76040144790e7033f70bc431609e928e61a355e5",
+            "3c4cb1bb02a94201f543653a51f987af432c13c9492548bd5c8f95c7e672f38b",
+            "f433807fe85d2157fe1116ca475612bd02c8a57667a63f517fdcd2dcd9215de8",
+            "44648b8f2b121b1460727f918e8e8b6513af3e3ac8e7022493c64e20acb8aeaf",
+            "dc67262609f843bdf864794adbc7db6d1e55a6d807ae59bded1f9e1f1eca3934",
+            "57c29123edbc33aea7ff1c3d9aaadb73905b14bc6dfa7d4f6741ffefc55414cf",
+            "54f71ee6ae64c682e404431e8412b68be0b807fa40984a39632063f4aa65197b",
+            "5643f855b17acc5e3068a3debd5908b4a705fe712e3e40a19b532244789591e2",
+            "bb8ec4d7285af2bc87dbefcc8636a1d212f68c4894bdb384b8b7ee20da43d515",
+            "c3c8c44a1bbb2a8ca7fb1efee46e3fb54a67ca5655e7eaef60958eeb8f1bdc46",
+        ],
+    ),
     "submodular": (
         GenParams(items=5, horizon=4, bins_per_mkc=2, variant="submodular"),
         [
