@@ -4,8 +4,11 @@
 constraint's bins, by first-fit-decreasing and then exhaustive
 backtracking with symmetry breaking on equal remaining capacities.
 ``pack_assignment`` names its placement by element and bin;
-``_PartialPacking.avail``, and ``oracle.packable_row`` past two bins, only
-ask whether one exists (``Capacities.screen`` decides two bins in ``lanes``).
+``_PartialPacking.avail`` only asks whether one exists. ``screen`` decides
+every subset of a constraint's items at once, in ``lanes``, for
+``oracle.packable_row``, by one rule for any number of bins c1 >= ... >= ck:
+subset m packs into bins 1..j exactly when the heaviest B inside m that
+packs into bins 1..j-1 leaves w(m) - w(B) <= c_j for bin j.
 Every solver asks ``avail(k)`` for the stages where the k-th item still
 packs on top of its choices so far; a schedule packs exactly when its mask
 lies inside that mask.
@@ -172,33 +175,33 @@ class Capacities(NamedTuple):
             return False
         return True if load <= self.largest else None
 
-    def screen(self, weights: Sequence[int], width: int, bins: int) -> tuple[int, int]:
-        """``fit`` of every subset at once, in guard bits: of those that may pack, and of those left to ``place``.
 
-        Lane m of ``lanes.sums`` holds subset m's weight, below ``width``'s
-        guard bit: ``width`` is at least ``lanes.width((n + 1) * (total + 1))``
-        for n weights. An item above the largest bin counts as total + 1, so
-        one compare refuses its subsets. Of at most two ``bins``, c1 >= c2,
-        none is left: m packs exactly when ``h[m] + c2 >= w(m)``, h[m] the
-        largest ``w(A) <= c1`` over A inside m, a subset max in one
-        ``lanes.larger`` per item (Yates' transform over (max, +); Bjorklund
-        et al., "Fourier meets Mobius", STOC 2007).
-        """
-        total, largest = self
-        size = 1 << len(weights)
-        ones, guard = lanes.ones(size, width), lanes.guard(size, width)
-        sums = lanes.sums([w if w <= largest else total + 1 for w in weights], width)
-        within = lanes.at_least(total * ones, sums, guard)
-        if total == largest:
-            return within, 0
-        small = lanes.at_least(largest * ones, sums, guard)
-        if bins > 2:
-            return within, within ^ small
-        # h[m] = w(m) where it fits c1, else 0; item k's pass keeps the larger of lanes m and m & ~2**k
-        h = sums & lanes.fill(small, width)
+def screen(caps: Sequence[int], weights: Sequence[int], width: int) -> int:
+    """The guard bits of the subsets of ``weights`` that pack into bins of descending ``caps``, at least one.
+
+    Lane m of ``lanes.sums`` holds subset m's weight w(m), below ``width``'s
+    guard bit: ``width`` is at least ``lanes.width((n + 1) * (total + 1))``
+    for n weights and the caps' total. An item above c1 counts as total + 1,
+    so no subset holding it packs. One rule chains over c1 >= ... >= ck:
+    P_1[m] = [w(m) <= c1], and P_j[m] = [h_j[m] + c_j >= w(m)], where h_j[m]
+    is the largest w(B) over the B inside m with P_{j-1}[B], a subset max in
+    one ``lanes.larger`` per item (Yates' transform over (max, +); Bjorklund
+    et al., "Fourier meets Mobius", STOC 2007). It is exact: m packs into
+    bins 1..j exactly when some B inside m packs into bins 1..j-1 with
+    w(m) - w(B) <= c_j, bin j taking the rest, and the heaviest such B is
+    enough. P_k implies w(m) <= total.
+    """
+    size, above = 1 << len(weights), sum(caps) + 1
+    ones, guard = lanes.ones(size, width), lanes.guard(size, width)
+    sums = lanes.sums([w if w <= caps[0] else above for w in weights], width)
+    packs = lanes.at_least(caps[0] * ones, sums, guard)
+    for cap in caps[1:]:
+        # h[m] = w(m) where m packs so far, else 0; item k's pass keeps the larger of lanes m and m & ~2**k
+        h = sums & lanes.fill(packs, width)
         for shift, _, _, low in lanes.masks(size, width):
             h = lanes.larger(h, (h & low) << shift, guard, width)
-        return lanes.at_least(h + (total - largest) * ones, sums, guard), 0
+        packs = lanes.at_least(h + cap * ones, sums, guard)
+    return packs
 
 
 class _PartialPacking:

@@ -19,13 +19,14 @@ lists. Both give the same values and witness.
 The engine takes only held ``lanes.Rows``, so a row held for a command is
 converted at most once per (stage, width), however many DPs read it. A
 modular profit row is a ``lanes.Row.sums``. Packability is built in bulk
-too (``packable_row``): ``mkcp.Capacities.screen`` decides every subset
-under two bins at most in lanes, and flags the weight sums under more; a
-stage's flags are and-ed in one int, and a binless constraint packs only
-the empty set. Packability is monotone, as weights are nonnegative and
-dropping an item from a feasible assignment keeps it feasible: a subset a
-screen of three bins or more leaves open is packable when some subset with
-one more item is, and ``mkcp.place`` decides only the subsets left after that.
+too (``packable_row``): ``mkcp.screen`` decides every subset of a
+constraint in lanes, by one rule for any number of bins, and a stage's
+flags are and-ed in one int; a binless constraint packs only the empty
+set. The rule chains over the capacities c1 >= ... >= ck: P_1[m] =
+[w(m) <= c1], and P_j[m] = [h_j[m] + c_j >= w(m)], h_j the subset max of
+w * P_{j-1}. It is exact, as m packs into bins 1..j exactly when some B
+inside m packs into bins 1..j-1 with w(m) - w(B) <= c_j, and the heaviest
+such B is enough.
 
 This module holds what the package's stage DPs share: the engine
 ``max_plus_masks`` and the stage table ``StageRows``, the one builder of a
@@ -47,14 +48,13 @@ against ``core.evaluate_objective``. All values are plain Python ints, exact.
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import add
 from typing import Mapping, Sequence
 
 from . import lanes
 from .core import MODULAR, GmkInstance, McpStage, MultistageSolution, check_feasible, ensure_valid, evaluate_objective
 from .errors import BudgetExceededError, ContractViolationError
-from .mkcp import Capacities, pack_mkc, place
+from .mkcp import pack_mkc, screen
 from .reduction import DEFAULT_ENUM_BUDGET, count_text
 
 # one stage's assignments: per constraint, the items of each bin
@@ -64,13 +64,10 @@ StageAssignments = tuple[Mapping[str, frozenset[str]], ...]
 def packable_row(inst: GmkInstance, t: int) -> lanes.Row:
     """The flag row whose cell m is True when the subset with bit k set for items[k] packs at stage t.
 
-    Every constraint's ``Capacities.screen`` flags all subsets at once, in
-    lanes of one width for the stage, and decides them all for at most two
-    bins; a constraint with no bin packs only the empty set. The masks a
-    screen leaves open are decided in descending order, so every one-item
-    superset of a mask is decided before the mask itself, and ``place``
-    runs only on those with no packable one. The flags are read out in
-    bulk, one byte per subset.
+    Every constraint's ``mkcp.screen`` decides all subsets at once, of any
+    number of bins, in lanes of one width for the stage, and the stage's
+    row is their and, read out in bulk, one byte per subset; a constraint
+    with no bin packs only the empty set.
     """
     items = inst.items
     size = 1 << len(items)
@@ -79,27 +76,12 @@ def packable_row(inst: GmkInstance, t: int) -> lanes.Row:
         if not bins:
             return lanes.Row.flags(b"\1" + bytes(size - 1))
         caps = sorted([capacities[b] for b in bins], reverse=True)
-        bounds = Capacities(sum(caps), caps[0])
-        width = max(width, lanes.width((len(items) + 1) * (bounds.total + 1)))
-        screens.append((caps, bounds, [weights[i] for i in items]))
-    allowed, opened = lanes.guard(size, width), []
-    for caps, bounds, weights in screens:
-        within, above = bounds.screen(weights, width, len(caps))
-        allowed &= within
-        if above:
-            opened.append((caps, weights, above))
-    row = bytearray(lanes.flags(allowed, size, width))
-    open_mkcs: dict[int, list[tuple[list[int], list[tuple[int, int]]]]] = {}
-    bits = [1 << k for k in range(len(items))]
-    for caps, weights, above in opened:
-        # (weight, bit) pairs by weight descending, for the masks left open
-        desc = sorted(((w, bit) for w, bit in zip(weights, bits) if w), reverse=True)
-        for m in compress(range(size), lanes.flags(above & allowed, size, width)):
-            open_mkcs.setdefault(m, []).append((caps, desc))
-    for m in sorted(open_mkcs, reverse=True):
-        if not any(row[m | bit] for bit in bits if not m & bit):
-            row[m] = all(place(caps, [w for w, bit in desc if m & bit]) is not None for caps, desc in open_mkcs[m])
-    return lanes.Row.flags(bytes(row))
+        width = max(width, lanes.width((len(items) + 1) * (sum(caps) + 1)))
+        screens.append((caps, [weights[i] for i in items]))
+    allowed = lanes.guard(size, width)
+    for caps, weights in screens:
+        allowed &= screen(caps, weights, width)
+    return lanes.Row.flags(lanes.flags(allowed, size, width))
 
 
 def check_dp_work(refusal: str, horizon: int, n: int, budget: int | None) -> None:

@@ -126,6 +126,15 @@ def _list(raw: Any, where: str) -> list:
     return raw
 
 
+def _fields(raw: Any, where: str, *keys: str) -> Mapping:
+    """``raw``, refused unless it is a JSON object holding each of ``keys``."""
+    raw = _object(raw, where)
+    for key in keys:
+        if key not in raw:
+            raise InputError(f"{where}: missing key {key!r}")
+    return raw
+
+
 def _scaled_values(raw: Any, denominator: int, where: str, name: str, key_form: str) -> dict[str, int]:
     """The values of ``raw``, a JSON object named ``where + name``, as integers, keyed by ``str`` of each key.
 
@@ -333,9 +342,12 @@ def solution_to_dict(sol: MultistageSolution) -> dict:
 def solution_from_dict(raw: Any) -> MultistageSolution:
     if not isinstance(raw, Mapping) or "sets" not in raw or "assignments" not in raw:
         raise InputError("solution file must hold an object with 'sets' and 'assignments'")
+    for t, names in enumerate(_list(raw["sets"], "sets"), start=1):
+        _list(names, f"stage {t} set")
     for t, per_stage in enumerate(_list(raw["assignments"], "assignments"), start=1):
         for j, assignment in enumerate(_list(per_stage, f"stage {t} assignments"), start=1):
-            _object(assignment, f"stage {t} assignment {j}")
+            for b, names in _object(assignment, f"stage {t} assignment {j}").items():
+                _list(names, f"stage {t} assignment {j} bin {b}")
     try:
         return MultistageSolution.from_raw(raw["sets"], raw["assignments"])
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -386,7 +398,7 @@ def reduced_to_dict(reduced: ReducedInstance) -> dict:
 
 
 def _reduced_constraint(rc: Any, where: str) -> ReducedConstraint:
-    rc = _object(rc, where)
+    rc = _fields(rc, where, "stage", "index", "padding", "bins", "capacities", "item_weights")
     bins = _name_list(rc["bins"], f"{where} bins")
     caps = _object(rc["capacities"], f"{where} capacities")
     caps = {str(b): _scaled_int(c, 1, f"{where} capacity of {b}") for b, c in caps.items()}
@@ -425,7 +437,7 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
         horizon = _scaled_int(raw["horizon"], 1, "horizon")
         dimension = _scaled_int(raw["dimension"], 1, "dimension")
         elements = tuple(
-            _element_from_id(_object(e, f"elements[{k}]")["id"]) for k, e in enumerate(raw["elements"])
+            _element_from_id(_fields(e, f"elements[{k}]", "id")["id"]) for k, e in enumerate(raw["elements"])
         )
         groups = _object(raw["partition"], "partition")
         groups = {str(i): tuple(_element_from_id(eid) for eid in g) for i, g in groups.items()}

@@ -180,10 +180,15 @@ BAD_NUMBERS = {
             "stage 1 constraint 1 capacity of srv1: expected a finite number, got inf",
             id="capacity_1e400",
         ),
+        pytest.param(lambda inst, sol: sol.update(sets=5), "sets: expected a list, got int", id="solution_sets_number"),
+        # a string would read as its characters
         pytest.param(
-            lambda inst, sol: sol.update(sets=5),
-            "solution file malformed: TypeError(\"'int' object is not iterable\")",
-            id="solution_sets_number",
+            lambda inst, sol: sol["sets"].__setitem__(1, "cam"), "stage 2 set: expected a list, got str", id="set_string"
+        ),
+        pytest.param(
+            lambda inst, sol: sol["assignments"][0][0].update(srv1="cam"),
+            "stage 1 assignment 1 bin srv1: expected a list, got str",
+            id="bin_string",
         ),
         # metadata is an object: a list of pairs or of two-letter strings is no dict of it
         *(
@@ -435,8 +440,9 @@ BAD_REDUCED = {
     "negative_capacity": ("modular_micro", _negative_capacity, "negative values are rejected"),
     "mask_beyond_horizon": ("modular_micro", _mask_beyond_horizon, "beyond horizon 2"),
     "constraint_without_stage": (
-        "modular_micro", lambda raw: raw["constraints"][0].pop("stage"), "KeyError('stage')"
+        "modular_micro", lambda raw: raw["constraints"][0].pop("stage"), "constraint 0: missing key 'stage'"
     ),
+    "element_without_id": ("modular_micro", lambda raw: raw["elements"][1].pop("id"), "elements[1]: missing key 'id'"),
     "element_without_value": ("modular_micro", _element_without_value, "cover exactly the elements"),
     "unknown_variant": ("modular_micro", lambda raw: raw.update(variant="bogus"), "unknown variant"),
     "modular_without_values": ("modular_micro", lambda raw: raw.pop("values"), "needs 'values'"),

@@ -20,6 +20,7 @@ from gmk.mkcp import (
     pack_assignment,
     pack_mkc,
     place,
+    screen,
     solve_mkcp_exact,
     solve_mkcp_greedy,
 )
@@ -167,31 +168,37 @@ def test_place_matches_every_map():
 
 def test_screen_agrees_with_fit():
     rng = random.Random(8)
-    # fit's verdicts, and those of two bins that the screen decides in lanes
-    verdicts = {True: 0, False: 0, None: 0, "two bins pack": 0, "two bins refuse": 0}
-    for case in range(300):
-        # small bins, and bins whose total sits just below a byte boundary,
-        # where the sum of several heavy weights needs a wider lane
-        top = (9, 127, 2**15 - 1)[case % 3]
-        bins = sorted((rng.randint(0, top) for _ in range(rng.randint(1, 4))), reverse=True)
+    # fit's verdicts, and per bin count those of the subsets fit leaves open, which every map decides
+    verdicts = {True: 0, False: 0, None: 0, **{(k, packs): 0 for k in (2, 3, 4) for packs in (True, False)}}
+    for case in range(800):
+        # small bins, bins whose total sits just below a byte boundary, where
+        # the sum of several heavy weights needs a wider lane, and weights
+        # past 32 and 64 bits; 1-4 bins of each
+        top = (9, 127, 2**15 - 1, 2**40, 10**30)[case % 5]
+        bins = sorted((rng.randint(0, top) for _ in range(case // 5 % 4 + 1)), reverse=True)
+        shape = case // 20 % 3
+        if shape == 1:
+            bins = [bins[0]] * len(bins)
+        elif shape == 2:
+            bins[-1] = 0
         caps = Capacities.of(bins)
+        # zero weights, and weights above the largest bin
         weights = [rng.choice((0, rng.randint(1, top + top // 3))) for _ in range(rng.randint(0, 6))]
         # at the narrowest width the screen allows, and one byte wider
         width = lanes.width((len(weights) + 1) * (caps.total + 1)) + rng.choice((0, 8))
-        within, above = caps.screen(weights, width, len(bins))
+        packs = screen(bins, weights, width)
         guards = [1 << (m + 1) * width - 1 for m in range(1 << len(weights))]
         # only guard bits are set, and only in the subsets' lanes
-        assert within | above | sum(guards) == sum(guards)
+        assert packs | sum(guards) == sum(guards)
         for m, guard in enumerate(guards):
             held = [w for k, w in enumerate(weights) if m >> k & 1]
             fits = caps.fit(sum(held), max(held, default=0))
             verdicts[fits] += 1
-            if fits is None and len(bins) <= 2:
+            if fits is None:
                 fits = packs_by_every_map(bins, held)
-                verdicts["two bins pack" if fits else "two bins refuse"] += 1
-            assert bool(within & guard) is (fits is not False), (caps, weights, m)
-            assert bool(above & guard) is (fits is None), (caps, weights, m)
-    assert min(verdicts.values()) > 0
+                verdicts[len(bins), fits] += 1
+            assert bool(packs & guard) is fits, (bins, weights, m)
+    assert min(verdicts.values()) > 0, verdicts
 
 
 def test_exact_single_item_argmax_and_feasibility_filter():

@@ -295,36 +295,16 @@ def _mixed_stages(seed):
     ],
 )
 def test_packable_rows_match_packing_every_subset(params, monkeypatch):
-    packer = []
-    real_packer = mkcp.pack_assignment
-
-    def counted(*args, **kwargs):
-        packer.append(args)
-        return real_packer(*args, **kwargs)
-
-    placed = []
-    real_place = oracle.place
-
-    def counted_place(*args, **kwargs):
-        placed.append(args)
-        return real_place(*args, **kwargs)
-
-    monkeypatch.setattr(mkcp, "pack_assignment", counted)
-    monkeypatch.setattr(oracle, "place", counted_place)
-    unpackable = searched = 0
+    calls = _spy(monkeypatch, "pack_assignment", "place")
+    unpackable = 0
     for seed in range(6):
         inst = _mixed_stages(seed) if params == "mixed" else gen_random(params, seed)
         for t in range(1, inst.horizon + 1):
-            searched += len(placed)
-            packer.clear()
-            placed.clear()
+            calls.clear()
             row = packable_row(inst, t)
-            # rows ask ``place`` directly, never the naming packer
-            assert packer == [], (seed, t)
-            # the lanes alone decide every constraint of one or two bins
-            assert all(len(caps) >= 3 for caps, _ in placed), (seed, t)
-            if all(len(mkc.bins) <= 2 for mkc in inst.stage(t).mkcs):
-                assert placed == [], (seed, t)
+            # the lanes decide every constraint, of any bin count: rows ask
+            # neither the naming packer nor ``place``
+            assert calls == [], (seed, t)
             got = {
                 frozenset(i for k, i in enumerate(inst.items) if (m >> k) & 1)
                 for m, ok in enumerate(row)
@@ -339,10 +319,17 @@ def test_packable_rows_match_packing_every_subset(params, monkeypatch):
                     for mkc in mkcs
                 ), (seed, t, m)
             unpackable += row.count(False)
-    # tight capacities leave many subsets unpackable, so the closure is exercised
+    # tight capacities leave many subsets unpackable
     assert unpackable > 100
-    # and the spy sees the searches that stages with three bins or more make
-    assert (searched > 0) == (params == "mixed" or params.bins_per_mkc >= 3)
+
+
+def _spy(monkeypatch, *names):
+    """The list of calls of these ``mkcp`` functions, each named as it is made, which still run."""
+    calls = []
+    for name in names:
+        real = getattr(mkcp, name)
+        monkeypatch.setattr(mkcp, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
 
 
 @pytest.mark.parametrize("unit", [2**40, 10**30], ids=["past_32_bits", "past_64_bits"])
@@ -350,16 +337,17 @@ def test_packable_rows_hold_weights_past_machine_words(unit, monkeypatch):
     # Screen lanes widen with the capacities. Sums of up to five weights near
     # 2**40 still fit numpy's int64, so every map is tried; near 10**30 the
     # reference is the packer of each subset.
-    placed = []
-    real_place = oracle.place
-    monkeypatch.setattr(oracle, "place", lambda *args: placed.append(args) or real_place(*args))
+    placed = _spy(monkeypatch, "place")
     params = GenParams(items=5, horizon=3, dimension=2, bins_per_mkc=3,
                        weight_range=(unit, 3 * unit), capacity_range=(unit, 5 * unit))
     flags = []
     for seed in range(4):
         inst = gen_random(params, seed)
         for t in range(1, inst.horizon + 1):
+            placed.clear()
             row = packable_row(inst, t)
+            # three bins, decided in lanes without ``place``
+            assert placed == [], (seed, t)
             subsets = [frozenset(i for k, i in enumerate(inst.items) if m >> k & 1) for m in range(len(row))]
             if unit < 2**62:
                 expected = [
@@ -374,20 +362,21 @@ def test_packable_rows_hold_weights_past_machine_words(unit, monkeypatch):
                 expected = [s in packable for s in subsets]
             assert list(row) == expected, (seed, t)
             flags += expected
-    # both outcomes occur, and some subsets are left for the search to decide
-    assert 0 < flags.count(True) < len(flags) and placed
+    # both outcomes occur
+    assert 0 < flags.count(True) < len(flags)
 
 
-def _two_bin_stage(rng, case):
-    """One stage over six items: two two-bin constraints of the case's shape, or a 1-, 2- and 3-bin one."""
+def _bin_stage(rng, case, bins):
+    """One stage over six items: one constraint of ``bins`` bins of the case's shape, or a 1-, 2-, 3- and 4-bin one."""
     items = "abcdef"
     unit = {"past_32_bits": 2**40, "past_64_bits": 10**30}.get(case, 1)
     c1 = rng.randint(4, 9)
+    caps = [c1] + [rng.randint(1, c1) for _ in range(bins - 1)]
     shapes = {
-        "equal_capacities": [[c1, c1], [c1, c1]],
-        "zero_capacity_bin": [[c1, 0], [0, c1]],
-        "mixed_bins": [[c1], [c1, rng.randint(1, c1)], [c1, rng.randint(1, c1), rng.randint(0, c1)]],
-    }.get(case, [[c1, rng.randint(1, c1)], [rng.randint(1, c1), c1]])
+        "equal_capacities": [[c1] * bins],
+        "zero_capacity_bin": [caps[:-1] + [0]],
+        "mixed_bins": [[c1] + [rng.randint(0, c1) for _ in range(k)] for k in range(4)],
+    }.get(case, [caps])
 
     def mkc(caps):
         low = 0 if case == "zero_weights" else 1
@@ -395,8 +384,8 @@ def _two_bin_stage(rng, case):
         weights = {i: rng.randint(low, 5) * unit + rng.randint(0, unit >> 3) for i in items}
         if case == "above_c1":
             weights[rng.choice(items)] = max(caps) * unit + 1
-        bins = tuple(f"b{j}" for j in range(len(caps)))
-        return Mkc(weights=weights, bins=bins, capacities={b: c * unit for b, c in zip(bins, caps)})
+        names = tuple(f"b{j}" for j in range(len(caps)))
+        return Mkc(weights=weights, bins=names, capacities={b: c * unit for b, c in zip(names, caps)})
 
     return McpStage(mkcs=tuple(map(mkc, shapes)), profit={i: 1 for i in items})
 
@@ -406,34 +395,33 @@ def _two_bin_stage(rng, case):
     ["equal_capacities", "zero_capacity_bin", "zero_weights", "above_c1", "past_32_bits", "past_64_bits",
      "mixed_bins"],
 )
-def test_two_bin_rows_match_every_map_without_place(case, monkeypatch):
-    # A constraint of at most two bins is decided in lanes, by a subset max
-    # and one compare, so ``place`` sees only constraints of three bins or
-    # more. The subsets that fit neither the largest bin alone nor fail the
-    # total, which the screen used to leave open, are decided both ways.
-    placed = []
-    real_place = oracle.place
-    monkeypatch.setattr(oracle, "place", lambda *args: placed.append(args) or real_place(*args))
+def test_rows_of_one_to_four_bins_match_every_map_without_place(case, monkeypatch):
+    # A constraint of any bin count is decided in lanes, by chained subset
+    # maxes and compares, so no row calls ``place``. The subsets that fit
+    # neither the largest bin alone nor fail the total, left to ``place``
+    # before the chain decided three bins or more, are decided both ways,
+    # of two bins and of more.
+    placed = _spy(monkeypatch, "place")
     rng = random.Random(case)
-    flags, decided = [], []
-    for _ in range(6):
-        stage = _two_bin_stage(rng, case)
-        inst = build_instance("abcdef", [stage])
-        row = packable_row(inst, 1)
-        for m, ok in enumerate(row):
-            members = [i for k, i in enumerate(inst.items) if m >> k & 1]
-            verdicts = []
-            for mkc in stage.mkcs:
-                caps, weights = sorted(mkc.capacities.values(), reverse=True), [mkc.weights[i] for i in members]
-                verdicts.append(packs_by_every_map(caps, weights))
-                if len(caps) == 2 and Capacities.of(caps).fit(sum(weights), max(weights, default=0)) is None:
-                    decided.append(verdicts[-1])
-            assert ok == all(verdicts), (case, m)
-            flags.append(ok)
-    assert all(len(caps) >= 3 for caps, _ in placed)
+    flags, decided = [], {2: [], 3: []}
+    for bins in range(1, 5):
+        for _ in range(6):
+            stage = _bin_stage(rng, case, bins)
+            row = packable_row(build_instance("abcdef", [stage]), 1)
+            for m, ok in enumerate(row):
+                members = [i for k, i in enumerate("abcdef") if m >> k & 1]
+                verdicts = []
+                for mkc in stage.mkcs:
+                    caps, weights = sorted(mkc.capacities.values(), reverse=True), [mkc.weights[i] for i in members]
+                    verdicts.append(packs_by_every_map(caps, weights))
+                    if Capacities.of(caps).fit(sum(weights), max(weights, default=0)) is None:
+                        decided[min(len(caps), 3)].append(verdicts[-1])
+                assert ok == all(verdicts), (case, bins, m)
+                flags.append(ok)
+    assert placed == []
     assert True in flags and False in flags
-    if case != "zero_capacity_bin":
-        assert True in decided and False in decided, decided
+    for bins in (2, 3) if case != "zero_capacity_bin" else (3,):
+        assert True in decided[bins] and False in decided[bins], (bins, decided[bins])
 
 
 def test_matches_enumeration_on_tie_heavy_instances():
