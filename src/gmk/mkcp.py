@@ -182,14 +182,14 @@ def screen(caps: Sequence[int], weights: Sequence[int], width: int) -> int:
     Lane m of ``lanes.sums`` holds subset m's weight w(m), below ``width``'s
     guard bit: ``width`` is at least ``lanes.width((n + 1) * (total + 1))``
     for n weights and the caps' total. An item above c1 counts as total + 1,
-    so no subset holding it packs. One rule chains over c1 >= ... >= ck:
-    P_1[m] = [w(m) <= c1], and P_j[m] = [h_j[m] + c_j >= w(m)], where h_j[m]
-    is the largest w(B) over the B inside m with P_{j-1}[B], a subset max in
-    one ``lanes.larger`` per item (Yates' transform over (max, +); Bjorklund
-    et al., "Fourier meets Mobius", STOC 2007). It is exact: m packs into
-    bins 1..j exactly when some B inside m packs into bins 1..j-1 with
-    w(m) - w(B) <= c_j, bin j taking the rest, and the heaviest such B is
-    enough. P_k implies w(m) <= total.
+    which bounds every lane and still packs in no subset. One rule chains
+    over c1 >= ... >= ck: P_1[m] = [w(m) <= c1], and P_j[m] = [h_j[m] + c_j
+    >= w(m)], where h_j[m] is the largest w(B) over the B inside m with
+    P_{j-1}[B], a subset max in one ``lanes.larger`` per item (Yates'
+    transform over (max, +); Bjorklund et al., "Fourier meets Mobius", STOC
+    2007). It is exact: m packs into bins 1..j exactly when some B inside m
+    packs into bins 1..j-1 with w(m) - w(B) <= c_j, bin j taking the rest,
+    and the heaviest such B is enough. P_k implies w(m) <= total.
     """
     size, above = 1 << len(weights), sum(caps) + 1
     ones, guard = lanes.ones(size, width), lanes.guard(size, width)

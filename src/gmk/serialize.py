@@ -432,6 +432,7 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
     if payload not in raw or other in raw:
         raise InputError(f"the {variant} variant needs {payload!r} and no {other!r}")
     label = "value" if variant == MODULAR else "gain value"
+    _fields(raw, "reduced instance file", "items", "horizon", "dimension", "elements", "partition", "constraints")
     try:
         items = _name_list(raw["items"], "items")
         horizon = _scaled_int(raw["horizon"], 1, "horizon")
@@ -440,13 +441,13 @@ def reduced_from_dict(raw: Any) -> ReducedInstance:
             _element_from_id(_fields(e, f"elements[{k}]", "id")["id"]) for k, e in enumerate(raw["elements"])
         )
         groups = _object(raw["partition"], "partition")
-        groups = {str(i): tuple(_element_from_id(eid) for eid in g) for i, g in groups.items()}
+        groups = {str(i): tuple(map(_element_from_id, _list(g, f"partition[{i}]"))) for i, g in groups.items()}
         constraints = tuple(
             _reduced_constraint(rc, f"constraint {k}") for k, rc in enumerate(raw["constraints"])
         )
         stage_functions = None
         if variant == SUBMODULAR:
-            objective_raw = _object(raw["objective"], "objective")
+            objective_raw = _fields(raw["objective"], "objective", "stage_profits", "gain_values")
             stage_profits = _list(objective_raw["stage_profits"], "objective.stage_profits")
             if len(stage_profits) != horizon:
                 raise InputError("objective needs one stage profit per stage")

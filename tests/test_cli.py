@@ -443,6 +443,20 @@ BAD_REDUCED = {
         "modular_micro", lambda raw: raw["constraints"][0].pop("stage"), "constraint 0: missing key 'stage'"
     ),
     "element_without_id": ("modular_micro", lambda raw: raw["elements"][1].pop("id"), "elements[1]: missing key 'id'"),
+    "without_constraints": (
+        "modular_micro", lambda raw: raw.pop("constraints"), "reduced instance file: missing key 'constraints'"
+    ),
+    "objective_without_gain_values": (
+        "submodular_micro",
+        lambda raw: raw["objective"].pop("gain_values"),
+        "objective: missing key 'gain_values'",
+    ),
+    # a string would read as its characters
+    "partition_group_string": (
+        "modular_micro",
+        lambda raw: raw["partition"].update(cam="cam@0"),
+        "partition[cam]: expected a list, got str",
+    ),
     "element_without_value": ("modular_micro", _element_without_value, "cover exactly the elements"),
     "unknown_variant": ("modular_micro", lambda raw: raw.update(variant="bogus"), "unknown variant"),
     "modular_without_values": ("modular_micro", lambda raw: raw.pop("values"), "needs 'values'"),

@@ -390,21 +390,36 @@ def _bin_stage(rng, case, bins):
     return McpStage(mkcs=tuple(map(mkc, shapes)), profit={i: 1 for i in items})
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["equal_capacities", "zero_capacity_bin", "zero_weights", "above_c1", "past_32_bits", "past_64_bits",
-     "mixed_bins"],
-)
-def test_rows_of_one_to_four_bins_match_every_map_without_place(case, monkeypatch):
-    # A constraint of any bin count is decided in lanes, by chained subset
-    # maxes and compares, so no row calls ``place``. The subsets that fit
-    # neither the largest bin alone nor fail the total, left to ``place``
-    # before the chain decided three bins or more, are decided both ways,
-    # of two bins and of more.
+ROW_CASES = [
+    "equal_capacities", "zero_capacity_bin", "zero_weights", "above_c1", "past_32_bits", "past_64_bits", "mixed_bins",
+]
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_two_bin_rows_match_every_map_without_place(case, monkeypatch):
+    decided = _rows_match_every_map(case, [2], monkeypatch)
+    # a zero-capacity bin leaves the other bin alone to decide every subset
+    if case != "zero_capacity_bin":
+        assert True in decided and False in decided, decided
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_one_three_and_four_bin_rows_match_every_map_without_place(case, monkeypatch):
+    decided = _rows_match_every_map(case, [1, 3, 4], monkeypatch)
+    assert True in decided and False in decided, decided
+
+
+def _rows_match_every_map(case, bin_counts, monkeypatch):
+    """The verdicts of the subsets ``Capacities.fit`` leaves open, once rows match every map of weights to bins.
+
+    A constraint of any bin count is decided in lanes, by chained subset
+    maxes and compares, so no row calls ``place``. Six stages of the case's
+    shape per bin count are checked, and both outcomes must occur.
+    """
     placed = _spy(monkeypatch, "place")
     rng = random.Random(case)
-    flags, decided = [], {2: [], 3: []}
-    for bins in range(1, 5):
+    flags, decided = [], []
+    for bins in bin_counts:
         for _ in range(6):
             stage = _bin_stage(rng, case, bins)
             row = packable_row(build_instance("abcdef", [stage]), 1)
@@ -415,13 +430,12 @@ def test_rows_of_one_to_four_bins_match_every_map_without_place(case, monkeypatc
                     caps, weights = sorted(mkc.capacities.values(), reverse=True), [mkc.weights[i] for i in members]
                     verdicts.append(packs_by_every_map(caps, weights))
                     if Capacities.of(caps).fit(sum(weights), max(weights, default=0)) is None:
-                        decided[min(len(caps), 3)].append(verdicts[-1])
+                        decided.append(verdicts[-1])
                 assert ok == all(verdicts), (case, bins, m)
                 flags.append(ok)
     assert placed == []
     assert True in flags and False in flags
-    for bins in (2, 3) if case != "zero_capacity_bin" else (3,):
-        assert True in decided[bins] and False in decided[bins], (bins, decided[bins])
+    return decided
 
 
 def test_matches_enumeration_on_tie_heavy_instances():
